@@ -69,7 +69,6 @@ func NewCluster(shards int, opts ...Option) (*Cluster, error) {
 		CommitTimeout:     c.commitTimeout,
 		GroupCommit:       c.groupCommit,
 		Adaptive:          c.adaptive,
-		ServerTransport:   c.serverTransport,
 	}
 	if c.recorder != nil {
 		copts.Sink = c.recorder

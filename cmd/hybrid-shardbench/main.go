@@ -71,15 +71,15 @@ func main() {
 		duration   = flag.Duration("duration", time.Second, "measurement window per configuration")
 		shards     = flag.String("shards", "1,2,4,8", "comma-separated shard counts")
 		crossPcts  = flag.String("cross", "0,10,50", "comma-separated cross-shard transaction percentages")
-		transport  = flag.String("transport", "direct", "cross-shard commit transport: direct (in-process fast path), server (goroutine/channel fault-injection), or tcp (loopback netproto; see -addrs)")
+		transport  = flag.String("transport", "direct", "cross-shard commit transport: direct (in-process calls) or tcp (loopback netproto; see -addrs)")
 		addrsFlag  = flag.String("addrs", "", "comma-separated shard-server addresses for -transport tcp (addrs[i] serves shard i; empty starts in-process loopback servers); requires a single -shards count matching the list")
 		group      = flag.Bool("group", false, "enable per-shard group commit")
 	)
 	flag.Parse()
 	switch *transport {
-	case "direct", "server", "tcp":
+	case "direct", "tcp":
 	default:
-		fmt.Fprintf(os.Stderr, "bad -transport %q (want direct, server, or tcp)\n", *transport)
+		fmt.Fprintf(os.Stderr, "bad -transport %q (want direct or tcp)\n", *transport)
 		os.Exit(2)
 	}
 	var addrs []string

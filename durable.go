@@ -173,7 +173,6 @@ func OpenCluster(dir string, shards int, setup func(*Cluster) error, opts ...Opt
 		CommitTimeout:     c.commitTimeout,
 		GroupCommit:       c.groupCommit,
 		Adaptive:          c.adaptive,
-		ServerTransport:   c.serverTransport,
 		Durability:        c.durabilityOf(dir),
 	}
 	if c.recorder != nil {

@@ -31,6 +31,45 @@ func openAccounts(t *testing.T, dir string, rec *Recorder, opts ...Option) (*Sys
 	return s, acc
 }
 
+// TestEmptyTransactionLogsNothing: a transaction that touched no object
+// has nothing for recovery to replay, so committing it must not append —
+// let alone fsync — a record; a reopen is indifferent to the absence.
+func TestEmptyTransactionLogsNothing(t *testing.T) {
+	for _, group := range []bool{false, true} {
+		dir := t.TempDir()
+		var opts []Option
+		if group {
+			opts = append(opts, WithGroupCommit())
+		}
+		s, acc := openAccounts(t, dir, nil, opts...)
+		if err := s.Atomically(func(tx *Tx) error { return acc.Credit(tx, 5) }); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		for i := 0; i < 10; i++ {
+			if err := s.Atomically(func(*Tx) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := s.Stats()
+		if after.Committed-before.Committed != 10 {
+			t.Fatalf("group=%v: Committed rose by %d, want 10", group, after.Committed-before.Committed)
+		}
+		if a, f := after.LogAppends-before.LogAppends, after.LogFsyncs-before.LogFsyncs; a != 0 || f != 0 {
+			t.Fatalf("group=%v: 10 empty transactions cost %d appends and %d fsyncs, want 0 and 0", group, a, f)
+		}
+		s.inner.CrashLog()
+
+		s2, acc2 := openAccounts(t, dir, nil, opts...)
+		if got := acc2.CommittedBalance(); got != 5 {
+			t.Fatalf("group=%v: recovered balance = %d, want 5", group, got)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestOpenRecoverVerify(t *testing.T) {
 	dir := t.TempDir()
 	s, acc := openAccounts(t, dir, NewRecorder())

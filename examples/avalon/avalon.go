@@ -1,7 +1,8 @@
 // Package avalon reconstructs the appendix of Herlihy & Weihl: the
 // Avalon/C++ implementation of the Account data type, transliterated to
-// Go.  It exists alongside the generic runtime (internal/core) because the
-// appendix demonstrates two techniques the generic runtime does not use:
+// Go.  Nothing in the engine imports it; it is kept as an example beside
+// the generic runtime (internal/core) because the appendix demonstrates two
+// techniques the generic runtime does not use:
 //
 //   - Affine intentions: a transaction's net effect on the balance is the
 //     closed form b ↦ mul·b + add, so an intentions *list* collapses to two

@@ -127,7 +127,6 @@ type config struct {
 	recorder          *Recorder
 	commitTimeout     time.Duration
 	groupCommit       bool
-	serverTransport   bool
 	adaptive          *core.Adaptive
 	// Durability knobs, meaningful to Open/OpenCluster only: fsync
 	// defaults to on there (fsyncSet distinguishes "unset" from
@@ -215,14 +214,6 @@ type Adaptive = core.Adaptive
 // from live load.
 func WithAdaptive(a Adaptive) Option {
 	return func(c *config) { c.adaptive = &a }
-}
-
-// WithServerTransport routes a Cluster's cross-shard commits through
-// goroutine/channel protocol servers — the fault-injection transport, for
-// tests that crash sites or time messages out — instead of the default
-// direct in-process calls.  Ignored by NewSystem.
-func WithServerTransport() Option {
-	return func(c *config) { c.serverTransport = true }
 }
 
 // System manages hybrid atomic objects and mints transactions.

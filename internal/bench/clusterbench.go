@@ -56,12 +56,10 @@ type ClusterBenchConfig struct {
 	Hold time.Duration
 	// Duration is the measurement window.
 	Duration time.Duration
-	// Transport selects the commit transport: "direct" (or empty, the
-	// in-process fast path), "server" (goroutine/channel fault-injection
-	// servers, the PR 3 configuration), or "tcp" (every branch operation
-	// and protocol message over loopback TCP through internal/netproto —
-	// the multi-process cost model with the process boundary factored
-	// out).
+	// Transport selects the commit transport: "direct" (or empty,
+	// in-process calls) or "tcp" (every branch operation and protocol
+	// message over loopback TCP through internal/netproto — the
+	// multi-process cost model with the process boundary factored out).
 	Transport string
 	// Addrs lists running shard servers (addrs[i] serves shard i) for
 	// Transport "tcp".  Empty starts in-process loopback servers for the
@@ -147,13 +145,12 @@ func ClusterThroughput(cfg ClusterBenchConfig) (ClusterBenchResult, error) {
 	var cl *cluster.Cluster
 	var stopShards func()
 	switch transport {
-	case "direct", "server":
+	case "direct":
 		var err error
 		cl, err = cluster.New(cluster.Options{
-			Shards:          cfg.Shards,
-			LockWait:        lockWait,
-			ServerTransport: transport == "server",
-			GroupCommit:     cfg.GroupCommit,
+			Shards:      cfg.Shards,
+			LockWait:    lockWait,
+			GroupCommit: cfg.GroupCommit,
 		})
 		if err != nil {
 			return ClusterBenchResult{}, err
@@ -211,7 +208,7 @@ func ClusterThroughput(cfg ClusterBenchConfig) (ClusterBenchResult, error) {
 			return ClusterBenchResult{}, err
 		}
 	default:
-		return ClusterBenchResult{}, fmt.Errorf("bench: unknown transport %q (want direct, server, or tcp)", transport)
+		return ClusterBenchResult{}, fmt.Errorf("bench: unknown transport %q (want direct or tcp)", transport)
 	}
 	if stopShards != nil {
 		defer stopShards()

@@ -66,12 +66,6 @@ type Options struct {
 	// pass per object (core.Options.GroupCommit).  Cross-shard commits are
 	// not batched — they serialize through the commit protocol.
 	GroupCommit bool
-	// ServerTransport routes cross-shard commits through goroutine/channel
-	// protocol servers (commitproto.Server) instead of direct in-process
-	// calls — the fault-injection transport, for tests that crash sites or
-	// time messages out.  Production clusters leave it off: the direct
-	// transport has no per-commit server lifecycle at all.
-	ServerTransport bool
 	// Adaptive starts a runtime adaptation controller on every shard
 	// (core.Options.Adaptive): each shard's controller samples its own
 	// objects and switches schemes locally.  Switch counters aggregate in
@@ -79,8 +73,8 @@ type Options struct {
 	Adaptive *core.Adaptive
 	// WrapTransport, when set, wraps each cross-shard commit's per-shard
 	// protocol transport — the hook the deterministic fault-injection
-	// transport (commitproto.FaultTransport) plugs into, composing with
-	// either the direct or the server transport underneath.
+	// transport (commitproto.FaultTransport) plugs into, over the direct
+	// transport in-process and the shard connection when dialed.
 	WrapTransport func(shard int, tr commitproto.Transport) commitproto.Transport
 	// Durability gives every shard a write-ahead commit log under
 	// Dir/shard<i> and the coordinator a decision log under Dir/coord
@@ -101,10 +95,9 @@ type Cluster struct {
 	index      map[*core.System]int
 	// names holds the protocol site name of every shard ("shard<i>"),
 	// precomputed once here so the commit hot path never formats them.
-	names           []string
-	serverTransport bool
-	txSeq           atomic.Uint64
-	stats           stats
+	names []string
+	txSeq atomic.Uint64
+	stats stats
 
 	// remotes, when non-nil, holds one dialed connection per shard: the
 	// shard Systems are remote stubs and cross-shard commits run over the
@@ -142,12 +135,11 @@ func New(opts Options) (*Cluster, error) {
 		}
 	}
 	c := &Cluster{
-		shards:          make([]*core.System, opts.Shards),
-		clocks:          make([]*tstamp.NodeClock, opts.Shards),
-		index:           make(map[*core.System]int, opts.Shards),
-		names:           make([]string, opts.Shards),
-		serverTransport: opts.ServerTransport,
-		wrapTransport:   opts.WrapTransport,
+		shards:        make([]*core.System, opts.Shards),
+		clocks:        make([]*tstamp.NodeClock, opts.Shards),
+		index:         make(map[*core.System]int, opts.Shards),
+		names:         make([]string, opts.Shards),
+		wrapTransport: opts.WrapTransport,
 	}
 	for i := range c.shards {
 		clock := tstamp.NewNodeClock(i, opts.Shards+1)

@@ -398,28 +398,26 @@ func readMirror(c *Cluster, ctrA, ctrB *core.Object) (a, b int64, ok bool, err e
 // as a single globally hybrid atomic history — global atomicity, not
 // per-shard atomicity — and money must be conserved.
 // TestClusterStressGlobalAtomicity runs the full mixed workload under
-// every commit configuration: the default direct transport, the
-// fault-injection server transport, and the direct transport with
-// per-shard group commit.  Global atomicity must hold identically.
+// every commit configuration: the direct transport, the direct transport
+// with per-shard group commit, and the direct transport behind scripted
+// message faults.  Global atomicity must hold identically.
 func TestClusterStressGlobalAtomicity(t *testing.T) {
 	for _, cfg := range []struct {
-		name            string
-		serverTransport bool
-		groupCommit     bool
-		faults          bool
+		name        string
+		groupCommit bool
+		faults      bool
 	}{
-		{"direct", false, false, false},
-		{"server-transport", true, false, false},
-		{"direct+group-commit", false, true, false},
-		{"direct+faults", false, false, true},
+		{"direct", false, false},
+		{"direct+group-commit", true, false},
+		{"direct+faults", false, true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			runClusterStress(t, cfg.serverTransport, cfg.groupCommit, cfg.faults)
+			runClusterStress(t, cfg.groupCommit, cfg.faults)
 		})
 	}
 }
 
-func runClusterStress(t *testing.T, serverTransport, groupCommit, faults bool) {
+func runClusterStress(t *testing.T, groupCommit, faults bool) {
 	const (
 		shards  = 4
 		workers = 8
@@ -427,8 +425,7 @@ func runClusterStress(t *testing.T, serverTransport, groupCommit, faults bool) {
 		opening = 1_000
 	)
 	rec := verify.NewRecorder()
-	opts := Options{Shards: shards, LockWait: 2 * time.Second, Sink: rec,
-		ServerTransport: serverTransport, GroupCommit: groupCommit}
+	opts := Options{Shards: shards, LockWait: 2 * time.Second, Sink: rec, GroupCommit: groupCommit}
 	if faults {
 		// Intermittent scripted faults: every few commit rounds lose a
 		// prepare (the round aborts and is retried), duplicate a commit

@@ -28,7 +28,7 @@ type DTx struct {
 	order    []branch
 }
 
-// branch pairs a shard branch with its shard index (for protocol server
+// branch pairs a shard branch with its shard index (for protocol site
 // names and deterministic iteration in creation order).
 type branch struct {
 	shard int
@@ -136,15 +136,11 @@ func (t *DTx) Commit() error {
 		return nil
 	}
 
-	// The protocol runs over the direct in-process transport by default:
-	// participants are called without any per-commit server goroutines,
-	// channels, or timers — the fault-injection Server transport survives
-	// behind Options.ServerTransport for crash testing.  Either way the
-	// transports stay alive until the decision re-apply loop below has
-	// finished: tearing a transport down before recovery re-delivery is
-	// exactly the late-decision race the seam forbids.
+	// In-process the protocol runs over the direct transport: participants
+	// are plain method calls, with no per-commit lifecycle to tear down, so
+	// the transports are trivially still deliverable when the decision
+	// re-apply loop below runs.
 	trs := make([]commitproto.Transport, len(order))
-	var servers []*commitproto.Server
 	for i, b := range order {
 		// Stamp every leg's commit record with the full site count, so a
 		// recovery merging this transaction across shard logs can tell a
@@ -155,14 +151,7 @@ func (t *DTx) Commit() error {
 			// connections; the remote server holds the real branch.
 			trs[i] = t.c.remotes[b.shard].Transport()
 		} else {
-			p := core.TxParticipant{Tx: b.tx}
-			if t.c.serverTransport {
-				s := commitproto.NewServer(t.c.names[b.shard], p)
-				servers = append(servers, s)
-				trs[i] = s
-			} else {
-				trs[i] = commitproto.NewDirect(t.c.names[b.shard], p)
-			}
+			trs[i] = commitproto.NewDirect(t.c.names[b.shard], core.TxParticipant{Tx: b.tx})
 		}
 		if t.c.wrapTransport != nil {
 			trs[i] = t.c.wrapTransport(b.shard, trs[i])
@@ -187,7 +176,6 @@ func (t *DTx) Commit() error {
 					t.id, t.c.names[b.shard], ts, err))
 			}
 		}
-		stopServers(servers)
 		t.c.stats.committed.Add(1)
 		t.c.stats.crossShardCommit.Add(1)
 		return nil
@@ -195,7 +183,6 @@ func (t *DTx) Commit() error {
 	for _, b := range order {
 		_ = b.tx.Abort()
 	}
-	stopServers(servers)
 	t.c.stats.aborted.Add(1)
 	t.c.stats.protocolAborts.Add(1)
 	if err != nil {
@@ -206,17 +193,6 @@ func (t *DTx) Commit() error {
 		return fmt.Errorf("cluster: commit of %s: %w (%w)", t.id, ErrCommitAborted, err)
 	}
 	return fmt.Errorf("%w: %s", ErrCommitAborted, t.id)
-}
-
-// stopServers shuts down the fault-injection transport's servers, if that
-// transport was in use.  Called only after the protocol decision has been
-// applied (or every branch aborted) locally, so a stopped server can never
-// race a late decision delivery — the teardown used to precede the
-// decision re-apply loop, which left exactly that window open.
-func stopServers(servers []*commitproto.Server) {
-	for _, s := range servers {
-		s.Stop()
-	}
 }
 
 // Abort aborts the transaction on every touched shard, releasing its locks

@@ -19,13 +19,12 @@ import (
 // coordinator decision log, exercised through the real 2PC machinery with
 // message delivery cut at the worst moments.
 
-func openDurableCluster(t *testing.T, dir string, shards int, server bool) *Cluster {
+func openDurableCluster(t *testing.T, dir string, shards int) *Cluster {
 	t.Helper()
 	c, err := New(Options{
-		Shards:          shards,
-		LockWait:        250 * time.Millisecond,
-		ServerTransport: server,
-		Durability:      &core.Durability{Dir: dir, Sync: true},
+		Shards:     shards,
+		LockWait:   250 * time.Millisecond,
+		Durability: &core.Durability{Dir: dir, Sync: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func balance(t *testing.T, o *core.Object) int64 {
 // refuse the merge otherwise).
 func TestDurableClusterHardStop(t *testing.T) {
 	dir := t.TempDir()
-	c := openDurableCluster(t, dir, 2, false)
+	c := openDurableCluster(t, dir, 2)
 	if err := c.FinishRecovery(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestDurableClusterHardStop(t *testing.T) {
 	}
 	c.CrashLogs()
 
-	c2 := openDurableCluster(t, dir, 2, false)
+	c2 := openDurableCluster(t, dir, 2)
 	a2, b2 := newAccountOn(c2, 0, "a"), newAccountOn(c2, 1, "b")
 	if err := c2.FinishRecovery(); err != nil {
 		t.Fatal(err)
@@ -103,7 +102,7 @@ func TestDurableClusterHardStop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c3 := openDurableCluster(t, dir, 2, false)
+	c3 := openDurableCluster(t, dir, 2)
 	a3, b3 := newAccountOn(c3, 0, "a"), newAccountOn(c3, 1, "b")
 	if err := c3.FinishRecovery(); err != nil {
 		t.Fatal(err)
@@ -117,19 +116,24 @@ func TestDurableClusterHardStop(t *testing.T) {
 	c3.Close()
 }
 
-// dropCommit wraps a transport and loses every commit-decision delivery:
-// the participant voted yes, the coordinator decided, the message never
-// arrived — the canonical prepared-but-undecided window.
-type dropCommit struct {
-	commitproto.Transport
+// crashAfterVote is a branch whose site dies the moment it has voted: the
+// vote gets out, every later message finds the site unreachable — the
+// canonical prepared-but-undecided window.
+type crashAfterVote struct {
+	core.TxParticipant
+	crash func()
 }
 
-func (dropCommit) Commit(context.Context, histories.TxID, histories.Timestamp, time.Duration) bool {
-	return false
+func (p crashAfterVote) Prepare(tx histories.TxID) (histories.Timestamp, bool) {
+	lower, ok := p.TxParticipant.Prepare(tx)
+	p.crash()
+	return lower, ok
 }
 
-// TestPreparedUndecidedRecovery drives the prepared-but-undecided window on
-// both transports and both decision outcomes.
+// TestPreparedUndecidedRecovery drives the prepared-but-undecided window
+// both ways a decision fails to arrive — the site crashed after voting
+// (Direct.Crash), the decision message was lost (a scripted FaultTransport
+// drop) — and on both decision outcomes.
 //
 // decided=true: the coordinator's decision record reached its log before
 // delivery died (decision-before-delivery guarantees this ordering), so
@@ -141,12 +145,12 @@ func (dropCommit) Commit(context.Context, histories.TxID, histories.Timestamp, t
 // recovery presumes abort and the transfer vanishes — on every shard, so
 // atomicity holds either way.
 func TestPreparedUndecidedRecovery(t *testing.T) {
-	for _, server := range []bool{false, true} {
+	for _, lost := range []bool{false, true} {
 		for _, decided := range []bool{true, false} {
-			name := fmt.Sprintf("server=%v/decided=%v", server, decided)
+			name := fmt.Sprintf("lost=%v/decided=%v", lost, decided)
 			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
-				c := openDurableCluster(t, dir, 2, server)
+				c := openDurableCluster(t, dir, 2)
 				if err := c.FinishRecovery(); err != nil {
 					t.Fatal(err)
 				}
@@ -167,26 +171,24 @@ func TestPreparedUndecidedRecovery(t *testing.T) {
 				}
 
 				if decided {
-					// Full protocol round over transports that lose the
-					// decision delivery.
+					// Full protocol round over transports the decision
+					// never gets through.
 					var trs []commitproto.Transport
-					var servers []*commitproto.Server
 					for i, br := range []*core.Tx{brA, brB} {
 						p := core.TxParticipant{Tx: br}
-						if server {
-							s := commitproto.NewServer(c.names[i], p)
-							servers = append(servers, s)
-							trs = append(trs, dropCommit{s})
+						if lost {
+							ft := commitproto.NewFaultTransport(commitproto.NewDirect(c.names[i], p))
+							ft.Script(commitproto.ClassCommit, commitproto.DropRequest)
+							trs = append(trs, ft)
 						} else {
-							trs = append(trs, dropCommit{commitproto.NewDirect(c.names[i], p)})
+							var d *commitproto.Direct
+							d = commitproto.NewDirect(c.names[i], crashAfterVote{p, func() { d.Crash() }})
+							trs = append(trs, d)
 						}
 					}
 					dec, _, err := c.coord.RunTransports(context.Background(), id, trs)
 					if err != nil || dec != commitproto.Committed {
 						t.Fatalf("RunTransports = %v, %v", dec, err)
-					}
-					for _, s := range servers {
-						s.Stop()
 					}
 				} else {
 					// Death between prepare and decision: votes logged,
@@ -200,7 +202,7 @@ func TestPreparedUndecidedRecovery(t *testing.T) {
 				}
 				c.CrashLogs()
 
-				c2 := openDurableCluster(t, dir, 2, server)
+				c2 := openDurableCluster(t, dir, 2)
 				a2, b2 := newAccountOn(c2, 0, "a"), newAccountOn(c2, 1, "b")
 				// Before resolution, both shards report the branch pending.
 				for i := 0; i < 2; i++ {
@@ -229,7 +231,7 @@ func TestPreparedUndecidedRecovery(t *testing.T) {
 				// The resolution is durable either way: a third
 				// incarnation sees no pending branches and the same
 				// balances.
-				c3 := openDurableCluster(t, dir, 2, server)
+				c3 := openDurableCluster(t, dir, 2)
 				a3, b3 := newAccountOn(c3, 0, "a"), newAccountOn(c3, 1, "b")
 				for i := 0; i < 2; i++ {
 					if n := len(c3.Shard(i).RecoveredPending()); n != 0 {
@@ -256,7 +258,7 @@ func TestPreparedUndecidedRecovery(t *testing.T) {
 // hashes object names modulo the count.
 func TestShardCountPinned(t *testing.T) {
 	dir := t.TempDir()
-	c := openDurableCluster(t, dir, 2, false)
+	c := openDurableCluster(t, dir, 2)
 	if err := c.FinishRecovery(); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,7 @@ func segSize(t *testing.T, dir string) int64 {
 // directory — never replay the transaction on a subset of its shards.
 func TestTornCrossShardLegRefused(t *testing.T) {
 	dir := t.TempDir()
-	c := openDurableCluster(t, dir, 2, false)
+	c := openDurableCluster(t, dir, 2)
 	if err := c.FinishRecovery(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +316,7 @@ func TestTornCrossShardLegRefused(t *testing.T) {
 	shard1 := filepath.Join(dir, "shard1")
 	beforeTransfer := segSize(t, shard1)
 
-	c2 := openDurableCluster(t, dir, 2, false)
+	c2 := openDurableCluster(t, dir, 2)
 	a2, b2 := newAccountOn(c2, 0, "a"), newAccountOn(c2, 1, "b")
 	if err := c2.FinishRecovery(); err != nil {
 		t.Fatal(err)

@@ -10,22 +10,23 @@
 // timestamp from its logical clock primed with the maximum reported bound,
 // which establishes precedes(H|X) ⊆ TS(H) at every participant.
 //
-// The coordinator talks to participants through the Transport seam, which
-// has two implementations:
+// The coordinator talks to participants through the Transport seam:
 //
-//   - Server wraps a participant in a goroutine reachable only through
-//     channels, simulating a remote site with crash and timeout failure
-//     modes — the fault-injection transport the crash-path tests drive;
 //   - Direct calls the participant in-process with no goroutine, channel,
-//     or timer per message — the fast transport production clusters put on
-//     the commit hot path (internal/cluster).
+//     or timer per message — what an in-process cluster (internal/cluster)
+//     puts on the commit path;
+//   - internal/netproto's shard connection carries the same three messages
+//     to a shard served in another process;
+//   - FaultTransport wraps either with a deterministic script of lost,
+//     delayed, duplicated, held and reordered messages — the fault model
+//     every crash-path suite runs over.
 //
-// Both transports must stay deliverable until every decision re-delivery
-// the caller intends has completed: the protocol's phase 2 is
-// timeout-bounded, so a caller that re-applies a missed decision (standard
-// 2PC recovery) does it after Run returns, and closing a transport first
-// would turn recovery into a lost decision.  Close transports only after
-// the decision is fully applied.
+// A transport must stay deliverable until every decision re-delivery the
+// caller intends has completed: the protocol's phase 2 is timeout-bounded,
+// so a caller that re-applies a missed decision (standard 2PC recovery)
+// does it after RunTransports returns, and closing a transport first would
+// turn recovery into a lost decision.  Close transports only after the
+// decision is fully applied.
 package commitproto
 
 import (
@@ -91,154 +92,13 @@ func (d Decision) String() string {
 // participants.
 var ErrNoParticipants = errors.New("commitproto: no participants")
 
-// msgKind enumerates protocol messages.
-type msgKind int
-
-const (
-	msgPrepare msgKind = iota
-	msgCommit
-	msgAbort
-	msgStop
-)
-
-type request struct {
-	kind  msgKind
-	tx    histories.TxID
-	ts    histories.Timestamp
-	reply chan response
-}
-
-type response struct {
-	lower histories.Timestamp
-	vote  bool
-	ok    bool // false when the server has crashed
-}
-
-// Server is the fault-injection transport: it wraps a Participant in a
-// goroutine reachable only through channels, simulating a remote site that
-// can crash before or after voting and whose messages can time out.  The
-// per-commit cost (a server goroutine plus a channel, timer, and request
-// allocation per message) is the price of the failure modes; production
-// hot paths use Direct instead.
-type Server struct {
-	name    string
-	inbox   chan request
-	crashed chan struct{}
-}
-
-var _ Transport = (*Server)(nil)
-
-// NewServer starts a server for p.  The server processes one message at a
-// time until Stop or Crash.
-func NewServer(name string, p Participant) *Server {
-	s := &Server{
-		name:    name,
-		inbox:   make(chan request),
-		crashed: make(chan struct{}),
-	}
-	go s.serve(p)
-	return s
-}
-
-func (s *Server) serve(p Participant) {
-	for {
-		select {
-		case <-s.crashed:
-			return
-		case req, ok := <-s.inbox:
-			if !ok {
-				return
-			}
-			switch req.kind {
-			case msgPrepare:
-				lower, vote := p.Prepare(req.tx)
-				req.reply <- response{lower: lower, vote: vote, ok: true}
-			case msgCommit:
-				p.Commit(req.tx, req.ts)
-				req.reply <- response{ok: true}
-			case msgAbort:
-				p.Abort(req.tx)
-				req.reply <- response{ok: true}
-			case msgStop:
-				req.reply <- response{ok: true}
-				return
-			}
-		}
-	}
-}
-
-// send delivers a request, returning ok=false if the server is crashed,
-// does not answer within the timeout, or ctx is cancelled first.
-func (s *Server) send(ctx context.Context, kind msgKind, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) response {
-	reply := make(chan response, 1)
-	req := request{kind: kind, tx: tx, ts: ts, reply: reply}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case s.inbox <- req:
-	case <-ctx.Done():
-		return response{}
-	case <-s.crashed:
-		return response{}
-	case <-timer.C:
-		return response{}
-	}
-	select {
-	case r := <-reply:
-		return r
-	case <-ctx.Done():
-		return response{}
-	case <-s.crashed:
-		return response{}
-	case <-timer.C:
-		return response{}
-	}
-}
-
-// Prepare implements Transport.
-func (s *Server) Prepare(ctx context.Context, tx histories.TxID, timeout time.Duration) (histories.Timestamp, bool, bool) {
-	r := s.send(ctx, msgPrepare, tx, 0, timeout)
-	return r.lower, r.vote, r.ok
-}
-
-// Commit implements Transport.
-func (s *Server) Commit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) bool {
-	return s.send(ctx, msgCommit, tx, ts, timeout).ok
-}
-
-// Abort implements Transport.
-func (s *Server) Abort(ctx context.Context, tx histories.TxID, timeout time.Duration) bool {
-	return s.send(ctx, msgAbort, tx, 0, timeout).ok
-}
-
-// Crash makes the server unreachable, simulating a site failure.
-func (s *Server) Crash() {
-	select {
-	case <-s.crashed:
-	default:
-		close(s.crashed)
-	}
-}
-
-// Stop shuts the server down cleanly.  Stop only after every decision
-// delivery — including recovery re-deliveries — has completed; a stopped
-// server silently drops late decisions, which is exactly the race the
-// Transport seam exists to make impossible on the direct path.
-func (s *Server) Stop() {
-	s.send(context.Background(), msgStop, "", 0, time.Second)
-}
-
-// Name implements Transport.
-func (s *Server) Name() string { return s.name }
-
-// Direct is the in-process fast transport: protocol messages are plain
-// method calls on the participant — no server goroutine, no per-message
-// channel or timer, no per-commit lifecycle to tear down.  Crash makes the
-// site unreachable (messages are dropped without reaching the
-// participant), so the crash-path protocol tests run against Direct
-// exactly as against Server; what Direct cannot simulate is a slow site —
-// calls are synchronous, so the timeout parameter is ignored and only
-// pre-call cancellation is observed.
+// Direct is the in-process transport: protocol messages are plain method
+// calls on the participant — no goroutine, no per-message channel or timer,
+// no per-commit lifecycle to tear down.  Crash makes the site unreachable
+// (messages are dropped without reaching the participant), which is how
+// the crash-path protocol tests kill a site; a slow, lossy or reordering
+// site is a FaultTransport around a Direct.  Calls are synchronous, so the
+// timeout parameter is ignored and only pre-call cancellation is observed.
 type Direct struct {
 	name    string
 	p       Participant
@@ -440,13 +300,11 @@ func (c *Coordinator) workers() *workerPool {
 
 // fanOut delivers f(i) for every transport index.  With at most two
 // participants the calls run inline and sequentially — cheaper than any
-// goroutine handoff for the in-process direct transport, the production
-// hot path and the common shape of a cross-shard transaction.  The
-// trade-off falls on the Server (fault-injection) transport: a stalled
-// site in a two-participant round delays its peer's message by up to the
-// round-trip timeout, where the old always-parallel fan-out overlapped
-// them; crash tests absorb that bounded extra latency.  Larger fan-outs
-// go through the shared worker pool, one call inline.
+// goroutine handoff for the in-process direct transport and the common
+// shape of a cross-shard transaction; the price is that a stalled site in
+// a two-participant round delays its peer's message by up to the
+// round-trip timeout.  Larger fan-outs go through the shared worker pool,
+// one call inline.
 func (c *Coordinator) fanOut(n int, f func(int)) {
 	if n <= 2 {
 		for i := 0; i < n; i++ {
@@ -468,32 +326,18 @@ func (c *Coordinator) fanOut(n int, f func(int)) {
 	wg.Wait()
 }
 
-// Run executes one two-phase commit round for tx across the given servers.
-// It returns the decision and, when committed, the timestamp distributed to
-// every participant.  Any missing or negative vote aborts the round; abort
-// messages are sent best-effort to all reachable participants.
-func (c *Coordinator) Run(tx histories.TxID, servers []*Server) (Decision, histories.Timestamp, error) {
-	return c.RunCtx(context.Background(), tx, servers)
-}
-
-// RunCtx is Run bound to ctx; see RunTransports for the semantics.
-func (c *Coordinator) RunCtx(ctx context.Context, tx histories.TxID, servers []*Server) (Decision, histories.Timestamp, error) {
-	trs := make([]Transport, len(servers))
-	for i, s := range servers {
-		trs[i] = s
-	}
-	return c.RunTransports(ctx, tx, trs)
-}
-
 // RunTransports executes one two-phase commit round for tx across the
-// given transports.  Cancellation is honored only while the outcome is
+// given transports and returns the decision and, when committed, the
+// timestamp distributed to every participant.  Any missing or negative vote
+// aborts the round; abort messages are sent best-effort to all reachable
+// participants.  Cancellation is honored only while the outcome is
 // still open: a cancel during the prepare phase aborts the round (abort
 // messages are still delivered outside ctx, so no participant is left
 // prepared), and the returned error wraps ctx.Err().  Once every vote is
 // in and affirmative, the decision is commit — phase 2 ignores ctx,
 // because a decided commit must reach every participant or the transaction
 // would be torn.  The caller owns transport lifecycle: transports must
-// outlive every decision (re-)delivery, including post-Run recovery.
+// outlive every decision (re-)delivery, including recovery after the round.
 func (c *Coordinator) RunTransports(ctx context.Context, tx histories.TxID, trs []Transport) (Decision, histories.Timestamp, error) {
 	n := len(trs)
 	if n == 0 {
@@ -558,7 +402,7 @@ func (c *Coordinator) RunTransports(ctx context.Context, tx histories.TxID, trs 
 	// standard 2PC a participant that voted yes must apply the decision
 	// when it recovers; delivery is best-effort here, and a participant
 	// the message missed is re-applied by the caller (which is why the
-	// transports must still be alive after Run returns).
+	// transports must still be alive after the round returns).
 	ts := c.clock.Next(lower)
 	if c.decisionLog != nil {
 		// Decision-before-delivery: once any participant learns the commit

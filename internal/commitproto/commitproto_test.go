@@ -69,92 +69,17 @@ func coordinator() *Coordinator {
 	return NewCoordinator(tstamp.NewSource(), 500*time.Millisecond)
 }
 
-func TestCommitAllYes(t *testing.T) {
-	a, b := newFake(10, true), newFake(25, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
-
-	dec, ts, err := coordinator().Run("T1", []*Server{sa, sb})
-	if err != nil {
-		t.Fatal(err)
+// run is one round over bare direct transports for the given participants.
+func run(c *Coordinator, ctx context.Context, tx histories.TxID, ps ...Participant) (Decision, histories.Timestamp, error) {
+	trs := make([]Transport, len(ps))
+	for i, p := range ps {
+		trs[i] = NewDirect(string(rune('A'+i)), p)
 	}
-	if dec != Committed {
-		t.Fatalf("decision = %v", dec)
-	}
-	// The timestamp must exceed every participant's reported bound.
-	if ts <= 25 {
-		t.Errorf("timestamp %d must exceed the max lower bound 25", ts)
-	}
-	for _, f := range []*fakeParticipant{a, b} {
-		got, ok := f.committedTS("T1")
-		if !ok || got != ts {
-			t.Errorf("participant commit ts = %d ok=%v, want %d", got, ok, ts)
-		}
-	}
-}
-
-func TestAbortOnNoVote(t *testing.T) {
-	a, b := newFake(0, true), newFake(0, false)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
-
-	dec, _, err := coordinator().Run("T2", []*Server{sa, sb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec != Aborted {
-		t.Fatalf("decision = %v, want aborted", dec)
-	}
-	if _, ok := a.committedTS("T2"); ok {
-		t.Error("participant committed despite abort decision")
-	}
-	if a.abortedCount() == 0 || b.abortedCount() == 0 {
-		t.Error("abort must reach all reachable participants")
-	}
-}
-
-func TestAbortOnCrashBeforeVote(t *testing.T) {
-	a, b := newFake(0, true), newFake(0, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	sb.Crash()
-
-	dec, _, err := coordinator().Run("T3", []*Server{sa, sb})
-	if dec != Committed && err == nil {
-		t.Error("crash must be reported as an error")
-	}
-	if dec != Aborted {
-		t.Fatalf("decision = %v, want aborted", dec)
-	}
-	if _, ok := a.committedTS("T3"); ok {
-		t.Error("live participant committed despite crashed peer")
-	}
-}
-
-func TestAbortOnTimeout(t *testing.T) {
-	slow := newFake(0, true)
-	slow.delay = 200 * time.Millisecond
-	fast := newFake(0, true)
-	ss, sf := NewServer("S", slow), NewServer("F", fast)
-	defer sf.Stop()
-
-	coord := NewCoordinator(tstamp.NewSource(), 20*time.Millisecond)
-	dec, _, err := coord.Run("T4", []*Server{ss, sf})
-	if dec != Aborted {
-		t.Fatalf("decision = %v, want aborted on timeout", dec)
-	}
-	if err == nil {
-		t.Error("timeout must be reported")
-	}
-	// Let the slow server drain before test exit.
-	time.Sleep(250 * time.Millisecond)
-	ss.Stop()
+	return c.RunTransports(ctx, tx, trs)
 }
 
 func TestNoParticipants(t *testing.T) {
-	_, _, err := coordinator().Run("T5", nil)
+	_, _, err := coordinator().RunTransports(context.Background(), "T5", nil)
 	if err != ErrNoParticipants {
 		t.Errorf("err = %v, want ErrNoParticipants", err)
 	}
@@ -162,13 +87,11 @@ func TestNoParticipants(t *testing.T) {
 
 func TestTimestampsUniqueAcrossRounds(t *testing.T) {
 	a := newFake(0, true)
-	sa := NewServer("A", a)
-	defer sa.Stop()
 	coord := coordinator()
 	seen := make(map[histories.Timestamp]bool)
 	for i := 0; i < 20; i++ {
 		tx := histories.TxID(rune('a' + i))
-		dec, ts, err := coord.Run(tx, []*Server{sa})
+		dec, ts, err := run(coord, context.Background(), tx, a)
 		if err != nil || dec != Committed {
 			t.Fatalf("round %d: dec=%v err=%v", i, dec, err)
 		}
@@ -189,9 +112,7 @@ func TestConcurrentRoundsDistinctTimestamps(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			f := newFake(histories.Timestamp(i), true)
-			s := NewServer("S", f)
-			defer s.Stop()
-			dec, ts, err := coord.Run(histories.TxID(rune('A'+i)), []*Server{s})
+			dec, ts, err := run(coord, context.Background(), histories.TxID(rune('A'+i)), f)
 			if err != nil || dec != Committed {
 				t.Errorf("round %d failed: %v %v", i, dec, err)
 				out <- 0
@@ -220,16 +141,20 @@ func TestDecisionString(t *testing.T) {
 	}
 }
 
-func TestServerCrashIdempotent(t *testing.T) {
-	s := NewServer("A", newFake(0, true))
-	s.Crash()
-	s.Crash() // must not panic
-	if s.Name() != "A" {
-		t.Errorf("Name = %q", s.Name())
+func TestDirectCrashIdempotent(t *testing.T) {
+	f := newFake(0, true)
+	d := NewDirect("A", f)
+	d.Crash()
+	d.Crash() // must not panic
+	if d.Name() != "A" {
+		t.Errorf("Name = %q", d.Name())
+	}
+	if _, _, ok := d.Prepare(context.Background(), "T1", time.Second); ok || len(f.prepared) != 0 {
+		t.Error("a crashed site must be unreachable and must not reach its participant")
 	}
 }
 
-func TestRunCtxCancelDuringSlowPrepare(t *testing.T) {
+func TestCancelDuringSlowPrepare(t *testing.T) {
 	// One participant answers promptly, the other stalls in Prepare past
 	// the caller's patience.  Without the cancel this round would commit
 	// (both vote yes); with it, the round must abort with ctx's error, and
@@ -237,17 +162,13 @@ func TestRunCtxCancelDuringSlowPrepare(t *testing.T) {
 	// so no participant is left holding locks for a dead round.
 	prompt, slow := newFake(1, true), newFake(2, true)
 	slow.delay = 300 * time.Millisecond
-	sa, sb := NewServer("A", prompt), NewServer("B", slow)
-	defer sa.Stop()
-	defer sb.Stop()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
 	coord := NewCoordinator(tstamp.NewSource(), 10*time.Second)
-	dec, _, err := coord.RunCtx(ctx, "T1", []*Server{sa, sb})
+	dec, _, err := run(coord, ctx, "T1", prompt, slow)
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
 	}
@@ -274,7 +195,7 @@ func (c *cancelOnCommit) Commit(tx histories.TxID, ts histories.Timestamp) {
 	c.fakeParticipant.Commit(tx, ts)
 }
 
-func TestRunCtxPhaseTwoIgnoresCancellation(t *testing.T) {
+func TestPhaseTwoIgnoresCancellation(t *testing.T) {
 	// Once the decision is commit, cancellation must not tear it: even
 	// with ctx cancelled while the decision is being distributed, every
 	// participant still learns it.
@@ -282,11 +203,7 @@ func TestRunCtxPhaseTwoIgnoresCancellation(t *testing.T) {
 	defer cancel()
 	a := &cancelOnCommit{fakeParticipant: newFake(3, true), cancel: cancel}
 	b := newFake(4, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
-
-	dec, ts, err := coordinator().RunCtx(ctx, "T1", []*Server{sa, sb})
+	dec, ts, err := run(coordinator(), ctx, "T1", a, b)
 	if err != nil || dec != Committed {
 		t.Fatalf("round: %v %v", dec, err)
 	}
@@ -302,10 +219,6 @@ func TestRunCtxPhaseTwoIgnoresCancellation(t *testing.T) {
 // the write-ahead rule for 2PC decisions.
 func TestDecisionLogOrdering(t *testing.T) {
 	a, b := newFake(10, true), newFake(25, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
-
 	c := coordinator()
 	var logged []histories.Timestamp
 	c.SetDecisionLog(func(tx histories.TxID, ts histories.Timestamp) error {
@@ -323,9 +236,9 @@ func TestDecisionLogOrdering(t *testing.T) {
 		return nil
 	})
 
-	dec, ts, err := c.Run("T1", []*Server{sa, sb})
+	dec, ts, err := run(c, context.Background(), "T1", a, b)
 	if err != nil || dec != Committed {
-		t.Fatalf("Run = %v, %v, %v", dec, ts, err)
+		t.Fatalf("round = %v, %v, %v", dec, ts, err)
 	}
 	if len(logged) != 1 || logged[0] != ts {
 		t.Fatalf("decision log got %v, round committed at %d", logged, ts)
@@ -339,15 +252,11 @@ func TestDecisionLogOrdering(t *testing.T) {
 // round aborts — legal precisely because no participant saw the commit.
 func TestDecisionLogFailureAborts(t *testing.T) {
 	a, b := newFake(10, true), newFake(25, true)
-	sa, sb := NewServer("A", a), NewServer("B", b)
-	defer sa.Stop()
-	defer sb.Stop()
-
 	c := coordinator()
 	logErr := errors.New("disk gone")
 	c.SetDecisionLog(func(histories.TxID, histories.Timestamp) error { return logErr })
 
-	dec, _, err := c.Run("T1", []*Server{sa, sb})
+	dec, _, err := run(c, context.Background(), "T1", a, b)
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want Aborted", dec)
 	}

@@ -61,10 +61,9 @@ type reorderEntry struct {
 
 // FaultTransport wraps another Transport with deterministic, scripted
 // fault injection: per message class, a FIFO script of actions is
-// consumed one action per message.  Unlike Server's crash/timeout model,
-// every fault here is chosen in advance by the test, so failure
-// interleavings reproduce exactly.  It composes with any Transport —
-// Direct, Server, or a network shard client — making the 2PC crash
+// consumed one action per message.  Every fault is chosen in advance by
+// the test, so failure interleavings reproduce exactly.  It composes with
+// any Transport — Direct or a network shard client — making the 2PC crash
 // suites runnable unchanged over each.
 //
 // A FaultTransport may also act as a pure fault controller with a nil

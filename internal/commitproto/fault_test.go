@@ -53,9 +53,12 @@ func TestFaultDroppedPrepareReply(t *testing.T) {
 	a, _, fa, fb := faultPair()
 	fa.Script(ClassPrepare, DropReply)
 
-	dec, _, _ := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+	dec, _, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
+	}
+	if err == nil {
+		t.Error("a site that never answered must be reported")
 	}
 	if got := len(a.prepared); got != 1 {
 		t.Fatalf("site saw %d prepares, want 1 (reply dropped, not request)", got)

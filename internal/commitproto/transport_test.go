@@ -13,33 +13,25 @@ import (
 	"hybridcc/internal/histories"
 )
 
-// The protocol must behave identically over both transports — the
-// goroutine/channel Server (fault injection) and the in-process Direct
-// (production fast path) — so the core protocol suite runs against each.
-// Timing-dependent behaviors (slow sites, mid-call timeouts) exist only on
-// the Server transport and keep their dedicated tests in
-// commitproto_test.go.
+// The protocol must behave identically over the in-process transport bare
+// and behind the fault-injection wrapper (with an empty script: a
+// transparent FaultTransport must change nothing), so the core protocol
+// suite runs against each.  Lost, delayed, duplicated and reordered
+// messages are scripted in fault_test.go.
 
-// crashableTransport is the test seam over both transports' crash switch.
-type crashableTransport interface {
-	Transport
-	Crash()
-}
-
-// transportKinds enumerates the two factory shapes under test.  stop
-// releases transport resources; it must be called only after every
-// decision (re-)delivery, per the lifecycle contract.
+// transportKinds enumerates the two factory shapes under test.  crash makes
+// the site unreachable from then on.
 var transportKinds = []struct {
 	name string
-	make func(name string, p Participant) (tr crashableTransport, stop func())
+	make func(name string, p Participant) (tr Transport, crash func())
 }{
-	{"server", func(name string, p Participant) (crashableTransport, func()) {
-		s := NewServer(name, p)
-		return s, s.Stop
-	}},
-	{"direct", func(name string, p Participant) (crashableTransport, func()) {
+	{"direct", func(name string, p Participant) (Transport, func()) {
 		d := NewDirect(name, p)
-		return d, func() {}
+		return d, d.Crash
+	}},
+	{"fault(direct)", func(name string, p Participant) (Transport, func()) {
+		d := NewDirect(name, p)
+		return NewFaultTransport(d), d.Crash
 	}},
 }
 
@@ -47,10 +39,8 @@ func TestTransportCommitAllYes(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			a, b := newFake(10, true), newFake(25, true)
-			ta, stopA := kind.make("A", a)
-			tb, stopB := kind.make("B", b)
-			defer stopA()
-			defer stopB()
+			ta, _ := kind.make("A", a)
+			tb, _ := kind.make("B", b)
 
 			dec, ts, err := coordinator().RunTransports(context.Background(), "T1", []Transport{ta, tb})
 			if err != nil {
@@ -76,10 +66,8 @@ func TestTransportAbortOnNoVote(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			a, b := newFake(0, true), newFake(0, false)
-			ta, stopA := kind.make("A", a)
-			tb, stopB := kind.make("B", b)
-			defer stopA()
-			defer stopB()
+			ta, _ := kind.make("A", a)
+			tb, _ := kind.make("B", b)
 
 			dec, _, err := coordinator().RunTransports(context.Background(), "T2", []Transport{ta, tb})
 			if err != nil {
@@ -102,10 +90,9 @@ func TestTransportAbortOnCrashBeforeVote(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			a, b := newFake(0, true), newFake(0, true)
-			ta, stopA := kind.make("A", a)
-			tb, _ := kind.make("B", b)
-			defer stopA()
-			tb.Crash()
+			ta, _ := kind.make("A", a)
+			tb, crashB := kind.make("B", b)
+			crashB()
 
 			dec, _, err := coordinator().RunTransports(context.Background(), "T3", []Transport{ta, tb})
 			if dec != Committed && err == nil {
@@ -131,10 +118,8 @@ func TestTransportCancelledBeforePrepareAborts(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			a, b := newFake(1, true), newFake(2, true)
-			ta, stopA := kind.make("A", a)
-			tb, stopB := kind.make("B", b)
-			defer stopA()
-			defer stopB()
+			ta, _ := kind.make("A", a)
+			tb, _ := kind.make("B", b)
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -169,9 +154,7 @@ func TestTransportWideFanOut(t *testing.T) {
 			trs := make([]Transport, sites)
 			for i := range fakes {
 				fakes[i] = newFake(histories.Timestamp(i*3), true)
-				tr, stop := kind.make(fmt.Sprintf("S%d", i), fakes[i])
-				defer stop()
-				trs[i] = tr
+				trs[i], _ = kind.make(fmt.Sprintf("S%d", i), fakes[i])
 			}
 			dec, ts, err := coordinator().RunTransports(context.Background(), "T5", trs)
 			if err != nil || dec != Committed {
@@ -206,16 +189,11 @@ func TestTransportConcurrentRoundsSharedWorkers(t *testing.T) {
 				go func(r int) {
 					defer wg.Done()
 					trs := make([]Transport, sites)
-					stops := make([]func(), sites)
 					for i := range trs {
-						tr, stop := kind.make(fmt.Sprintf("R%dS%d", r, i), newFake(histories.Timestamp(r), true))
-						trs[i], stops[i] = tr, stop
+						trs[i], _ = kind.make(fmt.Sprintf("R%dS%d", r, i), newFake(histories.Timestamp(r), true))
 					}
 					dec, ts, err := coord.RunTransports(context.Background(),
 						histories.TxID(fmt.Sprintf("T%d", r)), trs)
-					for _, stop := range stops {
-						stop()
-					}
 					if err != nil || dec != Committed {
 						t.Errorf("round %d: %v %v", r, dec, err)
 						out <- 0
@@ -292,8 +270,8 @@ func (d *droppingParticipant) Abort(tx histories.TxID) { d.inner.Abort(tx) }
 // TestDirectTransportLateDecisionDelivery pins the lifecycle rule the seam
 // exists for: a participant that missed the decision (crash after voting,
 // modelled by a decision-dropping participant) can have it re-applied
-// through the SAME transport after RunTransports returned — no server
-// teardown window can eat the recovery delivery on the direct path.
+// through the SAME transport after RunTransports returned — there is no
+// per-round teardown that could eat the recovery delivery.
 func TestDirectTransportLateDecisionDelivery(t *testing.T) {
 	dropped := newFake(3, true)
 	drop := &droppingParticipant{inner: dropped}

@@ -1,0 +1,202 @@
+package core
+
+import (
+	"slices"
+	"sync"
+
+	"hybridcc/internal/histories"
+	"hybridcc/internal/wal"
+)
+
+// commitScratch holds the buffers one commitTxs call works in.  The caller
+// owns it for the duration of the call: every Tx carries one for its own
+// commits (and stages its grant and abort events in ev between them), the
+// batcher's leader carries one for queue batches.
+type commitScratch struct {
+	objs []*Object      // a multi-member batch's merge plan
+	ev   []pendingEvent // staged sink events
+	recs []wal.Record   // the batch's commit records
+}
+
+// commitTxs is the commit event of the paper's LOCK machine — merge a
+// transaction's intentions into the committed state at its timestamp and
+// release its locks — for a batch of one or more transactions, and the only
+// implementation of it: Tx.Commit and Tx.CommitAt pass a batch of one, the
+// group-commit queue a batch of many.  Every member must already be in
+// txCommitting.  ext, when non-zero, is an externally chosen timestamp
+// (CommitAt) for a batch of one; otherwise each member draws its own.
+//
+// The steps, whose order the recovery and lock-free-read arguments rely on:
+//
+//  1. Enter windowWriters at every touched object BEFORE any timestamp is
+//     drawn: a lock-free reader that observes a count of zero may rely on
+//     every not-yet-counted committer drawing a timestamp above its own.
+//  2. Draw each member's timestamp, in batch order, from the clock primed
+//     with its maximum per-object lower bound — distinct, increasing, and
+//     establishing the paper's precedes ⊆ TS constraint at every object.
+//  3. Append-before-merge: the batch's commit records reach the log under
+//     one sync before any object merges an intention, so no transaction
+//     can depend on a commit the log might lose.
+//  4. On append failure abort every member, release every window, and
+//     return the log's error; nothing merged.
+//  5. Publish each member's timestamp and txCommitted together, so
+//     Timestamp() never reports (0, true).
+//  6. Merge per object in timestamp order — one fold, one snapshot
+//     publication, one waiter scan each — and release the object's window
+//     only after its new tail is published.
+func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScratch) error {
+	// touchedObjects leaves each member's own list in its objScratch, which
+	// the later steps read; a batch of one's list is already the plan.
+	objs := batch[0].touchedObjects()
+	if len(batch) > 1 {
+		objs = append(sc.objs[:0], objs...)
+		for _, t := range batch[1:] {
+			for _, o := range t.touchedObjects() {
+				if !slices.Contains(objs, o) {
+					objs = append(objs, o)
+				}
+			}
+		}
+		sc.objs = objs
+	}
+	for _, o := range objs {
+		o.windowWriters.Add(1)
+	}
+
+	for _, t := range batch {
+		if ext != 0 {
+			t.drawn = ext
+			s.clock.Observe(ext) // locally minted timestamps stay ahead
+		} else {
+			t.drawn = s.clock.Next(t.maxBound(t.objScratch))
+		}
+	}
+
+	if s.log != nil {
+		recs := sc.recs[:0]
+		for _, t := range batch {
+			// A record naming no object and no sibling sites says nothing
+			// recovery could use: an empty transaction pays no append and
+			// no fsync.  (A cross-shard leg is logged even when empty — the
+			// cluster's torn-commit check counts legs.)
+			if r := s.walCommitRecord(t, t.objScratch, t.drawn); len(r.Objs) > 0 || r.Participants > 0 {
+				recs = append(recs, r)
+			}
+		}
+		var err error
+		if len(recs) > 0 {
+			err = s.log.AppendBatchSync(recs)
+		}
+		clear(recs)
+		sc.recs = recs[:0]
+		if err != nil {
+			for _, t := range batch {
+				t.mu.Lock()
+				t.status = txAborted
+				t.mu.Unlock()
+				for _, o := range t.objScratch {
+					o.abort(t)
+				}
+			}
+			for _, o := range objs {
+				o.windowWriters.Add(-1)
+			}
+			s.stats.Aborted.Add(int64(len(batch)))
+			return err
+		}
+	}
+
+	for _, t := range batch {
+		t.mu.Lock()
+		t.ts = t.drawn
+		t.status = txCommitted
+		t.mu.Unlock()
+	}
+
+	for _, o := range objs {
+		ev := o.commitBatch(batch, sc.ev[:0])
+		o.windowWriters.Add(-1)
+		s.flushEvents(ev)
+		sc.ev = ev[:0]
+	}
+	s.stats.Committed.Add(int64(len(batch)))
+	return nil
+}
+
+// commitBatcher is group commit's queue: concurrent Tx.Commit calls are
+// coalesced so commitTxs runs once per batch — one log sync, and per object
+// one fold, one snapshot publication and one waiter scan — the way
+// ARIES-style engines amortize their log forces.
+//
+// The combining discipline is flat: the first committer through becomes
+// the leader and commits batches until the queue drains; later committers
+// append themselves to the pending queue and block on their
+// per-transaction channel (pooled with the Tx) for the batch's outcome.
+type commitBatcher struct {
+	sys *System
+
+	mu      sync.Mutex
+	pending []*Tx
+	leading bool
+
+	// Leader-only, reused across batches: the current batch (ping-ponged
+	// with pending) and the commit scratch.
+	batch []*Tx
+	sc    commitScratch
+}
+
+// EnableGroupCommit installs the commit batcher at runtime and reports
+// whether this call installed it (false when group commit was already on).
+// Commits in flight without it finish on their own — queued or not, every
+// commit is commitTxs, so they coexist safely; every commit that starts
+// after the pointer is published batches.  Group commit cannot be disabled
+// at runtime: a batcher leader may hold followers that a disable would
+// strand.
+func (s *System) EnableGroupCommit() bool {
+	return s.batcher.CompareAndSwap(nil, &commitBatcher{sys: s})
+}
+
+// commit commits t (already txCommitting) through the queue and returns
+// its batch's commitTxs outcome.
+func (b *commitBatcher) commit(t *Tx) error {
+	b.mu.Lock()
+	if b.leading {
+		if t.done == nil {
+			t.done = make(chan error, 1)
+		}
+		b.pending = append(b.pending, t)
+		b.mu.Unlock()
+		return <-t.done
+	}
+	b.leading = true
+	b.mu.Unlock()
+
+	// Leader: commit own transaction first (nothing was pending, so the
+	// first batch is a singleton), then drain whatever queued meanwhile.
+	b.batch = append(b.batch[:0], t)
+	own := b.run()
+	for {
+		b.mu.Lock()
+		if len(b.pending) == 0 {
+			b.leading = false
+			b.mu.Unlock()
+			return own
+		}
+		b.batch, b.pending = b.pending, b.batch[:0]
+		b.mu.Unlock()
+		// Every member of a drained batch is a blocked follower.  (The
+		// leader's own transaction above is not: a token in its channel
+		// would instantly release the struct's next pooled incarnation.)
+		err := b.run()
+		for _, f := range b.batch {
+			f.done <- err
+		}
+	}
+}
+
+// run commits the current batch.
+func (b *commitBatcher) run() error {
+	b.sys.stats.GroupBatches.Add(1)
+	b.sys.stats.GroupBatchTxs.Add(int64(len(b.batch)))
+	return b.sys.commitTxs(b.batch, 0, &b.sc)
+}

@@ -20,8 +20,9 @@
 //
 // Commit draws a timestamp from the system clock primed with the
 // transaction's per-object lower bounds (Section 6), then distributes the
-// commit to every touched object; horizon-based compaction folds old
-// committed intentions into the version, exactly as the appendix's forget.
+// commit to every touched object — one procedure, System.commitTxs, behind
+// every commit entry point; horizon-based compaction folds old committed
+// intentions into the version, exactly as the appendix's forget.
 //
 // The per-call hot path is compiled: conflict relations become bitmask
 // tables over interned operation classes (depend.CompiledTable), and view
@@ -97,11 +98,11 @@ type Options struct {
 	// letting it time out.  Timeouts still apply to waits that are not
 	// deadlocks (e.g. a partial operation awaiting data).
 	DeadlockDetection bool
-	// GroupCommit routes Tx.Commit through a per-System commit batcher
-	// that coalesces concurrent commits into one critical-section pass per
-	// object — one snapshot publication and one wakeup scan amortized over
-	// the whole batch, with every transaction still drawing its own,
-	// distinct timestamp.  See commitBatcher for the invariants.
+	// GroupCommit routes Tx.Commit through a per-System queue that hands
+	// concurrent commits to the commit procedure as one batch — one log
+	// sync, and per object one snapshot publication and one wakeup scan,
+	// amortized over the batch, with every transaction still drawing its
+	// own, distinct timestamp.  See commitTxs for the invariants.
 	GroupCommit bool
 	// Durability, when non-nil, gives the System a write-ahead commit log:
 	// every commit appends its invocations (and fsyncs, per
@@ -141,7 +142,7 @@ type System struct {
 	// keeps seeing a per-object ordered stream.
 	fastReads bool
 
-	// batcher is the group-commit combiner: nil unless Options.GroupCommit,
+	// batcher is the group-commit queue: nil unless Options.GroupCommit,
 	// or until the adaptation controller enables it at runtime
 	// (EnableGroupCommit) — hence the atomic pointer, which the commit hot
 	// path loads once per commit.
@@ -251,7 +252,6 @@ func (s *System) BeginPooledCtx(ctx context.Context) *Tx {
 	t.participants = 0
 	t.ts = 0
 	t.ctx = ctx
-	t.commitErr = nil
 	t.mu.Unlock()
 	return t
 }
@@ -270,7 +270,7 @@ func (s *System) Recycle(t *Tx) {
 	t.status = txRecycled
 	clear(t.touched)
 	t.objScratch = t.objScratch[:0]
-	t.evScratch = t.evScratch[:0]
+	t.sc.ev = t.sc.ev[:0]
 	t.ctx = nil
 	if t.done != nil {
 		// A group-commit signal can never be pending here (only blocked

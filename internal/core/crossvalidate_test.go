@@ -11,14 +11,18 @@ import (
 	"hybridcc/internal/histories"
 	"hybridcc/internal/lockmachine"
 	"hybridcc/internal/spec"
+	"hybridcc/internal/tstamp"
 )
 
 // TestRuntimeMatchesFormalMachine drives identical single-threaded random
 // schedules through the production runtime and the formal LOCK automaton
 // of Section 5 and asserts they agree on every decision: which responses
-// are granted, with which values, and what committed state results.  This
-// pins the runtime (with its compacted versions and horizon folding) to
-// the model-checked reference implementation.
+// are granted, with which values, which commit timestamps are legal, and
+// what committed state results.  This pins the runtime (with its compacted
+// versions and horizon folding) to the model-checked reference
+// implementation — once per commit entry point, so the one commit
+// procedure is checked against the machine's commit event, not against
+// itself.
 func TestRuntimeMatchesFormalMachine(t *testing.T) {
 	type objectCase struct {
 		name     string
@@ -38,11 +42,13 @@ func TestRuntimeMatchesFormalMachine(t *testing.T) {
 	}
 	for _, oc := range cases {
 		oc := oc
-		t.Run(oc.name, func(t *testing.T) {
-			for seed := int64(0); seed < 30; seed++ {
-				crossValidate(t, oc.sp, oc.conflict, oc.invs, seed, 0)
-			}
-		})
+		for _, e := range commitEntries {
+			t.Run(oc.name+"/"+e.name, func(t *testing.T) {
+				for seed := int64(0); seed < 30; seed++ {
+					crossValidate(t, oc.sp, oc.conflict, oc.invs, seed, 0, e)
+				}
+			})
+		}
 		// The same schedules with the compiled conflict table truncated to
 		// two classes: most operations then take the dynamic-dispatch
 		// fallback, which must grant and deny identically.  The machine is
@@ -50,16 +56,19 @@ func TestRuntimeMatchesFormalMachine(t *testing.T) {
 		// against the interface path at the runtime level.
 		t.Run(oc.name+"/truncated-table", func(t *testing.T) {
 			for seed := int64(0); seed < 30; seed++ {
-				crossValidate(t, oc.sp, oc.conflict, oc.invs, seed, 2)
+				crossValidate(t, oc.sp, oc.conflict, oc.invs, seed, 2, commitEntries[0])
 			}
 		})
 	}
 }
 
-func crossValidate(t *testing.T, sp spec.Spec, conflict depend.Conflict, invs []spec.Invocation, seed int64, tableLimit int) {
+func crossValidate(t *testing.T, sp spec.Spec, conflict depend.Conflict, invs []spec.Invocation, seed int64, tableLimit int, entry commitEntry) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	sys := NewSystem(Options{LockWait: time.Millisecond})
+	opts := Options{LockWait: time.Millisecond}
+	entry.options(&opts)
+	sys := NewSystem(opts)
+	coord := tstamp.NewSource()
 	obj := sys.NewObject("X", sp, conflict)
 	if tableLimit > 0 {
 		obj.table = depend.Compile(conflict, nil, tableLimit)
@@ -82,7 +91,7 @@ func crossValidate(t *testing.T, sp spec.Spec, conflict depend.Conflict, invs []
 		}
 		switch rng.Intn(5) {
 		case 0: // commit
-			if err := runtimeTx[i].Commit(); err != nil {
+			if err := entry.commit(runtimeTx[i], coord); err != nil {
 				t.Fatalf("seed %d: runtime commit: %v", seed, err)
 			}
 			ts, _ := runtimeTx[i].Timestamp()
@@ -150,7 +159,7 @@ func crossValidate(t *testing.T, sp spec.Spec, conflict depend.Conflict, invs []
 	// Finish everything so committed states are comparable.
 	for i := range runtimeTx {
 		if !done[i] {
-			if err := runtimeTx[i].Commit(); err != nil {
+			if err := entry.commit(runtimeTx[i], coord); err != nil {
 				t.Fatalf("seed %d: final commit: %v", seed, err)
 			}
 			ts, _ := runtimeTx[i].Timestamp()

@@ -20,31 +20,49 @@ import (
 // (crash after voting) leaves its branch prepared — locks held — until a
 // later decision resolves it, and a round that cannot gather every vote
 // releases the locks of every branch that did vote.  Every scenario runs
-// against BOTH transports — the goroutine/channel Server (fault
-// injection) and the in-process Direct (the production fast path) — since
-// the recovery obligations are transport-independent.
+// over the in-process Direct transport bare and behind a FaultTransport —
+// a site crash is Direct.Crash, a lost message a scripted drop — since the
+// recovery obligations are transport-independent.
 
-// protoTransport bundles a transport with its crash and stop controls so
-// the crash-path scenarios can be written once and run over both kinds.
+// protoTransport bundles a transport with its crash switch and (for the
+// fault kind) its script, so the crash-path scenarios can be written once
+// and run over both kinds.
 type protoTransport struct {
-	tr    commitproto.Transport
-	crash func()
-	stop  func()
+	tr     commitproto.Transport
+	crash  func()
+	faults *commitproto.FaultTransport // nil for the bare direct kind
 }
 
-var transportKinds = []string{"server", "direct"}
+var transportKinds = []string{"direct", "fault(direct)"}
 
 func makeTransport(kind, name string, p commitproto.Participant) protoTransport {
+	d := commitproto.NewDirect(name, p)
 	switch kind {
-	case "server":
-		s := commitproto.NewServer(name, p)
-		return protoTransport{tr: s, crash: s.Crash, stop: s.Stop}
 	case "direct":
-		d := commitproto.NewDirect(name, p)
-		return protoTransport{tr: d, crash: d.Crash, stop: func() {}}
+		return protoTransport{tr: d, crash: d.Crash}
+	case "fault(direct)":
+		f := commitproto.NewFaultTransport(d)
+		return protoTransport{tr: f, crash: d.Crash, faults: f}
 	default:
 		panic("unknown transport kind " + kind)
 	}
+}
+
+// overTransportKinds runs f as one subtest per transport kind.
+func overTransportKinds(t *testing.T, f func(t *testing.T, kind string)) {
+	for _, kind := range transportKinds {
+		t.Run(kind, func(t *testing.T) { f(t, kind) })
+	}
+}
+
+// runRound runs one protocol round for the given branches, one site each,
+// over kind's transports.
+func runRound(ctx context.Context, kind string, coord *commitproto.Coordinator, tx histories.TxID, brs ...*Tx) (commitproto.Decision, histories.Timestamp, error) {
+	trs := make([]commitproto.Transport, len(brs))
+	for i, br := range brs {
+		trs[i] = makeTransport(kind, "site"+string(rune('A'+i)), TxParticipant{Tx: br}).tr
+	}
+	return coord.RunTransports(ctx, tx, trs)
 }
 
 // decisionDropper wraps a participant and swallows commit decisions while
@@ -109,11 +127,16 @@ func TestCrashAfterVoteLeavesBranchPreparedUntilDecision(t *testing.T) {
 				t.Fatalf("debit B: %q %v", res, err)
 			}
 
+			// Site B loses the decision: its participant is down when the
+			// message arrives (bare direct), or the message itself is lost
+			// on the way (a scripted drop; the site stays up).
 			dropB := &decisionDropper{inner: TxParticipant{Tx: brB}}
 			ta := makeTransport(kind, "siteA", TxParticipant{Tx: brA})
 			tb := makeTransport(kind, "siteB", dropB)
-			defer ta.stop()
-			defer tb.stop()
+			if tb.faults != nil {
+				dropB.recover()
+				tb.faults.Script(commitproto.ClassCommit, commitproto.DropRequest)
+			}
 
 			coord := commitproto.NewCoordinator(tstamp.NewSource(), time.Second)
 			dec, ts, err := coord.RunTransports(context.Background(), "gtx",
@@ -221,8 +244,6 @@ func TestPartialPrepareAbortReleasesVotedLocks(t *testing.T) {
 			ta := makeTransport(kind, "siteA", TxParticipant{Tx: brA})
 			tb := makeTransport(kind, "siteB", TxParticipant{Tx: brB})
 			tc := makeTransport(kind, "siteC", TxParticipant{Tx: brC})
-			defer ta.stop()
-			defer tb.stop()
 			tc.crash() // site C never votes
 
 			coord := commitproto.NewCoordinator(tstamp.NewSource(), 50*time.Millisecond)
@@ -275,8 +296,6 @@ func TestCoordinatorCancelledMidPrepareAbortsAllBranches(t *testing.T) {
 			}
 			ta := makeTransport(kind, "siteA", TxParticipant{Tx: brA})
 			tb := makeTransport(kind, "siteB", TxParticipant{Tx: brB})
-			defer ta.stop()
-			defer tb.stop()
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel() // already cancelled: the round must abort, never commit

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -14,9 +15,9 @@ import (
 	"hybridcc/internal/verify"
 )
 
-// These tests run the full message-passing distributed commit: transaction
-// branches on independent Systems (sites), wrapped as commitproto
-// participants behind goroutine servers, driven by a two-phase-commit
+// These tests run the full distributed commit: transaction branches on
+// independent Systems (sites), wrapped as commitproto participants behind
+// each transport kind of dtx_crash_test.go, driven by a two-phase-commit
 // coordinator that picks the timestamp — the paper's atomic commitment
 // with piggybacked timestamp information, end to end.
 
@@ -46,6 +47,10 @@ func fund(t *testing.T, s *site, amount int64) {
 }
 
 func TestDistributedCommitViaProtocol(t *testing.T) {
+	overTransportKinds(t, testDistributedCommitViaProtocol)
+}
+
+func testDistributedCommitViaProtocol(t *testing.T, kind string) {
 	a, b := newSite("accA"), newSite("accB")
 	fund(t, a, 100)
 
@@ -63,9 +68,7 @@ func TestDistributedCommitViaProtocol(t *testing.T) {
 		if _, err := b.acc.Call(brB, adt.CreditInv(10)); err != nil {
 			t.Fatal(err)
 		}
-		sa := commitproto.NewServer("siteA", TxParticipant{Tx: brA})
-		sb := commitproto.NewServer("siteB", TxParticipant{Tx: brB})
-		dec, ts, err := coord.Run(histories.TxID(brA.ID()), []*commitproto.Server{sa, sb})
+		dec, ts, err := runRound(context.Background(), kind, coord, brA.ID(), brA, brB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,8 +78,6 @@ func TestDistributedCommitViaProtocol(t *testing.T) {
 		if ts <= 0 {
 			t.Fatalf("round %d: timestamp %d", i, ts)
 		}
-		sa.Stop()
-		sb.Stop()
 	}
 
 	if got := adt.AccountBalance(a.acc.CommittedState()); got != 50 {
@@ -93,7 +94,9 @@ func TestDistributedCommitViaProtocol(t *testing.T) {
 	}
 }
 
-func TestDistributedAbortOnVeto(t *testing.T) {
+func TestDistributedAbortOnVeto(t *testing.T) { overTransportKinds(t, testDistributedAbortOnVeto) }
+
+func testDistributedAbortOnVeto(t *testing.T, kind string) {
 	a, b := newSite("accA"), newSite("accB")
 	fund(t, a, 100)
 
@@ -109,12 +112,8 @@ func TestDistributedAbortOnVeto(t *testing.T) {
 	if err := brB.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	sa := commitproto.NewServer("siteA", TxParticipant{Tx: brA})
-	sb := commitproto.NewServer("siteB", TxParticipant{Tx: brB})
-	defer sa.Stop()
-	defer sb.Stop()
 	coord := commitproto.NewCoordinator(tstamp.NewSource(), time.Second)
-	dec, _, err := coord.Run("gtx", []*commitproto.Server{sa, sb})
+	dec, _, err := runRound(context.Background(), kind, coord, "gtx", brA, brB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,9 @@ func TestDistributedAbortOnVeto(t *testing.T) {
 	}
 }
 
-func TestDistributedCrashAborts(t *testing.T) {
+func TestDistributedCrashAborts(t *testing.T) { overTransportKinds(t, testDistributedCrashAborts) }
+
+func testDistributedCrashAborts(t *testing.T, kind string) {
 	a, b := newSite("accA"), newSite("accB")
 	fund(t, a, 100)
 
@@ -140,13 +141,12 @@ func TestDistributedCrashAborts(t *testing.T) {
 	if _, err := b.acc.Call(brB, adt.CreditInv(10)); err != nil {
 		t.Fatal(err)
 	}
-	sa := commitproto.NewServer("siteA", TxParticipant{Tx: brA})
-	sb := commitproto.NewServer("siteB", TxParticipant{Tx: brB})
-	defer sa.Stop()
-	sb.Crash() // site B is unreachable
+	ta := makeTransport(kind, "siteA", TxParticipant{Tx: brA})
+	tb := makeTransport(kind, "siteB", TxParticipant{Tx: brB})
+	tb.crash() // site B is unreachable
 
 	coord := commitproto.NewCoordinator(tstamp.NewSource(), 50*time.Millisecond)
-	dec, _, err := coord.Run("gtx", []*commitproto.Server{sa, sb})
+	dec, _, err := coord.RunTransports(context.Background(), "gtx", []commitproto.Transport{ta.tr, tb.tr})
 	if dec != commitproto.Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
 	}
@@ -160,6 +160,10 @@ func TestDistributedCrashAborts(t *testing.T) {
 }
 
 func TestDistributedConcurrentTransfers(t *testing.T) {
+	overTransportKinds(t, testDistributedConcurrentTransfers)
+}
+
+func testDistributedConcurrentTransfers(t *testing.T, kind string) {
 	// Many concurrent cross-site transfers through the protocol; both
 	// sites' histories must verify and money must be conserved.
 	a, b := newSite("accA"), newSite("accB")
@@ -190,12 +194,8 @@ func TestDistributedConcurrentTransfers(t *testing.T) {
 					_ = brD.Abort()
 					continue
 				}
-				ss := commitproto.NewServer("s", TxParticipant{Tx: brS})
-				sd := commitproto.NewServer("d", TxParticipant{Tx: brD})
 				coord := commitproto.NewCoordinator(coordClock, time.Second)
-				dec, _, err := coord.Run(histories.TxID(brS.ID()), []*commitproto.Server{ss, sd})
-				ss.Stop()
-				sd.Stop()
+				dec, _, err := runRound(context.Background(), kind, coord, brS.ID(), brS, brD)
 				if err == nil && dec == commitproto.Committed {
 					return
 				}

@@ -73,7 +73,7 @@ func OpenSystem(opts Options) (*System, error) {
 	s.seqSink, _ = opts.Sink.(SeqSink)
 	s.fastReads = !opts.ExternalTimestamps && (opts.Sink == nil || s.seqSink != nil)
 	if opts.GroupCommit {
-		s.batcher.Store(newCommitBatcher(s))
+		s.EnableGroupCommit()
 	}
 	if d := opts.Durability; d != nil {
 		l, recs, err := wal.Open(d.Dir, wal.Options{Sync: d.Sync, SegmentSize: d.SegmentSize})

@@ -10,7 +10,6 @@ import (
 	"hybridcc/internal/adt"
 	"hybridcc/internal/depend"
 	"hybridcc/internal/histories"
-	"hybridcc/internal/wal"
 )
 
 // Crash-point tests for the durable commit pipeline: every test drives the
@@ -96,89 +95,6 @@ func TestDurableCommitRecovered(t *testing.T) {
 	s3.Close()
 }
 
-// TestLogFailureAbortsCommit is the kill-before-fsync crash point on the
-// non-group path: the log dies between the transaction's work and its
-// commit; Commit must report the failure and leave the transaction aborted
-// — and recovery must agree.
-func TestLogFailureAbortsCommit(t *testing.T) {
-	dir := t.TempDir()
-	s := openDurable(t, dir, false)
-	if err := s.FinishRecovery(); err != nil {
-		t.Fatal(err)
-	}
-	acc := accountOn(s)
-	credit(t, s, acc, 100)
-
-	tx := s.Begin()
-	if _, err := acc.Call(tx, adt.CreditInv(7)); err != nil {
-		t.Fatal(err)
-	}
-	s.CrashLog()
-	err := tx.Commit()
-	if err == nil || !errors.Is(err, wal.ErrClosed) {
-		t.Fatalf("commit with dead log: got %v, want wal.ErrClosed", err)
-	}
-	if _, committed := tx.Timestamp(); committed {
-		t.Fatal("transaction reports committed after log failure")
-	}
-	// The in-memory state never saw the aborted commit either.
-	if got := adt.AccountBalance(acc.CommittedState()); got != 100 {
-		t.Fatalf("balance after aborted commit = %d, want 100", got)
-	}
-
-	s2 := openDurable(t, dir, false)
-	acc2 := accountOn(s2)
-	if err := s2.FinishRecovery(); err != nil {
-		t.Fatal(err)
-	}
-	if got := adt.AccountBalance(acc2.CommittedState()); got != 100 {
-		t.Fatalf("recovered balance = %d, want 100", got)
-	}
-	s2.Close()
-}
-
-// TestGroupCommitLogFailureAbortsBatch: same crash point through the
-// group-commit batcher — the whole batch must abort, every member must see
-// the error, and no merge may have happened.
-func TestGroupCommitLogFailureAbortsBatch(t *testing.T) {
-	dir := t.TempDir()
-	s := openDurable(t, dir, true)
-	if err := s.FinishRecovery(); err != nil {
-		t.Fatal(err)
-	}
-	acc := accountOn(s)
-	credit(t, s, acc, 100)
-	s.CrashLog()
-
-	const n = 8
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tx := s.Begin()
-			if _, err := acc.Call(tx, adt.CreditInv(1)); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = tx.Commit()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil || !errors.Is(err, wal.ErrClosed) {
-			t.Fatalf("goroutine %d: got %v, want wal.ErrClosed", i, err)
-		}
-	}
-	if got := adt.AccountBalance(acc.CommittedState()); got != 100 {
-		t.Fatalf("balance after aborted batch = %d, want 100", got)
-	}
-	if got := s.Stats().Aborted; got != n {
-		t.Fatalf("Aborted = %d, want %d", got, n)
-	}
-}
-
 // TestGroupCommitDurableRecovery: concurrent commits through the batcher,
 // hard-stop (no Close — synced records must carry everything), reopen,
 // and every acknowledged commit is back.  The fsync counter must show
@@ -237,7 +153,7 @@ func TestGroupCommitDurableRecovery(t *testing.T) {
 // synced) and died before the decision is recovered as pending; resolving
 // it with the coordinator's decision commits it durably, abandoning it
 // presumes abort.  This is the participant half of 2PC recovery — the
-// cluster tests drive the full protocol over both transports.
+// cluster tests drive the full protocol.
 func TestPreparedBranchRecovery(t *testing.T) {
 	for _, resolve := range []bool{true, false} {
 		dir := t.TempDir()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -122,9 +123,9 @@ type Object struct {
 	// mu whenever the committed tail changes (commit) or its
 	// representation shifts (fold), and read lock-free by ReadCall.
 	tailSnap atomic.Pointer[tailSnapshot]
-	// batchMask and batchLocks are the group-commit scratch buffers
-	// (guarded by mu): the union wakeup mask of a batch and the lock
-	// records it releases, reused across batches.
+	// batchMask and batchLocks are commitBatch's scratch buffers (guarded
+	// by mu): the union wakeup mask of a batch and the lock records it
+	// releases, reused across batches.
 	batchMask  depend.Mask
 	batchLocks []*txLock
 
@@ -206,27 +207,103 @@ func (o *Object) dequeueWaiterLocked(w *waiter) {
 	o.waiterCount--
 }
 
-// wakeWaitersLocked signals — in FIFO order — every waiter the completion
-// event of lk could unblock, dequeueing each signalled waiter.  lk is the
-// completing transaction's lock record (nil wakes everyone), isCommit
-// distinguishes commits (which change the committed tail and so can enable
-// state-blocked waiters) from aborts (which only release locks).  With no
-// waiters the walk is free: the common uncontended completion signals
-// nobody, where a condition-variable broadcast woke every blocked reader
-// and writer on the object.
-func (o *Object) wakeWaitersLocked(lk *txLock, isCommit bool) {
-	if lk == nil {
-		o.wakeScanLocked(nil, false, true, isCommit)
-		return
-	}
-	o.wakeScanLocked(lk.mask, len(lk.extra) > 0, false, isCommit)
+// callWait is the state of one call's waits, all of it lazy: the grant fast
+// path pays for none of it (the waiter comes from the system free list, so
+// even the blocked path stops allocating at steady state).  One timer
+// serves the whole call — armed at the first wait, it fires once at the
+// absolute deadline.
+type callWait struct {
+	deadline time.Time
+	timer    *time.Timer
+	w        *waiter
 }
 
-// wakeScanLocked is the waiter-queue walk shared by single completions and
-// group-commit batches: mask is the completing class set (the union over a
-// batch), hasExtra marks uninterned held operations (their conflicts are
-// invisible to masks, so every mask-filtered waiter must re-check), and
-// wakeAll bypasses the filters entirely.
+// waiter returns the call's waiter node, drawing it on first use.
+func (cw *callWait) waiter(s *System) *waiter {
+	if cw.w == nil {
+		cw.w = s.getWaiter()
+	}
+	return cw.w
+}
+
+// release stops the timer and recycles the waiter, if the call ever waited.
+func (cw *callWait) release(s *System) {
+	if cw.timer != nil {
+		cw.timer.Stop()
+	}
+	if cw.w != nil {
+		s.putWaiter(cw.w)
+	}
+}
+
+// waitResult is how one waitLocked ended.
+type waitResult int
+
+const (
+	// waitWoke: the deadline timer fired.  The caller re-checks once more;
+	// its next waitLocked reports the timeout.
+	waitWoke waitResult = iota
+	waitSignalled
+	waitTimedOut
+	waitCancelled
+)
+
+// waitLocked is the wait loop's body, shared by Call and ReadCall: park on
+// cw's waiter (whose wake condition the caller has set) until a completion
+// event signals it, the call's LockWait deadline passes, or ctx is
+// cancelled.  Called with o.mu held; it releases the mutex while parked and
+// returns with it held and the waiter dequeued.
+func (o *Object) waitLocked(cw *callWait, ctx context.Context) waitResult {
+	if cw.deadline.IsZero() {
+		cw.deadline = time.Now().Add(o.sys.opts.LockWait)
+	} else if !time.Now().Before(cw.deadline) {
+		o.sys.stats.Timeouts.Add(1)
+		o.stats.timeouts.Add(1)
+		return waitTimedOut
+	}
+	if cw.timer == nil {
+		cw.timer = time.NewTimer(time.Until(cw.deadline))
+	}
+	w := cw.waiter(o.sys)
+	o.enqueueWaiterLocked(w)
+	o.sys.stats.Waits.Add(1)
+	o.stats.waits.Add(1)
+	start := time.Now()
+	o.mu.Unlock()
+	res := waitWoke
+	select {
+	case <-w.ch:
+		res = waitSignalled
+	case <-cw.timer.C:
+	case <-ctx.Done():
+		res = waitCancelled
+	}
+	o.sys.stats.WaitNanos.Add(int64(time.Since(start)))
+	o.mu.Lock()
+	o.dequeueWaiterLocked(w)
+	// A completion event may have signalled concurrently with the timer or
+	// cancellation; drain so a later enqueue starts clean, and report the
+	// signal so the caller's re-derivation accounting sees it.
+	select {
+	case <-w.ch:
+		if res == waitWoke {
+			res = waitSignalled
+		}
+	default:
+	}
+	return res
+}
+
+// wakeScanLocked signals — in FIFO order — every waiter a completion event
+// could unblock, dequeueing each signalled waiter: mask is the completing
+// class set (one aborting transaction's, or the union over a commit batch),
+// hasExtra marks uninterned held operations (their conflicts are invisible
+// to masks, so every mask-filtered waiter must re-check), wakeAll bypasses
+// the filters entirely, and isCommit distinguishes commits (which change
+// the committed tail and so can enable state-blocked waiters) from aborts
+// (which only release locks).  With no waiters the walk is free: the common
+// uncontended completion signals nobody, where a condition-variable
+// broadcast woke every blocked reader and writer on the object.
 func (o *Object) wakeScanLocked(mask depend.Mask, hasExtra, wakeAll, isCommit bool) {
 	if o.waitHead == nil {
 		return
@@ -538,22 +615,8 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 	if detect {
 		defer o.sys.wfg.clear(tx)
 	}
-	// The deadline, its timer, and the waiter node are all lazy: the grant
-	// fast path pays for none of them (the waiter comes from the system
-	// free list, so even the blocked path stops allocating at steady
-	// state).  One timer serves the whole call — armed at the first
-	// blocked iteration, it fires once at the absolute deadline.
-	var deadline time.Time
-	var timer *time.Timer
-	var w *waiter
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		if w != nil {
-			o.sys.putWaiter(w)
-		}
-	}()
+	var cw callWait
+	defer cw.release(o.sys)
 	attempted := false
 	signalled := false
 	var seen uint64
@@ -587,9 +650,7 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 					o.stats.spurious.Add(1)
 					o.sys.stats.SpuriousWakeups.Add(1)
 				}
-				if w == nil {
-					w = o.sys.getWaiter()
-				}
+				w := cw.waiter(o.sys)
 				w.mask, w.classes, w.anyCommit, w.allEvents = nil, 0, false, true
 				if detect {
 					// The barrier waits on every current holder, whatever
@@ -629,9 +690,7 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 				// no enabled response.  Capture the wakeup mask and wait for a
 				// completion event that could matter — the appendix's "when"
 				// statement, with the herd filtered out.
-				if w == nil {
-					w = o.sys.getWaiter()
-				}
+				w := cw.waiter(o.sys)
 				w.mask, w.classes, w.anyCommit, w.allEvents = o.wakeMaskLocked(inv, len(responses) == 0, uninterned)
 				if detect {
 					if holders := o.blockersLocked(tx, inv, state); len(holders) > 0 {
@@ -644,42 +703,13 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 				}
 			}
 		}
-		if deadline.IsZero() {
-			deadline = time.Now().Add(o.sys.opts.LockWait)
-		} else if !time.Now().Before(deadline) {
-			o.sys.stats.Timeouts.Add(1)
-			o.stats.timeouts.Add(1)
+		switch o.waitLocked(&cw, ctx) {
+		case waitSignalled:
+			signalled = true
+		case waitTimedOut:
 			o.mu.Unlock()
 			return "", fmt.Errorf("%w: %s on %s", ErrTimeout, inv, o.name)
-		}
-		if timer == nil {
-			timer = time.NewTimer(time.Until(deadline))
-		}
-		o.enqueueWaiterLocked(w)
-		o.sys.stats.Waits.Add(1)
-		o.stats.waits.Add(1)
-		start := time.Now()
-		o.mu.Unlock()
-		cancelled := false
-		select {
-		case <-w.ch:
-			signalled = true
-		case <-timer.C:
-		case <-ctx.Done():
-			cancelled = true
-		}
-		o.sys.stats.WaitNanos.Add(int64(time.Since(start)))
-		o.mu.Lock()
-		o.dequeueWaiterLocked(w)
-		// A completion event may have signalled concurrently with the
-		// timer or cancellation; drain so a later enqueue starts clean,
-		// and count the signal so the re-derivation check sees it.
-		select {
-		case <-w.ch:
-			signalled = true
-		default:
-		}
-		if cancelled {
+		case waitCancelled:
 			o.mu.Unlock()
 			return "", fmt.Errorf("hybridcc: %s on %s: %w", inv, o.name, ctx.Err())
 		}
@@ -736,9 +766,9 @@ func (o *Object) grantLocked(tx *Tx, op spec.Op, view spec.State) []pendingEvent
 	var ev []pendingEvent
 	if o.sys.opts.Sink != nil {
 		id := tx.ID()
-		ev = o.sys.stage(tx.evScratch[:0], histories.InvokeEvent(id, o.name, op.Inv()))
+		ev = o.sys.stage(tx.sc.ev[:0], histories.InvokeEvent(id, o.name, op.Inv()))
 		ev = o.sys.stage(ev, histories.RespondEvent(id, o.name, op.Res))
-		tx.evScratch = ev
+		tx.sc.ev = ev
 	}
 	return ev
 }
@@ -843,17 +873,13 @@ func (o *Object) viewStateLocked(tx *Tx) spec.State {
 	return state
 }
 
-// mergeCommitLocked merges tx's intentions into the committed tail at ts
-// and stages its commit event into ev.  It is the per-transaction core of
-// both commit paths: the caller folds, republishes the tail snapshot,
-// wakes waiters, and releases the returned lock record — once per
-// transaction on the single path, once per batch on the group-commit path.
-func (o *Object) mergeCommitLocked(tx *Tx, ts histories.Timestamp, ev []pendingEvent) (*txLock, []pendingEvent) {
-	lk := o.active[tx]
-	var ops []spec.Op
-	if lk != nil {
-		ops = lk.ops
-	}
+// mergeCommitLocked merges the intentions of tx's lock record lk into the
+// committed tail at tx's published timestamp and stages its commit event
+// into ev.  It is the per-transaction core of commitBatch, which folds,
+// republishes the tail snapshot, wakes waiters, and releases the lock
+// records once per batch.
+func (o *Object) mergeCommitLocked(tx *Tx, lk *txLock, ev []pendingEvent) []pendingEvent {
+	ts, ops := tx.ts, lk.ops
 	delete(o.active, tx)
 	// The entry's transaction id feeds the sink's commit event and panic
 	// diagnostics.  Without a sink it is not materialized — the entry
@@ -902,59 +928,33 @@ func (o *Object) mergeCommitLocked(tx *Tx, ts histories.Timestamp, ev []pendingE
 	if o.sys.opts.Sink != nil {
 		ev = o.sys.stage(ev, histories.CommitEvent(id, o.name, ts))
 	}
-	return lk, ev
+	return ev
 }
 
-// commit merges tx's intentions into the committed state at timestamp ts
-// (Prepare/Commit split between tx.Commit and the commit protocol).
-func (o *Object) commit(tx *Tx, ts histories.Timestamp) {
-	o.mu.Lock()
-	lk, ev := o.mergeCommitLocked(tx, ts, tx.evScratch[:0])
-	tx.evScratch = ev[:0]
-	if !o.sys.opts.DisableCompaction {
-		o.forgetLocked()
-	}
-	// The new tail is published before the caller releases its
-	// windowWriters count: a lock-free reader that sees the count at zero
-	// must also see this commit in the snapshot.
-	o.publishTailLocked()
-	o.stats.commits.Add(1)
-	o.wakeWaitersLocked(lk, true)
-	if lk != nil {
-		// The intentions slice escaped into the committed tail; the record
-		// itself is clean to recycle.
-		o.sys.putLock(lk, true)
-	}
-	if o.pending != nil {
-		o.maybeInstallPendingLocked()
-	}
-	o.mu.Unlock()
-	o.sys.flushEvents(ev)
-}
-
-// commitBatch merges a group-commit batch at this object in one critical
-// section: every transaction's intentions merge at its own (already
-// assigned, strictly increasing) timestamp, but the fold, the snapshot
-// publication, and the waiter scan run once for the whole batch, with the
-// wakeup filter taken over the union of the batch's held-class masks.
-// Transactions that never executed here are skipped.  Staged events are
-// appended to ev and flushed by the caller after the critical section.
+// commitBatch merges a commit batch (commitTxs' step 6) at this object in
+// one critical section: every transaction's intentions merge at its own
+// (already published, strictly increasing) timestamp, but the fold, the
+// snapshot publication, and the waiter scan run once for the whole batch,
+// with the wakeup filter taken over the union of the batch's held-class
+// masks.  The new tail is published before the caller releases its
+// windowWriters count: a lock-free reader that sees the count at zero must
+// also see these commits in the snapshot.  Transactions that never executed
+// here are skipped.  Staged events are appended to ev and flushed by the
+// caller after the critical section.
 func (o *Object) commitBatch(batch []*Tx, ev []pendingEvent) []pendingEvent {
 	o.mu.Lock()
 	o.batchMask = o.batchMask[:0]
 	o.batchLocks = o.batchLocks[:0]
 	hasExtra := false
 	for _, tx := range batch {
-		if o.active[tx] == nil {
+		lk := o.active[tx]
+		if lk == nil {
 			continue
 		}
-		lk, ev2 := o.mergeCommitLocked(tx, tx.ts, ev)
-		ev = ev2
-		if lk != nil {
-			o.batchMask.Or(lk.mask)
-			hasExtra = hasExtra || len(lk.extra) > 0
-			o.batchLocks = append(o.batchLocks, lk)
-		}
+		ev = o.mergeCommitLocked(tx, lk, ev)
+		o.batchMask.Or(lk.mask)
+		hasExtra = hasExtra || len(lk.extra) > 0
+		o.batchLocks = append(o.batchLocks, lk)
 	}
 	if len(o.batchLocks) > 0 {
 		if !o.sys.opts.DisableCompaction {
@@ -991,11 +991,13 @@ func (o *Object) abort(tx *Tx) {
 	o.stats.aborts.Add(1)
 	var ev []pendingEvent
 	if o.sys.opts.Sink != nil {
-		ev = o.sys.stage(tx.evScratch[:0], histories.AbortEvent(tx.ID(), o.name))
-		tx.evScratch = ev[:0]
+		ev = o.sys.stage(tx.sc.ev[:0], histories.AbortEvent(tx.ID(), o.name))
+		tx.sc.ev = ev[:0]
 	}
-	o.wakeWaitersLocked(lk, false)
-	if lk != nil {
+	if lk == nil {
+		o.wakeScanLocked(nil, false, true, false)
+	} else {
+		o.wakeScanLocked(lk.mask, len(lk.extra) > 0, false, false)
 		// An aborted record's intentions escaped nowhere: the slice
 		// capacity is recycled along with the record.
 		o.sys.putLock(lk, false)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
@@ -364,56 +363,15 @@ func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
 	}
 
 	o.mu.Lock()
-	var deadline time.Time
-	var timer *time.Timer
-	var w *waiter
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		if w != nil {
-			o.sys.putWaiter(w)
-		}
-	}()
-	for {
-		if bw := o.blockingWriterLocked(t.ts); bw == "" {
-			break
-		}
-		if deadline.IsZero() {
-			deadline = time.Now().Add(o.sys.opts.LockWait)
-		} else if !time.Now().Before(deadline) {
-			o.sys.stats.Timeouts.Add(1)
-			o.stats.timeouts.Add(1)
+	var cw callWait
+	defer cw.release(o.sys)
+	for o.blockingWriterLocked(t.ts) != "" {
+		cw.waiter(o.sys).allEvents = true // readers wait on transaction completion as such
+		switch o.waitLocked(&cw, ctx) {
+		case waitTimedOut:
 			o.mu.Unlock()
 			return "", fmt.Errorf("%w: read of %s at %s", ErrTimeout, inv, o.name)
-		}
-		if w == nil {
-			w = o.sys.getWaiter()
-			w.allEvents = true // readers wait on transaction completion as such
-		}
-		if timer == nil {
-			timer = time.NewTimer(time.Until(deadline))
-		}
-		o.enqueueWaiterLocked(w)
-		o.sys.stats.Waits.Add(1)
-		o.stats.waits.Add(1)
-		start := time.Now()
-		o.mu.Unlock()
-		cancelled := false
-		select {
-		case <-w.ch:
-		case <-timer.C:
-		case <-ctx.Done():
-			cancelled = true
-		}
-		o.sys.stats.WaitNanos.Add(int64(time.Since(start)))
-		o.mu.Lock()
-		o.dequeueWaiterLocked(w)
-		select {
-		case <-w.ch:
-		default:
-		}
-		if cancelled {
+		case waitCancelled:
 			o.mu.Unlock()
 			return "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, ctx.Err())
 		}

@@ -122,9 +122,10 @@ func TestReadOnlySeesExternallyTimestampedEarlierCommit(t *testing.T) {
 	sys, c := counterSystem(Options{LockWait: time.Second, ExternalTimestamps: true})
 	w := sys.Begin()
 	mustCall(t, c, w, adt.IncInv(7)) // bound 0
-	r := sys.BeginReadOnly()         // shared clock issues, say, 1
-	if r.Timestamp() < 1 {
-		t.Fatalf("reader ts = %d", r.Timestamp())
+	sys.clock.Observe(5)             // other sites' commits moved the clock on
+	r := sys.BeginReadOnly()
+	if r.Timestamp() < 2 {
+		t.Fatalf("reader ts = %d, want room below it for the writer", r.Timestamp())
 	}
 	// External coordinator picked a timestamp between the writer's bound
 	// and the reader: the writer serializes before the reader.
@@ -139,8 +140,7 @@ func TestReadOnlySeesExternallyTimestampedEarlierCommit(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond) // let the reader block on the writer
 	if err := w.CommitAt(r.Timestamp() - 1); err != nil {
-		// ts 0 is invalid when the reader drew 1; skip in that case.
-		t.Skipf("no timestamp available below the reader: %v", err)
+		t.Fatal(err)
 	}
 	if got := <-done; got != "7" {
 		t.Errorf("read = %q, want 7 (writer committed below the reader's timestamp)", got)

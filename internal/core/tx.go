@@ -99,19 +99,18 @@ type Tx struct {
 	id  histories.TxID
 	gen uint64
 
-	// objScratch backs touchedObjects; evScratch backs staged-event
-	// buffers; done carries the group-commit completion signal.  All three
-	// are reused across the transaction's operations and across pool
-	// incarnations.
+	// objScratch backs touchedObjects; sc is the scratch of this
+	// transaction's own commits (its ev also backs grant and abort event
+	// staging); done delivers a queued commit's outcome from the batcher's
+	// leader.  All are reused across the transaction's operations and
+	// across pool incarnations.
 	objScratch []*Object
-	evScratch  []pendingEvent
-	done       chan struct{}
+	sc         commitScratch
+	done       chan error
 
-	// commitErr reports a group-commit log-append failure back to the
-	// follower: the batcher aborted the transaction instead of committing
-	// it, and Commit returns this error.  Guarded by mu; reset when a
-	// pooled Tx begins a new incarnation.
-	commitErr error
+	// drawn is the commit timestamp between commitTxs drawing it and
+	// publishing it as ts; only the goroutine running commitTxs touches it.
+	drawn histories.Timestamp
 }
 
 // ID returns the transaction's identifier, materializing it on first use:
@@ -213,10 +212,10 @@ func (t *Tx) touchedObjects() []*Object {
 // transaction's per-object lower bounds, which establishes the paper's
 // timestamp-generation constraint (precedes ⊆ TS) at every object.
 //
-// With Options.GroupCommit the transaction is handed to the system's
-// commit batcher, which coalesces concurrent commits into one
-// critical-section pass per object; the timestamp discipline is identical
-// (each transaction still gets its own, distinct timestamp).
+// With group commit on, the transaction joins the system's commit queue,
+// which hands concurrent commits to commitTxs as one batch; without it the
+// transaction is a batch of one.  The procedure and the timestamp
+// discipline are the same either way.
 func (t *Tx) Commit() error {
 	if t.sys.remote != nil {
 		return t.remoteCommit()
@@ -236,69 +235,38 @@ func (t *Tx) Commit() error {
 	t.mu.Unlock()
 
 	if b := t.sys.batcher.Load(); b != nil {
-		b.commit(t)
-		t.mu.Lock()
-		err := t.commitErr
-		t.commitErr = nil
-		t.mu.Unlock()
-		if err != nil {
-			// The batcher could not make the batch durable: it aborted every
-			// member (locks released, intentions discarded) before any merge.
-			return err
-		}
-		t.sys.stats.Committed.Add(1)
-		return nil
+		return t.notLogged(b.commit(t))
 	}
+	return t.commitSolo(0)
+}
 
-	objs := t.touchedObjects()
-	// Enter the commit window at every touched object BEFORE drawing the
-	// timestamp: a lock-free reader that observes a window count of zero
-	// may then rely on any not-yet-counted committer drawing a timestamp
-	// above the reader's own (the reader's timestamp is already in the
-	// clock).  Each count is released after o.commit publishes the merged
-	// snapshot.
-	for _, o := range objs {
-		o.windowWriters.Add(1)
+// commitSolo runs commitTxs on t alone; t must be txCommitting.  The
+// one-element batch stays on the stack: a solo commit allocates nothing.
+func (t *Tx) commitSolo(ext histories.Timestamp) error {
+	batch := [1]*Tx{t}
+	return t.notLogged(t.sys.commitTxs(batch[:], ext, &t.sc))
+}
+
+// notLogged names the transaction in a commitTxs failure: the log did
+// not take the commit record, so the transaction was aborted instead
+// (locks released, intentions discarded, nothing merged).
+func (t *Tx) notLogged(err error) error {
+	if err != nil {
+		return fmt.Errorf("hybridcc: commit of %s not logged, aborted: %w", t.ID(), err)
 	}
+	return nil
+}
+
+// maxBound returns the largest timestamp lower bound t recorded at any of
+// objs, its touched objects: the commit timestamp must exceed it.
+func (t *Tx) maxBound(objs []*Object) histories.Timestamp {
 	lower := histories.Timestamp(0)
 	for _, o := range objs {
 		if b := o.boundOf(t); b > lower {
 			lower = b
 		}
 	}
-	ts := t.sys.clock.Next(lower)
-
-	// Append-before-merge: the commit record (invocations + timestamp) must
-	// be durable before any object merges the intentions, so no later
-	// transaction can depend on a commit the log might lose.  A failed
-	// append aborts the transaction instead.
-	if s := t.sys; s.log != nil {
-		if err := s.log.AppendSync(s.walCommitRecord(t, objs, ts)); err != nil {
-			t.mu.Lock()
-			t.status = txAborted
-			t.mu.Unlock()
-			for _, o := range objs {
-				o.abort(t)
-				o.windowWriters.Add(-1)
-			}
-			s.stats.Aborted.Add(1)
-			return fmt.Errorf("hybridcc: commit of %s not logged, aborted: %w", t.ID(), err)
-		}
-	}
-
-	// The timestamp is assigned before txCommitted is published, in one
-	// critical section: Timestamp() must never observe (0, true).
-	t.mu.Lock()
-	t.ts = ts
-	t.status = txCommitted
-	t.mu.Unlock()
-
-	for _, o := range objs {
-		o.commit(t, ts)
-		o.windowWriters.Add(-1)
-	}
-	t.sys.stats.Committed.Add(1)
-	return nil
+	return lower
 }
 
 // Abort aborts the transaction, releasing its locks and discarding its
@@ -358,12 +326,7 @@ func (t *Tx) Prepare() (histories.Timestamp, error) {
 	voteLogged := t.loggedPrepare
 	t.mu.Unlock()
 	objs := t.touchedObjects()
-	lower := histories.Timestamp(0)
-	for _, o := range objs {
-		if b := o.boundOf(t); b > lower {
-			lower = b
-		}
-	}
+	lower := t.maxBound(objs)
 	// The yes vote must survive a participant crash: log the branch's
 	// intentions (synced) before reporting the bound.  A branch that cannot
 	// log votes no — unfreeze and fail the Prepare.  A repeat Prepare whose
@@ -416,6 +379,11 @@ func (t *Tx) CommitAt(ts histories.Timestamp) error {
 	if !t.sys.opts.ExternalTimestamps {
 		return ErrExternalTS
 	}
+	if ts <= 0 {
+		// Every bound Prepare reports is ≥ 0 and the decision must exceed
+		// it; zero is also commitTxs' "draw your own" value.
+		return fmt.Errorf("hybridcc: CommitAt(%d) of %s: timestamp must be positive", ts, t.ID())
+	}
 	t.mu.Lock()
 	if t.status != txActive {
 		t.mu.Unlock()
@@ -430,36 +398,8 @@ func (t *Tx) CommitAt(ts histories.Timestamp) error {
 	}
 	t.status = txCommitting
 	t.mu.Unlock()
-
-	objs := t.touchedObjects()
-	// Append-before-merge, as in Commit.  The record repeats the branch's
-	// full operation sequences even though a prepared record usually
-	// precedes it, making it self-contained: recovery of a decided branch
-	// never needs to pair records.
-	if s := t.sys; s.log != nil {
-		if err := s.log.AppendSync(s.walCommitRecord(t, objs, ts)); err != nil {
-			t.mu.Lock()
-			t.status = txAborted
-			t.mu.Unlock()
-			for _, o := range objs {
-				o.abort(t)
-			}
-			s.stats.Aborted.Add(1)
-			return fmt.Errorf("hybridcc: commit of %s not logged, aborted: %w", t.ID(), err)
-		}
-	}
-
-	// ts is assigned before the status is published (both under t.mu), so
-	// Timestamp() can never observe (0, true) mid-commit.
-	t.mu.Lock()
-	t.ts = ts
-	t.status = txCommitted
-	t.mu.Unlock()
-
-	t.sys.clock.Observe(ts)
-	for _, o := range objs {
-		o.commit(t, ts)
-	}
-	t.sys.stats.Committed.Add(1)
-	return nil
+	// The commit record repeats the branch's full operation sequences even
+	// though a prepared record usually precedes it, making it
+	// self-contained: recovery of a decided branch never pairs records.
+	return t.commitSolo(ts)
 }

@@ -16,7 +16,9 @@
 //     or timer per message — what an in-process cluster (internal/cluster)
 //     puts on the commit path;
 //   - internal/netproto's shard connection carries the same three messages
-//     to a shard served in another process;
+//     to a shard served in another process, and has the Scatterer capability:
+//     a round of such transports puts every message on the wire before it
+//     waits for any reply, so a round costs one round trip, not one per site;
 //   - FaultTransport wraps either with a deterministic script of lost,
 //     delayed, duplicated, held and reordered messages — the fault model
 //     every crash-path suite runs over.
@@ -69,6 +71,26 @@ type Transport interface {
 	Commit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) (ok bool)
 	// Abort delivers the abort decision.
 	Abort(ctx context.Context, tx histories.TxID, timeout time.Duration) (ok bool)
+}
+
+// Scatterer is the optional capability of a Transport whose messages take
+// a round trip worth overlapping (a wire): each Start method puts the
+// message on its way without waiting and returns the completion that waits
+// for the reply and reports what the blocking method of the same name
+// would have.  The blocking method of such a transport is its Start method
+// followed at once by the completion.  The caller runs every completion it
+// was given exactly once, whatever the other sites answered — a started
+// request owns its connection until its reply is read — and starts at most
+// one message per site at a time.
+//
+// When every transport of a round is a Scatterer, the coordinator starts
+// the round's message at every site before it completes any, on the
+// caller's goroutine; otherwise (Direct, FaultTransport) it calls the
+// blocking methods as before.
+type Scatterer interface {
+	StartPrepare(ctx context.Context, tx histories.TxID, timeout time.Duration) func() (lower histories.Timestamp, vote, ok bool)
+	StartCommit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) func() (ok bool)
+	StartAbort(ctx context.Context, tx histories.TxID, timeout time.Duration) func() (ok bool)
 }
 
 // Decision is the outcome of a protocol round.
@@ -298,20 +320,14 @@ func (c *Coordinator) workers() *workerPool {
 	return c.pool
 }
 
-// fanOut delivers f(i) for every transport index.  With at most two
-// participants the calls run inline and sequentially — cheaper than any
-// goroutine handoff for the in-process direct transport and the common
-// shape of a cross-shard transaction; the price is that a stalled site in
-// a two-participant round delays its peer's message by up to the
-// round-trip timeout.  Larger fan-outs go through the shared worker pool,
-// one call inline.
-func (c *Coordinator) fanOut(n int, f func(int)) {
-	if n <= 2 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
+// inlineCalls is the widest round whose blocking calls run one after the
+// other on the caller's goroutine; wider ones go to the worker pool.
+const inlineCalls = 2
+
+// pooled runs f(i) for every transport index of a wide round of blocking
+// calls: one on the caller's goroutine, the rest on the coordinator's
+// shared worker pool.
+func (c *Coordinator) pooled(n int, f func(int)) {
 	var wg sync.WaitGroup
 	wg.Add(n - 1)
 	w := c.workers()
@@ -326,6 +342,127 @@ func (c *Coordinator) fanOut(n int, f func(int)) {
 	wg.Wait()
 }
 
+// inlineSites is the number of participants whose per-round state fits in
+// the coordinator's stack buffers; wider rounds allocate.
+const inlineSites = 4
+
+// sized returns buf cut to n elements, or a fresh slice when n outgrows it.
+func sized[T any](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// scatterers returns the transports as Scatterers, in buf when they fit, if
+// every one of them has the capability, and nil otherwise: a round is
+// scattered whole or not at all.
+func scatterers(trs []Transport, buf []Scatterer) []Scatterer {
+	sc := sized(buf, len(trs))
+	for i, tr := range trs {
+		s, ok := tr.(Scatterer)
+		if !ok {
+			return nil
+		}
+		sc[i] = s
+	}
+	return sc
+}
+
+// Each message round reaches the sites one of three ways.  Scattered, when
+// sc is set: every site's message is started before any reply is gathered,
+// and the gather runs every completion — a no-vote or an unreachable site
+// does not stop it, because a started request must have its reply read
+// before its connection carries the next message.  Inline, for up to
+// inlineCalls sites without the capability: blocking calls one after the
+// other, cheaper than any goroutine handoff for the in-process direct
+// transport, whose messages are method calls; the price is that a stalled
+// site delays its peer's message by up to the round-trip timeout.  Pooled,
+// for wider rounds of blocking calls.
+
+// voteResult is one site's answer to the prepare message.
+type voteResult struct {
+	lower histories.Timestamp
+	vote  bool
+	ok    bool
+}
+
+// prepare is one blocking prepare call.
+func (c *Coordinator) prepare(ctx context.Context, tr Transport, tx histories.TxID) voteResult {
+	lower, vote, ok := tr.Prepare(ctx, tx, c.timeout)
+	return voteResult{lower: lower, vote: vote, ok: ok}
+}
+
+// prepareRound delivers the prepare message to every site and stores site
+// i's answer in votes[i]; each slot is owned by exactly one call, so the
+// results need no channel.
+func (c *Coordinator) prepareRound(ctx context.Context, tx histories.TxID, trs []Transport, sc []Scatterer, votes []voteResult) {
+	switch {
+	case sc != nil:
+		var buf [inlineSites]func() (histories.Timestamp, bool, bool)
+		gather := sized(buf[:], len(sc))
+		for i, s := range sc {
+			gather[i] = s.StartPrepare(ctx, tx, c.timeout)
+		}
+		for i, finish := range gather {
+			lower, vote, ok := finish()
+			votes[i] = voteResult{lower: lower, vote: vote, ok: ok}
+		}
+	case len(trs) <= inlineCalls:
+		for i, tr := range trs {
+			votes[i] = c.prepare(ctx, tr, tx)
+		}
+	default:
+		c.pooled(len(trs), func(i int) { votes[i] = c.prepare(ctx, trs[i], tx) })
+	}
+}
+
+// decide delivers the decision — commit at ts, or abort — to one site.
+// Decisions go out without the caller's ctx: participants that voted yes
+// hold locks until they learn the decision, so it must be delivered even
+// though the caller may have given up (each message is still individually
+// timeout-bounded).
+func (c *Coordinator) decide(tr Transport, tx histories.TxID, commit bool, ts histories.Timestamp) bool {
+	if commit {
+		return tr.Commit(context.Background(), tx, ts, c.timeout)
+	}
+	return tr.Abort(context.Background(), tx, c.timeout)
+}
+
+// decisionRound delivers the decision to every site and reports whether
+// all of them acknowledged it.
+func (c *Coordinator) decisionRound(tx histories.TxID, trs []Transport, sc []Scatterer, commit bool, ts histories.Timestamp) bool {
+	all := true
+	switch {
+	case sc != nil:
+		var buf [inlineSites]func() bool
+		gather := sized(buf[:], len(sc))
+		for i, s := range sc {
+			if commit {
+				gather[i] = s.StartCommit(context.Background(), tx, ts, c.timeout)
+			} else {
+				gather[i] = s.StartAbort(context.Background(), tx, c.timeout)
+			}
+		}
+		for _, finish := range gather {
+			all = finish() && all
+		}
+	case len(trs) <= inlineCalls:
+		for _, tr := range trs {
+			all = c.decide(tr, tx, commit, ts) && all
+		}
+	default:
+		var missed atomic.Bool
+		c.pooled(len(trs), func(i int) {
+			if !c.decide(trs[i], tx, commit, ts) {
+				missed.Store(true)
+			}
+		})
+		all = !missed.Load()
+	}
+	return all
+}
+
 // RunTransports executes one two-phase commit round for tx across the
 // given transports and returns the decision and, when committed, the
 // timestamp distributed to every participant.  Any missing or negative vote
@@ -338,30 +475,25 @@ func (c *Coordinator) fanOut(n int, f func(int)) {
 // because a decided commit must reach every participant or the transaction
 // would be torn.  The caller owns transport lifecycle: transports must
 // outlive every decision (re-)delivery, including recovery after the round.
+//
+// How a round's messages travel depends on what the transports are, not on
+// an option: when every one is a Scatterer the three rounds (prepare,
+// decide, abort) each scatter their message to all sites before gathering
+// any reply; otherwise each is blocking calls, inline or pooled by width.
+// The messages, their order per site and their order against the decision
+// log are the same either way.
 func (c *Coordinator) RunTransports(ctx context.Context, tx histories.TxID, trs []Transport) (Decision, histories.Timestamp, error) {
 	n := len(trs)
 	if n == 0 {
 		return Aborted, 0, ErrNoParticipants
 	}
+	var scBuf [inlineSites]Scatterer
+	sc := scatterers(trs, scBuf[:])
 
-	// Phase 1: prepare, collecting votes and timestamp lower bounds.  The
-	// fan-out is inline for one or two participants and pooled beyond
-	// that; each slot of votes is owned by exactly one call, so the
-	// results need no channel.
-	type voteResult struct {
-		lower histories.Timestamp
-		vote  bool
-		ok    bool
-	}
-	var votesBuf [4]voteResult
-	votes := votesBuf[:min(n, len(votesBuf))]
-	if n > len(votesBuf) {
-		votes = make([]voteResult, n)
-	}
-	c.fanOut(n, func(i int) {
-		lower, vote, ok := trs[i].Prepare(ctx, tx, c.timeout)
-		votes[i] = voteResult{lower: lower, vote: vote, ok: ok}
-	})
+	// Phase 1: prepare, collecting votes and timestamp lower bounds.
+	var votesBuf [inlineSites]voteResult
+	votes := sized(votesBuf[:], n)
+	c.prepareRound(ctx, tx, trs, sc, votes)
 	lower := histories.Timestamp(0)
 	allYes := true
 	var failed []string
@@ -380,14 +512,7 @@ func (c *Coordinator) RunTransports(ctx context.Context, tx histories.TxID, trs 
 	}
 
 	if err := ctx.Err(); err != nil || !allYes {
-		// Aborts go out without ctx: participants that voted yes hold
-		// locks until they learn the decision, so the abort must be
-		// delivered even though the caller has given up.  Wide fan-outs
-		// deliver in parallel; two-participant rounds deliver in line
-		// (each send is still individually timeout-bounded).
-		c.fanOut(n, func(i int) {
-			trs[i].Abort(context.Background(), tx, c.timeout)
-		})
+		c.decisionRound(tx, trs, sc, false, 0)
 		if err != nil {
 			return Aborted, 0, fmt.Errorf("commitproto: round cancelled: %w", err)
 		}
@@ -407,35 +532,18 @@ func (c *Coordinator) RunTransports(ctx context.Context, tx histories.TxID, trs 
 	if c.decisionLog != nil {
 		// Decision-before-delivery: once any participant learns the commit
 		// it may expose the transaction's effects, so the decision record
-		// must be durable first.  A failed append turns the round into an
-		// abort — every participant is still merely prepared, and under
-		// presumed abort that is exactly what an unlogged decision means.
+		// must be durable first — no commit message is started, scattered
+		// or not, until the hook has returned nil.  A failed append turns
+		// the round into an abort — every participant is still merely
+		// prepared, and under presumed abort that is exactly what an
+		// unlogged decision means.
 		if err := c.decisionLog(tx, ts); err != nil {
-			c.fanOut(n, func(i int) {
-				trs[i].Abort(context.Background(), tx, c.timeout)
-			})
+			c.decisionRound(tx, trs, sc, false, 0)
 			return Aborted, 0, fmt.Errorf("commitproto: decision for %s not logged, aborted: %w", tx, err)
 		}
 	}
-	var acksBuf [4]bool
-	acks := acksBuf[:min(n, len(acksBuf))]
-	if n > len(acksBuf) {
-		acks = make([]bool, n)
-	}
-	c.fanOut(n, func(i int) {
-		acks[i] = trs[i].Commit(context.Background(), tx, ts, c.timeout)
-	})
-	if c.decisionResolved != nil {
-		all := true
-		for _, ok := range acks {
-			if !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			c.decisionResolved(tx, ts)
-		}
+	if c.decisionRound(tx, trs, sc, true, ts) && c.decisionResolved != nil {
+		c.decisionResolved(tx, ts)
 	}
 	return Committed, ts, nil
 }

@@ -191,8 +191,8 @@ func TestFaultReorderMatrix(t *testing.T) {
 			// must land as a no-op vote into the void.
 			t.Run("prepare-after-decide", func(t *testing.T) {
 				a, b := newFake(10, true), newFake(25, true)
-				ta, stopA := kind.make("A", a)
-				tb, stopB := kind.make("B", b)
+				ta, stopA := kind.make(t, "A", a)
+				tb, stopB := kind.make(t, "B", b)
 				defer stopA()
 				defer stopB()
 				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
@@ -236,8 +236,8 @@ func TestFaultReorderMatrix(t *testing.T) {
 			// The late decide must still commit T1 at its own timestamp.
 			t.Run("decide-after-prepare", func(t *testing.T) {
 				a, b := newFake(10, true), newFake(25, true)
-				ta, stopA := kind.make("A", a)
-				tb, stopB := kind.make("B", b)
+				ta, stopA := kind.make(t, "A", a)
+				tb, stopB := kind.make(t, "B", b)
 				defer stopA()
 				defer stopB()
 				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
@@ -268,8 +268,8 @@ func TestFaultReorderMatrix(t *testing.T) {
 			// late abort must still release exactly once.
 			t.Run("abort-after-decide", func(t *testing.T) {
 				a, b := newFake(10, true), newFake(25, true)
-				ta, stopA := kind.make("A", a)
-				tb, stopB := kind.make("B", b)
+				ta, stopA := kind.make(t, "A", a)
+				tb, stopB := kind.make(t, "B", b)
 				defer stopA()
 				defer stopB()
 				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
@@ -301,8 +301,8 @@ func TestFaultReorderMatrix(t *testing.T) {
 			// idempotently at the same timestamp.
 			t.Run("dup-decide-after-forget", func(t *testing.T) {
 				a, b := newFake(10, true), newFake(25, true)
-				ta, stopA := kind.make("A", a)
-				tb, stopB := kind.make("B", b)
+				ta, stopA := kind.make(t, "A", a)
+				tb, stopB := kind.make(t, "B", b)
 				defer stopA()
 				defer stopB()
 				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)

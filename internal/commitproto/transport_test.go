@@ -13,25 +13,31 @@ import (
 	"hybridcc/internal/histories"
 )
 
-// The protocol must behave identically over the in-process transport bare
-// and behind the fault-injection wrapper (with an empty script: a
-// transparent FaultTransport must change nothing), so the core protocol
-// suite runs against each.  Lost, delayed, duplicated and reordered
-// messages are scripted in fault_test.go.
+// The protocol must behave identically over the in-process transport bare,
+// behind the fault-injection wrapper (with an empty script: a transparent
+// FaultTransport must change nothing), and over a transport with the
+// Scatterer capability, so the core protocol suite runs against each: the
+// first two take the coordinator's inline path, the third its
+// scatter–gather path.  Lost, delayed, duplicated and reordered messages
+// are scripted in fault_test.go.
 
-// transportKinds enumerates the two factory shapes under test.  crash makes
+// transportKinds enumerates the factory shapes under test.  crash makes
 // the site unreachable from then on.
 var transportKinds = []struct {
 	name string
-	make func(name string, p Participant) (tr Transport, crash func())
+	make func(t *testing.T, name string, p Participant) (tr Transport, crash func())
 }{
-	{"direct", func(name string, p Participant) (Transport, func()) {
+	{"direct", func(_ *testing.T, name string, p Participant) (Transport, func()) {
 		d := NewDirect(name, p)
 		return d, d.Crash
 	}},
-	{"fault(direct)", func(name string, p Participant) (Transport, func()) {
+	{"fault(direct)", func(_ *testing.T, name string, p Participant) (Transport, func()) {
 		d := NewDirect(name, p)
 		return NewFaultTransport(d), d.Crash
+	}},
+	{"scatter(direct)", func(t *testing.T, name string, p Participant) (Transport, func()) {
+		s := newScatterDirect(t, name, p)
+		return s, s.Crash
 	}},
 }
 
@@ -39,8 +45,8 @@ func TestTransportCommitAllYes(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			a, b := newFake(10, true), newFake(25, true)
-			ta, _ := kind.make("A", a)
-			tb, _ := kind.make("B", b)
+			ta, _ := kind.make(t, "A", a)
+			tb, _ := kind.make(t, "B", b)
 
 			dec, ts, err := coordinator().RunTransports(context.Background(), "T1", []Transport{ta, tb})
 			if err != nil {
@@ -66,8 +72,8 @@ func TestTransportAbortOnNoVote(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			a, b := newFake(0, true), newFake(0, false)
-			ta, _ := kind.make("A", a)
-			tb, _ := kind.make("B", b)
+			ta, _ := kind.make(t, "A", a)
+			tb, _ := kind.make(t, "B", b)
 
 			dec, _, err := coordinator().RunTransports(context.Background(), "T2", []Transport{ta, tb})
 			if err != nil {
@@ -90,8 +96,8 @@ func TestTransportAbortOnCrashBeforeVote(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			a, b := newFake(0, true), newFake(0, true)
-			ta, _ := kind.make("A", a)
-			tb, crashB := kind.make("B", b)
+			ta, _ := kind.make(t, "A", a)
+			tb, crashB := kind.make(t, "B", b)
 			crashB()
 
 			dec, _, err := coordinator().RunTransports(context.Background(), "T3", []Transport{ta, tb})
@@ -118,8 +124,8 @@ func TestTransportCancelledBeforePrepareAborts(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			a, b := newFake(1, true), newFake(2, true)
-			ta, _ := kind.make("A", a)
-			tb, _ := kind.make("B", b)
+			ta, _ := kind.make(t, "A", a)
+			tb, _ := kind.make(t, "B", b)
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -154,7 +160,7 @@ func TestTransportWideFanOut(t *testing.T) {
 			trs := make([]Transport, sites)
 			for i := range fakes {
 				fakes[i] = newFake(histories.Timestamp(i*3), true)
-				trs[i], _ = kind.make(fmt.Sprintf("S%d", i), fakes[i])
+				trs[i], _ = kind.make(t, fmt.Sprintf("S%d", i), fakes[i])
 			}
 			dec, ts, err := coordinator().RunTransports(context.Background(), "T5", trs)
 			if err != nil || dec != Committed {
@@ -190,7 +196,7 @@ func TestTransportConcurrentRoundsSharedWorkers(t *testing.T) {
 					defer wg.Done()
 					trs := make([]Transport, sites)
 					for i := range trs {
-						trs[i], _ = kind.make(fmt.Sprintf("R%dS%d", r, i), newFake(histories.Timestamp(r), true))
+						trs[i], _ = kind.make(t, fmt.Sprintf("R%dS%d", r, i), newFake(histories.Timestamp(r), true))
 					}
 					dec, ts, err := coord.RunTransports(context.Background(),
 						histories.TxID(fmt.Sprintf("T%d", r)), trs)

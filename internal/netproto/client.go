@@ -255,24 +255,37 @@ func (c *ShardClient) resolvePending(rc *rpcConn) error {
 	return nil
 }
 
-// roundTrip sends one request and reads its response on this connection,
-// bounded by timeout.  Any error poisons the connection (the stream may
-// be desynchronized); the caller must discard it.
-func (rc *rpcConn) roundTrip(req *message, timeout time.Duration) (message, error) {
+// send is the first half of a round trip: arm the deadline that bounds the
+// whole exchange, encode the request and flush it.  A connection carries
+// one outstanding request: after a send, nothing else may be written to it
+// until recv has read the response.  Any error poisons the connection (the
+// stream may be desynchronized); the caller must discard it.
+func (rc *rpcConn) send(req *message, timeout time.Duration) error {
 	if err := rc.nc.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return message{}, err
+		return err
 	}
 	var err error
 	rc.wbuf, err = writeMessage(rc.w, rc.wbuf, req)
 	if err != nil {
-		return message{}, err
+		return err
 	}
-	if err := rc.w.Flush(); err != nil {
-		return message{}, err
-	}
-	var resp message
+	return rc.w.Flush()
+}
+
+// recv is the second half: read the response to the request last sent,
+// within the deadline send armed.
+func (rc *rpcConn) recv() (resp message, err error) {
 	resp, rc.rbuf, err = readMessage(rc.r, rc.rbuf)
 	return resp, err
+}
+
+// roundTrip sends one request and reads its response on this connection,
+// bounded by timeout.
+func (rc *rpcConn) roundTrip(req *message, timeout time.Duration) (message, error) {
+	if err := rc.send(req, timeout); err != nil {
+		return message{}, err
+	}
+	return rc.recv()
 }
 
 // timeoutFor folds a context deadline into the default RPC timeout.
@@ -524,7 +537,7 @@ func (c *ShardClient) Abort(ctx context.Context, tx histories.TxID) error {
 }
 
 // StampParticipants implements core.RemoteShard: the count rides the next
-// Prepare for tx.
+// Prepare for tx, which takes it out of the map.
 func (c *ShardClient) StampParticipants(tx histories.TxID, n int) {
 	c.mu.Lock()
 	if !c.closed {
@@ -611,99 +624,136 @@ type shardTransport struct{ c *ShardClient }
 var (
 	_ core.RemoteShard      = (*ShardClient)(nil)
 	_ commitproto.Transport = shardTransport{}
+	_ commitproto.Scatterer = shardTransport{}
 )
 
 // Name implements commitproto.Transport.
 func (t shardTransport) Name() string { return t.c.Name() }
 
-// Prepare implements commitproto.Transport: deliver the prepare request
-// on the transaction's pinned connection and relay the shard's vote.  A
-// transport failure is "unreachable" (ok=false) — the coordinator treats
-// it as a veto, and the shard's branch either died with the connection
-// (unprepared) or resolves by presumed abort.
-func (tr shardTransport) Prepare(ctx context.Context, tx histories.TxID, timeout time.Duration) (histories.Timestamp, bool, bool) {
-	c := tr.c
+// The three protocol messages are each one exchange in two halves: the
+// Start method (commitproto.Scatterer) puts the request on the wire, and
+// the completion it returns reads the reply and does all the bookkeeping —
+// breaker, unpinning, background redelivery.  The blocking methods are the
+// two halves back to back.
+
+// Prepare implements commitproto.Transport.
+func (t shardTransport) Prepare(ctx context.Context, tx histories.TxID, timeout time.Duration) (histories.Timestamp, bool, bool) {
+	return t.StartPrepare(ctx, tx, timeout)()
+}
+
+// Commit implements commitproto.Transport.
+func (t shardTransport) Commit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) bool {
+	return t.StartCommit(ctx, tx, ts, timeout)()
+}
+
+// Abort implements commitproto.Transport.
+func (t shardTransport) Abort(ctx context.Context, tx histories.TxID, timeout time.Duration) bool {
+	return t.StartAbort(ctx, tx, timeout)()
+}
+
+// unreachable is the prepare completion of a site no request was sent to.
+func unreachable() (histories.Timestamp, bool, bool) { return 0, false, false }
+
+// StartPrepare implements commitproto.Scatterer: send the prepare request
+// on the transaction's pinned connection; the completion relays the
+// shard's vote.  A transport failure in either half is "unreachable"
+// (ok=false) — the coordinator treats it as a veto, and the shard's branch
+// either died with the connection (unprepared) or resolves by presumed
+// abort.  The participant count StampParticipants left is consumed here,
+// whether or not the request can be sent.
+func (t shardTransport) StartPrepare(ctx context.Context, tx histories.TxID, timeout time.Duration) func() (histories.Timestamp, bool, bool) {
+	c := t.c
 	c.mu.Lock()
 	n := c.parts[tx]
+	delete(c.parts, tx)
 	c.mu.Unlock()
 	rc, err := c.connFor(tx)
 	if err != nil {
-		return 0, false, false
+		return unreachable
 	}
-	t := c.timeoutFor(ctx)
-	if timeout > 0 && timeout < t {
-		t = timeout
+	d := c.timeoutFor(ctx)
+	if timeout > 0 && timeout < d {
+		d = timeout
 	}
-	resp, err := rc.roundTrip(&message{typ: msgPrepare, tx: string(tx), n: uint64(n)}, t)
-	c.bk.observe(err == nil)
-	if err != nil {
-		c.unpin(tx, true)
-		return 0, false, false
+	err = rc.send(&message{typ: msgPrepare, tx: string(tx), n: uint64(n)}, d)
+	return func() (histories.Timestamp, bool, bool) {
+		var resp message
+		if err == nil {
+			resp, err = rc.recv()
+		}
+		c.bk.observe(err == nil)
+		if err != nil {
+			c.unpin(tx, true)
+			return 0, false, false
+		}
+		if resp.typ != msgVote || resp.flag != 1 {
+			return 0, false, true
+		}
+		return histories.Timestamp(resp.ts), true, true
 	}
-	if resp.typ != msgVote || resp.flag != 1 {
-		return 0, false, true
-	}
-	return histories.Timestamp(resp.ts), true, true
 }
 
-// Commit implements commitproto.Transport: deliver the commit decision.
+// StartCommit implements commitproto.Scatterer: send the commit decision.
 // A failed delivery is re-attempted in the background until the shard
 // acknowledges — the decision is logged and irreversible, and a prepared
 // branch holds its locks until it learns its fate.
-func (tr shardTransport) Commit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) bool {
-	c := tr.c
-	if c.deliverDecision(tx, &message{typ: msgDecide, tx: string(tx), ts: uint64(ts)}, timeout) {
-		return true
-	}
-	c.redeliver(&message{typ: msgDecide, tx: string(tx), ts: uint64(ts)})
-	return false
+func (t shardTransport) StartCommit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) func() bool {
+	return t.c.startDecision(tx, msgDecide, ts, timeout)
 }
 
-// Abort implements commitproto.Transport: deliver the abort decision,
-// with background redelivery on failure (a disowned prepared branch
-// would otherwise hold its locks until the shard restarts).
-func (tr shardTransport) Abort(ctx context.Context, tx histories.TxID, timeout time.Duration) bool {
-	c := tr.c
-	if c.deliverDecision(tx, &message{typ: msgAbort, tx: string(tx)}, timeout) {
-		return true
-	}
-	c.redeliver(&message{typ: msgAbort, tx: string(tx)})
-	return false
+// StartAbort implements commitproto.Scatterer: send the abort decision,
+// with background redelivery on failure (a disowned prepared branch would
+// otherwise hold its locks until the shard restarts).
+func (t shardTransport) StartAbort(ctx context.Context, tx histories.TxID, timeout time.Duration) func() bool {
+	return t.c.startDecision(tx, msgAbort, 0, timeout)
 }
 
-// deliverDecision sends a decision on the transaction's pinned connection
-// (falling back to any connection) and unpins on success.
-func (c *ShardClient) deliverDecision(tx histories.TxID, req *message, timeout time.Duration) bool {
-	t := c.opts.Timeout
-	if timeout > 0 && timeout < t {
-		t = timeout
+// undelivered is the completion of a decision no request was sent for.
+func undelivered() bool { return false }
+
+// startDecision sends a decision (msgDecide at ts, or msgAbort) on the
+// transaction's pinned connection, falling back to any connection.  The
+// completion reads the acknowledgement, gives the connection back —
+// unpinned or released when healthy, closed when not — and hands an
+// unacknowledged decision to redeliver.
+func (c *ShardClient) startDecision(tx histories.TxID, typ byte, ts histories.Timestamp, timeout time.Duration) func() bool {
+	d := c.opts.Timeout
+	if timeout > 0 && timeout < d {
+		d = timeout
 	}
+	req := &message{typ: typ, tx: string(tx), ts: uint64(ts)}
 	c.mu.Lock()
 	rc := c.pinned[tx]
 	c.mu.Unlock()
-	if rc == nil {
+	pinned := rc != nil
+	if !pinned {
 		var err error
-		rc, err = c.anyConn()
-		if err != nil {
-			return false
+		if rc, err = c.anyConn(); err != nil {
+			c.redeliver(req)
+			return undelivered
 		}
-		resp, err := rc.roundTrip(req, t)
+	}
+	err := rc.send(req, d)
+	return func() bool {
+		var resp message
+		if err == nil {
+			resp, err = rc.recv()
+		}
 		c.bk.observe(err == nil)
-		if err != nil {
+		switch {
+		case pinned:
+			c.unpin(tx, err != nil)
+		case err != nil:
 			_ = rc.nc.Close()
+		default:
+			c.release(rc)
+		}
+		if err != nil || resp.typ == msgErr {
+			c.redeliver(req)
 			return false
 		}
-		c.release(rc)
-		return resp.typ != msgErr
+		return true
 	}
-	resp, err := rc.roundTrip(req, t)
-	c.bk.observe(err == nil)
-	if err != nil {
-		c.unpin(tx, true)
-		return false
-	}
-	c.unpin(tx, false)
-	return resp.typ != msgErr
 }
 
 // redeliver retries a decision in the background until the shard

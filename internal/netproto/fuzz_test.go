@@ -1,0 +1,48 @@
+package netproto
+
+import (
+	"encoding/binary"
+	"reflect"
+	"testing"
+)
+
+// FuzzDecodePayload feeds the payload decoder hostile bytes: it must not
+// panic, must not size anything by a length prefix it has not checked
+// against the bytes actually present (every decoded byte is copied out of
+// the payload, so the decoded message can never outweigh it), and whatever
+// it accepts must survive a re-encode unchanged.
+func FuzzDecodePayload(f *testing.F) {
+	full := encodePayload(nil, &fullMessage)
+	f.Add(full)
+	f.Add(encodePayload(nil, &message{typ: msgPing, tx: "T9"}))
+	f.Add(encodePayload(nil, &message{typ: msgVote, flag: 1, ts: 10}))
+	f.Add(encodePayload(nil, &message{typ: msgErr, flag: errCodeTimeout, a: "lock wait"}))
+	// The corruption fixtures: a flipped payload bit, a trailing byte.
+	flipped := append([]byte(nil), full...)
+	flipped[2] ^= 0xff
+	f.Add(flipped)
+	f.Add(append(encodePayload(nil, &message{typ: msgPing}), 0x01))
+	// Length prefixes that promise far more than the payload holds: a blob
+	// of 2^40 bytes, 2^60 identifiers.
+	prefix := []byte{msgBlob, 0, 0, 0, 0, 0, 0, 0} // typ, four empty strings, ts, n, flag
+	f.Add(binary.AppendUvarint(append([]byte(nil), prefix...), 1<<40))
+	f.Add(binary.AppendUvarint(append(append([]byte(nil), prefix...), 0), 1<<60))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodePayload(data)
+		size := len(m.tx) + len(m.obj) + len(m.a) + len(m.b) + len(m.blob) + len(m.ids)
+		for _, id := range m.ids {
+			size += len(id)
+		}
+		if size > len(data) {
+			t.Fatalf("decoded %d bytes of fields out of a %d-byte payload", size, len(data))
+		}
+		if err != nil {
+			return
+		}
+		again, err := decodePayload(encodePayload(nil, &m))
+		if err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("re-encoded message decodes to %+v, %v; want %+v", again, err, m)
+		}
+	})
+}

@@ -20,12 +20,15 @@ import (
 
 // --- wire ---
 
+// fullMessage populates every field of the wire schema.
+var fullMessage = message{
+	typ: msgCall, tx: "T1", obj: "acct", a: "Credit", b: "7",
+	ts: 1 << 40, n: 3, flag: 1, blob: []byte{0xde, 0xad},
+	ids: []string{"T1", "T2-with-longer-id"},
+}
+
 func TestWireRoundTrip(t *testing.T) {
-	in := message{
-		typ: msgCall, tx: "T1", obj: "acct", a: "Credit", b: "7",
-		ts: 1 << 40, n: 3, flag: 1, blob: []byte{0xde, 0xad},
-		ids: []string{"T1", "T2-with-longer-id"},
-	}
+	in := fullMessage
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
 	if _, err := writeMessage(w, nil, &in); err != nil {
@@ -162,6 +165,9 @@ func startShard(t *testing.T, shard, shards int) (string, *Server) {
 
 func serveSystem(t *testing.T, sys *core.System, shard, shards int, cat *Catalog) (string, *Server) {
 	t.Helper()
+	// Every loopback test's teardown — clients closed, this server shut
+	// down — must leave no goroutine behind.
+	checkGoroutines(t)
 	srv, err := NewServer(sys, shard, shards, ServerOptions{Catalog: cat})
 	if err != nil {
 		t.Fatal(err)
@@ -782,7 +788,7 @@ func TestDecideFailureKeepsBranchPending(t *testing.T) {
 	if _, err := c.probeCommit("T1"); !errors.Is(err, core.ErrOutcomeUnknown) {
 		t.Fatalf("probe after failed decide: %v, want still-pending (ErrOutcomeUnknown)", err)
 	}
-	if c.deliverDecision("T1", &message{typ: msgDecide, tx: "T1", ts: uint64(ts)}, time.Second) {
+	if tr.Commit(ctx, "T1", ts, time.Second) {
 		t.Fatal("redelivered undurable decision acknowledged")
 	}
 	if !srvHasTx(srv, "T1") {

@@ -89,9 +89,11 @@ func TestSetSchemeMidWorkloadStress(t *testing.T) {
 // TestWithAdaptiveSwitchesUnderContention opens a system with the
 // adaptation controller on and a deliberately pessimistic initial scheme,
 // then keeps the object contended until the controller steps it up the
-// ladder.
+// ladder, and proves the recorded history — traffic before, across and
+// after the controller's own switch — hybrid atomic.
 func TestWithAdaptiveSwitchesUnderContention(t *testing.T) {
 	sys := NewSystem(
+		WithRecorder(NewRecorder()),
 		WithAdaptive(Adaptive{
 			Interval:    time.Millisecond,
 			MinCalls:    4,
@@ -109,6 +111,7 @@ func TestWithAdaptiveSwitchesUnderContention(t *testing.T) {
 	acct := Must(sys.NewAccount("hot", WithScheme(ReadWrite)))
 
 	done := make(chan struct{})
+	var commits atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -120,28 +123,35 @@ func TestWithAdaptiveSwitchesUnderContention(t *testing.T) {
 					return
 				default:
 				}
-				_ = sys.Atomically(func(tx *Tx) error {
+				if sys.Atomically(func(tx *Tx) error {
 					if err := acct.Credit(tx, int64(w+1)); err != nil {
 						return err
 					}
-					// Yield while holding the lock so transactions overlap
+					// Sleep while holding the lock so transactions overlap
 					// even on GOMAXPROCS=1 — contention, not luck, drives
-					// the controller.
-					runtime.Gosched()
+					// the controller — and so the recorded history stays
+					// small enough for Verify, which is quadratic.
+					time.Sleep(50 * time.Microsecond)
 					return acct.Credit(tx, int64(i%3+1))
-				})
+				}) == nil {
+					commits.Add(1)
+				}
 			}
 		}(w)
 	}
 
+	// Run until the switch is observed, then a little longer so the
+	// history has commits on both sides of it.
 	deadline := time.Now().Add(5 * time.Second)
-	switched := false
+	switched, after := false, int64(0)
 	for time.Now().Before(deadline) {
-		if acct.obj.Scheme() != ReadWrite {
-			switched = true
+		if !switched && acct.obj.Scheme() != ReadWrite {
+			switched, after = true, commits.Load()+20
+		}
+		if switched && commits.Load() >= after {
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	close(done)
 	wg.Wait()
@@ -151,6 +161,10 @@ func TestWithAdaptiveSwitchesUnderContention(t *testing.T) {
 	if n := sys.Stats().SchemeSwitches; n == 0 {
 		t.Error("SchemeSwitches counter is zero after an observed switch")
 	}
+	if err := sys.Verify(); err != nil {
+		t.Fatalf("history across the controller's switch (%d commits): %v", commits.Load(), err)
+	}
+	t.Logf("verified %d commits across %d controller switches", commits.Load(), sys.Stats().SchemeSwitches)
 }
 
 // TestWithSchemeValidation covers the option-combination rules: unknown

@@ -1,22 +1,20 @@
-// Benchmarks regenerating the experiment tables of EXPERIMENTS.md, one
-// family per table: run with
+// The paper's scheme comparison as runnable Go benchmarks, one family per
+// claim (B1 concurrent enqueues, B2 blind writes, B3 banking mix, B4
+// Semiqueue vs Queue, B5 compaction, B8 Set churn), each under hybrid,
+// commutativity and read/write locking:
 //
-//	go test -bench=. -benchmem
+//	go test -bench . -benchmem -run '^$' .
 //
-// Absolute numbers depend on the host; the shapes (who wins, by what
-// factor) are the reproduction targets.  cmd/hybrid-bench prints the same
-// experiments as paper-style tables with explicit expectations.
-//
-// How to read these numbers: the headline metric is waits/op — the lock
-// conflicts each scheme induces, which is what the paper is about.  The
-// ns/op column at zero think-time can invert the comparison: every call
+// This is the interim comparison until the repository benchmark
+// (bash benchmark/run.sh) carries a scheme axis.  The headline metric is
+// waits/op — the lock conflicts each scheme induces, which is what the
+// paper is about; internal/core's TestGrantMatrix pins the same cells
+// deterministically.  Do not rank schemes by ns/op here: every call
 // executes under the object monitor, so with instantly committing
 // transactions all schemes serialize on the monitor anyway, and the hybrid
-// scheme pays extra immutable-state copying for concurrency it cannot yet
-// cash in.  Lock conflicts turn into lost throughput when transactions
-// hold locks across real work, which is what the cmd/hybrid-bench harness
-// models with a per-transaction hold time; those tables (EXPERIMENTS.md)
-// show hybrid winning by the factors the paper predicts.
+// scheme pays extra immutable-state copying for concurrency it cannot
+// cash in.  Lock conflicts turn into lost throughput only when
+// transactions hold locks across real work.
 package hybridcc
 
 import (

@@ -156,8 +156,11 @@ func (e *netChaosEnv) Checkpoint(shard int) error {
 
 // sharddStats is the slice of the /stats payload Settle reads.
 type sharddStats struct {
+	Shard           int  `json:"shard"`
+	Shards          int  `json:"shards"`
 	Recovering      bool `json:"recovering"`
 	PendingBranches int  `json:"pending_branches"`
+	Stats           struct{ Committed int64 }
 }
 
 func (e *netChaosEnv) readStats(shard int) (sharddStats, error) {
@@ -174,7 +177,9 @@ func (e *netChaosEnv) readStats(shard int) (sharddStats, error) {
 // Settle waits until every shard reports recovery finished with no
 // pending prepared branch, and until a cross-shard commit through every
 // shard succeeds again (the client's breakers have re-closed and its
-// decision redelivery has drained).
+// decision redelivery has drained).  A settled shard must then say so on
+// its operator endpoints: /health answers 200, and /stats carries this
+// shard's own identity and has counted the commit just made.
 func (e *netChaosEnv) Settle() error {
 	deadline := time.Now().Add(20 * time.Second)
 	for shard := 0; shard < e.shards; shard++ {
@@ -198,6 +203,21 @@ func (e *netChaosEnv) Settle() error {
 				return fmt.Errorf("shard %d never accepted a commit again: %v", shard, err)
 			}
 			time.Sleep(100 * time.Millisecond)
+		}
+	}
+	cl := http.Client{Timeout: time.Second}
+	for shard := 0; shard < e.shards; shard++ {
+		resp, err := cl.Get(fmt.Sprintf("http://%s/health", e.stats[shard]))
+		if err != nil {
+			return fmt.Errorf("shard %d /health: %w", shard, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("shard %d settled but /health = HTTP %d", shard, resp.StatusCode)
+		}
+		s, err := e.readStats(shard)
+		if err != nil || s.Shard != shard || s.Shards != e.shards || s.Stats.Committed == 0 {
+			return fmt.Errorf("shard %d of %d settled but /stats = %+v, err=%v", shard, e.shards, s, err)
 		}
 	}
 	return nil

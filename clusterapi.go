@@ -21,7 +21,8 @@ import (
 // A Cluster trades per-transaction commit cost for parallelism: the
 // single-shard fast path scales near-linearly with shards (disjoint lock
 // managers, disjoint clocks), while cross-shard transactions pay the
-// protocol round trips — cmd/hybrid-shardbench quantifies both.
+// protocol round trips — the benchmark's wire-single and wire-cross
+// workloads quantify both.
 type Cluster struct {
 	inner    *cluster.Cluster
 	recorder *Recorder

@@ -115,13 +115,7 @@ func TestLogFailureAbortsCommit(t *testing.T) {
 				}
 				blocked <- res
 			}()
-			for deadline := time.Now().Add(2 * time.Second); ; {
-				a.mu.Lock()
-				parked := a.waiterCount
-				a.mu.Unlock()
-				if parked == 1 {
-					break
-				}
+			for deadline := time.Now().Add(2 * time.Second); waiters(a) != 1; {
 				if time.Now().After(deadline) {
 					t.Fatal("the overdrawing debit never blocked on the held credits")
 				}

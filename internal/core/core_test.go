@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hybridcc/internal/adt"
+	"hybridcc/internal/baseline"
 	"hybridcc/internal/depend"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
@@ -108,6 +109,138 @@ func TestConcurrentEnqueuesDoNotBlock(t *testing.T) {
 	}
 	if sys.Stats().Waits != 0 {
 		t.Errorf("no call should have waited, stats = %s", sys.Stats())
+	}
+}
+
+// waiters reports how many calls are parked in o's waiter queue.
+func waiters(o *Object) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.waiterCount
+}
+
+// TestGrantMatrix is the paper's comparative claim, cell by cell: with one
+// transaction holding the lock for held, a second transaction's asked is
+// either granted at once (no call ever waits) or parks until the first
+// commits.  Expected cells are read off Tables I–VI: hybrid is the
+// symmetric closure of the minimal dependency relation (I, II, IV, V),
+// commutativity is failure-to-commute (III for Queue, VI for Account),
+// read/write makes every pair with a writer conflict.
+func TestGrantMatrix(t *testing.T) {
+	const grant, wait = false, true
+	type cell struct {
+		relation string // a scheme, or "tableIII" (Queue only)
+		waits    bool
+	}
+	conflictFor := func(relation, typeName string) depend.Conflict {
+		if relation == "tableIII" {
+			return depend.SymmetricClosure(depend.QueueDependencyIII())
+		}
+		return baseline.ConflictFor(relation, typeName)
+	}
+	const hybrid, tableIII, commutativity, readwrite = "hybrid", "tableIII", "commutativity", "readwrite"
+	cases := []struct {
+		name        string
+		typeName    string
+		seed        []spec.Invocation // committed before either transaction opens
+		held, asked spec.Invocation
+		res         string // asked's response once granted; "" when several are legal
+		cells       []cell
+	}{
+		// Table II leaves Enq/Enq empty; Table III (which is also the
+		// queue's failure-to-commute relation) has v ≠ v′ there.
+		{"Queue Enq‖Enq", "Queue", nil, adt.EnqInv(1), adt.EnqInv(2), adt.ResOk,
+			[]cell{{hybrid, grant}, {tableIII, wait}, {commutativity, wait}, {readwrite, wait}}},
+		// The other half of "incomparable": Table II makes Deq depend on
+		// an Enq of a different item, Table III relates them not at all.
+		{"Queue Enq‖Deq", "Queue", []spec.Invocation{adt.EnqInv(5)}, adt.EnqInv(1), adt.DeqInv(), "5",
+			[]cell{{hybrid, wait}, {tableIII, grant}, {commutativity, grant}, {readwrite, wait}}},
+		// Table I: writes depend on nothing (generalized Thomas Write
+		// Rule); writes of different values do not commute.
+		{"File Write‖Write", "File", nil, adt.FileWriteInv(1), adt.FileWriteInv(2), adt.ResOk,
+			[]cell{{hybrid, grant}, {commutativity, wait}, {readwrite, wait}}},
+		// Table IV: only removals of the same item are related, and
+		// non-determinism makes commutativity coincide with it.
+		{"Semiqueue Ins‖Ins", "Semiqueue", nil, adt.InsInv(1), adt.InsInv(2), adt.ResOk,
+			[]cell{{hybrid, grant}, {commutativity, grant}, {readwrite, wait}}},
+		{"Semiqueue Ins‖Rem", "Semiqueue", []spec.Invocation{adt.InsInv(5)}, adt.InsInv(1), adt.RemInv(), "",
+			[]cell{{hybrid, grant}, {commutativity, grant}, {readwrite, wait}}},
+		// Tables V and VI agree on both Debit columns against Credit and
+		// on Overdraft against Post; they differ on Credit against Post,
+		// which commutativity must serialize and hybrid need not.
+		{"Account Credit‖Debit→Ok", "Account", []spec.Invocation{adt.CreditInv(10)}, adt.CreditInv(5), adt.DebitInv(3), adt.ResOk,
+			[]cell{{hybrid, grant}, {commutativity, grant}, {readwrite, wait}}},
+		{"Account Post‖Debit→Overdraft", "Account", []spec.Invocation{adt.CreditInv(10)}, adt.PostInv(2), adt.DebitInv(100), adt.ResOverdraft,
+			[]cell{{hybrid, wait}, {commutativity, wait}, {readwrite, wait}}},
+		{"Account Post‖Credit", "Account", []spec.Invocation{adt.CreditInv(10)}, adt.PostInv(2), adt.CreditInv(5), adt.ResOk,
+			[]cell{{hybrid, grant}, {commutativity, wait}, {readwrite, wait}}},
+	}
+	for _, tc := range cases {
+		for _, c := range tc.cells {
+			t.Run(tc.name+"/"+c.relation, func(t *testing.T) {
+				sys := NewSystem(Options{LockWait: 5 * time.Second})
+				obj := sys.NewObject("o", baseline.SpecFor(tc.typeName), conflictFor(c.relation, tc.typeName))
+				setup := sys.Begin()
+				for _, inv := range tc.seed {
+					mustCall(t, obj, setup, inv)
+				}
+				if err := setup.Commit(); err != nil {
+					t.Fatal(err)
+				}
+
+				tx1, tx2 := sys.Begin(), sys.Begin()
+				mustCall(t, obj, tx1, tc.held)
+				type outcome struct {
+					res string
+					err error
+				}
+				done := make(chan outcome, 1)
+				go func() {
+					res, err := obj.Call(tx2, tc.asked)
+					done <- outcome{res, err}
+				}()
+				// The call either returns or parks; see which.
+				var o outcome
+				parked := false
+				for returned := false; !returned && !parked; {
+					select {
+					case o = <-done:
+						returned = true
+					default:
+						if parked = waiters(obj) == 1; !parked {
+							time.Sleep(time.Millisecond)
+						}
+					}
+				}
+				if parked != c.waits {
+					t.Fatalf("%s while %s is held: parked=%v, the relation says %v", tc.asked, tc.held, parked, c.waits)
+				}
+				if parked {
+					if err := tx1.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					o = <-done
+				}
+				if o.err != nil || (tc.res != "" && o.res != tc.res) {
+					t.Fatalf("%s = %q, %v; want %q", tc.asked, o.res, o.err, tc.res)
+				}
+				wantWaits := int64(0)
+				if c.waits {
+					wantWaits = 1
+				}
+				if got := sys.Stats().Waits; got != wantWaits {
+					t.Errorf("Waits = %d, want %d", got, wantWaits)
+				}
+				if err := tx2.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if !c.waits {
+					if err := tx1.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -389,11 +522,22 @@ func TestCompactionEquivalence(t *testing.T) {
 }
 
 // TestRecordedHistoryHybridAtomic stress-tests the runtime and verifies the
-// recorded global history offline: well-formed and hybrid atomic.
+// recorded global history offline: well-formed and hybrid atomic.  Once
+// with both objects hybrid, and again with a commutativity (dynamic
+// atomic) Queue beside the hybrid Account — the paper's §7 upward
+// compatibility: mixing the two in one system keeps global atomicity.
 func TestRecordedHistoryHybridAtomic(t *testing.T) {
+	for _, queueScheme := range []string{"hybrid", "commutativity"} {
+		t.Run("Queue="+queueScheme, func(t *testing.T) {
+			testRecordedHistoryHybridAtomic(t, baseline.ConflictFor(queueScheme, "Queue"))
+		})
+	}
+}
+
+func testRecordedHistoryHybridAtomic(t *testing.T, queueConflict depend.Conflict) {
 	rec := verify.NewRecorder()
 	sys := NewSystem(Options{Sink: rec, LockWait: 50 * time.Millisecond})
-	q := sys.NewObject("Q", adt.NewQueue(), depend.SymmetricClosure(depend.QueueDependencyII()))
+	q := sys.NewObject("Q", adt.NewQueue(), queueConflict)
 	a := sys.NewObject("A", adt.NewAccount(), depend.SymmetricClosure(depend.AccountDependency()))
 
 	const workers = 8

@@ -164,13 +164,7 @@ func TestTargetedWakeupSkipsDisjointCommit(t *testing.T) {
 	}()
 
 	// Wait until tx2 is queued.
-	for i := 0; ; i++ {
-		obj.mu.Lock()
-		n := obj.waiterCount
-		obj.mu.Unlock()
-		if n == 1 {
-			break
-		}
+	for i := 0; waiters(obj) != 1; i++ {
 		if i > 1000 {
 			t.Fatal("tx2 never blocked")
 		}

@@ -179,12 +179,3 @@ func RemovablePairs(sp spec.Spec, r Relation, universe []spec.Op, hLen, kLen int
 	}
 	return removable
 }
-
-// IsMinimal reports whether r is a minimal dependency relation over the
-// universe: it passes Definition 3 and no single pair can be removed.
-func IsMinimal(sp spec.Spec, r Relation, universe []spec.Op, hLen, kLen int) bool {
-	if IsDependency(sp, r, universe, hLen, kLen) != nil {
-		return false
-	}
-	return len(RemovablePairs(sp, r, universe, hLen, kLen)) == 0
-}

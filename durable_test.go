@@ -1,9 +1,9 @@
 package hybridcc
 
 import (
+	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -165,50 +165,103 @@ func TestOpenClusterRecoverVerify(t *testing.T) {
 }
 
 // TestRecoverWhileCommitting is the crash-under-load stress (run with
-// -race): workers hammer commits while the log is killed mid-stream.
-// Every commit acknowledged before the kill must survive recovery, every
-// errored one must not — the recovered balance equals the acknowledged
-// count exactly, and the recorder verifies the whole recovered prefix.
+// -race): eight workers commit one-unit payments, each from a shared
+// account to its own, on a syncing log with tiny segments and the
+// background checkpointer on, and the log is killed mid-stream.  While it
+// lived the committers shared fsyncs.  Every commit acknowledged before the
+// kill must survive recovery (an unacknowledged one, at most one per
+// worker, may: a kill between durable and acknowledged looks like this),
+// no payment may be half there, and the recorder verifies the whole
+// recovered history.
 func TestRecoverWhileCommitting(t *testing.T) {
 	for _, group := range []bool{false, true} {
 		name := map[bool]string{false: "single", true: "group"}[group]
 		t.Run(name, func(t *testing.T) {
+			const (
+				workers = 8
+				shared  = 3
+				opening = 1 << 20
+			)
 			dir := t.TempDir()
-			opts := []Option{WithLockWait(2 * time.Second)}
+			opts := []Option{WithLockWait(2 * time.Second), WithSegmentSize(4 << 10), WithCheckpointBytes(32 << 10)}
 			if group {
 				opts = append(opts, WithGroupCommit())
 			}
-			s, acc := openAccounts(t, dir, nil, opts...)
+			open := func(opts ...Option) (*System, []*Account) {
+				accs := make([]*Account, workers+shared)
+				s, err := Open(dir, func(s *System) (err error) {
+					for i := range accs {
+						if accs[i], err = s.NewAccount(fmt.Sprintf("acc%d", i)); err != nil {
+							return err
+						}
+					}
+					return nil
+				}, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s, accs
+			}
+			s, accs := open(opts...)
+			for _, a := range accs {
+				if err := s.Atomically(func(tx *Tx) error { return a.Credit(tx, opening) }); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-			var acked atomic.Int64
+			acked := make([]int64, workers)
 			var wg sync.WaitGroup
-			const workers = 8
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				go func() {
+				go func(w int) {
 					defer wg.Done()
-					for i := 0; i < 200; i++ {
-						err := s.Atomically(func(tx *Tx) error { return acc.Credit(tx, 1) })
+					for i := 0; ; i++ {
+						err := s.Atomically(func(tx *Tx) error {
+							if ok, err := accs[workers+(w+i)%shared].Debit(tx, 1); err != nil {
+								return err
+							} else if !ok {
+								t.Errorf("worker %d: debit %d refused on a prefunded account", w, i)
+							}
+							return accs[w].Credit(tx, 1)
+						})
 						if err != nil {
 							return // log died under us; stop like a crashed client
 						}
-						acked.Add(1)
+						acked[w]++
 					}
-				}()
+				}(w)
 			}
-			time.Sleep(2 * time.Millisecond) // let commits flow, then pull the plug
+			// Let commits flow for a second, or 2000 of them (Verify is
+			// quadratic in the history), then pull the plug.
+			for end := time.Now().Add(time.Second); time.Now().Before(end) && s.Stats().Committed < 2000; {
+				time.Sleep(time.Millisecond)
+			}
+			if st := s.Stats(); st.LogFsyncs >= st.Committed {
+				t.Errorf("%d commits took %d fsyncs: concurrent committers shared none", st.Committed, st.LogFsyncs)
+			}
 			s.inner.CrashLog()
 			wg.Wait()
+			_ = s.Close() // stops the checkpointer; the log is already dead
 
-			rec := NewRecorder()
-			s2, acc2 := openAccounts(t, dir, rec, opts...)
-			if got, want := acc2.CommittedBalance(), acked.Load(); got != want {
-				t.Fatalf("recovered balance = %d, acknowledged commits = %d", got, want)
+			s2, accs2 := open(append(opts, WithRecorder(NewRecorder()))...)
+			var sum, total int64
+			for i, a := range accs2 {
+				bal := a.CommittedBalance()
+				sum += bal
+				if i < workers {
+					total += acked[i]
+					if got := bal - opening; got < acked[i] || got > acked[i]+1 {
+						t.Errorf("acc%d recovered %d payments, %d were acknowledged", i, got, acked[i])
+					}
+				}
+			}
+			if want := int64(len(accs2)) * opening; sum != want {
+				t.Errorf("recovered balances sum to %d, want %d: a payment is half applied", sum, want)
 			}
 			if err := s2.Verify(); err != nil {
 				t.Fatalf("Verify after crash under load: %v", err)
 			}
-			t.Logf("acknowledged and recovered %d commits", acked.Load())
+			t.Logf("acknowledged and recovered %d commits", total)
 			if err := s2.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -34,9 +34,11 @@ type commitScratch struct {
 //  2. Draw each member's timestamp, in batch order, from the clock primed
 //     with its maximum per-object lower bound — distinct, increasing, and
 //     establishing the paper's precedes ⊆ TS constraint at every object.
-//  3. Append-before-merge: the batch's commit records reach the log under
-//     one sync before any object merges an intention, so no transaction
-//     can depend on a commit the log might lose.
+//  3. Append-before-merge: the batch's commit records are appended, and
+//     the log's durability horizon passes them, before any object merges
+//     an intention.  Other committers' records may sit unsynced in the
+//     log meanwhile — each as unmerged as these — so no transaction can
+//     depend on a commit the log might lose.
 //  4. On append failure abort every member, release every window, and
 //     return the log's error; nothing merged.
 //  5. Publish each member's timestamp and txCommitted together, so

@@ -189,6 +189,105 @@ func TestLogFailureAbortsCommit(t *testing.T) {
 	}
 }
 
+// TestSharedFsyncCrashUnderLoad is the durability horizon end to end (run
+// with -race): eight committers of one-unit payments — each from a shared
+// account (overlapping) to its own (disjoint) — on a syncing log with tiny
+// segments and the background checkpointer on, so fsyncs are shared and
+// rotations and checkpoint cuts land among them.  Committers must share
+// fsyncs; after a crash mid-traffic every acknowledged payment is in the
+// recovered balances (an unacknowledged one, at most one per committer,
+// may be too: a crash between durable and acknowledged looks like this),
+// no payment is half there, and the recorded history is hybrid atomic.
+func TestSharedFsyncCrashUnderLoad(t *testing.T) {
+	const (
+		workers = 8
+		shared  = 3
+		opening = 1 << 20
+	)
+	rec := verify.NewRecorder()
+	opts := Options{LockWait: 2 * time.Second, Sink: rec, Durability: &Durability{
+		Dir: t.TempDir(), Sync: true, SegmentSize: 4 << 10, CheckpointBytes: 32 << 10,
+	}}
+	specs := make(histories.SpecMap)
+	open := func() (*System, []*Object) {
+		s, err := OpenSystem(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accs := make([]*Object, workers+shared)
+		for i := range accs {
+			accs[i] = accountNamed(s, fmt.Sprintf("acc%d", i))
+			specs[accs[i].name] = adt.NewAccount()
+		}
+		if err := s.FinishRecovery(); err != nil {
+			t.Fatal(err)
+		}
+		return s, accs
+	}
+	s, accs := open()
+	for _, a := range accs {
+		credit(t, s, a, opening)
+	}
+
+	acked := make([]int64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				tx := s.Begin()
+				res, err := accs[workers+(w+i)%shared].Call(tx, adt.DebitInv(1))
+				if err == nil && res == adt.ResOk {
+					_, err = accs[w].Call(tx, adt.CreditInv(1))
+				}
+				if err != nil || res != adt.ResOk {
+					_ = tx.Abort()
+					t.Errorf("worker %d: payment %d refused: res=%q err=%v", w, i, res, err)
+					return
+				}
+				if tx.Commit() != nil {
+					return // the log died under us; stop like a crashed client
+				}
+				acked[w]++
+			}
+		}(w)
+	}
+	// A second of traffic, cut short at 2000 commits: the history check is
+	// quadratic in them.
+	for end := time.Now().Add(time.Second); time.Now().Before(end) && s.Stats().Committed < 2000; {
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.LogFsyncs >= st.Committed {
+		t.Errorf("%d commits took %d fsyncs: concurrent committers shared none", st.Committed, st.LogFsyncs)
+	}
+	s.CrashLog()
+	wg.Wait()
+	_ = s.Close() // stops the checkpointer; the log is already dead
+	if err := verify.CheckHybridAtomic(rec.History(), specs); err != nil {
+		t.Errorf("history not hybrid atomic: %v", err)
+	}
+
+	opts.Sink = nil
+	s2, accs2 := open()
+	defer s2.Close()
+	var sum, total int64
+	for i, a := range accs2 {
+		bal := adt.AccountBalance(a.CommittedState())
+		sum += bal
+		if i < workers {
+			total += acked[i]
+			if got := bal - opening; got < acked[i] || got > acked[i]+1 {
+				t.Errorf("%s recovered %d payments, %d were acknowledged", a.name, got, acked[i])
+			}
+		}
+	}
+	if want := int64(len(accs2)) * opening; sum != want {
+		t.Errorf("recovered balances sum to %d, want %d: a payment is half applied", sum, want)
+	}
+	t.Logf("acknowledged and recovered %d payments", total)
+}
+
 // TestCommitEntryPointsAgree is the positive twin: the same seeded transfer
 // schedule, run by concurrent workers, through each entry point must leave
 // every object in the same committed state (the schedule's arithmetic) with

@@ -16,13 +16,16 @@ import (
 )
 
 // Durability configures the write-ahead commit log (internal/wal).  With
-// it set, every commit appends its invocations to the log before merging
-// them into any object — the append-before-merge rule: a transaction can
-// observe another's effects only after the other's record is in the log,
-// so log order respects dependency order and truncating a torn tail is
-// equivalent to those transactions having aborted.  Group commit turns the
-// batch's appends into one fsync (wal.Log.AppendBatchSync); without it the
-// fallback fsyncs per commit.
+// it set, every commit appends its invocations to the log, and waits for
+// the log's durability horizon to pass them, before merging them into any
+// object — the append-before-merge rule: a transaction can observe
+// another's effects only after the other's record is durable, so log order
+// respects dependency order and truncating a torn tail — the window of
+// records appended but not yet synced, none of them merged — is equivalent
+// to those transactions having aborted.  Concurrent committers share
+// fsyncs (one acknowledges every record appended before it started); group
+// commit also hands a batch to the log in one append
+// (wal.Log.AppendBatchSync).
 type Durability struct {
 	// Dir is the log directory (per shard in a cluster).
 	Dir string

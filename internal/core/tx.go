@@ -328,7 +328,7 @@ func (t *Tx) Prepare() (histories.Timestamp, error) {
 	objs := t.touchedObjects()
 	lower := t.maxBound(objs)
 	// The yes vote must survive a participant crash: log the branch's
-	// intentions (synced) before reporting the bound.  A branch that cannot
+	// intentions (durable on return) before reporting the bound.  A branch that cannot
 	// log votes no — unfreeze and fail the Prepare.  A repeat Prepare whose
 	// vote is already durable skips the append entirely: re-logging buys
 	// nothing, and a failure of the redundant append must not unfreeze a

@@ -64,19 +64,27 @@ type Stats struct {
 }
 
 // Log is a segmented append-only record log.  It is safe for concurrent
-// use; Append and Sync serialize on one mutex, which is exactly the
-// discipline the commit paths need (records of one batch stay contiguous).
+// use.  Appends serialize on one mutex (records of one batch stay
+// contiguous); becoming durable is a separate wait for the durability
+// horizon to pass the caller's last byte.  At most one waiter at a time is
+// the syncer: it flushes and notes the appended offset under the mutex,
+// fsyncs with the mutex RELEASED — appends overlap the fsync — then
+// publishes the offset as the new horizon.  One fsync so acknowledges
+// every record appended before it started, and a waiter it covers issues
+// none of its own.
 //
 // Any write, fsync, or rotation failure POISONS the log: every later
-// Append or Sync fails with an error wrapping ErrClosed (ErrFailed).  The
-// commit paths depend on this — a failed append or fsync leaves the disk
-// state unknown (the record may or may not have reached the platter; bufio
+// Append or Sync fails with an error wrapping ErrClosed (ErrFailed), and so
+// does every waiter above the horizon.  The commit paths depend on this — a
+// failed append or fsync leaves the disk state unknown (the window of
+// records past the horizon may or may not have reached the platter; bufio
 // only poisons its own buffer on flush errors, not on fsync errors), so if
 // later commits kept appending valid frames after it, recovery would
 // replay a transaction its client was told aborted, alongside transactions
-// that observed its locks released.  Poisoning makes the failed record the
-// log's last: whatever of it survived is at the recoverable tail, and no
-// acknowledged commit ever follows an unacknowledged one.
+// that observed its locks released.  Poisoning makes the failed window the
+// log's last records: none of it was acknowledged, whatever of it survived
+// is at the recoverable tail, and no acknowledged commit ever follows an
+// unacknowledged one.
 type Log struct {
 	dir  string
 	opts Options
@@ -94,6 +102,17 @@ type Log struct {
 	closed   bool
 	failed   error
 	enc      []byte
+	// The durability horizon: bytes (below) counts what is appended,
+	// durable what an fsync has covered.  syncing marks the one fsync in
+	// flight outside mu; nothing closes or swaps f under it.  sealers
+	// counts Rotate/Close/Crash callers waiting it out — no new fsync
+	// starts while one waits.  cond (on mu) signals every change of these.
+	durable int64
+	syncing bool
+	sealers int
+	cond    sync.Cond
+	// syncFile is (*os.File).Sync; tests replace it to hold or fail an fsync.
+	syncFile func(*os.File) error
 
 	appends atomic.Int64
 	fsyncs  atomic.Int64
@@ -153,7 +172,8 @@ func openDir(dir string, opts Options) (*Log, []Record, error) {
 			return nil, nil, fmt.Errorf("wal: segment %s is corrupt at byte %d but later segments exist — not a torn tail", s.Name, s.GoodBytes)
 		}
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, syncFile: (*os.File).Sync}
+	l.cond.L = &l.mu
 	l.segCount = len(segs)
 	if len(segs) == 0 {
 		if err := l.createSegmentLocked(1); err != nil {
@@ -195,9 +215,14 @@ func (l *Log) createSegmentLocked(index int) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if d, derr := os.Open(l.dir); derr == nil {
-		_ = d.Sync()
+	d, err := os.Open(l.dir)
+	if err == nil {
+		err = l.syncFile(d)
 		_ = d.Close()
+	}
+	if err != nil {
+		_ = f.Close()
+		return fmt.Errorf("wal: %w", err)
 	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, appendBufferSize)
@@ -209,19 +234,20 @@ func (l *Log) createSegmentLocked(index int) error {
 
 // poisonLocked marks the log permanently failed: err left the on-disk
 // state unknown, so the log refuses every further append and sync (see the
-// Log doc comment).  The file handle is closed best-effort; Close becomes
-// a no-op.  Returns err wrapped for the caller to propagate.
+// Log doc comment).  The file handle is closed best-effort (by the syncer,
+// if its fsync is running on it); Close becomes a no-op.  Returns err
+// wrapped, with ErrFailed, for the caller to propagate.
 func (l *Log) poisonLocked(err error) error {
 	if l.failed == nil {
 		l.failed = err
 		l.closed = true
-		if l.f != nil {
+		if l.f != nil && !l.syncing {
 			_ = l.f.Close()
 		}
 		unlockDir(l.lock)
 		l.lock = nil
 	}
-	return fmt.Errorf("wal: %w", err)
+	return fmt.Errorf("%w: %w", ErrFailed, err)
 }
 
 // closedErrLocked distinguishes a cleanly closed log from a poisoned one.
@@ -259,14 +285,14 @@ func (l *Log) appendLocked(r Record) error {
 	l.appends.Add(1)
 	l.bytes.Add(int64(frameHeaderSize + len(payload)))
 	l.segSize += int64(frameHeaderSize + len(payload))
-	if l.segSize >= l.opts.SegmentSize {
-		return l.rotateLocked()
+	if l.segSize >= l.opts.SegmentSize && !l.syncing {
+		return l.rotateLocked() // under an fsync the syncer rotates when it is done
 	}
 	return nil
 }
 
-// AppendSync appends r and syncs in one critical section, so the record is
-// durable (to the extent Options.Sync promises) when it returns.  The
+// AppendSync appends r and waits for the horizon to cover it, so the record
+// is durable (to the extent Options.Sync promises) when it returns.  The
 // single-transaction commit fallback and prepared-vote logging use it.
 func (l *Log) AppendSync(r Record) error {
 	l.mu.Lock()
@@ -277,8 +303,8 @@ func (l *Log) AppendSync(r Record) error {
 	return l.syncLocked()
 }
 
-// AppendBatchSync appends every record, then syncs once — the group-commit
-// discipline: one fsync amortized over the whole batch.
+// AppendBatchSync appends every record, then waits for the horizon once —
+// the group-commit discipline: one fsync amortized over the whole batch.
 func (l *Log) AppendBatchSync(recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -290,14 +316,17 @@ func (l *Log) AppendBatchSync(recs []Record) error {
 	return l.syncLocked()
 }
 
-// Sync makes previously appended records durable: the buffer is flushed
-// and, with Options.Sync, the segment fsynced.
+// Sync makes previously appended records durable: with Options.Sync it
+// returns once the horizon covers them.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.syncLocked()
 }
 
+// syncLocked returns once everything appended so far is durable.  It is
+// entered and left with mu held, but does not hold it throughout: it may
+// wait on cond, and as the syncer it releases mu across the fsync.
 func (l *Log) syncLocked() error {
 	if l.closed {
 		return l.closedErrLocked()
@@ -308,13 +337,64 @@ func (l *Log) syncLocked() error {
 		// the accepted trade of Sync off.
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
-		return l.poisonLocked(err)
+	lsn := l.bytes.Load()
+	for l.durable < lsn {
+		if l.closed {
+			return l.closedErrLocked()
+		}
+		if l.syncing || l.sealers > 0 {
+			l.cond.Wait()
+			continue
+		}
+		if err := l.w.Flush(); err != nil {
+			return l.poisonLocked(err)
+		}
+		f, target := l.f, l.bytes.Load()
+		l.syncing = true
+		l.mu.Unlock()
+		err := l.syncFile(f)
+		l.mu.Lock()
+		l.syncing = false
+		l.cond.Broadcast()
+		if l.failed != nil {
+			_ = f.Close() // poisoned under the fsync: the close was left to us
+		}
+		if err != nil {
+			return l.poisonLocked(err)
+		}
+		l.fsyncs.Add(1)
+		l.durable = target
+		if l.segSize >= l.opts.SegmentSize && !l.closed {
+			// An append deferred its rotation to us.  Failing poisons the
+			// log, but target is durable and acknowledged all the same.
+			_ = l.rotateLocked()
+		}
 	}
-	if err := l.f.Sync(); err != nil {
-		return l.poisonLocked(err)
+	return nil
+}
+
+// quiesceLocked waits out the fsync in flight, if any, and keeps the next
+// from starting until the caller — who is about to close or swap the
+// segment file — releases mu and broadcasts.
+func (l *Log) quiesceLocked() {
+	l.sealers++
+	for l.syncing {
+		l.cond.Wait()
+	}
+	l.sealers--
+}
+
+// sealLocked flushes and fsyncs the current segment with mu held (no other
+// fsync in flight) and moves the horizon over everything appended.
+func (l *Log) sealLocked() error {
+	if err := l.w.Flush(); err != nil {
+		return err
+	}
+	if err := l.syncFile(l.f); err != nil {
+		return err
 	}
 	l.fsyncs.Add(1)
+	l.durable = l.bytes.Load()
 	return nil
 }
 
@@ -322,19 +402,14 @@ func (l *Log) syncLocked() error {
 // mode: a sealed segment is never written again, so it should never be
 // half on disk) and opens the next.
 func (l *Log) rotateLocked() error {
-	if err := l.w.Flush(); err != nil {
+	if err := l.sealLocked(); err != nil {
 		return l.poisonLocked(err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return l.poisonLocked(err)
-	}
-	l.fsyncs.Add(1)
 	if err := l.f.Close(); err != nil {
 		return l.poisonLocked(err)
 	}
 	if err := l.createSegmentLocked(l.segIndex + 1); err != nil {
-		_ = l.poisonLocked(err) // already "wal: "-wrapped; poison, don't re-wrap
-		return err
+		return l.poisonLocked(err)
 	}
 	return nil
 }
@@ -349,6 +424,8 @@ func (l *Log) rotateLocked() error {
 func (l *Log) Rotate() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	defer l.cond.Broadcast()
+	l.quiesceLocked()
 	if l.closed {
 		return 0, l.closedErrLocked()
 	}
@@ -364,6 +441,7 @@ func (l *Log) Rotate() (int, error) {
 // Flush drains the in-process append buffer to the OS without fsyncing.
 // The checkpointer uses it so a directory read observes every record
 // appended before the flush; durability still comes from Sync/rotation.
+// (It neither closes nor swaps the file, so it need not wait out an fsync.)
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -387,6 +465,8 @@ func (l *Log) SegmentIndex() int {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	defer l.cond.Broadcast()
+	l.quiesceLocked()
 	if l.closed {
 		return nil
 	}
@@ -395,15 +475,10 @@ func (l *Log) Close() error {
 		unlockDir(l.lock)
 		l.lock = nil
 	}()
-	if err := l.w.Flush(); err != nil {
+	if err := l.sealLocked(); err != nil {
 		l.f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.fsyncs.Add(1)
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -417,6 +492,8 @@ func (l *Log) Close() error {
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	defer l.cond.Broadcast()
+	l.quiesceLocked()
 	if l.closed {
 		return
 	}

@@ -140,8 +140,11 @@ func (c *Cluster) Snapshot(fn func(r *DReadTx) error) error {
 // SnapshotCtx is Snapshot bound to ctx.
 func (c *Cluster) SnapshotCtx(ctx context.Context, fn func(r *DReadTx) error) error {
 	r := c.BeginReadOnlyCtx(ctx)
+	// The snapshot pins the compaction horizon on every shard, so it must
+	// finish on every way out of fn — an error, and a panic unwinding
+	// through here.  After Commit the Abort is a refused no-op.
+	defer func() { _ = r.Abort() }()
 	if err := fn(r); err != nil {
-		_ = r.Abort()
 		return err
 	}
 	return r.Commit()

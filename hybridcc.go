@@ -277,10 +277,23 @@ func (s *System) Snapshot(fn func(r *ReadTx) error) error {
 
 // SnapshotCtx is Snapshot bound to ctx: cancellation unblocks a reader
 // waiting out a writer's commit window.
+//
+// The reader handle is drawn from a free list and recycled once fn
+// returns.  The handle is therefore only valid inside fn: using a handle
+// leaked out of the callback fails with ErrTxDone while the struct sits
+// recycled, and is undefined once a later snapshot reuses it (do not
+// retain it, as with any pooled resource).  Use
+// BeginReadOnly/BeginReadOnlyCtx for handles that must outlive a callback.
 func (s *System) SnapshotCtx(ctx context.Context, fn func(r *ReadTx) error) error {
-	r := s.BeginReadOnlyCtx(ctx)
-	if err := fn(r); err != nil {
+	r := s.inner.BeginReadOnlyPooledCtx(ctx)
+	// The reader pins every object's compaction horizon, so it must finish
+	// on every way out of fn — an error, and a panic unwinding through
+	// here.  After Commit the Abort is a refused no-op.
+	defer func() {
 		_ = r.Abort()
+		s.inner.RecycleRead(r)
+	}()
+	if err := fn(r); err != nil {
 		return err
 	}
 	return r.Commit()

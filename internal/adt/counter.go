@@ -57,6 +57,15 @@ func (Counter) Responses(s spec.State, inv spec.Invocation) []string {
 	return nil
 }
 
+// ReadResponse implements spec.ReadSpec: CtrRead is the type's pure
+// observer.
+func (Counter) ReadResponse(s spec.State, inv spec.Invocation) (string, bool) {
+	if inv.Name != "CtrRead" || inv.Arg != "" {
+		return "", false
+	}
+	return Itoa(s.(counterState).n), true
+}
+
 // Equal implements spec.Spec.
 func (Counter) Equal(a, b spec.State) bool { return a.(counterState) == b.(counterState) }
 

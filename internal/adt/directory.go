@@ -126,6 +126,18 @@ func (Directory) Responses(s spec.State, inv spec.Invocation) []string {
 	return nil
 }
 
+// ReadResponse implements spec.ReadSpec: Lookup is the type's pure
+// observer.
+func (Directory) ReadResponse(s spec.State, inv spec.Invocation) (string, bool) {
+	if inv.Name != "Lookup" {
+		return "", false
+	}
+	if val, bound := s.(dirState).bind[inv.Arg]; bound {
+		return val, true
+	}
+	return ResAbsent, true
+}
+
 // Equal implements spec.Spec.
 func (Directory) Equal(a, b spec.State) bool {
 	da, db := a.(dirState), b.(dirState)

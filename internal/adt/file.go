@@ -55,6 +55,14 @@ func (File) Responses(s spec.State, inv spec.Invocation) []string {
 	return nil
 }
 
+// ReadResponse implements spec.ReadSpec: Read is the type's pure observer.
+func (File) ReadResponse(s spec.State, inv spec.Invocation) (string, bool) {
+	if inv.Name != "Read" || inv.Arg != "" {
+		return "", false
+	}
+	return s.(fileState).val, true
+}
+
 // Equal implements spec.Spec.
 func (File) Equal(a, b spec.State) bool { return a.(fileState) == b.(fileState) }
 

@@ -104,6 +104,18 @@ func (Set) Responses(s spec.State, inv spec.Invocation) []string {
 	return nil
 }
 
+// ReadResponse implements spec.ReadSpec: Member is the type's pure
+// observer.
+func (Set) ReadResponse(s spec.State, inv spec.Invocation) (string, bool) {
+	if inv.Name != "Member" {
+		return "", false
+	}
+	if s.(setState).members[inv.Arg] {
+		return ResTrue, true
+	}
+	return ResFalse, true
+}
+
 // Equal implements spec.Spec.
 func (Set) Equal(a, b spec.State) bool {
 	sa, sb := a.(setState), b.(setState)

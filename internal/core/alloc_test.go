@@ -20,6 +20,11 @@ const (
 	// commitAllocCeiling bounds one full pooled begin→credit→commit→
 	// recycle cycle (steady state ~5: spec boxing, tail entry, snapshot).
 	commitAllocCeiling = 6
+	// snapshotAllocCeiling bounds one pooled begin→four reads→commit→
+	// recycle cycle without a sink (steady state 4: each read formats its
+	// response; the registry, the handle and the bookkeeping allocate
+	// nothing.  Before the reader registry: ≈ 18).
+	snapshotAllocCeiling = 6
 )
 
 func TestAllocCeilingGrantFastPath(t *testing.T) {
@@ -82,5 +87,23 @@ func TestAllocCeilingPooledCommitCycle(t *testing.T) {
 	})
 	if allocs > commitAllocCeiling {
 		t.Errorf("pooled commit cycle allocates %.1f/op, ceiling %d", allocs, commitAllocCeiling)
+	}
+}
+
+func TestAllocCeilingSnapshot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts shift under the race detector")
+	}
+	sys, ctr, inv := snapshotBenchSystem(t)
+	cycle := func() {
+		if err := snapshot4Reads(sys, ctr, inv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ { // warm the pool and the registry
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs > snapshotAllocCeiling {
+		t.Errorf("snapshot of four reads allocates %.1f/op, ceiling %d", allocs, snapshotAllocCeiling)
 	}
 }

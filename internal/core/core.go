@@ -129,7 +129,7 @@ type System struct {
 	clock   tstamp.Clock
 	txSeq   atomic.Uint64
 	stats   Stats
-	readers readSet
+	readers readerRegistry
 	wfg     waitsFor
 
 	// seqSink is opts.Sink when it supports sequenced off-critical-section
@@ -173,11 +173,14 @@ type System struct {
 
 	// The hot-path free lists.  txPool recycles Tx structs (with their
 	// touched maps and scratch buffers) through BeginPooled/Recycle;
+	// readPool recycles ReadTx structs through BeginReadOnlyPooledCtx/
+	// RecycleRead;
 	// lockPool recycles txLock records released by commit and abort;
 	// waiterPool recycles blocked-call waiter nodes and their signal
 	// channels.  Everything handed to a pool is reset first — the
 	// recycling stress tests pin that no state crosses incarnations.
 	txPool     sync.Pool
+	readPool   sync.Pool
 	lockPool   sync.Pool
 	waiterPool sync.Pool
 }
@@ -283,6 +286,32 @@ func (s *System) Recycle(t *Tx) {
 	}
 	t.mu.Unlock()
 	s.txPool.Put(t)
+}
+
+// BeginReadOnlyPooledCtx is BeginReadOnlyCtx drawing the ReadTx from the
+// system free list, under BeginPooledCtx's contract: the caller hands the
+// reader back with RecycleRead once it has committed or aborted and does
+// not retain the handle past that point — a retained handle fails with
+// ErrTxDone until the struct is reused, and aliases the new reader after.
+// Snapshot scopes the handle to its callback this way.
+func (s *System) BeginReadOnlyPooledCtx(ctx context.Context) *ReadTx {
+	t, ok := s.readPool.Get().(*ReadTx)
+	if !ok {
+		t = &ReadTx{sys: s}
+	}
+	return s.startRead(t, ctx)
+}
+
+// RecycleRead returns a finished pooled reader to the free list; a reader
+// still active is left alone.
+func (s *System) RecycleRead(t *ReadTx) {
+	if !t.done() {
+		return
+	}
+	clear(t.touched)
+	t.touched = t.touched[:0]
+	t.ctx = nil
+	s.readPool.Put(t)
 }
 
 // BeginBranch starts a transaction branch carrying an externally chosen

@@ -6,6 +6,7 @@ import (
 	"hybridcc/internal/adt"
 	"hybridcc/internal/baseline"
 	"hybridcc/internal/depend"
+	"hybridcc/internal/spec"
 )
 
 // Micro-benchmarks for the three hot paths this runtime optimizes: the
@@ -83,6 +84,65 @@ func BenchmarkLockFreeReadCallParallel(b *testing.B) {
 		defer rt.Commit()
 		for pb.Next() {
 			if _, err := obj.ReadCall(rt, inv); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// snapshotBenchSystem returns a Counter holding a three-digit value (so a
+// read's response is a formatted string, not one of strconv's constants).
+func snapshotBenchSystem(tb testing.TB) (*System, *Object, spec.Invocation) {
+	sys := NewSystem(Options{})
+	obj := sys.NewObject("ctr", adt.NewCounter(), depend.SymmetricClosure(depend.CounterDependency()))
+	tx := sys.Begin()
+	if _, err := obj.Call(tx, adt.IncInv(4100)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	return sys, obj, adt.CtrReadInv()
+}
+
+// snapshot4Reads is the whole life of a facade Snapshot of four reads:
+// pooled begin, four ReadCalls, commit, recycle.
+func snapshot4Reads(sys *System, obj *Object, inv spec.Invocation) error {
+	rt := sys.BeginReadOnlyPooledCtx(nil)
+	defer sys.RecycleRead(rt)
+	for i := 0; i < 4; i++ {
+		if _, err := obj.ReadCall(rt, inv); err != nil {
+			_ = rt.Abort()
+			return err
+		}
+	}
+	return rt.Commit()
+}
+
+// BenchmarkSnapshot4Reads measures the reader path end to end — registry
+// pin, timestamp draw, four lock-free reads, release — with no sink.
+func BenchmarkSnapshot4Reads(b *testing.B) {
+	sys, obj, inv := snapshotBenchSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := snapshot4Reads(sys, obj, inv); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshot4ReadsParallel runs it from every core at once: the
+// readers share the clock, the object's snapshot pointer and its grant
+// counter, and no lock.
+func BenchmarkSnapshot4ReadsParallel(b *testing.B) {
+	sys, obj, inv := snapshotBenchSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := snapshot4Reads(sys, obj, inv); err != nil {
 				b.Error(err)
 				return
 			}

@@ -48,6 +48,9 @@ type Object struct {
 	sys  *System
 	name histories.ObjID
 	sp   spec.Spec
+	// readSp is sp's read capability, nil when it has none: resolved once
+	// here so ReadCall pays no interface assertion per read.
+	readSp spec.ReadSpec
 	// conflict and table are the ACTIVE policy's components, denormalized
 	// into plain fields so the grant/deny hot path pays no extra
 	// indirection for policy support (guarded by mu; tables are not safe
@@ -485,6 +488,7 @@ func (s *System) NewObjectPolicies(name string, sp spec.Spec, set *ccpolicy.Set,
 		clock:     0,
 		tailState: sp.Init(),
 	}
+	o.readSp, _ = sp.(spec.ReadSpec)
 	o.publishTailLocked()
 	s.registerObject(o)
 	return o, nil
@@ -1036,7 +1040,7 @@ func (o *Object) forgetLocked() int {
 			horizon = lk.bound
 		}
 	}
-	if rts, ok := o.sys.readers.minTS(); ok && rts < horizon {
+	if rts := o.sys.readers.minTS(); rts < horizon {
 		horizon = rts
 	}
 	n := 0

@@ -3,12 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
-	"hybridcc/internal/tstamp"
 )
 
 // This file implements the Section 7 extension: the "more general form of
@@ -46,89 +47,111 @@ func (t *ReadTx) Branch(o *Object) (*ReadTx, error) {
 	return t, nil
 }
 
-// ReadTx is a read-only transaction with a start-time timestamp.  Like Tx,
-// its identifier is materialized lazily from seq ("R<seq>"): a reader that
-// records no events never allocates an identifier string.
+// ReadTx is a read-only transaction with a start-time timestamp.  Like Tx
+// it is single-threaded, and its identifier is materialized lazily from seq
+// ("R<seq>"): a reader that records no events never allocates the string.
+// It holds no mutex and shares nothing with other readers but the clock:
+// liveness is one atomic word, the compaction pin a registry slot of its
+// own, and its counters reach the System's statistics once, at finish.
 type ReadTx struct {
 	sys *System
 	seq uint64
 	ctx context.Context
 	ts  histories.Timestamp
+	id  histories.TxID
 
 	// bound is the owning shard's clock bound learned when a remote branch
 	// opened (ClockBound); rerr is the sticky error of a remote branch
 	// whose open or activation RPC failed — reads through it fail fast.
 	bound histories.Timestamp
 	rerr  error
-
-	mu      sync.Mutex
-	id      histories.TxID
-	done    bool
-	touched map[*Object]bool
+	// state is the pool generation shifted left once; its low bit, set at
+	// finish, fails a handle kept past Commit, Abort or RecycleRead.
+	state atomic.Uint64
+	// slot is the reader's registry slot (nil on a remote branch); hint is
+	// where the search for one starts — fixed per struct, so a pooled
+	// reader keeps returning to the slot its core already has cached.
+	slot *readerSlot
+	hint uint64
+	// calls counts ReadCalls since begin.  touched lists the objects read,
+	// only when a sink wants their completion events; it starts on tbuf.
+	calls   int64
+	touched []*Object
+	tbuf    [4]*Object
 }
 
-// readSet tracks the active read-only transactions of a System so objects
-// can pin their compaction horizons below every active reader.
-type readSet struct {
-	mu     sync.Mutex
-	active map[*ReadTx]histories.Timestamp
+// slotFree marks an unclaimed slot: above every timestamp, so a scan takes
+// the minimum over all slots alike.  readerSlots is the initial capacity.
+const (
+	slotFree    = math.MaxInt64
+	readerSlots = 8
+)
+
+// readerSlot is one reader's compaction pin, alone on its cache line:
+// slotFree, 0 (provisional: holds every horizon) or the reader's timestamp.
+type readerSlot struct {
+	pin atomic.Int64
+	_   [56]byte
 }
 
-// minTS returns the smallest active reader timestamp and whether any
-// reader is active.
-func (r *readSet) minTS() (histories.Timestamp, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var min histories.Timestamp
-	found := false
-	for _, ts := range r.active {
-		if !found || ts < min {
-			min, found = ts, true
+type readerChunk struct {
+	slots []readerSlot
+	next  atomic.Pointer[readerChunk]
+}
+
+// readerRegistry tracks the active read-only transactions of a System so
+// objects can pin their compaction horizons below every active reader: a
+// grow-only chain of slot arrays, where readers claim and release slots by
+// atomic operations on their own cache lines and never meet at a lock.
+//
+// Registration invariant — pin before draw: a reader stores a provisional
+// pin in its slot, draws its timestamp r from the clock, then raises the
+// slot to r.  Pin store → reader's clock RMW → any later writer's clock RMW
+// → that writer's fold scan is one order, Go's atomics being sequentially
+// consistent (a mutex-guarded Clock gives it by happens-before).  So a scan
+// that misses the pin ran before r was drawn — an entry above r cannot
+// exist yet — and a scan that sees it holds the horizon at 0 or at r.
+type readerRegistry struct {
+	head atomic.Pointer[readerChunk]
+}
+
+// minTS returns the smallest pin of any active reader, slotFree when there
+// is none.  Before a System's first reader it is a single load.
+func (r *readerRegistry) minTS() histories.Timestamp {
+	min := int64(slotFree)
+	for c := r.head.Load(); c != nil; c = c.next.Load() {
+		for i := range c.slots {
+			if v := c.slots[i].pin.Load(); v < min {
+				min = v
+			}
 		}
 	}
-	return min, found
+	return histories.Timestamp(min)
 }
 
-// register draws the reader's timestamp and installs its compaction pin
-// in one critical section.  The two must be atomic with respect to minTS:
-// otherwise a writer whose (later) timestamp is issued between the
-// reader's draw and its registration could fold into the version before
-// the pin lands, making the reader's snapshot unrecoverable.
-func (r *readSet) register(tx *ReadTx, clock tstamp.Clock) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.active == nil {
-		r.active = make(map[*ReadTx]histories.Timestamp)
+// pin claims a free slot, searching from hint, and leaves a provisional pin
+// in it.  When every slot is taken it appends a chunk of twice the size.
+func (r *readerRegistry) pin(hint uint64) *readerSlot {
+	link, size := &r.head, readerSlots
+	for {
+		c := link.Load()
+		if c == nil {
+			c = &readerChunk{slots: make([]readerSlot, size)}
+			for i := range c.slots {
+				c.slots[i].pin.Store(slotFree)
+			}
+			if !link.CompareAndSwap(nil, c) {
+				continue // lost the race: search the winner's chunk
+			}
+		}
+		for i := range c.slots {
+			s := &c.slots[(hint+uint64(i))%uint64(len(c.slots))]
+			if s.pin.Load() == slotFree && s.pin.CompareAndSwap(slotFree, 0) {
+				return s
+			}
+		}
+		link, size = &c.next, 2*len(c.slots)
 	}
-	tx.ts = clock.Next(0)
-	r.active[tx] = tx.ts
-}
-
-// pin installs a provisional compaction pin at timestamp 0, freezing every
-// horizon until repin fixes the reader's real timestamp.  A cluster-wide
-// snapshot pins all shards first and only then chooses one timestamp above
-// every shard clock; without the provisional pin, a commit landing between
-// the choice and the registration could fold past the reader's snapshot.
-func (r *readSet) pin(tx *ReadTx) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.active == nil {
-		r.active = make(map[*ReadTx]histories.Timestamp)
-	}
-	r.active[tx] = 0
-}
-
-// repin raises tx's compaction pin to its chosen timestamp.
-func (r *readSet) repin(tx *ReadTx, ts histories.Timestamp) {
-	r.mu.Lock()
-	r.active[tx] = ts
-	r.mu.Unlock()
-}
-
-func (r *readSet) remove(tx *ReadTx) {
-	r.mu.Lock()
-	delete(r.active, tx)
-	r.mu.Unlock()
 }
 
 // BeginReadOnly starts a read-only transaction.  Its timestamp — and hence
@@ -143,36 +166,36 @@ func (s *System) BeginReadOnly() *ReadTx { return s.BeginReadOnlyCtx(context.Bac
 // subsequent reads with an error wrapping ctx.Err().  A nil ctx means
 // context.Background.
 func (s *System) BeginReadOnlyCtx(ctx context.Context) *ReadTx {
+	return s.startRead(&ReadTx{sys: s}, ctx)
+}
+
+// startRead makes tx — fresh or recycled — a new active reader: pin, draw,
+// raise (see readerRegistry).
+func (s *System) startRead(tx *ReadTx, ctx context.Context) *ReadTx {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.stats.Begun.Add(1)
-	tx := &ReadTx{
-		sys:     s,
-		seq:     s.txSeq.Add(1),
-		ctx:     ctx,
-		touched: make(map[*Object]bool),
+	tx.seq, tx.id, tx.ctx, tx.calls = s.txSeq.Add(1), "", ctx, 0
+	if tx.hint == 0 {
+		tx.hint = tx.seq
 	}
-	s.readers.register(tx, s.clock)
+	tx.state.Store(tx.state.Load()&^1 + 2)
+	tx.slot = s.readers.pin(tx.hint)
+	tx.ts = s.clock.Next(0)
+	tx.slot.pin.Store(int64(tx.ts))
 	return tx
 }
 
 // BeginReadOnlyBranch starts a read-only branch carrying an externally
 // chosen identifier — the local leg of a cluster-wide snapshot.  The
-// branch immediately pins compaction (at timestamp 0, holding every
+// branch immediately pins compaction (provisionally, holding every
 // horizon) but observes nothing until ActivateAt fixes its snapshot
 // position; the caller must activate it before reading through it.
 func (s *System) BeginReadOnlyBranch(ctx context.Context, id histories.TxID) *ReadTx {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.stats.Begun.Add(1)
-	tx := &ReadTx{
-		sys:     s,
-		id:      id,
-		ctx:     ctx,
-		touched: make(map[*Object]bool),
-	}
+	tx := &ReadTx{sys: s, id: id, ctx: ctx}
 	if s.remote != nil {
 		// The pin lives on the serving shard; ReadBegin installs it there
 		// and reports the shard clock's bound for timestamp election.  A
@@ -181,7 +204,7 @@ func (s *System) BeginReadOnlyBranch(ctx context.Context, id histories.TxID) *Re
 		tx.bound, tx.rerr = s.remote.ReadBegin(ctx, id)
 		return tx
 	}
-	s.readers.pin(tx)
+	tx.slot = s.readers.pin(0)
 	return tx
 }
 
@@ -207,15 +230,14 @@ func (t *ReadTx) ClockBound() histories.Timestamp {
 // local commit from here on serializes after the snapshot.  Must be called
 // once, before any read through the branch.
 func (t *ReadTx) ActivateAt(ts histories.Timestamp) {
+	t.ts = ts
 	if t.sys.remote != nil {
-		t.ts = ts
 		if t.rerr == nil {
 			t.rerr = t.sys.remote.ReadActivate(t.ctx, t.ID(), ts)
 		}
 		return
 	}
-	t.sys.readers.repin(t, ts)
-	t.ts = ts
+	t.slot.pin.Store(int64(ts))
 	t.sys.clock.Observe(ts)
 }
 
@@ -232,12 +254,6 @@ func (t *ReadTx) Context() context.Context { return t.ctx }
 // Read-only identifiers carry an "R" prefix; verification uses it to apply
 // the generalized well-formedness rules.
 func (t *ReadTx) ID() histories.TxID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.idLocked()
-}
-
-func (t *ReadTx) idLocked() histories.TxID {
 	if t.id == "" {
 		var buf [24]byte
 		t.id = histories.TxID(strconv.AppendUint(append(buf[:0], 'R'), t.seq, 10))
@@ -248,65 +264,57 @@ func (t *ReadTx) idLocked() histories.TxID {
 // Timestamp returns the reader's (start-chosen) serialization timestamp.
 func (t *ReadTx) Timestamp() histories.Timestamp { return t.ts }
 
+// done reports whether the reader has finished (or sits recycled).
+func (t *ReadTx) done() bool { return t.state.Load()&1 != 0 }
+
+// touch notes that the reader read o, for the completion events.
+func (t *ReadTx) touch(o *Object) {
+	if t.touched == nil {
+		t.touched = t.tbuf[:0]
+	}
+	if !slices.Contains(t.touched, o) {
+		t.touched = append(t.touched, o)
+	}
+}
+
 // Commit finishes the reader, emitting its commit events so recorded
 // histories place it at its timestamp.  No waiter needs signalling: reader
 // completion releases only the compaction pin, which no blocked call waits
 // on (folds never change grantability or the committed-tail state).
-func (t *ReadTx) Commit() error {
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return ErrTxDone
-	}
-	t.done = true
-	objs := make([]*Object, 0, len(t.touched))
-	for o := range t.touched {
-		objs = append(objs, o)
-	}
-	t.mu.Unlock()
-
-	if t.sys.remote != nil {
-		// Release the shard-side pin, best-effort: a lost release resolves
-		// when the connection drops.
-		_ = t.sys.remote.ReadComplete(context.Background(), t.ID(), true)
-	} else {
-		t.sys.readers.remove(t)
-	}
-	if t.sys.opts.Sink != nil {
-		for _, o := range objs {
-			o.recordCompletion(histories.CommitEvent(t.ID(), o.name, t.ts))
-		}
-	}
-	t.sys.stats.Committed.Add(1)
-	return nil
-}
+func (t *ReadTx) Commit() error { return t.finish(true) }
 
 // Abort abandons the reader.  Because readers never acquire locks or write
 // intentions, abort only releases the compaction pin.
-func (t *ReadTx) Abort() error {
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
+func (t *ReadTx) Abort() error { return t.finish(false) }
+
+func (t *ReadTx) finish(commit bool) error {
+	cur := t.state.Load()
+	if cur&1 != 0 || !t.state.CompareAndSwap(cur, cur|1) {
 		return ErrTxDone
 	}
-	t.done = true
-	objs := make([]*Object, 0, len(t.touched))
-	for o := range t.touched {
-		objs = append(objs, o)
-	}
-	t.mu.Unlock()
-
-	if t.sys.remote != nil {
-		_ = t.sys.remote.ReadComplete(context.Background(), t.ID(), false)
+	s := t.sys
+	if s.remote != nil {
+		// Release the shard-side pin, best-effort: a lost release resolves
+		// when the connection drops.
+		_ = s.remote.ReadComplete(context.Background(), t.ID(), commit)
 	} else {
-		t.sys.readers.remove(t)
+		t.slot.pin.Store(slotFree)
 	}
-	if t.sys.opts.Sink != nil {
-		for _, o := range objs {
-			o.recordCompletion(histories.AbortEvent(t.ID(), o.name))
+	for _, o := range t.touched { // empty unless a sink is attached
+		e := histories.AbortEvent(t.ID(), o.name)
+		if commit {
+			e = histories.CommitEvent(t.ID(), o.name, t.ts)
 		}
+		o.recordCompletion(e)
 	}
-	t.sys.stats.Aborted.Add(1)
+	// One visit to the statistics' cache line per reader, not one per step.
+	s.stats.Begun.Add(1)
+	s.stats.Calls.Add(t.calls)
+	if commit {
+		s.stats.Committed.Add(1)
+	} else {
+		s.stats.Aborted.Add(1)
+	}
 	return nil
 }
 
@@ -345,14 +353,10 @@ func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
 	if o.sys.remote != nil {
 		return o.remoteReadCall(t, inv)
 	}
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
+	if t.done() {
 		return "", ErrTxDone
 	}
-	t.mu.Unlock()
-	o.sys.stats.Calls.Add(1)
-
+	t.calls++
 	ctx := t.ctx
 	if err := ctx.Err(); err != nil {
 		return "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, err)
@@ -378,60 +382,56 @@ func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
 	}
 
 	state := o.snapshotLocked(t.ts)
-	if o.sys.seqSink != nil || o.sys.opts.Sink == nil {
+	if o.sys.seqSink == nil && o.sys.opts.Sink != nil {
+		// Legacy sink: derive and record inside the critical section so its
+		// per-object stream stays ordered.
+		defer o.mu.Unlock()
+	} else {
 		o.mu.Unlock()
-		return o.readFromSnapshot(t, inv, state)
 	}
-	// Legacy sink: derive and record inside the critical section so its
-	// per-object stream stays ordered.
-	res, err := deriveRead(o.sp, state, inv, o.name)
-	if err != nil {
-		o.mu.Unlock()
-		return "", err
-	}
-	o.stats.granted.Add(1)
-	o.sys.opts.Sink.Record(histories.InvokeEvent(t.ID(), o.name, inv))
-	o.sys.opts.Sink.Record(histories.RespondEvent(t.ID(), o.name, res))
-	o.mu.Unlock()
-	t.mu.Lock()
-	t.touched[o] = true
-	t.mu.Unlock()
-	return res, nil
+	return o.readFromSnapshot(t, inv, state)
 }
 
 // readFromSnapshot derives a read-only response from a reconstructed
-// snapshot state and records it without holding the object mutex.
+// snapshot state and records it; only a legacy sink's caller holds o.mu.
 func (o *Object) readFromSnapshot(t *ReadTx, inv spec.Invocation, state spec.State) (string, error) {
-	res, err := deriveRead(o.sp, state, inv, o.name)
+	res, err := o.deriveRead(state, inv)
 	if err != nil {
 		return "", err
 	}
-	t.mu.Lock()
-	t.touched[o] = true
-	t.mu.Unlock()
 	o.stats.granted.Add(1)
-	if o.sys.seqSink != nil {
-		id := t.ID()
-		o.sys.recordDirect(histories.InvokeEvent(id, o.name, inv))
-		o.sys.recordDirect(histories.RespondEvent(id, o.name, res))
+	if s := o.sys; s.seqSink != nil {
+		t.touch(o)
+		s.recordDirect(histories.InvokeEvent(t.ID(), o.name, inv))
+		s.recordDirect(histories.RespondEvent(t.ID(), o.name, res))
+	} else if s.opts.Sink != nil {
+		t.touch(o)
+		s.opts.Sink.Record(histories.InvokeEvent(t.ID(), o.name, inv))
+		s.opts.Sink.Record(histories.RespondEvent(t.ID(), o.name, res))
 	}
 	return res, nil
 }
 
 // deriveRead picks the response of a read-only invocation in a snapshot
-// state and checks it leaves the state unchanged.
-func deriveRead(sp spec.Spec, state spec.State, inv spec.Invocation, name histories.ObjID) (string, error) {
-	responses := sp.Responses(state, inv)
+// state and checks it leaves the state unchanged.  A spec.ReadSpec answers
+// its pure observers in one step; the rest, refusals included, is generic.
+func (o *Object) deriveRead(state spec.State, inv spec.Invocation) (string, error) {
+	if o.readSp != nil {
+		if res, ok := o.readSp.ReadResponse(state, inv); ok {
+			return res, nil
+		}
+	}
+	responses := o.sp.Responses(state, inv)
 	if len(responses) == 0 {
-		return "", fmt.Errorf("%w: %s has no response in snapshot of %s", ErrTimeout, inv, name)
+		return "", fmt.Errorf("%w: %s has no response in snapshot of %s", ErrTimeout, inv, o.name)
 	}
 	res := responses[0]
 	op := inv.With(res)
-	next, ok := sp.Step(state, op)
+	next, ok := o.sp.Step(state, op)
 	if !ok {
-		panic(fmt.Sprintf("hybridcc: listed response %s illegal at %s", op, name))
+		panic(fmt.Sprintf("hybridcc: listed response %s illegal at %s", op, o.name))
 	}
-	if !sp.Equal(state, next) {
+	if !o.sp.Equal(state, next) {
 		return "", fmt.Errorf("%w: %s", ErrNotReadOnly, op)
 	}
 	return res, nil

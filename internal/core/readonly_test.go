@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"hybridcc/internal/adt"
+	"hybridcc/internal/baseline"
 	"hybridcc/internal/depend"
 	"hybridcc/internal/histories"
+	"hybridcc/internal/spec"
 	"hybridcc/internal/verify"
 )
 
@@ -165,19 +167,106 @@ func TestReadOnlyWaitTimesOut(t *testing.T) {
 	}
 }
 
+// TestReadOnlyRejectsMutators: on every built-in type, an invocation whose
+// response changes the committed state fails with ErrNotReadOnly, whether
+// or not the type answers its observers directly.
 func TestReadOnlyRejectsMutators(t *testing.T) {
-	sys := NewSystem(Options{})
-	q := sys.NewObject("Q", adt.NewQueue(), depend.SymmetricClosure(depend.QueueDependencyII()))
-	w := sys.Begin()
-	mustCall(t, q, w, adt.EnqInv(1))
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		typ      string
+		setup    spec.Invocation
+		mutators []spec.Invocation
+	}{
+		{"File", adt.FileWriteInv(1), []spec.Invocation{adt.FileWriteInv(2)}},
+		{"Queue", adt.EnqInv(1), []spec.Invocation{adt.EnqInv(2), adt.DeqInv()}},
+		{"Semiqueue", adt.InsInv(1), []spec.Invocation{adt.InsInv(2), adt.RemInv()}},
+		{"Account", adt.CreditInv(5), []spec.Invocation{adt.CreditInv(1), adt.PostInv(2), adt.DebitInv(3)}},
+		{"Counter", adt.IncInv(1), []spec.Invocation{adt.IncInv(1)}},
+		{"Set", adt.SetInsertInv(1), []spec.Invocation{adt.SetInsertInv(2), adt.SetRemoveInv(1)}},
+		{"Directory", adt.DirBindInv("a", 1), []spec.Invocation{adt.DirBindInv("b", 2), adt.DirUnbindInv("a")}},
 	}
-	r := sys.BeginReadOnly()
-	if _, err := q.ReadCall(r, adt.DeqInv()); !errors.Is(err, ErrNotReadOnly) {
-		t.Fatalf("Deq in read-only tx: %v, want ErrNotReadOnly", err)
+	for _, tc := range cases {
+		sys := NewSystem(Options{})
+		o := sys.NewObject(tc.typ, baseline.SpecFor(tc.typ), baseline.ConflictFor("hybrid", tc.typ))
+		w := sys.Begin()
+		mustCall(t, o, w, tc.setup)
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		r := sys.BeginReadOnly()
+		for _, inv := range tc.mutators {
+			if _, err := o.ReadCall(r, inv); !errors.Is(err, ErrNotReadOnly) {
+				t.Errorf("%s: %s in read-only tx: %v, want ErrNotReadOnly", tc.typ, inv, err)
+			}
+		}
+		_ = r.Abort()
 	}
-	_ = r.Abort()
+}
+
+// genericRead is the reference derivation of a read-only response:
+// Responses, Step, Equal.  It reports the response and whether the
+// invocation was refused as blocked or as a mutator.
+func genericRead(sp spec.Spec, st spec.State, inv spec.Invocation) (res string, blocked, mutates bool) {
+	responses := sp.Responses(st, inv)
+	if len(responses) == 0 {
+		return "", true, false
+	}
+	next, ok := sp.Step(st, inv.With(responses[0]))
+	if !ok {
+		panic("listed response illegal")
+	}
+	return responses[0], false, !sp.Equal(st, next)
+}
+
+// TestDirectReadsMatchGenericDerivation walks every state of each built-in
+// type reachable from its declared universe in three steps and checks, for
+// every invocation of the universe, that the object's read derivation —
+// direct where the type has the read capability — returns what the generic
+// derivation returns, refusals included.
+func TestDirectReadsMatchGenericDerivation(t *testing.T) {
+	direct := map[string]int{}
+	for _, sp := range adt.All() {
+		name := sp.Name()
+		universe := baseline.UniverseFor(name)
+		o := NewSystem(Options{}).NewObjectSeeded(name, sp, baseline.ConflictFor("hybrid", name), universe)
+		frontier := []spec.State{sp.Init()}
+		for depth := 0; depth <= 3; depth++ {
+			var next []spec.State
+			for _, st := range frontier {
+				for _, op := range universe {
+					inv := op.Inv()
+					want, blocked, mutates := genericRead(sp, st, inv)
+					got, err := o.deriveRead(st, inv)
+					switch {
+					case blocked && !errors.Is(err, ErrTimeout), mutates && !errors.Is(err, ErrNotReadOnly),
+						!blocked && !mutates && (err != nil || got != want):
+						t.Errorf("%s: %s read in %v = %q, %v; generic derivation: %q blocked=%v mutates=%v",
+							name, inv, st, got, err, want, blocked, mutates)
+					}
+					if o.readSp != nil {
+						if res, ok := o.readSp.ReadResponse(st, inv); ok {
+							direct[name]++
+							if blocked || mutates || res != want {
+								t.Errorf("%s: ReadResponse(%v, %s) = %q; generic derivation: %q blocked=%v mutates=%v",
+									name, st, inv, res, want, blocked, mutates)
+							}
+						}
+					}
+					if n, ok := sp.Step(st, op); ok {
+						next = append(next, n)
+					}
+				}
+			}
+			frontier = next
+		}
+	}
+	for _, name := range []string{"File", "Counter", "Set", "Directory"} {
+		if direct[name] == 0 {
+			t.Errorf("%s answered no read directly", name)
+		}
+	}
+	if len(direct) != 4 {
+		t.Errorf("direct answers from %v: Account, Queue and Semiqueue have no pure observer", direct)
+	}
 }
 
 func TestReadOnlyPinsCompaction(t *testing.T) {

@@ -215,18 +215,14 @@ func (t *Tx) remoteCommitAt(ts histories.Timestamp) error {
 // remoteReadCall executes one read-only operation at the branch's snapshot
 // timestamp on the shard.
 func (o *Object) remoteReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
+	if t.done() {
 		return "", ErrTxDone
 	}
-	rerr := t.rerr
-	t.mu.Unlock()
-	if rerr != nil {
-		return "", fmt.Errorf("hybridcc: read of %s at %s: branch unusable: %w", inv, o.name, rerr)
+	if t.rerr != nil {
+		return "", fmt.Errorf("hybridcc: read of %s at %s: branch unusable: %w", inv, o.name, t.rerr)
 	}
 	s := o.sys
-	s.stats.Calls.Add(1)
+	t.calls++
 	ctx := t.ctx
 	if err := ctx.Err(); err != nil {
 		return "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, err)
@@ -235,12 +231,12 @@ func (o *Object) remoteReadCall(t *ReadTx, inv spec.Invocation) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	t.mu.Lock()
-	t.touched[o] = true
-	t.mu.Unlock()
 	o.stats.granted.Add(1)
-	id := t.ID()
-	s.recordDirect(histories.InvokeEvent(id, o.name, inv))
-	s.recordDirect(histories.RespondEvent(id, o.name, res))
+	if s.seqSink != nil {
+		t.touch(o)
+		id := t.ID()
+		s.recordDirect(histories.InvokeEvent(id, o.name, inv))
+		s.recordDirect(histories.RespondEvent(id, o.name, res))
+	}
 	return res, nil
 }

@@ -390,6 +390,59 @@ func TestUnpreparedBranchAbortsWithConnection(t *testing.T) {
 	}
 }
 
+// TestReadBranchFreesSlotWithConnection: read branches — one still on its
+// provisional pin, one activated — die with their connection, and their
+// registry slots are freed with them.  A leaked slot would freeze the
+// shard's compaction horizon for good: commits would pile up unforgotten.
+func TestReadBranchFreesSlotWithConnection(t *testing.T) {
+	addr, srv := startShard(t, 0, 1)
+	c := dialTest(t, addr, 0, 1, ClientOptions{})
+	if err := c.Register("ctr", "Counter", "hybrid"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := c.ReadBegin(ctx, "R1"); err != nil {
+		t.Fatal(err)
+	}
+	bound, err := c.ReadBegin(ctx, "R2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadActivate(ctx, "R2", bound+1); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(c *ShardClient, tx histories.TxID) {
+		t.Helper()
+		if _, err := c.Call(ctx, tx, "ctr", adt.IncInv(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Commit(ctx, tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(c, "T1")
+	ctr := srv.System().LookupObject("ctr")
+	if n := ctr.UnforgottenLen(); n != 1 {
+		t.Fatalf("unforgotten = %d with two read branches open, want 1", n)
+	}
+	_ = c.Close() // dies without completing either branch
+
+	// The server drops the connection on its own schedule; folding rides
+	// the commit path, so commit until the horizon has moved.
+	c2 := dialTest(t, addr, 0, 1, ClientOptions{})
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 2; ; i++ {
+		commit(c2, histories.TxID(fmt.Sprintf("T%d", i)))
+		if ctr.UnforgottenLen() == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("unforgotten = %d: a read branch's slot outlived its connection", ctr.UnforgottenLen())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestDialRejectsWrongTopology(t *testing.T) {
 	addr, _ := startShard(t, 1, 4)
 	if _, err := DialShard(addr, 0, 4, ClientOptions{Timeout: time.Second}); err == nil {

@@ -113,6 +113,22 @@ type DurableSpec interface {
 	DecodeState(data []byte) (State, error)
 }
 
+// ReadSpec is the optional read capability on a Spec: a spec that knows
+// which of its invocations are pure observers answers them in one step,
+// where the generic derivation of a read-only response takes Responses,
+// Step and Equal.  Specs without this capability are still read through
+// that derivation.
+type ReadSpec interface {
+	Spec
+
+	// ReadResponse returns the response to inv in s and true when inv is
+	// a well-formed pure observer of the type: res is then Responses(s,
+	// inv)[0], and Step(s, inv.With(res)) is legal and leaves s unchanged.
+	// It returns false for every other invocation, including one that
+	// happens not to change this particular state.
+	ReadResponse(s State, inv Invocation) (res string, ok bool)
+}
+
 // Replay runs h from the initial state of sp.  It returns the final state
 // and true if every operation is legal, or the state reached before the
 // first illegal operation and false otherwise.

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hybridcc/internal/spec"
 )
 
 func TestSnapshotConsistentAcrossObjects(t *testing.T) {
@@ -151,5 +153,146 @@ func TestReadersDoNotBlockWritersFacade(t *testing.T) {
 	}
 	if err := sys.Verify(); err != nil {
 		t.Fatalf("generalized verification failed: %v", err)
+	}
+}
+
+// recoverFrom runs fn and returns what it panicked with.
+func recoverFrom(fn func()) (recovered any) {
+	defer func() { recovered = recover() }()
+	fn()
+	return nil
+}
+
+// TestSnapshotPanicReleasesPin: a panic unwinding out of Snapshot must not
+// leave the reader's compaction pin behind — one recovered panic would hold
+// the horizon of every object for the life of the process.
+func TestSnapshotPanicReleasesPin(t *testing.T) {
+	sys := NewSystem()
+	c := Must(sys.NewCounter("c"))
+	got := recoverFrom(func() {
+		_ = sys.Snapshot(func(r *ReadTx) error {
+			if _, err := c.ReadAt(r); err != nil {
+				return err
+			}
+			panic("boom")
+		})
+	})
+	if got != "boom" {
+		t.Fatalf("recovered %v: Snapshot must let the callback's panic through", got)
+	}
+	for i := 0; i < 3; i++ {
+		if err := sys.Atomically(func(tx *Tx) error { return c.Inc(tx, 1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.obj.obj.UnforgottenLen(); n != 0 {
+		t.Errorf("unforgotten = %d after a panicked snapshot, want 0 (pin leaked)", n)
+	}
+	if st := sys.Stats(); st.Aborted != 1 {
+		t.Errorf("aborted = %d, want 1: the panicked reader", st.Aborted)
+	}
+}
+
+func TestClusterSnapshotPanicReleasesPin(t *testing.T) {
+	cl, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrs := []*Counter{Must(cl.NewCounter("a")), Must(cl.NewCounter("b")), Must(cl.NewCounter("c"))}
+	got := recoverFrom(func() {
+		_ = cl.Snapshot(func(r *DReadTx) error { panic("boom") })
+	})
+	if got != "boom" {
+		t.Fatalf("recovered %v: Snapshot must let the callback's panic through", got)
+	}
+	for _, c := range ctrs {
+		for i := 0; i < 2; i++ {
+			if err := cl.Atomically(func(tx *DTx) error { return c.Inc(tx, 1) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := c.obj.obj.UnforgottenLen(); n != 0 {
+			t.Errorf("%s: unforgotten = %d after a panicked snapshot, want 0 (pin leaked)", c.obj.Name(), n)
+		}
+	}
+}
+
+// TestSnapshotLeakedHandleIsDead is the reader half of the pooling
+// contract (see TestAtomicallyLeakedHandleIsDead).
+func TestSnapshotLeakedHandleIsDead(t *testing.T) {
+	sys := NewSystem()
+	c := Must(sys.NewCounter("c"))
+	var leaked *ReadTx
+	if err := sys.Snapshot(func(r *ReadTx) error {
+		leaked = r
+		_, err := c.ReadAt(r)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadAt(leaked); !errors.Is(err, ErrTxDone) {
+		t.Errorf("ReadAt through leaked handle = %v, want ErrTxDone", err)
+	}
+	if err := leaked.Commit(); !errors.Is(err, ErrTxDone) {
+		t.Errorf("Commit through leaked handle = %v, want ErrTxDone", err)
+	}
+	// Handles from BeginReadOnly are never pooled: they outlive any scope.
+	r := sys.BeginReadOnly()
+	if err := sys.Snapshot(func(*ReadTx) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadAt(r); err != nil {
+		t.Errorf("ReadAt through an unpooled handle: %v", err)
+	}
+	if err := r.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCustomSpecReadsGenerically: a user-defined specification carries no
+// read capability, so its reads take the generic derivation — and mutators
+// are still refused.
+func TestCustomSpecReadsGenerically(t *testing.T) {
+	type reg struct{ v string }
+	sp := Spec{
+		Name: "Register",
+		Init: func() State { return reg{v: "0"} },
+		Responses: func(s State, inv Invocation) []string {
+			if inv.Name == "Get" {
+				return []string{s.(reg).v}
+			}
+			return []string{"Ok"}
+		},
+		Apply: func(s State, op Op) State {
+			if op.Name == "Put" {
+				return reg{v: op.Arg}
+			}
+			return s
+		},
+		Equal:      func(a, b State) bool { return a.(reg) == b.(reg) },
+		Dependency: func(q, p Op) bool { return q.Name == "Get" && p.Name == "Put" },
+	}
+	sys := NewSystem()
+	o, err := sys.NewCustom("r", sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := o.obj.Spec().(spec.ReadSpec); ok {
+		t.Fatal("a custom specification must not carry the read capability")
+	}
+	put := Invocation{Name: "Put", Arg: "7"}
+	if err := sys.Atomically(func(tx *Tx) error { _, err := o.Call(tx, put); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Snapshot(func(r *ReadTx) error {
+		if got, err := o.ReadCall(r, Invocation{Name: "Get"}); err != nil || got != "7" {
+			t.Errorf("Get = %q, %v; want 7", got, err)
+		}
+		if _, err := o.ReadCall(r, Invocation{Name: "Put", Arg: "8"}); !errors.Is(err, ErrNotReadOnly) {
+			t.Errorf("Put in a snapshot: %v, want ErrNotReadOnly", err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -119,14 +119,14 @@ func (c *Cluster) Atomically(fn func(tx *DTx) error) error {
 func (c *Cluster) AtomicallyCtx(ctx context.Context, fn func(tx *DTx) error) error {
 	return atomicallyLoop(ctx, func() error {
 		tx := c.BeginCtx(ctx)
-		err := fn(tx)
-		if err == nil {
-			if err = tx.Commit(); err == nil {
-				return nil
-			}
+		// As in System.AtomicallyCtx: the branches' locks go on every way
+		// out of fn, a panic included; after Commit the Abort is a refused
+		// no-op.
+		defer func() { _ = tx.Abort() }()
+		if err := fn(tx); err != nil {
+			return err
 		}
-		_ = tx.Abort()
-		return err
+		return tx.Commit()
 	})
 }
 

@@ -326,16 +326,17 @@ func (s *System) Atomically(fn func(tx *Tx) error) error {
 func (s *System) AtomicallyCtx(ctx context.Context, fn func(tx *Tx) error) error {
 	return atomicallyLoop(ctx, func() error {
 		tx := s.inner.BeginPooledCtx(ctx)
-		err := fn(tx)
-		if err == nil {
-			if err = tx.Commit(); err == nil {
-				s.inner.Recycle(tx)
-				return nil
-			}
+		// The attempt's locks must go on every way out of fn — an error, a
+		// failed commit, and a panic unwinding through here.  After a
+		// successful Commit the Abort is a refused no-op.
+		defer func() {
+			_ = tx.Abort()
+			s.inner.Recycle(tx)
+		}()
+		if err := fn(tx); err != nil {
+			return err
 		}
-		_ = tx.Abort()
-		s.inner.Recycle(tx)
-		return err
+		return tx.Commit()
 	})
 }
 

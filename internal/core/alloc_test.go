@@ -18,8 +18,18 @@ const (
 	// transaction (steady state: spec-state boxing + intentions growth).
 	grantAllocCeiling = 4
 	// commitAllocCeiling bounds one full pooled begin→credit→commit→
-	// recycle cycle (steady state ~5: spec boxing, tail entry, snapshot).
-	commitAllocCeiling = 6
+	// recycle cycle (steady state 3: the grant's boxed state, the
+	// intentions slice, the published snapshot; 4 while the merge and the
+	// fold each replayed the credit into a fresh box).
+	commitAllocCeiling = 4
+	// payment8AllocCeiling bounds one pooled payment — Debit + 7 Credit
+	// over 8 Accounts, commit, recycle.  Steady state 25: one boxed state
+	// per grant, one intentions slice and one tailSnapshot per object, and
+	// the unforgotten arrays' amortized growth (one array per eight commits
+	// of an object).  The merge adopts the grant's state and the fold
+	// adopts the tail, so neither boxes anything (48 when both replayed and
+	// every commit started a fresh unforgotten array).
+	payment8AllocCeiling = 26
 	// snapshotAllocCeiling bounds one pooled begin→four reads→commit→
 	// recycle cycle without a sink (steady state 4: each read formats its
 	// response; the registry, the handle and the bookkeeping allocate
@@ -87,6 +97,26 @@ func TestAllocCeilingPooledCommitCycle(t *testing.T) {
 	})
 	if allocs > commitAllocCeiling {
 		t.Errorf("pooled commit cycle allocates %.1f/op, ceiling %d", allocs, commitAllocCeiling)
+	}
+}
+
+func TestAllocCeilingPayment8(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts shift under the race detector")
+	}
+	sys, accs := payment8System(t)
+	n := 0
+	cycle := func() {
+		if err := payment8(sys, accs, n%len(accs)); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for i := 0; i < 16; i++ { // warm the pools
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs > payment8AllocCeiling {
+		t.Errorf("payment over 8 accounts allocates %.1f/op, ceiling %d", allocs, payment8AllocCeiling)
 	}
 }
 

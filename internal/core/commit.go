@@ -32,8 +32,9 @@ type commitScratch struct {
 //     drawn: a lock-free reader that observes a count of zero may rely on
 //     every not-yet-counted committer drawing a timestamp above its own.
 //  2. Draw each member's timestamp, in batch order, from the clock primed
-//     with its maximum per-object lower bound — distinct, increasing, and
-//     establishing the paper's precedes ⊆ TS constraint at every object.
+//     with Tx.bound, the largest object clock its grants saw — distinct,
+//     increasing, above every lock record's bound: the paper's precedes ⊆
+//     TS constraint at every object, without visiting one.
 //  3. Append-before-merge: the batch's commit records are appended, and
 //     the log's durability horizon passes them, before any object merges
 //     an intention.  Other committers' records may sit unsynced in the
@@ -42,12 +43,13 @@ type commitScratch struct {
 //  4. On append failure abort every member, release every window, and
 //     return the log's error; nothing merged.
 //  5. Publish each member's timestamp and txCommitted together, so
-//     Timestamp() never reports (0, true).
+//     Timestamp() never reports (0, true); the same critical section reads
+//     the identifier the member's committed entries will carry.
 //  6. Merge per object in timestamp order — one fold, one snapshot
 //     publication, one waiter scan each — and release the object's window
 //     only after its new tail is published.
 func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScratch) error {
-	// touchedObjects leaves each member's own list in its objScratch, which
+	// touchedObjects leaves each member's own list sorted in its objs, which
 	// the later steps read; a batch of one's list is already the plan.
 	objs := batch[0].touchedObjects()
 	if len(batch) > 1 {
@@ -65,13 +67,15 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 		o.windowWriters.Add(1)
 	}
 
+	var calls int64
 	for _, t := range batch {
 		if ext != 0 {
 			t.drawn = ext
 			s.clock.Observe(ext) // locally minted timestamps stay ahead
 		} else {
-			t.drawn = s.clock.Next(t.maxBound(t.objScratch))
+			t.drawn = s.clock.Next(t.bound)
 		}
+		calls += t.calls
 	}
 
 	if s.log != nil {
@@ -81,7 +85,7 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 			// recovery could use: an empty transaction pays no append and
 			// no fsync.  (A cross-shard leg is logged even when empty — the
 			// cluster's torn-commit check counts legs.)
-			if r := s.walCommitRecord(t, t.objScratch, t.drawn); len(r.Objs) > 0 || r.Participants > 0 {
+			if r := s.walCommitRecord(t, t.objs, t.drawn); len(r.Objs) > 0 || r.Participants > 0 {
 				recs = append(recs, r)
 			}
 		}
@@ -96,7 +100,7 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 				t.mu.Lock()
 				t.status = txAborted
 				t.mu.Unlock()
-				for _, o := range t.objScratch {
+				for _, o := range t.objs {
 					o.abort(t)
 				}
 			}
@@ -104,6 +108,7 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 				o.windowWriters.Add(-1)
 			}
 			s.stats.Aborted.Add(int64(len(batch)))
+			s.stats.Calls.Add(calls)
 			return err
 		}
 	}
@@ -112,6 +117,12 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 		t.mu.Lock()
 		t.ts = t.drawn
 		t.status = txCommitted
+		// Without a sink the entries keep whatever identifier exists
+		// (possibly none): a no-sink commit allocates no id string.
+		if s.opts.Sink != nil {
+			t.idLocked()
+		}
+		t.entryID = t.id
 		t.mu.Unlock()
 	}
 
@@ -122,6 +133,7 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 		sc.ev = ev[:0]
 	}
 	s.stats.Committed.Add(int64(len(batch)))
+	s.stats.Calls.Add(calls)
 	return nil
 }
 

@@ -172,7 +172,7 @@ type System struct {
 	recoveryDone atomic.Bool
 
 	// The hot-path free lists.  txPool recycles Tx structs (with their
-	// touched maps and scratch buffers) through BeginPooled/Recycle;
+	// object lists and scratch buffers) through BeginPooled/Recycle;
 	// readPool recycles ReadTx structs through BeginReadOnlyPooledCtx/
 	// RecycleRead;
 	// lockPool recycles txLock records released by commit and abort;
@@ -204,20 +204,26 @@ func (s *System) Begin() *Tx { return s.BeginCtx(context.Background()) }
 // wrapping ctx.Err(); the caller still completes the transaction with
 // Abort.  A nil ctx means context.Background.
 func (s *System) BeginCtx(ctx context.Context) *Tx {
+	s.stats.Begun.Add(1)
+	return s.newTx(ctx, "")
+}
+
+// newTx builds a Tx whose object list starts on its inline buffer.  A nil
+// ctx means Background, an empty id the lazy "T<seq>".
+func (s *System) newTx(ctx context.Context, id histories.TxID) *Tx {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.stats.Begun.Add(1)
-	return &Tx{
-		sys:     s,
-		seq:     s.txSeq.Add(1),
-		ctx:     ctx,
-		touched: make(map[*Object]bool),
+	t := &Tx{sys: s, ctx: ctx, id: id}
+	if id == "" {
+		t.seq = s.txSeq.Add(1)
 	}
+	t.objs = t.objBuf[:0]
+	return t
 }
 
 // BeginPooledCtx is BeginCtx drawing the Tx from the system free list: the
-// struct, its touched map, and its scratch buffers are recycled from an
+// struct, its object list, and its scratch buffers are recycled from an
 // earlier completed transaction instead of allocated.  The caller must
 // hand the Tx back with Recycle once it has committed or aborted, and must
 // not retain the handle past that point: a retained handle fails with
@@ -229,20 +235,15 @@ func (s *System) BeginCtx(ctx context.Context) *Tx {
 // transactions are never pooled.  Atomically's retry loop runs entirely
 // on one pooled Tx this way, scoping the handle to the callback.
 func (s *System) BeginPooledCtx(ctx context.Context) *Tx {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s.stats.Begun.Add(1)
 	t, ok := s.txPool.Get().(*Tx)
 	if !ok {
-		return &Tx{
-			sys:     s,
-			seq:     s.txSeq.Add(1),
-			ctx:     ctx,
-			touched: make(map[*Object]bool),
-		}
+		return s.newTx(ctx, "")
 	}
-	// The struct left Recycle in the txRecycled state with touched cleared
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// The struct left Recycle in the txRecycled state with its books cleared
 	// and scratches truncated; only identity and liveness need resetting.
 	t.mu.Lock()
 	t.seq = s.txSeq.Add(1)
@@ -271,8 +272,9 @@ func (s *System) Recycle(t *Tx) {
 		return
 	}
 	t.status = txRecycled
-	clear(t.touched)
-	t.objScratch = t.objScratch[:0]
+	clear(t.objs)
+	t.objs = t.objs[:0]
+	t.bound, t.calls = 0, 0
 	t.sc.ev = t.sc.ev[:0]
 	t.ctx = nil
 	if t.done != nil {
@@ -321,16 +323,8 @@ func (s *System) RecycleRead(t *ReadTx) {
 // uniqueness across every System sharing a sink; completion goes through
 // Prepare/CommitAt (driven by an atomic-commitment coordinator) or Abort.
 func (s *System) BeginBranch(ctx context.Context, id histories.TxID) *Tx {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s.stats.Begun.Add(1)
-	return &Tx{
-		sys:     s,
-		id:      id,
-		ctx:     ctx,
-		touched: make(map[*Object]bool),
-	}
+	return s.newTx(ctx, id)
 }
 
 // getLock draws a clean txLock record from the free list.
@@ -454,7 +448,12 @@ func (s *System) recordDirect(e histories.Event) {
 	}
 }
 
-// Stats aggregates system-wide counters.
+// Stats aggregates system-wide counters.  Transactions keep their per-call
+// books to themselves and visit these words when they finish: a read-only
+// transaction adds Begun, Calls and Committed/Aborted at its Commit or
+// Abort; an update transaction adds Calls with Committed or Aborted — when
+// it commits or aborts, never while open (its Begun counts at begin).  Only
+// a remote stub counts each call as it is made.
 type Stats struct {
 	Begun     atomic.Int64
 	Committed atomic.Int64

@@ -643,16 +643,26 @@ func TestStatsCounters(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if s := sys.Stats(); s.Begun != 1 || s.Committed != 1 || s.Calls != 1 {
+		t.Errorf("after a commit: stats = %s", s)
+	}
 	tx2 := sys.Begin()
 	mustCall(t, q, tx2, adt.EnqInv(2))
+	mustCall(t, q, tx2, adt.EnqInv(3))
+	// A transaction's calls reach Stats when it finishes, not before: the
+	// open tx2 has begun and holds two grants at the object, but its calls
+	// are not yet in the system-wide count.
+	if s := sys.Stats(); s.Begun != 2 || s.Calls != 1 {
+		t.Errorf("with a transaction open: stats = %s (its calls must not be visible yet)", s)
+	}
 	_ = tx2.Abort()
 
 	s := sys.Stats()
-	if s.Begun != 2 || s.Committed != 1 || s.Aborted != 1 || s.Calls != 2 {
-		t.Errorf("stats = %s", s)
+	if s.Begun != 2 || s.Committed != 1 || s.Aborted != 1 || s.Calls != 3 {
+		t.Errorf("after an abort: stats = %s (an abort flushes its calls too)", s)
 	}
 	os := q.Stats()
-	if os.Granted != 2 || os.Commits != 1 || os.Aborts != 1 {
+	if os.Granted != 3 || os.Commits != 1 || os.Aborts != 1 {
 		t.Errorf("object stats = %+v", os)
 	}
 	if s.String() == "" {

@@ -90,7 +90,7 @@ func (o *Object) blockersLocked(tx *Tx, inv spec.Invocation, state spec.State) [
 	seen := make(map[*Tx]bool)
 	for _, r := range o.sp.Responses(state, inv) {
 		op := inv.With(r)
-		row := o.rowOfLocked(op)
+		_, row := o.rowOfLocked(op)
 		for other, lk := range o.active {
 			if other == tx || seen[other] {
 				continue

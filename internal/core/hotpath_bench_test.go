@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"hybridcc/internal/adt"
@@ -171,7 +172,7 @@ func BenchmarkCommitNoWaiters(b *testing.B) {
 }
 
 // BenchmarkCommitPooledNoWaiters is BenchmarkCommitNoWaiters on the pooled
-// pipeline — the Atomically hot path: the Tx, its touched map, its lock
+// pipeline — the Atomically hot path: the Tx, its object list, its lock
 // record, and its scratch buffers all come from the free lists.  The
 // allocs/op delta against BenchmarkCommitNoWaiters is the pooling win
 // recorded in BENCH_core.json.
@@ -191,6 +192,85 @@ func BenchmarkCommitPooledNoWaiters(b *testing.B) {
 		}
 		sys.Recycle(tx)
 	}
+}
+
+// payment8System is the update path's own workload in miniature — mem-hot's
+// transaction: eight prefunded hybrid Accounts; one payment debits 7 from
+// one of them and credits 1 to each of the others, eight grants and an
+// eight-object commit.  Money is conserved, so no debit ever overdraws.
+func payment8System(tb testing.TB) (*System, []*Object) {
+	sys := NewSystem(Options{})
+	accs := make([]*Object, 8)
+	tx := sys.Begin()
+	for i := range accs {
+		accs[i] = sys.NewObjectSeeded(string(rune('a'+i)), baseline.SpecFor("Account"),
+			baseline.ConflictFor("hybrid", "Account"), baseline.UniverseFor("Account"))
+		if _, err := accs[i].Call(tx, adt.CreditInv(1<<40)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	return sys, accs
+}
+
+var (
+	payment8Debit  = adt.DebitInv(7)
+	payment8Credit = adt.CreditInv(1)
+)
+
+// payment8 runs one payment out of accs[src] on a pooled transaction.
+func payment8(sys *System, accs []*Object, src int) error {
+	tx := sys.BeginPooledCtx(nil)
+	if _, err := accs[src].Call(tx, payment8Debit); err != nil {
+		return err
+	}
+	for i, a := range accs {
+		if i == src {
+			continue
+		}
+		if _, err := a.Call(tx, payment8Credit); err != nil {
+			return err
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		return err
+	}
+	sys.Recycle(tx)
+	return nil
+}
+
+// BenchmarkPayment8 measures the whole update path — eight grants, one
+// commit over eight objects — with nobody else in the System.
+func BenchmarkPayment8(b *testing.B) {
+	sys, accs := payment8System(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := payment8(sys, accs, i%len(accs)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPayment8Parallel is BenchmarkPayment8 from every P at once:
+// payments out of the same account wait for each other's commit (successful
+// debits conflict), the credits run together, and every commit's critical
+// sections are what the others wait out.
+func BenchmarkPayment8Parallel(b *testing.B) {
+	sys, accs := payment8System(b)
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		src := int(next.Add(1))
+		for pb.Next() {
+			src++
+			if err := payment8(sys, accs, src%len(accs)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkCommitGroupParallel measures the group-commit pipeline under

@@ -365,9 +365,11 @@ type committedEntry struct {
 //     states (never mutated by contract), committedEntry values are never
 //     rewritten once inserted, and unforgotten shares the live backing
 //     array under a copy-on-write discipline — in-order commits append
-//     past every published length, and the rare mid-slice insert
-//     (external timestamps arriving out of order) and the fold both
-//     replace the array instead of shifting shared elements;
+//     past every published window's end, the fold advances the live
+//     slice's start (the prefix stays reachable for at most the array's
+//     capacity in commits, or foldedPrefixMax entries), and the rare
+//     mid-slice insert (external timestamps arriving out of order)
+//     replaces the array instead of shifting shared elements;
 //   - a new snapshot is stored (under o.mu) before the committing
 //     transaction's windowWriters count is released, so a reader that
 //     observes windowWriters == 0 also observes every commit that could
@@ -587,13 +589,11 @@ func (o *Object) Spec() spec.Spec { return o.sp }
 func (o *Object) Stats() ObjectStatsSnapshot {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	snap := o.stats.snapshot(len(o.unforgotten), o.activeCountLocked())
+	snap := o.stats.snapshot(len(o.unforgotten), len(o.active))
 	snap.Scheme = o.policy.Scheme
 	snap.PendingSwitch = o.pending != nil
 	return snap
 }
-
-func (o *Object) activeCountLocked() int { return len(o.active) }
 
 // Call invokes an operation on behalf of tx and blocks until a response is
 // grantable: legal in tx's view and conflict-free against other active
@@ -608,7 +608,6 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 		return "", err
 	}
 	defer tx.exit()
-	o.sys.stats.Calls.Add(1)
 
 	ctx := tx.ctx
 	if err := ctx.Err(); err != nil {
@@ -634,77 +633,71 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 		// abort.
 		if !attempted || o.events != seen {
 			attempted = true
+			// tx's lock record, nil before its first grant here: one lookup
+			// per attempt (a wait releases the mutex in between).
+			lk := o.active[tx]
 			// A pending policy switch installs at the first quiescent
 			// instant; a call that holds no lock here yet can be that
 			// instant too (the drain may already be complete).
-			if o.pending != nil && o.active[tx] == nil {
+			if o.pending != nil && lk == nil {
 				o.maybeInstallPendingLocked()
 			}
 			seen = o.events
-			if o.pending != nil && o.active[tx] == nil {
+			// What a blocked call wakes on — every event, unless the attempt
+			// below narrows it — and, for deadlock detection, whom it awaits.
+			var mask depend.Mask
+			classes, anyCommit, allEvents := 0, false, true
+			var holders []*Tx
+			if o.pending != nil && lk == nil {
 				// Drain barrier: a switch is pending and this transaction
 				// holds nothing here, so granting it a first operation
 				// would extend the drain indefinitely.  Park until a
 				// completion event empties the active set and installs the
 				// new policy (existing holders pass the barrier — denying
-				// them could never drain).  Any completion can matter, so
-				// the waiter wakes on all events.
-				if signalled {
-					signalled = false
-					o.stats.spurious.Add(1)
-					o.sys.stats.SpuriousWakeups.Add(1)
-				}
-				w := cw.waiter(o.sys)
-				w.mask, w.classes, w.anyCommit, w.allEvents = nil, 0, false, true
+				// them could never drain).  Any completion can matter, and
+				// the barrier waits on every current holder, whatever it
+				// holds: the drain finishes only when all complete.
 				if detect {
-					// The barrier waits on every current holder, whatever
-					// it holds: the drain finishes only when all complete.
-					if holders := o.activeHoldersLocked(tx); len(holders) > 0 {
-						if o.sys.wfg.set(tx, holders) {
-							o.stats.deadlocks.Add(1)
-							o.mu.Unlock()
-							return "", fmt.Errorf("%w: %s on %s", ErrDeadlock, inv, o.name)
-						}
-					}
+					holders = o.activeHoldersLocked(tx)
 				}
 			} else {
-				state := o.viewStateLocked(tx)
+				state := o.viewStateLocked(tx, lk)
 				responses := o.sp.Responses(state, inv)
 				uninterned := false
 				for _, r := range responses {
 					op := inv.With(r)
-					row := o.rowOfLocked(op)
+					cls, row := o.rowOfLocked(op)
 					if row == nil {
 						uninterned = true
 					}
 					if o.conflictsWithActiveRowLocked(tx, row, op) {
 						continue
 					}
-					ev := o.grantLocked(tx, op, state)
+					ev := o.grantLocked(tx, lk, op, cls, state)
 					o.mu.Unlock()
 					o.sys.flushEvents(ev)
 					return r, nil
-				}
-				if signalled {
-					signalled = false
-					o.stats.spurious.Add(1)
-					o.sys.stats.SpuriousWakeups.Add(1)
 				}
 				// Blocked: either a lock conflict or a partial operation with
 				// no enabled response.  Capture the wakeup mask and wait for a
 				// completion event that could matter — the appendix's "when"
 				// statement, with the herd filtered out.
-				w := cw.waiter(o.sys)
-				w.mask, w.classes, w.anyCommit, w.allEvents = o.wakeMaskLocked(inv, len(responses) == 0, uninterned)
+				mask, classes, anyCommit, allEvents = o.wakeMaskLocked(inv, len(responses) == 0, uninterned)
 				if detect {
-					if holders := o.blockersLocked(tx, inv, state); len(holders) > 0 {
-						if o.sys.wfg.set(tx, holders) {
-							o.stats.deadlocks.Add(1)
-							o.mu.Unlock()
-							return "", fmt.Errorf("%w: %s on %s", ErrDeadlock, inv, o.name)
-						}
-					}
+					holders = o.blockersLocked(tx, inv, state)
 				}
+			}
+			if signalled {
+				signalled = false
+				o.stats.spurious.Add(1)
+				o.sys.stats.SpuriousWakeups.Add(1)
+			}
+			w := cw.waiter(o.sys)
+			w.mask, w.classes, w.anyCommit, w.allEvents = mask, classes, anyCommit, allEvents
+			if len(holders) > 0 && o.sys.wfg.set(tx, holders) {
+				o.stats.deadlocks.Add(1)
+				o.mu.Unlock()
+				return "", fmt.Errorf("%w: %s on %s", ErrDeadlock, inv, o.name)
 			}
 		}
 		switch o.waitLocked(&cw, ctx) {
@@ -733,28 +726,27 @@ func (o *Object) wakeMaskLocked(inv spec.Invocation, dataBlocked, uninterned boo
 	return mask, o.table.Len(), anyCommit, uninterned
 }
 
-// lockOf returns tx's lock record, drawing one from the system free list
-// on first use.
-func (o *Object) lockOf(tx *Tx) *txLock {
-	lk := o.active[tx]
-	if lk == nil {
-		lk = o.sys.getLock()
-		o.active[tx] = lk
-	}
-	return lk
-}
-
 // grantLocked appends op to tx's intentions (acquiring its lock), records
 // the transaction's timestamp lower bound, marks op's conflict class in the
 // transaction's held mask, extends the cached view state, and stages the
-// event pair.  view must be tx's current view state (op's response was
-// derived from it).  The returned buffer (backed by tx's scratch, empty
-// without a sink) is flushed by the caller after releasing o.mu.
-func (o *Object) grantLocked(tx *Tx, op spec.Op, view spec.State) []pendingEvent {
-	lk := o.lockOf(tx)
+// event pair.  lk is tx's lock record, nil on its first grant here — when
+// a record is drawn from the free list and the object left in tx.joined
+// for the call's exit; cls is op's interned class (negative: not interned);
+// view must be tx's current view state (op's response was derived from it).
+// The returned buffer (backed by tx's scratch, empty without a sink) is
+// flushed by the caller after releasing o.mu.
+func (o *Object) grantLocked(tx *Tx, lk *txLock, op spec.Op, cls int, view spec.State) []pendingEvent {
+	if lk == nil {
+		lk = o.sys.getLock()
+		o.active[tx] = lk
+		tx.joined = o
+	}
 	lk.ops = append(lk.ops, op)
 	lk.bound = o.clock
-	if cls, ok := o.table.Intern(op); ok {
+	if o.clock > tx.bound {
+		tx.bound = o.clock
+	}
+	if cls >= 0 {
 		lk.mask.Set(cls)
 	} else {
 		lk.extra = append(lk.extra, op)
@@ -766,7 +758,6 @@ func (o *Object) grantLocked(tx *Tx, op spec.Op, view spec.State) []pendingEvent
 	lk.view, lk.viewGen, lk.viewOps, lk.viewValid = next, o.commitGen, len(lk.ops), true
 	o.events++
 	o.stats.granted.Add(1)
-	tx.touch(o)
 	var ev []pendingEvent
 	if o.sys.opts.Sink != nil {
 		id := tx.ID()
@@ -777,14 +768,9 @@ func (o *Object) grantLocked(tx *Tx, op spec.Op, view spec.State) []pendingEvent
 	return ev
 }
 
-// conflictsWithActiveLocked reports whether op conflicts with any operation
-// in another active transaction's intentions list.
-func (o *Object) conflictsWithActiveLocked(tx *Tx, op spec.Op) bool {
-	return o.conflictsWithActiveRowLocked(tx, o.rowOfLocked(op), op)
-}
-
-// conflictsWithActiveRowLocked is conflictsWithActiveLocked with op's
-// compiled row already interned (nil when the table cannot intern it).
+// conflictsWithActiveRowLocked reports whether op conflicts with any
+// operation in another active transaction's intentions list; row is op's
+// compiled conflict row (nil when the table cannot intern it).
 // When op has a compiled class, the check is one row-AND against each
 // other transaction's held mask (plus a predicate scan over its rare
 // uninterned extras); only operations the table could not intern fall
@@ -802,15 +788,15 @@ func (o *Object) conflictsWithActiveRowLocked(tx *Tx, row []uint64, op spec.Op) 
 	return false
 }
 
-// rowOfLocked returns op's compiled conflict row, interning op's class on
-// first sight, or nil when the table cannot intern it (table full) — the
-// caller then takes the dynamic-dispatch path.  Rows of interned classes
-// are never nil.
-func (o *Object) rowOfLocked(op spec.Op) []uint64 {
+// rowOfLocked returns op's class index and compiled conflict row, interning
+// the class on first sight, or (-1, nil) when the table cannot intern it
+// (table full) — the caller then takes the dynamic-dispatch path.  Rows of
+// interned classes are never nil.
+func (o *Object) rowOfLocked(op spec.Op) (int, []uint64) {
 	if cls, ok := o.table.Intern(op); ok {
-		return o.table.Row(cls)
+		return cls, o.table.Row(cls)
 	}
-	return nil
+	return -1, nil
 }
 
 // holderConflictsLocked reports whether requesting op conflicts with any
@@ -857,12 +843,11 @@ func (o *Object) committedTailLocked() spec.State {
 }
 
 // viewStateLocked computes the state of tx's view: the committed tail, then
-// tx's own intentions.  The result is cached per transaction and reused
-// verbatim while no commit lands and no own operation is granted.  Views of
-// reachable runtime states are always legal; an illegal view is a bug,
-// hence the panic.
-func (o *Object) viewStateLocked(tx *Tx) spec.State {
-	lk := o.active[tx]
+// the intentions in its lock record lk (nil before its first grant).  The
+// result is cached per transaction and reused verbatim while no commit
+// lands and no own operation is granted.  Views of reachable runtime states
+// are always legal; an illegal view is a bug, hence the panic.
+func (o *Object) viewStateLocked(tx *Tx, lk *txLock) spec.State {
 	if lk == nil {
 		return o.committedTailLocked()
 	}
@@ -885,44 +870,45 @@ func (o *Object) viewStateLocked(tx *Tx) spec.State {
 func (o *Object) mergeCommitLocked(tx *Tx, lk *txLock, ev []pendingEvent) []pendingEvent {
 	ts, ops := tx.ts, lk.ops
 	delete(o.active, tx)
-	// The entry's transaction id feeds the sink's commit event and panic
-	// diagnostics.  Without a sink it is not materialized — the entry
-	// keeps whatever id the transaction already built (possibly none) —
-	// so the no-sink commit path does not allocate an identifier string.
-	var id histories.TxID
-	if o.sys.opts.Sink != nil {
-		id = tx.ID()
-	} else {
-		tx.mu.Lock()
-		id = tx.id
-		tx.mu.Unlock()
-	}
+	// tx.entryID feeds the sink's commit event and panic diagnostics;
+	// commitTxs read it when it published ts.
+	id := tx.entryID
 	entry := committedEntry{ts: ts, tx: id, ops: ops}
 	n := len(o.unforgotten)
-	i := sort.Search(n, func(i int) bool { return o.unforgotten[i].ts > ts })
-	if i == n {
-		// In order: append past every published snapshot's length (their
-		// elements stay untouched even when the backing array is shared).
+	if n == 0 || o.unforgotten[n-1].ts <= ts {
+		// In order — the only case with the system clock: append past every
+		// published snapshot's end (their elements stay untouched in the
+		// shared array) and extend the tail cache instead of invalidating
+		// it.  The array grows by hand: a fold that empties the slice leaves
+		// no capacity, and append would start over at one element per commit.
+		if n == cap(o.unforgotten) {
+			o.unforgotten = append(make([]committedEntry, 0, 2*n+8), o.unforgotten...)
+		}
 		o.unforgotten = append(o.unforgotten, entry)
+		if o.tailGen == o.commitGen {
+			if lk.viewValid && lk.viewGen == o.commitGen && lk.viewOps == len(ops) {
+				// No commit landed here since tx's last grant: the view it
+				// cached — this very tail, then ops — is the new tail.
+				o.tailState = lk.view
+			} else {
+				state, ok := spec.StepFrom(o.sp, o.tailState, ops...)
+				if !ok {
+					panic(fmt.Sprintf("hybridcc: illegal committed intentions of %s at %s", id, o.name))
+				}
+				o.tailState = state
+			}
+			o.tailGen = o.commitGen + 1
+		}
 	} else {
 		// Out of order (external timestamps): copy-on-write, because a
 		// shift would rewrite elements published snapshots still expose.
+		// The tail cache goes stale; committedTailLocked replays it.
+		i := sort.Search(n, func(i int) bool { return o.unforgotten[i].ts > ts })
 		u := make([]committedEntry, n+1)
 		copy(u, o.unforgotten[:i])
 		u[i] = entry
 		copy(u[i+1:], o.unforgotten[i:])
 		o.unforgotten = u
-	}
-	// A commit that appends in timestamp order — the only case with the
-	// system clock; external timestamps can insert mid-tail — extends the
-	// tail cache incrementally instead of invalidating it.
-	if o.tailGen == o.commitGen && i == len(o.unforgotten)-1 {
-		state, ok := spec.StepFrom(o.sp, o.tailState, ops...)
-		if !ok {
-			panic(fmt.Sprintf("hybridcc: illegal committed intentions of %s at %s", entry.tx, o.name))
-		}
-		o.tailState = state
-		o.tailGen = o.commitGen + 1
 	}
 	o.commitGen++
 	o.events++
@@ -1013,15 +999,8 @@ func (o *Object) abort(tx *Tx) {
 	o.sys.flushEvents(ev)
 }
 
-// boundOf returns tx's recorded timestamp lower bound at this object.
-func (o *Object) boundOf(tx *Tx) histories.Timestamp {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if lk := o.active[tx]; lk != nil {
-		return lk.bound
-	}
-	return 0
-}
+// foldedPrefixMax is the largest fold that leaves the unforgotten array be.
+const foldedPrefixMax = 64
 
 // forgetLocked folds committed intentions older than the horizon into the
 // version — the appendix's forget() — and reports how many entries it
@@ -1044,6 +1023,10 @@ func (o *Object) forgetLocked() int {
 		horizon = rts
 	}
 	n := 0
+	if u := len(o.unforgotten); u > 0 && o.unforgotten[u-1].ts < horizon && o.tailGen == o.commitGen {
+		// The horizon passes every entry: the version is the tail.
+		o.version, n = o.tailState, u
+	}
 	for n < len(o.unforgotten) && o.unforgotten[n].ts < horizon {
 		state, ok := spec.StepFrom(o.sp, o.version, o.unforgotten[n].ops...)
 		if !ok {
@@ -1053,7 +1036,12 @@ func (o *Object) forgetLocked() int {
 		n++
 	}
 	if n > 0 {
-		o.unforgotten = append([]committedEntry(nil), o.unforgotten[n:]...)
+		// Advance: published windows stay as they are, and the folded
+		// prefix stays reachable for the array's capacity in commits — too
+		// long for a drained backlog (a reader pin let go), which moves.
+		if o.unforgotten = o.unforgotten[n:]; n > foldedPrefixMax {
+			o.unforgotten = append(make([]committedEntry, 0, len(o.unforgotten)+8), o.unforgotten...)
+		}
 		o.stats.folds.Add(int64(n))
 	}
 	// Advance the fold frontier even when nothing folded: every entry with

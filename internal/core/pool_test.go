@@ -78,8 +78,9 @@ func TestRecycledTxCarriesNoStateAcrossReuse(t *testing.T) {
 		t.Errorf("reused Tx kept old identifier %s", id)
 	}
 	second.mu.Lock()
-	if len(second.touched) != 0 {
-		t.Errorf("reused Tx inherits %d touched objects", len(second.touched))
+	if len(second.objs) != 0 || second.bound != 0 || second.calls != 0 {
+		t.Errorf("reused Tx inherits grant books: %d touched objects, bound %d, %d calls",
+			len(second.objs), second.bound, second.calls)
 	}
 	if second.status != txActive || second.busy || second.prepared || second.ts != 0 {
 		t.Errorf("reused Tx not reset: status=%v busy=%v prepared=%v ts=%d",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"hybridcc/internal/histories"
@@ -97,6 +98,7 @@ func (o *Object) remoteCall(t *Tx, inv spec.Invocation) (string, error) {
 	}
 	defer t.exit()
 	s := o.sys
+	// Counted here, not at finish: a stub's completions never read t.calls.
 	s.stats.Calls.Add(1)
 	ctx := t.ctx
 	if err := ctx.Err(); err != nil {
@@ -106,7 +108,13 @@ func (o *Object) remoteCall(t *Tx, inv spec.Invocation) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	t.touch(o)
+	// The stub keeps no lock record to tell a first grant by, so it looks —
+	// under mu: a decision or an Abort may overtake this call.
+	t.mu.Lock()
+	if !slices.Contains(t.objs, o) {
+		t.objs = append(t.objs, o)
+	}
+	t.mu.Unlock()
 	o.stats.granted.Add(1)
 	id := t.ID()
 	s.recordDirect(histories.InvokeEvent(id, o.name, inv))
@@ -122,7 +130,10 @@ func (t *Tx) recordRemoteCompletion(commit bool, ts histories.Timestamp) {
 		return
 	}
 	id := t.ID()
-	for _, o := range t.touchedObjects() {
+	t.mu.Lock()
+	objs := t.touchedObjects()
+	t.mu.Unlock()
+	for _, o := range objs {
 		if commit {
 			s.recordDirect(histories.CommitEvent(id, o.name, ts))
 		} else {
@@ -139,20 +150,10 @@ func (t *Tx) recordRemoteCompletion(commit bool, ts histories.Timestamp) {
 // history (verify-safe either way) rather than recorded with the wrong
 // fate.
 func (t *Tx) remoteCommit() error {
-	t.mu.Lock()
-	if t.status != txActive {
-		t.mu.Unlock()
-		return ErrTxDone
+	if err := t.startCommit(false); err != nil {
+		return err
 	}
-	if t.busy || t.prepared {
-		t.mu.Unlock()
-		return ErrTxBusy
-	}
-	t.status = txCommitting
-	ctx := t.ctx
-	t.mu.Unlock()
-
-	ts, err := t.sys.remote.Commit(ctx, t.ID())
+	ts, err := t.sys.remote.Commit(t.ctx, t.ID())
 	if err != nil {
 		t.mu.Lock()
 		t.status = txAborted

@@ -60,9 +60,16 @@ func (t *Tx) Branch(o *Object) (*Tx, error) {
 //
 // Tx structs are recycled through the system pool (BeginPooled/Recycle):
 // each incarnation carries a fresh generation stamp and identifier, and the
-// scratch buffers below — the per-commit object list, the staged-event
-// buffer, the group-commit signal channel — survive recycling so the hot
-// path stops allocating them per transaction.
+// buffers below — the touched-object list, the staged-event buffer, the
+// group-commit signal channel — survive recycling so the hot path stops
+// allocating them per transaction.
+//
+// A grant writes joined and bound under the object's mutex alone — only
+// the goroutine of the transaction's one pending call does, between enter
+// and exit — and exit moves joined into objs under mu.  Commit, CommitAt
+// and Prepare refuse a busy transaction; Abort does not wait: under mu it
+// ends the transaction and takes objs as they stand, and the exit of the
+// call it overtook releases the object it could not see.
 type Tx struct {
 	sys *System
 	ctx context.Context
@@ -87,8 +94,22 @@ type Tx struct {
 	// transaction commits on (stamped into the commit record so cluster
 	// recovery can detect a missing leg); zero for single-site commits.
 	participants int
-	touched      map[*Object]bool
 	ts           histories.Timestamp
+
+	// objs lists the objects the transaction holds a lock record at, in
+	// grant order until touchedObjects sorts it; it starts on objBuf.  An
+	// object joins once: its first grant leaves it in joined and the
+	// call's exit appends it, so there is nothing to deduplicate.
+	objs   []*Object
+	objBuf [8]*Object
+	joined *Object
+	// bound is the largest o.clock any grant saw: the commit timestamp's
+	// lower bound (Section 6), equal to the largest bound in the lock
+	// records because an object's clock only rises.
+	bound histories.Timestamp
+	// calls counts the calls entered (under mu); it reaches Stats when a
+	// local transaction commits or aborts.
+	calls int64
 
 	// seq is the local sequence number behind the lazy identifier; id is
 	// materialized from it on first use ("T<seq>") unless preset by
@@ -99,18 +120,19 @@ type Tx struct {
 	id  histories.TxID
 	gen uint64
 
-	// objScratch backs touchedObjects; sc is the scratch of this
-	// transaction's own commits (its ev also backs grant and abort event
-	// staging); done delivers a queued commit's outcome from the batcher's
-	// leader.  All are reused across the transaction's operations and
-	// across pool incarnations.
-	objScratch []*Object
-	sc         commitScratch
-	done       chan error
+	// sc is the scratch of this transaction's own commits (its ev also
+	// backs grant and abort event staging); done delivers a queued commit's
+	// outcome from the batcher's leader.  Both are reused across the
+	// transaction's operations and across pool incarnations.
+	sc   commitScratch
+	done chan error
 
 	// drawn is the commit timestamp between commitTxs drawing it and
-	// publishing it as ts; only the goroutine running commitTxs touches it.
-	drawn histories.Timestamp
+	// publishing it as ts; entryID is the identifier committed entries
+	// carry, read where ts is published.  Only commitTxs' goroutine
+	// touches them.
+	drawn   histories.Timestamp
+	entryID histories.TxID
 }
 
 // ID returns the transaction's identifier, materializing it on first use:
@@ -171,40 +193,33 @@ func (t *Tx) enter() error {
 		return ErrTxBusy
 	}
 	t.busy = true
+	t.calls++
 	return nil
 }
 
-// exit clears the executing flag.
+// exit clears the executing flag and enters a first grant's object in objs
+// — or releases it, when Abort ended the transaction under the call.
 func (t *Tx) exit() {
 	t.mu.Lock()
 	t.busy = false
-	t.mu.Unlock()
-}
-
-// touch records that the transaction executed an operation at o.  Called
-// with o.mu held, so it must not take object locks.
-func (t *Tx) touch(o *Object) {
-	t.mu.Lock()
-	t.touched[o] = true
-	t.mu.Unlock()
-}
-
-// touchedObjects returns the touched objects in a deterministic order.
-// The returned slice is the transaction's own scratch buffer, valid until
-// the next touchedObjects call; it is reused across commits, aborts, and
-// pool incarnations so the commit path does not allocate it (the generic
-// slices.SortFunc allocates nothing either, unlike sort.Slice's
-// closure-and-interface header).
-func (t *Tx) touchedObjects() []*Object {
-	t.mu.Lock()
-	objs := t.objScratch[:0]
-	for o := range t.touched {
-		objs = append(objs, o)
+	o := t.joined
+	t.joined = nil
+	if o != nil && t.status == txActive {
+		t.objs = append(t.objs, o)
+		o = nil
 	}
-	t.objScratch = objs
 	t.mu.Unlock()
-	slices.SortFunc(objs, func(a, b *Object) int { return cmp.Compare(a.name, b.name) })
-	return objs
+	if o != nil {
+		o.abort(t)
+	}
+}
+
+// touchedObjects returns t.objs sorted, in place, by name — the order WAL
+// records and sink events list objects in — allocating nothing (unlike
+// sort.Slice).  The caller holds t.mu or has shut calls out.
+func (t *Tx) touchedObjects() []*Object {
+	slices.SortFunc(t.objs, func(a, b *Object) int { return cmp.Compare(a.name, b.name) })
+	return t.objs
 }
 
 // Commit atomically commits the transaction at every object it touched.
@@ -220,24 +235,32 @@ func (t *Tx) Commit() error {
 	if t.sys.remote != nil {
 		return t.remoteCommit()
 	}
-	t.mu.Lock()
-	if t.status != txActive {
-		t.mu.Unlock()
-		return ErrTxDone
+	if err := t.startCommit(false); err != nil {
+		return err
 	}
-	if t.busy || t.prepared {
-		// A prepared branch awaits its coordinator's decision; a local
-		// commit would race it with a second timestamp.
-		t.mu.Unlock()
-		return ErrTxBusy
-	}
-	t.status = txCommitting
-	t.mu.Unlock()
-
 	if b := t.sys.batcher.Load(); b != nil {
 		return t.notLogged(b.commit(t))
 	}
 	return t.commitSolo(0)
+}
+
+// startCommit moves an active transaction with no call in flight to
+// txCommitting.  A prepared branch awaits its coordinator's decision — a
+// local commit would race it with a second timestamp — so only the decision
+// itself (decided) passes the freeze; it can find a call in flight only
+// when CommitAt is used without Prepare, and is refused rather than run
+// under an operation.
+func (t *Tx) startCommit(decided bool) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.status != txActive {
+		return ErrTxDone
+	}
+	if t.busy || (t.prepared && !decided) {
+		return ErrTxBusy
+	}
+	t.status = txCommitting
+	return nil
 }
 
 // commitSolo runs commitTxs on t alone; t must be txCommitting.  The
@@ -257,18 +280,6 @@ func (t *Tx) notLogged(err error) error {
 	return nil
 }
 
-// maxBound returns the largest timestamp lower bound t recorded at any of
-// objs, its touched objects: the commit timestamp must exceed it.
-func (t *Tx) maxBound(objs []*Object) histories.Timestamp {
-	lower := histories.Timestamp(0)
-	for _, o := range objs {
-		if b := o.boundOf(t); b > lower {
-			lower = b
-		}
-	}
-	return lower
-}
-
 // Abort aborts the transaction, releasing its locks and discarding its
 // intentions at every touched object.  Aborting a completed transaction is
 // a no-op error (ErrTxDone).
@@ -281,11 +292,12 @@ func (t *Tx) Abort() error {
 		t.mu.Unlock()
 		return ErrTxDone
 	}
-	wasPrepared := t.prepared
+	wasPrepared, calls := t.prepared, t.calls
 	t.status = txAborted
+	objs := t.touchedObjects()
 	t.mu.Unlock()
 
-	for _, o := range t.touchedObjects() {
+	for _, o := range objs {
 		o.abort(t)
 	}
 	if wasPrepared && t.sys.log != nil {
@@ -296,6 +308,7 @@ func (t *Tx) Abort() error {
 		_ = t.sys.log.Append(wal.Record{Kind: wal.KindAbort, Tx: string(t.ID())})
 	}
 	t.sys.stats.Aborted.Add(1)
+	t.sys.stats.Calls.Add(calls)
 	return nil
 }
 
@@ -325,8 +338,6 @@ func (t *Tx) Prepare() (histories.Timestamp, error) {
 	t.prepared = true
 	voteLogged := t.loggedPrepare
 	t.mu.Unlock()
-	objs := t.touchedObjects()
-	lower := t.maxBound(objs)
 	// The yes vote must survive a participant crash: log the branch's
 	// intentions (durable on return) before reporting the bound.  A branch that cannot
 	// log votes no — unfreeze and fail the Prepare.  A repeat Prepare whose
@@ -334,7 +345,7 @@ func (t *Tx) Prepare() (histories.Timestamp, error) {
 	// nothing, and a failure of the redundant append must not unfreeze a
 	// branch whose bound the coordinator may already hold.
 	if s := t.sys; s.log != nil && !voteLogged {
-		if err := s.log.AppendSync(s.walPreparedRecord(t, objs)); err != nil {
+		if err := s.log.AppendSync(s.walPreparedRecord(t, t.touchedObjects())); err != nil {
 			t.mu.Lock()
 			t.prepared = false
 			t.mu.Unlock()
@@ -344,7 +355,7 @@ func (t *Tx) Prepare() (histories.Timestamp, error) {
 		t.loggedPrepare = true
 		t.mu.Unlock()
 	}
-	return lower, nil
+	return t.bound, nil
 }
 
 // SetParticipants records the number of sites the enclosing distributed
@@ -384,20 +395,9 @@ func (t *Tx) CommitAt(ts histories.Timestamp) error {
 		// it; zero is also commitTxs' "draw your own" value.
 		return fmt.Errorf("hybridcc: CommitAt(%d) of %s: timestamp must be positive", ts, t.ID())
 	}
-	t.mu.Lock()
-	if t.status != txActive {
-		t.mu.Unlock()
-		return ErrTxDone
+	if err := t.startCommit(true); err != nil {
+		return err
 	}
-	if t.busy {
-		// Only possible when CommitAt is used without Prepare (which
-		// would have frozen the branch or been vetoed by this very
-		// call): refuse rather than commit under a running operation.
-		t.mu.Unlock()
-		return ErrTxBusy
-	}
-	t.status = txCommitting
-	t.mu.Unlock()
 	// The commit record repeats the branch's full operation sequences even
 	// though a prepared record usually precedes it, making it
 	// self-contained: recovery of a decided branch never pairs records.

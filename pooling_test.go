@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The public pooling contract: Atomically's transaction handles are
@@ -38,6 +39,78 @@ func TestAtomicallyLeakedHandleIsDead(t *testing.T) {
 	}
 	if bal := acc.CommittedBalance(); bal != 15 {
 		t.Errorf("balance = %d, want 15", bal)
+	}
+}
+
+// TestAtomicallyPanicReleasesLocks: a panic unwinding out of Atomically
+// must abort the attempt.  Successful debits conflict (Table V), so a Debit
+// lock left behind would make the next transaction's Debit wait out its
+// whole lock wait and time out — for the life of the process.
+func TestAtomicallyPanicReleasesLocks(t *testing.T) {
+	sys := NewSystem(WithLockWait(50 * time.Millisecond))
+	acc := Must(sys.NewAccount("acc"))
+	if err := sys.Atomically(func(tx *Tx) error { return acc.Credit(tx, 10) }); err != nil {
+		t.Fatal(err)
+	}
+	got := recoverFrom(func() {
+		_ = sys.Atomically(func(tx *Tx) error {
+			if ok, err := acc.Debit(tx, 1); err != nil || !ok {
+				t.Errorf("debit = %v, %v", ok, err)
+			}
+			panic("boom")
+		})
+	})
+	if got != "boom" {
+		t.Fatalf("recovered %v: Atomically must let the callback's panic through", got)
+	}
+	if st := sys.Stats(); st.Aborted != 1 {
+		t.Errorf("aborted = %d, want 1: the panicked attempt", st.Aborted)
+	}
+	assertDebitGranted(t, sys.Begin(), acc, func() int64 { return sys.Stats().Waits })
+}
+
+func TestClusterAtomicallyPanicReleasesLocks(t *testing.T) {
+	cl, err := NewCluster(2, WithLockWait(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := Must(cl.NewAccount("acc"))
+	if err := cl.Atomically(func(tx *DTx) error { return acc.Credit(tx, 10) }); err != nil {
+		t.Fatal(err)
+	}
+	got := recoverFrom(func() {
+		_ = cl.Atomically(func(tx *DTx) error {
+			if ok, err := acc.Debit(tx, 1); err != nil || !ok {
+				t.Errorf("debit = %v, %v", ok, err)
+			}
+			panic("boom")
+		})
+	})
+	if got != "boom" {
+		t.Fatalf("recovered %v: Atomically must let the callback's panic through", got)
+	}
+	assertDebitGranted(t, cl.Begin(), acc, func() int64 { return cl.Stats().Total.Waits })
+}
+
+// assertDebitGranted debits acc in tx — a transaction begun after the
+// panicked attempt unwound — and requires the lock at once: no wait, and
+// once tx has aborted no lock record left at the object.
+func assertDebitGranted(t *testing.T, tx interface {
+	Txn
+	Abort() error
+}, acc *Account, waits func() int64) {
+	t.Helper()
+	if ok, err := acc.Debit(tx, 1); err != nil || !ok {
+		t.Errorf("debit after a panicked attempt = %v, %v (its lock leaked?)", ok, err)
+	}
+	if w := waits(); w != 0 {
+		t.Errorf("waits = %d, want 0: the second debit must be granted without waiting", w)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if n := acc.obj.Stats().Active; n != 0 {
+		t.Errorf("active lock records = %d, want 0", n)
 	}
 }
 

@@ -319,6 +319,42 @@ func BenchmarkLockMachineRespond(b *testing.B) {
 	}
 }
 
+// counterSnapshot4 returns a System with one Counter holding a four-digit
+// value, and a Snapshot callback that reads it four times through ReadAt.
+func counterSnapshot4(tb testing.TB) (*System, func(*ReadTx) error) {
+	sys := NewSystem()
+	c := Must(sys.NewCounter("c"))
+	if err := sys.Atomically(func(tx *Tx) error { return c.Inc(tx, 4100) }); err != nil {
+		tb.Fatal(err)
+	}
+	return sys, func(r *ReadTx) error {
+		for i := 0; i < 4; i++ {
+			if v, err := c.ReadAt(r); err != nil || v != 4100 {
+				return fmt.Errorf("ReadAt = %d, %v", v, err)
+			}
+		}
+		return nil
+	}
+}
+
+// BenchmarkCounterReadAt measures the facade's typed snapshot read end to
+// end — Snapshot, four Counter.ReadAt, commit — as mem-readmix's readers run
+// it: the count comes off the snapshot state, no response string is
+// formatted and parsed back, and nothing is allocated.
+func BenchmarkCounterReadAt(b *testing.B) {
+	sys, read := counterSnapshot4(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := sys.Snapshot(read); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkTimestampSource measures timestamp generation.
 func BenchmarkTimestampSource(b *testing.B) {
 	src := tstamp.NewSource()

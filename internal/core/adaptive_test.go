@@ -238,3 +238,34 @@ func TestEnableGroupCommitOnce(t *testing.T) {
 		t.Fatalf("commit through batcher: %v", err)
 	}
 }
+
+// TestAdaptivePressureIgnoresReaders: the pressure formula weighs lock
+// waits against lock grants.  Snapshot reads take no lock, so a crowd of
+// readers at a contended object must not dilute its writers' pressure: the
+// controller relaxes after the same two hot windows as without them.  (When
+// every read bumped granted, 400 reads a window turned 30 waits in 60 lock
+// requests into a pressure of 0.07, and the object never switched.)
+func TestAdaptivePressureIgnoresReaders(t *testing.T) {
+	sys := NewSystem(Options{})
+	defer sys.Close()
+	o := newPolicyAccount(t, sys, "acct", "readwrite")
+	c := newAdaptController(sys, Adaptive{MinCalls: 10, HighWater: 0.5, SwitchAfter: 2, Cooldown: 1})
+	c.tick() // first sight: baseline only
+	for window := 1; window <= 2; window++ {
+		o.stats.waits.Add(30)
+		o.stats.granted.Add(30)
+		r := sys.BeginReadOnly()
+		for i := 0; i < 400; i++ { // a refused debit observes the balance and changes nothing
+			if res, err := o.ReadCall(r, adt.DebitInv(1<<40)); err != nil || res != adt.ResOverdraft {
+				t.Fatalf("read = %q, %v", res, err)
+			}
+		}
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		c.tick()
+	}
+	if got := o.Scheme(); got != "commutativity" {
+		t.Fatalf("Scheme = %q after two hot windows with readers present, want commutativity", got)
+	}
+}

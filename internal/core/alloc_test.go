@@ -30,11 +30,13 @@ const (
 	// adopts the tail, so neither boxes anything (48 when both replayed and
 	// every commit started a fresh unforgotten array).
 	payment8AllocCeiling = 26
-	// snapshotAllocCeiling bounds one pooled begin→four reads→commit→
-	// recycle cycle without a sink (steady state 4: each read formats its
-	// response; the registry, the handle and the bookkeeping allocate
-	// nothing.  Before the reader registry: ≈ 18).
-	snapshotAllocCeiling = 6
+	// snapshotAllocCeiling bounds one pooled begin→four ReadCalls→commit→
+	// recycle cycle without a sink (steady state 4: ReadCall's caller asked
+	// for the response string, so each read formats one; the registry, the
+	// handle and the bookkeeping allocate nothing.  Before the reader
+	// registry: ≈ 18).  The typed getters ask for no string and allocate
+	// nothing: TestAllocCeilingSnapshotTyped, beside the facade.
+	snapshotAllocCeiling = 5
 )
 
 func TestAllocCeilingGrantFastPath(t *testing.T) {

@@ -301,7 +301,7 @@ func (s *System) BeginReadOnlyPooledCtx(ctx context.Context) *ReadTx {
 	if !ok {
 		t = &ReadTx{sys: s}
 	}
-	return s.startRead(t, ctx)
+	return s.startRead(t, ctx, readSeqBlock)
 }
 
 // RecycleRead returns a finished pooled reader to the free list; a reader
@@ -399,6 +399,7 @@ func (s *System) Stats() StatsSnapshot {
 		remoteErr = err
 	}
 	snap := s.stats.snapshot()
+	s.readers.addTo(&snap)
 	if s.log != nil {
 		ls := s.log.Stats()
 		snap.LogAppends = ls.Appends
@@ -449,11 +450,13 @@ func (s *System) recordDirect(e histories.Event) {
 }
 
 // Stats aggregates system-wide counters.  Transactions keep their per-call
-// books to themselves and visit these words when they finish: a read-only
-// transaction adds Begun, Calls and Committed/Aborted at its Commit or
-// Abort; an update transaction adds Calls with Committed or Aborted — when
-// it commits or aborts, never while open (its Begun counts at begin).  Only
-// a remote stub counts each call as it is made.
+// books to themselves and publish them when they finish: an update
+// transaction adds Calls with Committed or Aborted here — when it commits or
+// aborts, never while open (its Begun counts at begin); a read-only
+// transaction writes none of these words but leaves its calls and its
+// outcome in its registry slot (readerSlot) at Commit or Abort, from where
+// System.Stats adds them into the same StatsSnapshot fields.  Only a remote
+// stub counts each call as it is made.
 type Stats struct {
 	Begun     atomic.Int64
 	Committed atomic.Int64

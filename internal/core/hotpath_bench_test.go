@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -92,11 +94,15 @@ func BenchmarkLockFreeReadCallParallel(b *testing.B) {
 	})
 }
 
-// snapshotBenchSystem returns a Counter holding a three-digit value (so a
+// snapshotBenchSystem returns a Counter holding a four-digit value (so a
 // read's response is a formatted string, not one of strconv's constants).
 func snapshotBenchSystem(tb testing.TB) (*System, *Object, spec.Invocation) {
 	sys := NewSystem(Options{})
-	obj := sys.NewObject("ctr", adt.NewCounter(), depend.SymmetricClosure(depend.CounterDependency()))
+	return sys, snapshotBenchCounter(tb, sys, "ctr"), adt.CtrReadInv()
+}
+
+func snapshotBenchCounter(tb testing.TB, sys *System, name string) *Object {
+	obj := sys.NewObject(name, adt.NewCounter(), depend.SymmetricClosure(depend.CounterDependency()))
 	tx := sys.Begin()
 	if _, err := obj.Call(tx, adt.IncInv(4100)); err != nil {
 		tb.Fatal(err)
@@ -104,7 +110,7 @@ func snapshotBenchSystem(tb testing.TB) (*System, *Object, spec.Invocation) {
 	if err := tx.Commit(); err != nil {
 		tb.Fatal(err)
 	}
-	return sys, obj, adt.CtrReadInv()
+	return obj
 }
 
 // snapshot4Reads is the whole life of a facade Snapshot of four reads:
@@ -134,14 +140,38 @@ func BenchmarkSnapshot4Reads(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshot4ReadsParallel runs it from every core at once: the
-// readers share the clock, the object's snapshot pointer and its grant
-// counter, and no lock.
+// BenchmarkSnapshot4ReadsParallel runs it from every core at once, all on
+// one object: the readers write one shared word, the clock they draw their
+// timestamps from, and read the object's snapshot pointer.
 func BenchmarkSnapshot4ReadsParallel(b *testing.B) {
 	sys, obj, inv := snapshotBenchSystem(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := snapshot4Reads(sys, obj, inv); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkSnapshot4ReadsDisjointParallel gives every goroutine a counter of
+// its own.  Nothing a reader writes but the clock is on a line another
+// reader touches, so ns/op must not rise from -cpu 1 to -cpu 2; what keeps
+// it from halving is the clock.
+func BenchmarkSnapshot4ReadsDisjointParallel(b *testing.B) {
+	sys, inv := NewSystem(Options{}), adt.CtrReadInv()
+	own := make([]*Object, runtime.GOMAXPROCS(0)) // RunParallel starts that many goroutines
+	for i := range own {
+		own[i] = snapshotBenchCounter(b, sys, fmt.Sprintf("own%d", i))
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		obj := own[next.Add(1)-1]
 		for pb.Next() {
 			if err := snapshot4Reads(sys, obj, inv); err != nil {
 				b.Error(err)

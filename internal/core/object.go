@@ -1099,9 +1099,9 @@ func (o *Object) UnforgottenLen() int {
 	return len(o.unforgotten)
 }
 
-// ObjectStats aggregates per-object counters.  All fields are atomic: the
-// lock-free reader path bumps granted without the object mutex, and the
-// rest follow for uniformity.
+// ObjectStats aggregates per-object counters, atomic so Stats and the
+// adaptation controller read them without the object mutex.  granted counts
+// lock grants: a snapshot read takes no lock and writes nothing here.
 type ObjectStats struct {
 	granted   atomic.Int64
 	conflicts atomic.Int64
@@ -1124,6 +1124,8 @@ type ObjectStats struct {
 // ObjectStatsSnapshot is an immutable copy of ObjectStats plus instant
 // gauges.
 type ObjectStatsSnapshot struct {
+	// Granted counts lock grants — update-path calls; reads of read-only
+	// transactions are in the System's Calls alone.
 	Granted     int64
 	Conflicts   int64
 	Waits       int64

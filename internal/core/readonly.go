@@ -50,15 +50,20 @@ func (t *ReadTx) Branch(o *Object) (*ReadTx, error) {
 // ReadTx is a read-only transaction with a start-time timestamp.  Like Tx
 // it is single-threaded, and its identifier is materialized lazily from seq
 // ("R<seq>"): a reader that records no events never allocates the string.
-// It holds no mutex and shares nothing with other readers but the clock:
-// liveness is one atomic word, the compaction pin a registry slot of its
-// own, and its counters reach the System's statistics once, at finish.
+// It holds no mutex and shares nothing with other readers but the clock,
+// the one word it writes that another transaction reads: liveness is an
+// atomic word of its own, the compaction pin and the counters it leaves at
+// finish sit in a registry slot of its own, and a read writes nothing at
+// the object it reads.
 type ReadTx struct {
 	sys *System
-	seq uint64
-	ctx context.Context
-	ts  histories.Timestamp
-	id  histories.TxID
+	// seq numbers the reader within its System; a pooled struct reserves
+	// readSeqBlock numbers from txSeq at a time and stops at seqEnd, so
+	// every number stays unique and at most txSeq.
+	seq, seqEnd uint64
+	ctx         context.Context
+	ts          histories.Timestamp
+	id          histories.TxID
 
 	// bound is the owning shard's clock bound learned when a remote branch
 	// opened (ClockBound); rerr is the sticky error of a remote branch
@@ -68,9 +73,10 @@ type ReadTx struct {
 	// state is the pool generation shifted left once; its low bit, set at
 	// finish, fails a handle kept past Commit, Abort or RecycleRead.
 	state atomic.Uint64
-	// slot is the reader's registry slot (nil on a remote branch); hint is
-	// where the search for one starts — fixed per struct, so a pooled
-	// reader keeps returning to the slot its core already has cached.
+	// slot is the reader's registry slot; hint is where the search for one
+	// starts — the slot claimed last, so a pooled reader keeps returning to
+	// the line its core already has cached, and two readers that met at one
+	// slot once do not meet there again.
 	slot *readerSlot
 	hint uint64
 	// calls counts ReadCalls since begin.  touched lists the objects read,
@@ -81,17 +87,24 @@ type ReadTx struct {
 }
 
 // slotFree marks an unclaimed slot: above every timestamp, so a scan takes
-// the minimum over all slots alike.  readerSlots is the initial capacity.
+// the minimum over all slots alike.  readerSlots is the initial capacity,
+// readSeqBlock the sequence numbers a pooled reader reserves at a time.
 const (
-	slotFree    = math.MaxInt64
-	readerSlots = 8
+	slotFree     = math.MaxInt64
+	readerSlots  = 8
+	readSeqBlock = 1024
 )
 
-// readerSlot is one reader's compaction pin, alone on its cache line:
-// slotFree, 0 (provisional: holds every horizon) or the reader's timestamp.
+// readerSlot is everything a reader writes that someone else reads, alone
+// on its cache line.  pin is the compaction pin: slotFree, 0 (provisional:
+// holds every horizon) or the reader's timestamp.  The counters belong to
+// the slot, not to a reader: each reader that held it added its calls and
+// its outcome at finish, and Stats sums them over the registry (a reader's
+// Begun is its Committed or Aborted — it is counted when it finishes).
 type readerSlot struct {
-	pin atomic.Int64
-	_   [56]byte
+	pin                       atomic.Int64
+	committed, aborted, calls atomic.Int64
+	_                         [32]byte
 }
 
 type readerChunk struct {
@@ -129,9 +142,23 @@ func (r *readerRegistry) minTS() histories.Timestamp {
 	return histories.Timestamp(min)
 }
 
+// addTo adds the counters of every reader that has finished to snap.
+func (r *readerRegistry) addTo(snap *StatsSnapshot) {
+	for c := r.head.Load(); c != nil; c = c.next.Load() {
+		for i := range c.slots {
+			ok, ab := c.slots[i].committed.Load(), c.slots[i].aborted.Load()
+			snap.Begun += ok + ab
+			snap.Committed += ok
+			snap.Aborted += ab
+			snap.Calls += c.slots[i].calls.Load()
+		}
+	}
+}
+
 // pin claims a free slot, searching from hint, and leaves a provisional pin
-// in it.  When every slot is taken it appends a chunk of twice the size.
-func (r *readerRegistry) pin(hint uint64) *readerSlot {
+// in it; it returns the slot and its index, the next search's hint.  When
+// every slot is taken it appends a chunk of twice the size.
+func (r *readerRegistry) pin(hint uint64) (*readerSlot, uint64) {
 	link, size := &r.head, readerSlots
 	for {
 		c := link.Load()
@@ -145,9 +172,9 @@ func (r *readerRegistry) pin(hint uint64) *readerSlot {
 			}
 		}
 		for i := range c.slots {
-			s := &c.slots[(hint+uint64(i))%uint64(len(c.slots))]
-			if s.pin.Load() == slotFree && s.pin.CompareAndSwap(slotFree, 0) {
-				return s
+			at := (hint + uint64(i)) % uint64(len(c.slots))
+			if s := &c.slots[at]; s.pin.Load() == slotFree && s.pin.CompareAndSwap(slotFree, 0) {
+				return s, at
 			}
 		}
 		link, size = &c.next, 2*len(c.slots)
@@ -166,21 +193,27 @@ func (s *System) BeginReadOnly() *ReadTx { return s.BeginReadOnlyCtx(context.Bac
 // subsequent reads with an error wrapping ctx.Err().  A nil ctx means
 // context.Background.
 func (s *System) BeginReadOnlyCtx(ctx context.Context) *ReadTx {
-	return s.startRead(&ReadTx{sys: s}, ctx)
+	return s.startRead(&ReadTx{sys: s}, ctx, 1)
 }
 
 // startRead makes tx — fresh or recycled — a new active reader: pin, draw,
-// raise (see readerRegistry).
-func (s *System) startRead(tx *ReadTx, ctx context.Context) *ReadTx {
+// raise (see readerRegistry).  A struct out of sequence numbers reserves
+// block more; a fresh one starts its first slot search at the block's
+// ordinal, which spreads structs that have yet to claim a slot.
+func (s *System) startRead(tx *ReadTx, ctx context.Context, block uint64) *ReadTx {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tx.seq, tx.id, tx.ctx, tx.calls = s.txSeq.Add(1), "", ctx, 0
-	if tx.hint == 0 {
-		tx.hint = tx.seq
+	if tx.seq == tx.seqEnd {
+		end := s.txSeq.Add(block)
+		if tx.seqEnd == 0 {
+			tx.hint = end / block
+		}
+		tx.seq, tx.seqEnd = end-block, end
 	}
+	tx.seq, tx.id, tx.ctx, tx.calls = tx.seq+1, "", ctx, 0
 	tx.state.Store(tx.state.Load()&^1 + 2)
-	tx.slot = s.readers.pin(tx.hint)
+	tx.slot, tx.hint = s.readers.pin(tx.hint)
 	tx.ts = s.clock.Next(0)
 	tx.slot.pin.Store(int64(tx.ts))
 	return tx
@@ -196,15 +229,14 @@ func (s *System) BeginReadOnlyBranch(ctx context.Context, id histories.TxID) *Re
 		ctx = context.Background()
 	}
 	tx := &ReadTx{sys: s, id: id, ctx: ctx}
+	tx.slot, _ = s.readers.pin(0) // on a stub it only keeps the branch's counters
 	if s.remote != nil {
 		// The pin lives on the serving shard; ReadBegin installs it there
 		// and reports the shard clock's bound for timestamp election.  A
 		// failed open leaves a sticky error: reads through the branch fail,
 		// the snapshot as a whole aborts.
 		tx.bound, tx.rerr = s.remote.ReadBegin(ctx, id)
-		return tx
 	}
-	tx.slot = s.readers.pin(0)
 	return tx
 }
 
@@ -297,23 +329,23 @@ func (t *ReadTx) finish(commit bool) error {
 		// Release the shard-side pin, best-effort: a lost release resolves
 		// when the connection drops.
 		_ = s.remote.ReadComplete(context.Background(), t.ID(), commit)
-	} else {
-		t.slot.pin.Store(slotFree)
 	}
+	// The reader's books go to its own cache line — one visit per reader,
+	// to a line no other transaction writes — ahead of the store that gives
+	// the line up.
+	t.slot.calls.Add(t.calls)
+	if commit {
+		t.slot.committed.Add(1)
+	} else {
+		t.slot.aborted.Add(1)
+	}
+	t.slot.pin.Store(slotFree)
 	for _, o := range t.touched { // empty unless a sink is attached
 		e := histories.AbortEvent(t.ID(), o.name)
 		if commit {
 			e = histories.CommitEvent(t.ID(), o.name, t.ts)
 		}
 		o.recordCompletion(e)
-	}
-	// One visit to the statistics' cache line per reader, not one per step.
-	s.stats.Begun.Add(1)
-	s.stats.Calls.Add(t.calls)
-	if commit {
-		s.stats.Committed.Add(1)
-	} else {
-		s.stats.Aborted.Add(1)
 	}
 	return nil
 }
@@ -350,20 +382,40 @@ func (o *Object) recordCompletion(e histories.Event) {
 // incrementing the counter; a writer observed at zero has therefore
 // already merged and published everything the reader may observe.
 func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
-	if o.sys.remote != nil {
-		return o.remoteReadCall(t, inv)
-	}
+	_, res, err := o.read(t, inv, true)
+	return res, err
+}
+
+// ReadState is ReadCall for a typed getter, whose inv is a pure observer of
+// the object's spec.ReadSpec: it returns the snapshot state for the getter
+// to take its answer from, and formats the response string only for a sink
+// to record.  On a remote stub the state is nil and the string is the
+// shard's answer.
+func (o *Object) ReadState(t *ReadTx, inv spec.Invocation) (spec.State, string, error) {
+	return o.read(t, inv, false)
+}
+
+// read is the one read path: it finds the state as of the reader's
+// timestamp and answers from it (readFromSnapshot); str asks for the
+// response string whether or not anyone else consumes it.
+func (o *Object) read(t *ReadTx, inv spec.Invocation, str bool) (spec.State, string, error) {
 	if t.done() {
-		return "", ErrTxDone
+		return nil, "", ErrTxDone
+	}
+	if t.rerr != nil { // a remote branch that failed to open
+		return nil, "", fmt.Errorf("hybridcc: read of %s at %s: branch unusable: %w", inv, o.name, t.rerr)
 	}
 	t.calls++
 	ctx := t.ctx
 	if err := ctx.Err(); err != nil {
-		return "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, err)
+		return nil, "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, err)
 	}
-
+	if o.sys.remote != nil {
+		res, err := o.remoteReadCall(t, inv)
+		return nil, res, err
+	}
 	if o.sys.fastReads && o.windowWriters.Load() == 0 {
-		return o.readFromSnapshot(t, inv, o.tailSnap.Load().stateAt(o.sp, t.ts))
+		return o.readFromSnapshot(t, inv, o.tailSnap.Load().stateAt(o.sp, t.ts), str)
 	}
 
 	o.mu.Lock()
@@ -374,10 +426,10 @@ func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
 		switch o.waitLocked(&cw, ctx) {
 		case waitTimedOut:
 			o.mu.Unlock()
-			return "", fmt.Errorf("%w: read of %s at %s", ErrTimeout, inv, o.name)
+			return nil, "", fmt.Errorf("%w: read of %s at %s", ErrTimeout, inv, o.name)
 		case waitCancelled:
 			o.mu.Unlock()
-			return "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, ctx.Err())
+			return nil, "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, ctx.Err())
 		}
 	}
 
@@ -389,18 +441,24 @@ func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
 	} else {
 		o.mu.Unlock()
 	}
-	return o.readFromSnapshot(t, inv, state)
+	return o.readFromSnapshot(t, inv, state, str)
 }
 
-// readFromSnapshot derives a read-only response from a reconstructed
-// snapshot state and records it; only a legacy sink's caller holds o.mu.
-func (o *Object) readFromSnapshot(t *ReadTx, inv spec.Invocation, state spec.State) (string, error) {
+// readFromSnapshot answers a read from a reconstructed snapshot state and
+// records it; only a legacy sink's caller holds o.mu.  The response string
+// exists where someone reads it: the caller (str), a sink, or the generic
+// derivation that checks an invocation outside a spec.ReadSpec.  A read
+// takes no lock, so it writes nothing at the object — not even a counter.
+func (o *Object) readFromSnapshot(t *ReadTx, inv spec.Invocation, state spec.State, str bool) (spec.State, string, error) {
+	s := o.sys
+	if !str && s.opts.Sink == nil && o.readSp != nil {
+		return state, "", nil
+	}
 	res, err := o.deriveRead(state, inv)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
-	o.stats.granted.Add(1)
-	if s := o.sys; s.seqSink != nil {
+	if s.seqSink != nil {
 		t.touch(o)
 		s.recordDirect(histories.InvokeEvent(t.ID(), o.name, inv))
 		s.recordDirect(histories.RespondEvent(t.ID(), o.name, res))
@@ -409,7 +467,7 @@ func (o *Object) readFromSnapshot(t *ReadTx, inv spec.Invocation, state spec.Sta
 		s.opts.Sink.Record(histories.InvokeEvent(t.ID(), o.name, inv))
 		s.opts.Sink.Record(histories.RespondEvent(t.ID(), o.name, res))
 	}
-	return res, nil
+	return state, res, nil
 }
 
 // deriveRead picks the response of a read-only invocation in a snapshot

@@ -364,3 +364,89 @@ func TestReadOnlyIDAndTimestamp(t *testing.T) {
 	_ = r.Abort()
 	_ = r2.Abort()
 }
+
+// TestTypedAndStringReadsAgree: ReadState (what a typed getter calls) and
+// ReadCall are one read path with two renderings of its answer.  Readers
+// begun between commits read a Counter and a File both ways — on the
+// lock-free path, and on the mutex path a held commit window forces — and
+// the state's value is the string's, as of the reader's timestamp.  With a
+// sink attached ReadState records the same invoke/respond events; a mutator
+// is refused either way.
+func TestTypedAndStringReadsAgree(t *testing.T) {
+	rec := verify.NewRecorder()
+	for _, sink := range []EventSink{nil, rec} {
+		sys := NewSystem(Options{Sink: sink})
+		c := sys.NewObject("C", adt.NewCounter(), depend.SymmetricClosure(depend.CounterDependency()))
+		f := sys.NewObject("F", adt.NewFile(), depend.SymmetricClosure(depend.FileDependency()))
+		var readers []*ReadTx
+		for i := int64(1); i <= 5; i++ {
+			readers = append(readers, sys.BeginReadOnly()) // sees i-1 commits
+			tx := sys.Begin()
+			mustCall(t, c, tx, adt.IncInv(i))
+			mustCall(t, f, tx, adt.FileWriteInv(100*i))
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		readers = append(readers, sys.BeginReadOnly())
+		typed := func(r *ReadTx, o *Object, inv spec.Invocation, valueOf func(spec.State) int64) int64 {
+			t.Helper()
+			state, res, err := o.ReadState(r, inv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (res != "") != (sink != nil) {
+				t.Errorf("ReadState formatted %q with sink=%v: the string is for a sink to record, and for nobody else", res, sink != nil)
+			}
+			return valueOf(state)
+		}
+		for _, slow := range []bool{false, true} {
+			if slow { // as if a writer sat in its commit window: the mutex path
+				c.windowWriters.Add(1)
+				f.windowWriters.Add(1)
+			}
+			sum := int64(0)
+			for i, r := range readers {
+				sum += int64(i)
+				str, err := c.ReadCall(r, adt.CtrReadInv())
+				if got := typed(r, c, adt.CtrReadInv(), adt.CounterValue); err != nil || got != adt.Atoi(str) || got != sum {
+					t.Errorf("slow=%v reader %d: counter typed %d, string %q (%v), want %d", slow, i, got, str, err, sum)
+				}
+				str, err = f.ReadCall(r, adt.FileReadInv())
+				if got := typed(r, f, adt.FileReadInv(), adt.FileValue); err != nil || got != adt.Atoi(str) || got != 100*int64(i) {
+					t.Errorf("slow=%v reader %d: file typed %d, string %q (%v), want %d", slow, i, got, str, err, 100*i)
+				}
+			}
+			if slow {
+				c.windowWriters.Add(-1)
+				f.windowWriters.Add(-1)
+			}
+		}
+		for _, r := range readers {
+			if r.calls != 8 {
+				t.Errorf("reader %s counted %d calls, want 8: both entry points count one each", r.ID(), r.calls)
+			}
+			if _, err := c.ReadCall(r, adt.IncInv(1)); !errors.Is(err, ErrNotReadOnly) {
+				t.Errorf("Inc through ReadCall: %v, want ErrNotReadOnly", err)
+			}
+			if err := r.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	specs := histories.SpecMap{"C": adt.NewCounter(), "F": adt.NewFile()}
+	isReadOnly := func(id histories.TxID) bool { return strings.HasPrefix(string(id), "R") }
+	h := rec.History()
+	if err := verify.CheckGeneralizedHybridAtomic(h, specs, isReadOnly); err != nil {
+		t.Fatal(err)
+	}
+	responds := 0
+	for _, e := range h {
+		if e.Kind == histories.Respond && isReadOnly(e.Tx) {
+			responds++
+		}
+	}
+	if want := 6 * 8; responds != want { // six readers, four reads each way
+		t.Errorf("the recorder saw %d reader responses, want %d: a typed read records like a string one", responds, want)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"hybridcc/internal/baseline"
 	"hybridcc/internal/depend"
 	"hybridcc/internal/histories"
+	"hybridcc/internal/spec"
 	"hybridcc/internal/tstamp"
 	"hybridcc/internal/verify"
 )
@@ -245,5 +247,307 @@ func TestPooledReaderLifecycle(t *testing.T) {
 	sys.RecycleRead(second)
 	if st := sys.Stats(); st.Begun != 2 || st.Committed != 1 || st.Aborted != 1 || st.Calls != 1 {
 		t.Errorf("stats = %+v, want begun 2, committed 1, aborted 1, calls 1", st)
+	}
+}
+
+// TestSlotHintFollowsClaimedSlot: two readers whose slot searches start at
+// the same slot meet there once.  The one that finds it taken moves on, and
+// because the hint follows the slot actually claimed, every later pin of
+// either reader claims the first slot it probes — its own.
+//
+// Mutation: keep the hint fixed (`tx.slot, _ = s.readers.pin(tx.hint)`) and
+// the loser probes the winner's slot on every snapshot, for as long as the
+// two structs live.
+func TestSlotHintFollowsClaimedSlot(t *testing.T) {
+	sys, _ := counterSystem(Options{})
+	a, b := &ReadTx{sys: sys}, &ReadTx{sys: sys}
+	firstProbe := func(r *ReadTx) *readerSlot {
+		head := sys.readers.head.Load()
+		return &head.slots[r.hint%uint64(len(head.slots))]
+	}
+	finish := func(r *ReadTx) {
+		t.Helper()
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []*ReadTx{a, b} { // each reserves its block and finds a slot
+		sys.startRead(r, nil, readSeqBlock)
+		finish(r)
+	}
+	b.hint = a.hint // the collision: both searches start at one slot
+
+	sys.startRead(a, nil, readSeqBlock)
+	sys.startRead(b, nil, readSeqBlock) // probes a's slot, moves on
+	if a.slot == b.slot {
+		t.Fatal("two active readers share a slot")
+	}
+	finish(a)
+	finish(b)
+	for i := 0; i < 4; i++ { // from the second pin on, in either order, one probe each
+		first, second := a, b
+		if i%2 == 1 {
+			first, second = b, a
+		}
+		for _, r := range []*ReadTx{first, second} {
+			want := firstProbe(r)
+			sys.startRead(r, nil, readSeqBlock)
+			if r.slot != want {
+				t.Errorf("round %d: reader claimed a slot other than the first it probed (hint %d)", i, r.hint)
+			}
+		}
+		finish(first)
+		finish(second)
+	}
+}
+
+// TestReaderSeqBlocksStayUnique begins readers from several goroutines —
+// recycled structs that draw their numbers a block at a time and cross a
+// block boundary, plain ones that draw one — beside update transactions
+// drawing from the same txSeq, with a recorder attached: every R<seq>
+// identifier in the history is distinct, no number exceeds txSeq (what a
+// checkpoint records as MaxSeq), and the history verifies.
+func TestReaderSeqBlocksStayUnique(t *testing.T) {
+	const (
+		gorous  = 6
+		perGoro = 24
+	)
+	rec := verify.NewRecorder()
+	sys, c := counterSystem(Options{Sink: rec})
+	var issued, maxSeq atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < gorous; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			own := &ReadTx{sys: sys} // recycled by hand, as the pool would
+			for n := 0; n < perGoro; n++ {
+				var r *ReadTx
+				pooled := false
+				switch {
+				case g%3 == 2: // a writer between the readers' blocks
+					tx := sys.Begin()
+					if _, err := c.Call(tx, adt.IncInv(1)); err != nil {
+						t.Error(err)
+					}
+					if err := tx.Commit(); err != nil {
+						t.Error(err)
+					}
+					continue
+				case g%3 == 1 && n%2 == 0:
+					r = sys.BeginReadOnly()
+				case g%3 == 1:
+					r, pooled = sys.BeginReadOnlyPooledCtx(nil), true
+				default:
+					if n == perGoro/2 {
+						own.seq = own.seqEnd - 3 // as if it had run its block nearly out
+					}
+					r = sys.startRead(own, nil, readSeqBlock)
+				}
+				if _, err := c.ReadCall(r, adt.CtrReadInv()); err != nil {
+					t.Error(err)
+				}
+				issued.Add(1)
+				for m := maxSeq.Load(); r.seq > m && !maxSeq.CompareAndSwap(m, r.seq); m = maxSeq.Load() {
+				}
+				if err := r.Commit(); err != nil {
+					t.Error(err)
+				}
+				if pooled {
+					sys.RecycleRead(r)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	seen := map[histories.TxID]bool{}
+	for _, e := range rec.History() {
+		if e.Kind == histories.Commit && strings.HasPrefix(string(e.Tx), "R") {
+			if seen[e.Tx] {
+				t.Fatalf("reader identifier %s was issued twice", e.Tx)
+			}
+			seen[e.Tx] = true
+		}
+	}
+	if uint64(len(seen)) != issued.Load() {
+		t.Errorf("%d distinct reader identifiers in the history, %d readers ran", len(seen), issued.Load())
+	}
+	if top := sys.txSeq.Load(); maxSeq.Load() > top || top < 2*readSeqBlock {
+		t.Errorf("largest reader sequence number %d, txSeq = %d: want it below txSeq, and more than one block drawn", maxSeq.Load(), top)
+	}
+	isReadOnly := func(id histories.TxID) bool { return strings.HasPrefix(string(id), "R") }
+	specs := histories.SpecMap{"C": adt.NewCounter()}
+	if err := verify.CheckGeneralizedHybridAtomic(rec.History(), specs, isReadOnly); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReaderCountersExact: readers keep their books on their own registry
+// slots, and Stats adds the slots up — exactly.  Six goroutines run pooled
+// snapshots that commit, abort, or panic out of the callback (the facade's
+// Snapshot shape), beside committing writers; twelve plain readers held open
+// at once grow the registry past its first chunk.  Afterwards Begun,
+// Committed, Aborted and Calls are what the test did, an open reader's calls
+// are not visible until it finishes (the rule TestStats pins for update
+// transactions), and the object's Granted counts the writers' lock grants
+// alone: a read takes no lock.
+func TestReaderCountersExact(t *testing.T) {
+	const (
+		gorous  = 6
+		snaps   = 60
+		reads   = 3
+		writers = 2
+		commits = 50
+	)
+	sys, c := counterSystem(Options{LockWait: 2 * time.Second})
+	var committed, aborted, calls atomic.Int64
+	// snapshot is the facade's SnapshotCtx: the reader finishes on every
+	// way out of fn, a panic included.
+	snapshot := func(fn func(r *ReadTx) bool) {
+		defer func() { _ = recover() }()
+		r := sys.BeginReadOnlyPooledCtx(nil)
+		defer func() {
+			if r.Abort() == nil {
+				aborted.Add(1)
+			}
+			sys.RecycleRead(r)
+		}()
+		if fn(r) && r.Commit() == nil {
+			committed.Add(1)
+		}
+	}
+	read := func(r *ReadTx) {
+		if _, err := c.ReadCall(r, adt.CtrReadInv()); err != nil {
+			t.Error(err)
+		}
+		calls.Add(1)
+	}
+
+	var wg, open sync.WaitGroup
+	open.Add(gorous)
+	for g := 0; g < gorous; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a, b := sys.BeginReadOnly(), sys.BeginReadOnly()
+			open.Done()
+			open.Wait() // 12 readers at once: more than the first chunk holds
+			read(a)
+			if a.Commit() == nil && b.Commit() == nil {
+				committed.Add(2)
+			}
+			for n := 0; n < snaps; n++ {
+				snapshot(func(r *ReadTx) bool {
+					for k := 0; k < reads; k++ {
+						read(r)
+						if n%7 == 3 {
+							panic("out of the snapshot, one read in")
+						}
+					}
+					return n%5 != 2 // false: the callback failed, the reader aborts
+				})
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < commits; n++ {
+				tx := sys.Begin()
+				if _, err := c.Call(tx, adt.IncInv(1)); err != nil {
+					t.Error(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if head := sys.readers.head.Load(); head.next.Load() == nil {
+		t.Errorf("registry never grew past its initial %d slots", readerSlots)
+	}
+	const updates = writers * commits
+	want := StatsSnapshot{
+		Begun:     updates + committed.Load() + aborted.Load(),
+		Committed: updates + committed.Load(),
+		Aborted:   aborted.Load(),
+		Calls:     updates + calls.Load(),
+	}
+	check := func(when string) {
+		t.Helper()
+		got := sys.Stats()
+		if got.Begun != want.Begun || got.Committed != want.Committed || got.Aborted != want.Aborted || got.Calls != want.Calls {
+			t.Errorf("%s: stats = %s, want begun=%d committed=%d aborted=%d calls=%d",
+				when, got, want.Begun, want.Committed, want.Aborted, want.Calls)
+		}
+	}
+	if aborted.Load() == 0 || committed.Load() == 0 {
+		t.Fatalf("the mix ran %d commits and %d aborts: want both", committed.Load(), aborted.Load())
+	}
+	check("after the run")
+
+	r := sys.BeginReadOnly()
+	read(r)
+	read(r)
+	check("with a reader open") // its two calls are its own still
+	if err := r.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	want.Begun, want.Aborted, want.Calls = want.Begun+1, want.Aborted+1, want.Calls+2
+	check("after it finished")
+
+	if g := c.Stats().Granted; g != updates {
+		t.Errorf("object Granted = %d, want the %d lock grants of the writers (reads take no lock)", g, updates)
+	}
+}
+
+// countingShard is a RemoteShard that answers the read-only branch calls
+// and refuses Stats, so a stub's Stats falls back to its own counters.
+type countingShard struct{ RemoteShard }
+
+func (countingShard) Register(string, string, string) error { return nil }
+func (countingShard) ReadBegin(context.Context, histories.TxID) (histories.Timestamp, error) {
+	return 0, nil
+}
+func (countingShard) ReadActivate(context.Context, histories.TxID, histories.Timestamp) error {
+	return nil
+}
+func (countingShard) ReadCall(context.Context, histories.TxID, histories.ObjID, spec.Invocation) (string, error) {
+	return "7", nil
+}
+func (countingShard) ReadComplete(context.Context, histories.TxID, bool) error { return nil }
+func (countingShard) Stats(context.Context) (StatsSnapshot, error) {
+	return StatsSnapshot{}, errors.New("shard unreachable")
+}
+
+// TestRemoteBranchCountersExact: a remote read-only branch pins nothing at
+// the stub, but its books are kept the same way, and a typed read through
+// it gets the shard's response string in place of a state.
+func TestRemoteBranchCountersExact(t *testing.T) {
+	sys := NewRemoteSystem(countingShard{}, Options{})
+	c := sys.NewObject("C", adt.NewCounter(), depend.SymmetricClosure(depend.CounterDependency()))
+	for i, commit := range []bool{true, false} {
+		r := sys.BeginReadOnlyBranch(context.Background(), histories.TxID(fmt.Sprintf("R-remote-%d", i)))
+		r.ActivateAt(5)
+		if res, err := c.ReadCall(r, adt.CtrReadInv()); err != nil || res != "7" {
+			t.Fatalf("ReadCall = %q, %v", res, err)
+		}
+		if state, res, err := c.ReadState(r, adt.CtrReadInv()); err != nil || state != nil || res != "7" {
+			t.Fatalf("ReadState = %v, %q, %v; want no state and the shard's answer", state, res, err)
+		}
+		if err := r.finish(commit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sys.Stats()
+	if st.StatsErr == "" {
+		t.Fatal("Stats of a stub whose shard is unreachable must say so")
+	}
+	if st.Begun != 2 || st.Committed != 1 || st.Aborted != 1 || st.Calls != 4 {
+		t.Errorf("stub stats = %s, want begun=2 committed=1 aborted=1 calls=4", st)
 	}
 }

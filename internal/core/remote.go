@@ -214,25 +214,13 @@ func (t *Tx) remoteCommitAt(ts histories.Timestamp) error {
 }
 
 // remoteReadCall executes one read-only operation at the branch's snapshot
-// timestamp on the shard.
+// timestamp on the shard; read has checked the branch and counted the call.
 func (o *Object) remoteReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
-	if t.done() {
-		return "", ErrTxDone
-	}
-	if t.rerr != nil {
-		return "", fmt.Errorf("hybridcc: read of %s at %s: branch unusable: %w", inv, o.name, t.rerr)
-	}
 	s := o.sys
-	t.calls++
-	ctx := t.ctx
-	if err := ctx.Err(); err != nil {
-		return "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, err)
-	}
-	res, err := s.remote.ReadCall(ctx, t.ID(), o.name, inv)
+	res, err := s.remote.ReadCall(t.ctx, t.ID(), o.name, inv)
 	if err != nil {
 		return "", err
 	}
-	o.stats.granted.Add(1)
 	if s.seqSink != nil {
 		t.touch(o)
 		id := t.ID()

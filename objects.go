@@ -34,6 +34,25 @@ func wrapCounter(o *Object) *Counter     { return &Counter{obj: o} }
 func wrapSet(o *Object) *Set             { return &Set{obj: o} }
 func wrapDirectory(o *Object) *Directory { return &Directory{obj: o} }
 
+// readInt is ReadCall for a built-in type's integer getter: inv is the
+// type's pure observer and valueOf takes its answer off the snapshot state,
+// so no response string is formatted only to be parsed back.  A dialed
+// object has no local state; its shard's response string is the answer.
+func (o *Object) readInt(r ReadTxn, inv Invocation, valueOf func(State) int64) (int64, error) {
+	br, err := r.Branch(o.obj)
+	if err != nil {
+		return 0, err
+	}
+	state, res, err := o.obj.ReadState(br, inv)
+	if err != nil {
+		return 0, err
+	}
+	if state == nil {
+		return adt.Atoi(res), nil
+	}
+	return valueOf(state), nil
+}
+
 // Account is a bank account with Credit, Post (interest), and Debit
 // operations (the paper's Section 4.3 Account and appendix example).  Under
 // the Hybrid scheme, credits never conflict with other credits, with
@@ -175,11 +194,7 @@ func (f *File) CommittedValue() int64 {
 // ReadAt returns the file's value as of the read-only transaction's
 // timestamp, without acquiring any locks.
 func (f *File) ReadAt(r ReadTxn) (int64, error) {
-	res, err := f.obj.ReadCall(r, adt.FileReadInv())
-	if err != nil {
-		return 0, err
-	}
-	return adt.Atoi(res), nil
+	return f.obj.readInt(r, adt.FileReadInv(), adt.FileValue)
 }
 
 // Counter is an increment-only counter with a read operation; increments
@@ -213,11 +228,7 @@ func (c *Counter) CommittedValue() int64 {
 
 // ReadAt returns the count as of the read-only transaction's timestamp.
 func (c *Counter) ReadAt(r ReadTxn) (int64, error) {
-	res, err := c.obj.ReadCall(r, adt.CtrReadInv())
-	if err != nil {
-		return 0, err
-	}
-	return adt.Atoi(res), nil
+	return c.obj.readInt(r, adt.CtrReadInv(), adt.CounterValue)
 }
 
 // Set is a set of integers whose operations report prior membership;

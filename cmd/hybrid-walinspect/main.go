@@ -11,7 +11,9 @@
 // without one), and how many decision/abort records the log holds.  A torn
 // final segment is reported, not an error — that is the crash the format
 // tolerates; a torn non-final segment means real corruption and a nonzero
-// exit.  -dump additionally prints every record; -q prints problems only.
+// exit.  A live segment's zero-filled tail (what a syncing log preallocates
+// ahead of its append offset) is reported as "+ N preallocated" on a clean
+// segment.  -dump additionally prints every record; -q prints problems only.
 //
 // Checkpoint files (checkpoint-*.ckpt) are validated frame by frame and
 // summarized: cut timestamp, object count, pending branches, and — for the
@@ -82,7 +84,13 @@ func inspect(dir string) error {
 			fmt.Printf("  %s: %d record(s), %d/%d bytes valid — %s: %s\n",
 				s.Name, s.Records, s.GoodBytes, s.Size, verdict, s.Reason)
 		} else if !*quiet {
-			fmt.Printf("  %s: %d record(s), %d bytes\n", s.Name, s.Records, s.Size)
+			fmt.Printf("  %s: %d record(s), %d bytes", s.Name, s.Records, s.GoodBytes)
+			if tail := s.Size - s.GoodBytes; tail > 0 {
+				// The zero-filled tail a syncing log keeps ahead of its
+				// live segment: clean, not torn.
+				fmt.Printf(" + %d preallocated", tail)
+			}
+			fmt.Println()
 		}
 	}
 	if *dump {

@@ -38,6 +38,16 @@ const DefaultSegmentSize = 64 << 20
 // to "those transactions aborted".
 const appendBufferSize = 256 << 10
 
+// zeroChunk is how far ahead of the append offset a Sync log zero-fills its
+// live segment.  Appends then overwrite allocated zeros and never change
+// the file size, so the fsync that acknowledges them flushes data and no
+// size change — on ext4 a size change also forces a journal commit, most of
+// the fsync's cost.
+const zeroChunk = 256 << 10
+
+// zeros is the source of every zero-fill write.
+var zeros [zeroChunk]byte
+
 // Options configures a Log.
 type Options struct {
 	// Sync makes Sync fsync the current segment (durable against machine
@@ -85,6 +95,28 @@ type Stats struct {
 // log's last records: none of it was acknowledged, whatever of it survived
 // is at the recoverable tail, and no acknowledged commit ever follows an
 // unacknowledged one.
+//
+// The fsync handshake moves the log through five states (mu guards all):
+//
+//	state      syncing  sealers  who may act
+//	Idle       false    0        appenders; a waiter below the lsn becomes the syncer
+//	Syncing    true     0        appenders (mu released across the fsync); waiters wait
+//	Quiescing  true     > 0      a Rotate/Close/Crash in quiesceLocked waits the fsync out
+//	Sealing    false    0        the sealer alone, holding mu throughout: it swaps or closes f
+//	Closed     any      any      nobody (closed): Append and Sync fail, ErrFailed if poisoned
+//
+//	Idle → Syncing       syncLocked starts an fsync (only when sealers == 0)
+//	Syncing → Idle       the fsync returns; the horizon advances
+//	Syncing → Quiescing  quiesceLocked: sealers++
+//	Quiescing → Sealing  the fsync returns; the sealer wakes on cond
+//	Idle → Sealing       a rotation under mu, or Rotate/Close/Crash with no fsync in flight
+//	Sealing → Idle       the next segment is open
+//	any → Closed         Close, Crash, or poisoning (a syncer still in flight closes f)
+//
+// In Sync mode the live segment is zero-filled ahead of the append offset:
+// segSize ≤ zeroed == the file's length (no buffered byte lies beyond
+// zeroed).  Sealing truncates the zeros away, so a sealed segment has
+// zeroed == segSize == its length.  Sync off writes no zeros.
 type Log struct {
 	dir  string
 	opts Options
@@ -98,6 +130,7 @@ type Log struct {
 	w        *bufio.Writer
 	segIndex int
 	segSize  int64
+	zeroed   int64 // allocated, zero-filled length of the live segment
 	segCount int
 	closed   bool
 	failed   error
@@ -187,6 +220,9 @@ func openDir(dir string, opts Options) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
+	// A clean zero tail (preallocated by the crashed log) is kept: appends
+	// overwrite it.  A torn tail is cut, and the file ends at GoodBytes.
+	l.zeroed = last.Size
 	if last.Torn {
 		if err := f.Truncate(last.GoodBytes); err != nil {
 			f.Close()
@@ -196,6 +232,7 @@ func openDir(dir string, opts Options) (*Log, []Record, error) {
 			f.Close()
 			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
+		l.zeroed = last.GoodBytes
 	}
 	if _, err := f.Seek(last.GoodBytes, 0); err != nil {
 		f.Close()
@@ -228,6 +265,7 @@ func (l *Log) createSegmentLocked(index int) error {
 	l.w = bufio.NewWriterSize(f, appendBufferSize)
 	l.segIndex = index
 	l.segSize = 0
+	l.zeroed = 0
 	l.segCount++
 	return nil
 }
@@ -276,6 +314,21 @@ func (l *Log) appendLocked(r Record) error {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
+	end := l.segSize + int64(frameHeaderSize+len(payload))
+	if l.opts.Sync && end > l.zeroed {
+		// Zero-fill ahead before buffering the frame, so no buffered byte
+		// ever lies beyond zeroed.  The fill stops at the rotation
+		// threshold — sealing would truncate anything past it — but always
+		// covers the whole frame.
+		grow := max(end, min(l.zeroed+zeroChunk, l.opts.SegmentSize))
+		for l.zeroed < grow {
+			n, err := l.f.WriteAt(zeros[:min(grow-l.zeroed, zeroChunk)], l.zeroed)
+			if err != nil {
+				return l.poisonLocked(err)
+			}
+			l.zeroed += int64(n)
+		}
+	}
 	if _, err := l.w.Write(hdr[:]); err != nil {
 		return l.poisonLocked(err)
 	}
@@ -384,11 +437,18 @@ func (l *Log) quiesceLocked() {
 	l.sealers--
 }
 
-// sealLocked flushes and fsyncs the current segment with mu held (no other
-// fsync in flight) and moves the horizon over everything appended.
+// sealLocked flushes, cuts the zero-filled tail off, and fsyncs the
+// current segment with mu held (no other fsync in flight), and moves the
+// horizon over everything appended.
 func (l *Log) sealLocked() error {
 	if err := l.w.Flush(); err != nil {
 		return err
+	}
+	if l.zeroed > l.segSize {
+		if err := l.f.Truncate(l.segSize); err != nil {
+			return err
+		}
+		l.zeroed = l.segSize
 	}
 	if err := l.syncFile(l.f); err != nil {
 		return err

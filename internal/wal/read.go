@@ -16,8 +16,11 @@ type SegmentInfo struct {
 	Name    string
 	Size    int64 // file size on disk
 	Records int   // valid records decoded
-	// GoodBytes is the byte offset of the first invalid frame (== Size for
-	// a clean segment) — the truncation point of torn-tail repair.
+	// GoodBytes is the byte offset just past the last valid frame — the
+	// truncation point of torn-tail repair.  A clean segment has
+	// GoodBytes == Size, or GoodBytes < Size with Torn false when the rest
+	// is a preallocated zero tail (a live Sync segment the writer never
+	// sealed).
 	GoodBytes int64
 	// Torn reports an invalid tail; Reason says what was wrong with it.
 	Torn   bool
@@ -40,10 +43,12 @@ func segmentIndex(name string) int {
 // the first invalid frame (short header, short payload, CRC mismatch,
 // undecodable payload): the segment is marked Torn with the failure
 // reason, its valid prefix is kept, and no later record of that segment is
-// returned.  Records from segments after a torn one are still scanned and
-// returned in the diagnostics, but callers recovering state must treat a
-// torn non-final segment as corruption, not a tail — Open refuses it.
-// A missing directory reads as an empty log.
+// returned.  An all-zero remainder at a frame boundary is not torn: it is
+// the zero-filled tail a Sync log keeps ahead of its live segment's append
+// offset, and the scan ends there cleanly.  Records from segments after a
+// torn one are still scanned and returned in the diagnostics, but callers
+// recovering state must treat a torn non-final segment as corruption, not
+// a tail — Open refuses it.  A missing directory reads as an empty log.
 func ReadDir(dir string) ([]Record, []SegmentInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -85,6 +90,11 @@ func readSegment(path string) (SegmentInfo, []Record, error) {
 	var recs []Record
 	off := 0
 	for off < len(data) {
+		// No valid frame has a zero length word, so an all-zero rest at a
+		// frame boundary is the writer's preallocated tail: a clean end.
+		if rest := data[off:]; (len(rest) < frameHeaderSize || binary.LittleEndian.Uint32(rest) == 0) && allZero(rest) {
+			break
+		}
 		if len(data)-off < frameHeaderSize {
 			info.Torn = true
 			info.Reason = fmt.Sprintf("short frame header (%d bytes)", len(data)-off)
@@ -119,10 +129,16 @@ func readSegment(path string) (SegmentInfo, []Record, error) {
 		off += frameHeaderSize + int(n)
 		info.GoodBytes = int64(off)
 	}
-	if !info.Torn {
-		info.GoodBytes = info.Size
-	}
 	return info, recs, nil
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadAll is ReadDir without the diagnostics, failing if any segment but

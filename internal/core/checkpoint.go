@@ -3,22 +3,31 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
 	"hybridcc/internal/wal"
 )
 
-// checkpointState is the System's checkpointer: the background trigger
-// loop's lifecycle and the counters CheckpointStats snapshots.
+// checkpointState is the System's checkpointer: what the next checkpoint
+// is built from besides the objects, the background trigger loop's
+// lifecycle, and the counters CheckpointStats snapshots.
 type checkpointState struct {
 	// mu serializes checkpoint attempts; stop/wg run the background loop.
 	mu   sync.Mutex
 	stop chan struct{}
 	wg   sync.WaitGroup
+	// prev is the newest published checkpoint — this process's last, or
+	// the one recovery loaded (guarded by mu).  pending maps each undecided
+	// prepared branch to its record; logged commits hold a grace slot.
+	prev    *wal.Checkpoint
+	pending sync.Map // string → wal.Record
+	grace   commitGrace
 
 	checkpoints     atomic.Int64
 	failures        atomic.Int64
@@ -68,11 +77,44 @@ func (s *System) CheckpointStats() CheckpointStats {
 	return st
 }
 
+// commitGrace is the checkpoint's grace period over logged commits: a
+// commit holds a slot from before its append until after its merge, and
+// wait returns once every commit holding one when it was called has left.
+// Two slots let new commits enter one while the other drains.
+type commitGrace struct {
+	epoch atomic.Uint64
+	slots [2]atomic.Int64
+}
+
+// enter takes the current slot; the caller leaves with Add(-1).  The
+// epoch re-check keeps a commit out of a slot a wait is draining (it
+// could sit there into the next wait, which drains the other one).
+func (g *commitGrace) enter() *atomic.Int64 {
+	for {
+		e := g.epoch.Load()
+		slot := &g.slots[e&1]
+		slot.Add(1)
+		if g.epoch.Load() == e {
+			return slot
+		}
+		slot.Add(-1)
+	}
+}
+
+// wait moves new commits to the other slot and waits for the old one to
+// drain.
+func (g *commitGrace) wait() {
+	old := &g.slots[(g.epoch.Add(1)-1)&1]
+	for old.Load() != 0 {
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
 // Checkpoint publishes a durable checkpoint of the committed state and
-// truncates the log segments it covers.  It overlaps normal traffic: after
-// a brief per-object fold (one mutex acquisition each, never held across
-// objects), the per-object images come from the lock-free committed-tail
-// snapshots, so no transaction blocks.  Any failure — encoding,
+// truncates the log segments below its cut.  It overlaps normal traffic:
+// after a brief per-object fold (one mutex acquisition each, never held
+// across objects), the per-object images come from the lock-free
+// committed-tail snapshots, so no transaction blocks.  Any failure — encoding,
 // disk full, a crash injected by the failpoint — abandons only the attempt;
 // the write-ahead log itself is untouched and the system keeps running
 // log-only.  Requires durability and a finished recovery.
@@ -95,140 +137,96 @@ func (s *System) Checkpoint() error {
 	return err
 }
 
-// checkpointLocked takes one checkpoint.  The cut protocol:
+// checkpointLocked takes one checkpoint from what the engine holds; it
+// reads no segment and no checkpoint file.  The cut protocol:
 //
-//  1. Rotate the log and capture the returned live segment index:
-//     everything a checkpoint may cover is sealed below it, and step 5
-//     passes it to truncation as the bound — a segment sealed later (by
-//     appends racing the checkpoint) is never considered.
-//  2. Snapshot every object's committed tail (lock-free loads of the
-//     published snapshots — never the lock manager).
-//  3. Flush the append buffer and read the directory.  Every record a
-//     snapshot's entries came from was appended before the commit merged
-//     (the append-before-merge rule), hence before the snapshot load,
-//     hence drained by the flush — so the directory read observes it.
-//     Records still arriving concurrently are simply not in any snapshot
-//     and stay uncovered.
-//  4. Build per-object images at each object's fold frontier: a
-//     DurableState encoding when the spec supports it, otherwise the
-//     committed-operations fallback assembled from the previous checkpoint
-//     plus the surviving log (complete, because truncation only ever
-//     removed records the previous checkpoint covered).
-//  5. Publish with the two-rename protocol, then unlink covered segments.
+//  1. Rotate the log: the returned live segment index is the cut.  Every
+//     record appended so far lies below it, every later one at or above.
+//  2. Grace: move new commits to the other in-flight slot and wait for the
+//     old one to drain.  A logged commit holds its slot from before its
+//     append until after its merge, so now every commit record below the
+//     cut has merged.
+//  3. Fold and snapshot each object: every commit below the cut is in its
+//     snapshot, folded into the version or unforgotten.  The image is a
+//     DurableState encoding, or for a spec without one the previous image
+//     plus the entries the fold retained since; committed entries carry
+//     their participant stamps.  Objects of the previous checkpoint nobody
+//     registered are carried over unchanged.
+//  4. Read the pending set after the snapshots: a prepared branch joins it
+//     before its record is appended and leaves once its commit or abort
+//     record is, so it holds every undecided branch below the cut, and no
+//     branch it holds has a commit below the cut or in a snapshot.
+//  5. Publish with the two-rename protocol, then unlink every sealed
+//     segment below the cut — none while a recovered object is unclaimed,
+//     and never one the log pinned for a record kind no checkpoint carries.
+//
+// The images hold only synced commits because a commit merges after its
+// fsync; releasing locks before the fsync would have to add a sync before
+// publishing an image that holds a merged-but-unsynced commit.
 func (s *System) checkpointLocked() error {
-	dir := s.log.Dir()
-	prev, err := wal.LoadCheckpoint(dir)
-	if err != nil {
-		return err
-	}
-	// The live segment index at the cut bounds truncation below: segments
-	// sealed by concurrent appends after this point may hold prepared
-	// records of branches the Pending set computed in step 3 never saw.
 	live, err := s.log.Rotate()
 	if err != nil {
 		return err
 	}
+	s.ckpt.grace.wait()
+	ck := &wal.Checkpoint{MaxSeq: s.txSeq.Load()}
+	var prevObjects []wal.CheckpointObject
+	if prev := s.ckpt.prev; prev != nil {
+		ck.CutTS, ck.MaxSeq, prevObjects = prev.CutTS, max(ck.MaxSeq, prev.MaxSeq), prev.Objects
+	}
+	prevImages := make(map[string][]wal.CheckpointEntry)
+	for _, co := range prevObjects {
+		if !co.HasState {
+			prevImages[co.Name] = co.ImageOps
+		}
+	}
 	objs := s.objectsSnapshot(nil)
-	sort.Slice(objs, func(i, j int) bool { return objs[i].name < objs[j].name })
-	snaps := make([]*tailSnapshot, len(objs))
+	sort.Slice(objs, func(i, j int) bool { return objs[i].name < objs[j].name }) // recovery seeds in this order
+	ck.Objects = make([]wal.CheckpointObject, 0, len(objs))
+	imaged := make([]int, len(objs)) // retained entries each image took
 	for i, o := range objs {
-		o.fold() // advance the frontier: recovery and quiescence leave it stale
-		snaps[i] = o.tailSnap.Load()
-	}
-	if err := s.log.Flush(); err != nil {
-		return err
-	}
-	bytesNow := s.log.Stats().Bytes
-	recs, _, err := wal.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-
-	var prevObjs map[string]*wal.CheckpointObject
-	var prevPending []wal.Record
-	if prev != nil {
-		prevObjs = make(map[string]*wal.CheckpointObject, len(prev.Objects))
-		for i := range prev.Objects {
-			prevObjs[prev.Objects[i].Name] = &prev.Objects[i]
-		}
-		prevPending = prev.Pending
-	}
-	// Participant stamps for unforgotten entries: the committed tail does
-	// not carry them, so look each transaction up in the surviving log and
-	// the previous checkpoint.  A missing stamp degrades to zero
-	// ("unstamped"), which constrains nothing — it can never cause a false
-	// missing-leg refusal.
-	parts := make(map[string]int)
-	stamp := func(tx string, n int) {
-		if n > parts[tx] {
-			parts[tx] = n
-		}
-	}
-	if prev != nil {
-		for _, o := range prev.Objects {
-			for _, e := range o.ImageOps {
-				stamp(e.Tx, e.Participants)
-			}
-			for _, e := range o.Unforgotten {
-				stamp(e.Tx, e.Participants)
-			}
-		}
-	}
-	for _, r := range recs {
-		if r.Kind == wal.KindCommit {
-			stamp(r.Tx, r.Participants)
-		}
-	}
-
-	combined := make([]wal.Record, 0, len(prevPending)+len(recs))
-	combined = append(combined, prevPending...)
-	combined = append(combined, recs...)
-	ck := &wal.Checkpoint{MaxSeq: s.txSeq.Load(), Pending: wal.Summarize(combined).Pending}
-	if prev != nil {
-		ck.CutTS = prev.CutTS
-		if prev.MaxSeq > ck.MaxSeq {
-			ck.MaxSeq = prev.MaxSeq
-		}
-	}
-	for i, o := range objs {
-		snap := snaps[i]
-		co := wal.CheckpointObject{
-			Name:   string(o.name),
-			Folded: int64(snap.folded),
-			Clock:  int64(snap.clock),
-		}
-		if int64(snap.clock) > ck.CutTS {
-			ck.CutTS = int64(snap.clock)
-		}
+		snap, folded := o.fold()
+		co := wal.CheckpointObject{Name: string(o.name), Folded: int64(snap.folded), Clock: int64(snap.clock)}
+		ck.CutTS = max(ck.CutTS, co.Clock)
 		if ds, ok := o.sp.(spec.DurableSpec); ok {
-			blob, err := ds.EncodeState(snap.version)
-			if err != nil {
+			co.HasState = true
+			if co.State, err = ds.EncodeState(snap.version); err != nil {
 				return fmt.Errorf("hybridcc: checkpoint: encoding state of %s: %w", o.name, err)
 			}
-			co.HasState = true
-			co.State = blob
 		} else {
-			img, err := fallbackImage(string(o.name), int64(snap.folded), prevObjs[string(o.name)], recs)
-			if err != nil {
-				return err
-			}
-			co.ImageOps = img
+			co.ImageOps, imaged[i] = fallbackImage(prevImages[co.Name], folded), len(folded)
 		}
 		for _, e := range snap.unforgotten {
-			co.Unforgotten = append(co.Unforgotten, wal.CheckpointEntry{
-				Tx:           string(e.tx),
-				TS:           int64(e.ts),
-				Participants: parts[string(e.tx)],
-				Ops:          walOps(e.ops),
-			})
+			co.Unforgotten = append(co.Unforgotten, checkpointEntry(e))
 		}
 		ck.Objects = append(ck.Objects, co)
 	}
+	for _, co := range prevObjects {
+		if s.objectByName(histories.ObjID(co.Name)) == nil {
+			ck.Objects = append(ck.Objects, co) // nobody registered it
+		}
+	}
+	s.ckpt.pending.Range(func(_, r any) bool {
+		ck.Pending = append(ck.Pending, r.(wal.Record))
+		return true
+	})
+	bytesNow := s.log.Stats().Bytes
 
-	if _, err := wal.WriteCheckpoint(dir, ck); err != nil {
+	if _, err := wal.WriteCheckpoint(s.log.Dir(), ck); err != nil {
 		return err
 	}
-	reclaimed, removed, terr := s.log.TruncateCovered(ck, live)
+	s.ckpt.prev = ck
+	for i, o := range objs {
+		if imaged[i] > 0 {
+			o.dropRetained(imaged[i])
+		}
+	}
+	s.objmu.Lock()
+	if s.recovered != nil && len(s.recovered.unclaimed) > 0 {
+		live = 0 // an unclaimed object's records are in no snapshot
+	}
+	s.objmu.Unlock()
+	reclaimed, removed, terr := s.log.TruncateBelow(live)
 	s.ckpt.checkpoints.Add(1)
 	s.ckpt.lastCutTS.Store(ck.CutTS)
 	s.ckpt.lastUnixNano.Store(time.Now().UnixNano())
@@ -241,44 +239,22 @@ func (s *System) checkpointLocked() error {
 	return nil
 }
 
-// fallbackImage assembles the committed-operations image of an object whose
-// spec has no durable-state support: every committed leg below the fold
-// frontier, deduplicated by transaction and sorted by timestamp.  The union
-// of the previous checkpoint's image and the surviving log is complete —
-// truncation only ever unlinks segments the previous checkpoint covered, so
-// a folded leg absent from the log is in the previous image by induction.
-func fallbackImage(name string, folded int64, prevObj *wal.CheckpointObject, recs []wal.Record) ([]wal.CheckpointEntry, error) {
-	seen := make(map[string]bool)
-	var img []wal.CheckpointEntry
-	add := func(e wal.CheckpointEntry) {
-		if e.TS < folded && !seen[e.Tx] {
-			seen[e.Tx] = true
-			img = append(img, e)
-		}
+// fallbackImage is the committed-operations image of an object whose spec
+// has no durable-state support: the previous checkpoint's image, then the
+// entries the fold retained since.  Both are in timestamp order and the
+// second starts at or above the previous image's horizon, so the result
+// is too.
+func fallbackImage(prev []wal.CheckpointEntry, folded []committedEntry) []wal.CheckpointEntry {
+	img := slices.Clip(prev) // appending copies: prev is the last checkpoint's
+	for _, e := range folded {
+		img = append(img, checkpointEntry(e))
 	}
-	if prevObj != nil {
-		if prevObj.HasState {
-			return nil, fmt.Errorf("hybridcc: checkpoint: previous checkpoint holds a state image for %s but its specification no longer supports durable state", name)
-		}
-		for _, e := range prevObj.ImageOps {
-			add(e)
-		}
-		for _, e := range prevObj.Unforgotten {
-			add(e)
-		}
-	}
-	for _, r := range recs {
-		if r.Kind != wal.KindCommit {
-			continue
-		}
-		for _, oo := range r.Objs {
-			if oo.Obj == name {
-				add(wal.CheckpointEntry{Tx: r.Tx, TS: r.TS, Participants: r.Participants, Ops: oo.Ops})
-			}
-		}
-	}
-	sort.SliceStable(img, func(i, j int) bool { return img[i].TS < img[j].TS })
-	return img, nil
+	return img
+}
+
+// checkpointEntry converts a committed entry to its checkpoint form.
+func checkpointEntry(e committedEntry) wal.CheckpointEntry {
+	return wal.CheckpointEntry{Tx: string(e.tx), TS: int64(e.ts), Participants: e.parts, Ops: walOps(e.ops)}
 }
 
 // walOps converts spec operations to their log representation.

@@ -2,8 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -347,4 +352,303 @@ func TestCheckpointGates(t *testing.T) {
 		t.Fatalf("Checkpoint on volatile system: %v", err)
 	}
 	v.Close()
+}
+
+// segNames returns the set of wal-*.seg files in dir.
+func segNames(dir string) (map[string]bool, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	names := make(map[string]bool)
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".seg") {
+			names[e.Name()] = true
+		}
+	}
+	return names, nil
+}
+
+// TestCheckpointTruncatesOnlyCovered holds the checkpointer's unlink rule —
+// every sealed segment below the cut — to the old coverage scan: whatever a
+// checkpoint unlinks, wal.CoveredSegments over the same directory, just
+// before the unlink, must call covered.  Checkpoints run beside committing
+// writers, beside a prepared-but-undecided branch, and beside a commit held
+// between its append and its merge (the grace wait must outlast it:
+// without the wait the held commit's segment goes, and the oracle fails).
+// A crash at the end recovers every acknowledged commit and the branch.
+func TestCheckpointTruncatesOnlyCovered(t *testing.T) {
+	dir := t.TempDir()
+	s := openCheckpointable(t, dir)
+	if err := s.FinishRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	accs := []*Object{accountNamed(s, "w0"), accountNamed(s, "w1"), accountNamed(s, "p")}
+
+	// The oracle runs at the "truncate" failpoint: after the publish, before
+	// the first unlink.
+	var covered, present map[string]bool
+	defer func() { wal.CheckpointFailpoint = nil }()
+	wal.CheckpointFailpoint = func(stage string) error {
+		if stage != "truncate" {
+			return nil
+		}
+		ck, err := wal.LoadCheckpoint(dir)
+		if err != nil || ck == nil {
+			return fmt.Errorf("oracle: LoadCheckpoint = %v, %v", ck, err)
+		}
+		segs, err := wal.CoveredSegments(dir, math.MaxInt, ck)
+		if err != nil {
+			return err
+		}
+		covered = make(map[string]bool)
+		for _, sg := range segs {
+			covered[sg.Name] = true
+		}
+		present, err = segNames(dir)
+		return err
+	}
+	checkpoint := func() error {
+		covered, present = nil, nil
+		if err := s.Checkpoint(); err != nil {
+			return err
+		}
+		after, err := segNames(dir)
+		if err != nil {
+			return err
+		}
+		for n := range present {
+			if !after[n] && !covered[n] {
+				return fmt.Errorf("checkpoint unlinked %s, which the coverage scan would keep", n)
+			}
+		}
+		ck, err := wal.LoadCheckpoint(dir)
+		if err != nil || ck == nil || len(ck.Pending) != 1 || ck.Pending[0].Tx != "P1" {
+			return fmt.Errorf("published checkpoint %v (%v) does not carry the undecided branch P1", ck, err)
+		}
+		return nil
+	}
+
+	br := s.BeginBranch(nil, "P1")
+	if _, err := accs[2].Call(br, adt.CreditInv(7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := br.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The hook is installed before the writers start and removed after
+	// they stop; holdNext arms it.
+	var holdNext atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	appendedHook = func() {
+		if holdNext.CompareAndSwap(true, false) {
+			close(held)
+			<-release
+		}
+	}
+	defer func() { appendedHook = nil }()
+
+	var acked [2]atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stopWriters := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopWriters()
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tx := s.Begin()
+				if _, err := accs[w].Call(tx, adt.CreditInv(1)); err != nil {
+					t.Error(err)
+					_ = tx.Abort()
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+				acked[w].Add(1)
+			}
+		}()
+	}
+	for range 3 {
+		time.Sleep(5 * time.Millisecond)
+		if err := checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Hold the next commit between its append and its merge, and
+	// checkpoint beside it.
+	holdNext.Store(true)
+	<-held
+	done := make(chan error, 1)
+	go func() { done <- checkpoint() }()
+	select {
+	case err := <-done:
+		close(release)
+		t.Fatalf("checkpoint finished while a logged commit was unmerged (err %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	stopWriters()
+	if s.CheckpointStats().SegmentsRemoved == 0 {
+		t.Fatal("no checkpoint unlinked anything: the oracle saw nothing")
+	}
+
+	s.CrashLog()
+	s2 := openCheckpointable(t, dir)
+	accs2 := []*Object{accountNamed(s2, "w0"), accountNamed(s2, "w1"), accountNamed(s2, "p")}
+	if pend := s2.RecoveredPending(); len(pend) != 1 || pend[0].ID != "P1" {
+		t.Fatalf("pending after restart = %+v, want [P1]", pend)
+	}
+	if err := s2.FinishRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	for w := range 2 {
+		if got, want := adt.AccountBalance(accs2[w].CommittedState()), acked[w].Load(); got != want {
+			t.Errorf("w%d: recovered balance %d, acknowledged %d", w, got, want)
+		}
+	}
+	s2.Close()
+}
+
+// TestCheckpointReadsNoSegment: a checkpoint of built-in objects reads no
+// segment and no checkpoint file, retains no folded operation, and costs
+// the same allocations after 1k and after 10k commits since the last one.
+func TestCheckpointReadsNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSystem(Options{Durability: &Durability{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.FinishRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	var accs []*Object
+	for i := range 64 {
+		accs = append(accs, accountNamed(s, fmt.Sprintf("a%02d", i)))
+	}
+	pay := func(n int) {
+		for i := range n {
+			tx := s.Begin()
+			for _, o := range []*Object{accs[i%64], accs[(i*7+3)%64]} {
+				if _, err := o.Call(tx, adt.CreditInv(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkpoint := func() uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		reads := wal.FileReads.Load()
+		runtime.ReadMemStats(&before)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := wal.FileReads.Load() - reads; n != 0 {
+			t.Fatalf("checkpoint read %d segment or checkpoint files, want 0", n)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	pay(100)
+	checkpoint()
+	pay(1000)
+	small := checkpoint()
+	pay(10000)
+	large := checkpoint()
+	for _, o := range accs {
+		if n := len(o.retained); n != 0 {
+			t.Fatalf("%s retained %d folded entries; a durable spec needs none", o.name, n)
+		}
+	}
+	t.Logf("checkpoint allocations: %d after 1k commits, %d after 10k", small, large)
+	if raceEnabled {
+		return // allocation counts shift under the race detector
+	}
+	if d := math.Abs(float64(large)-float64(small)) / float64(small); d > 0.10 {
+		t.Fatalf("checkpoint allocations grew with traffic: %d after 1k commits, %d after 10k", small, large)
+	}
+}
+
+// TestUnregisteredObjectSurvivesCheckpoint: while a recovered object is
+// unclaimed its records are in no snapshot, so no checkpoint may unlink a
+// segment — and the previous checkpoint's image of it is carried along —
+// until a restart that registers it recovers every operation.
+func TestUnregisteredObjectSurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := openCheckpointable(t, dir)
+	if err := s.FinishRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	acc, other := accountOn(s), accountNamed(s, "other")
+	for range 3 {
+		credit(t, s, acc, 10)
+	}
+	if err := s.Checkpoint(); err != nil { // acc's first 30 go into the image
+		t.Fatal(err)
+	}
+	credit(t, s, acc, 5)
+	credit(t, s, other, 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openCheckpointable(t, dir)
+	other2 := accountNamed(s2, "other") // nobody registers acc
+	if err := s2.FinishRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	if !s2.HasUnclaimedRecovery("acc") {
+		t.Fatal("acc not marked unclaimed")
+	}
+	segs := segFiles(t, dir)
+	for range 3 {
+		credit(t, s2, other2, 1)
+		if err := s2.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if n := segFiles(t, dir); n < segs {
+			t.Fatalf("a checkpoint unlinked segments while acc was unclaimed: %d -> %d", segs, n)
+		}
+		segs = segFiles(t, dir)
+	}
+	if st := s2.CheckpointStats(); st.SegmentsRemoved != 0 {
+		t.Fatalf("stats = %+v, want no segment removed", st)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3 := openCheckpointable(t, dir)
+	acc3, other3 := accountOn(s3), accountNamed(s3, "other")
+	if err := s3.FinishRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	if got := adt.AccountBalance(acc3.CommittedState()); got != 35 {
+		t.Fatalf("acc recovered %d, want 35", got)
+	}
+	if got := adt.AccountBalance(other3.CommittedState()); got != 4 {
+		t.Fatalf("other recovered %d, want 4", got)
+	}
+	s3.Close()
 }

@@ -18,6 +18,10 @@ type commitScratch struct {
 	recs []wal.Record   // the batch's commit records
 }
 
+// appendedHook, when non-nil, runs between a logged commit's append and its
+// merge: tests hold a commit inside the checkpoint's grace period with it.
+var appendedHook func()
+
 // commitTxs is the commit event of the paper's LOCK machine — merge a
 // transaction's intentions into the committed state at its timestamp and
 // release its locks — for a batch of one or more transactions, and the only
@@ -39,12 +43,14 @@ type commitScratch struct {
 //     the log's durability horizon passes them, before any object merges
 //     an intention.  Other committers' records may sit unsynced in the
 //     log meanwhile — each as unmerged as these — so no transaction can
-//     depend on a commit the log might lose.
+//     depend on a commit the log might lose.  A grace slot is held from
+//     before the append until every merge is done.
 //  4. On append failure abort every member, release every window, and
 //     return the log's error; nothing merged.
 //  5. Publish each member's timestamp and txCommitted together, so
 //     Timestamp() never reports (0, true); the same critical section reads
-//     the identifier the member's committed entries will carry.
+//     the identifier and participant count its committed entries carry, and
+//     a prepared member leaves the pending set.
 //  6. Merge per object in timestamp order — one fold, one snapshot
 //     publication, one waiter scan each — and release the object's window
 //     only after its new tail is published.
@@ -79,6 +85,8 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 	}
 
 	if s.log != nil {
+		slot := s.ckpt.grace.enter() // until merged: see checkpointLocked
+		defer slot.Add(-1)
 		recs := sc.recs[:0]
 		for _, t := range batch {
 			// A record naming no object and no sibling sites says nothing
@@ -111,6 +119,9 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 			s.stats.Calls.Add(calls)
 			return err
 		}
+		if appendedHook != nil {
+			appendedHook()
+		}
 	}
 
 	for _, t := range batch {
@@ -122,7 +133,10 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 		if s.opts.Sink != nil {
 			t.idLocked()
 		}
-		t.entryID = t.id
+		t.entryID, t.entryParts = t.id, t.participants
+		if t.loggedPrepare {
+			s.ckpt.pending.Delete(string(t.id))
+		}
 		t.mu.Unlock()
 	}
 

@@ -94,7 +94,11 @@ func OpenSystem(opts Options) (*System, error) {
 			return nil, err
 		}
 		s.log = l
+		s.ckpt.prev = ck
 		st := mergeRecovered(ck, recs)
+		for _, r := range st.pending {
+			s.ckpt.pending.Store(r.Tx, r)
+		}
 		for _, r := range st.committed {
 			s.clock.Observe(histories.Timestamp(r.TS))
 			if n, ok := txSeqOf(r.Tx); ok && n > st.maxSeq {
@@ -354,6 +358,7 @@ func (s *System) ResolvePending(id histories.TxID, ts histories.Timestamp) error
 		if err := s.log.AppendSync(rec); err != nil {
 			return err
 		}
+		s.ckpt.pending.Delete(r.Tx)
 		s.recovered.committed = append(s.recovered.committed, rec)
 		s.recovered.pending = append(s.recovered.pending[:i], s.recovered.pending[i+1:]...)
 		s.clock.Observe(ts)
@@ -374,6 +379,7 @@ func (s *System) AbandonPending() error {
 		if err := s.log.Append(wal.Record{Kind: wal.KindAbort, Tx: r.Tx}); err != nil {
 			return err
 		}
+		s.ckpt.pending.Delete(r.Tx)
 	}
 	if err := s.log.Sync(); err != nil {
 		return err
@@ -398,6 +404,7 @@ func (s *System) AbandonPendingTx(id histories.TxID) error {
 		if err := s.log.Append(wal.Record{Kind: wal.KindAbort, Tx: r.Tx}); err != nil {
 			return err
 		}
+		s.ckpt.pending.Delete(r.Tx)
 		if err := s.log.Sync(); err != nil {
 			return err
 		}
@@ -600,7 +607,7 @@ func ReplayStream(txs iter.Seq[RecoveredTx]) error {
 			if lg.o.sys.opts.Sink != nil {
 				lg.o.sys.emitRecovered(histories.CommitEvent(tx.ID, lg.o.name, tx.TS))
 			}
-			lg.o.seedRecovered(tx.ID, tx.TS, lg.ops, lg.next)
+			lg.o.seedRecovered(committedEntry{ts: tx.TS, tx: tx.ID, parts: tx.Participants, ops: lg.ops}, lg.next)
 		}
 		for i, lg := range legs {
 			counted := false
@@ -634,14 +641,14 @@ func (s *System) emitRecovered(e histories.Event) {
 // committed tail: entries arrive in timestamp order (Replay sorts), so
 // each append keeps unforgotten sorted and the tail cache extends exactly
 // as a live in-order commit would.
-func (o *Object) seedRecovered(id histories.TxID, ts histories.Timestamp, ops []spec.Op, state spec.State) {
+func (o *Object) seedRecovered(e committedEntry, state spec.State) {
 	o.mu.Lock()
-	o.unforgotten = append(o.unforgotten, committedEntry{ts: ts, tx: id, ops: ops})
+	o.unforgotten = append(o.unforgotten, e)
 	o.commitGen++
 	o.tailState = state
 	o.tailGen = o.commitGen
-	if ts > o.clock {
-		o.clock = ts
+	if e.ts > o.clock {
+		o.clock = e.ts
 	}
 	o.events++
 	o.stats.commits.Add(1)

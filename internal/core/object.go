@@ -93,6 +93,10 @@ type Object struct {
 	// unforgotten holds committed transactions not yet folded into
 	// version, sorted by timestamp.
 	unforgotten []committedEntry
+	// retained keeps, when retain is set (durable, no DurableSpec), what the
+	// fold moved into version since the last checkpoint image took it.
+	retain   bool
+	retained []committedEntry
 	// active holds each active transaction's lock record: its intentions
 	// (which double as its locks), timestamp lower bound, held-class
 	// bitmask, and cached view state.
@@ -101,9 +105,8 @@ type Object struct {
 	clock histories.Timestamp
 	// folded is the fold frontier: every committed transaction with
 	// timestamp strictly below it has been folded into version, and no
-	// future commit can land below it (monotone — see forgetLocked).  The
-	// checkpointer uses it to decide which WAL commit records the version
-	// image covers.
+	// future commit can land below it (monotone — see forgetLocked).  A
+	// checkpoint records it as its image's horizon.
 	folded histories.Timestamp
 
 	// commitGen counts commits merged at this object.  Caches derived
@@ -353,9 +356,10 @@ type txLock struct {
 }
 
 type committedEntry struct {
-	ts  histories.Timestamp
-	tx  histories.TxID
-	ops []spec.Op
+	ts    histories.Timestamp
+	tx    histories.TxID
+	parts int // the commit record's participant count
+	ops   []spec.Op
 }
 
 // tailSnapshot is the immutable committed-tail picture behind the
@@ -491,6 +495,8 @@ func (s *System) NewObjectPolicies(name string, sp spec.Spec, set *ccpolicy.Set,
 		tailState: sp.Init(),
 	}
 	o.readSp, _ = sp.(spec.ReadSpec)
+	_, durable := sp.(spec.DurableSpec)
+	o.retain = s.log != nil && !durable
 	o.publishTailLocked()
 	s.registerObject(o)
 	return o, nil
@@ -873,7 +879,7 @@ func (o *Object) mergeCommitLocked(tx *Tx, lk *txLock, ev []pendingEvent) []pend
 	// tx.entryID feeds the sink's commit event and panic diagnostics;
 	// commitTxs read it when it published ts.
 	id := tx.entryID
-	entry := committedEntry{ts: ts, tx: id, ops: ops}
+	entry := committedEntry{ts: ts, tx: id, parts: tx.entryParts, ops: ops}
 	n := len(o.unforgotten)
 	if n == 0 || o.unforgotten[n-1].ts <= ts {
 		// In order — the only case with the system clock: append past every
@@ -1036,6 +1042,9 @@ func (o *Object) forgetLocked() int {
 		n++
 	}
 	if n > 0 {
+		if o.retain {
+			o.retained = append(o.retained, o.unforgotten[:n]...)
+		}
 		// Advance: published windows stay as they are, and the folded
 		// prefix stays reachable for the array's capacity in commits — too
 		// long for a drained backlog (a reader pin let go), which moves.
@@ -1061,19 +1070,25 @@ func (o *Object) forgetLocked() int {
 	return n
 }
 
-// fold advances the fold frontier outside the commit path and republishes
-// the tail snapshot.  The checkpointer calls it before snapshotting: a
-// freshly recovered or quiescent object has folded nothing since its last
-// commit (folding normally rides the commit path), so without this pass
-// the first checkpoint after a restart would cover almost no records.
-// No-op under DisableCompaction.
-func (o *Object) fold() {
-	if o.sys.opts.DisableCompaction {
-		return
-	}
+// fold advances the fold frontier outside the commit path and returns the
+// tail snapshot, republished if that moved anything, with the retained
+// entries.  The checkpointer calls it: a freshly recovered or quiescent
+// object has folded nothing since its last commit (folding normally rides
+// the commit path), so without this pass its image would hold almost
+// nothing.
+func (o *Object) fold() (*tailSnapshot, []committedEntry) {
 	o.mu.Lock()
-	o.forgetLocked()
-	o.publishTailLocked()
+	defer o.mu.Unlock()
+	if f := o.folded; !o.sys.opts.DisableCompaction && (o.forgetLocked() > 0 || o.folded != f) {
+		o.publishTailLocked()
+	}
+	return o.tailSnap.Load(), o.retained
+}
+
+// dropRetained forgets the n retained entries a published image holds.
+func (o *Object) dropRetained(n int) {
+	o.mu.Lock()
+	o.retained = append([]committedEntry(nil), o.retained[n:]...)
 	o.mu.Unlock()
 }
 

@@ -128,11 +128,12 @@ type Tx struct {
 	done chan error
 
 	// drawn is the commit timestamp between commitTxs drawing it and
-	// publishing it as ts; entryID is the identifier committed entries
-	// carry, read where ts is published.  Only commitTxs' goroutine
-	// touches them.
-	drawn   histories.Timestamp
-	entryID histories.TxID
+	// publishing it as ts; entryID and entryParts are the identifier and
+	// participant count committed entries carry, read where ts is
+	// published.  Only commitTxs' goroutine touches them.
+	drawn      histories.Timestamp
+	entryID    histories.TxID
+	entryParts int
 }
 
 // ID returns the transaction's identifier, materializing it on first use:
@@ -306,6 +307,7 @@ func (t *Tx) Abort() error {
 		// presumed abort, losing this record costs nothing — recovery
 		// reaches the same verdict from the decision record's absence.
 		_ = t.sys.log.Append(wal.Record{Kind: wal.KindAbort, Tx: string(t.ID())})
+		t.sys.ckpt.pending.Delete(string(t.ID()))
 	}
 	t.sys.stats.Aborted.Add(1)
 	t.sys.stats.Calls.Add(calls)
@@ -345,7 +347,10 @@ func (t *Tx) Prepare() (histories.Timestamp, error) {
 	// nothing, and a failure of the redundant append must not unfreeze a
 	// branch whose bound the coordinator may already hold.
 	if s := t.sys; s.log != nil && !voteLogged {
-		if err := s.log.AppendSync(s.walPreparedRecord(t, t.touchedObjects())); err != nil {
+		rec := s.walPreparedRecord(t, t.touchedObjects())
+		s.ckpt.pending.Store(rec.Tx, rec) // before the append: see checkpointLocked
+		if err := s.log.AppendSync(rec); err != nil {
+			s.ckpt.pending.Delete(rec.Tx)
 			t.mu.Lock()
 			t.prepared = false
 			t.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,8 +20,8 @@ import (
 // and the prepared-but-undecided branches that survive the cut.  Recovery
 // seeds each object from its image and replays only the entries above the
 // horizon plus the log tail, so restart cost is bounded by activity since
-// the checkpoint, not by history; segments whose every record the
-// checkpoint covers are unlinked after it is published.
+// the checkpoint, not by history; the segments sealed below the
+// checkpoint's cut are unlinked after it is published (Log.TruncateBelow).
 //
 // On disk a checkpoint is a single checkpoint-<cut>.ckpt file in the log
 // directory, framed with the same length-prefix + CRC32C scheme as the
@@ -527,6 +528,7 @@ func ReadCheckpointFile(dir, name string) (*Checkpoint, error) {
 
 // readCheckpointFile loads and decodes one checkpoint file.
 func readCheckpointFile(dir, name string) (*Checkpoint, error) {
+	FileReads.Add(1)
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -594,27 +596,27 @@ func (ck *Checkpoint) index() *ckptIndex {
 //   - Anything else (decision, owner, discharge — coordinator-ledger
 //     kinds that never appear in shard logs): never, conservatively.
 func (ix *ckptIndex) covers(r Record) bool {
-	switch r.Kind {
-	case KindPrepared, KindAbort:
-		return true
-	case KindCommit:
-		for _, oo := range r.Objs {
-			oi := ix.objs[oo.Obj]
-			if oi == nil {
-				return false
-			}
-			if r.TS >= oi.folded && !oi.txs[r.Tx] {
-				return false
-			}
-		}
-		return true
+	if r.Kind != KindCommit {
+		return checkpointCarries(r.Kind)
 	}
-	return false
+	for _, oo := range r.Objs {
+		oi := ix.objs[oo.Obj]
+		if oi == nil {
+			return false
+		}
+		if r.TS >= oi.folded && !oi.txs[r.Tx] {
+			return false
+		}
+	}
+	return true
 }
 
 // CoveredSegments returns the sealed segments (index below the given
-// bound) whose every record ck covers — the set truncation may unlink
-// once ck is published.  A torn segment is never covered.
+// bound) whose every record ck covers — the segments recovery could lose
+// without losing anything ck does not hold.  Truncation does not consult it
+// (the checkpointer unlinks by its cut, reading nothing); inspection tools
+// report it, and tests hold truncation to it.  A torn segment is never
+// covered.
 func CoveredSegments(dir string, below int, ck *Checkpoint) ([]SegmentInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -658,41 +660,44 @@ func CoveredSegments(dir string, below int, ck *Checkpoint) ([]SegmentInfo, erro
 	return covered, nil
 }
 
-// TruncateCovered unlinks every sealed segment with index below the given
-// bound that ck covers, returning the bytes reclaimed and the number of
-// segments removed.  Call it only after WriteCheckpoint returned for ck:
-// until the checkpoint is published, those segments are the only copy of
-// their records.  The bound must be the live segment index captured when
-// ck's coverage was computed (the index Rotate returned at the cut) — not
-// the current live index: segments sealed after the cut can hold prepared
-// records of branches ck's Pending set never saw, and unlinking them would
-// delete the only copy of an undecided branch.
-func (l *Log) TruncateCovered(ck *Checkpoint, below int) (reclaimed int64, removed int, err error) {
+// TruncateBelow unlinks every sealed segment with index below the given
+// bound, except segments holding a record kind a checkpoint cannot carry,
+// and returns the bytes reclaimed and the number of segments removed.  It
+// reads no segment: the caller vouches that a published checkpoint carries
+// every record below the bound.  The bound must be the index Rotate
+// returned at that checkpoint's cut, not the current live index: segments
+// sealed after the cut hold records the checkpoint never saw.
+func (l *Log) TruncateBelow(below int) (reclaimed int64, removed int, err error) {
 	l.mu.Lock()
-	dir := l.dir
-	l.mu.Unlock()
-	covered, err := CoveredSegments(dir, below, ck)
-	if err != nil {
-		return 0, 0, err
+	var doomed []sealedSeg
+	for _, s := range l.sealed {
+		if s.index < below && !s.pinned {
+			doomed = append(doomed, s)
+		}
 	}
-	if len(covered) == 0 {
+	l.mu.Unlock()
+	if len(doomed) == 0 {
 		return 0, 0, nil
 	}
 	if err := ckptFail("truncate"); err != nil {
 		return 0, 0, err
 	}
-	for _, s := range covered {
-		if err := os.Remove(filepath.Join(dir, s.Name)); err != nil {
-			return reclaimed, removed, fmt.Errorf("wal: %w", err)
+	for _, s := range doomed {
+		if err = os.Remove(filepath.Join(l.dir, segmentName(s.index))); err != nil {
+			err = fmt.Errorf("wal: %w", err)
+			break
 		}
-		reclaimed += s.Size
+		reclaimed += s.size
 		removed++
 	}
-	if err := syncDir(dir); err != nil {
-		return reclaimed, removed, err
+	if removed > 0 {
+		last := doomed[removed-1].index
+		l.mu.Lock()
+		l.sealed = slices.DeleteFunc(l.sealed, func(s sealedSeg) bool { return s.index <= last && !s.pinned })
+		l.mu.Unlock()
 	}
-	l.mu.Lock()
-	l.segCount -= removed
-	l.mu.Unlock()
-	return reclaimed, removed, nil
+	if err == nil {
+		err = syncDir(l.dir)
+	}
+	return reclaimed, removed, err
 }

@@ -286,9 +286,11 @@ func TestCheckpointCrashWindows(t *testing.T) {
 	})
 }
 
-// TestCoverageAndTruncation drives the full cycle against a real log:
-// records below the fold truncate, an uncovered record pins its segment,
-// and the live segment is never touched.
+// TestCoverageAndTruncation drives both halves against a real log: the
+// coverage oracle reports exactly the segments a checkpoint covers, and
+// truncation unlinks every sealed segment below its bound except one
+// holding a record kind no checkpoint carries — before and after a reopen —
+// and never touches the live segment.
 func TestCoverageAndTruncation(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{Sync: true, SegmentSize: 1})
@@ -312,6 +314,8 @@ func TestCoverageAndTruncation(t *testing.T) {
 		commitRec("T3", 45),               // NOT covered: above fold, not in unforgotten
 		Record{Kind: KindAbort, Tx: "T4"}, // always covered
 		Record{Kind: KindCommit, Tx: "T5", TS: 2, Objs: []ObjOps{{Obj: "ghost", Ops: []Op{{Name: "X"}}}}}, // unknown object
+		// No checkpoint carries a decision: it pins its segment.
+		Record{Kind: KindDecision, Tx: "T6", TS: 50},
 	)
 
 	ck := &Checkpoint{
@@ -322,7 +326,7 @@ func TestCoverageAndTruncation(t *testing.T) {
 		}},
 	}
 
-	covered, err := CoveredSegments(dir, l.SegmentIndex(), ck)
+	covered, err := CoveredSegments(dir, l.segIndex, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,40 +340,46 @@ func TestCoverageAndTruncation(t *testing.T) {
 	}
 
 	before := l.Stats().Segments
-	reclaimed, removed, err := l.TruncateCovered(ck, l.SegmentIndex())
+	reclaimed, removed, err := l.TruncateBelow(l.segIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 3 || reclaimed == 0 {
-		t.Fatalf("removed %d segments (%d bytes), want 3", removed, reclaimed)
+	if removed != 5 || reclaimed == 0 {
+		t.Fatalf("removed %d segments (%d bytes), want 5", removed, reclaimed)
 	}
-	if got := l.Stats().Segments; got != before-3 {
-		t.Fatalf("Segments stat %d, want %d", got, before-3)
+	if got := l.Stats().Segments; got != before-5 {
+		t.Fatalf("Segments stat %d, want %d", got, before-5)
 	}
 
-	// The survivors still replay: T3's and T5's segments plus the tail.
+	// The pinned segment survives, and the live segment is untouched.
 	recs, err := ReadAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var txs []string
-	for _, r := range recs {
-		txs = append(txs, r.Tx)
-	}
-	if fmt.Sprint(txs) != fmt.Sprint([]string{"T3", "T5"}) {
-		t.Fatalf("surviving records %v, want [T3 T5]", txs)
+	if len(recs) != 1 || recs[0].Tx != "T6" {
+		t.Fatalf("surviving records %+v, want the decision T6", recs)
 	}
 
-	// Reopening the directory (settle + replay) works after truncation:
-	// segment numbering now starts above 1.
+	// Reopening the directory (settle + replay) works after truncation —
+	// segment numbering now starts above 1 — and the reopened log still
+	// knows which segment is pinned.
 	l.Close()
-	l2, recs, err := Open(dir, Options{Sync: true})
+	l2, recs, err := Open(dir, Options{Sync: true, SegmentSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if len(recs) != 2 {
-		t.Fatalf("reopen replayed %d records, want 2", len(recs))
+	if len(recs) != 1 {
+		t.Fatalf("reopen replayed %d records, want 1", len(recs))
+	}
+	if err := l2.AppendSync(commitRec("T7", 60)); err != nil {
+		t.Fatal(err)
+	}
+	if _, removed, err := l2.TruncateBelow(l2.segIndex); err != nil || removed != 1 {
+		t.Fatalf("after reopen: removed %d segments, err %v; want T7's alone", removed, err)
+	}
+	if recs, err := ReadAll(dir); err != nil || len(recs) != 1 || recs[0].Tx != "T6" {
+		t.Fatalf("after reopen: surviving records %+v, %v; want the decision T6", recs, err)
 	}
 }
 
@@ -398,11 +408,7 @@ func TestTruncationBoundExcludesLaterSegments(t *testing.T) {
 	if err := l.AppendSync(prep); err != nil {
 		t.Fatal(err)
 	}
-	ck := &Checkpoint{
-		CutTS:   42,
-		Objects: []CheckpointObject{{Name: "acct", Folded: 40, Clock: 42, HasState: true, State: []byte("s")}},
-	}
-	if _, removed, err := l.TruncateCovered(ck, bound); err != nil || removed != 1 {
+	if _, removed, err := l.TruncateBelow(bound); err != nil || removed != 1 {
 		t.Fatalf("removed %d segments, err %v; want exactly the folded commit's", removed, err)
 	}
 	recs, err := ReadAll(dir)

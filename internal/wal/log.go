@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -131,10 +132,13 @@ type Log struct {
 	segIndex int
 	segSize  int64
 	zeroed   int64 // allocated, zero-filled length of the live segment
-	segCount int
-	closed   bool
-	failed   error
-	enc      []byte
+	// sealed lists the sealed segments on disk, oldest first; livePinned
+	// marks the live one as holding a record no checkpoint carries.
+	sealed     []sealedSeg
+	livePinned bool
+	closed     bool
+	failed     error
+	enc        []byte
 	// The durability horizon: bytes (below) counts what is appended,
 	// durable what an fsync has covered.  syncing marks the one fsync in
 	// flight outside mu; nothing closes or swaps f under it.  sealers
@@ -150,6 +154,20 @@ type Log struct {
 	appends atomic.Int64
 	fsyncs  atomic.Int64
 	bytes   atomic.Int64
+}
+
+// sealedSeg is one sealed segment; a pinned one is never truncated.
+type sealedSeg struct {
+	index  int
+	size   int64
+	pinned bool
+}
+
+// checkpointCarries reports whether a checkpoint stands in for records of
+// kind k; decision, owner and discharge records belong to coordinator
+// ledgers, which never checkpoint.
+func checkpointCarries(k Kind) bool {
+	return k == KindCommit || k == KindPrepared || k == KindAbort
 }
 
 // segmentName formats the segment file name for index i.
@@ -207,7 +225,16 @@ func openDir(dir string, opts Options) (*Log, []Record, error) {
 	}
 	l := &Log{dir: dir, opts: opts, syncFile: (*os.File).Sync}
 	l.cond.L = &l.mu
-	l.segCount = len(segs)
+	rest := recs
+	for i, s := range segs {
+		pinned := slices.ContainsFunc(rest[:s.Records], func(r Record) bool { return !checkpointCarries(r.Kind) })
+		rest = rest[s.Records:]
+		if i < len(segs)-1 {
+			l.sealed = append(l.sealed, sealedSeg{index: segmentIndex(s.Name), size: s.Size, pinned: pinned})
+		} else {
+			l.livePinned = pinned
+		}
+	}
 	if len(segs) == 0 {
 		if err := l.createSegmentLocked(1); err != nil {
 			return nil, nil, err
@@ -266,7 +293,7 @@ func (l *Log) createSegmentLocked(index int) error {
 	l.segIndex = index
 	l.segSize = 0
 	l.zeroed = 0
-	l.segCount++
+	l.livePinned = false
 	return nil
 }
 
@@ -338,6 +365,7 @@ func (l *Log) appendLocked(r Record) error {
 	l.appends.Add(1)
 	l.bytes.Add(int64(frameHeaderSize + len(payload)))
 	l.segSize += int64(frameHeaderSize + len(payload))
+	l.livePinned = l.livePinned || !checkpointCarries(r.Kind)
 	if l.segSize >= l.opts.SegmentSize && !l.syncing {
 		return l.rotateLocked() // under an fsync the syncer rotates when it is done
 	}
@@ -468,6 +496,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return l.poisonLocked(err)
 	}
+	l.sealed = append(l.sealed, sealedSeg{index: l.segIndex, size: l.segSize, pinned: l.livePinned})
 	if err := l.createSegmentLocked(l.segIndex + 1); err != nil {
 		return l.poisonLocked(err)
 	}
@@ -479,8 +508,8 @@ func (l *Log) rotateLocked() error {
 // smaller index is sealed — fully on disk and never written again.  An
 // already-empty current segment is left in place (rotating it would churn
 // out zero-byte files), so Rotate is idempotent between appends.  The
-// checkpointer calls this to fix the sealed/live boundary before reading
-// the directory.
+// checkpointer calls this to fix its cut: the index is the bound it later
+// passes to TruncateBelow.
 func (l *Log) Rotate() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -496,29 +525,6 @@ func (l *Log) Rotate() (int, error) {
 		return 0, err
 	}
 	return l.segIndex, nil
-}
-
-// Flush drains the in-process append buffer to the OS without fsyncing.
-// The checkpointer uses it so a directory read observes every record
-// appended before the flush; durability still comes from Sync/rotation.
-// (It neither closes nor swaps the file, so it need not wait out an fsync.)
-func (l *Log) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return l.closedErrLocked()
-	}
-	if err := l.w.Flush(); err != nil {
-		return l.poisonLocked(err)
-	}
-	return nil
-}
-
-// SegmentIndex returns the current (live) segment's index.
-func (l *Log) SegmentIndex() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.segIndex
 }
 
 // Close flushes, fsyncs, and closes the log.  Closing twice is a no-op.
@@ -569,7 +575,7 @@ func (l *Log) Crash() {
 // Stats returns append/fsync counters and the segment count.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
-	n := l.segCount
+	n := len(l.sealed) + 1
 	l.mu.Unlock()
 	return Stats{Appends: l.appends.Load(), Fsyncs: l.fsyncs.Load(), Segments: n, Bytes: l.bytes.Load()}
 }

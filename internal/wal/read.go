@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // SegmentInfo describes one scanned segment file.
@@ -79,8 +80,13 @@ func ReadDir(dir string) ([]Record, []SegmentInfo, error) {
 	return recs, segs, nil
 }
 
+// FileReads counts the segment and checkpoint files this process has read:
+// recovery and inspection read them, a checkpoint reads none.
+var FileReads atomic.Int64
+
 // readSegment decodes one segment file up to its first invalid frame.
 func readSegment(path string) (SegmentInfo, []Record, error) {
+	FileReads.Add(1)
 	var info SegmentInfo
 	data, err := os.ReadFile(path)
 	if err != nil {

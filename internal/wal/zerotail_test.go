@@ -237,7 +237,10 @@ func TestNoSyncWritesNoZeros(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Flush(); err != nil {
+	l.mu.Lock()
+	err = l.w.Flush()
+	l.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	bytes := l.Stats().Bytes

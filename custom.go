@@ -116,6 +116,10 @@ type Spec struct {
 
 	// Universe is a finite set of operations over a small value domain,
 	// used to derive conflict relations that were not given explicitly.
+	// Each scheme's conflict table is compiled from exactly this set at
+	// registration: its operations are granted by bitmask probes, and any
+	// other operation takes the slower dynamic-dispatch path against the
+	// relation.
 	Universe []Op
 
 	// Invocations is the invocation universe for the commutativity
@@ -444,11 +448,11 @@ func newCustomOn(sys *core.System, reg *registry, name string, sp Spec, opts []O
 		return nil, err
 	}
 	// The full policy set — every scheme the Spec can express — is
-	// compiled here, at registration: the declared universe seeds each
-	// scheme's conflict table (classes interned, bitmask rows built), so a
-	// later SetScheme is a pointer swap at a quiescent point, never a
-	// recompile.  Open universes (nil) are fine — classes then intern
-	// lazily as operations appear.
+	// compiled here, at registration: each scheme's conflict table is built
+	// from the declared universe and never changes afterwards, so a later
+	// SetScheme is a pointer swap at a quiescent point, never a recompile.
+	// Open universes (nil) are fine — every operation then takes the
+	// dynamic-dispatch path against the conflict relation.
 	set, err := sp.policySetFor(scheme, isp)
 	if err != nil {
 		return nil, err

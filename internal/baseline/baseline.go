@@ -150,10 +150,10 @@ func Commutativity(typeName string) depend.Conflict {
 }
 
 // UniverseFor returns a small-domain finite operation universe for a
-// built-in type name, or nil for unknown names.  Registration seeds each
-// object's compiled conflict table from this universe so the common ground
-// operations never pay a first-sight interning scan; operations over other
-// values intern lazily as they appear.
+// built-in type name, or nil for unknown names.  Registration compiles each
+// object's conflict tables from exactly this universe: its operations are
+// granted by bitmask probes, and operations over other values take the
+// dynamic-dispatch path against the conflict relation.
 func UniverseFor(typeName string) []spec.Op {
 	switch typeName {
 	case "File":
@@ -217,8 +217,8 @@ type Descriptor struct {
 	// Readers names the operations that never modify state, for classical
 	// read/write locking.
 	Readers map[string]bool
-	// Universe is a small-domain finite operation universe used to seed
-	// the object's compiled conflict table at registration.
+	// Universe is a small-domain finite operation universe, the one the
+	// object's compiled conflict tables are built from at registration.
 	Universe []spec.Op
 }
 

@@ -11,43 +11,42 @@ import (
 // TestCompiledTablesMatchInterfacePath cross-validates the compiled bitmask
 // conflict path against the depend.Conflict interface path on every ordered
 // pair of every built-in universe, under all three schemes (7 types × 3
-// schemes).  The runtime's correctness argument leans on the two paths
-// being indistinguishable; this is the exhaustive ground-level check, and
-// the runtime-level counterpart lives in internal/core's cross-validation
-// against the formal LOCK machine.
+// schemes).  Each type also brings operations over values outside the
+// universe it registers with — the traffic a table has no class for — held
+// against and requested after every universe operation, so the fallback
+// to the interface path is checked on the same pairs.  The runtime's
+// correctness argument leans on the two paths being indistinguishable;
+// this is the exhaustive ground-level check, and the runtime-level
+// counterpart lives in internal/core's cross-validation against the formal
+// LOCK machine.
 func TestCompiledTablesMatchInterfacePath(t *testing.T) {
-	universes := map[string][]spec.Op{
-		"File":      adt.FileUniverse([]int64{1, 2}),
-		"Queue":     adt.QueueUniverse([]int64{1, 2}),
-		"Semiqueue": adt.SemiqueueUniverse([]int64{1, 2}),
-		"Account":   adt.AccountUniverse([]int64{1, 2, 3}, []int64{2}),
-		"Counter":   adt.CounterUniverse([]int64{1, 2}, []int64{0, 1, 2, 3}),
-		"Set":       adt.SetUniverse([]int64{1, 2}),
-		"Directory": adt.DirectoryUniverse([]string{"a", "b"}, []int64{1, 2}),
+	outside := map[string][]spec.Op{
+		"File":      adt.FileUniverse([]int64{7}),
+		"Queue":     adt.QueueUniverse([]int64{7}),
+		"Semiqueue": adt.SemiqueueUniverse([]int64{7}),
+		"Account":   adt.AccountUniverse([]int64{7, 100}, []int64{5}),
+		"Counter":   adt.CounterUniverse([]int64{9}, []int64{9}),
+		"Set":       adt.SetUniverse([]int64{7}),
+		"Directory": adt.DirectoryUniverse([]string{"z"}, []int64{7}),
 	}
-	for typeName, universe := range universes {
+	for typeName, extra := range outside {
+		universe := UniverseFor(typeName)
+		ops := append(append([]spec.Op(nil), universe...), extra...)
 		for _, scheme := range Schemes {
 			c := ConflictFor(scheme, typeName)
 			if c == nil {
 				t.Fatalf("no conflict relation for %s/%s", scheme, typeName)
 			}
 			variants := map[string]*depend.CompiledTable{
-				// Eager: the whole universe interned at compile time.
+				// The whole universe compiled, as registration does.
 				"seeded": depend.Compile(c, universe, 0),
-				// Lazy: classes interned only as pairs are queried —
-				// forces the symmetric-growth path.
-				"lazy": depend.Compile(c, nil, 0),
-				// Truncated: the table fills after three classes, so most
-				// pairs exercise the fallback to the interface path.
+				// Truncated: the table holds three classes, so most pairs
+				// exercise the fallback to the interface path.
 				"truncated": depend.Compile(c, universe, 3),
 			}
 			for variant, tbl := range variants {
-				for _, a := range universe {
-					for _, b := range universe {
-						if variant == "lazy" {
-							tbl.Intern(a)
-							tbl.Intern(b)
-						}
+				for _, a := range ops {
+					for _, b := range ops {
 						if got, want := tbl.Conflicts(a, b), c.Conflicts(a, b); got != want {
 							t.Errorf("%s/%s (%s): compiled Conflicts(%s, %s) = %v, interface path says %v",
 								typeName, scheme, variant, a, b, got, want)

@@ -6,17 +6,17 @@
 // forward commutativity, read/write classification) trade concurrency
 // for simplicity.  A Policy bundles one such derivation ready to run:
 // the scheme name, the conflict relation, and the relation compiled to a
-// bitmask table over interned operation classes.  A Set holds every
-// policy an object can run — all compiled up front at registration, so
-// switching schemes at runtime is a pointer swap, never a recompile.
+// bitmask table over the type's declared operation universe.  A Set holds
+// every policy an object can run — all compiled up front at registration,
+// so switching schemes at runtime is a pointer swap, never a recompile.
 //
-// Concurrency contract: a Policy's table is NOT safe for concurrent use
-// (interning mutates it).  The owning object guards the active policy
-// with its mutex and installs a different one only at a quiescent point —
-// no active lock holders — because the class indices in transactions'
-// held-operation masks are meaningful only against the table that
-// granted them.  core.Object enforces that invariant; this package just
-// provides the precompiled material.
+// Nothing in a Policy changes after Add returns, so any number of objects
+// may read one at once.  An object still installs a different policy only
+// at a quiescent point — no active lock holders — because the class
+// indices in transactions' held-operation masks are meaningful only
+// against the table that granted them: each scheme's table numbers its
+// classes its own way.  core.Object enforces that invariant; this package
+// just provides the precompiled material.
 package ccpolicy
 
 import (
@@ -48,15 +48,14 @@ func LadderRank(scheme string) int {
 }
 
 // Policy is one compiled concurrency-control policy: a scheme name, its
-// conflict relation, and the relation compiled to bitmask rows.  A
-// Policy is immutable except for its table's interning, which the owning
-// object's mutex guards.
+// conflict relation, and the relation compiled to bitmask rows.  A Policy
+// is immutable.
 type Policy struct {
 	// Scheme names the policy ("hybrid", "commutativity", "readwrite",
 	// or "" for a bare custom relation outside the ladder).
 	Scheme string
 	// Conflict is the symmetric conflict relation — the dynamic-dispatch
-	// fallback for operations the table cannot intern.
+	// fallback for operations outside the table's universe.
 	Conflict depend.Conflict
 	// Table is Conflict compiled over the declared universe.
 	Table *depend.CompiledTable
@@ -65,8 +64,7 @@ type Policy struct {
 // Set is an object's precompiled policy set: one Policy per scheme the
 // object's specification can express.  Policies are compiled once, at
 // construction, and retained for the object's lifetime, so a switch
-// re-installs an existing table (with whatever classes it has interned)
-// rather than compiling a new one.
+// re-installs an existing table rather than compiling a new one.
 type Set struct {
 	policies []*Policy
 	byScheme map[string]*Policy

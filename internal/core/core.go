@@ -25,9 +25,10 @@
 // intentions into the version, exactly as the appendix's forget.
 //
 // The per-call hot path is compiled: conflict relations become bitmask
-// tables over interned operation classes (depend.CompiledTable), and view
-// states are cached per transaction and extended incrementally on grant
-// rather than replayed — see Object for the invariants.
+// tables over each type's declared operation universe
+// (depend.CompiledTable), and view states are cached per transaction and
+// extended incrementally on grant rather than replayed — see Object for
+// the invariants.
 package core
 
 import (
@@ -374,7 +375,6 @@ func (s *System) putWaiter(w *waiter) {
 	default:
 	}
 	w.mask = nil
-	w.classes = 0
 	w.anyCommit, w.allEvents = false, false
 	w.next, w.prev = nil, nil
 	w.queued = false

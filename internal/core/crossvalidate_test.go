@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hybridcc/internal/adt"
+	"hybridcc/internal/baseline"
 	"hybridcc/internal/depend"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/lockmachine"
@@ -22,30 +23,34 @@ import (
 // versions and horizon folding) to the model-checked reference
 // implementation — once per commit entry point, so the one commit
 // procedure is checked against the machine's commit event, not against
-// itself.
+// itself.  Objects are registered with their type's declared universe, and
+// every case invokes operations over values outside it (Enq(7), Debit(5),
+// ...), so the compiled path and the dynamic-dispatch fallback for
+// operations without a class are both refereed by the machine, under each
+// of the three schemes.
 func TestRuntimeMatchesFormalMachine(t *testing.T) {
 	type objectCase struct {
-		name     string
-		sp       spec.Spec
-		conflict depend.Conflict
-		invs     []spec.Invocation
+		name string
+		sp   spec.Spec
+		invs []spec.Invocation
 	}
 	cases := []objectCase{
-		{"Queue", adt.NewQueue(), depend.SymmetricClosure(depend.QueueDependencyII()),
-			[]spec.Invocation{adt.EnqInv(1), adt.EnqInv(2), adt.DeqInv()}},
-		{"Account", adt.NewAccount(), depend.SymmetricClosure(depend.AccountDependency()),
+		{"Queue", adt.NewQueue(),
+			[]spec.Invocation{adt.EnqInv(1), adt.EnqInv(2), adt.DeqInv(), adt.EnqInv(7)}},
+		{"Account", adt.NewAccount(),
 			[]spec.Invocation{adt.CreditInv(3), adt.PostInv(2), adt.DebitInv(2), adt.DebitInv(5)}},
-		{"Semiqueue", adt.NewSemiqueue(), depend.SymmetricClosure(depend.SemiqueueDependency()),
-			[]spec.Invocation{adt.InsInv(1), adt.InsInv(2), adt.RemInv()}},
-		{"Set", adt.NewSet(), depend.SymmetricClosure(depend.SetDependency()),
-			[]spec.Invocation{adt.SetInsertInv(1), adt.SetRemoveInv(1), adt.SetMemberInv(1), adt.SetInsertInv(2)}},
+		{"Semiqueue", adt.NewSemiqueue(),
+			[]spec.Invocation{adt.InsInv(1), adt.InsInv(2), adt.RemInv(), adt.InsInv(7)}},
+		{"Set", adt.NewSet(),
+			[]spec.Invocation{adt.SetInsertInv(1), adt.SetRemoveInv(1), adt.SetMemberInv(1), adt.SetInsertInv(2), adt.SetInsertInv(7)}},
 	}
 	for _, oc := range cases {
 		oc := oc
+		hybrid := baseline.HybridConflict(oc.name)
 		for _, e := range commitEntries {
 			t.Run(oc.name+"/"+e.name, func(t *testing.T) {
 				for seed := int64(0); seed < 30; seed++ {
-					crossValidate(t, oc.sp, oc.conflict, oc.invs, seed, 0, e)
+					crossValidate(t, oc.name, oc.sp, hybrid, oc.invs, seed, 0, e)
 				}
 			})
 		}
@@ -56,22 +61,30 @@ func TestRuntimeMatchesFormalMachine(t *testing.T) {
 		// against the interface path at the runtime level.
 		t.Run(oc.name+"/truncated-table", func(t *testing.T) {
 			for seed := int64(0); seed < 30; seed++ {
-				crossValidate(t, oc.sp, oc.conflict, oc.invs, seed, 2, commitEntries[0])
+				crossValidate(t, oc.name, oc.sp, hybrid, oc.invs, seed, 2, commitEntries[0])
 			}
 		})
+		for _, scheme := range []string{"commutativity", "readwrite"} {
+			conflict := baseline.ConflictFor(scheme, oc.name)
+			t.Run(oc.name+"/"+scheme, func(t *testing.T) {
+				for seed := int64(0); seed < 30; seed++ {
+					crossValidate(t, oc.name, oc.sp, conflict, oc.invs, seed, 0, commitEntries[0])
+				}
+			})
+		}
 	}
 }
 
-func crossValidate(t *testing.T, sp spec.Spec, conflict depend.Conflict, invs []spec.Invocation, seed int64, tableLimit int, entry commitEntry) {
+func crossValidate(t *testing.T, typeName string, sp spec.Spec, conflict depend.Conflict, invs []spec.Invocation, seed int64, tableLimit int, entry commitEntry) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	opts := Options{LockWait: time.Millisecond}
 	entry.options(&opts)
 	sys := NewSystem(opts)
 	coord := tstamp.NewSource()
-	obj := sys.NewObject("X", sp, conflict)
+	obj := sys.NewObjectSeeded("X", sp, conflict, baseline.UniverseFor(typeName))
 	if tableLimit > 0 {
-		obj.table = depend.Compile(conflict, nil, tableLimit)
+		obj.table = depend.Compile(conflict, baseline.UniverseFor(typeName), tableLimit)
 	}
 	machine := lockmachine.New("X", sp, conflict)
 

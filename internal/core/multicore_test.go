@@ -216,7 +216,7 @@ func TestTargetedWakeupSkipsDisjointCommit(t *testing.T) {
 // TestDataBlockedConsumerWokenByProducer pins the conservative side of the
 // wake rule: a call blocked on data (Deq on an empty queue has no legal
 // response) is signalled by any commit, since a commit can enable a
-// response class that was never interned.
+// response no wakeup mask covers.
 func TestDataBlockedConsumerWokenByProducer(t *testing.T) {
 	sys := NewSystem(Options{LockWait: 5 * time.Second})
 	obj := sys.NewObject("q", adt.NewQueue(), depend.SymmetricClosure(depend.QueueDependencyII()))

@@ -17,20 +17,20 @@ import (
 // Object is a hybrid atomic object: typed shared data managed by the
 // paper's locking algorithm.
 //
-// The grant/deny hot path is kept O(1)-ish by two compiled representations,
-// both guarded by the object mutex:
+// The grant/deny hot path is kept O(1)-ish by two compiled representations:
 //
 //   - the conflict relation is compiled to a bitmask matrix
-//     (depend.CompiledTable): each distinct ground operation is interned
-//     into a dense class index, each active transaction carries a bitmask
-//     of held classes, and "does op conflict with anything another
-//     transaction holds?" is one row-AND per active transaction instead of
-//     O(their-ops) dynamic-dispatch predicate calls;
+//     (depend.CompiledTable, immutable after registration): each ground
+//     operation of the declared universe has a dense class index, each
+//     active transaction carries a bitmask of held classes, and "does op
+//     conflict with anything another transaction holds?" is one row-AND
+//     per active transaction instead of O(their-ops) dynamic-dispatch
+//     predicate calls;
 //
-//   - view states are materialized incrementally: the committed-tail state
-//     (version + unforgotten intentions) is cached behind a generation
-//     counter bumped on commit, and each active transaction's view is
-//     extended in place on grant instead of replaying
+//   - view states are materialized incrementally, under the object mutex:
+//     the committed-tail state (version + unforgotten intentions) is cached
+//     behind a generation counter bumped on commit, and each active
+//     transaction's view is extended in place on grant instead of replaying
 //     version + unforgotten + intentions from scratch on every attempt.
 //
 // Two more structures let the object scale across cores:
@@ -53,8 +53,8 @@ type Object struct {
 	readSp spec.ReadSpec
 	// conflict and table are the ACTIVE policy's components, denormalized
 	// into plain fields so the grant/deny hot path pays no extra
-	// indirection for policy support (guarded by mu; tables are not safe
-	// for concurrent use).  They always mirror policy.Conflict and
+	// indirection for policy support (guarded by mu, which a scheme switch
+	// holds while it swaps them).  They always mirror policy.Conflict and
 	// policy.Table, except in tests that splice a table in directly.
 	conflict depend.Conflict
 	table    *depend.CompiledTable
@@ -150,25 +150,21 @@ type Object struct {
 // waiter is one blocked call on the object's wait queue.  The wake rule on
 // a completion event of transaction lk is:
 //
-//	allEvents ∨ (commit ∧ anyCommit) ∨ lk.extra ≠ ∅ ∨
-//	lk.mask ∩ mask ≠ ∅ ∨ lk.mask has a class interned after classes
+//	allEvents ∨ (commit ∧ anyCommit) ∨ lk.extra ≠ ∅ ∨ lk.mask ∩ mask ≠ ∅
 //
 // mask is the blocked invocation's conflict-row union (BlockMask): any
 // completion releasing a class that conflicts with some response of the
-// invocation re-checks the waiter.  The last clause covers classes the
-// table interned after the mask was captured (their bits may be missing
-// from it), and lk.extra covers operations the table could never intern.
-// anyCommit marks waiters whose response set can change with the state in
-// ways the mask cannot bound: calls blocked on data (no legal response
-// yet) and invocations outside the declared seed universe (a commit may
-// enable a never-yet-interned response).  allEvents marks waiters that
-// wait on transaction completion as such, whatever its classes: readers
-// waiting out commit windows, and calls whose candidate responses the
-// table could not intern.
+// invocation re-checks the waiter, and lk.extra covers held operations
+// outside the table's universe.  anyCommit marks waiters whose response
+// set can change with the state in ways the mask cannot bound: calls
+// blocked on data (no legal response yet) and invocations outside the
+// declared universe (a commit may enable a response the table has no
+// class for).  allEvents marks waiters that wait on transaction completion
+// as such, whatever its classes: readers waiting out commit windows, and
+// calls with candidate responses outside the table's universe.
 type waiter struct {
 	ch        chan struct{}
 	mask      depend.Mask
-	classes   int // table length when mask was captured
 	anyCommit bool
 	allEvents bool
 
@@ -303,11 +299,11 @@ func (o *Object) waitLocked(cw *callWait, ctx context.Context) waitResult {
 // wakeScanLocked signals — in FIFO order — every waiter a completion event
 // could unblock, dequeueing each signalled waiter: mask is the completing
 // class set (one aborting transaction's, or the union over a commit batch),
-// hasExtra marks uninterned held operations (their conflicts are invisible
-// to masks, so every mask-filtered waiter must re-check), wakeAll bypasses
-// the filters entirely, and isCommit distinguishes commits (which change
-// the committed tail and so can enable state-blocked waiters) from aborts
-// (which only release locks).  With no waiters the walk is free: the common
+// hasExtra marks held operations without a class (their conflicts are
+// invisible to masks, so every mask-filtered waiter must re-check), wakeAll
+// bypasses the filters entirely, and isCommit distinguishes commits (which
+// change the committed tail and so can enable state-blocked waiters) from
+// aborts (which only release locks).  With no waiters the walk is free: the common
 // uncontended completion signals nobody, where a condition-variable
 // broadcast woke every blocked reader and writer on the object.
 func (o *Object) wakeScanLocked(mask depend.Mask, hasExtra, wakeAll, isCommit bool) {
@@ -318,7 +314,7 @@ func (o *Object) wakeScanLocked(mask depend.Mask, hasExtra, wakeAll, isCommit bo
 	for w := o.waitHead; w != nil; {
 		next := w.next
 		wake := wakeAll || w.allEvents || (isCommit && w.anyCommit) ||
-			hasExtra || mask.Intersects(w.mask) || mask.HasAbove(w.classes)
+			hasExtra || mask.Intersects(w.mask)
 		if wake {
 			o.dequeueWaiterLocked(w)
 			select {
@@ -342,10 +338,10 @@ type txLock struct {
 	// bound is the transaction's lower bound on its eventual commit
 	// timestamp (Section 6).
 	bound histories.Timestamp
-	// mask marks the interned conflict classes of held operations.
+	// mask marks the conflict classes of held operations.
 	mask depend.Mask
-	// extra holds operations the compiled table could not intern (table
-	// full); they take the dynamic-dispatch path.
+	// extra holds operations outside the compiled table's universe; they
+	// take the dynamic-dispatch path.
 	extra []spec.Op
 	// view caches the transaction's view state: committed tail at viewGen
 	// plus the first viewOps own intentions.
@@ -445,13 +441,13 @@ func (s *System) NewObject(name string, sp spec.Spec, conflict depend.Conflict) 
 	return s.NewObjectSeeded(name, sp, conflict, nil)
 }
 
-// NewObjectSeeded is NewObject with a declared finite operation universe:
-// the universe's operations are interned into the compiled conflict table
-// eagerly, so they never pay the first-sight interning scan — and blocked
-// calls of universe-covered invocations get precise wakeup masks instead
-// of conservative wake-on-every-commit.  Operations outside the universe
-// still intern lazily as they appear; a nil universe (an open universe)
-// just means every class interns on first sight.
+// NewObjectSeeded is NewObject with a declared finite operation universe,
+// which the compiled conflict table is built from: its operations are
+// granted by bitmask probes, and blocked calls of the invocations it
+// covers get precise wakeup masks instead of conservative
+// wake-on-every-commit.  Operations outside the universe take the
+// dynamic-dispatch path against the conflict relation; under a nil
+// universe (NewObject) every operation does.
 func (s *System) NewObjectSeeded(name string, sp spec.Spec, conflict depend.Conflict, universe []spec.Op) *Object {
 	set := ccpolicy.NewSet()
 	set.Add("", conflict, universe)
@@ -652,7 +648,7 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 			// What a blocked call wakes on — every event, unless the attempt
 			// below narrows it — and, for deadlock detection, whom it awaits.
 			var mask depend.Mask
-			classes, anyCommit, allEvents := 0, false, true
+			anyCommit, allEvents := false, true
 			var holders []*Tx
 			if o.pending != nil && lk == nil {
 				// Drain barrier: a switch is pending and this transaction
@@ -669,12 +665,12 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 			} else {
 				state := o.viewStateLocked(tx, lk)
 				responses := o.sp.Responses(state, inv)
-				uninterned := false
+				unclassed := false
 				for _, r := range responses {
 					op := inv.With(r)
 					cls, row := o.rowOfLocked(op)
 					if row == nil {
-						uninterned = true
+						unclassed = true
 					}
 					if o.conflictsWithActiveRowLocked(tx, row, op) {
 						continue
@@ -688,7 +684,7 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 				// no enabled response.  Capture the wakeup mask and wait for a
 				// completion event that could matter — the appendix's "when"
 				// statement, with the herd filtered out.
-				mask, classes, anyCommit, allEvents = o.wakeMaskLocked(inv, len(responses) == 0, uninterned)
+				mask, anyCommit, allEvents = o.wakeMaskLocked(inv, len(responses) == 0, unclassed)
 				if detect {
 					holders = o.blockersLocked(tx, inv, state)
 				}
@@ -699,7 +695,7 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 				o.sys.stats.SpuriousWakeups.Add(1)
 			}
 			w := cw.waiter(o.sys)
-			w.mask, w.classes, w.anyCommit, w.allEvents = mask, classes, anyCommit, allEvents
+			w.mask, w.anyCommit, w.allEvents = mask, anyCommit, allEvents
 			if len(holders) > 0 && o.sys.wfg.set(tx, holders) {
 				o.stats.deadlocks.Add(1)
 				o.mu.Unlock()
@@ -721,15 +717,14 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 
 // wakeMaskLocked captures the wakeup condition of a call of inv that just
 // blocked.  dataBlocked marks calls with no legal response (only a commit
-// can enable one); uninterned marks calls with candidate responses the
-// table could not intern (their conflicts are invisible to masks).
-func (o *Object) wakeMaskLocked(inv spec.Invocation, dataBlocked, uninterned bool) (depend.Mask, int, bool, bool) {
-	mask, seeded := o.table.BlockMask(inv)
+// can enable one); unclassed marks calls with candidate responses outside
+// the table's universe (their conflicts are invisible to masks).
+func (o *Object) wakeMaskLocked(inv spec.Invocation, dataBlocked, unclassed bool) (depend.Mask, bool, bool) {
+	mask, covered := o.table.BlockMask(inv)
 	// Outside the declared universe the mask cannot bound the responses a
 	// state change may enable, so state-changing events (commits) wake
 	// conservatively; lock releases stay targeted through the mask.
-	anyCommit := dataBlocked || !seeded
-	return mask, o.table.Len(), anyCommit, uninterned
+	return mask, dataBlocked || !covered, unclassed
 }
 
 // grantLocked appends op to tx's intentions (acquiring its lock), records
@@ -737,7 +732,7 @@ func (o *Object) wakeMaskLocked(inv spec.Invocation, dataBlocked, uninterned boo
 // transaction's held mask, extends the cached view state, and stages the
 // event pair.  lk is tx's lock record, nil on its first grant here — when
 // a record is drawn from the free list and the object left in tx.joined
-// for the call's exit; cls is op's interned class (negative: not interned);
+// for the call's exit; cls is op's class (negative: outside the universe);
 // view must be tx's current view state (op's response was derived from it).
 // The returned buffer (backed by tx's scratch, empty without a sink) is
 // flushed by the caller after releasing o.mu.
@@ -776,11 +771,11 @@ func (o *Object) grantLocked(tx *Tx, lk *txLock, op spec.Op, cls int, view spec.
 
 // conflictsWithActiveRowLocked reports whether op conflicts with any
 // operation in another active transaction's intentions list; row is op's
-// compiled conflict row (nil when the table cannot intern it).
+// compiled conflict row (nil when op lies outside the table's universe).
 // When op has a compiled class, the check is one row-AND against each
 // other transaction's held mask (plus a predicate scan over its rare
-// uninterned extras); only operations the table could not intern fall
-// back to the full dynamic-dispatch scan.
+// extras); only operations outside the universe fall back to the full
+// dynamic-dispatch scan.
 func (o *Object) conflictsWithActiveRowLocked(tx *Tx, row []uint64, op spec.Op) bool {
 	for other, lk := range o.active {
 		if other == tx {
@@ -794,12 +789,11 @@ func (o *Object) conflictsWithActiveRowLocked(tx *Tx, row []uint64, op spec.Op) 
 	return false
 }
 
-// rowOfLocked returns op's class index and compiled conflict row, interning
-// the class on first sight, or (-1, nil) when the table cannot intern it
-// (table full) — the caller then takes the dynamic-dispatch path.  Rows of
-// interned classes are never nil.
+// rowOfLocked returns op's class index and compiled conflict row, or
+// (-1, nil) when op lies outside the table's universe — the caller then
+// takes the dynamic-dispatch path.  Rows of classes are never nil.
 func (o *Object) rowOfLocked(op spec.Op) (int, []uint64) {
-	if cls, ok := o.table.Intern(op); ok {
+	if cls, ok := o.table.ClassOf(op); ok {
 		return cls, o.table.Row(cls)
 	}
 	return -1, nil

@@ -11,17 +11,15 @@ import (
 // Databases"): over a finite operation universe a conflict relation is just
 // a boolean matrix, so the per-lock-request question "does op conflict with
 // anything another transaction holds?" reduces to ANDing one matrix row
-// against a per-transaction bitmask of held classes.  Operations are
-// interned into dense class indices — eagerly from a declared universe at
-// registration, then lazily as new ground operations appear at runtime —
-// and the matrix grows symmetrically with them.  A size limit keeps tables
-// of open universes (unbounded value domains) bounded: operations beyond
-// the limit simply stay uninterned and take the dynamic-dispatch path.
+// against a per-transaction bitmask of held classes.  The matrix is a
+// property of the data type and its scheme, so it is compiled once, from the
+// type's declared universe, and never changes afterwards.  Operations
+// outside that universe (unbounded value domains, or a universe cut at the
+// limit) have no class and take the dynamic-dispatch path.
 
-// DefaultCompiledLimit bounds how many distinct operation classes a
-// CompiledTable interns before refusing new ones.  1024 classes cost
-// 1024 × 128 B of rows at worst — negligible — while capping the table for
-// objects whose operations range over unbounded value domains.
+// DefaultCompiledLimit caps how many operations of a declared universe a
+// CompiledTable compiles; the rest of the universe takes the
+// dynamic-dispatch path.  1024 classes cost 1024 × 128 B of rows at worst.
 const DefaultCompiledLimit = 1024
 
 // Mask is a bitset over the operation classes of one CompiledTable.  The
@@ -45,8 +43,8 @@ func (m Mask) Has(i int) bool {
 }
 
 // Intersects reports whether the mask shares a set bit with row.  The two
-// may differ in length (classes interned at different times); missing words
-// are zero.
+// may differ in length (a mask grows only as far as its highest class);
+// missing words are zero.
 func (m Mask) Intersects(row []uint64) bool {
 	n := len(m)
 	if len(row) < n {
@@ -70,130 +68,73 @@ func (m *Mask) Or(row []uint64) {
 	}
 }
 
-// HasAbove reports whether any bit ≥ n is set — whether the mask holds a
-// class interned at or after table length n.
-func (m Mask) HasAbove(n int) bool {
-	first := n >> 6
-	for w := first; w < len(m); w++ {
-		bits := m[w]
-		if w == first {
-			bits &= ^uint64(0) << (uint(n) & 63)
-		}
-		if bits != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// CompiledTable is a conflict relation compiled to a bitmask matrix over
-// interned operation classes.  rows[r] holds bit h exactly when the
-// underlying relation reports Conflicts(op(h), op(r)) — h the held
+// CompiledTable is a conflict relation compiled to a bitmask matrix over the
+// operation classes of a declared universe.  rows[r] holds bit h exactly
+// when the underlying relation reports Conflicts(op(h), op(r)) — h the held
 // operation, r the requested one — so the table reproduces the interface
 // path bit-for-bit even for (incorrect) asymmetric inputs.
 //
-// A CompiledTable is NOT safe for concurrent use: Intern mutates it.  The
-// runtime gives each object its own table and guards it with the object
-// mutex.
+// Nothing in a CompiledTable changes after Compile returns, so any number
+// of goroutines may read one at once.
 type CompiledTable struct {
 	conflict Conflict
 	index    map[spec.Op]int
 	ops      []spec.Op
 	rows     [][]uint64
-	limit    int
-
-	// invClasses groups interned classes by invocation: the classes of
-	// every (inv, response) pair the table has seen.  Blocked calls build
-	// their wakeup masks from it (BlockMask).
-	invClasses map[spec.Invocation][]int
-	// seededInvs marks invocations that appeared in the declared seed
-	// universe; for those the universe is taken as enumerating the
-	// invocation's possible responses, which lets blocked calls skip the
-	// conservative wake-on-every-commit path.
-	seededInvs map[spec.Invocation]bool
-	// invMasks caches BlockMask results; an entry is valid while no class
-	// has been interned since it was computed (rows only gain bits when the
-	// table grows).
-	invMasks map[spec.Invocation]*cachedInvMask
+	// blockMasks holds, for each invocation of the universe, the union of
+	// its classes' rows (BlockMask).
+	blockMasks map[spec.Invocation]Mask
 }
 
-type cachedInvMask struct {
-	mask    Mask
-	classes int // table length the mask was computed at
-}
-
-// Compile builds a table for c, eagerly interning the seed universe (in
-// order, up to limit).  A limit ≤ 0 means DefaultCompiledLimit.  The seed
-// may be nil: tables intern lazily as operations appear.
-func Compile(c Conflict, seed []spec.Op, limit int) *CompiledTable {
+// Compile builds the table of c over universe: its first limit distinct
+// operations, in order, become classes 0, 1, ….  A limit ≤ 0 means
+// DefaultCompiledLimit; a nil universe compiles an empty table.  Compiling
+// costs one conflict evaluation per ordered pair of classes; every later
+// request of a class is a pure bitmask probe.
+func Compile(c Conflict, universe []spec.Op, limit int) *CompiledTable {
 	if limit <= 0 {
 		limit = DefaultCompiledLimit
 	}
 	t := &CompiledTable{
 		conflict:   c,
-		index:      make(map[spec.Op]int, len(seed)),
-		limit:      limit,
-		invClasses: make(map[spec.Invocation][]int),
-		seededInvs: make(map[spec.Invocation]bool),
-		invMasks:   make(map[spec.Invocation]*cachedInvMask),
+		index:      make(map[spec.Op]int, min(len(universe), limit)),
+		blockMasks: make(map[spec.Invocation]Mask),
 	}
-	for _, op := range seed {
-		if _, ok := t.Intern(op); ok {
-			t.seededInvs[op.Inv()] = true
+	for _, op := range universe {
+		if len(t.ops) == limit {
+			break
 		}
+		if _, dup := t.index[op]; !dup {
+			t.index[op] = len(t.ops)
+			t.ops = append(t.ops, op)
+		}
+	}
+	words := (len(t.ops) + 63) / 64
+	bits := make([]uint64, len(t.ops)*words)
+	t.rows = make([][]uint64, len(t.ops))
+	for r, req := range t.ops {
+		row := bits[r*words : (r+1)*words : (r+1)*words]
+		for h, held := range t.ops {
+			if c.Conflicts(held, req) {
+				row[h>>6] |= 1 << (uint(h) & 63)
+			}
+		}
+		t.rows[r] = row
+		m := t.blockMasks[req.Inv()]
+		m.Or(row)
+		t.blockMasks[req.Inv()] = m
 	}
 	return t
 }
 
-// Len reports the number of interned classes.
+// Len reports the number of classes.
 func (t *CompiledTable) Len() int { return len(t.ops) }
 
-// ClassOf returns op's dense class index, without interning.
+// ClassOf returns op's dense class index, and false when op lies outside
+// the compiled universe.
 func (t *CompiledTable) ClassOf(op spec.Op) (int, bool) {
 	i, ok := t.index[op]
 	return i, ok
-}
-
-// Intern returns op's class index, assigning a fresh one when op is new and
-// the table has room.  It reports false — and the caller must use the
-// dynamic-dispatch path — when the table is full.  Interning a class costs
-// one pair of conflict evaluations against every existing class; every
-// later request of the class is a pure bitmask probe.
-func (t *CompiledTable) Intern(op spec.Op) (int, bool) {
-	if i, ok := t.index[op]; ok {
-		return i, true
-	}
-	if len(t.ops) >= t.limit {
-		return -1, false
-	}
-	d := len(t.ops)
-	t.index[op] = d
-	t.ops = append(t.ops, op)
-	inv := op.Inv()
-	t.invClasses[inv] = append(t.invClasses[inv], d)
-	row := make([]uint64, d/64+1)
-	for h, held := range t.ops[:d] {
-		if t.conflict.Conflicts(held, op) {
-			row[h>>6] |= 1 << (uint(h) & 63)
-		}
-		if t.conflict.Conflicts(op, held) {
-			t.setBit(h, d)
-		}
-	}
-	if t.conflict.Conflicts(op, op) {
-		row[d>>6] |= 1 << (uint(d) & 63)
-	}
-	t.rows = append(t.rows, row)
-	return d, true
-}
-
-// setBit sets bit col in rows[r], growing the row as needed.
-func (t *CompiledTable) setBit(r, col int) {
-	w := col >> 6
-	for len(t.rows[r]) <= w {
-		t.rows[r] = append(t.rows[r], 0)
-	}
-	t.rows[r][w] |= 1 << (uint(col) & 63)
 }
 
 // Row returns the conflict row of a class: the bitset of held classes that
@@ -202,41 +143,28 @@ func (t *CompiledTable) setBit(r, col int) {
 func (t *CompiledTable) Row(class int) []uint64 { return t.rows[class] }
 
 // BlockMask returns the wakeup mask of a blocked invocation: the union of
-// the conflict rows of every class interned for inv — the set of held
-// classes whose release could unblock a call of inv.  The second result
-// reports whether inv was covered by the declared seed universe; when it
-// was not, the table cannot promise the mask covers responses it has never
-// seen, and the caller must fall back to conservative wakeups for
-// state-changing events.  The returned mask is immutable (a fresh mask is
-// built whenever the table has grown); callers may hold it across an
-// unlock.
+// the conflict rows of inv's classes — the set of held classes whose
+// release could unblock a call of inv.  The second result reports whether
+// inv has classes at all; the universe is taken as enumerating the
+// responses of each invocation it covers, so for an invocation it does not
+// cover the caller must fall back to conservative wakeups for
+// state-changing events.  The returned mask is owned by the table and must
+// not be mutated.
 func (t *CompiledTable) BlockMask(inv spec.Invocation) (Mask, bool) {
-	cached := t.invMasks[inv]
-	if cached == nil || cached.classes != len(t.ops) {
-		var m Mask
-		for _, c := range t.invClasses[inv] {
-			m.Or(t.rows[c])
-		}
-		cached = &cachedInvMask{mask: m, classes: len(t.ops)}
-		t.invMasks[inv] = cached
-	}
-	return cached.mask, t.seededInvs[inv]
+	m, ok := t.blockMasks[inv]
+	return m, ok
 }
 
 // Conflicts implements Conflict by probing the matrix, falling back to the
-// underlying relation when either operation is not interned.  a is the held
+// underlying relation when either operation has no class.  a is the held
 // operation and b the requested one, matching the runtime's orientation.
-// It never interns, so it is read-only — but reads race with Intern, so
-// callers must serialize against whoever owns the table.
 func (t *CompiledTable) Conflicts(a, b spec.Op) bool {
 	h, okA := t.index[a]
 	r, okB := t.index[b]
 	if !okA || !okB {
 		return t.conflict.Conflicts(a, b)
 	}
-	row := t.rows[r]
-	w := h >> 6
-	return w < len(row) && row[w]&(1<<(uint(h)&63)) != 0
+	return t.rows[r][h>>6]&(1<<(uint(h)&63)) != 0
 }
 
 // String implements Conflict.

@@ -8,47 +8,66 @@ import (
 
 func op(name, arg, res string) spec.Op { return spec.Op{Name: name, Arg: arg, Res: res} }
 
+// TestCompiledTableInterning pins the frozen contract: the universe's order
+// gives the class ids, each row keeps the relation's orientation, an
+// operation outside the universe has no class, and limit truncates the
+// universe.
 func TestCompiledTableInterning(t *testing.T) {
-	c := ConflictFunc("same-name", func(a, b spec.Op) bool { return a.Name == b.Name })
-	seed := []spec.Op{op("A", "1", "Ok"), op("B", "1", "Ok")}
-	tbl := Compile(c, seed, 0)
+	a1, b1 := op("A", "1", "Ok"), op("B", "1", "Ok")
+	// A held B blocks a requested A; nothing else conflicts.
+	c := ConflictFunc("B-before-A", func(held, req spec.Op) bool { return held.Name == "B" && req.Name == "A" })
+	tbl := Compile(c, []spec.Op{b1, a1, b1}, 0)
 	if tbl.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (seed interned eagerly)", tbl.Len())
+		t.Fatalf("Len = %d, want 2 (the duplicate takes no class)", tbl.Len())
 	}
-	if i, ok := tbl.ClassOf(seed[0]); !ok || i != 0 {
-		t.Fatalf("ClassOf(seed[0]) = %d, %v; want 0, true", i, ok)
+	for want, o := range []spec.Op{b1, a1} {
+		if i, ok := tbl.ClassOf(o); !ok || i != want {
+			t.Fatalf("ClassOf(%s) = %d, %v; want %d, true", o, i, ok, want)
+		}
 	}
-	// Interning is idempotent and lazy interning assigns the next index.
-	if i, ok := tbl.Intern(seed[1]); !ok || i != 1 {
-		t.Fatalf("re-Intern(seed[1]) = %d, %v; want 1, true", i, ok)
+	if got := tbl.Row(1); len(got) != 1 || got[0] != 1<<0 {
+		t.Errorf("Row(A) = %b, want only B's bit", got)
 	}
+	if got := tbl.Row(0); len(got) != 1 || got[0] != 0 {
+		t.Errorf("Row(B) = %b, want empty", got)
+	}
+	if !tbl.Conflicts(b1, a1) || tbl.Conflicts(a1, b1) {
+		t.Error("rows must keep the relation's orientation")
+	}
+	if m, covered := tbl.BlockMask(a1.Inv()); !covered || !m.Has(0) || m.Has(1) {
+		t.Errorf("BlockMask(A(1)) = %b, %v; want B's bit, true", m, covered)
+	}
+
 	fresh := op("A", "2", "Ok")
-	if i, ok := tbl.Intern(fresh); !ok || i != 2 {
-		t.Fatalf("Intern(fresh) = %d, %v; want 2, true", i, ok)
+	if i, ok := tbl.ClassOf(fresh); ok {
+		t.Fatalf("ClassOf(%s) = %d, true; an operation outside the universe has no class", fresh, i)
 	}
-	// The matrix stays symmetric across lazy growth: the new class's row
-	// covers old classes AND old rows gain the new class's bit.
-	if !tbl.Conflicts(seed[0], fresh) || !tbl.Conflicts(fresh, seed[0]) {
-		t.Error("A(1) and A(2) must conflict in both orientations")
+	if m, covered := tbl.BlockMask(fresh.Inv()); covered || m != nil {
+		t.Errorf("BlockMask(A(2)) = %b, %v; want nil, false", m, covered)
 	}
-	if tbl.Conflicts(seed[1], fresh) || tbl.Conflicts(fresh, seed[1]) {
-		t.Error("B(1) and A(2) must not conflict")
+	if !tbl.Conflicts(b1, fresh) || tbl.Conflicts(fresh, b1) {
+		t.Error("an operation without a class must take the relation's answer")
 	}
-	if !tbl.Conflicts(fresh, fresh) {
-		t.Error("self-conflict bit missing")
+	if tbl.Len() != 2 {
+		t.Errorf("Len = %d after lookups, want 2", tbl.Len())
+	}
+
+	cut := Compile(c, []spec.Op{b1, a1}, 1)
+	if _, ok := cut.ClassOf(a1); ok || cut.Len() != 1 {
+		t.Errorf("limit 1: Len = %d, A has a class: %v; want 1, false", cut.Len(), ok)
 	}
 }
 
 func TestCompiledTableLimit(t *testing.T) {
 	c := AllConflict()
-	tbl := Compile(c, []spec.Op{op("A", "", "Ok"), op("B", "", "Ok")}, 2)
+	tbl := Compile(c, []spec.Op{op("A", "", "Ok"), op("B", "", "Ok"), op("C", "", "Ok")}, 2)
 	if tbl.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tbl.Len())
 	}
-	if _, ok := tbl.Intern(op("C", "", "Ok")); ok {
-		t.Fatal("Intern must refuse beyond the limit")
+	if _, ok := tbl.ClassOf(op("C", "", "Ok")); ok {
+		t.Fatal("the universe past the limit must have no class")
 	}
-	// Uninterned operations fall back to the underlying relation.
+	// Operations without a class fall back to the underlying relation.
 	if !tbl.Conflicts(op("C", "", "Ok"), op("A", "", "Ok")) {
 		t.Error("fallback path must consult the underlying relation")
 	}

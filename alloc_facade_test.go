@@ -2,30 +2,106 @@
 
 package hybridcc
 
-import "testing"
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+)
 
 // The race detector changes allocation counts (and sync.Pool drops structs
 // at random under it), so this file is built without it, as the ceilings of
 // internal/core/alloc_test.go skip under it.
 
-// snapshotTypedAllocCeiling bounds one facade Snapshot of four Counter.ReadAt
-// without a recorder: the pooled handle, the registry slot and the typed
-// getter — which takes the count off the snapshot state, formatting no
-// response string — allocate nothing (steady state 0; 4 while ReadAt went
-// through the string, one per read).
+// snapshotTypedAllocCeiling bounds one facade Snapshot of typed getters
+// without a recorder: four Counter.ReadAt, four Set.MemberAt, or four
+// Directory.LookupAt.  The pooled handle, the registry slot and the typed
+// getter — which takes its answer off the snapshot state through an adt
+// accessor, formatting no response string — allocate nothing (steady state
+// 0; 4 while Counter.ReadAt went through the string, one per read).
 const snapshotTypedAllocCeiling = 0
 
 func TestAllocCeilingSnapshotTyped(t *testing.T) {
-	sys, read := counterSnapshot4(t)
-	cycle := func() {
-		if err := sys.Snapshot(read); err != nil {
-			t.Fatal(err)
+	sys, counterRead := counterSnapshot4(t)
+	set, dir := Must(sys.NewSet("s")), Must(sys.NewDirectory("d"))
+	if err := sys.Atomically(func(tx *Tx) error {
+		if _, err := set.Insert(tx, 1); err != nil {
+			return err
+		}
+		_, err := dir.Bind(tx, "a", 2)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	four := func(read func(r *ReadTx) bool) func(*ReadTx) error {
+		return func(r *ReadTx) error {
+			for i := 0; i < 4; i++ {
+				if !read(r) {
+					return errors.New("wrong answer")
+				}
+			}
+			return nil
 		}
 	}
-	for i := 0; i < 16; i++ { // warm the pool and the registry
-		cycle()
+	for _, row := range []struct {
+		name string
+		read func(*ReadTx) error
+	}{
+		{"Counter.ReadAt", counterRead},
+		{"Set.MemberAt", four(func(r *ReadTx) bool {
+			in, err := set.MemberAt(r, 1)
+			return err == nil && in
+		})},
+		{"Directory.LookupAt", four(func(r *ReadTx) bool {
+			v, ok, err := dir.LookupAt(r, "a")
+			return err == nil && ok && v == 2
+		})},
+	} {
+		cycle := func() {
+			if err := sys.Snapshot(row.read); err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+		}
+		for i := 0; i < 16; i++ { // warm the pool and the registry
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(500, cycle); allocs > snapshotTypedAllocCeiling {
+			t.Errorf("typed snapshot of four %s allocates %.1f/op, ceiling %d", row.name, allocs, snapshotTypedAllocCeiling)
+		}
 	}
-	if allocs := testing.AllocsPerRun(500, cycle); allocs > snapshotTypedAllocCeiling {
-		t.Errorf("typed snapshot of four reads allocates %.1f/op, ceiling %d", allocs, snapshotTypedAllocCeiling)
+}
+
+// registerAccountAllocCeiling and registerAccountByteCeiling bound
+// registering one Account on a System: the object, its lock-table map and
+// committed-tail snapshot, and the two registry entries.  Every Account
+// shares its type's policy set, so registration compiles no conflict table
+// (steady state 6 allocations, ≈ 0.9 KB; 216 and ≈ 15 KB when each object
+// compiled three tables of its own).
+const (
+	registerAccountAllocCeiling = 20
+	registerAccountByteCeiling  = 2 << 10
+)
+
+func TestAllocCeilingRegisterAccount(t *testing.T) {
+	const runs = 500
+	sys := NewSystem()
+	names := make([]string, runs+2)
+	for i := range names {
+		names[i] = fmt.Sprintf("acct-%d", i)
+	}
+	next := 0
+	register := func() {
+		Must(sys.NewAccount(names[next]))
+		next++
+	}
+	register() // the first Account builds the type's policy set
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, register) // runs+1 registrations
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	if allocs > registerAccountAllocCeiling || bytes > registerAccountByteCeiling {
+		t.Errorf("registering an Account allocates %.1f objects and %.0f B; ceilings %d and %d B",
+			allocs, bytes, registerAccountAllocCeiling, registerAccountByteCeiling)
 	}
 }

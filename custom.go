@@ -119,7 +119,9 @@ type Spec struct {
 	// Each scheme's conflict table is compiled from exactly this set at
 	// registration: its operations are granted by bitmask probes, and any
 	// other operation takes the slower dynamic-dispatch path against the
-	// relation.
+	// relation.  A Spec holds funcs and has no identity to cache on, so
+	// each registration compiles its own tables; a built-in type's are
+	// compiled once per process and shared by all its objects.
 	Universe []Op
 
 	// Invocations is the invocation universe for the commutativity
@@ -127,10 +129,12 @@ type Spec struct {
 	// distinct invocations of Universe.
 	Invocations []Invocation
 
-	// internal short-circuits compilation for built-in types: their
-	// hand-written replay machines are used directly, so dogfooding the
+	// internal and policies short-circuit compilation for built-in types:
+	// their hand-written replay machines are used directly, and every
+	// object of a type shares the type's one policy set, so dogfooding the
 	// public path costs the built-ins nothing.
 	internal spec.Spec
+	policies *ccpolicy.Set
 }
 
 // Bounds for mechanical conflict derivation, matching the depths at which
@@ -261,8 +265,8 @@ func (sp Spec) explicitFor(scheme Scheme) bool {
 // Derivation is reserved for the initial scheme (and for Derive, which
 // fills the explicit fields in) because it is exponential in the universe
 // size: a Spec that should adapt across all three schemes calls Derive
-// once before registering.  Built-in types carry closed-form relations for
-// all three schemes, so their sets are always complete.
+// once before registering.  Built-in types never come here: their shared
+// sets are complete, from closed-form relations for all three schemes.
 func (sp Spec) policySetFor(initial Scheme, isp spec.Spec) (*ccpolicy.Set, error) {
 	set := ccpolicy.NewSet()
 	for _, scheme := range []Scheme{ReadWrite, Commutativity, Hybrid} {
@@ -434,7 +438,9 @@ func (r *registry) snapshot() histories.SpecMap {
 
 // newCustomOn registers an object on sys, recording its specification in
 // reg — the registration path shared by System.NewCustom and
-// Cluster.NewCustom.
+// Cluster.NewCustom, in-process or dialed.  An object of a built-in type
+// gets its type's shared policy set; a custom Spec's is compiled per
+// object.
 func newCustomOn(sys *core.System, reg *registry, name string, sp Spec, opts []ObjectOption) (*Object, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty object name", ErrInvalidSpec)
@@ -447,15 +453,20 @@ func newCustomOn(sys *core.System, reg *registry, name string, sp Spec, opts []O
 	if err != nil {
 		return nil, err
 	}
-	// The full policy set — every scheme the Spec can express — is
-	// compiled here, at registration: each scheme's conflict table is built
-	// from the declared universe and never changes afterwards, so a later
-	// SetScheme is a pointer swap at a quiescent point, never a recompile.
-	// Open universes (nil) are fine — every operation then takes the
-	// dynamic-dispatch path against the conflict relation.
-	set, err := sp.policySetFor(scheme, isp)
-	if err != nil {
-		return nil, err
+	// The full policy set holds every scheme the Spec can express, each
+	// scheme's conflict table built from the declared universe and never
+	// changed afterwards, so a later SetScheme is a pointer swap at a
+	// quiescent point, never a recompile.  A built-in type's set is compiled
+	// once per process and shared by every object of the type; a custom
+	// Spec holds funcs and has no identity to key such a cache on, so its
+	// set is compiled here, at every registration.  Open universes (nil)
+	// are fine — every operation then takes the dynamic-dispatch path
+	// against the conflict relation.
+	set := sp.policies
+	if set == nil {
+		if set, err = sp.policySetFor(scheme, isp); err != nil {
+			return nil, err
+		}
 	}
 	if sys.HasUnclaimedRecovery(name) {
 		// Recovery replay already ran and had to skip this object's logged
@@ -482,25 +493,18 @@ func (s *System) NewCustom(name string, sp Spec, opts ...ObjectOption) (*Object,
 	return newCustomOn(s.inner, s.reg, name, sp, opts)
 }
 
-// builtinSpec expresses a built-in type as a public Spec, with the paper's
-// closed-form dependency and commutativity relations attached.  The seven
-// typed constructors feed these through NewCustom, so the built-ins
+// builtinSpec expresses a built-in type as a public Spec carrying the
+// type's replay machine and its one policy set — the paper's closed-form
+// dependency and commutativity relations and the read/write
+// classification, compiled once per process (baseline.DescriptorFor).  The
+// seven typed constructors feed these through NewCustom, so the built-ins
 // exercise the same path as user-defined types.
 func builtinSpec(typeName string) Spec {
 	d, ok := baseline.DescriptorFor(typeName)
 	if !ok {
 		panic("hybridcc: no built-in type " + typeName) // unreachable: callers pass literals
 	}
-	// The replay-machine fields stay empty: compile() short-circuits to
-	// the internal spec, so only the conflict configuration matters here.
-	return Spec{
-		Name:           d.Spec.Name(),
-		Dependency:     d.Dependency.Depends,
-		FailsToCommute: d.FailsToCommute.Conflicts,
-		Readers:        d.Readers,
-		Universe:       d.Universe,
-		internal:       d.Spec,
-	}
+	return Spec{Name: typeName, internal: d.Spec, policies: d.Policies}
 }
 
 // Must returns v, panicking when err is non-nil.  It collapses constructor

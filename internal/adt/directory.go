@@ -154,3 +154,12 @@ func (Directory) Equal(a, b spec.State) bool {
 
 // DirectorySize reports the number of bindings in a Directory state.
 func DirectorySize(s spec.State) int { return len(s.(dirState).bind) }
+
+// DirectoryLookup returns the value bound to key in a Directory state.
+func DirectoryLookup(s spec.State, key string) (int64, bool) {
+	val, bound := s.(dirState).bind[key]
+	if !bound {
+		return 0, false
+	}
+	return Atoi(val), true
+}

@@ -132,3 +132,6 @@ func (Set) Equal(a, b spec.State) bool {
 
 // SetSize reports the number of members in a Set state.
 func SetSize(s spec.State) int { return len(s.(setState).members) }
+
+// SetHas reports whether the encoded element is a member of a Set state.
+func SetHas(s spec.State, elem string) bool { return s.(setState).members[elem] }

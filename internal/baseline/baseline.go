@@ -17,7 +17,10 @@
 package baseline
 
 import (
+	"sync"
+
 	"hybridcc/internal/adt"
+	"hybridcc/internal/ccpolicy"
 	"hybridcc/internal/depend"
 	"hybridcc/internal/spec"
 )
@@ -150,10 +153,11 @@ func Commutativity(typeName string) depend.Conflict {
 }
 
 // UniverseFor returns a small-domain finite operation universe for a
-// built-in type name, or nil for unknown names.  Registration compiles each
-// object's conflict tables from exactly this universe: its operations are
-// granted by bitmask probes, and operations over other values take the
-// dynamic-dispatch path against the conflict relation.
+// built-in type name, or nil for unknown names.  The type's shared conflict
+// tables (DescriptorFor) are compiled from exactly this universe, once per
+// process: its operations are granted by bitmask probes, and operations
+// over other values take the dynamic-dispatch path against the conflict
+// relation.
 func UniverseFor(typeName string) []spec.Op {
 	switch typeName {
 	case "File":
@@ -201,57 +205,40 @@ func SpecFor(typeName string) spec.Spec {
 	return nil
 }
 
-// Descriptor bundles everything needed to express a built-in type through
-// the public specification API: the serial specification, the paper's
-// minimal dependency relation (whose symmetric closure is the hybrid
-// conflict relation), the forward-commutativity conflicts, and the
-// read/write classification.  The facade converts Descriptors into public
-// Spec values so the seven built-in wrappers ride the same registration
-// path as user-defined types.
+// Descriptor is a built-in type as registration uses it: the serial
+// specification and the type's policy set — the paper's hybrid relation,
+// the forward-commutativity relation and the read/write classification,
+// each compiled over UniverseFor's universe.  DescriptorFor builds one per
+// type, on first use, and every object of the type shares it: a compiled
+// table never changes once Compile returns, so sharing costs one pointer
+// per object instead of three table compilations.
 type Descriptor struct {
 	Spec spec.Spec
-	// Dependency is the paper-table minimal dependency relation.
-	Dependency depend.Relation
-	// FailsToCommute holds the forward-commutativity conflicts.
-	FailsToCommute depend.Conflict
-	// Readers names the operations that never modify state, for classical
-	// read/write locking.
-	Readers map[string]bool
-	// Universe is a small-domain finite operation universe, the one the
-	// object's compiled conflict tables are built from at registration.
-	Universe []spec.Op
+	// Policies is shared by every object of the type; nobody may Add to it.
+	Policies *ccpolicy.Set
 }
 
-// DescriptorFor returns the Descriptor for a built-in type name.
+// descriptors holds each built-in type's Descriptor, built on first use.
+var descriptors = func() map[string]func() Descriptor {
+	m := make(map[string]func() Descriptor, len(rwReaders))
+	for typeName := range rwReaders {
+		m[typeName] = sync.OnceValue(func() Descriptor {
+			set, universe := ccpolicy.NewSet(), UniverseFor(typeName)
+			for _, scheme := range Schemes {
+				set.Add(scheme, ConflictFor(scheme, typeName), universe)
+			}
+			return Descriptor{Spec: SpecFor(typeName), Policies: set}
+		})
+	}
+	return m
+}()
+
+// DescriptorFor returns the Descriptor for a built-in type name: the same
+// one, policy set included, on every call.
 func DescriptorFor(typeName string) (Descriptor, bool) {
-	var dep depend.Relation
-	switch typeName {
-	case "File":
-		dep = depend.FileDependency()
-	case "Queue":
-		dep = depend.QueueDependencyII()
-	case "Semiqueue":
-		dep = depend.SemiqueueDependency()
-	case "Account":
-		dep = depend.AccountDependency()
-	case "Counter":
-		dep = depend.CounterDependency()
-	case "Set":
-		dep = depend.SetDependency()
-	case "Directory":
-		dep = depend.DirectoryDependency()
-	default:
+	build, ok := descriptors[typeName]
+	if !ok {
 		return Descriptor{}, false
 	}
-	readers := make(map[string]bool, len(rwReaders[typeName]))
-	for op := range rwReaders[typeName] {
-		readers[op] = true
-	}
-	return Descriptor{
-		Spec:           SpecFor(typeName),
-		Dependency:     dep,
-		FailsToCommute: Commutativity(typeName),
-		Readers:        readers,
-		Universe:       UniverseFor(typeName),
-	}, true
+	return build(), true
 }

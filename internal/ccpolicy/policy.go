@@ -7,16 +7,21 @@
 // for simplicity.  A Policy bundles one such derivation ready to run:
 // the scheme name, the conflict relation, and the relation compiled to a
 // bitmask table over the type's declared operation universe.  A Set holds
-// every policy an object can run — all compiled up front at registration,
-// so switching schemes at runtime is a pointer swap, never a recompile.
+// every policy an object can run — all compiled up front, so switching
+// schemes at runtime is a pointer swap, never a recompile.  A built-in
+// type's Set is compiled once per process and shared by every object of
+// the type (baseline.DescriptorFor); a custom specification's is compiled
+// at each registration.
 //
 // Nothing in a Policy changes after Add returns, so any number of objects
-// may read one at once.  An object still installs a different policy only
-// at a quiescent point — no active lock holders — because the class
-// indices in transactions' held-operation masks are meaningful only
-// against the table that granted them: each scheme's table numbers its
-// classes its own way.  core.Object enforces that invariant; this package
-// just provides the precompiled material.
+// may read one at once.  Each object keeps its own active and pending
+// policy pointers, so objects sharing a Set switch schemes independently.
+// An object still installs a different policy only at a quiescent point —
+// no active lock holders — because the class indices in transactions'
+// held-operation masks are meaningful only against the table that granted
+// them: each scheme's table numbers its classes its own way.  core.Object
+// enforces that invariant; this package just provides the precompiled
+// material.
 package ccpolicy
 
 import (
@@ -61,10 +66,11 @@ type Policy struct {
 	Table *depend.CompiledTable
 }
 
-// Set is an object's precompiled policy set: one Policy per scheme the
-// object's specification can express.  Policies are compiled once, at
-// construction, and retained for the object's lifetime, so a switch
-// re-installs an existing table rather than compiling a new one.
+// Set is a precompiled policy set: one Policy per scheme a specification
+// can express.  Policies are compiled once, at construction, and a switch
+// re-installs an existing table rather than compiling a new one.  Objects
+// may share one Set — every object of a built-in type does — as long as no
+// one Adds to it after it is handed out.
 type Set struct {
 	policies []*Policy
 	byScheme map[string]*Policy

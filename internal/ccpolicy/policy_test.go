@@ -1,17 +1,18 @@
-package ccpolicy
+package ccpolicy_test
 
 import (
 	"testing"
 
 	"hybridcc/internal/adt"
 	"hybridcc/internal/baseline"
+	"hybridcc/internal/ccpolicy"
 )
 
-// fullSet builds the three-scheme policy set for a built-in type, exactly
-// as the public facade does for registered objects.
-func fullSet(t *testing.T, typeName string) *Set {
+// fullSet builds a private three-scheme policy set for a built-in type, the
+// same policies as the type's shared set, for a test that may Add to it.
+func fullSet(t *testing.T, typeName string) *ccpolicy.Set {
 	t.Helper()
-	set := NewSet()
+	set := ccpolicy.NewSet()
 	for _, scheme := range baseline.Schemes {
 		c := baseline.ConflictFor(scheme, typeName)
 		if c == nil {
@@ -25,14 +26,19 @@ func fullSet(t *testing.T, typeName string) *Set {
 // TestPolicyTablesMatchInterfacePath extends the compiled-table
 // cross-validation matrix (internal/baseline) through the policy seam:
 // for every built-in type and every scheme, the table carried by the
-// policy an object would actually install must agree with its interface-
-// path conflict relation on every ordered pair of the declared universe.
+// policy its objects actually install — the type's shared set — must agree
+// with its interface-path conflict relation on every ordered pair of the
+// declared universe.
 // A disagreement here would mean a runtime scheme switch installs a table
 // that enforces a different relation than the one it advertises.
 func TestPolicyTablesMatchInterfacePath(t *testing.T) {
 	for _, sp := range adt.All() {
 		typeName := sp.Name()
-		set := fullSet(t, typeName)
+		d, _ := baseline.DescriptorFor(typeName)
+		set := d.Policies
+		if set.Len() != len(baseline.Schemes) {
+			t.Fatalf("%s: shared set holds %v", typeName, set.Schemes())
+		}
 		universe := baseline.UniverseFor(typeName)
 		for _, scheme := range set.Schemes() {
 			p := set.Get(scheme)
@@ -52,12 +58,12 @@ func TestPolicyTablesMatchInterfacePath(t *testing.T) {
 }
 
 func TestLadderRank(t *testing.T) {
-	for i, s := range Ladder {
-		if got := LadderRank(s); got != i {
+	for i, s := range ccpolicy.Ladder {
+		if got := ccpolicy.LadderRank(s); got != i {
 			t.Errorf("LadderRank(%q) = %d, want %d", s, got, i)
 		}
 	}
-	if got := LadderRank("custom"); got != -1 {
+	if got := ccpolicy.LadderRank("custom"); got != -1 {
 		t.Errorf("LadderRank(custom) = %d, want -1", got)
 	}
 }
@@ -81,7 +87,7 @@ func TestSetNavigation(t *testing.T) {
 	}
 
 	// A sparse set skips missing ranks in both directions.
-	sparse := NewSet()
+	sparse := ccpolicy.NewSet()
 	sparse.Add("readwrite", baseline.ConflictFor("readwrite", "Account"), baseline.UniverseFor("Account"))
 	sparse.Add("hybrid", baseline.ConflictFor("hybrid", "Account"), baseline.UniverseFor("Account"))
 	if next, ok := sparse.MorePermissive("readwrite"); !ok || next != "hybrid" {

@@ -461,7 +461,9 @@ func (s *System) NewObjectSeeded(name string, sp spec.Spec, conflict depend.Conf
 // NewObjectPolicies registers an object carrying a precompiled policy set:
 // one conflict relation per scheme, each compiled up front so a runtime
 // SetScheme is a pointer swap, never a recompile.  initial names the
-// starting policy and must be a member of the set.
+// starting policy and must be a member of the set.  The set may be shared
+// with other objects — the object only reads it, and keeps its own active
+// and pending policy.
 func (s *System) NewObjectPolicies(name string, sp spec.Spec, set *ccpolicy.Set, initial string) (*Object, error) {
 	p := set.Get(initial)
 	if p == nil {
@@ -469,9 +471,10 @@ func (s *System) NewObjectPolicies(name string, sp spec.Spec, set *ccpolicy.Set,
 	}
 	if s.remote != nil {
 		// Mirror the registration onto the serving shard first: the shard
-		// resolves the type by specification name and builds its own policy
-		// set.  The local struct below is a stub for introspection and
-		// event recording — no operation ever touches its lock state.
+		// resolves the type by specification name and uses the policy set its
+		// own process holds for the type.  The local struct below is a stub
+		// for introspection and event recording — no operation ever touches
+		// its lock state.
 		if err := s.remoteRegister(name, sp, initial); err != nil {
 			return nil, err
 		}
@@ -510,6 +513,10 @@ func (o *Object) Scheme() string {
 func (o *Object) Schemes() []string {
 	return o.policies.Schemes()
 }
+
+// Policies returns the object's policy set: for a built-in type, the one
+// set every object of the type shares.
+func (o *Object) Policies() *ccpolicy.Set { return o.policies }
 
 // SetScheme requests a switch of the object's active concurrency-control
 // policy.  The switch installs at the first quiescent instant — no active

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hybridcc/internal/baseline"
-	"hybridcc/internal/ccpolicy"
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
@@ -468,9 +467,10 @@ func (s *Server) register(name, typeName, scheme string) error {
 	return err
 }
 
-// RegisterObject builds the full three-scheme policy set for a built-in
-// type and registers it on sys — the shard-side half of a client's
-// registration, also used to replay the catalog at startup.
+// RegisterObject registers an object of a built-in type on sys under the
+// type's three-scheme policy set, compiled once per process and shared by
+// every object of the type (baseline.DescriptorFor) — the shard-side half
+// of a client's registration, also used to replay the catalog at startup.
 func RegisterObject(sys *core.System, name, typeName, scheme string) (*core.Object, error) {
 	if scheme == "" {
 		scheme = "hybrid"
@@ -479,11 +479,7 @@ func RegisterObject(sys *core.System, name, typeName, scheme string) (*core.Obje
 	if !ok {
 		return nil, fmt.Errorf("netproto: no built-in type %q (custom specifications cannot travel the wire; register them in the shard process)", typeName)
 	}
-	set := ccpolicy.NewSet()
-	for _, sc := range baseline.Schemes {
-		set.Add(sc, baseline.ConflictFor(sc, typeName), d.Universe)
-	}
-	return sys.NewObjectPolicies(name, d.Spec, set, scheme)
+	return sys.NewObjectPolicies(name, d.Spec, d.Policies, scheme)
 }
 
 // txEntryOf looks up a transaction entry.

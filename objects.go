@@ -34,16 +34,22 @@ func wrapCounter(o *Object) *Counter     { return &Counter{obj: o} }
 func wrapSet(o *Object) *Set             { return &Set{obj: o} }
 func wrapDirectory(o *Object) *Directory { return &Directory{obj: o} }
 
-// readInt is ReadCall for a built-in type's integer getter: inv is the
-// type's pure observer and valueOf takes its answer off the snapshot state,
-// so no response string is formatted only to be parsed back.  A dialed
-// object has no local state; its shard's response string is the answer.
-func (o *Object) readInt(r ReadTxn, inv Invocation, valueOf func(State) int64) (int64, error) {
+// readState is ReadCall for a built-in type's typed getter: inv is the
+// type's pure observer, and the getter takes its answer off the returned
+// snapshot state through an adt accessor, so no response string is
+// formatted only to be parsed back.  A dialed object has no local state:
+// the state is nil and its shard's response string is the answer.
+func (o *Object) readState(r ReadTxn, inv Invocation) (State, string, error) {
 	br, err := r.Branch(o.obj)
 	if err != nil {
-		return 0, err
+		return nil, "", err
 	}
-	state, res, err := o.obj.ReadState(br, inv)
+	return o.obj.ReadState(br, inv)
+}
+
+// readInt is readState for an integer getter.
+func (o *Object) readInt(r ReadTxn, inv Invocation, valueOf func(State) int64) (int64, error) {
+	state, res, err := o.readState(r, inv)
 	if err != nil {
 		return 0, err
 	}
@@ -275,11 +281,12 @@ func (st *Set) CommittedSize() int {
 
 // MemberAt reports membership as of the read-only transaction's timestamp.
 func (st *Set) MemberAt(r ReadTxn, v int64) (bool, error) {
-	res, err := st.obj.ReadCall(r, adt.SetMemberInv(v))
-	if err != nil {
-		return false, err
+	inv := adt.SetMemberInv(v)
+	state, res, err := st.obj.readState(r, inv)
+	if err != nil || state == nil {
+		return res == adt.ResTrue, err
 	}
-	return res == adt.ResTrue, nil
+	return adt.SetHas(state, inv.Arg), nil
 }
 
 // Directory maps string keys to integer values; conflicts are per-key.
@@ -329,11 +336,14 @@ func (d *Directory) CommittedSize() int {
 // LookupAt returns the binding of key as of the read-only transaction's
 // timestamp.
 func (d *Directory) LookupAt(r ReadTxn, key string) (int64, bool, error) {
-	res, err := d.obj.ReadCall(r, adt.DirLookupInv(key))
-	if err != nil {
+	state, res, err := d.obj.readState(r, adt.DirLookupInv(key))
+	switch {
+	case err != nil:
 		return 0, false, err
-	}
-	if res == adt.ResAbsent {
+	case state != nil:
+		v, ok := adt.DirectoryLookup(state, key)
+		return v, ok, nil
+	case res == adt.ResAbsent:
 		return 0, false, nil
 	}
 	return adt.Atoi(res), true, nil

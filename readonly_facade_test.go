@@ -112,6 +112,50 @@ func TestSnapshotAllReadTypes(t *testing.T) {
 	}
 }
 
+// TestDialedSnapshotSetDirectory: on a dialed cluster the typed getters
+// have no local state to read and answer from the shard's response string.
+func TestDialedSnapshotSetDirectory(t *testing.T) {
+	var s *Set
+	var d *Directory
+	c, err := Dial(startNetShards(t, 1), func(c *Cluster) (err error) {
+		if s, err = c.NewSet("s"); err != nil {
+			return err
+		}
+		d, err = c.NewDirectory("d")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Atomically(func(tx *DTx) error {
+		if _, err := s.Insert(tx, 5); err != nil {
+			return err
+		}
+		_, err := d.Bind(tx, "k", 7)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Snapshot(func(r *DReadTx) error {
+		if in, err := s.MemberAt(r, 5); err != nil || !in {
+			t.Errorf("member(5) = %v err=%v", in, err)
+		}
+		if in, err := s.MemberAt(r, 6); err != nil || in {
+			t.Errorf("member(6) = %v err=%v", in, err)
+		}
+		if v, ok, err := d.LookupAt(r, "k"); err != nil || !ok || v != 7 {
+			t.Errorf("lookup(k) = %d %v err=%v", v, ok, err)
+		}
+		if _, ok, err := d.LookupAt(r, "zz"); err != nil || ok {
+			t.Errorf("lookup(zz) = %v err=%v", ok, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSnapshotErrorAborts(t *testing.T) {
 	sys := NewSystem()
 	boom := errors.New("boom")

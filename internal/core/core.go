@@ -85,7 +85,9 @@ type Options struct {
 	Sink EventSink
 	// Clock overrides the timestamp generator (defaults to a fresh
 	// tstamp.Source).  Sharing one clock across Systems models multiple
-	// sites agreeing on a timestamp order.
+	// sites agreeing on a timestamp order.  A reader's stamp from a shared
+	// Source is unique within its own System, whose objects are the only
+	// ones it reads.
 	Clock tstamp.Clock
 	// ExternalTimestamps permits CommitAt — commit timestamps chosen by an
 	// external atomic-commitment coordinator rather than this System's
@@ -184,6 +186,12 @@ type System struct {
 	readPool   sync.Pool
 	lockPool   sync.Pool
 	waiterPool sync.Pool
+
+	// stamps is the clock when it can stamp a reader without a write
+	// (tstamp.Source) and the System mints every timestamp itself — an
+	// external CommitAt could land on a stamp in the gap.  Nil otherwise:
+	// readers draw from the clock.  It sits last so it moves no hot field.
+	stamps readStamper
 }
 
 // NewSystem returns a System with the given options, panicking where

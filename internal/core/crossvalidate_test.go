@@ -75,6 +75,155 @@ func TestRuntimeMatchesFormalMachine(t *testing.T) {
 	}
 }
 
+// TestRuntimeMatchesFormalMachineReaders drives single-threaded random
+// schedules of update transactions, Section 7 readers and folds through
+// the runtime and the machine: the machine accepts every reader's stamp
+// (unique against writers and readers alike), answers every read as the
+// runtime did, and after every fold the runtime ran — at a commit or an
+// abort of a transaction that held locks here, or on its own — holds the
+// runtime's version.  These are the schedules internal/explore enumerates
+// with readers, drawn at random at a larger size.
+func TestRuntimeMatchesFormalMachineReaders(t *testing.T) {
+	cases := []struct {
+		name        string
+		sp          spec.Spec
+		invs, reads []spec.Invocation
+	}{
+		{"Counter", adt.NewCounter(),
+			[]spec.Invocation{adt.IncInv(1), adt.IncInv(2)}, []spec.Invocation{adt.CtrReadInv()}},
+		{"Set", adt.NewSet(),
+			[]spec.Invocation{adt.SetInsertInv(1), adt.SetRemoveInv(1), adt.SetInsertInv(2)},
+			[]spec.Invocation{adt.SetMemberInv(1), adt.SetMemberInv(2)}},
+		{"File", adt.NewFile(),
+			[]spec.Invocation{adt.FileWriteInv(1), adt.FileWriteInv(2)}, []spec.Invocation{adt.FileReadInv()}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(0); seed < 40; seed++ {
+				crossValidateReaders(t, c.name, c.sp, c.invs, c.reads, seed)
+			}
+		})
+	}
+}
+
+func crossValidateReaders(t *testing.T, typeName string, sp spec.Spec, invs, reads []spec.Invocation, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	sys := NewSystem(Options{LockWait: time.Millisecond})
+	conflict := baseline.HybridConflict(typeName)
+	obj := sys.NewObjectSeeded("X", sp, conflict, baseline.UniverseFor(typeName))
+	machine := lockmachine.New("X", sp, conflict)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d: "+format, append([]any{seed}, args...)...)
+	}
+	// folded checks the machine's fold against the one the runtime just ran.
+	folded := func() {
+		t.Helper()
+		machine.Fold()
+		want, ok := spec.Replay(sp, machine.Version())
+		obj.mu.Lock()
+		got := obj.version
+		obj.mu.Unlock()
+		if !ok || !sp.Equal(want, got) {
+			fail("runtime version %v, machine folded %s", got, spec.SeqString(machine.Version()))
+		}
+	}
+
+	writers := make([]*Tx, 3)
+	held := make([]bool, len(writers)) // holds a lock at X
+	readers := make([]*ReadTx, 2)
+	for step := 0; step < 60; step++ {
+		switch k := rng.Intn(8); {
+		case k < 4: // a writer
+			i := rng.Intn(len(writers))
+			w := writers[i]
+			if w == nil {
+				writers[i], held[i] = sys.Begin(), false
+				continue
+			}
+			// The machine sees a writer only once it runs at X: a commit
+			// elsewhere moves no clock at X, in either model.
+			switch rng.Intn(4) {
+			case 0:
+				if err := w.Commit(); err != nil {
+					fail("runtime commit: %v", err)
+				}
+				if ts, _ := w.Timestamp(); held[i] {
+					if err := machine.Commit(w.ID(), ts); err != nil {
+						fail("machine rejected commit the runtime performed: %v", err)
+					}
+				}
+			case 1:
+				if err := w.Abort(); err != nil {
+					fail("runtime abort: %v", err)
+				}
+				if held[i] {
+					if err := machine.Abort(w.ID()); err != nil {
+						fail("machine abort: %v", err)
+					}
+				}
+			default:
+				inv := invs[rng.Intn(len(invs))]
+				res, err := obj.Call(w, inv)
+				if merr := machine.Invoke(w.ID(), inv); merr != nil {
+					fail("machine invoke: %v", merr)
+				}
+				if errors.Is(err, ErrTimeout) {
+					if g, _ := machine.GrantableResponses(w.ID()); len(g) != 0 {
+						fail("runtime blocked %s but machine would grant %v", inv, g)
+					}
+					// Withdraw in both (the machine has no un-invoke).
+					if err, merr := w.Abort(), machine.Abort(w.ID()); err != nil || merr != nil {
+						fail("abort after a refusal: runtime %v, machine %v", err, merr)
+					}
+				} else if err != nil {
+					fail("runtime call: %v", err)
+				} else {
+					held[i] = true
+					if mres, ok, _ := machine.TryRespond(w.ID()); !ok || mres != res {
+						fail("%s: runtime %q, machine %q (granted %v)", inv, res, mres, ok)
+					}
+					continue
+				}
+			}
+			if held[i] { // the commit or abort folded at X
+				folded()
+			}
+			writers[i] = nil
+		case k < 7: // a reader
+			i := rng.Intn(len(readers))
+			r := readers[i]
+			switch {
+			case r == nil:
+				r = sys.BeginReadOnly()
+				if err := machine.BeginRead(r.ID(), r.Timestamp()); err != nil {
+					fail("machine rejected the runtime's stamp: %v", err)
+				}
+				readers[i] = r
+			case rng.Intn(3) == 0:
+				if err := r.Commit(); err != nil {
+					fail("runtime reader commit: %v", err)
+				}
+				if err := machine.EndRead(r.ID()); err != nil {
+					fail("machine end: %v", err)
+				}
+				readers[i] = nil
+			default:
+				inv := reads[rng.Intn(len(reads))]
+				res, err := obj.ReadCall(r, inv)
+				mres, merr := machine.Read(r.ID(), inv)
+				if err != nil || merr != nil || res != mres {
+					fail("%s by %s at %d: runtime %q (%v), machine %q (%v)", inv, r.ID(), r.Timestamp(), res, err, mres, merr)
+				}
+			}
+		default:
+			obj.fold()
+			folded()
+		}
+	}
+}
+
 func crossValidate(t *testing.T, typeName string, sp spec.Spec, conflict depend.Conflict, invs []spec.Invocation, seed int64, tableLimit int, entry commitEntry) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -75,6 +75,9 @@ func OpenSystem(opts Options) (*System, error) {
 	s := &System{opts: opts, clock: opts.Clock}
 	s.seqSink, _ = opts.Sink.(SeqSink)
 	s.fastReads = !opts.ExternalTimestamps && (opts.Sink == nil || s.seqSink != nil)
+	if st, ok := opts.Clock.(readStamper); ok && !opts.ExternalTimestamps {
+		s.stamps = st
+	}
 	if opts.GroupCommit {
 		s.EnableGroupCommit()
 	}

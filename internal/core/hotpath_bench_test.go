@@ -128,7 +128,7 @@ func snapshot4Reads(sys *System, obj *Object, inv spec.Invocation) error {
 }
 
 // BenchmarkSnapshot4Reads measures the reader path end to end — registry
-// pin, timestamp draw, four lock-free reads, release — with no sink.
+// pin, timestamp stamp, four lock-free reads, release — with no sink.
 func BenchmarkSnapshot4Reads(b *testing.B) {
 	sys, obj, inv := snapshotBenchSystem(b)
 	b.ReportAllocs()
@@ -141,8 +141,8 @@ func BenchmarkSnapshot4Reads(b *testing.B) {
 }
 
 // BenchmarkSnapshot4ReadsParallel runs it from every core at once, all on
-// one object: the readers write one shared word, the clock they draw their
-// timestamps from, and read the object's snapshot pointer.
+// one object: the readers write no shared word, and read the clock they
+// stamp themselves from and the object's snapshot pointer.
 func BenchmarkSnapshot4ReadsParallel(b *testing.B) {
 	sys, obj, inv := snapshotBenchSystem(b)
 	b.ReportAllocs()
@@ -158,9 +158,10 @@ func BenchmarkSnapshot4ReadsParallel(b *testing.B) {
 }
 
 // BenchmarkSnapshot4ReadsDisjointParallel gives every goroutine a counter of
-// its own.  Nothing a reader writes but the clock is on a line another
-// reader touches, so ns/op must not rise from -cpu 1 to -cpu 2; what keeps
-// it from halving is the clock.
+// its own.  Nothing a reader writes is on a line another reader touches —
+// its stamp is a load of the clock — so ns/op about halves from -cpu 1 to
+// -cpu 2.  A slot that runs out of stamps in one gap draws from the clock
+// once every 256 snapshots here, with no writer to open a new gap.
 func BenchmarkSnapshot4ReadsDisjointParallel(b *testing.B) {
 	sys, inv := NewSystem(Options{}), adt.CtrReadInv()
 	own := make([]*Object, runtime.GOMAXPROCS(0)) // RunParallel starts that many goroutines

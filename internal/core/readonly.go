@@ -50,11 +50,12 @@ func (t *ReadTx) Branch(o *Object) (*ReadTx, error) {
 // ReadTx is a read-only transaction with a start-time timestamp.  Like Tx
 // it is single-threaded, and its identifier is materialized lazily from seq
 // ("R<seq>"): a reader that records no events never allocates the string.
-// It holds no mutex and shares nothing with other readers but the clock,
-// the one word it writes that another transaction reads: liveness is an
-// atomic word of its own, the compaction pin and the counters it leaves at
-// finish sit in a registry slot of its own, and a read writes nothing at
-// the object it reads.
+// It holds no mutex and writes no word another transaction writes: it
+// loads the clock and stamps itself in the gap above it (tstamp.Source's
+// ReadStamp), liveness is an atomic word of its own, the compaction pin,
+// the stamp tie-break and the counters it leaves at finish sit in a
+// registry slot of its own, and a read writes nothing at the object it
+// reads.
 type ReadTx struct {
 	sys *System
 	// seq numbers the reader within its System; a pooled struct reserves
@@ -101,10 +102,15 @@ const (
 // the slot, not to a reader: each reader that held it added its calls and
 // its outcome at finish, and Stats sums them over the registry (a reader's
 // Begun is its Committed or Aborted — it is counted when it finishes).
+// last is the slot's previous ReadStamp, the tie-break that keeps two
+// stamps from one sub-range of one gap apart; only the slot's holder
+// touches it, and the pin's release and claim order one holder after the
+// next.
 type readerSlot struct {
 	pin                       atomic.Int64
 	committed, aborted, calls atomic.Int64
-	_                         [32]byte
+	last                      histories.Timestamp
+	_                         [24]byte
 }
 
 type readerChunk struct {
@@ -117,13 +123,15 @@ type readerChunk struct {
 // grow-only chain of slot arrays, where readers claim and release slots by
 // atomic operations on their own cache lines and never meet at a lock.
 //
-// Registration invariant — pin before draw: a reader stores a provisional
-// pin in its slot, draws its timestamp r from the clock, then raises the
-// slot to r.  Pin store → reader's clock RMW → any later writer's clock RMW
-// → that writer's fold scan is one order, Go's atomics being sequentially
-// consistent (a mutex-guarded Clock gives it by happens-before).  So a scan
-// that misses the pin ran before r was drawn — an entry above r cannot
-// exist yet — and a scan that sees it holds the horizon at 0 or at r.
+// Registration invariant — pin before load: a reader stores a provisional
+// pin in its slot, loads the clock and stamps itself r in the gap above
+// what it loaded (or, when ReadStamp declines, draws r from the clock),
+// then raises the slot to r.  Pin store → reader's clock load → any writer
+// clock RMW that issues a timestamp above r → that writer's fold scan is
+// one order, Go's atomics being sequentially consistent (a mutex-guarded
+// Clock gives it by happens-before).  So a scan that misses the pin ran
+// before anything above r was issued — an entry above r cannot exist yet —
+// and a scan that sees it holds the horizon at 0 or at r.
 type readerRegistry struct {
 	head atomic.Pointer[readerChunk]
 }
@@ -156,10 +164,11 @@ func (r *readerRegistry) addTo(snap *StatsSnapshot) {
 }
 
 // pin claims a free slot, searching from hint, and leaves a provisional pin
-// in it; it returns the slot and its index, the next search's hint.  When
-// every slot is taken it appends a chunk of twice the size.
+// in it; it returns the slot and its global index — its position along the
+// chain, which is the next search's hint and the reader's ReadStamp slot.
+// When every slot is taken it appends a chunk of twice the size.
 func (r *readerRegistry) pin(hint uint64) (*readerSlot, uint64) {
-	link, size := &r.head, readerSlots
+	link, size, base := &r.head, readerSlots, uint64(0)
 	for {
 		c := link.Load()
 		if c == nil {
@@ -171,13 +180,15 @@ func (r *readerRegistry) pin(hint uint64) (*readerSlot, uint64) {
 				continue // lost the race: search the winner's chunk
 			}
 		}
-		for i := range c.slots {
-			at := (hint + uint64(i)) % uint64(len(c.slots))
+		n := uint64(len(c.slots))
+		for i := range n {
+			// Chunk sizes are powers of two, so hint−base may wrap.
+			at := (hint - base + i) % n
 			if s := &c.slots[at]; s.pin.Load() == slotFree && s.pin.CompareAndSwap(slotFree, 0) {
-				return s, at
+				return s, base + at
 			}
 		}
-		link, size = &c.next, 2*len(c.slots)
+		link, size, base = &c.next, 2*len(c.slots), base+n
 	}
 }
 
@@ -196,10 +207,12 @@ func (s *System) BeginReadOnlyCtx(ctx context.Context) *ReadTx {
 	return s.startRead(&ReadTx{sys: s}, ctx, 1)
 }
 
-// startRead makes tx — fresh or recycled — a new active reader: pin, draw,
-// raise (see readerRegistry).  A struct out of sequence numbers reserves
-// block more; a fresh one starts its first slot search at the block's
-// ordinal, which spreads structs that have yet to claim a slot.
+// startRead makes tx — fresh or recycled — a new active reader: pin, load,
+// raise (see readerRegistry).  The stamp comes from the gap above the
+// clock when the System mints every timestamp itself, and from a draw
+// otherwise or when ReadStamp declines.  A struct out of sequence numbers
+// reserves block more; a fresh one starts its first slot search at the
+// block's ordinal, which spreads structs that have yet to claim a slot.
 func (s *System) startRead(tx *ReadTx, ctx context.Context, block uint64) *ReadTx {
 	if ctx == nil {
 		ctx = context.Background()
@@ -214,9 +227,23 @@ func (s *System) startRead(tx *ReadTx, ctx context.Context, block uint64) *ReadT
 	tx.seq, tx.id, tx.ctx, tx.calls = tx.seq+1, "", ctx, 0
 	tx.state.Store(tx.state.Load()&^1 + 2)
 	tx.slot, tx.hint = s.readers.pin(tx.hint)
-	tx.ts = s.clock.Next(0)
+	ok := false
+	if s.stamps != nil {
+		tx.ts, ok = s.stamps.ReadStamp(tx.hint, tx.slot.last)
+	}
+	if ok {
+		tx.slot.last = tx.ts
+	} else {
+		tx.ts = s.clock.Next(0)
+	}
 	tx.slot.pin.Store(int64(tx.ts))
 	return tx
+}
+
+// readStamper is the clock side of a reader's stamp without a shared write
+// (tstamp.Source.ReadStamp).
+type readStamper interface {
+	ReadStamp(slot uint64, last histories.Timestamp) (histories.Timestamp, bool)
 }
 
 // BeginReadOnlyBranch starts a read-only branch carrying an externally
@@ -378,7 +405,8 @@ func (o *Object) recordCompletion(e histories.Event) {
 // checks the commit-window counter and reads the published committed-tail
 // snapshot.  The counter check is sound because a writer that could still
 // commit below the reader's timestamp must have drawn that timestamp
-// before the reader's own (the clock is monotone), hence after
+// before the reader loaded or drew its own (the clock is monotone, and a
+// stamp lies below everything issued after its load), hence after
 // incrementing the counter; a writer observed at zero has therefore
 // already merged and published everything the reader may observe.
 func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {

@@ -21,12 +21,12 @@ import (
 )
 
 // This file tests the lock-free reader registry (readerRegistry): the
-// pin-before-draw ordering, slot reuse and growth under concurrent readers,
+// pin-before-load ordering, slot reuse and growth under concurrent readers,
 // and the release of every pin.  Run with -race and -cpu 1,4, as CI does.
 
-// parkClock is a tstamp.Source whose next draw, once armed, parks after the
-// timestamp is drawn and before Next returns: the caller holds a timestamp
-// that nothing it does afterwards has happened yet.
+// parkClock is a tstamp.Source whose next reader stamp, once armed, parks
+// after the clock is loaded and before ReadStamp returns: the reader holds
+// a timestamp that nothing it does afterwards has happened yet.
 type parkClock struct {
 	tstamp.Source
 	armed  atomic.Bool
@@ -34,24 +34,25 @@ type parkClock struct {
 	resume chan struct{}
 }
 
-func (c *parkClock) Next(lower histories.Timestamp) histories.Timestamp {
-	ts := c.Source.Next(lower)
+func (c *parkClock) ReadStamp(slot uint64, last histories.Timestamp) (histories.Timestamp, bool) {
+	ts, ok := c.Source.ReadStamp(slot, last)
 	if c.armed.CompareAndSwap(true, false) {
 		close(c.drawn)
 		<-c.resume
 	}
-	return ts
+	return ts, ok
 }
 
 // TestReaderPinsBeforeDraw parks a reader between its provisional pin and
-// the moment it learns its timestamp r, while a writer commits at w > r and
-// folds.  The provisional pin must hold the writer's entry out of the
-// version, so the reader still reconstructs the state as of r.
+// the moment it learns its timestamp r — after ReadStamp's load of the
+// clock — while a writer commits at w > r and folds.  The provisional pin
+// must hold the writer's entry out of the version, so the reader still
+// reconstructs the state as of r.
 //
-// Mutation: in startRead, move `tx.slot = s.readers.pin(tx.hint)` below
-// `tx.ts = s.clock.Next(0)` (draw, then pin).  The writer's fold scan then
-// finds no reader, folds w into the version, and this test fails with
-// "unforgotten = 0" and "read = 15".
+// Mutation: in startRead, load before the pin — call
+// `s.stamps.ReadStamp(tx.hint, 0)` above `s.readers.pin(tx.hint)`.  The
+// writer's fold scan then finds no reader, folds w into the version, and
+// this test fails with "unforgotten = 0" and "read = 15".
 func TestReaderPinsBeforeDraw(t *testing.T) {
 	clk := &parkClock{drawn: make(chan struct{}), resume: make(chan struct{})}
 	sys := NewSystem(Options{Clock: clk})

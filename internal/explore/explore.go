@@ -4,7 +4,9 @@
 // every accepted history.  Unlike the randomized driver in
 // cmd/hybrid-verify, the exhaustive search provides small-scope
 // completeness: within the bounds, no interleaving — including commit-
-// timestamp inversions between concurrent transactions — is missed.
+// timestamp inversions between concurrent transactions — is missed.  With
+// Section 7 readers it also models internal/core's clock, commit window,
+// reader registry and folding (readers.go).
 package explore
 
 import (
@@ -31,11 +33,39 @@ type Config struct {
 	// drawn from 1..MaxTS, which suffices to realize every commit-order /
 	// timestamp-order inversion among Txs transactions.
 	MaxTS histories.Timestamp
+	// Readers adds that many Section 7 read-only transactions, R1, R2, …,
+	// running internal/core's ReadTx protocol.  With readers, the search
+	// models internal/core's clock and compaction too; see runReaders.
+	Readers int
+	// ReadInvocations a reader may issue: pure observers of Spec.
+	ReadInvocations []spec.Invocation
 }
+
+// kind is what a schedule step does.
+type kind int
+
+const (
+	invoke kind = iota
+	respond
+	commit
+	abort
+	draw  // take a commit timestamp from the clock: the commit window opens
+	merge // the commit event at the drawn timestamp: the window closes
+	pin   // a reader claims the lowest free slot with a provisional pin
+	load  // a reader loads the clock
+	raise // a reader stamps itself from its load and raises its pin
+	read
+	end
+	fold
+)
+
+// readerSteps is the order in which a reader starts: pin before load, as
+// internal/core's startRead does; raise comes last.
+var readerSteps = [...]kind{pin, load, raise}
 
 // action is one schedule step.
 type action struct {
-	kind int // 0 invoke, 1 respond, 2 commit, 3 abort
+	kind kind
 	tx   histories.TxID
 	inv  spec.Invocation
 	res  string
@@ -44,29 +74,45 @@ type action struct {
 
 func (a action) String() string {
 	switch a.kind {
-	case 0:
+	case invoke:
 		return fmt.Sprintf("%s invokes %s", a.tx, a.inv)
-	case 1:
+	case respond:
 		return fmt.Sprintf("%s gets %s", a.tx, a.res)
-	case 2:
+	case commit:
 		return fmt.Sprintf("%s commits(%d)", a.tx, a.ts)
-	default:
+	case abort:
 		return fmt.Sprintf("%s aborts", a.tx)
+	case draw:
+		return fmt.Sprintf("%s draws", a.tx)
+	case merge:
+		return fmt.Sprintf("%s merges", a.tx)
+	case pin:
+		return fmt.Sprintf("%s pins", a.tx)
+	case load:
+		return fmt.Sprintf("%s loads the clock", a.tx)
+	case raise:
+		return fmt.Sprintf("%s raises its pin", a.tx)
+	case read:
+		return fmt.Sprintf("%s reads %s", a.tx, a.inv)
+	case end:
+		return fmt.Sprintf("%s ends", a.tx)
+	default:
+		return "fold"
 	}
 }
 
 // apply performs a on m.
 func apply(m *lockmachine.Machine, a action) error {
 	switch a.kind {
-	case 0:
+	case invoke:
 		return m.Invoke(a.tx, a.inv)
-	case 1:
+	case respond:
 		ok, err := m.RespondWith(a.tx, a.res)
 		if err == nil && !ok {
 			return fmt.Errorf("explore: response %q refused", a.res)
 		}
 		return err
-	case 2:
+	case commit:
 		return m.Commit(a.tx, a.ts)
 	default:
 		return m.Abort(a.tx)
@@ -76,7 +122,7 @@ func apply(m *lockmachine.Machine, a action) error {
 // Result summarizes an exploration.
 type Result struct {
 	// Histories is the number of distinct accepted histories checked
-	// (every node of the schedule tree).
+	// (every node of the schedule tree; every leaf with readers).
 	Histories int
 	// Violation holds the first failing history, if any.
 	Violation histories.History
@@ -85,8 +131,12 @@ type Result struct {
 }
 
 // Run exhaustively explores cfg, invoking check on every accepted history.
-// It stops at the first violation.
+// It stops at the first violation.  A configuration with readers checks
+// every leaf instead (runReaders).
 func Run(cfg Config, check func(histories.History) error) Result {
+	if cfg.Readers > 0 {
+		return runReaders(cfg, check)
+	}
 	txs := make([]histories.TxID, cfg.Txs)
 	for i := range txs {
 		txs[i] = histories.TxID(rune('A' + i))
@@ -126,7 +176,7 @@ func Run(cfg Config, check func(histories.History) error) Result {
 			if grantable, err := m.GrantableResponses(tx); err == nil {
 				// Pending invocation: try every grantable response.
 				for _, r := range grantable {
-					if !dfs(append(path, action{kind: 1, tx: tx, res: r})) {
+					if !dfs(append(path, action{kind: respond, tx: tx, res: r})) {
 						return false
 					}
 				}
@@ -134,7 +184,7 @@ func Run(cfg Config, check func(histories.History) error) Result {
 			}
 			// Quiescent: invoke, commit, or abort.
 			for _, inv := range cfg.Invocations {
-				if !dfs(append(path, action{kind: 0, tx: tx, inv: inv})) {
+				if !dfs(append(path, action{kind: invoke, tx: tx, inv: inv})) {
 					return false
 				}
 			}
@@ -146,11 +196,11 @@ func Run(cfg Config, check func(histories.History) error) Result {
 				if hasBound && ts <= bound {
 					continue
 				}
-				if !dfs(append(path, action{kind: 2, tx: tx, ts: ts})) {
+				if !dfs(append(path, action{kind: commit, tx: tx, ts: ts})) {
 					return false
 				}
 			}
-			if !dfs(append(path, action{kind: 3, tx: tx})) {
+			if !dfs(append(path, action{kind: abort, tx: tx})) {
 				return false
 			}
 		}

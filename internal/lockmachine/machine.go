@@ -4,7 +4,9 @@
 // response events are enabled when the operation is legal in the caller's
 // view and conflicts with no operation of another active transaction.  The
 // package also maintains the Section 6 bookkeeping (clock, per-transaction
-// lower bounds, horizon, and the monotone common prefix).
+// lower bounds, horizon, and the monotone common prefix), the appendix's
+// forget() into a version, and Section 7's read-only transactions, which
+// read the committed state as of the timestamp they chose at their start.
 //
 // This is the reference model used for model checking Theorems 16 and 17;
 // the production runtime in internal/core implements the same algorithm
@@ -41,8 +43,23 @@ type Machine struct {
 	clock histories.Timestamp
 	bound map[histories.TxID]histories.Timestamp
 
+	// Section 7: the read-only transactions, each with the timestamp it
+	// chose at its start.  version holds the folded intentions (the
+	// appendix's forget()) in timestamp order, folded the committed
+	// transactions they came from.
+	readers map[histories.TxID]*reader
+	version []spec.Op
+	folded  map[histories.TxID]bool
+
 	usedTS  map[histories.Timestamp]histories.TxID
 	history histories.History
+}
+
+// reader is a Section 7 read-only transaction: open until EndRead, and
+// read once it has read here.
+type reader struct {
+	ts         histories.Timestamp
+	open, read bool
 }
 
 // New returns a fresh LOCK machine for an object named obj with serial
@@ -58,6 +75,8 @@ func New(obj histories.ObjID, sp spec.Spec, conflict depend.Conflict) *Machine {
 		aborted:    make(map[histories.TxID]bool),
 		clock:      MinTS,
 		bound:      make(map[histories.TxID]histories.Timestamp),
+		readers:    make(map[histories.TxID]*reader),
+		folded:     make(map[histories.TxID]bool),
 		usedTS:     make(map[histories.Timestamp]histories.TxID),
 	}
 }
@@ -279,30 +298,125 @@ func (m *Machine) Abort(tx histories.TxID) error {
 	return nil
 }
 
-// Horizon computes the horizon timestamp of Definition 20:
+// Horizon computes the horizon timestamp of Definition 20, with the open
+// readers of Section 7 pinning it at their timestamps, as internal/core's
+// forgetLocked counts its reader pins:
 //
-//	max(−∞, min(min{bound(P) : bound(P) ≠ ⊥}, max{committed(P)}))
+//	max(−∞, min(min{bound(P) : bound(P) ≠ ⊥}, min{ts(R) : R open}, max{committed(P)}))
 func (m *Machine) Horizon() histories.Timestamp {
-	minBound := MaxTS
-	for _, b := range m.bound {
-		if b < minBound {
-			minBound = b
-		}
-	}
 	maxCommitted := MinTS
 	for _, ts := range m.committed {
-		if ts > maxCommitted {
-			maxCommitted = ts
+		maxCommitted = max(maxCommitted, ts)
+	}
+	return max(MinTS, min(m.foldHorizon(), maxCommitted))
+}
+
+// foldHorizon is the horizon without Definition 20's cap at the newest
+// commit: the smallest bound of an active transaction or timestamp of an
+// open reader, MaxTS when there is none.
+func (m *Machine) foldHorizon() histories.Timestamp {
+	h := MaxTS
+	for _, b := range m.bound {
+		h = min(h, b)
+	}
+	for _, r := range m.readers {
+		if r.open {
+			h = min(h, r.ts)
 		}
 	}
-	h := minBound
-	if maxCommitted < h {
-		h = maxCommitted
-	}
-	if h < MinTS {
-		h = MinTS
-	}
 	return h
+}
+
+// Fold is the appendix's forget() as internal/core's forgetLocked runs
+// it: every unfolded committed intentions list below the fold horizon
+// moves into the version, in timestamp order.  The fold horizon drops
+// Definition 20's cap at the newest commit, as forgetLocked does — a
+// transaction yet to respond here records the clock as its bound and
+// commits above it, and a reader yet to start stamps itself above the
+// clock.  Fold reports how many non-empty intentions lists it moved.
+func (m *Machine) Fold() int {
+	h, n := m.foldHorizon(), 0
+	for _, t := range m.committedOrder() {
+		if !m.folded[t] && m.committed[t] < h {
+			m.folded[t] = true
+			if ops := m.intentions[t]; len(ops) > 0 {
+				m.version = append(m.version, ops...)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Version returns a copy of the folded intentions, in timestamp order.
+func (m *Machine) Version() []spec.Op {
+	return append([]spec.Op(nil), m.version...)
+}
+
+// BeginRead opens tx as a Section 7 read-only transaction at ts, the
+// timestamp it chose when it started; while open it pins the horizon at
+// ts.  Like Commit it enforces uniqueness on its input: no committed
+// transaction or other reader may hold ts, and tx must be new here.
+func (m *Machine) BeginRead(tx histories.TxID, ts histories.Timestamp) error {
+	_, active := m.bound[tx]
+	if _, seen := m.readers[tx]; seen || active || m.Completed(tx) {
+		return fmt.Errorf("lockmachine: %q began reading after running here", tx)
+	}
+	if owner, ok := m.usedTS[ts]; ok {
+		return fmt.Errorf("lockmachine: reader %q's timestamp %d already used by %q", tx, ts, owner)
+	}
+	m.readers[tx] = &reader{ts: ts, open: true}
+	m.usedTS[ts] = tx
+	return nil
+}
+
+// Read answers the read-only invocation inv for the open reader tx from
+// the state as of its timestamp, rebuilt the way internal/core's snapshot
+// is: the version, then each unfolded committed intentions list below the
+// timestamp, in timestamp order — the committed intentions below it, as
+// long as no fold has passed an open reader.  The response is the first
+// the specification allows; Read records the invocation and the response,
+// and refuses an operation that would change the state.
+func (m *Machine) Read(tx histories.TxID, inv spec.Invocation) (string, error) {
+	r, ok := m.readers[tx]
+	if !ok || !r.open {
+		return "", fmt.Errorf("lockmachine: %q is not an open reader", tx)
+	}
+	state, ok := spec.Replay(m.sp, m.version)
+	for _, t := range m.committedOrder() {
+		if ok && !m.folded[t] && m.committed[t] < r.ts {
+			state, ok = spec.StepFrom(m.sp, state, m.intentions[t]...)
+		}
+	}
+	if !ok {
+		return "", fmt.Errorf("lockmachine: %q's snapshot at %d is illegal", tx, r.ts)
+	}
+	responses := m.sp.Responses(state, inv)
+	if len(responses) == 0 {
+		return "", fmt.Errorf("lockmachine: %s has no response in %q's snapshot", inv, tx)
+	}
+	op := inv.With(responses[0])
+	if next, ok := m.sp.Step(state, op); !ok || !m.sp.Equal(state, next) {
+		return "", fmt.Errorf("lockmachine: %q's %s changes the state", tx, op)
+	}
+	r.read = true
+	m.history = append(m.history, histories.InvokeEvent(tx, m.obj, inv), histories.RespondEvent(tx, m.obj, op.Res))
+	return op.Res, nil
+}
+
+// EndRead commits the reader tx and releases its pin.  A reader that read
+// here leaves its commit event at its timestamp, as internal/core's ReadTx
+// does at every object it read.
+func (m *Machine) EndRead(tx histories.TxID) error {
+	r, ok := m.readers[tx]
+	if !ok || !r.open {
+		return fmt.Errorf("lockmachine: %q is not an open reader", tx)
+	}
+	r.open = false
+	if r.read {
+		m.history = append(m.history, histories.CommitEvent(tx, m.obj, r.ts))
+	}
+	return nil
 }
 
 // Common computes the common prefix of Definition 22: the concatenated

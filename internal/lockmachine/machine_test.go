@@ -338,6 +338,85 @@ func TestHorizonAndCommon(t *testing.T) {
 	}
 }
 
+// TestReaderPinsHorizonAndReadsSnapshot: an open reader holds the horizon
+// at its timestamp, so a later commit stays out of the version and the
+// reader reads the state as of its timestamp; it leaves a commit event only
+// where it read, and its timestamp is taken.
+//
+// Mutation: drop the readers from foldHorizon.  The fold then moves Q's
+// Inc(5), committed above the reader, into the version: Horizon is 3 and
+// the read answers 6.
+func TestReaderPinsHorizonAndReadsSnapshot(t *testing.T) {
+	m := New(x, adt.NewCounter(), depend.SymmetricClosure(depend.CounterDependency()))
+	mustInvoke(t, m, "P", adt.IncInv(1))
+	mustRespond(t, m, "P", adt.ResOk)
+	mustCommit(t, m, "P", 1)
+	if n := m.Fold(); n != 1 || !spec.SeqEqual(m.Version(), []spec.Op{adt.IncInv(1).With(adt.ResOk)}) {
+		t.Fatalf("Fold = %d, version %s: want P folded", n, spec.SeqString(m.Version()))
+	}
+	for _, tx := range []histories.TxID{"R", "S"} {
+		if err := m.BeginRead(tx, map[histories.TxID]histories.Timestamp{"R": 2, "S": 4}[tx]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustInvoke(t, m, "Q", adt.IncInv(5))
+	mustRespond(t, m, "Q", adt.ResOk)
+	mustCommit(t, m, "Q", 3)
+	if h := m.Horizon(); h != 2 {
+		t.Errorf("Horizon = %d, want 2: R's pin", h)
+	}
+	if n := m.Fold(); n != 0 {
+		t.Errorf("Fold moved %d past the open reader", n)
+	}
+	if got, err := m.Read("R", adt.CtrReadInv()); err != nil || got != "1" {
+		t.Errorf("R read %q, %v: want 1, the state as of 2", got, err)
+	}
+	if err := m.EndRead("R"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EndRead("S"); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Fold(); n != 1 {
+		t.Errorf("Fold after the readers ended moved %d, want Q", n)
+	}
+
+	if err := m.BeginRead("T", 3); err == nil {
+		t.Error("a reader took Q's timestamp")
+	}
+	if err := m.BeginRead("P", 9); err == nil {
+		t.Error("an update transaction began reading")
+	}
+	if _, err := m.Read("R", adt.CtrReadInv()); err == nil {
+		t.Error("an ended reader read")
+	}
+	if err := m.BeginRead("U", 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Read("U", adt.IncInv(1)); err == nil {
+		t.Error("a reader changed the state")
+	}
+	mustInvoke(t, m, "V", adt.IncInv(1))
+	mustRespond(t, m, "V", adt.ResOk)
+	if err := m.Commit("V", 7); err == nil {
+		t.Error("an update transaction took the reader U's timestamp")
+	}
+
+	h := m.History()
+	readOnly := func(tx histories.TxID) bool { return tx == "R" || tx == "S" || tx == "U" }
+	if err := histories.WellFormedReadOnly(h, readOnly); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range h {
+		if e.Tx == "S" {
+			t.Errorf("S read nothing here but left %v", e)
+		}
+	}
+	if ok, err := histories.HybridAtomic(h, histories.SpecMap{x: adt.NewCounter()}); err != nil || !ok {
+		t.Errorf("history not hybrid atomic (%v):\n%s", err, h)
+	}
+}
+
 // randomDriver runs a random schedule against a machine and returns the
 // accepted history.  Every error is fatal (the driver only performs
 // transitions the machine's input contract allows).

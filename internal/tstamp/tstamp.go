@@ -11,6 +11,18 @@
 // Next can return (the swap is the unique transition past that value),
 // which preserves uniqueness; monotonicity holds because every transition
 // strictly increases the counter.
+//
+// Source also stamps Section 7's read-only transactions, which take their
+// timestamps when they start, without writing the counter.  Next issues
+// multiples of Stride; the values strictly between two of them — the gap
+// above the newest timestamp — belong to readers.  ReadStamp hands a reader
+// a value in that gap with one load: the gap is cut into ReadSlots
+// sub-ranges, one per reader slot, and the slot's previous stamp breaks
+// ties inside a sub-range, so two readers never meet at a shared word and
+// never share a stamp.  A reader's stamp is above every timestamp issued or
+// observed before its load and below every timestamp issued after it.  At
+// a Stride of 2^16 a Source issues 2^47 ≈ 1.4·10^14 timestamps before its
+// int64 overflows: four and a half years at a million commits a second.
 package tstamp
 
 import (
@@ -29,8 +41,17 @@ type Clock interface {
 	Observe(ts histories.Timestamp)
 }
 
+// A Source's gap layout: Next issues multiples of Stride, and reader slot i
+// owns the ReadRange−1 values g+i·ReadRange+1 … g+(i+1)·ReadRange−1 of the
+// gap above g, so no sub-range touches a multiple of Stride.
+const (
+	Stride    = 1 << 16
+	ReadRange = 1 << 8
+	ReadSlots = Stride / ReadRange
+)
+
 // Source is a process-wide timestamp source: a single logical clock.  The
-// zero value is ready to use and issues timestamps starting at 1.
+// zero value is ready to use and issues timestamps starting at Stride.
 type Source struct {
 	last atomic.Int64
 }
@@ -38,19 +59,39 @@ type Source struct {
 // NewSource returns a fresh Source.
 func NewSource() *Source { return &Source{} }
 
-// Next implements Clock.
+// Next implements Clock: it issues the smallest multiple of Stride above
+// both the clock and lower.
 func (s *Source) Next(lower histories.Timestamp) histories.Timestamp {
 	for {
 		cur := s.last.Load()
-		next := cur
-		if int64(lower) > next {
-			next = int64(lower)
-		}
-		next++
+		next := (max(cur, int64(lower)) | (Stride - 1)) + 1
 		if s.last.CompareAndSwap(cur, next) {
 			return histories.Timestamp(next)
 		}
 	}
+}
+
+// ReadStamp returns a reader's timestamp: the first value of slot's
+// sub-range of the gap above the clock that exceeds last, the slot's
+// previous stamp (0 for none).  It loads the clock once and writes
+// nothing.  ok is false — the caller then draws with Next — when slot lies
+// beyond ReadSlots, when the slot's sub-range of this gap is used up, or
+// when the clock sits mid-gap because Observe took it to a timestamp Next
+// did not issue (an older log's, say).
+func (s *Source) ReadStamp(slot uint64, last histories.Timestamp) (ts histories.Timestamp, ok bool) {
+	if slot >= ReadSlots {
+		return 0, false
+	}
+	cur := s.last.Load()
+	if cur%Stride != 0 {
+		return 0, false
+	}
+	lo := cur + int64(slot)*ReadRange // the sub-range is (lo, lo+ReadRange)
+	next := max(int64(last), lo) + 1
+	if next >= lo+ReadRange {
+		return 0, false
+	}
+	return histories.Timestamp(next), true
 }
 
 // Observe implements Clock.

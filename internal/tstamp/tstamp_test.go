@@ -81,6 +81,63 @@ func TestSourceConcurrentUnique(t *testing.T) {
 	}
 }
 
+// TestSourceReadStampBounds walks every slot's sub-range of one gap: each
+// stamp lies strictly between the clock and the next timestamp Next
+// issues, inside its own slot's sub-range and above the slot's previous
+// stamp, and ReadStamp declines once the sub-range is used up, for a slot
+// beyond ReadSlots, and on a clock Observe left mid-gap.  It writes
+// nothing: Now is unchanged.
+//
+// Mutation: `next := max(int64(last)+1, lo)` in ReadStamp (slot 0's first
+// stamp is the clock itself) fails with "not above the clock".
+func TestSourceReadStampBounds(t *testing.T) {
+	s := NewSource()
+	s.Next(0)
+	g := s.Now()
+	seen := map[histories.Timestamp]bool{}
+	for slot := uint64(0); slot < ReadSlots; slot++ {
+		last := histories.Timestamp(0)
+		for n := 0; ; n++ {
+			ts, ok := s.ReadStamp(slot, last)
+			if !ok {
+				if n != ReadRange-1 {
+					t.Fatalf("slot %d declined after %d stamps, want %d", slot, n, ReadRange-1)
+				}
+				break
+			}
+			lo := g + histories.Timestamp(slot*ReadRange)
+			switch {
+			case ts <= g:
+				t.Fatalf("slot %d stamp %d not above the clock %d", slot, ts, g)
+			case ts <= lo || ts >= lo+ReadRange:
+				t.Fatalf("slot %d stamp %d outside its sub-range (%d, %d)", slot, ts, lo, lo+ReadRange)
+			case ts <= last:
+				t.Fatalf("slot %d stamp %d not above its previous %d", slot, ts, last)
+			case seen[ts]:
+				t.Fatalf("stamp %d issued twice", ts)
+			}
+			seen[ts], last = true, ts
+		}
+	}
+	if s.Now() != g {
+		t.Fatalf("ReadStamp moved the clock from %d to %d", g, s.Now())
+	}
+	if next := s.Next(0); next != g+Stride {
+		t.Fatalf("Next = %d after the gap above %d, want %d", next, g, g+Stride)
+	}
+	if _, ok := s.ReadStamp(ReadSlots, 0); ok {
+		t.Error("a slot beyond ReadSlots got a stamp")
+	}
+	mid := s.Now() + 5
+	s.Observe(mid)
+	if _, ok := s.ReadStamp(0, 0); ok {
+		t.Error("a clock left mid-gap gave a stamp")
+	}
+	if next := s.Next(0); next%Stride != 0 || next <= mid || next-mid >= Stride {
+		t.Errorf("Next from %d = %d, want the next multiple of %d", mid, next, Stride)
+	}
+}
+
 func TestNodeClockResidueClasses(t *testing.T) {
 	const nodes = 3
 	clocks := make([]*NodeClock, nodes)

@@ -170,7 +170,8 @@ func (c *Cluster) Verify() error { return verifyRecorded(c.recorder, c.reg, c.ba
 
 // NewCustom registers an object on the shard that owns name, behaving as
 // System.NewCustom in every other respect.  Names are unique
-// cluster-wide.
+// cluster-wide.  Inside a dialed cluster's setup the shard's verdict on the
+// registration arrives with Dial's return (see Dial).
 func (c *Cluster) NewCustom(name string, sp Spec, opts ...ObjectOption) (*Object, error) {
 	return newCustomOn(c.inner.SystemFor(name), c.reg, name, sp, opts)
 }

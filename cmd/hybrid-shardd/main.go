@@ -104,9 +104,10 @@ func main() {
 
 	// Re-register every catalogued object BEFORE recovery finishes: the
 	// WAL records operations by object name, and replay needs the objects
-	// back under those names.  The catalog was fsynced ahead of each
-	// registration acknowledgement, so it covers every name the WAL can
-	// mention.
+	// back under those names.  Each registration batch (and each scheme
+	// switch) was fsynced to the catalog ahead of its acknowledgement, so
+	// the catalog covers every name the WAL can mention, each under its
+	// last scheme.
 	catalog, entries, err := netproto.OpenCatalog(*dir)
 	if err != nil {
 		log.Fatalf("open catalog: %v", err)

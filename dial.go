@@ -237,9 +237,20 @@ func (l *decisionLedger) close() error {
 //
 // setup runs once on the connected cluster, before Dial returns — the
 // place to register (or re-register: registration is idempotent) the
-// client's objects.  Only the built-in types travel the wire; a custom
-// Spec's behaviour lives in this process, so NewCustom fails on a dialed
-// cluster.
+// client's objects.  Registrations made inside setup are batched: NewX
+// returns once the checks this process can make pass (a duplicate name,
+// an unknown scheme, a type that is not built-in), and when setup returns
+// every shard is sent its batch as one message, all shards in parallel.
+// Each shard writes its batch to its catalog with one fsync before it
+// acknowledges, and a batch a shard refuses (an object already registered
+// there under another type, a catalog write that fails, a shard that cannot
+// be reached) fails Dial with an error naming the object.  A setup that
+// returns an error sends nothing.  Any other request to a shard — a
+// transaction begun inside setup, say — first sends that shard the
+// registrations queued so far.  Outside setup, NewX registers at once and
+// returns the shard's verdict.  Only the built-in types travel the wire; a
+// custom Spec's behaviour lives in this process, so NewCustom fails on a
+// dialed cluster.
 //
 // Transaction identifiers are salted with a random per-Dial prefix, so
 // concurrent clients of one cluster never collide in the shards' logs.
@@ -280,6 +291,7 @@ func Dial(addrs []string, setup func(*Cluster) error, opts ...Option) (*Cluster,
 	}
 
 	conns := make([]cluster.RemoteConn, len(addrs))
+	clients := make([]*netproto.ShardClient, len(addrs))
 	for i, addr := range addrs {
 		sc, err := netproto.DialShard(addr, i, len(addrs), netproto.ClientOptions{
 			Timeout:          timeout,
@@ -295,7 +307,7 @@ func Dial(addrs []string, setup func(*Cluster) error, opts ...Option) (*Cluster,
 			_ = ledger.close()
 			return nil, fmt.Errorf("hybridcc: dial shard %d: %w", i, err)
 		}
-		conns[i] = sc
+		conns[i], clients[i] = sc, sc
 	}
 
 	ropts := cluster.RemoteOptions{
@@ -318,9 +330,28 @@ func Dial(addrs []string, setup func(*Cluster) error, opts ...Option) (*Cluster,
 	}
 	cl := &Cluster{inner: inner, recorder: c.recorder, reg: newRegistry()}
 	if setup != nil {
+		for _, sc := range clients {
+			sc.HoldRegistrations()
+		}
 		if err := setup(cl); err != nil {
-			_ = cl.Close()
+			_ = cl.Close() // a closed shard client sends nothing it holds
 			return nil, fmt.Errorf("hybridcc: Dial setup: %w", err)
+		}
+		errs := make([]error, len(clients))
+		var wg sync.WaitGroup
+		for i, sc := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = sc.SendHeldRegistrations()
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				_ = cl.Close()
+				return nil, fmt.Errorf("hybridcc: Dial setup: shard %d: %w", i, err)
+			}
 		}
 	}
 	return cl, nil

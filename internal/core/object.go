@@ -528,6 +528,10 @@ func (o *Object) Policies() *ccpolicy.Set { return o.policies }
 // already-active scheme cancels any pending switch.  The error names the
 // schemes available when the requested one was never registered.
 func (o *Object) SetScheme(scheme string) error {
+	p := o.policies.Get(scheme)
+	if p == nil {
+		return fmt.Errorf("hybridcc: object %s has no %q policy (have %v)", o.name, scheme, o.policies.Schemes())
+	}
 	if o.sys.remote != nil {
 		// Switch on the serving shard, then mirror into the local stub so
 		// Scheme() keeps answering accurately client-side.
@@ -537,10 +541,6 @@ func (o *Object) SetScheme(scheme string) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	p := o.policies.Get(scheme)
-	if p == nil {
-		return fmt.Errorf("hybridcc: object %s has no %q policy (have %v)", o.name, scheme, o.policies.Schemes())
-	}
 	if p == o.policy {
 		if o.pending != nil {
 			// Cancel the not-yet-installed switch and release the drain

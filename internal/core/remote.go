@@ -34,7 +34,9 @@ import (
 type RemoteShard interface {
 	// Register creates (or idempotently re-opens) an object on the shard.
 	// typeName names a built-in specification (baseline.DescriptorFor);
-	// scheme "" means the shard's default.
+	// scheme "" means the shard's default.  Inside a dialed cluster's setup
+	// the registration is queued for the shard's one batch, and nil means
+	// only that the local checks passed.
 	Register(name, typeName, scheme string) error
 	// SetScheme switches the named object's policy on the shard.
 	SetScheme(name, scheme string) error

@@ -20,13 +20,24 @@ import (
 // so that any object a client may have logged operations against is
 // re-registerable from local state alone.
 //
+// Registrations arrive in batches: the registrations a dialed client makes
+// inside Dial's setup reach each shard as one message, which costs one
+// write and one fsync here (AppendBatch) before the batch is acknowledged;
+// a registration outside setup is a batch of one.  A batch the shard
+// refuses fails Dial.
+//
 // The file is append-only with the same CRC framing as the wire and the
-// WAL; a torn final record (crash mid-append) is ignored on load.  A
-// scheme switch appends a new record for the same name; the loader keeps
-// the last record per name.
+// WAL, one frame per entry; a torn final frame (crash mid-append) is
+// ignored on load.  A scheme switch — SetScheme over the wire, or a
+// re-registration under another scheme — appends a new record for the
+// same name; the loader keeps the last record per name.
 type Catalog struct {
 	mu sync.Mutex
 	f  *os.File
+	// err is the first failed write or sync.  It refuses every later
+	// batch: frames written after a torn one would be lost on reload,
+	// since the loader stops at the first bad frame.
+	err error
 }
 
 // CatalogEntry is one durable registration.
@@ -113,30 +124,43 @@ func readCatalog(f *os.File) ([]CatalogEntry, int64, error) {
 	return entries, int64(off), nil
 }
 
-// Append durably records one registration: the frame is written and
-// fsynced before Append returns, so an acknowledged registration survives
-// any crash.
-func (c *Catalog) Append(e CatalogEntry) error {
+// AppendBatch durably records a batch of registrations: one frame per
+// entry, all written with one Write and fsynced with one Sync before
+// AppendBatch returns, so an acknowledged batch survives any crash.  A
+// crash mid-write leaves an intact prefix of the batch's frames and a torn
+// tail that the next OpenCatalog drops; the shard never acknowledged that
+// batch, so its client registers the rest again.  An empty batch writes
+// nothing.
+func (c *Catalog) AppendBatch(entries []CatalogEntry) error {
+	if len(entries) == 0 {
+		return nil
+	}
+	var buf []byte
+	var hdr [frameHeaderSize]byte
+	for _, e := range entries {
+		start := len(buf)
+		buf = append(buf, hdr[:]...)
+		buf = appendString(buf, e.Name)
+		buf = appendString(buf, e.TypeName)
+		buf = appendString(buf, e.Scheme)
+		payload := buf[start+frameHeaderSize:]
+		binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.Checksum(payload, castagnoli))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.f == nil {
 		return errors.New("netproto: catalog closed")
 	}
-	var payload []byte
-	payload = appendString(payload, e.Name)
-	payload = appendString(payload, e.TypeName)
-	payload = appendString(payload, e.Scheme)
-	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	frame = append(frame, payload...)
-	if _, err := c.f.Write(frame); err != nil {
-		return fmt.Errorf("netproto: catalog append: %w", err)
+	if c.err != nil {
+		return c.err
 	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("netproto: catalog sync: %w", err)
+	if _, err := c.f.Write(buf); err != nil {
+		c.err = fmt.Errorf("netproto: catalog append: %w", err)
+	} else if err := c.f.Sync(); err != nil {
+		c.err = fmt.Errorf("netproto: catalog sync: %w", err)
 	}
-	return nil
+	return c.err
 }
 
 // Close releases the catalog file.

@@ -3,15 +3,18 @@ package netproto
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybridcc/internal/backoff"
+	"hybridcc/internal/baseline"
 	"hybridcc/internal/commitproto"
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
@@ -52,8 +55,25 @@ type ShardClient struct {
 	parts  map[histories.TxID]int
 	closed bool
 
+	// reg holds the registrations made inside Dial's setup until the shard
+	// is sent them as one batch (HoldRegistrations).
+	reg regQueue
+
 	quit chan struct{}
 	wg   sync.WaitGroup
+}
+
+// regQueue is a shard client's held registrations.  Its lock is held
+// across a batch's round trip, so a request that finds registrations
+// pending waits for them to be acknowledged instead of overtaking them.
+type regQueue struct {
+	mu      sync.Mutex
+	holding bool
+	entries []CatalogEntry
+	err     error // the first batch the shard refused while holding
+	// pending is set while entries are queued or in flight: the one check
+	// every other request makes.
+	pending atomic.Bool
 }
 
 // ClientOptions configures a ShardClient.
@@ -311,6 +331,9 @@ func (c *ShardClient) timeoutFor(ctx context.Context) time.Duration {
 // in-flight work finishes (or fails on its own merits) rather than being
 // cut off by other transactions' failures.
 func (c *ShardClient) connFor(tx histories.TxID) (*rpcConn, error) {
+	if err := c.sendHeld(); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -354,8 +377,17 @@ func (c *ShardClient) connFor(tx histories.TxID) (*rpcConn, error) {
 }
 
 // anyConn checks out an unpinned connection for a one-shot RPC, gated by
-// the circuit breaker like connFor.
+// the circuit breaker like connFor.  Held registrations go first.
 func (c *ShardClient) anyConn() (*rpcConn, error) {
+	if err := c.sendHeld(); err != nil {
+		return nil, err
+	}
+	return c.pooledConn()
+}
+
+// pooledConn is anyConn without sending held registrations first: the
+// connection a registration batch itself travels on.
+func (c *ShardClient) pooledConn() (*rpcConn, error) {
 	if err := c.bk.allow(); err != nil {
 		return nil, err
 	}
@@ -430,7 +462,13 @@ func (c *ShardClient) oneShot(ctx context.Context, req *message) (message, error
 	if err != nil {
 		return message{}, err
 	}
-	resp, err := rc.roundTrip(req, c.timeoutFor(ctx))
+	return c.exchange(rc, req, c.timeoutFor(ctx))
+}
+
+// exchange runs one RPC on a checked-out unpinned connection, then releases
+// the connection (healthy) or closes it (broken).
+func (c *ShardClient) exchange(rc *rpcConn, req *message, timeout time.Duration) (message, error) {
+	resp, err := rc.roundTrip(req, timeout)
 	c.bk.observe(err == nil)
 	if err != nil {
 		_ = rc.nc.Close()
@@ -442,14 +480,104 @@ func (c *ShardClient) oneShot(ctx context.Context, req *message) (message, error
 
 // --- core.RemoteShard ---
 
-// Register implements core.RemoteShard.
+// Register implements core.RemoteShard.  Only a built-in type travels the
+// wire; anything else fails here, before anything is sent.  While the
+// client holds registrations the entry is queued and Register returns nil:
+// the shard's verdict comes from SendHeldRegistrations.  Otherwise the
+// entry is sent at once as a batch of one.
 func (c *ShardClient) Register(name, typeName, scheme string) error {
-	resp, err := c.oneShot(context.Background(), &message{typ: msgRegister, obj: name, a: typeName, b: scheme})
-	if err != nil {
-		return err
+	if _, ok := baseline.DescriptorFor(typeName); !ok {
+		return errNotBuiltin(name, typeName)
 	}
-	if resp.typ == msgErr {
-		return errOf(resp.flag, resp.a)
+	e := CatalogEntry{Name: name, TypeName: typeName, Scheme: scheme}
+	c.reg.mu.Lock()
+	if c.reg.holding {
+		c.reg.entries = append(c.reg.entries, e)
+		c.reg.pending.Store(true)
+		c.reg.mu.Unlock()
+		return nil
+	}
+	c.reg.mu.Unlock()
+	return c.register([]CatalogEntry{e})
+}
+
+// HoldRegistrations makes Register queue its entries instead of sending
+// them, until SendHeldRegistrations.  Dial holds them while its setup
+// runs, so a setup's registrations reach each shard as one message and
+// cost the shard one catalog fsync.  Any other request to the shard sends
+// the queue first, so a transaction begun inside setup finds its objects.
+func (c *ShardClient) HoldRegistrations() {
+	c.reg.mu.Lock()
+	c.reg.holding = true
+	c.reg.mu.Unlock()
+}
+
+// SendHeldRegistrations sends the queued registrations, stops holding, and
+// returns the first error any held batch met — this one, or one an earlier
+// request sent ahead of itself.
+func (c *ShardClient) SendHeldRegistrations() error {
+	c.reg.mu.Lock()
+	defer c.reg.mu.Unlock()
+	_ = c.sendHeldLocked() // its error is kept in c.reg.err
+	c.reg.holding = false
+	err := c.reg.err
+	c.reg.err = nil
+	return err
+}
+
+// sendHeld sends the queued registrations, if any, ahead of another
+// request.
+func (c *ShardClient) sendHeld() error {
+	if !c.reg.pending.Load() {
+		return nil
+	}
+	c.reg.mu.Lock()
+	defer c.reg.mu.Unlock()
+	return c.sendHeldLocked()
+}
+
+// sendHeldLocked sends the queue as one batch; c.reg.mu is held.
+func (c *ShardClient) sendHeldLocked() error {
+	if len(c.reg.entries) == 0 {
+		return nil
+	}
+	err := c.register(c.reg.entries)
+	c.reg.entries = nil
+	c.reg.pending.Store(false)
+	if err != nil && c.reg.err == nil {
+		c.reg.err = err
+	}
+	return err
+}
+
+// registerChunkBytes bounds the entries of one register message, well
+// inside maxPayload.  A variable so a test can make batches split.
+var registerChunkBytes = maxPayload / 2
+
+// register sends a registration batch, chunked to fit the frame limit, and
+// returns the first error: the shard's refusal, which names the object, or
+// the transport's, annotated with the objects it was carrying.
+func (c *ShardClient) register(entries []CatalogEntry) error {
+	for len(entries) > 0 {
+		n, size := 0, 0
+		for n < len(entries) && (n == 0 || size < registerChunkBytes) {
+			e := entries[n]
+			size += len(e.Name) + len(e.TypeName) + len(e.Scheme) + 3*binary.MaxVarintLen64
+			n++
+		}
+		chunk := entries[:n]
+		entries = entries[n:]
+		rc, err := c.pooledConn()
+		var resp message
+		if err == nil {
+			resp, err = c.exchange(rc, &message{typ: msgRegister, ids: encodeRegistrations(chunk)}, c.opts.Timeout)
+		}
+		if err != nil {
+			return fmt.Errorf("netproto: registering %q and %d more on %s: %w", chunk[0].Name, len(chunk)-1, c.addr, err)
+		}
+		if resp.typ == msgErr {
+			return errOf(resp.flag, resp.a)
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package netproto
 import (
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -10,13 +11,19 @@ import (
 // panic, must not size anything by a length prefix it has not checked
 // against the bytes actually present (every decoded byte is copied out of
 // the payload, so the decoded message can never outweigh it), and whatever
-// it accepts must survive a re-encode unchanged.
+// it accepts must survive a re-encode unchanged.  A register message's
+// entry list goes through the entry decoder too, which must refuse a
+// malformed list with an error and re-encode an accepted one unchanged.
 func FuzzDecodePayload(f *testing.F) {
 	full := encodePayload(nil, &fullMessage)
 	f.Add(full)
 	f.Add(encodePayload(nil, &message{typ: msgPing, tx: "T9"}))
 	f.Add(encodePayload(nil, &message{typ: msgVote, flag: 1, ts: 10}))
 	f.Add(encodePayload(nil, &message{typ: msgErr, flag: errCodeTimeout, a: "lock wait"}))
+	f.Add(encodePayload(nil, &message{typ: msgRegister, ids: encodeRegistrations([]CatalogEntry{
+		{Name: "a0", TypeName: "Account", Scheme: "hybrid"},
+		{Name: "q", TypeName: "Queue", Scheme: "readwrite"},
+	})}))
 	// The corruption fixtures: a flipped payload bit, a trailing byte.
 	flipped := append([]byte(nil), full...)
 	flipped[2] ^= 0xff
@@ -43,6 +50,16 @@ func FuzzDecodePayload(f *testing.F) {
 		again, err := decodePayload(encodePayload(nil, &m))
 		if err != nil || !reflect.DeepEqual(again, m) {
 			t.Fatalf("re-encoded message decodes to %+v, %v; want %+v", again, err, m)
+		}
+		if m.typ != msgRegister {
+			return
+		}
+		entries, err := decodeRegistrations(m.ids)
+		if err != nil {
+			return
+		}
+		if ids := encodeRegistrations(entries); !slices.Equal(ids, m.ids) {
+			t.Fatalf("register batch %q re-encodes to %q", m.ids, ids)
 		}
 	})
 }

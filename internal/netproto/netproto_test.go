@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,7 +84,7 @@ func TestCatalogReopen(t *testing.T) {
 	}
 	must := func(e CatalogEntry) {
 		t.Helper()
-		if err := c.Append(e); err != nil {
+		if err := c.AppendBatch([]CatalogEntry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +117,7 @@ func TestCatalogTornTailIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Append(CatalogEntry{Name: "a", TypeName: "Account", Scheme: "hybrid"}); err != nil {
+	if err := c.AppendBatch([]CatalogEntry{{Name: "a", TypeName: "Account", Scheme: "hybrid"}}); err != nil {
 		t.Fatal(err)
 	}
 	_ = c.Close()
@@ -136,7 +137,7 @@ func TestCatalogTornTailIgnored(t *testing.T) {
 		t.Fatalf("after torn tail: %+v, want the one intact entry", entries)
 	}
 	// The tail was truncated, so the next append lands on a frame boundary.
-	if err := c2.Append(CatalogEntry{Name: "b", TypeName: "Counter", Scheme: "hybrid"}); err != nil {
+	if err := c2.AppendBatch([]CatalogEntry{{Name: "b", TypeName: "Counter", Scheme: "hybrid"}}); err != nil {
 		t.Fatal(err)
 	}
 	_ = c2.Close()
@@ -146,6 +147,201 @@ func TestCatalogTornTailIgnored(t *testing.T) {
 	}
 	if len(entries) != 2 {
 		t.Fatalf("post-truncation append lost: %+v", entries)
+	}
+}
+
+// TestCatalogTornBatch: a crash in the middle of a batch's single write
+// leaves the batch's intact frames and a torn one; the catalog reopens with
+// that prefix, and the client registering the whole batch again (the shard
+// never acknowledged it) makes every entry durable.
+func TestCatalogTornBatch(t *testing.T) {
+	dir := t.TempDir()
+	c, _, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := []CatalogEntry{{Name: "a", TypeName: "Account", Scheme: "hybrid"}, {Name: "b", TypeName: "Counter", Scheme: "hybrid"}}
+	second := []CatalogEntry{{Name: "c", TypeName: "Queue", Scheme: "hybrid"}, {Name: "d", TypeName: "Set", Scheme: "readwrite"}, {Name: "e", TypeName: "File", Scheme: "hybrid"}}
+	if err := c.AppendBatch(first); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, catalogFile)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstEnd := st.Size()
+	if err := c.AppendBatch(second); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Close()
+	// Cut the second batch inside its second frame: c survives, d is torn.
+	frame0 := frameHeaderSize + len(appendString(appendString(appendString(nil, "c"), "Queue"), "hybrid"))
+	if err := os.Truncate(path, firstEnd+int64(frame0)+frameHeaderSize+2); err != nil {
+		t.Fatal(err)
+	}
+
+	cat, entries, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cat.Close() })
+	if len(entries) != 3 || entries[0].Name != "a" || entries[1].Name != "b" || entries[2].Name != "c" {
+		t.Fatalf("torn batch reopened as %+v, want the intact prefix a, b, c", entries)
+	}
+	sys := core.NewSystem(core.Options{Clock: tstamp.NewNodeClock(0, 2), ExternalTimestamps: true})
+	for _, e := range entries {
+		if _, err := RegisterObject(sys, e.Name, e.TypeName, e.Scheme); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr, _ := serveSystem(t, sys, 0, 1, cat)
+	cl := dialTest(t, addr, 0, 1, ClientOptions{})
+	cl.HoldRegistrations()
+	for _, e := range append(first, second...) {
+		if err := cl.Register(e.Name, e.TypeName, e.Scheme); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.SendHeldRegistrations(); err != nil {
+		t.Fatalf("registering the torn batch again: %v", err)
+	}
+	if o := sys.LookupObject("d"); o == nil || o.Scheme() != "readwrite" {
+		t.Fatalf("object d after re-registration: %v", o)
+	}
+	_ = cat.Close()
+	_, entries, err = OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 5 || entries[3].Name != "d" || entries[4].Name != "e" {
+		t.Fatalf("catalog after re-registration = %+v, want a through e", entries)
+	}
+}
+
+// TestCatalogRefusesAfterFailedWrite: once a write fails, every later batch
+// is refused, since its frames would sit behind a possibly torn one that the
+// loader stops at.
+func TestCatalogRefusesAfterFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	c, _, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ok := []CatalogEntry{{Name: "a", TypeName: "Account", Scheme: "hybrid"}}
+	if err := c.AppendBatch(ok); err != nil {
+		t.Fatal(err)
+	}
+	rw := c.f
+	ro, err := os.Open(filepath.Join(dir, catalogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.f = ro // the next write fails
+	if err := c.AppendBatch([]CatalogEntry{{Name: "b", TypeName: "Account", Scheme: "hybrid"}}); err == nil {
+		t.Fatal("append through a read-only file succeeded")
+	}
+	c.f = rw
+	_ = ro.Close()
+	if err := c.AppendBatch([]CatalogEntry{{Name: "c", TypeName: "Account", Scheme: "hybrid"}}); err == nil {
+		t.Fatal("append after a failed write succeeded")
+	}
+}
+
+// TestCatalogSchemeSwitchDurable: a scheme switch over the wire — SetScheme,
+// or a re-registration under another scheme — survives a restart.
+func TestCatalogSchemeSwitchDurable(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*core.System, *Catalog, *Server, string) {
+		t.Helper()
+		cat, entries, err := OpenCatalog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := core.NewSystem(core.Options{Clock: tstamp.NewNodeClock(0, 2), ExternalTimestamps: true})
+		for _, e := range entries {
+			if _, err := RegisterObject(sys, e.Name, e.TypeName, e.Scheme); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addr, srv := serveSystem(t, sys, 0, 1, cat)
+		return sys, cat, srv, addr
+	}
+
+	_, cat, srv, addr := open()
+	cl := dialTest(t, addr, 0, 1, ClientOptions{})
+	for _, name := range []string{"acct", "other"} {
+		if err := cl.Register(name, "Account", "hybrid"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.SetScheme("acct", "commutativity"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Register("other", "Account", "readwrite"); err != nil {
+		t.Fatal(err)
+	}
+	_ = cl.Close()
+	srv.Shutdown(time.Second)
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, cat, _, _ := open()
+	t.Cleanup(func() { _ = cat.Close() })
+	for name, want := range map[string]string{"acct": "commutativity", "other": "readwrite"} {
+		o := sys.LookupObject(histories.ObjID(name))
+		if o == nil {
+			t.Fatalf("%s missing after restart", name)
+		}
+		if got := o.Scheme(); got != want {
+			t.Errorf("%s came back under %s, want %s", name, got, want)
+		}
+	}
+}
+
+// TestRegisterBatchChunks: a batch larger than one message's budget goes out
+// as several register messages, in order, each acknowledged before the
+// next; a refused chunk stops the rest.
+func TestRegisterBatchChunks(t *testing.T) {
+	defer func(n int) { registerChunkBytes = n }(registerChunkBytes)
+	registerChunkBytes = 1 // one entry per message
+	addr, srv := startShard(t, 0, 1)
+	if _, err := RegisterObject(srv.System(), "x", "Account", "hybrid"); err != nil {
+		t.Fatal(err)
+	}
+	c := dialTest(t, addr, 0, 1, ClientOptions{})
+	c.HoldRegistrations()
+	for _, e := range []CatalogEntry{{"a", "Counter", "hybrid"}, {"x", "Counter", "hybrid"}, {"b", "Counter", "hybrid"}} {
+		if err := c.Register(e.Name, e.TypeName, e.Scheme); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SendHeldRegistrations(); err == nil || !strings.Contains(err.Error(), `"x" already registered as Account`) {
+		t.Fatalf("SendHeldRegistrations = %v, want the clash on x", err)
+	}
+	if srv.System().LookupObject("a") == nil || srv.System().LookupObject("b") != nil {
+		t.Fatal("want a registered by the first chunk and b never sent after the refused one")
+	}
+}
+
+func TestDecodeRegistrationsRejectsMalformed(t *testing.T) {
+	for _, ids := range [][]string{
+		{"a", "Account"},
+		{"a", "Account", "hybrid", "b"},
+		{"", "Account", "hybrid"},
+		{"a", "Account", "hybrid", "", "Counter", "hybrid"},
+		{"a", "Account", "hybrid", "a", "Account", "readwrite"},
+	} {
+		if _, err := decodeRegistrations(ids); err == nil {
+			t.Errorf("decodeRegistrations(%q) accepted a malformed list", ids)
+		}
+	}
+	in := []CatalogEntry{{Name: "a", TypeName: "Account", Scheme: "hybrid"}, {Name: "b", TypeName: "Counter"}}
+	out, err := decodeRegistrations(encodeRegistrations(in))
+	if err != nil || len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
+		t.Fatalf("registration batch round trip = %+v, %v; want %+v", out, err, in)
 	}
 }
 
@@ -546,7 +742,7 @@ func prepareCrashedShard(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.Append(CatalogEntry{Name: "ctr", TypeName: "Counter", Scheme: "hybrid"}); err != nil {
+	if err := cat.AppendBatch([]CatalogEntry{{Name: "ctr", TypeName: "Counter", Scheme: "hybrid"}}); err != nil {
 		t.Fatal(err)
 	}
 	_ = cat.Close()

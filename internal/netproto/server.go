@@ -53,14 +53,21 @@ type Server struct {
 	pending    map[histories.TxID]bool
 	closed     bool
 
+	// regMu serialises registration batches, so a batch's check of which
+	// objects exist, its catalog append and the objects it creates are one
+	// step to any other batch.
+	regMu sync.Mutex
+
 	wg sync.WaitGroup
 }
 
 // ServerOptions configures a Server.
 type ServerOptions struct {
-	// Catalog, when non-nil, makes registrations durable (fsynced before
-	// acknowledgement).  A volatile server (tests, benchmarks) leaves it
-	// nil.
+	// Catalog, when non-nil, makes registrations and scheme switches
+	// durable: each register message — a dialed setup's whole batch for
+	// this shard, or one object — costs one catalog write and one fsync,
+	// made before the message is acknowledged.  A volatile server (tests,
+	// benchmarks) leaves it nil.
 	Catalog *Catalog
 }
 
@@ -328,7 +335,11 @@ func (s *Server) handle(c *serverConn, m *message) message {
 		return message{typ: msgHelloResp, n: protoVersion, ts: uint64(s.shard), flag: state, ids: []string{fmt.Sprint(s.shards)}}
 
 	case msgRegister:
-		if err := s.register(m.obj, m.a, m.b); err != nil {
+		entries, err := decodeRegistrations(m.ids)
+		if err == nil {
+			err = s.register(entries)
+		}
+		if err != nil {
 			return errMsg(err)
 		}
 		return message{typ: msgOK}
@@ -417,7 +428,13 @@ func (s *Server) handle(c *serverConn, m *message) message {
 		return s.handleTxStatus(m)
 
 	case msgSetScheme:
-		if err := s.sys.SetObjectScheme(m.obj, m.a); err != nil {
+		// A scheme switch is a re-registration under another scheme: the
+		// same path makes it durable.
+		o := s.sys.LookupObject(histories.ObjID(m.obj))
+		if o == nil {
+			return errMsg(fmt.Errorf("netproto: no object %q on shard %d", m.obj, s.shard))
+		}
+		if err := s.register([]CatalogEntry{{Name: m.obj, TypeName: o.Spec().Name(), Scheme: m.a}}); err != nil {
 			return errMsg(err)
 		}
 		return message{typ: msgOK}
@@ -441,30 +458,63 @@ func (s *Server) gate() error {
 	return nil
 }
 
-// register creates or idempotently re-opens an object.  The durable
-// catalog record lands (fsynced) before the object exists, so a crash
-// cannot leave WAL records naming an object the shard no longer knows how
-// to rebuild.
-func (s *Server) register(name, typeName, scheme string) error {
-	if scheme == "" {
-		scheme = "hybrid"
-	}
-	if o := s.sys.LookupObject(histories.ObjID(name)); o != nil {
-		if o.Spec().Name() != typeName {
-			return fmt.Errorf("netproto: object %q already registered as %s, not %s", name, o.Spec().Name(), typeName)
+// register creates or idempotently re-opens a batch of objects.  Every
+// entry is checked first, and one bad entry refuses the whole batch.  The
+// entries that change something — a new object, or an existing one moving
+// to another scheme — then go to the catalog with one write and one fsync,
+// and only after that are the objects created or switched.  So the catalog
+// is durable before the batch is acknowledged, and before any WAL record
+// can name one of its objects.
+func (s *Server) register(entries []CatalogEntry) error {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	var changed []CatalogEntry
+	var existing []*core.Object // changed[i]'s object, nil when new
+	for _, e := range entries {
+		if e.Scheme == "" {
+			e.Scheme = "hybrid"
 		}
-		if o.Scheme() != scheme {
-			return o.SetScheme(scheme)
+		d, ok := baseline.DescriptorFor(e.TypeName)
+		if !ok {
+			return errNotBuiltin(e.Name, e.TypeName)
 		}
-		return nil
+		if d.Policies.Get(e.Scheme) == nil {
+			return fmt.Errorf("netproto: object %q: type %s has no %q scheme (have %v)", e.Name, e.TypeName, e.Scheme, d.Policies.Schemes())
+		}
+		o := s.sys.LookupObject(histories.ObjID(e.Name))
+		if o != nil {
+			if o.Spec().Name() != e.TypeName {
+				return fmt.Errorf("netproto: object %q already registered as %s, not %s", e.Name, o.Spec().Name(), e.TypeName)
+			}
+			if st := o.Stats(); st.Scheme == e.Scheme && !st.PendingSwitch {
+				continue
+			}
+		}
+		changed = append(changed, e)
+		existing = append(existing, o)
 	}
 	if s.opts.Catalog != nil {
-		if err := s.opts.Catalog.Append(CatalogEntry{Name: name, TypeName: typeName, Scheme: scheme}); err != nil {
+		if err := s.opts.Catalog.AppendBatch(changed); err != nil {
 			return err
 		}
 	}
-	_, err := RegisterObject(s.sys, name, typeName, scheme)
-	return err
+	for i, e := range changed {
+		var err error
+		if o := existing[i]; o != nil {
+			err = o.SetScheme(e.Scheme)
+		} else {
+			_, err = RegisterObject(s.sys, e.Name, e.TypeName, e.Scheme)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// errNotBuiltin refuses a registration whose type does not travel the wire.
+func errNotBuiltin(name, typeName string) error {
+	return fmt.Errorf("netproto: object %q: no built-in type %q (custom specifications cannot travel the wire; register them in the shard process)", name, typeName)
 }
 
 // RegisterObject registers an object of a built-in type on sys under the
@@ -477,7 +527,7 @@ func RegisterObject(sys *core.System, name, typeName, scheme string) (*core.Obje
 	}
 	d, ok := baseline.DescriptorFor(typeName)
 	if !ok {
-		return nil, fmt.Errorf("netproto: no built-in type %q (custom specifications cannot travel the wire; register them in the shard process)", typeName)
+		return nil, errNotBuiltin(name, typeName)
 	}
 	return sys.NewObjectPolicies(name, d.Spec, d.Policies, scheme)
 }

@@ -36,8 +36,8 @@ import (
 )
 
 // protoVersion is the handshake version; mismatched peers refuse each
-// other instead of misparsing.
-const protoVersion = 1
+// other instead of misparsing.  Version 2 made msgRegister a batch.
+const protoVersion = 2
 
 // castagnoli is the CRC32C table (hardware-accelerated, same polynomial
 // the WAL frames use).
@@ -55,7 +55,7 @@ const maxPayload = 1 << 26
 // documents its expected response type.
 const (
 	msgHello        = iota + 1 // → msgHelloResp
-	msgRegister                // → msgOK
+	msgRegister                // → msgOK (ids: a batch of registrations)
 	msgCall                    // → msgRes
 	msgCommit                  // → msgTS (the shard-chosen timestamp)
 	msgAbort                   // → msgOK (idempotent: unknown tx is OK)
@@ -170,9 +170,10 @@ func errOf(code byte, msg string) error {
 // message is the one wire schema: every message type populates a subset of
 // these fields and leaves the rest zero (a zero field costs one byte on
 // the wire).  tx/obj/a/b are strings (a/b are generic operands: invocation
-// name and argument for calls, type name and scheme for registration, the
-// message text for errors); ts and n are unsigned integers; flag is a
-// small enum; blob is opaque bytes; ids is a string list.
+// name and argument for calls, the scheme for a scheme switch, the message
+// text for errors); ts and n are unsigned integers; flag is a small enum;
+// blob is opaque bytes; ids is a string list (transaction identifiers, or
+// a registration batch's flattened entries).
 type message struct {
 	typ  byte
 	tx   string
@@ -308,6 +309,38 @@ func decodePayload(buf []byte) (message, error) {
 		return m, fmt.Errorf("netproto: %d trailing payload bytes", len(buf)-d.off)
 	}
 	return m, nil
+}
+
+// encodeRegistrations flattens a registration batch into msgRegister's ids:
+// name, type and scheme of each entry in turn.
+func encodeRegistrations(entries []CatalogEntry) []string {
+	ids := make([]string, 0, 3*len(entries))
+	for _, e := range entries {
+		ids = append(ids, e.Name, e.TypeName, e.Scheme)
+	}
+	return ids
+}
+
+// decodeRegistrations is encodeRegistrations' inverse.  A list that is not
+// whole entries, an entry without a name, or a name given twice is an
+// error.
+func decodeRegistrations(ids []string) ([]CatalogEntry, error) {
+	if len(ids)%3 != 0 {
+		return nil, fmt.Errorf("netproto: register batch of %d strings is not (name, type, scheme) entries", len(ids))
+	}
+	entries := make([]CatalogEntry, 0, len(ids)/3)
+	names := make(map[string]bool, len(ids)/3)
+	for i := 0; i < len(ids); i += 3 {
+		if ids[i] == "" {
+			return nil, fmt.Errorf("netproto: register batch entry %d has no name", i/3)
+		}
+		if names[ids[i]] {
+			return nil, fmt.Errorf("netproto: register batch names object %q twice", ids[i])
+		}
+		names[ids[i]] = true
+		entries = append(entries, CatalogEntry{Name: ids[i], TypeName: ids[i+1], Scheme: ids[i+2]})
+	}
+	return entries, nil
 }
 
 // writeMessage frames and writes one message, returning the (possibly

@@ -65,7 +65,6 @@ func NewCluster(shards int, opts ...Option) (*Cluster, error) {
 	copts := cluster.Options{
 		Shards:            shards,
 		LockWait:          c.lockWait,
-		DisableCompaction: c.disableCompaction,
 		DeadlockDetection: c.deadlockDetection,
 		CommitTimeout:     c.commitTimeout,
 		GroupCommit:       c.groupCommit,

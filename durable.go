@@ -96,7 +96,6 @@ func Open(dir string, setup func(*System) error, opts ...Option) (*System, error
 	}
 	coreOpts := core.Options{
 		LockWait:          c.lockWait,
-		DisableCompaction: c.disableCompaction,
 		DeadlockDetection: c.deadlockDetection,
 		GroupCommit:       c.groupCommit,
 		Adaptive:          c.adaptive,
@@ -168,7 +167,6 @@ func OpenCluster(dir string, shards int, setup func(*Cluster) error, opts ...Opt
 	copts := cluster.Options{
 		Shards:            shards,
 		LockWait:          c.lockWait,
-		DisableCompaction: c.disableCompaction,
 		DeadlockDetection: c.deadlockDetection,
 		CommitTimeout:     c.commitTimeout,
 		GroupCommit:       c.groupCommit,

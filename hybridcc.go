@@ -122,7 +122,6 @@ type Option func(*config)
 
 type config struct {
 	lockWait          time.Duration
-	disableCompaction bool
 	deadlockDetection bool
 	recorder          *Recorder
 	commitTimeout     time.Duration
@@ -150,12 +149,6 @@ type config struct {
 // blocked partial operation) before returning ErrTimeout.
 func WithLockWait(d time.Duration) Option {
 	return func(c *config) { c.lockWait = d }
-}
-
-// WithoutCompaction disables the Section 6 horizon compaction, keeping
-// every committed intention in memory (for ablation and debugging).
-func WithoutCompaction() Option {
-	return func(c *config) { c.disableCompaction = true }
 }
 
 // WithRecorder attaches a Recorder that observes every accepted event; use
@@ -235,7 +228,6 @@ func NewSystem(opts ...Option) *System {
 	}
 	coreOpts := core.Options{
 		LockWait:          c.lockWait,
-		DisableCompaction: c.disableCompaction,
 		DeadlockDetection: c.deadlockDetection,
 		GroupCommit:       c.groupCommit,
 		Adaptive:          c.adaptive,

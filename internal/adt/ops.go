@@ -2,6 +2,7 @@ package adt
 
 import (
 	"strconv"
+	"strings"
 
 	"hybridcc/internal/spec"
 )
@@ -37,10 +38,23 @@ func Itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
 // Atoi decodes an integer value encoded by Itoa.  It panics on malformed
 // input; encoded values are produced only by this package and the facade.
+// Up to 18 digits cannot overflow and decode in a loop; anything else takes
+// strconv.ParseInt, whose value it returns and whose errors panic.
 func Atoi(s string) int64 {
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		panic("adt: malformed encoded integer " + strconv.Quote(s))
+	d := strings.TrimPrefix(s, "-")
+	v, i := int64(0), 0
+	for ; i < len(d) && i < 18 && d[i]-'0' <= 9; i++ {
+		v = v*10 + int64(d[i]-'0')
+	}
+	if len(d) == 0 || i < len(d) {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			panic("adt: malformed encoded integer " + strconv.Quote(s))
+		}
+		return v
+	}
+	if len(d) < len(s) {
+		return -v
 	}
 	return v
 }

@@ -47,15 +47,14 @@ const DefaultCommitTimeout = 5 * time.Second
 type Options struct {
 	// Shards is the number of independent shard Systems (≥ 1).
 	Shards int
-	// LockWait, DisableCompaction, DeadlockDetection, and Sink configure
-	// every shard exactly as the corresponding core.Options fields do.
-	// One Sink observes all shards, producing the global history.
+	// LockWait, DeadlockDetection, and Sink configure every shard exactly
+	// as the corresponding core.Options fields do.  One Sink observes all
+	// shards, producing the global history.
 	// DeadlockDetection is per shard: each shard maintains its own
 	// waits-for graph, so a cycle whose edges span shards is not
 	// detected — it resolves through the LockWait timeout (and the
 	// retry/backoff above it) instead of a prompt ErrDeadlock.
 	LockWait          time.Duration
-	DisableCompaction bool
 	DeadlockDetection bool
 	Sink              core.EventSink
 	// CommitTimeout bounds each message round trip of the commit
@@ -146,7 +145,6 @@ func New(opts Options) (*Cluster, error) {
 		c.names[i] = fmt.Sprintf("shard%d", i)
 		sysOpts := core.Options{
 			LockWait:          opts.LockWait,
-			DisableCompaction: opts.DisableCompaction,
 			DeadlockDetection: opts.DeadlockDetection,
 			Sink:              opts.Sink,
 			Clock:             clock,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"hybridcc/internal/adt"
@@ -15,21 +16,31 @@ import (
 // recorded numbers); raise them only with a justification in the commit.
 const (
 	// grantAllocCeiling bounds one granted call inside an open pooled
-	// transaction (steady state: spec-state boxing + intentions growth).
-	grantAllocCeiling = 4
+	// transaction (steady state 0 as measured: the balances stay small
+	// enough for Go's static boxes, and the intentions come from an arena
+	// sized by the previous incarnation, one chunk per 64 grants).
+	grantAllocCeiling = 1
 	// commitAllocCeiling bounds one full pooled begin→credit→commit→
-	// recycle cycle (steady state 3: the grant's boxed state, the
-	// intentions slice, the published snapshot; 4 while the merge and the
-	// fold each replayed the credit into a fresh box).
-	commitAllocCeiling = 4
+	// recycle cycle (steady state 2–3: the grant's boxed state once the
+	// balance outgrows the static boxes, the intentions arena, the
+	// snapshot block; 4 while the merge and the fold each replayed the
+	// credit into a fresh box).
+	commitAllocCeiling = 3
 	// payment8AllocCeiling bounds one pooled payment — Debit + 7 Credit
-	// over 8 Accounts, commit, recycle.  Steady state 25: one boxed state
-	// per grant, one intentions slice and one tailSnapshot per object, and
-	// the unforgotten arrays' amortized growth (one array per eight commits
-	// of an object).  The merge adopts the grant's state and the fold
-	// adopts the tail, so neither boxes anything (48 when both replayed and
-	// every commit started a fresh unforgotten array).
-	payment8AllocCeiling = 26
+	// over 8 Accounts, commit, recycle.  Steady state 10–11: one boxed
+	// state per grant, one intentions arena for the transaction, one block
+	// of eight tail snapshots for the commit, and the unforgotten arrays'
+	// amortized growth (one array per eight commits of an object).  The
+	// merge adopts the grant's state and the fold adopts the tail, so
+	// neither boxes anything (25 with an intentions slice and a snapshot
+	// per object, 48 when the merge and the fold replayed and every commit
+	// started a fresh unforgotten array).
+	payment8AllocCeiling = 11
+	// payment8ByteCeiling bounds the same cycle's bytes, so that arena and
+	// block sizing cannot trade allocations for bytes (steady state 1408:
+	// 384 arena, 512 block, 448 unforgotten growth, 64 boxes; 1536 with a
+	// slice and a snapshot per object).
+	payment8ByteCeiling = 1536
 	// snapshotAllocCeiling bounds one pooled begin→four ReadCalls→commit→
 	// recycle cycle without a sink (steady state 4: ReadCall's caller asked
 	// for the response string, so each read formats one; the registry, the
@@ -117,8 +128,15 @@ func TestAllocCeilingPayment8(t *testing.T) {
 	for i := 0; i < 16; i++ { // warm the pools
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(500, cycle); allocs > payment8AllocCeiling {
-		t.Errorf("payment over 8 accounts allocates %.1f/op, ceiling %d", allocs, payment8AllocCeiling)
+	const runs = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, cycle) // runs+1 payments
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	if allocs > payment8AllocCeiling || bytes > payment8ByteCeiling {
+		t.Errorf("payment over 8 accounts allocates %.1f objects and %.0f B per op; ceilings %d and %d B",
+			allocs, bytes, payment8AllocCeiling, payment8ByteCeiling)
 	}
 }
 

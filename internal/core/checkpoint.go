@@ -185,8 +185,8 @@ func (s *System) checkpointLocked() error {
 	ck.Objects = make([]wal.CheckpointObject, 0, len(objs))
 	imaged := make([]int, len(objs)) // retained entries each image took
 	for i, o := range objs {
-		snap, folded := o.fold()
-		co := wal.CheckpointObject{Name: string(o.name), Folded: int64(snap.folded), Clock: int64(snap.clock)}
+		snap, frontier, folded := o.fold()
+		co := wal.CheckpointObject{Name: string(o.name), Folded: int64(frontier), Clock: int64(snap.clock)}
 		ck.CutTS = max(ck.CutTS, co.Clock)
 		if ds, ok := o.sp.(spec.DurableSpec); ok {
 			co.HasState = true

@@ -52,8 +52,9 @@ var appendedHook func()
 //     the identifier and participant count its committed entries carry, and
 //     a prepared member leaves the pending set.
 //  6. Merge per object in timestamp order — one fold, one snapshot
-//     publication, one waiter scan each — and release the object's window
-//     only after its new tail is published.
+//     publication (into its slot of one block for the whole call), one
+//     waiter scan each — and release the object's window only after its
+//     new tail is published.
 func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScratch) error {
 	// touchedObjects leaves each member's own list sorted in its objs, which
 	// the later steps read; a batch of one's list is already the plan.
@@ -140,8 +141,10 @@ func (s *System) commitTxs(batch []*Tx, ext histories.Timestamp, sc *commitScrat
 		t.mu.Unlock()
 	}
 
-	for _, o := range objs {
-		ev := o.commitBatch(batch, sc.ev[:0])
+	// One block holds every object's new tail snapshot (see tailSnapshot).
+	snaps := make([]tailSnapshot, len(objs))
+	for i, o := range objs {
+		ev := o.commitBatch(batch, sc.ev[:0], &snaps[i])
 		o.windowWriters.Add(-1)
 		s.flushEvents(ev)
 		sc.ev = ev[:0]

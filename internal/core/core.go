@@ -284,6 +284,7 @@ func (s *System) Recycle(t *Tx) {
 	clear(t.objs)
 	t.objs = t.objs[:0]
 	t.bound, t.calls = 0, 0
+	t.arena, t.arenaUsed, t.arenaHint = nil, 0, t.arenaUsed
 	t.sc.ev = t.sc.ev[:0]
 	t.ctx = nil
 	if t.done != nil {
@@ -345,15 +346,10 @@ func (s *System) getLock() *txLock {
 }
 
 // putLock resets a released lock record and returns it to the free list.
-// opsEscaped tells it the intentions slice was handed to the committed
-// tail (committedEntry shares the backing array) and must not be reused;
-// an aborted record's slice escaped nowhere and keeps its capacity.
-func (s *System) putLock(lk *txLock, opsEscaped bool) {
-	if opsEscaped {
-		lk.ops = nil
-	} else {
-		lk.ops = lk.ops[:0]
-	}
+// Its intentions live in its transaction's arena (Tx.intend), which the
+// record does not keep.
+func (s *System) putLock(lk *txLock) {
+	lk.ops = nil
 	for i := range lk.mask {
 		lk.mask[i] = 0
 	}

@@ -655,7 +655,7 @@ func (o *Object) seedRecovered(e committedEntry, state spec.State) {
 	}
 	o.events++
 	o.stats.commits.Add(1)
-	o.publishTailLocked()
+	o.publishTailLocked(new(tailSnapshot))
 	o.mu.Unlock()
 }
 
@@ -677,7 +677,7 @@ func (o *Object) seedCheckpoint(state spec.State, folded, clock histories.Timest
 		o.clock = clock
 	}
 	o.events++
-	o.publishTailLocked()
+	o.publishTailLocked(new(tailSnapshot))
 	o.mu.Unlock()
 }
 

@@ -377,19 +377,17 @@ type committedEntry struct {
 //   - folds republish: the fold moves entries from unforgotten into
 //     version without changing the tail state, and active readers pin the
 //     compaction horizon at their timestamps, so both the old and the new
-//     snapshot reconstruct any active reader's state.
+//     snapshot reconstruct any active reader's state;
+//   - a commit's snapshots come in one block, a slot per object it merges
+//     at (commitTxs), while aborts, folds and recovery allocate one each.
+//     A block lives while any of its snapshots is some object's current
+//     snapshot (or a reader still holds one), so each object pins at most
+//     one block.
 type tailSnapshot struct {
 	version     spec.State
 	unforgotten []committedEntry
 	tail        spec.State
 	clock       histories.Timestamp
-	// folded mirrors Object.folded at publication: version is exactly the
-	// effect of every committed transaction with timestamp < folded, and
-	// every unforgotten entry has timestamp ≥ folded.  A stale snapshot's
-	// folded is only ever lower than the live one — conservative for the
-	// checkpointer (it covers fewer records, never a record that is not in
-	// the image).
-	folded histories.Timestamp
 }
 
 // stateAt reconstructs the committed state as of ts from the snapshot:
@@ -417,19 +415,20 @@ func (s *tailSnapshot) stateAt(sp spec.Spec, ts histories.Timestamp) spec.State 
 	return state
 }
 
-// publishTailLocked publishes the committed-tail snapshot.  Call after
-// every change to version/unforgotten (commit, fold).  The unforgotten
-// slice is shared, not copied — the copy-on-write discipline documented
-// on tailSnapshot keeps every element below the published length
-// immutable — so publication is O(1), not O(tail length).
-func (o *Object) publishTailLocked() {
-	o.tailSnap.Store(&tailSnapshot{
+// publishTailLocked publishes the committed-tail snapshot into snap, a
+// slot nobody has published yet (commitTxs hands each object its slot of
+// one block).  Call after every change to version/unforgotten (commit,
+// fold).  The unforgotten slice is shared, not copied — the copy-on-write
+// discipline documented on tailSnapshot keeps every element below the
+// published length immutable — so publication is O(1), not O(tail length).
+func (o *Object) publishTailLocked(snap *tailSnapshot) {
+	*snap = tailSnapshot{
 		version:     o.version,
 		unforgotten: o.unforgotten,
 		tail:        o.committedTailLocked(),
 		clock:       o.clock,
-		folded:      o.folded,
-	})
+	}
+	o.tailSnap.Store(snap)
 }
 
 // NewObject registers a fresh object named name with serial specification
@@ -496,7 +495,7 @@ func (s *System) NewObjectPolicies(name string, sp spec.Spec, set *ccpolicy.Set,
 	o.readSp, _ = sp.(spec.ReadSpec)
 	_, durable := sp.(spec.DurableSpec)
 	o.retain = s.log != nil && !durable
-	o.publishTailLocked()
+	o.publishTailLocked(new(tailSnapshot))
 	s.registerObject(o)
 	return o, nil
 }
@@ -749,7 +748,7 @@ func (o *Object) grantLocked(tx *Tx, lk *txLock, op spec.Op, cls int, view spec.
 		o.active[tx] = lk
 		tx.joined = o
 	}
-	lk.ops = append(lk.ops, op)
+	lk.ops = tx.intend(lk.ops, op)
 	lk.bound = o.clock
 	if o.clock > tx.bound {
 		tx.bound = o.clock
@@ -936,9 +935,9 @@ func (o *Object) mergeCommitLocked(tx *Tx, lk *txLock, ev []pendingEvent) []pend
 // masks.  The new tail is published before the caller releases its
 // windowWriters count: a lock-free reader that sees the count at zero must
 // also see these commits in the snapshot.  Transactions that never executed
-// here are skipped.  Staged events are appended to ev and flushed by the
-// caller after the critical section.
-func (o *Object) commitBatch(batch []*Tx, ev []pendingEvent) []pendingEvent {
+// here are skipped.  The new tail is published into snap.  Staged events
+// are appended to ev and flushed by the caller after the critical section.
+func (o *Object) commitBatch(batch []*Tx, ev []pendingEvent, snap *tailSnapshot) []pendingEvent {
 	o.mu.Lock()
 	o.batchMask = o.batchMask[:0]
 	o.batchLocks = o.batchLocks[:0]
@@ -957,11 +956,11 @@ func (o *Object) commitBatch(batch []*Tx, ev []pendingEvent) []pendingEvent {
 		if !o.sys.opts.DisableCompaction {
 			o.forgetLocked()
 		}
-		o.publishTailLocked()
+		o.publishTailLocked(snap)
 		o.stats.commits.Add(int64(len(o.batchLocks)))
 		o.wakeScanLocked(o.batchMask, hasExtra, false, true)
 		for i, lk := range o.batchLocks {
-			o.sys.putLock(lk, true)
+			o.sys.putLock(lk)
 			o.batchLocks[i] = nil
 		}
 		o.batchLocks = o.batchLocks[:0]
@@ -982,7 +981,7 @@ func (o *Object) abort(tx *Tx) {
 	o.events++
 	if !o.sys.opts.DisableCompaction {
 		if o.forgetLocked() > 0 { // an abort can advance the horizon
-			o.publishTailLocked()
+			o.publishTailLocked(new(tailSnapshot))
 		}
 	}
 	o.stats.aborts.Add(1)
@@ -995,9 +994,7 @@ func (o *Object) abort(tx *Tx) {
 		o.wakeScanLocked(nil, false, true, false)
 	} else {
 		o.wakeScanLocked(lk.mask, len(lk.extra) > 0, false, false)
-		// An aborted record's intentions escaped nowhere: the slice
-		// capacity is recycled along with the record.
-		o.sys.putLock(lk, false)
+		o.sys.putLock(lk)
 	}
 	if o.pending != nil {
 		o.maybeInstallPendingLocked()
@@ -1072,18 +1069,20 @@ func (o *Object) forgetLocked() int {
 }
 
 // fold advances the fold frontier outside the commit path and returns the
-// tail snapshot, republished if that moved anything, with the retained
-// entries.  The checkpointer calls it: a freshly recovered or quiescent
-// object has folded nothing since its last commit (folding normally rides
-// the commit path), so without this pass its image would hold almost
-// nothing.
-func (o *Object) fold() (*tailSnapshot, []committedEntry) {
+// tail snapshot, republished if that folded anything, the frontier (the
+// snapshot's version is exactly the effect of every committed transaction
+// below it, and every unforgotten entry lies at or above it) and the
+// retained entries.  The checkpointer calls it: a freshly recovered or
+// quiescent object has folded nothing since its last commit (folding
+// normally rides the commit path), so without this pass its image would
+// hold almost nothing.
+func (o *Object) fold() (*tailSnapshot, histories.Timestamp, []committedEntry) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if f := o.folded; !o.sys.opts.DisableCompaction && (o.forgetLocked() > 0 || o.folded != f) {
-		o.publishTailLocked()
+	if !o.sys.opts.DisableCompaction && o.forgetLocked() > 0 {
+		o.publishTailLocked(new(tailSnapshot))
 	}
-	return o.tailSnap.Load(), o.retained
+	return o.tailSnap.Load(), o.folded, o.retained
 }
 
 // dropRetained forgets the n retained entries a published image holds.

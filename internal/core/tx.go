@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"hybridcc/internal/histories"
+	"hybridcc/internal/spec"
 	"hybridcc/internal/wal"
 )
 
@@ -127,6 +128,13 @@ type Tx struct {
 	sc   commitScratch
 	done chan error
 
+	// arena backs every lock record's intentions (intend).  Committed
+	// entries share its slots, so Recycle drops it and keeps only the
+	// slots drawn this incarnation, arenaUsed, to size the next one's.
+	arena     []spec.Op
+	arenaUsed int32
+	arenaHint int32
+
 	// drawn is the commit timestamp between commitTxs drawing it and
 	// publishing it as ts; entryID and entryParts are the identifier and
 	// participant count committed entries carry, read where ts is
@@ -181,6 +189,37 @@ func (t *Tx) commitState() (histories.Timestamp, txStatus) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.ts, t.status
+}
+
+// intend appends op to ops, one of t's lock records' intentions, in t's
+// arena: a first grant takes one slot; a full run extends in place when it
+// is the arena's newest, else moves to a fresh run twice its length.  Runs
+// are capped at their own slots, so no record appends into another's.  Only
+// the goroutine of t's one pending call grants, so the arena needs no lock.
+func (t *Tx) intend(ops []spec.Op, op spec.Op) []spec.Op {
+	n := len(ops)
+	if n < cap(ops) {
+		return append(ops, op)
+	}
+	a, m := t.arena, len(t.arena)
+	if n > 0 && m < cap(a) && &ops[n-1] == &a[m-1] {
+		t.arena = a[:m+1]
+		t.arenaUsed++
+		return append(a[m-n:m:m+1], op)
+	}
+	want := max(2*n, 1)
+	if m+want > cap(a) {
+		// A fresh chunk: the rest of the previous incarnation's draw, or
+		// this one's overshoot of it; without one, just the run.
+		size := want
+		if t.arenaHint > 0 {
+			size = max(want, int(t.arenaHint-t.arenaUsed), int(t.arenaUsed-t.arenaHint))
+		}
+		a, m = make([]spec.Op, 0, size), 0
+	}
+	t.arena = a[:m+want]
+	t.arenaUsed += int32(want)
+	return append(append(a[m:m:m+want], ops...), op)
 }
 
 // enter marks the transaction as executing one operation.

@@ -68,7 +68,6 @@ func NewCluster(shards int, opts ...Option) (*Cluster, error) {
 		DeadlockDetection: c.deadlockDetection,
 		CommitTimeout:     c.commitTimeout,
 		GroupCommit:       c.groupCommit,
-		Adaptive:          c.adaptive,
 	}
 	if c.recorder != nil {
 		copts.Sink = c.recorder
@@ -153,7 +152,11 @@ func (c *Cluster) SnapshotCtx(ctx context.Context, fn func(r *DReadTx) error) er
 func (c *Cluster) Stats() ClusterStats { return c.inner.Stats() }
 
 // SetScheme switches the named object's concurrency-control scheme at
-// runtime on whichever shard owns it (see Object.SetScheme).
+// runtime on whichever shard owns it (see Object.SetScheme).  On an
+// in-process cluster the switch lasts for this process: OpenCluster
+// reopens every object at the scheme its setup registers it under.  A
+// dialed shard server logs the switch in its catalog and restores it when
+// it restarts.
 func (c *Cluster) SetScheme(name string, scheme Scheme) error {
 	return c.inner.SystemFor(name).SetObjectScheme(name, string(scheme))
 }

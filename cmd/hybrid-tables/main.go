@@ -92,9 +92,10 @@ func main() {
 // the paper's point, visible here on Queue: the dependency relation
 // orders a Deq after the Enqs it may observe (Table II), while forward
 // commutativity lets Enq and a successful Deq run concurrently on a
-// nonempty queue.  The adaptation ladder is therefore a concurrency
-// heuristic, not a subset chain; correctness never depends on it (every
-// scheme is independently sound on this runtime).  The run only fails if
+// nonempty queue.  So the three schemes form no subset chain, and no
+// order of them ranks concurrency for every type; correctness never
+// depends on the choice (every scheme is independently sound on this
+// runtime).  The run only fails if
 // some scheme escapes the read/write envelope, which would mean a
 // precompiled relation is broken.
 func allGrids() bool {

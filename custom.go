@@ -264,7 +264,7 @@ func (sp Spec) explicitFor(scheme Scheme) bool {
 // every other scheme whose relation the Spec states explicitly.
 // Derivation is reserved for the initial scheme (and for Derive, which
 // fills the explicit fields in) because it is exponential in the universe
-// size: a Spec that should adapt across all three schemes calls Derive
+// size: a Spec that should switch between all three schemes calls Derive
 // once before registering.  Built-in types never come here: their shared
 // sets are complete, from closed-form relations for all three schemes.
 func (sp Spec) policySetFor(initial Scheme, isp spec.Spec) (*ccpolicy.Set, error) {
@@ -369,13 +369,12 @@ func (o *Object) CommittedState() State { return o.obj.CommittedState() }
 // Stats returns a snapshot of the object's counters.
 func (o *Object) Stats() ObjectStats { return o.obj.Stats() }
 
-// Scheme returns the object's active concurrency-control scheme.  With the
-// adaptation controller running it can differ from the scheme the object
-// was registered with.
+// Scheme returns the object's active concurrency-control scheme.  After
+// SetScheme it can differ from the scheme the object was registered with.
 func (o *Object) Scheme() Scheme { return Scheme(o.obj.Scheme()) }
 
 // Schemes returns every scheme the object carries a precompiled policy
-// for — the set SetScheme and the adaptation controller choose from.
+// for — the set SetScheme chooses from.
 func (o *Object) Schemes() []string { return o.obj.Schemes() }
 
 // SetScheme switches the object's concurrency-control scheme at runtime.
@@ -387,6 +386,12 @@ func (o *Object) Schemes() []string { return o.obj.Schemes() }
 // correctness.  It errors when the object carries no policy for the
 // scheme (see Spec.Derive for making every scheme available on a custom
 // type).
+//
+// On a System or an in-process Cluster a switch lasts for this process:
+// Open and OpenCluster log no switch, so a reopened object runs the scheme
+// its setup registers it under (replay re-applies committed operations
+// without conflict checks, so it needs none).  A dialed shard server logs
+// the switch in its catalog and restores it when it restarts.
 func (o *Object) SetScheme(s Scheme) error { return o.obj.SetScheme(string(s)) }
 
 // ObjectStats is a snapshot of an object's counters.

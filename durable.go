@@ -1,8 +1,6 @@
 package hybridcc
 
 import (
-	"time"
-
 	"hybridcc/internal/cluster"
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
@@ -49,14 +47,6 @@ func WithCheckpointBytes(n int64) Option {
 	return func(c *config) { c.checkpointBytes = n }
 }
 
-// WithCheckpointInterval starts a background checkpointer that takes a
-// checkpoint whenever d has elapsed since the last one (Open/OpenCluster
-// only; per shard on a cluster).  Combines with WithCheckpointBytes:
-// whichever trigger fires first wins.  Zero disables the interval trigger.
-func WithCheckpointInterval(d time.Duration) Option {
-	return func(c *config) { c.checkpointInterval = d }
-}
-
 // durabilityOf builds the core durability config from the option set.
 func (c *config) durabilityOf(dir string) *core.Durability {
 	sync := true
@@ -64,11 +54,10 @@ func (c *config) durabilityOf(dir string) *core.Durability {
 		sync = c.fsync
 	}
 	return &core.Durability{
-		Dir:                dir,
-		Sync:               sync,
-		SegmentSize:        c.segmentSize,
-		CheckpointBytes:    c.checkpointBytes,
-		CheckpointInterval: c.checkpointInterval,
+		Dir:             dir,
+		Sync:            sync,
+		SegmentSize:     c.segmentSize,
+		CheckpointBytes: c.checkpointBytes,
 	}
 }
 
@@ -98,7 +87,6 @@ func Open(dir string, setup func(*System) error, opts ...Option) (*System, error
 		LockWait:          c.lockWait,
 		DeadlockDetection: c.deadlockDetection,
 		GroupCommit:       c.groupCommit,
-		Adaptive:          c.adaptive,
 		Durability:        c.durabilityOf(dir),
 	}
 	if c.recorder != nil {
@@ -125,10 +113,10 @@ func Open(dir string, setup func(*System) error, opts ...Option) (*System, error
 	return s, nil
 }
 
-// Close stops the adaptation controller (if WithAdaptive) and flushes and
-// closes the commit log (no-op on a volatile System without one).  Call it
-// after every transaction has completed; commits issued after Close fail
-// rather than silently losing durability.
+// Close stops the background checkpointer (if any) and flushes and closes
+// the commit log (no-op on a volatile System).  Call it after every
+// transaction has completed; commits issued after Close fail rather than
+// silently losing durability.
 func (s *System) Close() error { return s.inner.Close() }
 
 // CheckpointStats reports checkpoint counters: successful and failed
@@ -170,7 +158,6 @@ func OpenCluster(dir string, shards int, setup func(*Cluster) error, opts ...Opt
 		DeadlockDetection: c.deadlockDetection,
 		CommitTimeout:     c.commitTimeout,
 		GroupCommit:       c.groupCommit,
-		Adaptive:          c.adaptive,
 		Durability:        c.durabilityOf(dir),
 	}
 	if c.recorder != nil {

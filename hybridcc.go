@@ -126,17 +126,15 @@ type config struct {
 	recorder          *Recorder
 	commitTimeout     time.Duration
 	groupCommit       bool
-	adaptive          *core.Adaptive
 	// Durability knobs, meaningful to Open/OpenCluster only: fsync
 	// defaults to on there (fsyncSet distinguishes "unset" from
 	// WithFsync(false)); segmentSize zero keeps the log's default.
 	fsync       bool
 	fsyncSet    bool
 	segmentSize int64
-	// Checkpoint triggers, meaningful to Open/OpenCluster only: zero
-	// disables the corresponding background trigger.
-	checkpointBytes    int64
-	checkpointInterval time.Duration
+	// Checkpoint trigger, meaningful to Open/OpenCluster only: zero
+	// disables the background checkpointer.
+	checkpointBytes int64
 	// dialDecisionDir, meaningful to Dial only: a durable home for the
 	// client's commit-decision ledger (WithDialDecisionLog).
 	dialDecisionDir string
@@ -181,34 +179,6 @@ func WithGroupCommit() Option {
 	return func(c *config) { c.groupCommit = true }
 }
 
-// Adaptive configures the runtime adaptation controller: the sampling
-// interval, the contention threshold and hysteresis counters, and the
-// hot-object group-commit trigger.  The zero value means defaults
-// throughout; see the field docs on core.Adaptive for the exact rules.
-type Adaptive = core.Adaptive
-
-// WithAdaptive starts the runtime adaptation controller: a per-system
-// observer that samples every object's wait/grant/commit counters over a
-// sliding window and switches contended objects to more permissive schemes
-// from their precompiled policy sets (readwrite → commutativity → hybrid),
-// stepping back toward the registered scheme in calm, with hysteresis
-// against flapping.  Objects carry every scheme whose conflict relation
-// their Spec states explicitly (built-ins carry all three; Derive fills a
-// user Spec's in), so a switch is a pointer swap at a quiescent point,
-// never a recompile.  Scheme switches never compromise correctness — all
-// three relations are valid for hybrid atomicity; they trade concurrency —
-// so Verify holds across every switch.  On a Cluster the controller runs
-// per shard.  Stop it with Close.
-//
-// Recovery is deterministic without logging the active policy: the WAL
-// replays committed intentions with no conflict checking at all, so the
-// scheme in force when a record was written is irrelevant to replay.
-// Objects reopen at their registered schemes and the controller re-adapts
-// from live load.
-func WithAdaptive(a Adaptive) Option {
-	return func(c *config) { c.adaptive = &a }
-}
-
 // System manages hybrid atomic objects and mints transactions.
 type System struct {
 	inner    *core.System
@@ -230,7 +200,6 @@ func NewSystem(opts ...Option) *System {
 		LockWait:          c.lockWait,
 		DeadlockDetection: c.deadlockDetection,
 		GroupCommit:       c.groupCommit,
-		Adaptive:          c.adaptive,
 	}
 	if c.recorder != nil {
 		coreOpts.Sink = c.recorder
@@ -424,7 +393,9 @@ func (s *System) Stats() core.StatsSnapshot { return s.inner.Stats() }
 
 // SetScheme switches the named object's concurrency-control scheme at
 // runtime (see Object.SetScheme).  It errors when no object is registered
-// under name or the object carries no policy for the scheme.
+// under name or the object carries no policy for the scheme.  The switch
+// lasts for this process: Open reopens every object at the scheme its
+// setup registers it under.
 func (s *System) SetScheme(name string, scheme Scheme) error {
 	return s.inner.SetObjectScheme(name, string(scheme))
 }
@@ -478,8 +449,8 @@ func schemeOf(opts []ObjectOption) (Scheme, error) {
 type ObjectOption func(*objectConfig)
 
 // WithScheme selects the initial conflict relation (default Hybrid) — the
-// scheme the object starts under; SetScheme and the adaptation controller
-// can move it between schemes at runtime.  A scheme other than Hybrid,
+// scheme the object starts under; SetScheme can move it between schemes at
+// runtime.  A scheme other than Hybrid,
 // Commutativity, or ReadWrite fails registration with ErrUnknownScheme;
 // two WithScheme options naming different schemes fail it with
 // ErrConflictingOptions (repeating the same scheme is harmless).

@@ -29,35 +29,12 @@ import (
 	"hybridcc/internal/spec"
 )
 
-// Ladder orders the built-in schemes by typically admitted concurrency,
-// least permissive first: read/write locking conflicts most; the
-// commutativity and dependency (hybrid) relations both sit strictly
-// inside it.  The order is a heuristic, not a subset chain — hybrid and
-// commutativity are incomparable on some types (Queue: dependency orders
-// Deq after Enq, forward commutativity admits them concurrently) — but
-// every scheme is independently sound, so walking the ladder trades only
-// concurrency, never correctness.  The adaptation controller walks it
-// toward hybrid under contention and back toward the configured scheme
-// in calm.
-var Ladder = []string{"readwrite", "commutativity", "hybrid"}
-
-// LadderRank returns a scheme's position on the Ladder (0 = least
-// permissive), or -1 for schemes outside it (custom relations).
-func LadderRank(scheme string) int {
-	for i, s := range Ladder {
-		if s == scheme {
-			return i
-		}
-	}
-	return -1
-}
-
 // Policy is one compiled concurrency-control policy: a scheme name, its
 // conflict relation, and the relation compiled to bitmask rows.  A Policy
 // is immutable.
 type Policy struct {
 	// Scheme names the policy ("hybrid", "commutativity", "readwrite",
-	// or "" for a bare custom relation outside the ladder).
+	// or "" for a bare custom relation).
 	Scheme string
 	// Conflict is the symmetric conflict relation — the dynamic-dispatch
 	// fallback for operations outside the table's universe.
@@ -78,7 +55,7 @@ type Set struct {
 
 // NewSet returns an empty policy set.
 func NewSet() *Set {
-	return &Set{byScheme: make(map[string]*Policy, len(Ladder))}
+	return &Set{byScheme: make(map[string]*Policy, 3)} // the three built-in schemes
 }
 
 // Add compiles conflict over universe and records it under scheme,
@@ -116,45 +93,4 @@ func (s *Set) Schemes() []string {
 		out[i] = p.Scheme
 	}
 	return out
-}
-
-// MorePermissive returns the nearest scheme strictly above `scheme` on
-// the Ladder that this set holds a policy for, and whether one exists.
-// Schemes off the ladder have nowhere to go.
-func (s *Set) MorePermissive(scheme string) (string, bool) {
-	rank := LadderRank(scheme)
-	if rank < 0 {
-		return "", false
-	}
-	for _, cand := range Ladder[rank+1:] {
-		if s.byScheme[cand] != nil {
-			return cand, true
-		}
-	}
-	return "", false
-}
-
-// Toward returns the next scheme one Ladder step from `from` in the
-// direction of `to`, skipping ranks the set has no policy for, and
-// whether a step exists.  It is how the adaptation controller reverts a
-// switched object toward its configured scheme without jumping the
-// ladder in one hop.
-func (s *Set) Toward(from, to string) (string, bool) {
-	fr, tr := LadderRank(from), LadderRank(to)
-	if fr < 0 || tr < 0 || fr == tr {
-		return "", false
-	}
-	step := 1
-	if tr < fr {
-		step = -1
-	}
-	for r := fr + step; r >= 0 && r < len(Ladder); r += step {
-		if s.byScheme[Ladder[r]] != nil {
-			return Ladder[r], true
-		}
-		if r == tr {
-			break
-		}
-	}
-	return "", false
 }

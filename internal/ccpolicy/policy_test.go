@@ -57,44 +57,10 @@ func TestPolicyTablesMatchInterfacePath(t *testing.T) {
 	}
 }
 
-func TestLadderRank(t *testing.T) {
-	for i, s := range ccpolicy.Ladder {
-		if got := ccpolicy.LadderRank(s); got != i {
-			t.Errorf("LadderRank(%q) = %d, want %d", s, got, i)
-		}
-	}
-	if got := ccpolicy.LadderRank("custom"); got != -1 {
-		t.Errorf("LadderRank(custom) = %d, want -1", got)
-	}
-}
-
 func TestSetNavigation(t *testing.T) {
 	set := fullSet(t, "Account")
 	if n := set.Len(); n != 3 {
 		t.Fatalf("Len = %d, want 3", n)
-	}
-	if next, ok := set.MorePermissive("readwrite"); !ok || next != "commutativity" {
-		t.Errorf("MorePermissive(readwrite) = %q, %v", next, ok)
-	}
-	if next, ok := set.MorePermissive("hybrid"); ok {
-		t.Errorf("MorePermissive(hybrid) = %q, want none", next)
-	}
-	if next, ok := set.Toward("hybrid", "readwrite"); !ok || next != "commutativity" {
-		t.Errorf("Toward(hybrid, readwrite) = %q, %v", next, ok)
-	}
-	if next, ok := set.Toward("hybrid", "hybrid"); ok {
-		t.Errorf("Toward(hybrid, hybrid) = %q, want none", next)
-	}
-
-	// A sparse set skips missing ranks in both directions.
-	sparse := ccpolicy.NewSet()
-	sparse.Add("readwrite", baseline.ConflictFor("readwrite", "Account"), baseline.UniverseFor("Account"))
-	sparse.Add("hybrid", baseline.ConflictFor("hybrid", "Account"), baseline.UniverseFor("Account"))
-	if next, ok := sparse.MorePermissive("readwrite"); !ok || next != "hybrid" {
-		t.Errorf("sparse MorePermissive(readwrite) = %q, %v", next, ok)
-	}
-	if next, ok := sparse.Toward("hybrid", "readwrite"); !ok || next != "readwrite" {
-		t.Errorf("sparse Toward(hybrid, readwrite) = %q, %v", next, ok)
 	}
 
 	// Re-adding a scheme replaces in place, preserving order and length.

@@ -65,11 +65,6 @@ type Options struct {
 	// pass per object (core.Options.GroupCommit).  Cross-shard commits are
 	// not batched — they serialize through the commit protocol.
 	GroupCommit bool
-	// Adaptive starts a runtime adaptation controller on every shard
-	// (core.Options.Adaptive): each shard's controller samples its own
-	// objects and switches schemes locally.  Switch counters aggregate in
-	// Stats().Total.
-	Adaptive *core.Adaptive
 	// WrapTransport, when set, wraps each cross-shard commit's per-shard
 	// protocol transport — the hook the deterministic fault-injection
 	// transport (commitproto.FaultTransport) plugs into, over the direct
@@ -149,7 +144,6 @@ func New(opts Options) (*Cluster, error) {
 			Sink:              opts.Sink,
 			Clock:             clock,
 			GroupCommit:       opts.GroupCommit,
-			Adaptive:          opts.Adaptive,
 			// Cross-shard commits land via CommitAt with the
 			// coordinator's timestamp; shards must account for them.
 			ExternalTimestamps: true,
@@ -282,7 +276,6 @@ func (c *Cluster) Stats() StatsSnapshot {
 		s.Total.GroupBatchTxs += sh.GroupBatchTxs
 		s.Total.Recovered += sh.Recovered
 		s.Total.SchemeSwitches += sh.SchemeSwitches
-		s.Total.AutoGroupCommits += sh.AutoGroupCommits
 		s.Total.LogAppends += sh.LogAppends
 		s.Total.LogFsyncs += sh.LogFsyncs
 		// A shard whose counters could not be fetched contributed only

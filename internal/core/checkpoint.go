@@ -180,7 +180,7 @@ func (s *System) checkpointLocked() error {
 			prevImages[co.Name] = co.ImageOps
 		}
 	}
-	objs := s.objectsSnapshot(nil)
+	objs := s.Objects()
 	sort.Slice(objs, func(i, j int) bool { return objs[i].name < objs[j].name }) // recovery seeds in this order
 	ck.Objects = make([]wal.CheckpointObject, 0, len(objs))
 	imaged := make([]int, len(objs)) // retained entries each image took

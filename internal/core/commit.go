@@ -176,17 +176,6 @@ type commitBatcher struct {
 	sc    commitScratch
 }
 
-// EnableGroupCommit installs the commit batcher at runtime and reports
-// whether this call installed it (false when group commit was already on).
-// Commits in flight without it finish on their own — queued or not, every
-// commit is commitTxs, so they coexist safely; every commit that starts
-// after the pointer is published batches.  Group commit cannot be disabled
-// at runtime: a batcher leader may hold followers that a disable would
-// strand.
-func (s *System) EnableGroupCommit() bool {
-	return s.batcher.CompareAndSwap(nil, &commitBatcher{sys: s})
-}
-
 // commit commits t (already txCommitting) through the queue and returns
 // its batch's commitTxs outcome.
 func (b *commitBatcher) commit(t *Tx) error {

@@ -114,13 +114,6 @@ type Options struct {
 	// batcher logs the whole batch under one fsync.  Requires OpenSystem;
 	// NewSystem panics on log errors.
 	Durability *Durability
-	// Adaptive, when non-nil, starts the runtime adaptation controller: a
-	// per-System observer that samples every object's wait/grant/commit
-	// counters on a sliding window and switches contended objects to more
-	// permissive schemes from their precompiled policy sets (and back in
-	// calm), with hysteresis against flapping.  See Adaptive for the
-	// knobs.  Objects without a multi-scheme policy set are left alone.
-	Adaptive *Adaptive
 }
 
 // DefaultLockWait is the default lock-conflict timeout.
@@ -145,14 +138,9 @@ type System struct {
 	// keeps seeing a per-object ordered stream.
 	fastReads bool
 
-	// batcher is the group-commit queue: nil unless Options.GroupCommit,
-	// or until the adaptation controller enables it at runtime
-	// (EnableGroupCommit) — hence the atomic pointer, which the commit hot
-	// path loads once per commit.
-	batcher atomic.Pointer[commitBatcher]
-
-	// adapt is the adaptation controller, nil unless Options.Adaptive.
-	adapt *adaptController
+	// batcher is the group-commit queue, nil unless Options.GroupCommit.
+	// OpenSystem sets it before the System is shared, and it never changes.
+	batcher *commitBatcher
 
 	// remote, when non-nil, makes this a client-side stub for a shard
 	// served in another process (see remote.go): every operation becomes an
@@ -482,11 +470,8 @@ type Stats struct {
 	// Recovered counts committed transactions replayed from the commit log
 	// at startup (distinct from Committed, which counts live commits).
 	Recovered atomic.Int64
-	// SchemeSwitches counts installed per-object policy switches (manual
-	// SetScheme and controller-driven alike); AutoGroupCommits counts
-	// group-commit batchers the adaptation controller enabled at runtime.
-	SchemeSwitches   atomic.Int64
-	AutoGroupCommits atomic.Int64
+	// SchemeSwitches counts installed per-object policy switches.
+	SchemeSwitches atomic.Int64
 }
 
 // StatsSnapshot is an immutable copy of Stats.
@@ -503,10 +488,8 @@ type StatsSnapshot struct {
 	GroupBatches    int64
 	GroupBatchTxs   int64
 	Recovered       int64
-	// SchemeSwitches counts installed per-object policy switches;
-	// AutoGroupCommits counts batchers the adaptation controller enabled.
-	SchemeSwitches   int64
-	AutoGroupCommits int64
+	// SchemeSwitches counts installed per-object policy switches.
+	SchemeSwitches int64
 	// LogAppends and LogFsyncs mirror the commit log's counters (zero on a
 	// volatile System); LogFsyncs/Committed is the fsyncs-per-commit ratio
 	// group commit drives below one.
@@ -521,20 +504,19 @@ type StatsSnapshot struct {
 
 func (s *Stats) snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Begun:            s.Begun.Load(),
-		Committed:        s.Committed.Load(),
-		Aborted:          s.Aborted.Load(),
-		Calls:            s.Calls.Load(),
-		Waits:            s.Waits.Load(),
-		Timeouts:         s.Timeouts.Load(),
-		WaitTime:         time.Duration(s.WaitNanos.Load()),
-		Wakeups:          s.Wakeups.Load(),
-		SpuriousWakeups:  s.SpuriousWakeups.Load(),
-		GroupBatches:     s.GroupBatches.Load(),
-		GroupBatchTxs:    s.GroupBatchTxs.Load(),
-		Recovered:        s.Recovered.Load(),
-		SchemeSwitches:   s.SchemeSwitches.Load(),
-		AutoGroupCommits: s.AutoGroupCommits.Load(),
+		Begun:           s.Begun.Load(),
+		Committed:       s.Committed.Load(),
+		Aborted:         s.Aborted.Load(),
+		Calls:           s.Calls.Load(),
+		Waits:           s.Waits.Load(),
+		Timeouts:        s.Timeouts.Load(),
+		WaitTime:        time.Duration(s.WaitNanos.Load()),
+		Wakeups:         s.Wakeups.Load(),
+		SpuriousWakeups: s.SpuriousWakeups.Load(),
+		GroupBatches:    s.GroupBatches.Load(),
+		GroupBatchTxs:   s.GroupBatchTxs.Load(),
+		Recovered:       s.Recovered.Load(),
+		SchemeSwitches:  s.SchemeSwitches.Load(),
 	}
 }
 

@@ -79,7 +79,7 @@ func OpenSystem(opts Options) (*System, error) {
 		s.stamps = st
 	}
 	if opts.GroupCommit {
-		s.EnableGroupCommit()
+		s.batcher = &commitBatcher{sys: s}
 	}
 	if d := opts.Durability; d != nil {
 		l, recs, err := wal.Open(d.Dir, wal.Options{Sync: d.Sync, SegmentSize: d.SegmentSize})
@@ -126,10 +126,6 @@ func OpenSystem(opts Options) (*System, error) {
 			s.txSeq.Store(st.maxSeq)
 		}
 		s.recovered = st
-	}
-	if opts.Adaptive != nil {
-		s.adapt = newAdaptController(s, *opts.Adaptive)
-		s.adapt.start()
 	}
 	return s, nil
 }
@@ -217,14 +213,11 @@ func txSeqOf(id string) (uint64, bool) {
 	return n, true
 }
 
-// Close stops the adaptation controller (if any) and flushes and closes
-// the commit log.  Volatile systems without a controller close as a no-op.
-// Close after every transaction has completed; commits issued after Close
-// fail rather than silently losing durability.
+// Close stops the background checkpointer (if any) and flushes and closes
+// the commit log.  A volatile System closes as a no-op.  Close after every
+// transaction has completed; commits issued after Close fail rather than
+// silently losing durability.
 func (s *System) Close() error {
-	if s.adapt != nil {
-		s.adapt.stop()
-	}
 	s.stopCheckpointer()
 	if s.log == nil {
 		return nil
@@ -695,9 +688,15 @@ func (s *System) LookupObject(name histories.ObjID) *Object {
 }
 
 // Objects returns a snapshot of every registered object (map order), for
-// a shard server's statistics endpoint.
+// the checkpointer and a shard server's statistics endpoint.
 func (s *System) Objects() []*Object {
-	return s.objectsSnapshot(nil)
+	s.objmu.Lock()
+	defer s.objmu.Unlock()
+	objs := make([]*Object, 0, len(s.objects))
+	for _, o := range s.objects {
+		objs = append(objs, o)
+	}
+	return objs
 }
 
 // SetObjectScheme switches the named object's active concurrency-control
@@ -709,18 +708,6 @@ func (s *System) SetObjectScheme(name, scheme string) error {
 		return fmt.Errorf("hybridcc: SetObjectScheme(%q): no such object", name)
 	}
 	return o.SetScheme(scheme)
-}
-
-// objectsSnapshot returns the registered objects, for the adaptation
-// controller's sampling sweep.
-func (s *System) objectsSnapshot(buf []*Object) []*Object {
-	s.objmu.Lock()
-	defer s.objmu.Unlock()
-	buf = buf[:0]
-	for _, o := range s.objects {
-		buf = append(buf, o)
-	}
-	return buf
 }
 
 // markUnclaimed remembers that replay skipped recovered operations at an

@@ -148,7 +148,7 @@ func TestGroupCommitCoalescesConcurrentCommits(t *testing.T) {
 	// Wait until every committer is parked: one leader inside the stalled
 	// critical section, the rest queued.
 	deadline := time.Now().Add(2 * time.Second)
-	b := sys.batcher.Load()
+	b := sys.batcher
 	for {
 		b.mu.Lock()
 		queued := len(b.pending)

@@ -61,8 +61,7 @@ type Object struct {
 
 	// policies is the object's precompiled policy set; policy the active
 	// member; pending a requested switch awaiting a quiescent instant
-	// (len(active) == 0); initial the scheme the object was registered
-	// with, the adaptation controller's revert target.  All guarded by mu.
+	// (len(active) == 0).  All guarded by mu.
 	//
 	// Switch quiescence invariant: the active policy changes only while no
 	// transaction holds a lock here.  Held-class masks (txLock.mask,
@@ -76,7 +75,6 @@ type Object struct {
 	policies *ccpolicy.Set
 	policy   *ccpolicy.Policy
 	pending  *ccpolicy.Policy
-	initial  string
 
 	mu sync.Mutex
 
@@ -486,7 +484,6 @@ func (s *System) NewObjectPolicies(name string, sp spec.Spec, set *ccpolicy.Set,
 		table:     p.Table,
 		policies:  set,
 		policy:    p,
-		initial:   initial,
 		version:   sp.Init(),
 		active:    make(map[*Tx]*txLock),
 		clock:     0,
@@ -1114,8 +1111,8 @@ func (o *Object) UnforgottenLen() int {
 	return len(o.unforgotten)
 }
 
-// ObjectStats aggregates per-object counters, atomic so Stats and the
-// adaptation controller read them without the object mutex.  granted counts
+// ObjectStats aggregates per-object counters, atomic so Stats reads them
+// without the object mutex.  granted counts
 // lock grants: a snapshot read takes no lock and writes nothing here.
 type ObjectStats struct {
 	granted   atomic.Int64
@@ -1132,7 +1129,7 @@ type ObjectStats struct {
 	// object mutex, read anywhere).
 	waiterHWM atomic.Int64
 	// schemeSwitches counts installed policy switches (written under the
-	// object mutex, read anywhere — the adaptation controller polls it).
+	// object mutex, read anywhere).
 	schemeSwitches atomic.Int64
 }
 

@@ -72,8 +72,8 @@ type RemoteShard interface {
 // NewRemoteSystem returns a System whose operations execute on r.  The
 // local System holds no data: objects registered on it are mirrored to the
 // shard and kept as stubs for introspection and event recording.  Options
-// matter only for Sink (the recorder) — lock waits, durability, and
-// adaptation are the serving shard's business.
+// matter only for Sink (the recorder) — lock waits and durability are the
+// serving shard's business.
 func NewRemoteSystem(r RemoteShard, opts Options) *System {
 	s := &System{opts: opts, clock: tstamp.NewSource(), remote: r}
 	s.seqSink, _ = opts.Sink.(SeqSink)

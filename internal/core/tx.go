@@ -278,7 +278,7 @@ func (t *Tx) Commit() error {
 	if err := t.startCommit(false); err != nil {
 		return err
 	}
-	if b := t.sys.batcher.Load(); b != nil {
+	if b := t.sys.batcher; b != nil {
 		return t.notLogged(b.commit(t))
 	}
 	return t.commitSolo(0)

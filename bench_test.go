@@ -376,3 +376,41 @@ func BenchmarkSpecReplay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDialedPayment runs payment(1) and payment(7) — a Debit, then
+// one or seven Credits, all on one shard — over two in-test shard servers
+// on loopback, and reports round_trips/op as the shards' listeners count
+// them (direction flips ÷ 2, as benchmark/proxy.go does).  The Credits go
+// write-behind, so both shapes take three round trips: the Debit, the
+// owed replies, the commit.
+func BenchmarkDialedPayment(b *testing.B) {
+	for _, credits := range []int{1, 7} {
+		b.Run(fmt.Sprintf("payment(%d)", credits), func(b *testing.B) {
+			wc := newWireCounter()
+			c, accts := dialAccounts(b, 2, credits+1, time.Second, 5*time.Second, wc)
+			from, to := accts[0][0], accts[0][1:]
+			if err := c.Atomically(func(tx *DTx) error { return from.Credit(tx, 1<<40) }); err != nil {
+				b.Fatal(err)
+			}
+			before := wc.roundTrips()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Atomically(func(tx *DTx) error {
+					if ok, err := from.Debit(tx, int64(credits)); err != nil || !ok {
+						return fmt.Errorf("debit: ok=%v err=%v", ok, err)
+					}
+					for _, a := range to {
+						if err := a.Credit(tx, 1); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric((wc.roundTrips()-before)/float64(b.N), "round_trips/op")
+		})
+	}
+}

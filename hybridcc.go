@@ -101,6 +101,10 @@ var (
 	// ErrDeadlock reports that a blocked operation would close a waits-for
 	// cycle (only with WithDeadlockDetection); abort and retry.
 	ErrDeadlock = core.ErrDeadlock
+	// ErrInvalidArgument reports a typed operation given an argument
+	// outside its domain, such as a negative Credit.  It is refused before
+	// any call, and Atomically does not retry it.
+	ErrInvalidArgument = errors.New("hybridcc: argument outside the operation's domain")
 )
 
 // Scheme selects the concurrency-control conflict relation for an object.
@@ -224,11 +228,6 @@ func (s *System) BeginCtx(ctx context.Context) *Tx { return s.inner.BeginCtx(ctx
 // logical time.
 func (s *System) BeginReadOnly() *ReadTx { return s.inner.BeginReadOnly() }
 
-// BeginReadOnlyCtx starts a read-only transaction bound to ctx.
-func (s *System) BeginReadOnlyCtx(ctx context.Context) *ReadTx {
-	return s.inner.BeginReadOnlyCtx(ctx)
-}
-
 // Snapshot runs fn inside a read-only transaction and commits it.  Unlike
 // Atomically, there is nothing to retry: readers take no locks; a timeout
 // (a writer lingering in its commit window) is returned as ErrTimeout.
@@ -243,8 +242,8 @@ func (s *System) Snapshot(fn func(r *ReadTx) error) error {
 // returns.  The handle is therefore only valid inside fn: using a handle
 // leaked out of the callback fails with ErrTxDone while the struct sits
 // recycled, and is undefined once a later snapshot reuses it (do not
-// retain it, as with any pooled resource).  Use
-// BeginReadOnly/BeginReadOnlyCtx for handles that must outlive a callback.
+// retain it, as with any pooled resource).  Use BeginReadOnly for a
+// handle that must outlive a callback.
 func (s *System) SnapshotCtx(ctx context.Context, fn func(r *ReadTx) error) error {
 	r := s.inner.BeginReadOnlyPooledCtx(ctx)
 	// The reader pins every object's compaction horizon, so it must finish

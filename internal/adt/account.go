@@ -93,6 +93,12 @@ func (Account) Responses(s spec.State, inv spec.Invocation) []string {
 	return nil
 }
 
+// ConstantResponse implements spec.ConstantSpec: Credit(n ≥ 0) and
+// Post(k ≥ 1) are always Ok.
+func (Account) ConstantResponse(inv spec.Invocation) (string, bool) {
+	return okIf(inv.Name == "Credit" && atLeast(inv.Arg, 0) || inv.Name == "Post" && atLeast(inv.Arg, 1))
+}
+
 // Equal implements spec.Spec.
 func (Account) Equal(a, b spec.State) bool { return a.(accountState) == b.(accountState) }
 

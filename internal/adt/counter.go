@@ -66,6 +66,11 @@ func (Counter) ReadResponse(s spec.State, inv spec.Invocation) (string, bool) {
 	return Itoa(s.(counterState).n), true
 }
 
+// ConstantResponse implements spec.ConstantSpec: Inc(n ≥ 0) is always Ok.
+func (Counter) ConstantResponse(inv spec.Invocation) (string, bool) {
+	return okIf(inv.Name == "Inc" && atLeast(inv.Arg, 0))
+}
+
 // Equal implements spec.Spec.
 func (Counter) Equal(a, b spec.State) bool { return a.(counterState) == b.(counterState) }
 

@@ -63,6 +63,9 @@ func (File) ReadResponse(s spec.State, inv spec.Invocation) (string, bool) {
 	return s.(fileState).val, true
 }
 
+// ConstantResponse implements spec.ConstantSpec: Write is always Ok.
+func (File) ConstantResponse(inv spec.Invocation) (string, bool) { return okIf(inv.Name == "Write") }
+
 // Equal implements spec.Spec.
 func (File) Equal(a, b spec.State) bool { return a.(fileState) == b.(fileState) }
 

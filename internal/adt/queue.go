@@ -58,6 +58,9 @@ func (Queue) Responses(s spec.State, inv spec.Invocation) []string {
 	return nil
 }
 
+// ConstantResponse implements spec.ConstantSpec: Enq is always Ok.
+func (Queue) ConstantResponse(inv spec.Invocation) (string, bool) { return okIf(inv.Name == "Enq") }
+
 // Equal implements spec.Spec.
 func (Queue) Equal(a, b spec.State) bool {
 	qa, qb := a.(queueState), b.(queueState)

@@ -90,6 +90,9 @@ func (Semiqueue) Responses(s spec.State, inv spec.Invocation) []string {
 	return nil
 }
 
+// ConstantResponse implements spec.ConstantSpec: Ins is always Ok.
+func (Semiqueue) ConstantResponse(inv spec.Invocation) (string, bool) { return okIf(inv.Name == "Ins") }
+
 // Equal implements spec.Spec.
 func (Semiqueue) Equal(a, b spec.State) bool {
 	sa, sb := a.(semiqueueState), b.(semiqueueState)

@@ -209,3 +209,67 @@ func TestReadWriteReaders(t *testing.T) {
 		t.Error("unknown types must default to total conflict")
 	}
 }
+
+// TestConstantResponsesMatchResponses walks every state of each built-in
+// type reachable from its declared universe in three steps and checks that
+// every constant response a type claims is the one response Responses
+// offers there, and that an argument outside an operation's domain claims
+// none.  Set.Insert and Directory.Bind answer by state, so claim nothing.
+func TestConstantResponsesMatchResponses(t *testing.T) {
+	outside := []spec.Invocation{
+		adt.CreditInv(-1), adt.PostInv(0), adt.IncInv(-1),
+		{Name: "Credit", Arg: "x"},
+	}
+	claimed := map[string]int{}
+	for _, sp := range adt.All() {
+		name := sp.Name()
+		universe := UniverseFor(name)
+		cs, ok := sp.(spec.ConstantSpec)
+		if !ok {
+			continue
+		}
+		invs := append([]spec.Invocation(nil), outside...)
+		for _, op := range universe {
+			invs = append(invs, op.Inv())
+		}
+		frontier := []spec.State{sp.Init()}
+		for depth := 0; depth <= 3; depth++ {
+			var next []spec.State
+			for _, st := range frontier {
+				for _, inv := range invs {
+					res, ok := cs.ConstantResponse(inv)
+					if !ok {
+						continue
+					}
+					claimed[name+"."+inv.Name]++
+					if got := sp.Responses(st, inv); len(got) != 1 || got[0] != res {
+						t.Errorf("%s: ConstantResponse(%s) = %q, Responses in %v = %q", name, inv, res, st, got)
+					}
+				}
+				for _, op := range universe {
+					if n, ok := sp.Step(st, op); ok {
+						next = append(next, n)
+					}
+				}
+			}
+			frontier = next
+		}
+	}
+	for _, inv := range outside {
+		if _, ok := adt.NewAccount().ConstantResponse(inv); ok {
+			t.Errorf("Account claims a constant response to %s", inv)
+		}
+		if _, ok := adt.NewCounter().ConstantResponse(inv); ok {
+			t.Errorf("Counter claims a constant response to %s", inv)
+		}
+	}
+	want := []string{"Account.Credit", "Account.Post", "Counter.Inc", "Queue.Enq", "Semiqueue.Ins", "File.Write"}
+	for _, k := range want {
+		if claimed[k] == 0 {
+			t.Errorf("%s claimed no constant response", k)
+		}
+	}
+	if len(claimed) != len(want) {
+		t.Errorf("constant responses claimed by %v, want exactly %v (Set.Insert and Directory.Bind depend on the state)", claimed, want)
+	}
+}

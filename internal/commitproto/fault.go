@@ -35,7 +35,7 @@ const (
 	// participant acts on it, yet the sender sees the site as unreachable.
 	// This is the classic "decision applied, coordinator unsure" fault.
 	DropReply
-	// Delay delivers the message after the transport's configured delay.
+	// Delay delivers the message after the transport's delay (10 ms).
 	Delay
 	// Dup delivers the message twice back to back, exercising receiver
 	// idempotence.
@@ -133,13 +133,6 @@ func (f *FaultTransport) ScriptReorder(class MsgClass, k int) {
 	f.mu.Unlock()
 }
 
-// SetDelay sets the duration used by Delay actions.
-func (f *FaultTransport) SetDelay(d time.Duration) {
-	f.mu.Lock()
-	f.delay = d
-	f.mu.Unlock()
-}
-
 // SetPartitioned toggles a full partition: while set, every message of
 // every class is dropped before delivery (scripts are not consumed) and
 // the sender sees the site as unreachable — bidirectional loss, since
@@ -190,13 +183,6 @@ func (f *FaultTransport) ReleaseHeld() int {
 		f.drainDue()
 	}
 	return len(held)
-}
-
-// HeldCount reports how many captured messages await ReleaseHeld.
-func (f *FaultTransport) HeldCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.held)
 }
 
 // ReorderPending reports how many captured messages still await their

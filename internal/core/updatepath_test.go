@@ -461,10 +461,10 @@ func TestRemoteAbortUnderCallInFlight(t *testing.T) {
 	sys := NewRemoteSystem(shard, Options{Sink: verify.NewRecorder()})
 	a, b := accountNamed(sys, "A"), accountNamed(sys, "B")
 	tx := sys.Begin()
-	mustCall(t, a, tx, adt.CreditInv(1))
+	mustCall(t, a, tx, adt.DebitInv(1))
 	called := make(chan error, 1)
 	go func() {
-		_, err := b.Call(tx, adt.CreditInv(1))
+		_, err := b.Call(tx, adt.DebitInv(1))
 		called <- err
 	}()
 	<-shard.entered

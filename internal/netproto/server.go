@@ -3,6 +3,7 @@ package netproto
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,7 +20,9 @@ import (
 // Server serves one shard — a core.System — over the wire protocol.  One
 // goroutine per connection runs a synchronous request/response loop;
 // transactions are pinned by the client to one connection each, so a
-// blocking lock wait stalls only its own transaction's connection.
+// blocking lock wait stalls only its own transaction's connection.  A
+// client may pipeline a transaction's write-behind calls ahead of a
+// request; the loop answers such a burst with one write.
 //
 // The server is the 2PC participant: Prepare freezes a branch and reports
 // its vote and timestamp bound, a decision message commits it at the
@@ -266,6 +269,13 @@ func (s *Server) serveConn(c *serverConn) {
 		wbuf, err = writeMessage(w, wbuf, &resp)
 		if err != nil {
 			return
+		}
+		// A burst of pipelined calls is answered with one write: replies
+		// wait while a whole next request is already buffered.
+		if n := r.Buffered(); n >= frameHeaderSize {
+			if hdr, _ := r.Peek(frameHeaderSize); n-frameHeaderSize >= int(binary.LittleEndian.Uint32(hdr)) {
+				continue
+			}
 		}
 		if err := w.Flush(); err != nil {
 			return
@@ -530,13 +540,6 @@ func RegisterObject(sys *core.System, name, typeName, scheme string) (*core.Obje
 		return nil, errNotBuiltin(name, typeName)
 	}
 	return sys.NewObjectPolicies(name, d.Spec, d.Policies, scheme)
-}
-
-// txEntryOf looks up a transaction entry.
-func (s *Server) txEntryOf(id histories.TxID) *txEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.txs[id]
 }
 
 // readEntryOf looks up a read entry.

@@ -129,6 +129,17 @@ type ReadSpec interface {
 	ReadResponse(s State, inv Invocation) (res string, ok bool)
 }
 
+// ConstantSpec is the optional constant-response capability on a Spec:
+// the response to such an invocation is known before it runs, so a dialed
+// transaction sends it without waiting for its reply.
+type ConstantSpec interface {
+	Spec
+
+	// ConstantResponse returns res and true when Responses(s, inv) is
+	// exactly [res] in every state s, and false for any other invocation.
+	ConstantResponse(inv Invocation) (res string, ok bool)
+}
+
 // Replay runs h from the initial state of sp.  It returns the final state
 // and true if every operation is legal, or the state reached before the
 // first illegal operation and false otherwise.

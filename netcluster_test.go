@@ -22,12 +22,19 @@ import (
 // boundary — and returns their addresses in shard order.
 func startNetShards(t *testing.T, n int) []string {
 	t.Helper()
+	return startNetShardsWith(t, n, time.Second, nil)
+}
+
+// startNetShardsWith is startNetShards with the shards' lock-wait bound and
+// their listeners passed through wrap (nil: none).
+func startNetShardsWith(t testing.TB, n int, lockWait time.Duration, wrap func(net.Listener) net.Listener) []string {
+	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		sys := core.NewSystem(core.Options{
 			Clock:              tstamp.NewNodeClock(i, n+1),
 			ExternalTimestamps: true,
-			LockWait:           time.Second,
+			LockWait:           lockWait,
 			DeadlockDetection:  true,
 		})
 		srv, err := netproto.NewServer(sys, i, n, netproto.ServerOptions{})
@@ -38,9 +45,12 @@ func startNetShards(t *testing.T, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		addrs[i] = ln.Addr().String()
+		if wrap != nil {
+			ln = wrap(ln)
+		}
 		go func() { _ = srv.Serve(ln) }()
 		t.Cleanup(func() { srv.Shutdown(time.Second) })
-		addrs[i] = ln.Addr().String()
 	}
 	return addrs
 }

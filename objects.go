@@ -1,6 +1,8 @@
 package hybridcc
 
 import (
+	"fmt"
+
 	"hybridcc/internal/adt"
 )
 
@@ -59,6 +61,15 @@ func (o *Object) readInt(r ReadTxn, inv Invocation, valueOf func(State) int64) (
 	return valueOf(state), nil
 }
 
+// callAtLeast is Call for an operation whose integer argument arg must be
+// at least min: one outside that domain is refused before any call.
+func (o *Object) callAtLeast(tx Txn, inv Invocation, arg, min int64) (string, error) {
+	if arg < min {
+		return "", fmt.Errorf("%w: %s on %s: want ≥ %d", ErrInvalidArgument, inv, o.Name(), min)
+	}
+	return o.Call(tx, inv)
+}
+
 // Account is a bank account with Credit, Post (interest), and Debit
 // operations (the paper's Section 4.3 Account and appendix example).  Under
 // the Hybrid scheme, credits never conflict with other credits, with
@@ -73,22 +84,22 @@ func (s *System) NewAccount(name string, opts ...ObjectOption) (*Account, error)
 
 // Credit adds amount (≥ 0) to the balance.
 func (a *Account) Credit(tx Txn, amount int64) error {
-	_, err := a.obj.Call(tx, adt.CreditInv(amount))
+	_, err := a.obj.callAtLeast(tx, adt.CreditInv(amount), amount, 0)
 	return err
 }
 
 // Post multiplies the balance by factor (≥ 1) — posting interest (see the
 // package documentation for the integer-factor substitution).
 func (a *Account) Post(tx Txn, factor int64) error {
-	_, err := a.obj.Call(tx, adt.PostInv(factor))
+	_, err := a.obj.callAtLeast(tx, adt.PostInv(factor), factor, 1)
 	return err
 }
 
-// Debit withdraws amount if the balance covers it.  It returns false (and
-// no error) when the debit is refused with an Overdraft, leaving the
-// balance unchanged.
+// Debit withdraws amount (≥ 0) if the balance covers it.  It returns
+// false (and no error) when the debit is refused with an Overdraft,
+// leaving the balance unchanged.
 func (a *Account) Debit(tx Txn, amount int64) (bool, error) {
-	res, err := a.obj.Call(tx, adt.DebitInv(amount))
+	res, err := a.obj.callAtLeast(tx, adt.DebitInv(amount), amount, 0)
 	if err != nil {
 		return false, err
 	}
@@ -214,7 +225,7 @@ func (s *System) NewCounter(name string, opts ...ObjectOption) (*Counter, error)
 
 // Inc adds n (≥ 0) to the counter.
 func (c *Counter) Inc(tx Txn, n int64) error {
-	_, err := c.obj.Call(tx, adt.IncInv(n))
+	_, err := c.obj.callAtLeast(tx, adt.IncInv(n), n, 0)
 	return err
 }
 

@@ -26,6 +26,9 @@ func TestAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if !sort.StringsAreSorted(want) {
+		t.Error("api.txt is not sorted")
+	}
 
 	inWant := make(map[string]bool, len(want))
 	for _, l := range want {

@@ -4,13 +4,12 @@ import (
 	crand "crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"hybridcc/internal/backoff"
 	"hybridcc/internal/cluster"
-	"hybridcc/internal/histories"
+	"hybridcc/internal/commitproto"
 	"hybridcc/internal/netproto"
 	"hybridcc/internal/wal"
 )
@@ -69,160 +68,16 @@ func WithShardBreaker(threshold int, probe BackoffPolicy) Option {
 // reloads it.  The ledger also remembers every transaction-identifier
 // prefix it has dialed under, so a client restarted over the same dir
 // recognizes its crashed incarnations' prepared branches as its own to
-// resolve (and leaves other clients' branches alone).  Entries are pruned
-// once every shard acknowledges the decision durably applied, and the log
-// compacts itself on open when the pruned records dominate, so a
-// long-lived ledger stays bounded.  Without this option the ledger is
+// resolve (and leaves other clients' branches alone).  A decision is
+// discharged once every shard acknowledges it durably applied, and the
+// ledger cuts its log while it runs once the discharged records dominate,
+// so a long-lived ledger stays bounded without a restart.  Dial refuses a
+// dir that holds a shard's log.  Without this option the ledger is
 // in-memory — enough to resolve a shard that crashes and restarts while
 // this client lives, but a client that dies with undelivered decisions
 // leaves its prepared shards waiting for some other resolver.
 func WithDialDecisionLog(dir string) Option {
 	return func(c *config) { c.dialDecisionDir = dir }
-}
-
-// decisionLedger remembers the commit decisions a dialed cluster's
-// coordinator has reached, keyed by transaction identifier, plus the
-// identifier prefixes this ledger has ever coordinated under.  It backs
-// presumed abort across process boundaries: reconnecting to a recovering
-// shard feeds each of its pending prepared branches the ledgered decision
-// — or, for a branch this ledger owns and holds no decision for, an
-// abort.  Branches owned by other clients are not touched.
-type decisionLedger struct {
-	mu        sync.Mutex
-	decisions map[string]int64
-	owners    []string // identifier prefixes, current Dial's last
-	log       *wal.Log // nil: in-memory only
-}
-
-// ledgerCompactThreshold is the number of dead (discharged or duplicate)
-// records a ledger log tolerates before Open rewrites it; below this,
-// compaction costs more than the space it reclaims.
-const ledgerCompactThreshold = 512
-
-// openDecisionLedger opens (or creates) the ledger, registering prefix as
-// the new incarnation's identifier salt.  A durable ledger recovers any
-// interrupted compaction, reloads undischarged decisions and prior
-// owner prefixes, and compacts the log when dead records dominate.
-func openDecisionLedger(dir, prefix string) (*decisionLedger, error) {
-	l := &decisionLedger{decisions: make(map[string]int64), owners: []string{prefix}}
-	if dir == "" {
-		return l, nil
-	}
-	if err := recoverLedgerCompaction(dir); err != nil {
-		return nil, fmt.Errorf("hybridcc: decision log: %w", err)
-	}
-	dl, recs, err := wal.Open(dir, wal.Options{Sync: true})
-	if err != nil {
-		return nil, fmt.Errorf("hybridcc: decision log: %w", err)
-	}
-	sum := wal.Summarize(recs)
-	l.decisions = sum.Decisions
-	l.owners = append(sum.Owners, prefix)
-
-	live := len(sum.Decisions) + len(sum.Owners)
-	if dead := len(recs) - live; dead > ledgerCompactThreshold && dead > live {
-		if err := dl.Close(); err != nil {
-			return nil, fmt.Errorf("hybridcc: decision log: %w", err)
-		}
-		if err := compactLedgerDir(dir, l.owners, l.decisions); err != nil {
-			return nil, fmt.Errorf("hybridcc: decision log compaction: %w", err)
-		}
-		if dl, _, err = wal.Open(dir, wal.Options{Sync: true}); err != nil {
-			return nil, fmt.Errorf("hybridcc: decision log: %w", err)
-		}
-		// The compact pass wrote the new owner record; nothing to append.
-		l.log = dl
-		return l, nil
-	}
-	if err := dl.AppendSync(wal.Record{Kind: wal.KindOwner, Tx: prefix}); err != nil {
-		_ = dl.Close()
-		return nil, fmt.Errorf("hybridcc: decision log: %w", err)
-	}
-	l.log = dl
-	return l, nil
-}
-
-// compactLedgerDir rewrites the ledger directory to exactly the live
-// records via the crash-safe wal.CompactDir two-rename swap.
-func compactLedgerDir(dir string, owners []string, decisions map[string]int64) error {
-	recs := make([]wal.Record, 0, len(owners)+len(decisions))
-	for _, p := range owners {
-		recs = append(recs, wal.Record{Kind: wal.KindOwner, Tx: p})
-	}
-	for tx, ts := range decisions {
-		recs = append(recs, wal.Record{Kind: wal.KindDecision, Tx: tx, TS: ts})
-	}
-	return wal.CompactDir(dir, recs, wal.Options{Sync: true})
-}
-
-// recoverLedgerCompaction settles a compaction a crash interrupted.
-func recoverLedgerCompaction(dir string) error { return wal.RecoverCompaction(dir) }
-
-// record is the coordinator's decision hook: remember (and persist, when
-// durable) before any shard learns the decision.
-func (l *decisionLedger) record(tx histories.TxID, ts histories.Timestamp) error {
-	l.mu.Lock()
-	l.decisions[string(tx)] = int64(ts)
-	log := l.log
-	l.mu.Unlock()
-	if log != nil {
-		return log.AppendSync(wal.Record{Kind: wal.KindDecision, Tx: string(tx), TS: int64(ts)})
-	}
-	return nil
-}
-
-// discharge retires a decision every shard has durably applied: no
-// recovery can need it again.  The discharge record is buffered, not
-// fsynced — losing it to a crash merely keeps the decision around, which
-// is safe (stale decisions are garbage, never a hazard).
-func (l *decisionLedger) discharge(tx histories.TxID, _ histories.Timestamp) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.decisions[string(tx)]; !ok {
-		return
-	}
-	delete(l.decisions, string(tx))
-	if l.log != nil {
-		_ = l.log.Append(wal.Record{Kind: wal.KindDischarge, Tx: string(tx)})
-	}
-}
-
-// lookup answers a recovering shard's pending-branch query.
-func (l *decisionLedger) lookup(tx histories.TxID) (histories.Timestamp, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ts, ok := l.decisions[string(tx)]
-	return histories.Timestamp(ts), ok
-}
-
-// owns reports whether tx was coordinated by this ledger — some
-// incarnation of it minted the identifier ("T<prefix><n>"/"R<prefix><n>").
-// Only owned branches may be presumed aborted on a recovering shard;
-// foreign ones are their own coordinator's to resolve.
-func (l *decisionLedger) owns(tx histories.TxID) bool {
-	id := string(tx)
-	if len(id) > 0 && (id[0] == 'T' || id[0] == 'R') {
-		id = id[1:]
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, p := range l.owners {
-		if strings.HasPrefix(id, p) {
-			return true
-		}
-	}
-	return false
-}
-
-func (l *decisionLedger) close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.log == nil {
-		return nil
-	}
-	err := l.log.Close()
-	l.log = nil
-	return err
 }
 
 // Dial connects to a cluster of hybrid-shardd processes and returns a
@@ -285,9 +140,9 @@ func Dial(addrs []string, setup func(*Cluster) error, opts ...Option) (*Cluster,
 		return nil, fmt.Errorf("hybridcc: tx-id nonce: %w", err)
 	}
 	prefix := hex.EncodeToString(nonce[:]) + "-"
-	ledger, err := openDecisionLedger(c.dialDecisionDir, prefix)
+	ledger, err := commitproto.OpenLedger(c.dialDecisionDir, prefix, wal.Options{Sync: true})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hybridcc: decision log: %w", err)
 	}
 
 	conns := make([]cluster.RemoteConn, len(addrs))
@@ -295,8 +150,8 @@ func Dial(addrs []string, setup func(*Cluster) error, opts ...Option) (*Cluster,
 	for i, addr := range addrs {
 		sc, err := netproto.DialShard(addr, i, len(addrs), netproto.ClientOptions{
 			Timeout:          timeout,
-			DecisionFor:      ledger.lookup,
-			Owns:             ledger.owns,
+			DecisionFor:      ledger.Lookup,
+			Owns:             ledger.Owns,
 			BreakerThreshold: c.breakerThreshold,
 			BreakerBackoff:   c.breakerBackoff,
 		})
@@ -304,18 +159,16 @@ func Dial(addrs []string, setup func(*Cluster) error, opts ...Option) (*Cluster,
 			for _, prev := range conns[:i] {
 				_ = prev.Close()
 			}
-			_ = ledger.close()
+			_ = ledger.Close()
 			return nil, fmt.Errorf("hybridcc: dial shard %d: %w", i, err)
 		}
 		conns[i], clients[i] = sc, sc
 	}
 
 	ropts := cluster.RemoteOptions{
-		CommitTimeout:      timeout,
-		IDPrefix:           prefix,
-		OnDecision:         ledger.record,
-		OnDecisionResolved: ledger.discharge,
-		CloseHook:          ledger.close,
+		CommitTimeout: timeout,
+		IDPrefix:      prefix,
+		Ledger:        ledger,
 	}
 	if c.recorder != nil {
 		ropts.Sink = c.recorder
@@ -325,7 +178,7 @@ func Dial(addrs []string, setup func(*Cluster) error, opts ...Option) (*Cluster,
 		for _, conn := range conns {
 			_ = conn.Close()
 		}
-		_ = ledger.close()
+		_ = ledger.Close()
 		return nil, err
 	}
 	cl := &Cluster{inner: inner, recorder: c.recorder, reg: newRegistry()}

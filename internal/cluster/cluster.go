@@ -31,6 +31,7 @@ import (
 
 	"hybridcc/internal/commitproto"
 	"hybridcc/internal/core"
+	"hybridcc/internal/histories"
 	"hybridcc/internal/tstamp"
 	"hybridcc/internal/wal"
 )
@@ -71,11 +72,13 @@ type Options struct {
 	// transport in-process and the shard connection when dialed.
 	WrapTransport func(shard int, tr commitproto.Transport) commitproto.Transport
 	// Durability gives every shard a write-ahead commit log under
-	// Dir/shard<i> and the coordinator a decision log under Dir/coord
+	// Dir/shard<i> and the coordinator a commitproto.Ledger under Dir/coord
 	// (Sync and SegmentSize apply to all of them).  Reopening an existing
 	// directory recovers: the caller must register every logged object and
 	// then call FinishRecovery before beginning transactions.  The shard
-	// count is pinned by the directory layout.
+	// count is pinned by the directory layout.  Only FinishRecovery
+	// discharges decisions: a direct participant's Commit reports no failed
+	// durable apply, so a running cluster's acks prove nothing durable.
 	Durability *core.Durability
 }
 
@@ -98,21 +101,18 @@ type Cluster struct {
 	// connections' protocol transports (NewRemote).  idPrefix namespaces
 	// this client's transaction identifiers on the shared shard servers;
 	// wrapTransport optionally wraps each commit transport (fault
-	// injection); closeHook runs at the end of Close.
+	// injection).
 	remotes       []RemoteConn
 	idPrefix      string
 	wrapTransport func(shard int, tr commitproto.Transport) commitproto.Transport
-	closeHook     func() error
 
-	// decisionLog is the coordinator's commit-decision log, nil on a
-	// volatile cluster; decisions holds the recovered decision records
-	// (tx id → timestamp) FinishRecovery resolves prepared branches from.
-	// logSynced records whether the shard logs fsync each commit — the
-	// missing-leg accounting in FinishRecovery is allowed a stronger
-	// truncation argument when they do.
-	decisionLog *wal.Log
-	decisions   map[string]int64
-	logSynced   bool
+	// ledger is the coordinator's decision ledger, nil on a volatile
+	// in-process cluster; Close closes it.  logSynced records whether the
+	// shard logs fsync each commit — the missing-leg accounting in
+	// FinishRecovery is allowed a stronger truncation argument when they
+	// do.
+	ledger    *commitproto.Ledger
+	logSynced bool
 }
 
 // New creates a cluster of opts.Shards independent shards.
@@ -168,26 +168,30 @@ func New(opts Options) (*Cluster, error) {
 	c.coordClock = tstamp.NewNodeClock(opts.Shards, opts.Shards+1)
 	c.coord = commitproto.NewCoordinator(c.coordClock, opts.CommitTimeout)
 	if d := opts.Durability; d != nil {
-		c.logSynced = d.Sync
-		if err := c.openDurability(d); err != nil {
+		l, err := commitproto.OpenLedger(filepath.Join(d.Dir, coordDirName), "", wal.Options{Sync: d.Sync, SegmentSize: d.SegmentSize})
+		if err != nil {
 			c.closeOpened()
 			return nil, err
 		}
+		c.ledger, c.logSynced = l, d.Sync
+		// The coordinator clock must stay ahead of every decision it ever
+		// issued, or a post-recovery round could remint a timestamp.
+		for _, ts := range l.Decisions() {
+			c.coordClock.Observe(histories.Timestamp(ts))
+		}
+		c.coord.SetDecisionLog(l.Record)
 	}
 	return c, nil
 }
 
-// closeOpened releases whatever a failed New had opened so far — shard
-// Systems (whose logs hold OS file handles) and the decision log — so a
-// constructor error does not leak descriptors.
+// closeOpened releases the shard Systems a failed New had opened so far
+// (their logs hold OS file handles), so a constructor error does not leak
+// descriptors.
 func (c *Cluster) closeOpened() {
 	for _, sys := range c.shards {
 		if sys != nil {
 			_ = sys.Close()
 		}
-	}
-	if c.decisionLog != nil {
-		_ = c.decisionLog.Close()
 	}
 }
 

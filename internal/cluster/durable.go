@@ -3,14 +3,12 @@ package cluster
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
-	"hybridcc/internal/wal"
 )
 
 // coordDirName is the coordinator decision log's subdirectory, next to the
@@ -53,60 +51,6 @@ func checkShardLayout(dir string, shards int) error {
 	return nil
 }
 
-// coordCompactThreshold is the number of dead (discharged or duplicate)
-// records the coordinator decision log tolerates before open rewrites it;
-// below this, compaction costs more than the space it reclaims.
-const coordCompactThreshold = 256
-
-// openDurability opens the coordinator decision log and wires the
-// decision-before-delivery hook; per-shard logs were already opened by
-// core.OpenSystem.  Called by New when Options.Durability is set.
-//
-// The decision log is bounded in two steps: FinishRecovery appends
-// discharge records for decisions recovery can never need again (every
-// participant durably holds the commit — see dischargeDecisions), and the
-// next open compacts the directory down to the live decisions when the
-// dead records dominate, with the same crash-safe two-rename swap the dial
-// ledger uses.
-func (c *Cluster) openDurability(d *core.Durability) error {
-	coordDir := filepath.Join(d.Dir, coordDirName)
-	if err := wal.RecoverCompaction(coordDir); err != nil {
-		return err
-	}
-	opts := wal.Options{Sync: d.Sync, SegmentSize: d.SegmentSize}
-	dl, recs, err := wal.Open(coordDir, opts)
-	if err != nil {
-		return err
-	}
-	sum := wal.Summarize(recs)
-	if dead := len(recs) - len(sum.Decisions); dead > coordCompactThreshold && dead > len(sum.Decisions) {
-		if err := dl.Close(); err != nil {
-			return err
-		}
-		live := make([]wal.Record, 0, len(sum.Decisions))
-		for tx, ts := range sum.Decisions {
-			live = append(live, wal.Record{Kind: wal.KindDecision, Tx: tx, TS: ts})
-		}
-		if err := wal.CompactDir(coordDir, live, wal.Options{Sync: true}); err != nil {
-			return fmt.Errorf("cluster: decision log compaction: %w", err)
-		}
-		if dl, _, err = wal.Open(coordDir, opts); err != nil {
-			return err
-		}
-	}
-	c.decisionLog = dl
-	c.decisions = sum.Decisions
-	// The coordinator clock must stay ahead of every decision it ever
-	// issued, or a post-recovery round could remint a timestamp.
-	for _, ts := range c.decisions {
-		c.coordClock.Observe(histories.Timestamp(ts))
-	}
-	c.coord.SetDecisionLog(func(tx histories.TxID, ts histories.Timestamp) error {
-		return dl.AppendSync(wal.Record{Kind: wal.KindDecision, Tx: string(tx), TS: int64(ts)})
-	})
-	return nil
-}
-
 // FinishRecovery completes a durable cluster's recovery, after every
 // object has been registered on its shard:
 //
@@ -125,16 +69,16 @@ func (c *Cluster) openDurability(d *core.Durability) error {
 // On a volatile cluster it is a no-op.  Call exactly once, before any
 // transaction begins.
 func (c *Cluster) FinishRecovery() error {
-	if c.decisionLog == nil {
+	if !c.durable() {
 		return nil
 	}
 	for _, sys := range c.shards {
 		for _, p := range sys.RecoveredPending() {
-			ts, ok := c.decisions[string(p.ID)]
+			ts, ok := c.ledger.Lookup(p.ID)
 			if !ok {
 				continue // presumed abort, handled by AbandonPending
 			}
-			if err := sys.ResolvePending(p.ID, histories.Timestamp(ts)); err != nil {
+			if err := sys.ResolvePending(p.ID, ts); err != nil {
 				return err
 			}
 		}
@@ -269,15 +213,12 @@ func (c *Cluster) accountedLegs(tx core.RecoveredTx, on map[int]bool, covered, f
 // passed it (its legs were folded everywhere).  Resolution records
 // re-logged without a participant count keep their decisions — a later
 // recovery, once checkpoints fold them, discharges by the frontier rule.
-// Discharges are appended in one batch with one sync; a failure is
-// ignored: they are an optimization, and recovery is already complete.
 func (c *Cluster) dischargeDecisions(covered, folded []histories.Timestamp, legsOn map[histories.TxID]map[int]bool, txs []core.RecoveredTx, merged map[histories.TxID]int) {
-	var retired []string
-	for id, ts := range c.decisions {
+	for id, ts := range c.ledger.Decisions() {
 		txid := histories.TxID(id)
 		if i, ok := merged[txid]; ok {
 			if n := txs[i].Participants; n > 0 && c.accountedLegs(txs[i], legsOn[txid], covered, folded) >= n {
-				retired = append(retired, id)
+				c.ledger.Discharge(txid)
 			}
 			continue
 		}
@@ -289,36 +230,20 @@ func (c *Cluster) dischargeDecisions(covered, folded []histories.Timestamp, legs
 			}
 		}
 		if all {
-			retired = append(retired, id)
+			c.ledger.Discharge(txid)
 		}
-	}
-	if len(retired) == 0 {
-		return
-	}
-	for _, id := range retired {
-		if err := c.decisionLog.Append(wal.Record{Kind: wal.KindDischarge, Tx: id}); err != nil {
-			return
-		}
-	}
-	if err := c.decisionLog.Sync(); err != nil {
-		return
-	}
-	for _, id := range retired {
-		delete(c.decisions, id)
 	}
 }
 
-// Close closes every shard's commit log and the coordinator decision log.
-// Volatile clusters close as a no-op.
+// durable reports whether this is an in-process cluster with logs.
+func (c *Cluster) durable() bool { return c.ledger != nil && c.remotes == nil }
+
+// Close closes every shard's commit log, the shard connections of a dialed
+// cluster, and the decision ledger.  Volatile clusters close as a no-op.
 func (c *Cluster) Close() error {
 	var first error
 	for _, sys := range c.shards {
 		if err := sys.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if c.decisionLog != nil {
-		if err := c.decisionLog.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -327,8 +252,8 @@ func (c *Cluster) Close() error {
 			first = err
 		}
 	}
-	if c.closeHook != nil {
-		if err := c.closeHook(); err != nil && first == nil {
+	if c.ledger != nil {
+		if err := c.ledger.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -336,14 +261,14 @@ func (c *Cluster) Close() error {
 }
 
 // CrashLogs simulates process death for crash tests: every shard log and
-// the decision log drop their buffers and close, as one kill -9 would.
+// the decision ledger drop their buffers and close, as one kill -9 would.
 // No-op on a volatile cluster.
 func (c *Cluster) CrashLogs() {
 	for _, sys := range c.shards {
 		sys.CrashLog()
 	}
-	if c.decisionLog != nil {
-		c.decisionLog.Crash()
+	if c.ledger != nil {
+		c.ledger.Crash()
 	}
 }
 
@@ -352,7 +277,7 @@ func (c *Cluster) CrashLogs() {
 // checkpoint is independent, and a full disk on one should not stop the
 // others from reclaiming their logs).  Errors on a volatile cluster.
 func (c *Cluster) Checkpoint() error {
-	if c.decisionLog == nil {
+	if !c.durable() {
 		return fmt.Errorf("cluster: Checkpoint without durability")
 	}
 	var first error

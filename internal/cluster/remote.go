@@ -39,20 +39,12 @@ type RemoteOptions struct {
 	// outcomes by identifier, so two clients of the same shard MUST use
 	// distinct prefixes or their transactions collide.
 	IDPrefix string
-	// OnDecision, when set, is installed as the coordinator's decision
-	// log: it runs after every vote is in, before any shard is told to
-	// commit.  The dialing client uses it to remember commit decisions, so
-	// a shard that crashed after preparing can be fed its decision on
-	// reconnect (netproto's handshake resolution).
-	OnDecision func(tx histories.TxID, ts histories.Timestamp) error
-	// OnDecisionResolved, when set, runs after every shard acknowledged a
-	// commit decision.  The shard server acks a decision only once the
-	// branch's commit record is durable, so the ledger entry OnDecision
-	// wrote for this transaction can never be needed again — the dialing
-	// client uses this to prune its decision ledger.
-	OnDecisionResolved func(tx histories.TxID, ts histories.Timestamp)
-	// CloseHook runs at the end of Close, after every connection closed.
-	CloseHook func() error
+	// Ledger, when set, records each commit decision before any shard is
+	// told to commit, so a shard that crashed prepared is fed its decision
+	// on reconnect (netproto's handshake), and discharges a decision every
+	// shard acknowledged: a shard server acks once the commit record is
+	// durable.  Close closes it.
+	Ledger *commitproto.Ledger
 	// WrapTransport, when set, wraps each shard's commit-protocol
 	// transport (fault injection for tests).
 	WrapTransport func(shard int, tr commitproto.Transport) commitproto.Transport
@@ -81,8 +73,8 @@ func NewRemote(conns []RemoteConn, opts RemoteOptions) (*Cluster, error) {
 		names:         make([]string, n),
 		remotes:       conns,
 		idPrefix:      opts.IDPrefix,
-		closeHook:     opts.CloseHook,
 		wrapTransport: opts.WrapTransport,
+		ledger:        opts.Ledger,
 	}
 	for i, conn := range conns {
 		sys := core.NewRemoteSystem(conn, core.Options{Sink: opts.Sink})
@@ -92,11 +84,9 @@ func NewRemote(conns []RemoteConn, opts RemoteOptions) (*Cluster, error) {
 	}
 	c.coordClock = tstamp.NewNodeClock(n, n+1)
 	c.coord = commitproto.NewCoordinator(c.coordClock, opts.CommitTimeout)
-	if opts.OnDecision != nil {
-		c.coord.SetDecisionLog(opts.OnDecision)
-	}
-	if opts.OnDecisionResolved != nil {
-		c.coord.SetDecisionResolved(opts.OnDecisionResolved)
+	if l := opts.Ledger; l != nil {
+		c.coord.SetDecisionLog(l.Record)
+		c.coord.SetDecisionResolved(func(tx histories.TxID, _ histories.Timestamp) { l.Discharge(tx) })
 	}
 	return c, nil
 }

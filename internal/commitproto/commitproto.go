@@ -268,13 +268,8 @@ type Coordinator struct {
 	clock   tstamp.Clock
 	timeout time.Duration
 
-	// decisionLog, when set, persists a commit decision before phase 2
-	// delivers it (see SetDecisionLog).
-	decisionLog func(tx histories.TxID, ts histories.Timestamp) error
-
-	// decisionResolved, when set, runs after phase 2 when every
-	// participant acknowledged the commit decision (see
-	// SetDecisionResolved).
+	// The hooks SetDecisionLog and SetDecisionResolved install, or nil.
+	decisionLog      func(tx histories.TxID, ts histories.Timestamp) error
 	decisionResolved func(tx histories.TxID, ts histories.Timestamp)
 
 	poolOnce sync.Once
@@ -293,18 +288,14 @@ func (c *Coordinator) SetDecisionLog(f func(tx histories.TxID, ts histories.Time
 	c.decisionLog = f
 }
 
-// SetDecisionResolved installs a hook that runs when a commit decision has
-// been acknowledged by EVERY participant in phase 2 — the round's decision
-// record is then dead weight, since no recovery can ever need it again,
-// and the caller's decision log may retire it.  The hook must only be
-// installed when a transport acknowledgement proves the participant
-// applied the commit durably (the wire transport acks after the branch's
-// commit record is fsynced); an ack that merely means "message delivered"
-// would retire decisions recovery still depends on.  If any delivery
-// fails, the hook does not run — redelivery resolves the branch later, and
-// the decision record stays until some later round's bookkeeping (or
-// nothing: an undischarged decision is only garbage, never a hazard).  Set
-// before the first round; the hook must be safe for concurrent rounds.
+// SetDecisionResolved installs a hook that runs when EVERY participant
+// acknowledged a commit decision in phase 2, so the caller's ledger may
+// discharge it (Ledger.Discharge).  Install it only where an ack proves the
+// commit durably applied, as the wire transport's does; an ack that means
+// "delivered" would discharge decisions recovery still needs.  If any
+// delivery fails the hook does not run, and the decision stays: garbage,
+// never a hazard.  Set before the first round; the hook must be safe for
+// concurrent rounds.
 func (c *Coordinator) SetDecisionResolved(f func(tx histories.TxID, ts histories.Timestamp)) {
 	c.decisionResolved = f
 }

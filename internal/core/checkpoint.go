@@ -157,8 +157,7 @@ func (s *System) Checkpoint() error {
 //     record is, so it holds every undecided branch below the cut, and no
 //     branch it holds has a commit below the cut or in a snapshot.
 //  5. Publish with the two-rename protocol, then unlink every sealed
-//     segment below the cut — none while a recovered object is unclaimed,
-//     and never one the log pinned for a record kind no checkpoint carries.
+//     segment below the cut — none while a recovered object is unclaimed.
 //
 // The images hold only synced commits because a commit merges after its
 // fsync; releasing locks before the fsync would have to add a sync before

@@ -86,6 +86,12 @@ func OpenSystem(opts Options) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
+		for _, r := range recs {
+			if r.Kind.Ledger() {
+				_ = l.Close()
+				return nil, fmt.Errorf("core: %s holds a %s record: it is a coordinator's decision ledger, not a shard log", d.Dir, r.Kind)
+			}
+		}
 		// The newest valid checkpoint bounds the replay: its images carry
 		// everything below each object's fold frontier, so only the
 		// surviving tail (and the checkpoint's own unforgotten entries)

@@ -597,7 +597,7 @@ func (ck *Checkpoint) index() *ckptIndex {
 //     kinds that never appear in shard logs): never, conservatively.
 func (ix *ckptIndex) covers(r Record) bool {
 	if r.Kind != KindCommit {
-		return checkpointCarries(r.Kind)
+		return !r.Kind.Ledger()
 	}
 	for _, oo := range r.Objs {
 		oi := ix.objs[oo.Obj]
@@ -661,17 +661,18 @@ func CoveredSegments(dir string, below int, ck *Checkpoint) ([]SegmentInfo, erro
 }
 
 // TruncateBelow unlinks every sealed segment with index below the given
-// bound, except segments holding a record kind a checkpoint cannot carry,
-// and returns the bytes reclaimed and the number of segments removed.  It
-// reads no segment: the caller vouches that a published checkpoint carries
-// every record below the bound.  The bound must be the index Rotate
-// returned at that checkpoint's cut, not the current live index: segments
-// sealed after the cut hold records the checkpoint never saw.
+// bound and returns the bytes reclaimed and the number of segments
+// removed.  It reads no segment: the caller vouches that every live record
+// below the cut is carried above it — by a published checkpoint on a
+// shard's log, by the live set a ledger rewrote above the cut on a
+// decision ledger's.  The bound must be the index Rotate returned at the
+// cut, not the current live index: segments sealed after the cut hold
+// records the cut never saw.
 func (l *Log) TruncateBelow(below int) (reclaimed int64, removed int, err error) {
 	l.mu.Lock()
 	var doomed []sealedSeg
 	for _, s := range l.sealed {
-		if s.index < below && !s.pinned {
+		if s.index < below {
 			doomed = append(doomed, s)
 		}
 	}
@@ -693,7 +694,7 @@ func (l *Log) TruncateBelow(below int) (reclaimed int64, removed int, err error)
 	if removed > 0 {
 		last := doomed[removed-1].index
 		l.mu.Lock()
-		l.sealed = slices.DeleteFunc(l.sealed, func(s sealedSeg) bool { return s.index <= last && !s.pinned })
+		l.sealed = slices.DeleteFunc(l.sealed, func(s sealedSeg) bool { return s.index <= last })
 		l.mu.Unlock()
 	}
 	if err == nil {

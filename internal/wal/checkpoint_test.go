@@ -288,9 +288,9 @@ func TestCheckpointCrashWindows(t *testing.T) {
 
 // TestCoverageAndTruncation drives both halves against a real log: the
 // coverage oracle reports exactly the segments a checkpoint covers, and
-// truncation unlinks every sealed segment below its bound except one
-// holding a record kind no checkpoint carries — before and after a reopen —
-// and never touches the live segment.
+// truncation — which reads nothing, on the caller's word — unlinks every
+// sealed segment below its bound, before and after a reopen, and never
+// touches the live segment.
 func TestCoverageAndTruncation(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{Sync: true, SegmentSize: 1})
@@ -314,8 +314,7 @@ func TestCoverageAndTruncation(t *testing.T) {
 		commitRec("T3", 45),               // NOT covered: above fold, not in unforgotten
 		Record{Kind: KindAbort, Tx: "T4"}, // always covered
 		Record{Kind: KindCommit, Tx: "T5", TS: 2, Objs: []ObjOps{{Obj: "ghost", Ops: []Op{{Name: "X"}}}}}, // unknown object
-		// No checkpoint carries a decision: it pins its segment.
-		Record{Kind: KindDecision, Tx: "T6", TS: 50},
+		commitRec("T6", 50), // NOT covered
 	)
 
 	ck := &Checkpoint{
@@ -344,33 +343,27 @@ func TestCoverageAndTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 5 || reclaimed == 0 {
-		t.Fatalf("removed %d segments (%d bytes), want 5", removed, reclaimed)
+	if removed != 6 || reclaimed == 0 {
+		t.Fatalf("removed %d segments (%d bytes), want 6", removed, reclaimed)
 	}
-	if got := l.Stats().Segments; got != before-5 {
-		t.Fatalf("Segments stat %d, want %d", got, before-5)
+	if got := l.Stats().Segments; got != before-6 {
+		t.Fatalf("Segments stat %d, want %d", got, before-6)
 	}
-
-	// The pinned segment survives, and the live segment is untouched.
-	recs, err := ReadAll(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Tx != "T6" {
-		t.Fatalf("surviving records %+v, want the decision T6", recs)
+	if _, err := os.Stat(filepath.Join(dir, segmentName(l.segIndex))); err != nil {
+		t.Fatalf("live segment touched: %v", err)
 	}
 
 	// Reopening the directory (settle + replay) works after truncation —
-	// segment numbering now starts above 1 — and the reopened log still
-	// knows which segment is pinned.
+	// segment numbering now starts above 1 — and the reopened log knows
+	// its sealed segments again.
 	l.Close()
 	l2, recs, err := Open(dir, Options{Sync: true, SegmentSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if len(recs) != 1 {
-		t.Fatalf("reopen replayed %d records, want 1", len(recs))
+	if len(recs) != 0 {
+		t.Fatalf("reopen replayed %d records, want 0", len(recs))
 	}
 	if err := l2.AppendSync(commitRec("T7", 60)); err != nil {
 		t.Fatal(err)
@@ -378,8 +371,8 @@ func TestCoverageAndTruncation(t *testing.T) {
 	if _, removed, err := l2.TruncateBelow(l2.segIndex); err != nil || removed != 1 {
 		t.Fatalf("after reopen: removed %d segments, err %v; want T7's alone", removed, err)
 	}
-	if recs, err := ReadAll(dir); err != nil || len(recs) != 1 || recs[0].Tx != "T6" {
-		t.Fatalf("after reopen: surviving records %+v, %v; want the decision T6", recs, err)
+	if recs, err := ReadAll(dir); err != nil || len(recs) != 0 {
+		t.Fatalf("after reopen: surviving records %+v, %v; want none", recs, err)
 	}
 }
 

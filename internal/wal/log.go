@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -132,13 +131,11 @@ type Log struct {
 	segIndex int
 	segSize  int64
 	zeroed   int64 // allocated, zero-filled length of the live segment
-	// sealed lists the sealed segments on disk, oldest first; livePinned
-	// marks the live one as holding a record no checkpoint carries.
-	sealed     []sealedSeg
-	livePinned bool
-	closed     bool
-	failed     error
-	enc        []byte
+	// sealed lists the sealed segments on disk, oldest first.
+	sealed []sealedSeg
+	closed bool
+	failed error
+	enc    []byte
 	// The durability horizon: bytes (below) counts what is appended,
 	// durable what an fsync has covered.  syncing marks the one fsync in
 	// flight outside mu; nothing closes or swaps f under it.  sealers
@@ -156,18 +153,10 @@ type Log struct {
 	bytes   atomic.Int64
 }
 
-// sealedSeg is one sealed segment; a pinned one is never truncated.
+// sealedSeg is one sealed segment.
 type sealedSeg struct {
-	index  int
-	size   int64
-	pinned bool
-}
-
-// checkpointCarries reports whether a checkpoint stands in for records of
-// kind k; decision, owner and discharge records belong to coordinator
-// ledgers, which never checkpoint.
-func checkpointCarries(k Kind) bool {
-	return k == KindCommit || k == KindPrepared || k == KindAbort
+	index int
+	size  int64
 }
 
 // segmentName formats the segment file name for index i.
@@ -225,21 +214,14 @@ func openDir(dir string, opts Options) (*Log, []Record, error) {
 	}
 	l := &Log{dir: dir, opts: opts, syncFile: (*os.File).Sync}
 	l.cond.L = &l.mu
-	rest := recs
-	for i, s := range segs {
-		pinned := slices.ContainsFunc(rest[:s.Records], func(r Record) bool { return !checkpointCarries(r.Kind) })
-		rest = rest[s.Records:]
-		if i < len(segs)-1 {
-			l.sealed = append(l.sealed, sealedSeg{index: segmentIndex(s.Name), size: s.Size, pinned: pinned})
-		} else {
-			l.livePinned = pinned
-		}
-	}
 	if len(segs) == 0 {
 		if err := l.createSegmentLocked(1); err != nil {
 			return nil, nil, err
 		}
 		return l, recs, nil
+	}
+	for _, s := range segs[:len(segs)-1] {
+		l.sealed = append(l.sealed, sealedSeg{index: segmentIndex(s.Name), size: s.Size})
 	}
 	last := segs[len(segs)-1]
 	l.segIndex = segmentIndex(last.Name)
@@ -293,7 +275,6 @@ func (l *Log) createSegmentLocked(index int) error {
 	l.segIndex = index
 	l.segSize = 0
 	l.zeroed = 0
-	l.livePinned = false
 	return nil
 }
 
@@ -365,7 +346,6 @@ func (l *Log) appendLocked(r Record) error {
 	l.appends.Add(1)
 	l.bytes.Add(int64(frameHeaderSize + len(payload)))
 	l.segSize += int64(frameHeaderSize + len(payload))
-	l.livePinned = l.livePinned || !checkpointCarries(r.Kind)
 	if l.segSize >= l.opts.SegmentSize && !l.syncing {
 		return l.rotateLocked() // under an fsync the syncer rotates when it is done
 	}
@@ -496,7 +476,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return l.poisonLocked(err)
 	}
-	l.sealed = append(l.sealed, sealedSeg{index: l.segIndex, size: l.segSize, pinned: l.livePinned})
+	l.sealed = append(l.sealed, sealedSeg{index: l.segIndex, size: l.segSize})
 	if err := l.createSegmentLocked(l.segIndex + 1); err != nil {
 		return l.poisonLocked(err)
 	}

@@ -62,10 +62,16 @@ const (
 	KindOwner
 	// KindDischarge retires a decision record: every participant has
 	// durably applied the commit, so recovery will never need it again.
-	// A discharged decision is dropped by Summarize and by log
-	// compaction, which is what keeps a long-lived ledger bounded.
+	// A discharged decision is dropped by Summarize and left behind by the
+	// ledger's next cut, which is what keeps a long-lived ledger bounded.
 	KindDischarge
 )
+
+// Ledger reports whether k belongs to a coordinator's decision ledger
+// rather than to a shard's log.  Neither log may hold the other's records.
+func (k Kind) Ledger() bool {
+	return k == KindDecision || k == KindOwner || k == KindDischarge
+}
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
@@ -293,7 +299,7 @@ type Summary struct {
 	// Aborts counts abort records (resolved prepared branches).
 	Aborts int
 	// Discharged counts decisions retired by discharge records — the
-	// garbage a compaction pass would reclaim.
+	// garbage the ledger's next cut leaves behind.
 	Discharged int
 }
 

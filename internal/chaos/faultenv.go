@@ -67,7 +67,7 @@ func newFaultEnv(shards int, d *core.Durability) (*FaultEnv, error) {
 		durable: d != nil,
 	}
 	for i := range e.ctls {
-		e.ctls[i] = commitproto.NewFaultTransport(nil)
+		e.ctls[i] = commitproto.NewFaultTransport()
 	}
 	c, err := cluster.New(cluster.Options{
 		Shards:   shards,

@@ -67,9 +67,8 @@ type Options struct {
 	// not batched — they serialize through the commit protocol.
 	GroupCommit bool
 	// WrapTransport, when set, wraps each cross-shard commit's per-shard
-	// protocol transport — the hook the deterministic fault-injection
-	// transport (commitproto.FaultTransport) plugs into, over the direct
-	// transport in-process and the shard connection when dialed.
+	// direct transport — the hook the deterministic fault-injection
+	// controller (commitproto.FaultTransport) plugs its views into.
 	WrapTransport func(shard int, tr commitproto.Transport) commitproto.Transport
 	// Durability gives every shard a write-ahead commit log under
 	// Dir/shard<i> and the coordinator a commitproto.Ledger under Dir/coord
@@ -99,9 +98,9 @@ type Cluster struct {
 	// remotes, when non-nil, holds one dialed connection per shard: the
 	// shard Systems are remote stubs and cross-shard commits run over the
 	// connections' protocol transports (NewRemote).  idPrefix namespaces
-	// this client's transaction identifiers on the shared shard servers;
-	// wrapTransport optionally wraps each commit transport (fault
-	// injection).
+	// this client's transaction identifiers on the shared shard servers.
+	// wrapTransport optionally wraps each in-process commit transport
+	// (Options.WrapTransport).
 	remotes       []RemoteConn
 	idPrefix      string
 	wrapTransport func(shard int, tr commitproto.Transport) commitproto.Transport

@@ -434,7 +434,7 @@ func runClusterStress(t *testing.T, groupCommit, faults bool) {
 		// identically to the fault-free runs.
 		var round atomic.Int64
 		opts.WrapTransport = func(shard int, tr commitproto.Transport) commitproto.Transport {
-			ft := commitproto.NewFaultTransport(tr)
+			ft := commitproto.NewFaultTransport()
 			switch round.Add(1) % 11 {
 			case 0:
 				ft.Script(commitproto.ClassPrepare, commitproto.DropRequest)
@@ -445,7 +445,7 @@ func runClusterStress(t *testing.T, groupCommit, faults bool) {
 			case 9:
 				ft.Script(commitproto.ClassCommit, commitproto.DropRequest)
 			}
-			return ft
+			return ft.Wrap(tr)
 		}
 	}
 	c, err := New(opts)

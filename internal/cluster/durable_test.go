@@ -177,9 +177,9 @@ func TestPreparedUndecidedRecovery(t *testing.T) {
 					for i, br := range []*core.Tx{brA, brB} {
 						p := core.TxParticipant{Tx: br}
 						if lost {
-							ft := commitproto.NewFaultTransport(commitproto.NewDirect(c.names[i], p))
+							ft := commitproto.NewFaultTransport()
 							ft.Script(commitproto.ClassCommit, commitproto.DropRequest)
-							trs = append(trs, ft)
+							trs = append(trs, ft.Wrap(commitproto.NewDirect(c.names[i], p)))
 						} else {
 							var d *commitproto.Direct
 							d = commitproto.NewDirect(c.names[i], crashAfterVote{p, func() { d.Crash() }})

@@ -46,9 +46,9 @@ func (f *faultInjector) wrap(shard int, tr commitproto.Transport) commitproto.Tr
 		return tr
 	}
 	f.pending[shard] = q[1:]
-	ft := commitproto.NewFaultTransport(tr)
+	ft := commitproto.NewFaultTransport()
 	ft.Script(q[0].class, q[0].actions...)
-	return ft
+	return ft.Wrap(tr)
 }
 
 // TestClusterScriptedFaults drives cross-shard transfers through every

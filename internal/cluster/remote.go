@@ -45,9 +45,6 @@ type RemoteOptions struct {
 	// shard acknowledged: a shard server acks once the commit record is
 	// durable.  Close closes it.
 	Ledger *commitproto.Ledger
-	// WrapTransport, when set, wraps each shard's commit-protocol
-	// transport (fault injection for tests).
-	WrapTransport func(shard int, tr commitproto.Transport) commitproto.Transport
 }
 
 // NewRemote assembles a Cluster over dialed shards: same API, same
@@ -68,13 +65,12 @@ func NewRemote(conns []RemoteConn, opts RemoteOptions) (*Cluster, error) {
 		opts.CommitTimeout = DefaultCommitTimeout
 	}
 	c := &Cluster{
-		shards:        make([]*core.System, n),
-		index:         make(map[*core.System]int, n),
-		names:         make([]string, n),
-		remotes:       conns,
-		idPrefix:      opts.IDPrefix,
-		wrapTransport: opts.WrapTransport,
-		ledger:        opts.Ledger,
+		shards:   make([]*core.System, n),
+		index:    make(map[*core.System]int, n),
+		names:    make([]string, n),
+		remotes:  conns,
+		idPrefix: opts.IDPrefix,
+		ledger:   opts.Ledger,
 	}
 	for i, conn := range conns {
 		sys := core.NewRemoteSystem(conn, core.Options{Sink: opts.Sink})

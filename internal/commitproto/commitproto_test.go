@@ -149,7 +149,7 @@ func TestDirectCrashIdempotent(t *testing.T) {
 	if d.Name() != "A" {
 		t.Errorf("Name = %q", d.Name())
 	}
-	if _, _, ok := d.Prepare(context.Background(), "T1", time.Second); ok || len(f.prepared) != 0 {
+	if _, _, ok := d.StartPrepare(context.Background(), "T1", time.Second)(); ok || len(f.prepared) != 0 {
 		t.Error("a crashed site must be unreachable and must not reach its participant")
 	}
 }

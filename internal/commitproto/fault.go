@@ -59,45 +59,37 @@ type reorderEntry struct {
 	left    int
 }
 
-// FaultTransport wraps another Transport with deterministic, scripted
-// fault injection: per message class, a FIFO script of actions is
+// FaultTransport is a deterministic, scripted fault-injection controller
+// for protocol messages: per message class, a FIFO script of actions is
 // consumed one action per message.  Every fault is chosen in advance by
-// the test, so failure interleavings reproduce exactly.  It composes with
-// any Transport — Direct or a network shard client — making the 2PC crash
-// suites runnable unchanged over each.
+// the test, so failure interleavings reproduce exactly.  Wrap puts any
+// Transport — Direct or a network shard client — behind the controller,
+// making the 2PC crash suites runnable unchanged over each.
 //
-// A FaultTransport may also act as a pure fault controller with a nil
-// inner transport: Wrap derives per-message-sink views that share the
-// controller's script, partition, and reorder state.  That is how a
-// cluster applies one persistent fault plan per shard even though its
-// Options.WrapTransport hook builds a fresh transport for every commit
-// round.
+// Every view Wrap hands out shares the controller's script, partition, and
+// reorder state.  That is how a cluster applies one persistent fault plan
+// per shard even though its Options.WrapTransport hook wraps a fresh
+// transport for every commit round.
 type FaultTransport struct {
-	inner Transport
-
 	mu          sync.Mutex
 	script      [numClasses][]FaultAction
 	reorderK    [numClasses][]int
 	held        []func()
 	pending     []reorderEntry
 	partitioned bool
-	partLeft    int
 	partDropped int
 	delay       time.Duration
 	delivered   [numClasses]int
 }
 
-var _ Transport = (*FaultTransport)(nil)
-
-// NewFaultTransport wraps inner with an empty script (all messages pass
-// through) and a default Delay duration of 10ms.  A nil inner is allowed
-// when the value is used only as a shared controller via Wrap.
-func NewFaultTransport(inner Transport) *FaultTransport {
-	return &FaultTransport{inner: inner, delay: 10 * time.Millisecond}
+// NewFaultTransport returns a controller with an empty script (all
+// messages pass through) and a default Delay duration of 10ms.
+func NewFaultTransport() *FaultTransport {
+	return &FaultTransport{delay: 10 * time.Millisecond}
 }
 
 // Wrap returns a Transport that delivers to inner while consuming this
-// transport's scripts and honouring its partition/reorder state.  All
+// controller's scripts and honouring its partition/reorder state.  All
 // views derived from one FaultTransport share that single state, so a
 // script entry is consumed by whichever view sees the next message of
 // its class — the behaviour a per-shard fault plan needs when each
@@ -143,26 +135,6 @@ func (f *FaultTransport) SetPartitioned(p bool) {
 	f.mu.Unlock()
 }
 
-// PartitionNext arms a scripted partition span: the next n messages of
-// any class are dropped as by SetPartitioned(true), after which the
-// partition heals itself.  A span is consumed before per-class scripts,
-// so it models a cut in the network rather than a targeted fault.
-func (f *FaultTransport) PartitionNext(n int) {
-	f.mu.Lock()
-	if n > f.partLeft {
-		f.partLeft = n
-	}
-	f.mu.Unlock()
-}
-
-// Partitioned reports whether a partition (toggle or unexpired span) is
-// currently in force.
-func (f *FaultTransport) Partitioned() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.partitioned || f.partLeft > 0
-}
-
 // PartitionDropped reports how many messages a partition has swallowed.
 func (f *FaultTransport) PartitionDropped() int {
 	f.mu.Lock()
@@ -206,10 +178,7 @@ func (f *FaultTransport) Delivered(class MsgClass) int {
 func (f *FaultTransport) next(class MsgClass) (action FaultAction, delay time.Duration, k int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.partitioned || f.partLeft > 0 {
-		if f.partLeft > 0 {
-			f.partLeft--
-		}
+	if f.partitioned {
 		f.partDropped++
 		return DropRequest, 0, 0
 	}
@@ -277,105 +246,51 @@ func (f *FaultTransport) drainDue() {
 	}
 }
 
-// dispatch applies the class's next scripted action around deliver,
-// which must perform the actual inner delivery (and count it).  The
-// return value reports whether the sender observes the delivery; when
-// false the sender must see the site as unreachable.
-func (f *FaultTransport) dispatch(class MsgClass, deliver func()) bool {
+// start applies the class's next scripted action to one message.  send
+// starts the inner delivery and returns its completion.  The returned
+// completion finishes whatever was started, then delivers any reorder-
+// captured message that came due — only after the inner completion has
+// returned, so the site never has two messages in flight — and reports
+// whether the sender observes the delivery; when false the sender must
+// see the site as unreachable.  A held or reorder-captured message is
+// delivered later whole: started and completed back to back.
+func (f *FaultTransport) start(class MsgClass, send func() (finish func())) func() bool {
 	action, delay, k := f.next(class)
+	deliver := func() func() {
+		f.countDelivery(class)
+		return send()
+	}
+	whole := func() { deliver()() }
+	var inFlight func()
 	visible := false
 	switch action {
 	case DropRequest:
 	case DropReply:
-		deliver()
+		inFlight = deliver()
 	case Delay:
 		time.Sleep(delay)
-		deliver()
-		visible = true
+		inFlight, visible = deliver(), true
 	case Dup:
-		deliver()
-		deliver()
-		visible = true
+		first := deliver()
+		inFlight, visible = func() { first(); whole() }, true
 	case Hold:
-		f.hold(deliver)
+		f.hold(whole)
 	case Reorder:
-		f.holdUntil(deliver, k)
+		f.holdUntil(whole, k)
 	default:
-		deliver()
-		visible = true
+		inFlight, visible = deliver(), true
 	}
-	f.drainDue()
-	return visible
+	return func() bool {
+		if inFlight != nil {
+			inFlight()
+		}
+		f.drainDue()
+		return visible
+	}
 }
 
-// prepareVia runs one Prepare through the fault machinery, delivering to
-// inner.  Shared by FaultTransport itself and Wrap views.
-func (f *FaultTransport) prepareVia(inner Transport, ctx context.Context, tx histories.TxID, timeout time.Duration) (histories.Timestamp, bool, bool) {
-	var ts histories.Timestamp
-	var ok, reached bool
-	deliver := func() {
-		f.countDelivery(ClassPrepare)
-		ts, ok, reached = inner.Prepare(ctx, tx, timeout)
-	}
-	if !f.dispatch(ClassPrepare, deliver) {
-		return 0, false, false
-	}
-	return ts, ok, reached
-}
-
-// commitVia runs one Commit decision through the fault machinery.
-func (f *FaultTransport) commitVia(inner Transport, ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) bool {
-	var acked bool
-	deliver := func() {
-		f.countDelivery(ClassCommit)
-		acked = inner.Commit(ctx, tx, ts, timeout)
-	}
-	if !f.dispatch(ClassCommit, deliver) {
-		return false
-	}
-	return acked
-}
-
-// abortVia runs one Abort decision through the fault machinery.
-func (f *FaultTransport) abortVia(inner Transport, ctx context.Context, tx histories.TxID, timeout time.Duration) bool {
-	var acked bool
-	deliver := func() {
-		f.countDelivery(ClassAbort)
-		acked = inner.Abort(ctx, tx, timeout)
-	}
-	if !f.dispatch(ClassAbort, deliver) {
-		return false
-	}
-	return acked
-}
-
-// Name implements Transport.
-func (f *FaultTransport) Name() string {
-	if f.inner == nil {
-		return "faults"
-	}
-	return f.inner.Name() + "+faults"
-}
-
-// Prepare implements Transport, applying the next scripted prepare fault.
-func (f *FaultTransport) Prepare(ctx context.Context, tx histories.TxID, timeout time.Duration) (histories.Timestamp, bool, bool) {
-	return f.prepareVia(f.inner, ctx, tx, timeout)
-}
-
-// Commit implements Transport, applying the next scripted commit-decision
-// fault.
-func (f *FaultTransport) Commit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) bool {
-	return f.commitVia(f.inner, ctx, tx, ts, timeout)
-}
-
-// Abort implements Transport, applying the next scripted abort-decision
-// fault.
-func (f *FaultTransport) Abort(ctx context.Context, tx histories.TxID, timeout time.Duration) bool {
-	return f.abortVia(f.inner, ctx, tx, timeout)
-}
-
-// faultView is a Transport bound to one inner message sink but sharing a
-// controller's fault state; see FaultTransport.Wrap.
+// faultView is the Transport Wrap hands out: it delivers to one inner
+// transport through its controller's fault state.
 type faultView struct {
 	ctl   *FaultTransport
 	inner Transport
@@ -383,16 +298,48 @@ type faultView struct {
 
 var _ Transport = (*faultView)(nil)
 
+// Name implements Transport.
 func (v *faultView) Name() string { return v.inner.Name() + "+faults" }
 
-func (v *faultView) Prepare(ctx context.Context, tx histories.TxID, timeout time.Duration) (histories.Timestamp, bool, bool) {
-	return v.ctl.prepareVia(v.inner, ctx, tx, timeout)
+// StartPrepare implements Transport, applying the next scripted prepare
+// fault.
+func (v *faultView) StartPrepare(ctx context.Context, tx histories.TxID, timeout time.Duration) func() (histories.Timestamp, bool, bool) {
+	var (
+		lower         histories.Timestamp
+		vote, reached bool
+	)
+	finish := v.ctl.start(ClassPrepare, func() func() {
+		answer := v.inner.StartPrepare(ctx, tx, timeout)
+		return func() { lower, vote, reached = answer() }
+	})
+	return func() (histories.Timestamp, bool, bool) {
+		if !finish() {
+			return 0, false, false
+		}
+		return lower, vote, reached
+	}
 }
 
-func (v *faultView) Commit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) bool {
-	return v.ctl.commitVia(v.inner, ctx, tx, ts, timeout)
+// StartCommit implements Transport, applying the next scripted
+// commit-decision fault.
+func (v *faultView) StartCommit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) func() bool {
+	return v.decision(ClassCommit, func() func() bool { return v.inner.StartCommit(ctx, tx, ts, timeout) })
 }
 
-func (v *faultView) Abort(ctx context.Context, tx histories.TxID, timeout time.Duration) bool {
-	return v.ctl.abortVia(v.inner, ctx, tx, timeout)
+// StartAbort implements Transport, applying the next scripted
+// abort-decision fault.
+func (v *faultView) StartAbort(ctx context.Context, tx histories.TxID, timeout time.Duration) func() bool {
+	return v.decision(ClassAbort, func() func() bool { return v.inner.StartAbort(ctx, tx, timeout) })
+}
+
+// decision runs one decision message, started by send, through the
+// controller: the sender sees an acknowledgement only when the message was
+// visibly delivered and the inner site acknowledged it.
+func (v *faultView) decision(class MsgClass, send func() func() bool) func() bool {
+	var acked bool
+	finish := v.ctl.start(class, func() func() {
+		answer := send()
+		return func() { acked = answer() }
+	})
+	return func() bool { return finish() && acked }
 }

@@ -9,13 +9,14 @@ import (
 	"hybridcc/internal/histories"
 )
 
-// faultPair wires two yes-voting fake participants behind fault
-// transports over the direct transport — the composition the cluster uses
-// for deterministic network-fault tests.
-func faultPair() (a, b *fakeParticipant, fa, fb *FaultTransport) {
+// faultPair wires two yes-voting fake participants behind fault views over
+// the direct transport — the composition the cluster uses for
+// deterministic network-fault tests — and returns the controllers and the
+// round's two transports.
+func faultPair() (a, b *fakeParticipant, fa, fb *FaultTransport, trs []Transport) {
 	a, b = newFake(10, true), newFake(25, true)
-	fa = NewFaultTransport(NewDirect("A", a))
-	fb = NewFaultTransport(NewDirect("B", b))
+	fa, fb = NewFaultTransport(), NewFaultTransport()
+	trs = []Transport{fa.Wrap(NewDirect("A", a)), fb.Wrap(NewDirect("B", b))}
 	return
 }
 
@@ -24,10 +25,10 @@ func faultPair() (a, b *fakeParticipant, fa, fb *FaultTransport) {
 // the reachable peer — which voted yes and holds locks — receives the
 // abort decision.
 func TestFaultDroppedPrepareAborts(t *testing.T) {
-	a, b, fa, fb := faultPair()
+	a, b, fa, _, trs := faultPair()
 	fa.Script(ClassPrepare, DropRequest)
 
-	dec, _, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+	dec, _, err := coordinator().RunTransports(context.Background(), "T1", trs)
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
 	}
@@ -50,10 +51,10 @@ func TestFaultDroppedPrepareAborts(t *testing.T) {
 // aborts, and the abort decision must still reach the prepared site —
 // otherwise it would hold locks forever.
 func TestFaultDroppedPrepareReply(t *testing.T) {
-	a, _, fa, fb := faultPair()
+	a, _, fa, _, trs := faultPair()
 	fa.Script(ClassPrepare, DropReply)
 
-	dec, _, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+	dec, _, err := coordinator().RunTransports(context.Background(), "T1", trs)
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
 	}
@@ -73,10 +74,10 @@ func TestFaultDroppedPrepareReply(t *testing.T) {
 // once votes are in; delivery failures cannot reverse it — and the held
 // message delivered later lands the same commit at the same timestamp.
 func TestFaultHeldCommitDeliveredLate(t *testing.T) {
-	a, b, fa, fb := faultPair()
+	a, b, fa, _, trs := faultPair()
 	fa.Script(ClassCommit, Hold)
 
-	dec, ts, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+	dec, ts, err := coordinator().RunTransports(context.Background(), "T1", trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +104,10 @@ func TestFaultHeldCommitDeliveredLate(t *testing.T) {
 // a no-op at the same timestamp — mirroring the real participant's
 // ErrTxDone tolerance.)
 func TestFaultDuplicateCommitIdempotent(t *testing.T) {
-	a, _, fa, fb := faultPair()
+	a, _, fa, _, trs := faultPair()
 	fa.Script(ClassCommit, Dup)
 
-	dec, ts, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+	dec, ts, err := coordinator().RunTransports(context.Background(), "T1", trs)
 	if err != nil || dec != Committed {
 		t.Fatalf("round: %v %v", dec, err)
 	}
@@ -120,10 +121,10 @@ func TestFaultDuplicateCommitIdempotent(t *testing.T) {
 
 // A partition drops everything: the round aborts and consumes no script.
 func TestFaultPartition(t *testing.T) {
-	a, _, fa, fb := faultPair()
+	a, _, fa, _, trs := faultPair()
 	fa.SetPartitioned(true)
 
-	dec, _, _ := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+	dec, _, _ := coordinator().RunTransports(context.Background(), "T1", trs)
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
 	}
@@ -133,7 +134,7 @@ func TestFaultPartition(t *testing.T) {
 
 	// Healing the partition lets the next round through.
 	fa.SetPartitioned(false)
-	dec, _, err := coordinator().RunTransports(context.Background(), "T2", []Transport{fa, fb})
+	dec, _, err := coordinator().RunTransports(context.Background(), "T2", trs)
 	if err != nil || dec != Committed {
 		t.Fatalf("post-heal round: %v %v", dec, err)
 	}
@@ -142,13 +143,13 @@ func TestFaultPartition(t *testing.T) {
 // PassThrough entries skip healthy messages, so a script can target the
 // Nth message of a class deterministically.
 func TestFaultScriptTargetsNthMessage(t *testing.T) {
-	a, _, fa, fb := faultPair()
+	a, _, fa, _, trs := faultPair()
 	fa.Script(ClassPrepare, PassThrough, DropRequest)
 
-	if dec, _, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb}); err != nil || dec != Committed {
+	if dec, _, err := coordinator().RunTransports(context.Background(), "T1", trs); err != nil || dec != Committed {
 		t.Fatalf("first round: %v %v", dec, err)
 	}
-	if dec, _, _ := coordinator().RunTransports(context.Background(), "T2", []Transport{fa, fb}); dec != Aborted {
+	if dec, _, _ := coordinator().RunTransports(context.Background(), "T2", trs); dec != Aborted {
 		t.Fatalf("second round = %v, want aborted (scripted drop)", dec)
 	}
 	if got := len(a.prepared); got != 1 {
@@ -162,10 +163,9 @@ func TestFaultScriptTargetsNthMessage(t *testing.T) {
 func TestFaultTransparentVotes(t *testing.T) {
 	a := newFake(10, true)
 	b := newFake(25, false) // votes no
-	fa := NewFaultTransport(NewDirect("A", a))
-	fb := NewFaultTransport(NewDirect("B", b))
+	trs := []Transport{NewFaultTransport().Wrap(NewDirect("A", a)), NewFaultTransport().Wrap(NewDirect("B", b))}
 
-	dec, _, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+	dec, _, err := coordinator().RunTransports(context.Background(), "T1", trs)
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
 	}
@@ -177,9 +177,8 @@ func TestFaultTransparentVotes(t *testing.T) {
 	}
 }
 
-// Reorder coverage at every 2PC message-class pair, run with both inner
-// transports (goroutine/channel Server and in-process Direct) under the
-// fault wrapper.  Reorder is Hold with an automatic release: message N is
+// Reorder coverage at every 2PC message-class pair, run with every inner
+// transport kind under a fault view.  Reorder is Hold with an automatic release: message N is
 // delivered only after k further messages have crossed the same link, so
 // each subtest pins one late-message hazard of the state machine.
 func TestFaultReorderMatrix(t *testing.T) {
@@ -195,12 +194,13 @@ func TestFaultReorderMatrix(t *testing.T) {
 				tb, stopB := kind.make(t, "B", b)
 				defer stopA()
 				defer stopB()
-				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
+				fa := NewFaultTransport()
+				trs := []Transport{fa.Wrap(ta), NewFaultTransport().Wrap(tb)}
 				// Deliveries through fa after capture: T1 abort (1),
 				// T2 prepare (2), T2 commit (3) — release after the decide.
 				fa.ScriptReorder(ClassPrepare, 3)
 
-				if dec, _, _ := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb}); dec != Aborted {
+				if dec, _, _ := coordinator().RunTransports(context.Background(), "T1", trs); dec != Aborted {
 					t.Fatalf("T1 = %v, want aborted (prepare captured)", dec)
 				}
 				if got := len(a.prepared); got != 0 {
@@ -209,7 +209,7 @@ func TestFaultReorderMatrix(t *testing.T) {
 				if fa.ReorderPending() != 1 {
 					t.Fatalf("pending = %d, want 1", fa.ReorderPending())
 				}
-				dec, ts2, err := coordinator().RunTransports(context.Background(), "T2", []Transport{fa, fb})
+				dec, ts2, err := coordinator().RunTransports(context.Background(), "T2", trs)
 				if err != nil || dec != Committed {
 					t.Fatalf("T2: %v %v", dec, err)
 				}
@@ -240,17 +240,18 @@ func TestFaultReorderMatrix(t *testing.T) {
 				tb, stopB := kind.make(t, "B", b)
 				defer stopA()
 				defer stopB()
-				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
+				fa := NewFaultTransport()
+				trs := []Transport{fa.Wrap(ta), NewFaultTransport().Wrap(tb)}
 				fa.ScriptReorder(ClassCommit, 1) // release after T2's prepare
 
-				dec, ts1, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+				dec, ts1, err := coordinator().RunTransports(context.Background(), "T1", trs)
 				if err != nil || dec != Committed {
 					t.Fatalf("T1: %v %v (decision precedes delivery)", dec, err)
 				}
 				if _, ok := a.committedTS("T1"); ok {
 					t.Fatal("captured decide delivered early")
 				}
-				dec, ts2, err := coordinator().RunTransports(context.Background(), "T2", []Transport{fa, fb})
+				dec, ts2, err := coordinator().RunTransports(context.Background(), "T2", trs)
 				if err != nil || dec != Committed {
 					t.Fatalf("T2: %v %v", dec, err)
 				}
@@ -272,17 +273,18 @@ func TestFaultReorderMatrix(t *testing.T) {
 				tb, stopB := kind.make(t, "B", b)
 				defer stopA()
 				defer stopB()
-				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
+				fa := NewFaultTransport()
+				trs := []Transport{fa.Wrap(ta), NewFaultTransport().Wrap(tb)}
 				fa.Script(ClassPrepare, DropReply) // a prepares, looks unreachable
 				fa.ScriptReorder(ClassAbort, 2)    // release after T2 prepare+decide
 
-				if dec, _, _ := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb}); dec != Aborted {
+				if dec, _, _ := coordinator().RunTransports(context.Background(), "T1", trs); dec != Aborted {
 					t.Fatalf("T1 = %v, want aborted", dec)
 				}
 				if a.abortedCount() != 0 {
 					t.Fatal("captured abort delivered early")
 				}
-				dec, ts2, err := coordinator().RunTransports(context.Background(), "T2", []Transport{fa, fb})
+				dec, ts2, err := coordinator().RunTransports(context.Background(), "T2", trs)
 				if err != nil || dec != Committed {
 					t.Fatalf("T2: %v %v", dec, err)
 				}
@@ -305,16 +307,17 @@ func TestFaultReorderMatrix(t *testing.T) {
 				tb, stopB := kind.make(t, "B", b)
 				defer stopA()
 				defer stopB()
-				fa, fb := NewFaultTransport(ta), NewFaultTransport(tb)
+				fa := NewFaultTransport()
+				trs := []Transport{fa.Wrap(ta), NewFaultTransport().Wrap(tb)}
 				fa.ScriptReorder(ClassCommit, 2) // release after redelivery + T2 prepare
 
-				dec, ts1, err := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+				dec, ts1, err := coordinator().RunTransports(context.Background(), "T1", trs)
 				if err != nil || dec != Committed {
 					t.Fatalf("T1: %v %v", dec, err)
 				}
 				// Redelivery path: the coordinator resends the unacked
 				// decision; this copy passes through and is applied.
-				if !fa.Commit(context.Background(), "T1", ts1, 500*time.Millisecond) {
+				if !trs[0].StartCommit(context.Background(), "T1", ts1, 500*time.Millisecond)() {
 					t.Fatal("redelivered decide not acked")
 				}
 				if got, ok := a.committedTS("T1"); !ok || got != ts1 {
@@ -322,7 +325,7 @@ func TestFaultReorderMatrix(t *testing.T) {
 				}
 				// Later traffic releases the reordered original — a
 				// duplicate decide for a forgotten transaction.
-				dec, _, err = coordinator().RunTransports(context.Background(), "T2", []Transport{fa, fb})
+				dec, _, err = coordinator().RunTransports(context.Background(), "T2", trs)
 				if err != nil || dec != Committed {
 					t.Fatalf("T2: %v %v", dec, err)
 				}
@@ -340,50 +343,12 @@ func TestFaultReorderMatrix(t *testing.T) {
 	}
 }
 
-// A scripted partition span drops the next n messages of any class and
-// then heals itself, modelling a cut of bounded width rather than a
-// toggled outage.
-func TestFaultPartitionSpan(t *testing.T) {
-	a, _, fa, fb := faultPair()
-	fa.PartitionNext(3)
-	if !fa.Partitioned() {
-		t.Fatal("armed span not reported as partitioned")
-	}
-
-	// Round 1 consumes prepare + abort (2 messages) on the cut link;
-	// round 2's prepare consumes the third, after which its abort crosses.
-	if dec, _, _ := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb}); dec != Aborted {
-		t.Fatal("T1 should abort across the cut")
-	}
-	if dec, _, _ := coordinator().RunTransports(context.Background(), "T2", []Transport{fa, fb}); dec != Aborted {
-		t.Fatal("T2 should abort (span still covers its prepare)")
-	}
-	if got := fa.PartitionDropped(); got != 3 {
-		t.Fatalf("span dropped %d messages, want 3", got)
-	}
-	if fa.Partitioned() {
-		t.Fatal("span did not heal after n messages")
-	}
-	if a.abortedCount() != 1 {
-		t.Fatalf("post-span abort count = %d, want 1 (T2's abort crossed)", a.abortedCount())
-	}
-
-	// Healed: the next round commits normally.
-	dec, ts, err := coordinator().RunTransports(context.Background(), "T3", []Transport{fa, fb})
-	if err != nil || dec != Committed {
-		t.Fatalf("post-heal round: %v %v", dec, err)
-	}
-	if got, ok := a.committedTS("T3"); !ok || got != ts {
-		t.Fatalf("T3 committed at %d/%v, want %d", got, ok, ts)
-	}
-}
-
 // Wrap derives per-round transports that share one controller's script
 // and partition state — the shape a cluster needs when every commit round
 // builds fresh transports but the fault plan is per shard.
 func TestFaultWrapSharesState(t *testing.T) {
 	a, b := newFake(10, true), newFake(25, true)
-	ctl := NewFaultTransport(nil)
+	ctl := NewFaultTransport()
 	ctl.Script(ClassPrepare, DropRequest)
 
 	round := func(tx histories.TxID) (Decision, histories.Timestamp, error) {
@@ -426,11 +391,11 @@ func TestFaultWrapSharesState(t *testing.T) {
 // unreachable must eventually deliver the abort when the site heals, or
 // the prepared branch would hold its locks forever.
 func TestFaultHeldAbortDeliveredLate(t *testing.T) {
-	a, _, fa, fb := faultPair()
+	a, _, fa, _, trs := faultPair()
 	fa.Script(ClassPrepare, DropReply) // a prepares, coordinator sees it unreachable
 	fa.Script(ClassAbort, Hold)        // ...and the abort is held
 
-	dec, _, _ := coordinator().RunTransports(context.Background(), "T1", []Transport{fa, fb})
+	dec, _, _ := coordinator().RunTransports(context.Background(), "T1", trs)
 	if dec != Aborted {
 		t.Fatalf("decision = %v, want aborted", dec)
 	}

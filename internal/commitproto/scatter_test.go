@@ -14,19 +14,17 @@ import (
 	"hybridcc/internal/histories"
 )
 
-// scatterDirect is the test double of a wire transport: a Direct with the
-// Scatterer capability, whose started messages are delivered on a goroutine
-// and completed by waiting for it, so the coordinator's scatter–gather path
-// runs without sockets (transportKinds puts it beside the two inline
-// kinds).  It also polices the Scatterer contract: at most one message in
-// flight per site, and every completion run exactly once.
+// scatterDirect is the test double of a wire transport: a Direct whose
+// started messages are delivered on a goroutine and completed by waiting
+// for it, so a round's replies arrive after every site's Start has returned
+// — as over sockets — without sockets (transportKinds puts it beside the
+// bare Direct).  It also polices the Transport contract: at most one
+// message in flight per site, and every completion run exactly once.
 type scatterDirect struct {
 	*Direct
 	t        *testing.T
 	inFlight atomic.Int32
 }
-
-var _ Scatterer = (*scatterDirect)(nil)
 
 func newScatterDirect(t *testing.T, name string, p Participant) *scatterDirect {
 	s := &scatterDirect{Direct: NewDirect(name, p), t: t}
@@ -57,47 +55,30 @@ func (s *scatterDirect) start(deliver func()) (wait func()) {
 }
 
 func (s *scatterDirect) StartPrepare(ctx context.Context, tx histories.TxID, timeout time.Duration) func() (histories.Timestamp, bool, bool) {
-	var (
-		lower    histories.Timestamp
-		vote, ok bool
-	)
-	wait := s.start(func() { lower, vote, ok = s.Direct.Prepare(ctx, tx, timeout) })
+	var answer func() (histories.Timestamp, bool, bool)
+	wait := s.start(func() { answer = s.Direct.StartPrepare(ctx, tx, timeout) })
 	return func() (histories.Timestamp, bool, bool) {
 		wait()
-		return lower, vote, ok
+		return answer()
 	}
 }
 
 func (s *scatterDirect) StartCommit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) func() bool {
-	var ok bool
-	wait := s.start(func() { ok = s.Direct.Commit(ctx, tx, ts, timeout) })
+	var answer func() bool
+	wait := s.start(func() { answer = s.Direct.StartCommit(ctx, tx, ts, timeout) })
 	return func() bool {
 		wait()
-		return ok
+		return answer()
 	}
 }
 
 func (s *scatterDirect) StartAbort(ctx context.Context, tx histories.TxID, timeout time.Duration) func() bool {
-	var ok bool
-	wait := s.start(func() { ok = s.Direct.Abort(ctx, tx, timeout) })
+	var answer func() bool
+	wait := s.start(func() { answer = s.Direct.StartAbort(ctx, tx, timeout) })
 	return func() bool {
 		wait()
-		return ok
+		return answer()
 	}
-}
-
-// The blocking methods are the two halves back to back, as the capability
-// requires of a real transport.
-func (s *scatterDirect) Prepare(ctx context.Context, tx histories.TxID, timeout time.Duration) (histories.Timestamp, bool, bool) {
-	return s.StartPrepare(ctx, tx, timeout)()
-}
-
-func (s *scatterDirect) Commit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) bool {
-	return s.StartCommit(ctx, tx, ts, timeout)()
-}
-
-func (s *scatterDirect) Abort(ctx context.Context, tx histories.TxID, timeout time.Duration) bool {
-	return s.StartAbort(ctx, tx, timeout)()
 }
 
 // eventLog is an ordered record of what a round did, shared by its sites
@@ -113,9 +94,8 @@ func (l *eventLog) add(format string, args ...any) {
 	l.mu.Unlock()
 }
 
-// tracedSite is a scatter-capable site that does nothing but log which half
-// of which message ran, so a test can pin the exact order of a round.  Its
-// blocking methods log "call": they must not run in a scattered round.
+// tracedSite is a site that does nothing but log which half of which
+// message ran, so a test can pin the exact order of a round.
 type tracedSite struct {
 	name string
 	log  *eventLog
@@ -148,21 +128,6 @@ func (s *tracedSite) StartAbort(context.Context, histories.TxID, time.Duration) 
 	return s.decision("abort")
 }
 
-func (s *tracedSite) Prepare(context.Context, histories.TxID, time.Duration) (histories.Timestamp, bool, bool) {
-	s.log.add("call prepare %s", s.name)
-	return 1, s.vote, true
-}
-
-func (s *tracedSite) Commit(context.Context, histories.TxID, histories.Timestamp, time.Duration) bool {
-	s.log.add("call commit %s", s.name)
-	return true
-}
-
-func (s *tracedSite) Abort(context.Context, histories.TxID, time.Duration) bool {
-	s.log.add("call abort %s", s.name)
-	return true
-}
-
 // tracedRound runs one round over sites A, B and C (B voting as given) with
 // both decision hooks logging, and returns the decision and the event log.
 func tracedRound(t *testing.T, bVotes bool, logErr error, wrap func(i int, tr Transport) Transport) (Decision, []string) {
@@ -188,8 +153,8 @@ func tracedRound(t *testing.T, bVotes bool, logErr error, wrap func(i int, tr Tr
 	return dec, log.events
 }
 
-// round is the expected log of one scattered message round over A, B, C:
-// every start before any finish.
+// round is the expected log of one message round over A, B, C: every
+// start before any finish.
 func round(kind string) []string {
 	var ev []string
 	for _, half := range []string{"start", "finish"} {
@@ -200,10 +165,10 @@ func round(kind string) []string {
 	return ev
 }
 
-// A round whose transports all have the capability scatters each of its
-// messages to every site before it gathers any reply, writes the decision
-// log between the last vote and the first commit message, and resolves the
-// decision after the last acknowledgement.
+// A round starts each of its messages at every site before it gathers any
+// reply, writes the decision log between the last vote and the first
+// commit message, and resolves the decision after the last
+// acknowledgement.
 func TestScatterCommitRoundOrder(t *testing.T) {
 	dec, got := tracedRound(t, true, nil, nil)
 	want := slices.Concat(round("prepare"), []string{"decision logged"}, round("commit"), []string{"decision resolved"})
@@ -224,7 +189,7 @@ func TestScatterGathersEveryVoteBeforeAborting(t *testing.T) {
 }
 
 // A decision the log refuses is never started at any site: the round turns
-// into a scattered abort.
+// into an abort round.
 func TestScatterDecisionLogFailureAborts(t *testing.T) {
 	dec, got := tracedRound(t, true, errors.New("disk full"), nil)
 	want := slices.Concat(round("prepare"), []string{"decision logged"}, round("abort"))
@@ -233,33 +198,30 @@ func TestScatterDecisionLogFailureAborts(t *testing.T) {
 	}
 }
 
-// The path is chosen by what the transports are: one site without the
-// capability — a bare Direct, or a FaultTransport around a capable
-// transport — puts the whole round on the blocking methods.
+// Every transport takes the same path, whatever it is: a bare Direct in
+// place of one traced site leaves the other sites' events as they were, and
+// a fault view with an empty script around every site leaves the round's
+// event log identical to the bare round's.
 func TestScatterNeedsEveryTransportCapable(t *testing.T) {
-	wraps := map[string]func(i int, tr Transport) Transport{
-		"one direct": func(i int, tr Transport) Transport {
+	_, bare := tracedRound(t, true, nil, nil)
+	t.Run("one direct", func(t *testing.T) {
+		dec, got := tracedRound(t, true, nil, func(i int, tr Transport) Transport {
 			if i == 2 {
 				return NewDirect("C", newFake(1, true))
 			}
 			return tr
-		},
-		"fault-wrapped": func(_ int, tr Transport) Transport { return NewFaultTransport(tr) },
-	}
-	for name, wrap := range wraps {
-		t.Run(name, func(t *testing.T) {
-			dec, got := tracedRound(t, true, nil, wrap)
-			if dec != Committed {
-				t.Fatalf("decision %v", dec)
-			}
-			for _, ev := range got {
-				if !strings.HasPrefix(ev, "call") && !strings.HasPrefix(ev, "decision") {
-					t.Fatalf("a half ran in a round that must not scatter: %q", got)
-				}
-			}
-			if !slices.Contains(got, "call commit A") {
-				t.Fatalf("blocking commit never reached A: %q", got)
-			}
 		})
-	}
+		atC := func(ev string) bool { return strings.HasSuffix(ev, " C") }
+		want := slices.DeleteFunc(slices.Clone(bare), atC)
+		if dec != Committed || !slices.Equal(got, want) {
+			t.Fatalf("decision %v, events:\n%q\nwant:\n%q", dec, got, want)
+		}
+	})
+	t.Run("fault-wrapped", func(t *testing.T) {
+		ctl := NewFaultTransport()
+		dec, got := tracedRound(t, true, nil, func(_ int, tr Transport) Transport { return ctl.Wrap(tr) })
+		if dec != Committed || !slices.Equal(got, bare) {
+			t.Fatalf("decision %v, events:\n%q\nwant:\n%q", dec, got, bare)
+		}
+	})
 }

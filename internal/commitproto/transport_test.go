@@ -15,11 +15,10 @@ import (
 
 // The protocol must behave identically over the in-process transport bare,
 // behind the fault-injection wrapper (with an empty script: a transparent
-// FaultTransport must change nothing), and over a transport with the
-// Scatterer capability, so the core protocol suite runs against each: the
-// first two take the coordinator's inline path, the third its
-// scatter–gather path.  Lost, delayed, duplicated and reordered messages
-// are scripted in fault_test.go.
+// fault view must change nothing), and over a transport whose replies
+// arrive later than its Start returns, bare and wrapped — so the core
+// protocol suite runs against each.  Lost, delayed, duplicated and
+// reordered messages are scripted in fault_test.go.
 
 // transportKinds enumerates the factory shapes under test.  crash makes
 // the site unreachable from then on.
@@ -33,11 +32,15 @@ var transportKinds = []struct {
 	}},
 	{"fault(direct)", func(_ *testing.T, name string, p Participant) (Transport, func()) {
 		d := NewDirect(name, p)
-		return NewFaultTransport(d), d.Crash
+		return NewFaultTransport().Wrap(d), d.Crash
 	}},
 	{"scatter(direct)", func(t *testing.T, name string, p Participant) (Transport, func()) {
 		s := newScatterDirect(t, name, p)
 		return s, s.Crash
+	}},
+	{"fault(scatter(direct))", func(t *testing.T, name string, p Participant) (Transport, func()) {
+		s := newScatterDirect(t, name, p)
+		return NewFaultTransport().Wrap(s), s.Crash
 	}},
 }
 
@@ -149,8 +152,8 @@ func TestTransportCancelledBeforePrepareAborts(t *testing.T) {
 	}
 }
 
-// TestTransportWideFanOut exercises the pooled-worker prepare and decision
-// fan-outs (>2 participants): all sites must vote and all must receive the
+// TestTransportWideFanOut runs a round wider than the coordinator's stack
+// buffers (>4 participants): all sites must vote and all must receive the
 // one decision timestamp.
 func TestTransportWideFanOut(t *testing.T) {
 	for _, kind := range transportKinds {
@@ -178,11 +181,10 @@ func TestTransportWideFanOut(t *testing.T) {
 	}
 }
 
-// TestTransportConcurrentRoundsSharedWorkers runs many wide rounds through
-// ONE coordinator concurrently: the rounds share its prepare fan-out
-// worker pool, and every round must still get a distinct timestamp and a
-// consistent decision.
-func TestTransportConcurrentRoundsSharedWorkers(t *testing.T) {
+// TestTransportConcurrentRounds runs many wide rounds through ONE
+// coordinator concurrently, each on its own goroutine: every round must
+// still get a distinct timestamp and a consistent decision.
+func TestTransportConcurrentRounds(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			coord := coordinator()
@@ -222,36 +224,6 @@ func TestTransportConcurrentRoundsSharedWorkers(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestWorkerPoolGrowsPastStalledWorkers pins the pool's no-queuing-behind-
-// a-stall rule: tasks submitted while every existing worker is blocked
-// must get fresh workers (up to the bound), not a place in line behind
-// the stall.  Under the bug where the pool only ever spawned one worker,
-// the later tasks would never start and this test would time out.
-func TestWorkerPoolGrowsPastStalledWorkers(t *testing.T) {
-	p := newWorkerPool()
-	const n = 4
-	gate := make(chan struct{})
-	var running sync.WaitGroup
-	running.Add(n)
-	for i := 0; i < n; i++ {
-		p.submit(func() {
-			running.Done()
-			<-gate
-		})
-	}
-	done := make(chan struct{})
-	go func() {
-		running.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("tasks queued behind stalled workers instead of getting fresh ones")
-	}
-	close(gate)
 }
 
 // droppingParticipant swallows commit decisions until deliver is set,
@@ -294,7 +266,7 @@ func TestDirectTransportLateDecisionDelivery(t *testing.T) {
 	}
 	// Recovery: re-deliver through the still-live transport.
 	drop.deliver.Store(true)
-	if !td.Commit(context.Background(), "T1", ts, time.Second) {
+	if !td.StartCommit(context.Background(), "T1", ts, time.Second)() {
 		t.Fatal("recovery delivery failed on a live direct transport")
 	}
 	if got, ok := dropped.committedTS("T1"); !ok || got != ts {

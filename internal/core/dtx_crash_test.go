@@ -41,8 +41,8 @@ func makeTransport(kind, name string, p commitproto.Participant) protoTransport 
 	case "direct":
 		return protoTransport{tr: d, crash: d.Crash}
 	case "fault(direct)":
-		f := commitproto.NewFaultTransport(d)
-		return protoTransport{tr: f, crash: d.Crash, faults: f}
+		f := commitproto.NewFaultTransport()
+		return protoTransport{tr: f.Wrap(d), crash: d.Crash, faults: f}
 	default:
 		panic("unknown transport kind " + kind)
 	}
@@ -166,7 +166,7 @@ func TestCrashAfterVoteLeavesBranchPreparedUntilDecision(t *testing.T) {
 			// point.  CommitAt is idempotent in outcome: the branch merges
 			// at the timestamp every other site already used.
 			dropB.recover()
-			if !tb.tr.Commit(context.Background(), "gtx", ts, time.Second) {
+			if !tb.tr.StartCommit(context.Background(), "gtx", ts, time.Second)() {
 				t.Fatal("recovery delivery failed on a live transport")
 			}
 			if got := adt.AccountBalance(b.acc.CommittedState()); got != 90 {

@@ -25,8 +25,8 @@ import (
 // operation path of a remote System), and its Transport view implements
 // commitproto.Transport (the 2PC message path of the cluster
 // coordinator), so the same connection pool carries calls, votes, and
-// decisions.  The two interfaces both name Commit and Abort with
-// different shapes, hence the separate Transport adapter.
+// decisions.  The separate Transport adapter keeps the protocol's
+// Start methods off the client's own operation API.
 //
 // Connections are pinned per transaction: a transaction's first RPC
 // checks a connection out of the pool and every later RPC of that
@@ -851,37 +851,20 @@ type shardTransport struct{ c *ShardClient }
 var (
 	_ core.RemoteShard      = (*ShardClient)(nil)
 	_ commitproto.Transport = shardTransport{}
-	_ commitproto.Scatterer = shardTransport{}
 )
 
 // Name implements commitproto.Transport.
 func (t shardTransport) Name() string { return t.c.Name() }
 
 // The three protocol messages are each one exchange in two halves: the
-// Start method (commitproto.Scatterer) puts the request on the wire, and
-// the completion it returns reads the reply and does all the bookkeeping —
-// breaker, unpinning, background redelivery.  The blocking methods are the
-// two halves back to back.
-
-// Prepare implements commitproto.Transport.
-func (t shardTransport) Prepare(ctx context.Context, tx histories.TxID, timeout time.Duration) (histories.Timestamp, bool, bool) {
-	return t.StartPrepare(ctx, tx, timeout)()
-}
-
-// Commit implements commitproto.Transport.
-func (t shardTransport) Commit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) bool {
-	return t.StartCommit(ctx, tx, ts, timeout)()
-}
-
-// Abort implements commitproto.Transport.
-func (t shardTransport) Abort(ctx context.Context, tx histories.TxID, timeout time.Duration) bool {
-	return t.StartAbort(ctx, tx, timeout)()
-}
+// Start method puts the request on the wire, and the completion it returns
+// reads the reply and does all the bookkeeping — breaker, unpinning,
+// background redelivery.
 
 // unreachable is the prepare completion of a site no request was sent to.
 func unreachable() (histories.Timestamp, bool, bool) { return 0, false, false }
 
-// StartPrepare implements commitproto.Scatterer: send the prepare request
+// StartPrepare implements commitproto.Transport: send the prepare request
 // on the transaction's pinned connection (an owed error is a no vote); the
 // completion relays the shard's vote.  A transport failure in either half
 // is "unreachable" (ok=false) — the coordinator treats it as a veto, and
@@ -926,7 +909,7 @@ func (t shardTransport) StartPrepare(ctx context.Context, tx histories.TxID, tim
 	}
 }
 
-// StartCommit implements commitproto.Scatterer: send the commit decision.
+// StartCommit implements commitproto.Transport: send the commit decision.
 // A failed delivery is re-attempted in the background until the shard
 // acknowledges — the decision is logged and irreversible, and a prepared
 // branch holds its locks until it learns its fate.
@@ -934,7 +917,7 @@ func (t shardTransport) StartCommit(ctx context.Context, tx histories.TxID, ts h
 	return t.c.startDecision(tx, msgDecide, ts, timeout)
 }
 
-// StartAbort implements commitproto.Scatterer: send the abort decision,
+// StartAbort implements commitproto.Transport: send the abort decision,
 // with background redelivery on failure (a disowned prepared branch would
 // otherwise hold its locks until the shard restarts).
 func (t shardTransport) StartAbort(ctx context.Context, tx histories.TxID, timeout time.Duration) func() bool {

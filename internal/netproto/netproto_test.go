@@ -490,16 +490,16 @@ func TestPrepareDecideCommits(t *testing.T) {
 	}
 	tr := c.Transport()
 	c.StampParticipants("T1", 2)
-	lower, vote, ok := tr.Prepare(ctx, "T1", time.Second)
+	lower, vote, ok := tr.StartPrepare(ctx, "T1", time.Second)()
 	if !ok || !vote {
 		t.Fatalf("prepare: vote=%v ok=%v", vote, ok)
 	}
 	ts := lower + 1000
-	if !tr.Commit(ctx, "T1", ts, time.Second) {
+	if !tr.StartCommit(ctx, "T1", ts, time.Second)() {
 		t.Fatal("decision delivery failed")
 	}
 	// Redelivery of the same decision acknowledges idempotently.
-	if !tr.Commit(ctx, "T1", ts, time.Second) {
+	if !tr.StartCommit(ctx, "T1", ts, time.Second)() {
 		t.Fatal("decision redelivery failed")
 	}
 	res, err := c.Call(ctx, "T2", "ctr", adt.CtrReadInv())
@@ -524,7 +524,7 @@ func TestPreparedBranchSurvivesConnectionLoss(t *testing.T) {
 	if _, err := c.Call(ctx, "T1", "ctr", adt.IncInv(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, vote, ok := c.Transport().Prepare(ctx, "T1", time.Second); !vote || !ok {
+	if _, vote, ok := c.Transport().StartPrepare(ctx, "T1", time.Second)(); !vote || !ok {
 		t.Fatal("prepare refused")
 	}
 	// The coordinator dies: its connections close.  The prepared branch
@@ -540,7 +540,7 @@ func TestPreparedBranchSurvivesConnectionLoss(t *testing.T) {
 
 	// A new client delivers the decision on a fresh connection.
 	c2 := dialTest(t, addr, 0, 1, ClientOptions{})
-	if !c2.Transport().Commit(ctx, "T1", 50_001, time.Second) {
+	if !c2.Transport().StartCommit(ctx, "T1", 50_001, time.Second)() {
 		t.Fatal("decision on fresh connection refused")
 	}
 	res, err := c2.Call(ctx, "T2", "ctr", adt.CtrReadInv())
@@ -706,7 +706,7 @@ func TestHungPeerTimesOut(t *testing.T) {
 		t.Fatalf("timeout took %s", d)
 	}
 
-	if _, vote, ok := c.Transport().Prepare(context.Background(), "T2", 300*time.Millisecond); vote || ok {
+	if _, vote, ok := c.Transport().StartPrepare(context.Background(), "T2", 300*time.Millisecond)(); vote || ok {
 		t.Fatalf("prepare on hung peer: vote=%v ok=%v, want unreachable", vote, ok)
 	}
 
@@ -1018,7 +1018,7 @@ func TestDecideFailureKeepsBranchPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := c.Transport()
-	lower, vote, ok := tr.Prepare(ctx, "T1", time.Second)
+	lower, vote, ok := tr.StartPrepare(ctx, "T1", time.Second)()
 	if !vote || !ok {
 		t.Fatal("prepare refused")
 	}
@@ -1028,7 +1028,7 @@ func TestDecideFailureKeepsBranchPending(t *testing.T) {
 	sys.CrashLog()
 	ts := lower + 1000
 
-	if tr.Commit(ctx, "T1", ts, time.Second) {
+	if tr.StartCommit(ctx, "T1", ts, time.Second)() {
 		t.Fatal("undurable commit decision acknowledged")
 	}
 	if !srvHasTx(srv, "T1") {
@@ -1037,7 +1037,7 @@ func TestDecideFailureKeepsBranchPending(t *testing.T) {
 	if _, err := c.probeCommit("T1"); !errors.Is(err, core.ErrOutcomeUnknown) {
 		t.Fatalf("probe after failed decide: %v, want still-pending (ErrOutcomeUnknown)", err)
 	}
-	if tr.Commit(ctx, "T1", ts, time.Second) {
+	if tr.StartCommit(ctx, "T1", ts, time.Second)() {
 		t.Fatal("redelivered undurable decision acknowledged")
 	}
 	if !srvHasTx(srv, "T1") {

@@ -378,17 +378,23 @@ func BenchmarkSpecReplay(b *testing.B) {
 }
 
 // BenchmarkDialedPayment runs payment(1) and payment(7) — a Debit, then
-// one or seven Credits, all on one shard — over two in-test shard servers
-// on loopback, and reports round_trips/op as the shards' listeners count
-// them (direction flips ÷ 2, as benchmark/proxy.go does).  The Credits go
-// write-behind, so both shapes take three round trips: the Debit, the
-// owed replies, the commit.
+// one or seven Credits, all on one shard — and cross payment(1), whose
+// Credit is on the other shard, over two in-test shard servers on
+// loopback, and reports round_trips/op as the shards' listeners count them
+// (direction flips ÷ 2, as benchmark/proxy.go does).  The Credits go
+// write-behind, so the one-shard shapes take three round trips: the Debit,
+// the owed replies, the commit.  The cross shape takes five: the Debit,
+// two prepares (the Credit's rides in front of one) and two decisions.
 func BenchmarkDialedPayment(b *testing.B) {
-	for _, credits := range []int{1, 7} {
-		b.Run(fmt.Sprintf("payment(%d)", credits), func(b *testing.B) {
+	for _, shape := range []struct {
+		name           string
+		credits, shard int
+	}{{"payment(1)", 1, 0}, {"payment(7)", 7, 0}, {"cross payment(1)", 1, 1}} {
+		credits := shape.credits
+		b.Run(shape.name, func(b *testing.B) {
 			wc := newWireCounter()
 			c, accts := dialAccounts(b, 2, credits+1, time.Second, 5*time.Second, wc)
-			from, to := accts[0][0], accts[0][1:]
+			from, to := accts[0][0], accts[shape.shard][1:]
 			if err := c.Atomically(func(tx *DTx) error { return from.Credit(tx, 1<<40) }); err != nil {
 				b.Fatal(err)
 			}

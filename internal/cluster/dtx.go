@@ -181,7 +181,7 @@ func (t *DTx) Commit() error {
 		return nil
 	}
 	for _, b := range order {
-		_ = b.tx.Abort()
+		_ = b.tx.AbortDecided()
 	}
 	t.c.stats.aborted.Add(1)
 	t.c.stats.protocolAborts.Add(1)

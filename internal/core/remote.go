@@ -167,63 +167,59 @@ func (t *Tx) remoteCommit() error {
 		return err
 	}
 	ts, err := t.sys.remote.Commit(t.ctx, t.ID())
-	if err != nil {
-		t.mu.Lock()
-		t.status = txAborted
-		t.mu.Unlock()
-		t.sys.stats.Aborted.Add(1)
-		if errors.Is(err, ErrOutcomeUnknown) {
-			return err
-		}
-		t.recordRemoteCompletion(false, 0)
-		return err
-	}
-	t.mu.Lock()
-	t.ts = ts
-	t.status = txCommitted
-	t.mu.Unlock()
-	t.sys.clock.Observe(ts)
-	t.recordRemoteCompletion(true, ts)
-	t.sys.stats.Committed.Add(1)
-	return nil
+	t.remoteDone(err == nil, ts, !errors.Is(err, ErrOutcomeUnknown))
+	return err
 }
 
 // remoteAbort aborts the transaction on the shard, best-effort: the local
 // handle is dead either way, and a lost abort resolves server-side when
 // the connection drops (non-prepared) or by presumed abort (prepared).
 func (t *Tx) remoteAbort() error {
+	err := t.remoteDecided(false, 0)
+	if err == nil {
+		_ = t.sys.remote.Abort(context.Background(), t.ID())
+	}
+	return err
+}
+
+// remoteDecided completes an active remote branch's handle with an
+// atomic-commitment decision — commit at ts, or abort — and sends nothing:
+// the commit protocol transport (netproto.ShardClient) delivers, and
+// redelivers, the decision itself.  It never fails with anything but
+// ErrTxDone, which the cluster's re-apply loop treats as already-applied.
+func (t *Tx) remoteDecided(commit bool, ts histories.Timestamp) error {
 	t.mu.Lock()
-	if t.status != txActive {
-		t.mu.Unlock()
+	active := t.status == txActive
+	if active {
+		t.status = txCommitting
+	}
+	t.mu.Unlock()
+	if !active {
 		return ErrTxDone
 	}
-	t.status = txAborted
-	t.mu.Unlock()
-	_ = t.sys.remote.Abort(context.Background(), t.ID())
-	t.recordRemoteCompletion(false, 0)
-	t.sys.stats.Aborted.Add(1)
+	t.remoteDone(commit, ts, true)
 	return nil
 }
 
-// remoteCommitAt applies an atomic-commitment decision to a remote branch.
-// The decision already travelled to the shard through the commit protocol
-// transport (netproto.ShardClient delivers — and redelivers — it); here we
-// only mark the local handle committed and record its events.  It never
-// fails with anything but ErrTxDone, which the cluster re-apply loop
-// treats as already-applied.
-func (t *Tx) remoteCommitAt(ts histories.Timestamp) error {
+// remoteDone moves a remote transaction out of txCommitting — committed at
+// ts, or aborted — and, when record is set, records its completion events.
+func (t *Tx) remoteDone(commit bool, ts histories.Timestamp, record bool) {
 	t.mu.Lock()
-	if t.status != txActive {
-		t.mu.Unlock()
-		return ErrTxDone
+	if commit {
+		t.ts, t.status = ts, txCommitted
+	} else {
+		t.status = txAborted
 	}
-	t.ts = ts
-	t.status = txCommitted
 	t.mu.Unlock()
-	t.sys.clock.Observe(ts)
-	t.recordRemoteCompletion(true, ts)
-	t.sys.stats.Committed.Add(1)
-	return nil
+	if commit {
+		t.sys.clock.Observe(ts)
+		t.sys.stats.Committed.Add(1)
+	} else {
+		t.sys.stats.Aborted.Add(1)
+	}
+	if record {
+		t.recordRemoteCompletion(commit, ts)
+	}
 }
 
 // remoteReadCall executes one read-only operation at the branch's snapshot

@@ -353,6 +353,15 @@ func (t *Tx) Abort() error {
 	return nil
 }
 
+// AbortDecided is Abort for a branch whose abort decision the commit
+// protocol delivered: a remote branch sends no second abort.
+func (t *Tx) AbortDecided() error {
+	if t.sys.remote != nil {
+		return t.remoteDecided(false, 0)
+	}
+	return t.Abort()
+}
+
 // Prepare exposes the transaction's maximum recorded lower bound for use
 // by an external atomic-commitment protocol (internal/commitproto): the
 // coordinator must choose a commit timestamp greater than this bound, then
@@ -429,7 +438,7 @@ func (t *Tx) SetParticipants(n int) {
 // transactions to account for externally timestamped commits.
 func (t *Tx) CommitAt(ts histories.Timestamp) error {
 	if t.sys.remote != nil {
-		return t.remoteCommitAt(ts)
+		return t.remoteDecided(true, ts)
 	}
 	if !t.sys.opts.ExternalTimestamps {
 		return ErrExternalTS

@@ -36,8 +36,9 @@ import (
 //
 // A WriteBehind call is buffered on the pinned connection and its reply is
 // owed: the next request carries it and reads the owed replies first.
-// Commit and Prepare read them before their own frame goes out; Abort
-// goes out behind them.
+// Only Commit reads them before its own frame goes out, because a commit
+// cannot be overruled; a prepare's vote can, so Prepare goes out behind
+// them like Abort, and an owed error turns its vote into a no.
 //
 // Decision delivery is reliable-until-resolved: a commit or abort
 // decision that cannot be delivered now (shard down, connection broken)
@@ -490,27 +491,6 @@ func (c *ShardClient) txRPC(ctx context.Context, tx histories.TxID, req *message
 	return resp, nil
 }
 
-// drain flushes tx's write-behind calls and reads their replies, bounded
-// from now however long ago they were buffered.  A transport failure
-// closes the connection, which aborts the branch.
-func (c *ShardClient) drain(tx histories.TxID, rc *rpcConn, timeout time.Duration) error {
-	if rc.owed == 0 {
-		return nil
-	}
-	err := rc.nc.SetDeadline(time.Now().Add(timeout))
-	if err == nil {
-		if err = rc.w.Flush(); err == nil {
-			err = rc.settle()
-		}
-	}
-	c.bk.observe(err == nil)
-	if err != nil {
-		c.unpin(tx, true)
-		return fmt.Errorf("%w: %s: %v", ErrUnavailable, c.addr, err)
-	}
-	return nil
-}
-
 // oneShot runs one RPC on any pooled connection.
 func (c *ShardClient) oneShot(ctx context.Context, req *message) (message, error) {
 	rc, err := c.anyConn()
@@ -691,9 +671,11 @@ func (c *ShardClient) WriteBehind(ctx context.Context, tx histories.TxID, obj hi
 
 // Commit implements core.RemoteShard: the single-shard fast path, after
 // the owed replies (an error among them aborts the branch and is
-// returned).  When the round trip fails mid-flight the commit may or may
-// not have landed; a status probe on a fresh connection settles it, and an
-// unsettled fate is reported as ErrOutcomeUnknown rather than guessed.
+// returned), read in their own round trip bounded from now: a commit
+// cannot be overruled.  When the commit's round trip fails mid-flight it
+// may or may not have landed; a status probe on a fresh connection settles
+// it, and an unsettled fate is reported as ErrOutcomeUnknown rather than
+// guessed.
 func (c *ShardClient) Commit(ctx context.Context, tx histories.TxID) (histories.Timestamp, error) {
 	rc, err := c.connFor(tx)
 	if err != nil {
@@ -702,8 +684,17 @@ func (c *ShardClient) Commit(ctx context.Context, tx histories.TxID) (histories.
 		return 0, err
 	}
 	timeout := c.timeoutFor(ctx)
-	if err := c.drain(tx, rc, timeout); err != nil {
-		return 0, err
+	if rc.owed > 0 {
+		if err = rc.nc.SetDeadline(time.Now().Add(timeout)); err == nil {
+			if err = rc.w.Flush(); err == nil {
+				err = rc.settle()
+			}
+		}
+		c.bk.observe(err == nil)
+		if err != nil {
+			c.unpin(tx, true)
+			return 0, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.addr, err)
+		}
 	}
 	if failed := rc.failed; failed != nil {
 		_ = c.Abort(ctx, tx)
@@ -865,12 +856,14 @@ func (t shardTransport) Name() string { return t.c.Name() }
 func unreachable() (histories.Timestamp, bool, bool) { return 0, false, false }
 
 // StartPrepare implements commitproto.Transport: send the prepare request
-// on the transaction's pinned connection (an owed error is a no vote); the
-// completion relays the shard's vote.  A transport failure in either half
-// is "unreachable" (ok=false) — the coordinator treats it as a veto, and
-// the shard's branch either died with the connection (unprepared) or
-// resolves by presumed abort.  The participant count StampParticipants
-// left is consumed here, whether or not the request can be sent.
+// on the transaction's pinned connection, behind its owed calls; the
+// completion reads their replies, then the vote.  An owed error is a no
+// vote, even over a yes: the abort decision reaches the prepared branch.
+// A transport failure in either half is "unreachable" (ok=false) — the
+// coordinator treats it as a veto, and the shard's branch either died with
+// the connection (unprepared) or resolves by presumed abort.  The
+// participant count StampParticipants left is consumed here, whether or
+// not the request can be sent.
 func (t shardTransport) StartPrepare(ctx context.Context, tx histories.TxID, timeout time.Duration) func() (histories.Timestamp, bool, bool) {
 	c := t.c
 	c.mu.Lock()
@@ -884,9 +877,6 @@ func (t shardTransport) StartPrepare(ctx context.Context, tx histories.TxID, tim
 	d := c.timeoutFor(ctx)
 	if timeout > 0 && timeout < d {
 		d = timeout
-	}
-	if c.drain(tx, rc, d) != nil {
-		return unreachable
 	}
 	if rc.failed != nil {
 		return func() (histories.Timestamp, bool, bool) { return 0, false, true }
@@ -902,7 +892,7 @@ func (t shardTransport) StartPrepare(ctx context.Context, tx histories.TxID, tim
 			c.unpin(tx, true)
 			return 0, false, false
 		}
-		if resp.typ != msgVote || resp.flag != 1 {
+		if rc.failed != nil || resp.typ != msgVote || resp.flag != 1 {
 			return 0, false, true
 		}
 		return histories.Timestamp(resp.ts), true, true

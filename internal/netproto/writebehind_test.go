@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hybridcc/internal/adt"
+	"hybridcc/internal/commitproto"
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
@@ -159,6 +161,110 @@ func TestOwedErrorFailsNextCall(t *testing.T) {
 	}
 	if err := c.Abort(ctx, "H"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// afterPrepare runs a check when a prepare's completion has read the vote,
+// before the coordinator sends its decision.
+type afterPrepare struct {
+	commitproto.Transport
+	check func(vote, ok bool)
+}
+
+func (a afterPrepare) StartPrepare(ctx context.Context, tx histories.TxID, timeout time.Duration) func() (histories.Timestamp, bool, bool) {
+	finish := a.Transport.StartPrepare(ctx, tx, timeout)
+	return func() (histories.Timestamp, bool, bool) {
+		lower, vote, ok := finish()
+		a.check(vote, ok)
+		return lower, vote, ok
+	}
+}
+
+// TestOwedErrorBehindYesVote: a prepare goes out behind the transaction's
+// owed calls.  One of them, a Credit, waits out the shard's lock wait
+// behind a holder and fails, and the shard prepares the branch anyway; the
+// client reports a no vote, and the abort decision reaches the prepared
+// branch: the lock its other Credit took is free at once, a status probe
+// answers aborted, and a restart of the durable shard finds no pending
+// branch.
+func TestOwedErrorBehindYesVote(t *testing.T) {
+	const lockWait = 200 * time.Millisecond
+	dir := t.TempDir()
+	sys, err := core.OpenSystem(core.Options{
+		Clock:              tstamp.NewNodeClock(0, 2),
+		ExternalTimestamps: true,
+		LockWait:           lockWait,
+		Durability:         &core.Durability{Dir: filepath.Join(dir, "wal"), Sync: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, _, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, srv := serveSystem(t, sys, 0, 1, cat)
+	c := dialTest(t, addr, 0, 1, ClientOptions{})
+	for _, name := range []string{"acct", "other"} {
+		if err := c.Register(name, "Account", "hybrid"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	// The holder's Debit → Overdraft blocks every Credit of acct until it ends.
+	if res, err := c.Call(ctx, "H", "acct", adt.DebitInv(5)); err != nil || res != adt.ResOverdraft {
+		t.Fatalf("holder debit: %q, %v", res, err)
+	}
+	for _, obj := range []histories.ObjID{"other", "acct"} {
+		if err := c.WriteBehind(ctx, "T", obj, adt.CreditInv(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prepared := false
+	tr := afterPrepare{c.Transport(), func(vote, ok bool) {
+		srv.mu.Lock()
+		e := srv.txs["T"]
+		prepared = e != nil && e.prepared
+		srv.mu.Unlock()
+		if vote || !ok {
+			t.Errorf("prepare behind a failed Credit: vote=%v ok=%v, want a no vote", vote, ok)
+		}
+	}}
+	c.StampParticipants("T", 1)
+	dec, _, err := newCoordinator().RunTransports(ctx, "T", []commitproto.Transport{tr})
+	if dec != commitproto.Aborted || err != nil {
+		t.Fatalf("round = %v, %v; want a clean abort", dec, err)
+	}
+	if !prepared {
+		t.Fatal("the shard did not prepare the branch: the prepare waited for the owed replies")
+	}
+
+	start := time.Now()
+	if res, err := c.Call(ctx, "U", "other", adt.DebitInv(1)); err != nil || res != adt.ResOverdraft {
+		t.Fatalf("debit of other after the abort: %q, %v; want an Overdraft", res, err)
+	}
+	if d := time.Since(start); d > lockWait/2 {
+		t.Fatalf("debit of other waited %v: the aborted branch still holds its Credit", d)
+	}
+	resp, err := c.oneShot(ctx, &message{typ: msgTxStatus, tx: "T"})
+	if err != nil || resp.typ != msgOutcome || resp.flag != outcomeAborted {
+		t.Fatalf("status of T: %+v, %v; want aborted", resp, err)
+	}
+	for _, tx := range []histories.TxID{"U", "H"} {
+		if err := c.Abort(ctx, tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_ = c.Close()
+	srv.Shutdown(time.Second)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = cat.Close()
+	_, srv2, _ := reopenShard(t, dir)
+	if srv2.Recovering() || srv2.PendingBranches() != 0 {
+		t.Fatalf("restart after the abort: recovering=%v with %d pending branches, want none", srv2.Recovering(), srv2.PendingBranches())
 	}
 }
 

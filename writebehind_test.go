@@ -248,6 +248,73 @@ func TestWriteBehindCrossShardVotesNo(t *testing.T) {
 	}
 }
 
+// TestDialedPaymentRoundTrips pins the exchanges a dialed payment costs,
+// as the shards' listeners count them, each shape measured after a
+// warm-up that leaves the connections it needs pooled.  One shard,
+// payment(1) or payment(7): the Debit, the owed Credit replies, the commit.
+// Cross-shard payment(1): the Debit, two prepares — the Credit's shard
+// answers the owed Credit and the vote in one exchange — and two
+// decisions.  With that Credit blocked behind a holder, the round aborts
+// in no more: each shard is sent its abort once, by the decision round.
+func TestDialedPaymentRoundTrips(t *testing.T) {
+	wc := newWireCounter()
+	c, accts := dialAccounts(t, 2, 8, 200*time.Millisecond, 2*time.Second, wc)
+	from := accts[0][0]
+	if err := c.Atomically(func(tx *DTx) error { return from.Credit(tx, 1<<40) }); err != nil {
+		t.Fatal(err)
+	}
+	pay := func(to []*Account) (float64, error) {
+		before := wc.roundTrips()
+		tx := c.Begin()
+		if ok, err := from.Debit(tx, int64(len(to))); err != nil || !ok {
+			_ = tx.Abort()
+			return 0, fmt.Errorf("debit: ok=%v err=%v", ok, err)
+		}
+		for _, a := range to {
+			if err := a.Credit(tx, 1); err != nil {
+				_ = tx.Abort()
+				return 0, err
+			}
+		}
+		err := tx.Commit()
+		return wc.roundTrips() - before, err
+	}
+	for _, tc := range []struct {
+		name string
+		to   []*Account
+		want float64
+	}{
+		{"payment(1)", accts[0][1:2], 3},
+		{"payment(7)", accts[0][1:8], 3},
+		{"cross payment(1)", accts[1][1:2], 5},
+	} {
+		var rt float64
+		for i := 0; i < 2; i++ {
+			var err error
+			if rt, err = pay(tc.to); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if rt != tc.want {
+			t.Errorf("%s took %v round trips, want %v", tc.name, rt, tc.want)
+		}
+	}
+
+	to := accts[1][1]
+	h := holdOverdraft(t, c, to)
+	defer h.Abort()
+	var rt float64
+	for i := 0; i < 2; i++ {
+		var err error
+		if rt, err = pay([]*Account{to}); !errors.Is(err, ErrCommitAborted) {
+			t.Fatalf("cross payment(1) behind a blocked Credit: %v, want ErrCommitAborted", err)
+		}
+	}
+	if rt > 5 {
+		t.Errorf("aborted cross payment(1) took %v round trips, want at most 5", rt)
+	}
+}
+
 // TestWriteBehindLongTransaction: one transaction of 10 000 Credits on one
 // shard commits, each round trip inside the RPC timeout, because the
 // window makes the client read the owed replies every 64 calls.

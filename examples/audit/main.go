@@ -33,8 +33,16 @@ const (
 
 func main() {
 	rec := hybridcc.NewRecorder()
+	// A writer that finds its SKU bound holds Bind(k)/Bound and then asks
+	// Unbind(k), which conflicts with every other holder's Bind(k)/Bound:
+	// three writers meeting on one key wait on each other in a cycle.  A
+	// lock-wait timeout breaks it only for the writer that times out, and
+	// its retry rejoins the cycle the others are still in; deadlock
+	// detection fails the request that closes the cycle at once, and that
+	// writer's retry runs once the survivor commits.
 	sys := hybridcc.NewSystem(
 		hybridcc.WithLockWait(500*time.Millisecond),
+		hybridcc.WithDeadlockDetection(),
 		hybridcc.WithRecorder(rec),
 	)
 	stock := hybridcc.Must(sys.NewDirectory("stock"))  // sku → quantity
@@ -76,9 +84,8 @@ func main() {
 				if err != nil {
 					log.Fatalf("writer %d: %v", w, err)
 				}
-				// Pace the writers: lock waits wake every waiter
-				// (barging), so a tight loop on few hot keys can starve a
-				// peer past its retry budget.
+				// Pace the writers: the example models steady traffic
+				// beside the auditors, not a contention benchmark.
 				time.Sleep(time.Duration(50+rng.IntN(200)) * time.Microsecond)
 			}
 		}(w)

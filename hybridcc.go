@@ -82,10 +82,6 @@ var ErrNotReadOnly = core.ErrNotReadOnly
 // Recorder captures the global event history for offline verification.
 type Recorder = verify.Recorder
 
-// The recorder accepts sequenced events, so the runtime records off its
-// critical sections (striped appends, merged by acceptance order).
-var _ core.SeqSink = (*verify.Recorder)(nil)
-
 // NewRecorder returns an empty Recorder for use with WithRecorder.
 func NewRecorder() *Recorder { return verify.NewRecorder() }
 

@@ -16,7 +16,7 @@
 // every shard clock ahead of every timestamp applied at that shard, so
 // precedes ⊆ TS holds across the whole cluster: a transaction that runs
 // at an object after another committed there always receives a later
-// timestamp, whichever clock mints it.  Feeding one EventSink to every
+// timestamp, whichever clock mints it.  Feeding one SeqSink to every
 // shard therefore yields one globally well-formed history, on which the
 // verify package proves global (not merely per-shard) hybrid atomicity.
 package cluster
@@ -57,7 +57,7 @@ type Options struct {
 	// retry/backoff above it) instead of a prompt ErrDeadlock.
 	LockWait          time.Duration
 	DeadlockDetection bool
-	Sink              core.EventSink
+	Sink              core.SeqSink
 	// CommitTimeout bounds each message round trip of the commit
 	// protocol.  Zero means DefaultCommitTimeout.
 	CommitTimeout time.Duration

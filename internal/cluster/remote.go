@@ -33,7 +33,7 @@ type RemoteOptions struct {
 	// producing one globally well-formed history for verification.  The
 	// events are recorded client-side as RPCs are granted, so the sink
 	// sees exactly this client's transactions.
-	Sink core.EventSink
+	Sink core.SeqSink
 	// IDPrefix is folded into every transaction identifier ("T<prefix><n>",
 	// "R<prefix><n>").  Shard servers key branches, WAL records, and
 	// outcomes by identifier, so two clients of the same shard MUST use

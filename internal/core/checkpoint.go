@@ -217,7 +217,9 @@ func (s *System) checkpointLocked() error {
 	s.ckpt.prev = ck
 	for i, o := range objs {
 		if imaged[i] > 0 {
-			o.dropRetained(imaged[i])
+			o.mu.Lock()
+			o.dropRetainedLocked(imaged[i])
+			o.mu.Unlock()
 		}
 	}
 	s.objmu.Lock()

@@ -113,7 +113,7 @@ func TestReaderWaitsOutCommittingWriter(t *testing.T) {
 	tx.status = txCommitting
 	tx.mu.Unlock()
 	obj.mu.Lock()
-	blocker := obj.blockingWriterLocked(100)
+	blocker := obj.blockingWriterLocked(100, false)
 	obj.mu.Unlock()
 	if blocker != tx.id {
 		t.Fatalf("blockingWriterLocked = %q, want %q (committing writer must block readers)", blocker, tx.id)
@@ -129,7 +129,7 @@ func TestReaderWaitsOutCommittingWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj.mu.Lock()
-	blocker = obj.blockingWriterLocked(100)
+	blocker = obj.blockingWriterLocked(100, false)
 	obj.mu.Unlock()
 	if blocker != "" {
 		t.Fatalf("blockingWriterLocked after commit = %q, want none", blocker)

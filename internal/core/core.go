@@ -27,8 +27,8 @@
 // The per-call hot path is compiled: conflict relations become bitmask
 // tables over each type's declared operation universe
 // (depend.CompiledTable), and view states are cached per transaction and
-// extended incrementally on grant rather than replayed — see Object for
-// the invariants.
+// extended incrementally on grant rather than replayed — see lockTable
+// and versions for the invariants.
 package core
 
 import (
@@ -43,30 +43,17 @@ import (
 	"hybridcc/internal/wal"
 )
 
-// EventSink receives every event the runtime accepts, in a per-object
-// consistent order.  Sinks must be safe for concurrent use; the verify
-// package provides a Recorder for offline hybrid-atomicity checking.
-//
-// A plain EventSink is fed synchronously inside each object's critical
-// section (the only way to hand it an ordered stream).  Sinks that also
-// implement SeqSink get the fast path: the runtime assigns sequence
-// numbers under the object mutex but delivers the events after releasing
-// it, so recording never extends a critical section.
-type EventSink interface {
-	Record(e histories.Event)
-}
-
-// SeqSink is an EventSink that accepts explicitly sequenced events, which
-// lets the runtime move delivery off the critical sections of the hot
-// path.  The runtime draws one number from NextSeq per event at the moment
-// the event is accepted — while holding the owning object's mutex — and
-// calls RecordSeq later, from whatever goroutine, possibly out of order.
-// The sink must restore the sequence order when it materializes the
-// history; because the counter is a single atomic word shared by every
-// System feeding the sink, the restored order is per-object consistent and
-// per-transaction consistent, exactly like the synchronous path.
+// SeqSink receives every event the runtime accepts, each with a sequence
+// number, so recording never extends a critical section.  The runtime
+// draws one number from NextSeq per event at the moment the event is
+// accepted — while holding the owning object's mutex — and calls RecordSeq
+// later, from whatever goroutine, possibly out of order.  The sink must
+// restore the sequence order when it materializes the history; because
+// the counter is a single atomic word shared by every System feeding the
+// sink, the restored order is per-object consistent and per-transaction
+// consistent.  Sinks must be safe for concurrent use; the verify package
+// provides a Recorder for offline hybrid-atomicity checking.
 type SeqSink interface {
-	EventSink
 	NextSeq() uint64
 	RecordSeq(seq uint64, e histories.Event)
 }
@@ -82,7 +69,7 @@ type Options struct {
 	// view-reconstruction cost grow without bound.
 	DisableCompaction bool
 	// Sink, when non-nil, observes all accepted events.
-	Sink EventSink
+	Sink SeqSink
 	// Clock overrides the timestamp generator (defaults to a fresh
 	// tstamp.Source).  Sharing one clock across Systems models multiple
 	// sites agreeing on a timestamp order.  A reader's stamp from a shared
@@ -127,16 +114,6 @@ type System struct {
 	stats   Stats
 	readers readerRegistry
 	wfg     waitsFor
-
-	// seqSink is opts.Sink when it supports sequenced off-critical-section
-	// delivery, nil otherwise.
-	seqSink SeqSink
-	// fastReads enables the lock-free ReadCall path: commit timestamps all
-	// come from this System's clock (no ExternalTimestamps), and event
-	// recording — if any — can be sequenced outside the object mutex.  A
-	// legacy sink without sequencing forces readers through the mutex so it
-	// keeps seeing a per-object ordered stream.
-	fastReads bool
 
 	// batcher is the group-commit queue, nil unless Options.GroupCommit.
 	// OpenSystem sets it before the System is shared, and it never changes.
@@ -411,33 +388,28 @@ type pendingEvent struct {
 	e   histories.Event
 }
 
-// stage accepts an event for the sink, if any.  With a sequenced sink it
-// draws the acceptance sequence number now (callers hold the owning
-// object's mutex, which is what makes the number meaningful) and defers
-// delivery to a later flushEvents; with a legacy sink it records in place.
+// stage accepts an event for the sink: it draws the acceptance sequence
+// number now (callers hold the owning object's mutex, which is what makes
+// the number meaningful) and defers delivery to a later flushEvents.
+// Callers check that a sink is attached.
 func (s *System) stage(buf []pendingEvent, e histories.Event) []pendingEvent {
-	if s.seqSink != nil {
-		return append(buf, pendingEvent{seq: s.seqSink.NextSeq(), e: e})
-	}
-	if s.opts.Sink != nil {
-		s.opts.Sink.Record(e)
-	}
-	return buf
+	return append(buf, pendingEvent{seq: s.opts.Sink.NextSeq(), e: e})
 }
 
 // flushEvents delivers staged events; callers must have released the
-// object mutex.  A non-empty buffer implies a sequenced sink.
+// object mutex.  A non-empty buffer implies a sink.
 func (s *System) flushEvents(buf []pendingEvent) {
 	for _, pe := range buf {
-		s.seqSink.RecordSeq(pe.seq, pe.e)
+		s.opts.Sink.RecordSeq(pe.seq, pe.e)
 	}
 }
 
-// recordDirect records an event without holding any object mutex.  Only
-// valid on paths gated by fastReads (sequenced sink or no sink at all).
+// recordDirect records an event, if a sink is attached, outside any object
+// mutex: a reader's events and a remote stub's, whose order no object
+// mutex decides, and recovery replay's, which runs single-threaded.
 func (s *System) recordDirect(e histories.Event) {
-	if s.seqSink != nil {
-		s.seqSink.RecordSeq(s.seqSink.NextSeq(), e)
+	if s.opts.Sink != nil {
+		s.opts.Sink.RecordSeq(s.opts.Sink.NextSeq(), e)
 	}
 }
 

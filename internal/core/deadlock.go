@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"sync"
-
-	"hybridcc/internal/spec"
 )
 
 // ErrDeadlock reports that granting the caller's operation would close a
@@ -64,42 +62,4 @@ func (w *waitsFor) reachesLocked(cur, target *Tx, seen map[*Tx]bool) bool {
 		}
 	}
 	return false
-}
-
-// blockersLocked returns the active transactions holding operations that
-// conflict with some response the caller could otherwise be granted for
-// inv, given the caller's current view state.  Callers hold o.mu.  An
-// empty result for a blocked call means it is blocked on data (a partial
-// operation awaiting a commit), which creates no waits-for edge: such
-// waits are resolved by commits, not lock releases.
-// activeHoldersLocked returns every other transaction holding a lock at
-// the object — the waits-for edges of a call parked at the drain barrier
-// of a pending policy switch, which completes only when all of them do.
-func (o *Object) activeHoldersLocked(tx *Tx) []*Tx {
-	var holders []*Tx
-	for other := range o.active {
-		if other != tx {
-			holders = append(holders, other)
-		}
-	}
-	return holders
-}
-
-func (o *Object) blockersLocked(tx *Tx, inv spec.Invocation, state spec.State) []*Tx {
-	var holders []*Tx
-	seen := make(map[*Tx]bool)
-	for _, r := range o.sp.Responses(state, inv) {
-		op := inv.With(r)
-		_, row := o.rowOfLocked(op)
-		for other, lk := range o.active {
-			if other == tx || seen[other] {
-				continue
-			}
-			if o.holderConflictsLocked(lk, row, op) {
-				seen[other] = true
-				holders = append(holders, other)
-			}
-		}
-	}
-	return holders
 }

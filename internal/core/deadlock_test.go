@@ -7,7 +7,10 @@ import (
 	"time"
 
 	"hybridcc/internal/adt"
+	"hybridcc/internal/baseline"
 	"hybridcc/internal/depend"
+	"hybridcc/internal/histories"
+	"hybridcc/internal/verify"
 )
 
 // buildAccountDeadlock sets up the classic two-transaction cycle on one
@@ -70,6 +73,71 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 	wg.Wait()
 	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeadlockThreeWayConversion is a conversion cycle of three on one
+// key: three transactions hold Bind(a)/Bound on one Directory — shared,
+// since each only reads that a is bound — and each then asks Unbind(a),
+// which conflicts with every other holder's Bind(a)/Bound.  The first
+// request waits on the other two; each later one would close a cycle
+// through it and fails with ErrDeadlock at once, not at the lock wait.
+// With those two aborted the first Unbind is granted, it commits, and the
+// recorded history verifies.  One holder's Bind(a=3) lies outside the
+// declared universe, so its conflicts take the extras path.
+func TestDeadlockThreeWayConversion(t *testing.T) {
+	const lockWait = 5 * time.Second
+	rec := verify.NewRecorder()
+	sys := NewSystem(Options{LockWait: lockWait, DeadlockDetection: true, Sink: rec})
+	d := sys.NewObjectSeeded("D", adt.NewDirectory(), baseline.HybridConflict("Directory"), baseline.UniverseFor("Directory"))
+	setup := sys.Begin()
+	mustCall(t, d, setup, adt.DirBindInv("a", 1))
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var txs [3]*Tx
+	for i := range txs {
+		txs[i] = sys.Begin()
+		if res := mustCall(t, d, txs[i], adt.DirBindInv("a", int64(i+1))); res != adt.ResBound {
+			t.Fatalf("Bind by %s = %q, want %q", txs[i].ID(), res, adt.ResBound)
+		}
+	}
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := d.Call(txs[0], adt.DirUnbindInv("a"))
+		first <- err
+	}()
+	for deadline := time.Now().Add(lockWait); d.Stats().Waits == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first Unbind never waited")
+		}
+	}
+	for _, tx := range txs[1:] {
+		start := time.Now()
+		if _, err := d.Call(tx, adt.DirUnbindInv("a")); !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("Unbind by %s: err = %v, want ErrDeadlock", tx.ID(), err)
+		}
+		if elapsed := time.Since(start); elapsed > lockWait/10 {
+			t.Errorf("Unbind by %s failed after %s; detection must not wait for the lock wait", tx.ID(), elapsed)
+		}
+	}
+	if n := d.Stats().Deadlocks; n != 2 {
+		t.Errorf("deadlocks counted = %d, want 2", n)
+	}
+	for _, tx := range txs[1:] {
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("the first Unbind after the victims aborted: %v", err)
+	}
+	if err := txs[0].Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.CheckHybridAtomic(rec.History(), histories.SpecMap{"D": adt.NewDirectory()}); err != nil {
 		t.Fatal(err)
 	}
 }

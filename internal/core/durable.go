@@ -73,8 +73,6 @@ func OpenSystem(opts Options) (*System, error) {
 		opts.Clock = tstamp.NewSource()
 	}
 	s := &System{opts: opts, clock: opts.Clock}
-	s.seqSink, _ = opts.Sink.(SeqSink)
-	s.fastReads = !opts.ExternalTimestamps && (opts.Sink == nil || s.seqSink != nil)
 	if st, ok := opts.Clock.(readStamper); ok && !opts.ExternalTimestamps {
 		s.stamps = st
 	}
@@ -480,7 +478,10 @@ func (s *System) SeedCheckpointObjects() error {
 			}
 			base = st
 		}
-		o.seedCheckpoint(base, histories.Timestamp(co.Folded), histories.Timestamp(co.Clock))
+		o.mu.Lock()
+		o.resetLocked(base, histories.Timestamp(co.Folded), histories.Timestamp(co.Clock))
+		o.publishLocked(new(tailSnapshot))
+		o.mu.Unlock()
 		if s.recovered.bases == nil {
 			s.recovered.bases = make(map[histories.ObjID]spec.State)
 		}
@@ -551,8 +552,8 @@ func (s *System) RecoveredCheckpointFrontier() (cut, coveredBelow, foldedBelow h
 // registered are skipped and remembered: registering such an object later
 // panics, because its events could no longer be emitted well-formed.
 //
-// Replay runs once, single-threaded, before the System accepts
-// transactions; it takes object mutexes only to publish seeded snapshots.
+// Each leg merges the way a live in-order commit does.  Replay runs once,
+// single-threaded, before the System accepts transactions.
 func Replay(txs []RecoveredTx) error {
 	sort.Slice(txs, func(i, j int) bool { return txs[i].TS < txs[j].TS })
 	return ReplayStream(slices.Values(txs))
@@ -563,7 +564,6 @@ func Replay(txs []RecoveredTx) error {
 // each is validated, applied, and released before the next materializes,
 // so replay memory is bounded by one transaction rather than the log.
 func ReplayStream(txs iter.Seq[RecoveredTx]) error {
-	states := make(map[*Object]spec.State)
 	type leg struct {
 		o    *Object
 		ops  []spec.Op
@@ -584,32 +584,26 @@ func ReplayStream(txs iter.Seq[RecoveredTx]) error {
 				ro.Sys.markUnclaimed(ro.Obj)
 				continue
 			}
-			st, ok := states[o]
-			if !ok {
-				st = o.version
-			}
-			next, ok := spec.StepFrom(o.sp, st, ro.Ops...)
+			next, ok := spec.StepFrom(o.sp, o.CommittedState(), ro.Ops...)
 			if !ok {
 				return fmt.Errorf("hybridcc: recovery replay of %s at %s is illegal — log corrupt or specification changed", tx.ID, ro.Obj)
 			}
-			states[o] = next
 			legs = append(legs, leg{o: o, ops: ro.Ops, next: next})
 		}
 		for _, lg := range legs {
-			sys := lg.o.sys
-			if sys.opts.Sink == nil {
-				continue
-			}
 			for _, op := range lg.ops {
-				sys.emitRecovered(histories.InvokeEvent(tx.ID, lg.o.name, op.Inv()))
-				sys.emitRecovered(histories.RespondEvent(tx.ID, lg.o.name, op.Res))
+				lg.o.sys.recordDirect(histories.InvokeEvent(tx.ID, lg.o.name, op.Inv()))
+				lg.o.sys.recordDirect(histories.RespondEvent(tx.ID, lg.o.name, op.Res))
 			}
 		}
 		for _, lg := range legs {
-			if lg.o.sys.opts.Sink != nil {
-				lg.o.sys.emitRecovered(histories.CommitEvent(tx.ID, lg.o.name, tx.TS))
-			}
-			lg.o.seedRecovered(committedEntry{ts: tx.TS, tx: tx.ID, parts: tx.Participants, ops: lg.ops}, lg.next)
+			o := lg.o
+			o.sys.recordDirect(histories.CommitEvent(tx.ID, o.name, tx.TS))
+			o.mu.Lock()
+			o.mergeLocked(committedEntry{ts: tx.TS, tx: tx.ID, parts: tx.Participants, ops: lg.ops}, lg.next)
+			o.publishLocked(new(tailSnapshot))
+			o.mu.Unlock()
+			o.stats.commits.Add(1)
 		}
 		for i, lg := range legs {
 			counted := false
@@ -625,59 +619,6 @@ func ReplayStream(txs iter.Seq[RecoveredTx]) error {
 		}
 	}
 	return nil
-}
-
-// emitRecovered records one replay event through whatever sink the System
-// has.  Replay is single-threaded, so emission order is sequence order.
-func (s *System) emitRecovered(e histories.Event) {
-	if s.seqSink != nil {
-		s.seqSink.RecordSeq(s.seqSink.NextSeq(), e)
-		return
-	}
-	if s.opts.Sink != nil {
-		s.opts.Sink.Record(e)
-	}
-}
-
-// seedRecovered installs one recovered transaction's intentions in the
-// committed tail: entries arrive in timestamp order (Replay sorts), so
-// each append keeps unforgotten sorted and the tail cache extends exactly
-// as a live in-order commit would.
-func (o *Object) seedRecovered(e committedEntry, state spec.State) {
-	o.mu.Lock()
-	o.unforgotten = append(o.unforgotten, e)
-	o.commitGen++
-	o.tailState = state
-	o.tailGen = o.commitGen
-	if e.ts > o.clock {
-		o.clock = e.ts
-	}
-	o.events++
-	o.stats.commits.Add(1)
-	o.publishTailLocked(new(tailSnapshot))
-	o.mu.Unlock()
-}
-
-// seedCheckpoint installs a checkpoint image as the object's committed
-// version: the fold frontier and commit clock advance to the checkpoint's
-// (never backwards), and the committed tail starts empty — the entries
-// above the frontier replay on top through seedRecovered.
-func (o *Object) seedCheckpoint(state spec.State, folded, clock histories.Timestamp) {
-	o.mu.Lock()
-	o.version = state
-	o.unforgotten = nil
-	o.commitGen++
-	o.tailState = state
-	o.tailGen = o.commitGen
-	if folded > o.folded {
-		o.folded = folded
-	}
-	if clock > o.clock {
-		o.clock = clock
-	}
-	o.events++
-	o.publishTailLocked(new(tailSnapshot))
-	o.mu.Unlock()
 }
 
 // objectByName returns the registered object named name, or nil.
@@ -773,11 +714,8 @@ func walObjOps(t *Tx, objs []*Object) []wal.ObjOps {
 	for _, o := range objs {
 		oo := wal.ObjOps{Obj: string(o.name)}
 		o.mu.Lock()
-		if lk := o.active[t]; lk != nil {
-			oo.Ops = make([]wal.Op, len(lk.ops))
-			for i, op := range lk.ops {
-				oo.Ops[i] = wal.Op{Name: op.Name, Arg: op.Arg, Res: op.Res}
-			}
+		if lk := o.lockOf(t); lk != nil {
+			oo.Ops = walOps(lk.ops)
 		}
 		o.mu.Unlock()
 		out = append(out, oo)

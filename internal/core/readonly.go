@@ -372,26 +372,11 @@ func (t *ReadTx) finish(commit bool) error {
 		if commit {
 			e = histories.CommitEvent(t.ID(), o.name, t.ts)
 		}
-		o.recordCompletion(e)
+		// Transactions are single-threaded, so the event still sequences
+		// after all of the reader's operations.
+		s.recordDirect(e)
 	}
 	return nil
-}
-
-// recordCompletion records a reader completion event.  A sequenced sink
-// takes its number directly (transactions are single-threaded, so the
-// event still sequences after all of the reader's operations); a legacy
-// sink keeps the object mutex around the Record call so its per-object
-// stream stays ordered.
-func (o *Object) recordCompletion(e histories.Event) {
-	s := o.sys
-	switch {
-	case s.seqSink != nil:
-		s.seqSink.RecordSeq(s.seqSink.NextSeq(), e)
-	case s.opts.Sink != nil:
-		o.mu.Lock()
-		s.opts.Sink.Record(e)
-		o.mu.Unlock()
-	}
 }
 
 // ReadCall executes a read-only operation against the object's state as of
@@ -400,15 +385,15 @@ func (o *Object) recordCompletion(e histories.Event) {
 // while some update transaction could still commit below the reader's
 // timestamp.
 //
-// On the fast path — timestamps all minted by this System's clock and no
-// legacy (unsequenced) sink — the call never takes the object mutex: it
-// checks the commit-window counter and reads the published committed-tail
-// snapshot.  The counter check is sound because a writer that could still
-// commit below the reader's timestamp must have drawn that timestamp
-// before the reader loaded or drew its own (the clock is monotone, and a
-// stamp lies below everything issued after its load), hence after
-// incrementing the counter; a writer observed at zero has therefore
-// already merged and published everything the reader may observe.
+// On the fast path — timestamps all minted by this System's clock — the
+// call never takes the object mutex: it checks the commit-window counter
+// and reads the published committed-tail snapshot.  The counter check is
+// sound because a writer that could still commit below the reader's
+// timestamp must have drawn that timestamp before the reader loaded or
+// drew its own (the clock is monotone, and a stamp lies below everything
+// issued after its load), hence after incrementing the counter; a writer
+// observed at zero has therefore already merged and published everything
+// the reader may observe.
 func (o *Object) ReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
 	_, res, err := o.read(t, inv, true)
 	return res, err
@@ -439,19 +424,23 @@ func (o *Object) read(t *ReadTx, inv spec.Invocation, str bool) (spec.State, str
 		return nil, "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, err)
 	}
 	if o.sys.remote != nil {
-		res, err := o.remoteReadCall(t, inv)
-		return nil, res, err
+		res, err := o.sys.remote.ReadCall(ctx, t.ID(), o.name, inv)
+		if err != nil {
+			return nil, "", err
+		}
+		o.recordRead(t, inv, res)
+		return nil, res, nil
 	}
-	if o.sys.fastReads && o.windowWriters.Load() == 0 {
+	if !o.sys.opts.ExternalTimestamps && o.windowWriters.Load() == 0 {
 		return o.readFromSnapshot(t, inv, o.tailSnap.Load().stateAt(o.sp, t.ts), str)
 	}
 
 	o.mu.Lock()
 	var cw callWait
 	defer cw.release(o.sys)
-	for o.blockingWriterLocked(t.ts) != "" {
+	for o.blockingWriterLocked(t.ts, o.sys.opts.ExternalTimestamps) != "" {
 		cw.waiter(o.sys).allEvents = true // readers wait on transaction completion as such
-		switch o.waitLocked(&cw, ctx) {
+		switch o.waitLocked(&o.mu, &cw, ctx) {
 		case waitTimedOut:
 			o.mu.Unlock()
 			return nil, "", fmt.Errorf("%w: read of %s at %s", ErrTimeout, inv, o.name)
@@ -460,23 +449,16 @@ func (o *Object) read(t *ReadTx, inv spec.Invocation, str bool) (spec.State, str
 			return nil, "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, ctx.Err())
 		}
 	}
-
 	state := o.snapshotLocked(t.ts)
-	if o.sys.seqSink == nil && o.sys.opts.Sink != nil {
-		// Legacy sink: derive and record inside the critical section so its
-		// per-object stream stays ordered.
-		defer o.mu.Unlock()
-	} else {
-		o.mu.Unlock()
-	}
+	o.mu.Unlock()
 	return o.readFromSnapshot(t, inv, state, str)
 }
 
 // readFromSnapshot answers a read from a reconstructed snapshot state and
-// records it; only a legacy sink's caller holds o.mu.  The response string
-// exists where someone reads it: the caller (str), a sink, or the generic
-// derivation that checks an invocation outside a spec.ReadSpec.  A read
-// takes no lock, so it writes nothing at the object — not even a counter.
+// records it.  The response string exists where someone reads it: the
+// caller (str), a sink, or the generic derivation that checks an
+// invocation outside a spec.ReadSpec.  A read takes no lock, so it writes
+// nothing at the object — not even a counter.
 func (o *Object) readFromSnapshot(t *ReadTx, inv spec.Invocation, state spec.State, str bool) (spec.State, string, error) {
 	s := o.sys
 	if !str && s.opts.Sink == nil && o.readSp != nil {
@@ -486,16 +468,18 @@ func (o *Object) readFromSnapshot(t *ReadTx, inv spec.Invocation, state spec.Sta
 	if err != nil {
 		return nil, "", err
 	}
-	if s.seqSink != nil {
+	o.recordRead(t, inv, res)
+	return state, res, nil
+}
+
+// recordRead records a read's invoke and respond events, when a sink is
+// attached, and notes the object for the reader's completion events.
+func (o *Object) recordRead(t *ReadTx, inv spec.Invocation, res string) {
+	if s := o.sys; s.opts.Sink != nil {
 		t.touch(o)
 		s.recordDirect(histories.InvokeEvent(t.ID(), o.name, inv))
 		s.recordDirect(histories.RespondEvent(t.ID(), o.name, res))
-	} else if s.opts.Sink != nil {
-		t.touch(o)
-		s.opts.Sink.Record(histories.InvokeEvent(t.ID(), o.name, inv))
-		s.opts.Sink.Record(histories.RespondEvent(t.ID(), o.name, res))
 	}
-	return state, res, nil
 }
 
 // deriveRead picks the response of a read-only invocation in a snapshot
@@ -521,56 +505,4 @@ func (o *Object) deriveRead(state spec.State, inv spec.Invocation) (string, erro
 		return "", fmt.Errorf("%w: %s", ErrNotReadOnly, op)
 	}
 	return res, nil
-}
-
-// blockingWriterLocked returns the id of a transaction that might still
-// commit at this object with a timestamp below ts, or "" if none:
-//
-//   - a transaction already committed with an earlier timestamp whose
-//     intentions have not yet merged here must be waited for (a short
-//     window inside Commit);
-//   - a transaction inside Commit that has not yet published its
-//     timestamp (txCommitting) must also be waited for: its timestamp may
-//     already be drawn from the clock — possibly below a reader that
-//     begins right after the draw — and the reader cannot tell until it
-//     is published;
-//   - with ExternalTimestamps, an active transaction whose recorded bound
-//     is below ts could still land below ts via CommitAt, so the reader
-//     conservatively waits for it.  Without external timestamps, every
-//     future commit draws from the shared clock and therefore lands above
-//     the reader, so genuinely active transactions never block readers.
-func (o *Object) blockingWriterLocked(ts histories.Timestamp) histories.TxID {
-	for tx, lk := range o.active {
-		wts, status := tx.commitState()
-		switch status {
-		case txCommitted:
-			if wts < ts {
-				return tx.ID()
-			}
-			// Serialized after the reader; invisible to it.
-		case txCommitting:
-			return tx.ID()
-		default:
-			if o.sys.opts.ExternalTimestamps && lk.bound < ts {
-				return tx.ID()
-			}
-		}
-	}
-	return ""
-}
-
-// snapshotLocked reconstructs the committed state as of ts: the folded
-// version (always a prefix of every active reader's snapshot, because
-// readers pin the horizon) plus unforgotten intentions with earlier
-// timestamps.  It shares the replay algorithm with the lock-free path by
-// delegating to tailSnapshot.stateAt over a transient snapshot of the
-// live fields — the two read paths cannot drift apart.
-func (o *Object) snapshotLocked(ts histories.Timestamp) spec.State {
-	snap := tailSnapshot{
-		version:     o.version,
-		unforgotten: o.unforgotten,
-		tail:        o.committedTailLocked(),
-		clock:       o.clock,
-	}
-	return snap.stateAt(o.sp, ts)
 }

@@ -374,7 +374,7 @@ func TestReadOnlyIDAndTimestamp(t *testing.T) {
 // is refused either way.
 func TestTypedAndStringReadsAgree(t *testing.T) {
 	rec := verify.NewRecorder()
-	for _, sink := range []EventSink{nil, rec} {
+	for _, sink := range []SeqSink{nil, rec} {
 		sys := NewSystem(Options{Sink: sink})
 		c := sys.NewObject("C", adt.NewCounter(), depend.SymmetricClosure(depend.CounterDependency()))
 		f := sys.NewObject("F", adt.NewFile(), depend.SymmetricClosure(depend.FileDependency()))

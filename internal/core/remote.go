@@ -80,9 +80,7 @@ type RemoteShard interface {
 // matter only for Sink (the recorder) — lock waits and durability are the
 // serving shard's business.
 func NewRemoteSystem(r RemoteShard, opts Options) *System {
-	s := &System{opts: opts, clock: tstamp.NewSource(), remote: r}
-	s.seqSink, _ = opts.Sink.(SeqSink)
-	return s
+	return &System{opts: opts, clock: tstamp.NewSource(), remote: r}
 }
 
 // remoteStatsTimeout bounds the Stats RPC (Stats has no ctx parameter).
@@ -139,7 +137,7 @@ func (o *Object) remoteCall(t *Tx, inv spec.Invocation) (string, error) {
 // transaction: one commit (at ts) or abort event per touched object.
 func (t *Tx) recordRemoteCompletion(commit bool, ts histories.Timestamp) {
 	s := t.sys
-	if s.seqSink == nil {
+	if s.opts.Sink == nil {
 		return
 	}
 	id := t.ID()
@@ -220,21 +218,4 @@ func (t *Tx) remoteDone(commit bool, ts histories.Timestamp, record bool) {
 	if record {
 		t.recordRemoteCompletion(commit, ts)
 	}
-}
-
-// remoteReadCall executes one read-only operation at the branch's snapshot
-// timestamp on the shard; read has checked the branch and counted the call.
-func (o *Object) remoteReadCall(t *ReadTx, inv spec.Invocation) (string, error) {
-	s := o.sys
-	res, err := s.remote.ReadCall(t.ctx, t.ID(), o.name, inv)
-	if err != nil {
-		return "", err
-	}
-	if s.seqSink != nil {
-		t.touch(o)
-		id := t.ID()
-		s.recordDirect(histories.InvokeEvent(id, o.name, inv))
-		s.recordDirect(histories.RespondEvent(id, o.name, res))
-	}
-	return res, nil
 }

@@ -21,19 +21,19 @@ import (
 // the last grant cached as the new committed tail, and a fold that passes
 // every unforgotten entry adopts the tail as the new version.  Both are
 // shortcuts for a replay, each behind a guard.  The tests below hold every
-// shortcut to the replay it stands for and name the mutation of object.go
-// each case kills:
+// shortcut to the replay it stands for and name the mutation of versions.go
+// or locktable.go each case kills:
 //
-//   - mergeCommitLocked without `lk.viewGen == o.commitGen`: a transaction
+//   - cachedView without `lk.viewGen == gen`: a transaction
 //     granted before another one's commit adopts a view that predates that
 //     commit, and the commit that interleaved is lost from the tail — any
 //     seed in which two transactions hold grants and commit one after the
 //     other fails the tail comparison at the second commit;
-//   - mergeCommitLocked's own `o.tailGen == o.commitGen` has no killing
-//     case: every commitBatch ends in publishTailLocked, which refreshes
+//   - mergeLocked's own `v.tailGen == v.commitGen` has no killing
+//     case: every commitBatch ends in publishLocked, which refreshes
 //     the tail cache, so no merge starts on a stale one.  The guard makes
 //     the merge right by itself, not by what its caller happens to do last;
-//   - forgetLocked without `o.tailGen == o.commitGen`: an out-of-order
+//   - forgetLocked without `v.tailGen == v.commitGen`: an out-of-order
 //     CommitAt by the only active transaction folds everything at once, and
 //     the stale tail — which misses the entry just inserted — becomes the
 //     version; those seeds fail the version ⊕ unforgotten comparison;
@@ -42,7 +42,7 @@ import (
 //     or a reader pin holding the horizon, entries above it leave
 //     unforgotten although a commit may still land below them — caught by
 //     the folded-entries-stay-below-the-horizon check and by Verify;
-//   - the in-order test `unforgotten[n-1].ts <= ts` weakened to always
+//   - the in-order test `unforgotten[n-1].ts <= e.ts` weakened to always
 //     append: an out-of-order CommitAt lands at the end of the tail and the
 //     replay in timestamp order diverges.
 func TestUpdatePathShortcutsEqualReplay(t *testing.T) {

@@ -38,7 +38,7 @@ type recorderStripe struct {
 }
 
 // Recorder accumulates events; it is safe for concurrent use and
-// implements core.EventSink and core.SeqSink.
+// implements core.SeqSink, the runtime's one event sink.
 //
 // The runtime assigns each event a sequence number from NextSeq at the
 // moment the event is accepted (under the owning object's mutex) and
@@ -72,8 +72,8 @@ func (r *Recorder) RecordSeq(seq uint64, e histories.Event) {
 	st.mu.Unlock()
 }
 
-// Record appends an event at the next sequence number — the plain
-// EventSink path, equivalent to RecordSeq(NextSeq(), e).
+// Record appends an event at the next sequence number, equivalent to
+// RecordSeq(NextSeq(), e): for events recorded outside the runtime.
 func (r *Recorder) Record(e histories.Event) {
 	r.RecordSeq(r.NextSeq(), e)
 }

@@ -141,7 +141,7 @@ func TestArenaRecycledLockRecordWritesOwnArena(t *testing.T) {
 		var slots [][]spec.Op
 		for _, o := range objs {
 			o.mu.Lock()
-			slots = append(slots, o.active[a].ops)
+			slots = append(slots, o.lockOf(a).ops)
 			o.mu.Unlock()
 		}
 		if err := a.Abort(); err != nil {
@@ -152,7 +152,7 @@ func TestArenaRecycledLockRecordWritesOwnArena(t *testing.T) {
 		creditMix(t, b, objs, round*1000+501)
 		for _, o := range objs {
 			o.mu.Lock()
-			ops := o.active[b].ops
+			ops := o.lockOf(b).ops
 			o.mu.Unlock()
 			for _, s := range slots {
 				s = s[:cap(s)]

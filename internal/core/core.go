@@ -314,7 +314,7 @@ func (s *System) getLock() *txLock {
 // Its intentions live in its transaction's arena (Tx.intend), which the
 // record does not keep.
 func (s *System) putLock(lk *txLock) {
-	lk.ops = nil
+	lk.tx, lk.ops = nil, nil
 	for i := range lk.mask {
 		lk.mask[i] = 0
 	}

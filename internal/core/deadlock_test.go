@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -244,6 +245,74 @@ func TestDeadlockAcrossTwoObjects(t *testing.T) {
 		t.Fatalf("T1 should be granted after victim aborts: %v", err)
 	}
 	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeadlockManyHoldersNamedOnce: 32 transactions hold Inc(1) on one
+// Counter (Inc/Inc commute under hybrid), and a CtrRead, which conflicts
+// with Inc in every scheme, blocks behind all of them.  Its waits-for
+// edges name each holder, and blockersLocked lists each holder once even
+// when several candidate responses conflict with it.  The read is granted
+// 32 once the last holder commits.
+func TestDeadlockManyHoldersNamedOnce(t *testing.T) {
+	const n = 32
+	sys := NewSystem(Options{LockWait: 10 * time.Second, DeadlockDetection: true})
+	c := sys.NewObjectSeeded("C", adt.NewCounter(), baseline.HybridConflict("Counter"), baseline.UniverseFor("Counter"))
+	holders := make([]*Tx, n)
+	for i := range holders {
+		holders[i] = sys.Begin()
+		mustCall(t, c, holders[i], adt.IncInv(1))
+	}
+	reader := sys.Begin()
+	got := make(chan string, 1)
+	go func() {
+		res, err := c.Call(reader, adt.CtrReadInv())
+		if err != nil {
+			t.Error(err)
+		}
+		got <- res
+	}()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		sys.wfg.mu.Lock()
+		edges := len(sys.wfg.edges[reader])
+		named := !slices.ContainsFunc(holders, func(h *Tx) bool { return !sys.wfg.edges[reader][h] })
+		sys.wfg.mu.Unlock()
+		if edges == n && named {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the blocked read has %d waits-for edges, want %d", edges, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.mu.Lock()
+	blockers := c.blockersLocked(reader, adt.CtrReadInv(), []string{"0", "1", "32"})
+	c.mu.Unlock()
+	named := make(map[*Tx]int)
+	for _, h := range blockers {
+		named[h]++
+	}
+	for i, h := range holders {
+		if named[h] != 1 {
+			t.Errorf("holder %d named %d times, want once", i, named[h])
+		}
+	}
+	if len(blockers) != n {
+		t.Errorf("%d blockers, want %d", len(blockers), n)
+	}
+
+	for _, h := range holders {
+		if err := h.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := <-got; res != "32" {
+		t.Fatalf("CtrRead = %q after %d Inc(1) commits, want 32", res, n)
+	}
+	if err := reader.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -333,3 +333,51 @@ func BenchmarkCommitGroupParallel(b *testing.B) {
 		b.ReportMetric(float64(st.GroupBatchTxs)/float64(st.GroupBatches), "tx/batch")
 	}
 }
+
+// BenchmarkGrantHolders measures one pooled grant and commit of Inc(1) on
+// a Counter beside n−1 other transactions holding Inc(1) there (Inc/Inc
+// commute under hybrid): the cost of finding a transaction's lock record,
+// checking conflicts against every holder, removing the record and folding
+// under the holders' smallest bound, as the holder count grows.  No
+// benchmark workload has more than two holders per object; this is where
+// many holders get measured.  Every 1024 operations the holders are
+// replaced, with the timer stopped, so that folding keeps up.
+func BenchmarkGrantHolders(b *testing.B) {
+	for _, n := range []int{1, 8, 64, 512} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			sys := NewSystem(Options{})
+			obj := sys.NewObjectSeeded("ctr", baseline.SpecFor("Counter"),
+				baseline.ConflictFor("hybrid", "Counter"), baseline.UniverseFor("Counter"))
+			inv := adt.IncInv(1)
+			others := make([]*Tx, n-1)
+			hold := func() {
+				for i := range others {
+					if others[i] != nil {
+						_ = others[i].Abort()
+					}
+					others[i] = sys.Begin()
+					if _, err := obj.Call(others[i], inv); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			hold()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%1024 == 1023 {
+					b.StopTimer()
+					hold()
+					b.StartTimer()
+				}
+				tx := sys.BeginPooledCtx(nil)
+				if _, err := obj.Call(tx, inv); err != nil {
+					b.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+				sys.Recycle(tx)
+			}
+		})
+	}
+}

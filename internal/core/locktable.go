@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,9 +12,9 @@ import (
 )
 
 // lockTable is an object's LOCK machine state (Section 4): the active
-// transactions' intentions, which double as their locks, the conflict
-// check against them, and the calls waiting for a conflict to clear.  Its
-// object's mutex guards it.
+// transactions' lock records (a short slice, scanned without hashing), whose
+// intentions double as their locks, the conflict check against them, and
+// the calls waiting for a conflict to clear.  Its object's mutex guards it.
 //
 // The conflict check is compiled: conflict and table are the active
 // policy's relation and its bitmask matrix (depend.CompiledTable, immutable
@@ -38,8 +39,8 @@ type lockTable struct {
 	conflict depend.Conflict
 	table    *depend.CompiledTable
 
-	// active holds each active transaction's lock record.
-	active map[*Tx]*txLock
+	// active holds the lock records in grant order; release swaps in the last.
+	active []*txLock
 
 	// waitHead/waitTail is the FIFO queue of blocked calls.  Completion
 	// events signal matching waiters in queue order; a woken waiter is
@@ -50,6 +51,7 @@ type lockTable struct {
 
 // txLock is one active transaction's lock record at an object.
 type txLock struct {
+	tx *Tx // the transaction it names
 	// ops is the intentions list; it doubles as the lock set.
 	ops []spec.Op
 	// bound is the transaction's lower bound on its eventual commit
@@ -78,7 +80,17 @@ func (lk *txLock) cachedView(gen uint64) spec.State {
 }
 
 // lockOf returns tx's lock record, nil before its first grant here.
-func (lt *lockTable) lockOf(tx *Tx) *txLock { return lt.active[tx] }
+func (lt *lockTable) lockOf(tx *Tx) *txLock {
+	if i := lt.indexOf(tx); i >= 0 {
+		return lt.active[i]
+	}
+	return nil
+}
+
+// indexOf returns the slot of tx's lock record, -1 when it holds none here.
+func (lt *lockTable) indexOf(tx *Tx) int {
+	return slices.IndexFunc(lt.active, func(lk *txLock) bool { return lk.tx == tx })
+}
 
 // holders counts the transactions holding a lock here.
 func (lt *lockTable) holders() int { return len(lt.active) }
@@ -88,7 +100,7 @@ func (lt *lockTable) holders() int { return len(lt.active) }
 // and records bound as the record's timestamp lower bound.
 func (lt *lockTable) grant(tx *Tx, lk *txLock, op spec.Op, cls int, bound histories.Timestamp) {
 	if len(lk.ops) == 0 {
-		lt.active[tx] = lk
+		lk.tx, lt.active = tx, append(lt.active, lk)
 	}
 	lk.ops = tx.intend(lk.ops, op)
 	lk.bound = bound
@@ -102,8 +114,13 @@ func (lt *lockTable) grant(tx *Tx, lk *txLock, op spec.Op, cls int, bound histor
 // release removes tx's lock record from the table and returns it, nil when
 // tx holds nothing here.
 func (lt *lockTable) release(tx *Tx) *txLock {
-	lk := lt.active[tx]
-	delete(lt.active, tx)
+	i := lt.indexOf(tx)
+	if i < 0 {
+		return nil
+	}
+	lk, last := lt.active[i], len(lt.active)-1
+	lt.active[i], lt.active[last] = lt.active[last], nil
+	lt.active = lt.active[:last]
 	return lk
 }
 
@@ -131,8 +148,8 @@ func (lt *lockTable) rowOfLocked(op spec.Op) (int, []uint64) {
 // operation in another active transaction's intentions list; row is op's
 // compiled conflict row (nil when op lies outside the table's universe).
 func (lt *lockTable) conflictsWithActiveRowLocked(tx *Tx, row []uint64, op spec.Op) bool {
-	for other, lk := range lt.active {
-		if other != tx && lt.holderConflictsLocked(lk, row, op) {
+	for _, lk := range lt.active {
+		if lk.tx != tx && lt.holderConflictsLocked(lk, row, op) {
 			return true
 		}
 	}
@@ -168,9 +185,9 @@ func conflictsAny(c depend.Conflict, held []spec.Op, op spec.Op) bool {
 // of a pending policy switch, which completes only when all of them do.
 func (lt *lockTable) activeHoldersLocked(tx *Tx) []*Tx {
 	var holders []*Tx
-	for other := range lt.active {
-		if other != tx {
-			holders = append(holders, other)
+	for _, lk := range lt.active {
+		if lk.tx != tx {
+			holders = append(holders, lk.tx)
 		}
 	}
 	return holders
@@ -184,17 +201,12 @@ func (lt *lockTable) activeHoldersLocked(tx *Tx) []*Tx {
 // lock releases.
 func (lt *lockTable) blockersLocked(tx *Tx, inv spec.Invocation, responses []string) []*Tx {
 	var holders []*Tx
-	seen := make(map[*Tx]bool)
-	for _, r := range responses {
-		op := inv.With(r)
-		_, row := lt.rowOfLocked(op)
-		for other, lk := range lt.active {
-			if other == tx || seen[other] {
-				continue
-			}
-			if lt.holderConflictsLocked(lk, row, op) {
-				seen[other] = true
-				holders = append(holders, other)
+	for _, lk := range lt.active {
+		for _, r := range responses {
+			op := inv.With(r)
+			if _, row := lt.rowOfLocked(op); lk.tx != tx && lt.holderConflictsLocked(lk, row, op) {
+				holders = append(holders, lk.tx) // once: on to the next holder
+				break
 			}
 		}
 	}
@@ -218,19 +230,19 @@ func (lt *lockTable) blockersLocked(tx *Tx, inv spec.Invocation, responses []str
 //     future commit draws from the shared clock and therefore lands above
 //     the reader, so genuinely active transactions never block readers.
 func (lt *lockTable) blockingWriterLocked(ts histories.Timestamp, external bool) histories.TxID {
-	for tx, lk := range lt.active {
-		wts, status := tx.commitState()
+	for _, lk := range lt.active {
+		wts, status := lk.tx.commitState()
 		switch status {
 		case txCommitted:
 			if wts < ts {
-				return tx.ID()
+				return lk.tx.ID()
 			}
 			// Serialized after the reader; invisible to it.
 		case txCommitting:
-			return tx.ID()
+			return lk.tx.ID()
 		default:
 			if external && lk.bound < ts {
-				return tx.ID()
+				return lk.tx.ID()
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func TestLockTableMatchesMachine(t *testing.T) {
 func lockTableSchedule(t *testing.T, sp spec.Spec, p *ccpolicy.Policy, invs []spec.Invocation, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	lt := lockTable{conflict: p.Conflict, table: p.Table, active: make(map[*Tx]*txLock)}
+	lt := lockTable{conflict: p.Conflict, table: p.Table}
 	m := lockmachine.New("X", sp, p.Conflict)
 	fail := func(format string, args ...any) {
 		t.Helper()
@@ -169,6 +169,108 @@ func lockTableSchedule(t *testing.T, sp spec.Spec, p *ccpolicy.Policy, invs []sp
 		}
 		if lt.holders() != held {
 			fail("table holds %d records, machine has intentions for %d transactions", lt.holders(), held)
+		}
+	}
+}
+
+// TestLockTableHolderSetUnderChurn drives a lockTable alone through seeded
+// random runs of grants and releases by up to 32 transactions, and after
+// every step checks each holder query against a map from transaction to
+// lock record: lockOf, holders, minBound, conflictsWithActiveRowLocked and
+// activeHoldersLocked (as a set).  Releases land anywhere in the active
+// set, so a removal that loses, duplicates or keeps a record shows up at
+// the next step.
+func TestLockTableHolderSetUnderChurn(t *testing.T) {
+	desc, _ := baseline.DescriptorFor("Account")
+	sp, p := desc.Spec, desc.Policies.Get("hybrid")
+	// Every response of each invocation in an empty and a funded account:
+	// successful and refused debits, credits — some pairs conflict.
+	funded, _ := spec.StepFrom(sp, sp.Init(), adt.CreditInv(5).With(adt.ResOk))
+	var ops []spec.Op
+	for _, inv := range lockTableInvocations["Account"] {
+		for _, st := range []spec.State{sp.Init(), funded} {
+			for _, r := range sp.Responses(st, inv) {
+				if op := inv.With(r); !slices.Contains(ops, op) {
+					ops = append(ops, op)
+				}
+			}
+		}
+	}
+	const n = 32
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lt := lockTable{conflict: p.Conflict, table: p.Table}
+		ref := make(map[*Tx]*txLock)
+		txs := make([]*Tx, n)
+		for i := range txs {
+			txs[i] = &Tx{}
+		}
+		// From mostly granting to mostly releasing: the holder count sweeps
+		// from nearly all 32 down to a few.
+		for step := 0; step < 400; step++ {
+			tx := txs[rng.Intn(n)]
+			if rng.Intn(8) <= int(seed) {
+				if got := lt.release(tx); got != ref[tx] {
+					t.Fatalf("seed %d step %d: release returned %p, want %p", seed, step, got, ref[tx])
+				}
+				delete(ref, tx)
+			} else {
+				op := ops[rng.Intn(len(ops))]
+				lk := ref[tx]
+				if lk == nil {
+					lk = &txLock{}
+					ref[tx] = lk
+				}
+				cls, _ := lt.rowOfLocked(op)
+				lt.grant(tx, lk, op, cls, histories.Timestamp(rng.Intn(1000)))
+			}
+			checkHolderSet(t, fmt.Sprintf("seed %d step %d", seed, step), &lt, ref, txs, ops)
+		}
+	}
+}
+
+// checkHolderSet compares lt's holder queries with the reference ref.
+func checkHolderSet(t *testing.T, at string, lt *lockTable, ref map[*Tx]*txLock, txs []*Tx, ops []spec.Op) {
+	t.Helper()
+	if lt.holders() != len(ref) {
+		t.Fatalf("%s: %d holders, want %d", at, lt.holders(), len(ref))
+	}
+	horizon := histories.Timestamp(1<<62 - 1)
+	for _, lk := range ref {
+		horizon = min(horizon, lk.bound)
+	}
+	if got := lt.minBound(); got != horizon {
+		t.Fatalf("%s: minBound %d, want %d", at, got, horizon)
+	}
+	for i, tx := range txs {
+		if got := lt.lockOf(tx); got != ref[tx] {
+			t.Fatalf("%s: lockOf(T%d) = %p, want %p", at, i, got, ref[tx])
+		}
+		got := lt.activeHoldersLocked(tx)
+		gotSet := make(map[*Tx]bool, len(got))
+		for _, h := range got {
+			gotSet[h] = true
+		}
+		want := len(ref)
+		if ref[tx] != nil {
+			want--
+		}
+		if len(got) != want || len(gotSet) != want || gotSet[tx] {
+			t.Fatalf("%s: T%d sees %d holders (%d distinct), want %d others", at, i, len(got), len(gotSet), want)
+		}
+		for other := range ref {
+			if other != tx && !gotSet[other] {
+				t.Fatalf("%s: T%d's holders miss one", at, i)
+			}
+		}
+		for _, op := range ops {
+			conflicting := false
+			for other, lk := range ref {
+				conflicting = conflicting || other != tx && conflictsAny(lt.conflict, lk.ops, op)
+			}
+			if _, row := lt.rowOfLocked(op); lt.conflictsWithActiveRowLocked(tx, row, op) != conflicting {
+				t.Fatalf("%s: %s by T%d conflicts = %v, want %v", at, op, i, !conflicting, conflicting)
+			}
 		}
 	}
 }

@@ -58,11 +58,8 @@ type Object struct {
 	// call whose event count is unchanged across a wakeup re-waits
 	// without re-deriving responses.
 	events uint64
-	// batchMask and batchLocks are commitBatch's scratch buffers (guarded
-	// by mu): the union wakeup mask of a batch and the lock records it
-	// releases, reused across batches.
-	batchMask  depend.Mask
-	batchLocks []*txLock
+	// batchMask is commitBatch's union wakeup mask, reused (guarded by mu).
+	batchMask depend.Mask
 
 	stats ObjectStats
 }
@@ -275,8 +272,7 @@ func (o *Object) viewStateLocked(tx *Tx, lk *txLock) spec.State {
 func (o *Object) commitBatch(batch []*Tx, ev []pendingEvent, snap *tailSnapshot) []pendingEvent {
 	o.mu.Lock()
 	o.batchMask = o.batchMask[:0]
-	o.batchLocks = o.batchLocks[:0]
-	hasExtra := false
+	hasExtra, merged := false, 0
 	for _, tx := range batch {
 		lk := o.release(tx)
 		if lk == nil {
@@ -291,18 +287,14 @@ func (o *Object) commitBatch(batch []*Tx, ev []pendingEvent, snap *tailSnapshot)
 		}
 		o.batchMask.Or(lk.mask)
 		hasExtra = hasExtra || len(lk.extra) > 0
-		o.batchLocks = append(o.batchLocks, lk)
+		o.sys.putLock(lk)
+		merged++
 	}
-	if len(o.batchLocks) > 0 {
+	if merged > 0 {
 		o.compactLocked()
 		o.publishLocked(snap)
-		o.stats.commits.Add(int64(len(o.batchLocks)))
+		o.stats.commits.Add(int64(merged))
 		o.wakeScanLocked(o.batchMask, hasExtra, false, true)
-		for i, lk := range o.batchLocks {
-			o.sys.putLock(lk)
-			o.batchLocks[i] = nil
-		}
-		o.batchLocks = o.batchLocks[:0]
 	}
 	if o.pending != nil {
 		o.maybeInstallPendingLocked()

@@ -63,7 +63,7 @@ func (s *System) NewObjectPolicies(name string, sp spec.Spec, set *ccpolicy.Set,
 		}
 	}
 	o := &Object{sys: s, name: histories.ObjID(name), policies: set, policy: p}
-	o.lockTable = lockTable{sys: s, stats: &o.stats, conflict: p.Conflict, table: p.Table, active: make(map[*Tx]*txLock)}
+	o.lockTable = lockTable{sys: s, stats: &o.stats, conflict: p.Conflict, table: p.Table}
 	_, durable := sp.(spec.DurableSpec)
 	o.versions.init(sp, s.log != nil && !durable)
 	o.readSp, _ = sp.(spec.ReadSpec)

@@ -289,7 +289,7 @@ func scanBound(tx *Tx, objs ...*Object) histories.Timestamp {
 	var lower histories.Timestamp
 	for _, o := range objs {
 		o.mu.Lock()
-		if lk := o.active[tx]; lk != nil && lk.bound > lower {
+		if lk := o.lockOf(tx); lk != nil && lk.bound > lower {
 			lower = lk.bound
 		}
 		o.mu.Unlock()

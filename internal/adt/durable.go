@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hybridcc/internal/codec"
 	"hybridcc/internal/spec"
 )
 
@@ -25,101 +26,23 @@ var (
 	_ spec.DurableSpec = File{}
 )
 
-func appendStateStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// stateDecoder walks an encoded state blob, latching the first error.
-type stateDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *stateDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *stateDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("adt: truncated state varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *stateDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("adt: truncated state uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *stateDecoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail("adt: state string length %d exceeds blob", n)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// done verifies the blob was consumed exactly.
-func (d *stateDecoder) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("adt: %d trailing bytes in state blob", len(d.buf)-d.off)
-	}
-	return nil
-}
-
-// count reads a collection length and sanity-bounds it against the blob.
-func (d *stateDecoder) count() int {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.buf)) {
-		d.fail("adt: state count %d exceeds blob", n)
-	}
-	return int(n)
-}
-
 // encodeStrings renders a string slice in the given order.
 func encodeStrings(items []string) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(items)))
 	for _, it := range items {
-		buf = appendStateStr(buf, it)
+		buf = codec.AppendString(buf, it)
 	}
 	return buf
 }
 
 func decodeStrings(data []byte) ([]string, error) {
-	d := &stateDecoder{buf: data}
-	n := d.count()
+	d := codec.NewDecoder("adt", data)
+	n := d.Count("state")
 	var items []string
-	for i := 0; i < n && d.err == nil; i++ {
-		items = append(items, d.str())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		items = append(items, d.Str())
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return items, nil
@@ -132,9 +55,9 @@ func (Account) EncodeState(s spec.State) ([]byte, error) {
 
 // DecodeState implements spec.DurableSpec.
 func (Account) DecodeState(data []byte) (spec.State, error) {
-	d := &stateDecoder{buf: data}
-	bal := d.varint()
-	if err := d.done(); err != nil {
+	d := codec.NewDecoder("adt", data)
+	bal := d.Varint()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	if bal < 0 {
@@ -150,9 +73,9 @@ func (Counter) EncodeState(s spec.State) ([]byte, error) {
 
 // DecodeState implements spec.DurableSpec.
 func (Counter) DecodeState(data []byte) (spec.State, error) {
-	d := &stateDecoder{buf: data}
-	n := d.varint()
-	if err := d.done(); err != nil {
+	d := codec.NewDecoder("adt", data)
+	n := d.Varint()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return counterState{n: n}, nil
@@ -226,28 +149,28 @@ func (Directory) EncodeState(s spec.State) ([]byte, error) {
 	sort.Strings(keys)
 	buf := binary.AppendUvarint(nil, uint64(len(keys)))
 	for _, k := range keys {
-		buf = appendStateStr(buf, k)
-		buf = appendStateStr(buf, st.bind[k])
+		buf = codec.AppendString(buf, k)
+		buf = codec.AppendString(buf, st.bind[k])
 	}
 	return buf, nil
 }
 
 // DecodeState implements spec.DurableSpec.
 func (Directory) DecodeState(data []byte) (spec.State, error) {
-	d := &stateDecoder{buf: data}
-	n := d.count()
+	d := codec.NewDecoder("adt", data)
+	n := d.Count("state")
 	bind := make(map[string]string, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		k := d.str()
-		v := d.str()
-		if d.err == nil {
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.Str()
+		v := d.Str()
+		if d.Err() == nil {
 			if _, dup := bind[k]; dup {
 				return nil, fmt.Errorf("adt: duplicate key %q in directory state blob", k)
 			}
 			bind[k] = v
 		}
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return dirState{bind: bind}, nil
@@ -255,14 +178,14 @@ func (Directory) DecodeState(data []byte) (spec.State, error) {
 
 // EncodeState implements spec.DurableSpec.
 func (File) EncodeState(s spec.State) ([]byte, error) {
-	return appendStateStr(nil, s.(fileState).val), nil
+	return codec.AppendString(nil, s.(fileState).val), nil
 }
 
 // DecodeState implements spec.DurableSpec.
 func (File) DecodeState(data []byte) (spec.State, error) {
-	d := &stateDecoder{buf: data}
-	val := d.str()
-	if err := d.done(); err != nil {
+	d := codec.NewDecoder("adt", data)
+	val := d.Str()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return fileState{val: val}, nil

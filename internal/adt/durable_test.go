@@ -77,3 +77,47 @@ func TestDurableStateDecodeRejectsGarbage(t *testing.T) {
 		t.Error("Counter: accepted trailing bytes")
 	}
 }
+
+// FuzzDecodeState feeds each built-in's state decoder hostile blobs, as a
+// checkpoint whose CRC happened to match would: it must not panic, must
+// not decode a state larger than the blob (the state's own encoding is
+// canonical, so it is never longer than any blob that decodes to it), and
+// whatever it accepts must survive a re-encode unchanged.
+func FuzzDecodeState(f *testing.F) {
+	specs := []spec.DurableSpec{
+		NewAccount(), NewCounter(), NewQueue(), NewSemiqueue(), NewSet(), NewDirectory(), NewFile(),
+	}
+	for i, sp := range specs {
+		blob, err := sp.EncodeState(sp.Init())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), blob)
+		f.Add(uint8(i), []byte{0xff})
+		f.Add(uint8(i), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}) // a count of 2^63
+	}
+	f.Add(uint8(2), []byte{2, 1, '1', 1, '2'})            // Queue [1 2]
+	f.Add(uint8(3), []byte{2, 1, '2', 1, '1'})            // Semiqueue, unsorted
+	f.Add(uint8(4), []byte{2, 1, '1', 1, '1'})            // Set, duplicate member
+	f.Add(uint8(5), []byte{2, 1, 'a', 1, '1', 1, 'a', 0}) // Directory, duplicate key
+	f.Add(uint8(6), []byte{2, '4', '2', 0})               // File, a trailing byte
+
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		sp := specs[int(which)%len(specs)]
+		st, err := sp.DecodeState(data)
+		if err != nil {
+			return
+		}
+		blob, err := sp.EncodeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) > len(data) {
+			t.Fatalf("%s: a %d-byte blob decoded to a state whose encoding takes %d", sp.Name(), len(data), len(blob))
+		}
+		again, err := sp.DecodeState(blob)
+		if err != nil || !sp.Equal(again, st) {
+			t.Fatalf("%s: re-encoded state decodes to %+v, %v; want %+v", sp.Name(), again, err, st)
+		}
+	})
+}

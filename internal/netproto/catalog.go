@@ -1,14 +1,14 @@
 package netproto
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"hybridcc/internal/codec"
 )
 
 // A Catalog makes a shard's object registrations durable.  The WAL records
@@ -27,10 +27,10 @@ import (
 // refuses fails Dial.
 //
 // The file is append-only with the same CRC framing as the wire and the
-// WAL, one frame per entry; a torn final frame (crash mid-append) is
-// ignored on load.  A scheme switch — SetScheme over the wire, or a
-// re-registration under another scheme — appends a new record for the
-// same name; the loader keeps the last record per name.
+// WAL (internal/codec), one frame per entry; a torn final frame (crash
+// mid-append) is ignored on load.  A scheme switch — SetScheme over the
+// wire, or a re-registration under another scheme — appends a new record
+// for the same name; the loader keeps the last record per name.
 type Catalog struct {
 	mu sync.Mutex
 	f  *os.File
@@ -101,25 +101,17 @@ func readCatalog(f *os.File) ([]CatalogEntry, int64, error) {
 	var entries []CatalogEntry
 	off := 0
 	for {
-		if len(data)-off < frameHeaderSize {
+		payload, size, reason := codec.Next(data[off:], maxPayload)
+		if reason != "" {
 			break
 		}
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		want := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n > maxPayload || len(data)-off-frameHeaderSize < int(n) {
-			break
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != want {
-			break
-		}
-		d := &decoder{buf: payload}
-		e := CatalogEntry{Name: d.str(), TypeName: d.str(), Scheme: d.str()}
-		if d.err != nil || d.off != len(payload) {
+		d := codec.NewDecoder("netproto", payload)
+		e := CatalogEntry{Name: d.Str(), TypeName: d.Str(), Scheme: d.Str()}
+		if d.Done() != nil {
 			break
 		}
 		entries = append(entries, e)
-		off += frameHeaderSize + int(n)
+		off += size
 	}
 	return entries, int64(off), nil
 }
@@ -135,17 +127,12 @@ func (c *Catalog) AppendBatch(entries []CatalogEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	var buf []byte
-	var hdr [frameHeaderSize]byte
+	var buf, payload []byte
 	for _, e := range entries {
-		start := len(buf)
-		buf = append(buf, hdr[:]...)
-		buf = appendString(buf, e.Name)
-		buf = appendString(buf, e.TypeName)
-		buf = appendString(buf, e.Scheme)
-		payload := buf[start+frameHeaderSize:]
-		binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.Checksum(payload, castagnoli))
+		payload = codec.AppendString(payload[:0], e.Name)
+		payload = codec.AppendString(payload, e.TypeName)
+		payload = codec.AppendString(payload, e.Scheme)
+		buf = codec.AppendFrame(buf, payload)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

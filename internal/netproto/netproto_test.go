@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hybridcc/internal/adt"
+	"hybridcc/internal/codec"
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/tstamp"
@@ -57,7 +58,7 @@ func TestWireCRCDetectsCorruption(t *testing.T) {
 	}
 	_ = w.Flush()
 	raw := buf.Bytes()
-	raw[frameHeaderSize+2] ^= 0xff // flip a payload bit
+	raw[codec.HeaderSize+2] ^= 0xff // flip a payload bit
 	if _, _, err := readMessage(bufio.NewReader(bytes.NewReader(raw)), nil); err == nil {
 		t.Fatal("corrupted frame decoded cleanly")
 	}
@@ -176,8 +177,8 @@ func TestCatalogTornBatch(t *testing.T) {
 	}
 	_ = c.Close()
 	// Cut the second batch inside its second frame: c survives, d is torn.
-	frame0 := frameHeaderSize + len(appendString(appendString(appendString(nil, "c"), "Queue"), "hybrid"))
-	if err := os.Truncate(path, firstEnd+int64(frame0)+frameHeaderSize+2); err != nil {
+	frame0 := codec.HeaderSize + len(codec.AppendString(codec.AppendString(codec.AppendString(nil, "c"), "Queue"), "hybrid"))
+	if err := os.Truncate(path, firstEnd+int64(frame0)+codec.HeaderSize+2); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,7 +3,6 @@ package netproto
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"hybridcc/internal/baseline"
+	"hybridcc/internal/codec"
 	"hybridcc/internal/core"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
@@ -272,10 +272,8 @@ func (s *Server) serveConn(c *serverConn) {
 		}
 		// A burst of pipelined calls is answered with one write: replies
 		// wait while a whole next request is already buffered.
-		if n := r.Buffered(); n >= frameHeaderSize {
-			if hdr, _ := r.Peek(frameHeaderSize); n-frameHeaderSize >= int(binary.LittleEndian.Uint32(hdr)) {
-				continue
-			}
+		if codec.Buffered(r) {
+			continue
 		}
 		if err := w.Flush(); err != nil {
 			return

@@ -7,8 +7,8 @@
 // the recovery probes (pending-branch listing, transaction-status lookup)
 // that make presumed abort work across process boundaries.
 //
-// Framing reuses the write-ahead log's idiom (internal/wal): every message
-// is [payload length, uint32 LE][CRC32C of payload, uint32 LE][payload],
+// Framing is the write-ahead log's (internal/codec): every message is
+// [payload length, uint32 LE][CRC32C of payload, uint32 LE][payload],
 // strings are uvarint-length-prefixed, and decoding is bounds-checked, so
 // a truncated or corrupted frame is detected rather than misparsed.  The
 // payload starts with a one-byte message type; every message carries the
@@ -29,23 +29,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 
+	"hybridcc/internal/codec"
 	"hybridcc/internal/core"
 )
 
 // protoVersion is the handshake version; mismatched peers refuse each
 // other instead of misparsing.  Version 2 made msgRegister a batch.
 const protoVersion = 2
-
-// castagnoli is the CRC32C table (hardware-accelerated, same polynomial
-// the WAL frames use).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// frameHeaderSize is the per-message framing overhead: payload length then
-// payload CRC32C, both little-endian uint32.
-const frameHeaderSize = 8
 
 // maxPayload bounds one message; a larger length prefix marks the frame
 // corrupt rather than an allocation request.
@@ -186,19 +177,13 @@ type message struct {
 	ids  []string
 }
 
-// appendString appends a uvarint-length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // encodePayload appends m's payload encoding (without framing) to buf.
 func encodePayload(buf []byte, m *message) []byte {
 	buf = append(buf, m.typ)
-	buf = appendString(buf, m.tx)
-	buf = appendString(buf, m.obj)
-	buf = appendString(buf, m.a)
-	buf = appendString(buf, m.b)
+	buf = codec.AppendString(buf, m.tx)
+	buf = codec.AppendString(buf, m.obj)
+	buf = codec.AppendString(buf, m.a)
+	buf = codec.AppendString(buf, m.b)
 	buf = binary.AppendUvarint(buf, m.ts)
 	buf = binary.AppendUvarint(buf, m.n)
 	buf = append(buf, m.flag)
@@ -206,109 +191,29 @@ func encodePayload(buf []byte, m *message) []byte {
 	buf = append(buf, m.blob...)
 	buf = binary.AppendUvarint(buf, uint64(len(m.ids)))
 	for _, id := range m.ids {
-		buf = appendString(buf, id)
+		buf = codec.AppendString(buf, id)
 	}
 	return buf
 }
 
-// decoder is a bounds-checked cursor over one payload (the WAL's idiom).
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decoder) byteVal() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail("netproto: payload truncated")
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("netproto: bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail("netproto: string length %d exceeds payload", n)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail("netproto: blob length %d exceeds payload", n)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
-	return b
-}
-
 // decodePayload decodes one payload into a message.
 func decodePayload(buf []byte) (message, error) {
-	d := &decoder{buf: buf}
+	d := codec.NewDecoder("netproto", buf)
 	var m message
-	m.typ = d.byteVal()
-	m.tx = d.str()
-	m.obj = d.str()
-	m.a = d.str()
-	m.b = d.str()
-	m.ts = d.uvarint()
-	m.n = d.uvarint()
-	m.flag = d.byteVal()
-	m.blob = d.bytes()
-	nIDs := d.uvarint()
-	if d.err == nil && nIDs > uint64(len(buf)) {
-		d.fail("netproto: id count %d exceeds payload", nIDs)
+	m.typ = d.Byte()
+	m.tx = d.Str()
+	m.obj = d.Str()
+	m.a = d.Str()
+	m.b = d.Str()
+	m.ts = d.Uvarint()
+	m.n = d.Uvarint()
+	m.flag = d.Byte()
+	m.blob = d.Bytes("blob")
+	nIDs := d.Count("id")
+	for i := 0; i < nIDs && d.Err() == nil; i++ {
+		m.ids = append(m.ids, d.Str())
 	}
-	for i := uint64(0); i < nIDs && d.err == nil; i++ {
-		m.ids = append(m.ids, d.str())
-	}
-	if d.err != nil {
-		return m, d.err
-	}
-	if d.off != len(buf) {
-		return m, fmt.Errorf("netproto: %d trailing payload bytes", len(buf)-d.off)
-	}
-	return m, nil
+	return m, d.Done()
 }
 
 // encodeRegistrations flattens a registration batch into msgRegister's ids:
@@ -350,9 +255,7 @@ func writeMessage(w *bufio.Writer, scratch []byte, m *message) ([]byte, error) {
 	if len(payload) > maxPayload {
 		return payload, fmt.Errorf("netproto: message of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	hdr := codec.Header(payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return payload, err
 	}
@@ -363,25 +266,10 @@ func writeMessage(w *bufio.Writer, scratch []byte, m *message) ([]byte, error) {
 // readMessage reads and verifies one framed message, returning the
 // (possibly grown) scratch buffer for reuse.
 func readMessage(r *bufio.Reader, scratch []byte) (message, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return message{}, scratch, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > maxPayload {
-		return message{}, scratch, fmt.Errorf("netproto: frame length %d exceeds limit", n)
-	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n)
-	}
-	payload := scratch[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return message{}, scratch, err
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return message{}, scratch, fmt.Errorf("netproto: frame CRC mismatch (got %08x want %08x)", got, want)
+	payload, err := codec.ReadFrame(r, scratch, maxPayload)
+	if err != nil {
+		return message{}, payload, err
 	}
 	m, err := decodePayload(payload)
-	return m, scratch, err
+	return m, payload, err
 }

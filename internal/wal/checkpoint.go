@@ -4,13 +4,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"hybridcc/internal/codec"
 )
 
 // A Checkpoint is a durable image of a log's committed state at a cut:
@@ -24,10 +25,10 @@ import (
 // checkpoint's cut are unlinked after it is published (Log.TruncateBelow).
 //
 // On disk a checkpoint is a single checkpoint-<cut>.ckpt file in the log
-// directory, framed with the same length-prefix + CRC32C scheme as the
-// segments, ending in a footer frame that proves completeness: a torn or
-// CRC-bad checkpoint is ignored (recovery falls back to an older
-// checkpoint or full replay), never trusted and never fatal.
+// directory, framed like the segments (internal/codec), ending in a
+// footer frame that proves completeness: a torn or CRC-bad checkpoint is
+// ignored (recovery falls back to an older checkpoint or full replay),
+// never trusted and never fatal.
 type Checkpoint struct {
 	// CutTS is the largest per-object commit clock at snapshot time —
 	// recovery observes it so freshly minted timestamps stay ahead even
@@ -150,40 +151,28 @@ func ckptFail(stage string) error {
 
 // appendCkptEntry encodes one CheckpointEntry.
 func appendCkptEntry(buf []byte, e CheckpointEntry) []byte {
-	buf = appendString(buf, e.Tx)
+	buf = codec.AppendString(buf, e.Tx)
 	buf = binary.AppendUvarint(buf, uint64(e.TS))
 	buf = binary.AppendUvarint(buf, uint64(e.Participants))
 	buf = binary.AppendUvarint(buf, uint64(len(e.Ops)))
 	for _, op := range e.Ops {
-		buf = appendString(buf, op.Name)
-		buf = appendString(buf, op.Arg)
-		buf = appendString(buf, op.Res)
+		buf = codec.AppendString(buf, op.Name)
+		buf = codec.AppendString(buf, op.Arg)
+		buf = codec.AppendString(buf, op.Res)
 	}
 	return buf
 }
 
-func (d *decoder) ckptEntry() CheckpointEntry {
+func decodeCkptEntry(d *codec.Decoder) CheckpointEntry {
 	var e CheckpointEntry
-	e.Tx = d.str()
-	e.TS = int64(d.uvarint())
-	e.Participants = int(d.uvarint())
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.buf)) {
-		d.fail("wal: checkpoint op count %d exceeds payload", n)
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		e.Ops = append(e.Ops, Op{Name: d.str(), Arg: d.str(), Res: d.str()})
+	e.Tx = d.Str()
+	e.TS = int64(d.Uvarint())
+	e.Participants = int(d.Uvarint())
+	n := d.Count("checkpoint op")
+	for i := 0; i < n && d.Err() == nil; i++ {
+		e.Ops = append(e.Ops, Op{Name: d.Str(), Arg: d.Str(), Res: d.Str()})
 	}
 	return e
-}
-
-// appendCkptFrame wraps one payload in the segment frame format.
-func appendCkptFrame(file, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	file = append(file, hdr[:]...)
-	return append(file, payload...)
 }
 
 // encodeCheckpoint renders ck as a complete checkpoint file image.
@@ -194,11 +183,11 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 	buf = binary.AppendUvarint(buf, ck.MaxSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Objects)))
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Pending)))
-	file = appendCkptFrame(file, buf)
+	file = codec.AppendFrame(file, buf)
 
 	for _, o := range ck.Objects {
 		buf = append(buf[:0], ckptFrameObject)
-		buf = appendString(buf, o.Name)
+		buf = codec.AppendString(buf, o.Name)
 		buf = binary.AppendUvarint(buf, uint64(o.Folded))
 		buf = binary.AppendUvarint(buf, uint64(o.Clock))
 		if o.HasState {
@@ -216,20 +205,46 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 		for _, e := range o.Unforgotten {
 			buf = appendCkptEntry(buf, e)
 		}
-		file = appendCkptFrame(file, buf)
+		file = codec.AppendFrame(file, buf)
 	}
 
 	for _, r := range ck.Pending {
 		buf = append(buf[:0], ckptFramePending)
 		buf = encodePayload(buf, r)
-		file = appendCkptFrame(file, buf)
+		file = codec.AppendFrame(file, buf)
 	}
 
 	buf = append(buf[:0], ckptFrameFooter)
 	buf = binary.AppendUvarint(buf, uint64(1+len(ck.Objects)+len(ck.Pending)))
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Objects)))
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Pending)))
-	return appendCkptFrame(file, buf)
+	return codec.AppendFrame(file, buf)
+}
+
+// decodeCkptObject parses one object frame's payload.
+func decodeCkptObject(payload []byte) (CheckpointObject, error) {
+	d := codec.NewDecoder("wal", payload)
+	var o CheckpointObject
+	if k := d.Byte(); k != ckptFrameObject {
+		return o, fmt.Errorf("wal: checkpoint object frame kind %#x", k)
+	}
+	o.Name = d.Str()
+	o.Folded = int64(d.Uvarint())
+	o.Clock = int64(d.Uvarint())
+	if d.Byte() == 1 {
+		o.HasState = true
+		o.State = d.Bytes("checkpoint state")
+	} else {
+		n := d.Count("checkpoint image")
+		for j := 0; j < n && d.Err() == nil; j++ {
+			o.ImageOps = append(o.ImageOps, decodeCkptEntry(&d))
+		}
+	}
+	n := d.Count("checkpoint unforgotten")
+	for j := 0; j < n && d.Err() == nil; j++ {
+		o.Unforgotten = append(o.Unforgotten, decodeCkptEntry(&d))
+	}
+	return o, d.Done()
 }
 
 // decodeCheckpoint parses a checkpoint file image, failing on any framing,
@@ -237,86 +252,41 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 // failure identically (the checkpoint is ignored).
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var payloads [][]byte
-	off := 0
-	for off < len(data) {
-		if len(data)-off < frameHeaderSize {
-			return nil, fmt.Errorf("wal: checkpoint torn: short frame header")
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n > maxPayload || uint32(len(data)-off-frameHeaderSize) < n {
-			return nil, fmt.Errorf("wal: checkpoint torn: short payload")
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return nil, fmt.Errorf("wal: checkpoint frame CRC mismatch")
+	for off := 0; off < len(data); {
+		payload, size, reason := codec.Next(data[off:], maxPayload)
+		if reason != "" {
+			return nil, fmt.Errorf("wal: checkpoint torn: %s", reason)
 		}
 		payloads = append(payloads, payload)
-		off += frameHeaderSize + int(n)
+		off += size
 	}
 	if len(payloads) < 2 {
 		return nil, fmt.Errorf("wal: checkpoint torn: %d frames", len(payloads))
 	}
 
-	hd := &decoder{buf: payloads[0]}
-	if k := hd.byteVal(); k != ckptFrameHeader {
+	hd := codec.NewDecoder("wal", payloads[0])
+	if k := hd.Byte(); k != ckptFrameHeader {
 		return nil, fmt.Errorf("wal: checkpoint header frame kind %#x", k)
 	}
-	if v := hd.byteVal(); v != ckptVersion {
+	if v := hd.Byte(); v != ckptVersion {
 		return nil, fmt.Errorf("wal: checkpoint format version %d, want %d", v, ckptVersion)
 	}
 	ck := &Checkpoint{}
-	ck.CutTS = int64(hd.uvarint())
-	ck.MaxSeq = hd.uvarint()
-	nObjs := hd.uvarint()
-	nPending := hd.uvarint()
-	if hd.err != nil {
-		return nil, hd.err
+	ck.CutTS = int64(hd.Uvarint())
+	ck.MaxSeq = hd.Uvarint()
+	nObjs := hd.Uvarint()
+	nPending := hd.Uvarint()
+	if err := hd.Err(); err != nil {
+		return nil, err
 	}
 	if want := 2 + nObjs + nPending; uint64(len(payloads)) != want {
 		return nil, fmt.Errorf("wal: checkpoint torn: %d frames, want %d", len(payloads), want)
 	}
 
 	for i := uint64(0); i < nObjs; i++ {
-		d := &decoder{buf: payloads[1+i]}
-		if k := d.byteVal(); k != ckptFrameObject {
-			return nil, fmt.Errorf("wal: checkpoint object frame kind %#x", k)
-		}
-		var o CheckpointObject
-		o.Name = d.str()
-		o.Folded = int64(d.uvarint())
-		o.Clock = int64(d.uvarint())
-		if d.byteVal() == 1 {
-			o.HasState = true
-			n := d.uvarint()
-			if d.err == nil && n > uint64(len(d.buf)-d.off) {
-				d.fail("wal: checkpoint state length %d exceeds payload", n)
-			}
-			if d.err == nil {
-				o.State = append([]byte(nil), d.buf[d.off:d.off+int(n)]...)
-				d.off += int(n)
-			}
-		} else {
-			n := d.uvarint()
-			if d.err == nil && n > uint64(len(d.buf)) {
-				d.fail("wal: checkpoint image count %d exceeds payload", n)
-			}
-			for j := uint64(0); j < n && d.err == nil; j++ {
-				o.ImageOps = append(o.ImageOps, d.ckptEntry())
-			}
-		}
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.buf)) {
-			d.fail("wal: checkpoint unforgotten count %d exceeds payload", n)
-		}
-		for j := uint64(0); j < n && d.err == nil; j++ {
-			o.Unforgotten = append(o.Unforgotten, d.ckptEntry())
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		if d.off != len(d.buf) {
-			return nil, fmt.Errorf("wal: checkpoint object frame has %d trailing bytes", len(d.buf)-d.off)
+		o, err := decodeCkptObject(payloads[1+i])
+		if err != nil {
+			return nil, err
 		}
 		ck.Objects = append(ck.Objects, o)
 	}
@@ -333,17 +303,17 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		ck.Pending = append(ck.Pending, r)
 	}
 
-	fd := &decoder{buf: payloads[len(payloads)-1]}
-	if k := fd.byteVal(); k != ckptFrameFooter {
+	fd := codec.NewDecoder("wal", payloads[len(payloads)-1])
+	if k := fd.Byte(); k != ckptFrameFooter {
 		return nil, fmt.Errorf("wal: checkpoint torn: no footer frame")
 	}
-	if n := fd.uvarint(); fd.err != nil || n != uint64(len(payloads)-1) {
+	if n := fd.Uvarint(); fd.Err() != nil || n != uint64(len(payloads)-1) {
 		return nil, fmt.Errorf("wal: checkpoint footer frame count mismatch")
 	}
-	if n := fd.uvarint(); fd.err != nil || n != nObjs {
+	if n := fd.Uvarint(); fd.Err() != nil || n != nObjs {
 		return nil, fmt.Errorf("wal: checkpoint footer object count mismatch")
 	}
-	if n := fd.uvarint(); fd.err != nil || n != nPending {
+	if n := fd.Uvarint(); fd.Err() != nil || n != nPending {
 		return nil, fmt.Errorf("wal: checkpoint footer pending count mismatch")
 	}
 	return ck, nil

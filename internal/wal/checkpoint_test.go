@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hybridcc/internal/codec"
 )
 
 func sampleCheckpoint() *Checkpoint {
@@ -148,7 +150,7 @@ func TestCheckpointTornIgnored(t *testing.T) {
 			for off < len(full) {
 				n := int(uint32(full[off]) | uint32(full[off+1])<<8 | uint32(full[off+2])<<16 | uint32(full[off+3])<<24)
 				prev = off
-				off += frameHeaderSize + n
+				off += codec.HeaderSize + n
 			}
 			return full[:prev]
 		}},

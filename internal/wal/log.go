@@ -9,8 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"encoding/binary"
-	"hash/crc32"
+	"hybridcc/internal/codec"
 )
 
 // ErrClosed reports an append or sync on a closed (or crashed) log.
@@ -319,10 +318,8 @@ func (l *Log) appendLocked(r Record) error {
 	}
 	payload := encodePayload(l.enc[:0], r)
 	l.enc = payload[:0]
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	end := l.segSize + int64(frameHeaderSize+len(payload))
+	hdr := codec.Header(payload)
+	end := l.segSize + int64(len(hdr)+len(payload))
 	if l.opts.Sync && end > l.zeroed {
 		// Zero-fill ahead before buffering the frame, so no buffered byte
 		// ever lies beyond zeroed.  The fill stops at the rotation
@@ -344,8 +341,8 @@ func (l *Log) appendLocked(r Record) error {
 		return l.poisonLocked(err)
 	}
 	l.appends.Add(1)
-	l.bytes.Add(int64(frameHeaderSize + len(payload)))
-	l.segSize += int64(frameHeaderSize + len(payload))
+	l.bytes.Add(int64(len(hdr) + len(payload)))
+	l.segSize += int64(len(hdr) + len(payload))
 	if l.segSize >= l.opts.SegmentSize && !l.syncing {
 		return l.rotateLocked() // under an fsync the syncer rotates when it is done
 	}

@@ -1,15 +1,15 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"hybridcc/internal/codec"
 )
 
 // SegmentInfo describes one scanned segment file.
@@ -98,41 +98,23 @@ func readSegment(path string) (SegmentInfo, []Record, error) {
 	for off < len(data) {
 		// No valid frame has a zero length word, so an all-zero rest at a
 		// frame boundary is the writer's preallocated tail: a clean end.
-		if rest := data[off:]; (len(rest) < frameHeaderSize || binary.LittleEndian.Uint32(rest) == 0) && allZero(rest) {
+		// At a valid frame the scan stops within the length word.
+		if allZero(data[off:]) {
 			break
 		}
-		if len(data)-off < frameHeaderSize {
-			info.Torn = true
-			info.Reason = fmt.Sprintf("short frame header (%d bytes)", len(data)-off)
-			break
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n > maxPayload {
-			info.Torn = true
-			info.Reason = fmt.Sprintf("implausible payload length %d", n)
-			break
-		}
-		if uint32(len(data)-off-frameHeaderSize) < n {
-			info.Torn = true
-			info.Reason = fmt.Sprintf("short payload (%d of %d bytes)", len(data)-off-frameHeaderSize, n)
-			break
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			info.Torn = true
-			info.Reason = "CRC mismatch"
+		payload, size, reason := codec.Next(data[off:], maxPayload)
+		if reason != "" {
+			info.Torn, info.Reason = true, reason
 			break
 		}
 		r, err := decodePayload(payload)
 		if err != nil {
-			info.Torn = true
-			info.Reason = err.Error()
+			info.Torn, info.Reason = true, err.Error()
 			break
 		}
 		recs = append(recs, r)
 		info.Records++
-		off += frameHeaderSize + int(n)
+		off += size
 		info.GoodBytes = int64(off)
 	}
 	return info, recs, nil

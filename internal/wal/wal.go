@@ -25,10 +25,11 @@
 //     logged — the presumed-abort rule: a prepared branch whose
 //     coordinator log holds no decision record aborted.
 //
-// On disk, records are length-prefixed and CRC32C-checksummed frames in
-// numbered segment files.  Appends are buffered; Sync flushes and (when
-// the log is opened with Options.Sync) fsyncs, which is how the group
-// commit batcher turns a batch of commits into one fsync.  The reader
+// On disk, records are length-prefixed and CRC32C-checksummed frames
+// (internal/codec, the format the checkpoints, the shard catalog and the
+// wire share) in numbered segment files.  Appends are buffered; Sync
+// flushes and (when the log is opened with Options.Sync) fsyncs, which is
+// how the group commit batcher turns a batch of commits into one fsync.  The reader
 // tolerates a torn tail — a crash mid-append leaves a short or
 // corrupt final frame, which truncation maps to "those transactions never
 // committed" — but treats corruption anywhere before the tail as fatal.
@@ -40,7 +41,8 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"hybridcc/internal/codec"
 )
 
 // Kind enumerates record kinds.
@@ -127,28 +129,14 @@ type Record struct {
 	Objs         []ObjOps
 }
 
-// castagnoli is the CRC32C table; Castagnoli has hardware support on the
-// platforms this runs on and better error detection than IEEE.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// frameHeaderSize is the per-record framing overhead: a little-endian
-// uint32 payload length followed by the payload's CRC32C.
-const frameHeaderSize = 8
-
 // maxPayload bounds a single record; anything larger in a length prefix
 // marks the frame corrupt rather than an allocation request.
 const maxPayload = 1 << 28
 
-// appendString appends a uvarint-length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // encodePayload appends r's payload encoding (without framing) to buf.
 func encodePayload(buf []byte, r Record) []byte {
 	buf = append(buf, byte(r.Kind))
-	buf = appendString(buf, r.Tx)
+	buf = codec.AppendString(buf, r.Tx)
 	switch r.Kind {
 	case KindCommit, KindDecision:
 		buf = binary.AppendUvarint(buf, uint64(r.TS))
@@ -160,118 +148,55 @@ func encodePayload(buf []byte, r Record) []byte {
 	case KindCommit, KindPrepared:
 		buf = binary.AppendUvarint(buf, uint64(len(r.Objs)))
 		for _, oo := range r.Objs {
-			buf = appendString(buf, oo.Obj)
+			buf = codec.AppendString(buf, oo.Obj)
 			buf = binary.AppendUvarint(buf, uint64(len(oo.Ops)))
 			for _, op := range oo.Ops {
-				buf = appendString(buf, op.Name)
-				buf = appendString(buf, op.Arg)
-				buf = appendString(buf, op.Res)
+				buf = codec.AppendString(buf, op.Name)
+				buf = codec.AppendString(buf, op.Arg)
+				buf = codec.AppendString(buf, op.Res)
 			}
 		}
 	}
 	return buf
 }
 
-// decoder is a bounds-checked cursor over one payload.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decoder) byteVal() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail("wal: payload truncated")
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("wal: bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail("wal: string length %d exceeds payload", n)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
 // decodePayload decodes one payload into a Record.
 func decodePayload(buf []byte) (Record, error) {
-	d := &decoder{buf: buf}
+	d := codec.NewDecoder("wal", buf)
 	var r Record
-	r.Kind = Kind(d.byteVal())
+	r.Kind = Kind(d.Byte())
 	switch r.Kind {
 	case KindCommit, KindPrepared, KindAbort, KindDecision, KindOwner, KindDischarge:
 	default:
 		return r, fmt.Errorf("wal: unknown record kind %d", byte(r.Kind))
 	}
-	r.Tx = d.str()
+	r.Tx = d.Str()
 	switch r.Kind {
 	case KindCommit, KindDecision:
-		r.TS = int64(d.uvarint())
+		r.TS = int64(d.Uvarint())
 	}
 	if r.Kind == KindCommit {
-		n := d.uvarint()
-		if d.err == nil && n > uint64(maxPayload) {
-			d.fail("wal: participant count %d exceeds payload", n)
+		// Bounded by the record limit, not by this payload: a leg with no
+		// operations at this site is short and still counts every site.
+		n := d.Uvarint()
+		if d.Err() == nil && n > uint64(maxPayload) {
+			d.Fail("participant count %d exceeds payload", n)
 		}
 		r.Participants = int(n)
 	}
 	switch r.Kind {
 	case KindCommit, KindPrepared:
-		nObjs := d.uvarint()
-		if d.err == nil && nObjs > uint64(len(buf)) {
-			d.fail("wal: object count %d exceeds payload", nObjs)
-		}
-		for i := uint64(0); i < nObjs && d.err == nil; i++ {
-			oo := ObjOps{Obj: d.str()}
-			nOps := d.uvarint()
-			if d.err == nil && nOps > uint64(len(buf)) {
-				d.fail("wal: op count %d exceeds payload", nOps)
-			}
-			for j := uint64(0); j < nOps && d.err == nil; j++ {
-				oo.Ops = append(oo.Ops, Op{Name: d.str(), Arg: d.str(), Res: d.str()})
+		nObjs := d.Count("object")
+		for i := 0; i < nObjs && d.Err() == nil; i++ {
+			oo := ObjOps{Obj: d.Str()}
+			nOps := d.Count("op")
+			for j := 0; j < nOps && d.Err() == nil; j++ {
+				oo.Ops = append(oo.Ops, Op{Name: d.Str(), Arg: d.Str(), Res: d.Str()})
 			}
 			r.Objs = append(r.Objs, oo)
 		}
 	}
-	if d.err != nil {
-		return r, d.err
-	}
-	if d.off != len(buf) {
-		return r, fmt.Errorf("wal: %d trailing payload bytes", len(buf)-d.off)
-	}
-	return r, nil
+	return r, d.Done()
 }
 
 // Summary is the recovery-relevant digest of a record stream: which

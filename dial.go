@@ -152,6 +152,7 @@ func Dial(addrs []string, setup func(*Cluster) error, opts ...Option) (*Cluster,
 			Timeout:          timeout,
 			DecisionFor:      ledger.Lookup,
 			Owns:             ledger.Owns,
+			DecisionAcked:    ledger.Ack,
 			BreakerThreshold: c.breakerThreshold,
 			BreakerBackoff:   c.breakerBackoff,
 		})

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,10 +31,10 @@ func TestDecisionLedgerReloadOwnershipAndDischarge(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 
 	l := openLedger(t, dir, "aaaa-")
-	if err := l.Record("Taaaa-1", 100); err != nil {
+	if err := l.Record("Taaaa-1", 100, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Record("Taaaa-2", 200); err != nil {
+	if err := l.Record("Taaaa-2", 200, 0); err != nil {
 		t.Fatal(err)
 	}
 	l.Discharge("Taaaa-1")
@@ -74,12 +75,12 @@ func TestDecisionLedgerCompaction(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 
 	l := openLedger(t, dir, "aaaa-")
-	if err := l.Record("Taaaa-keep", 5); err != nil {
+	if err := l.Record("Taaaa-keep", 5, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 600; i++ {
 		tx := histories.TxID(fmt.Sprintf("Taaaa-%d", i))
-		if err := l.Record(tx, histories.Timestamp(1000+i)); err != nil {
+		if err := l.Record(tx, histories.Timestamp(1000+i), 0); err != nil {
 			t.Fatal(err)
 		}
 		l.Discharge(tx)
@@ -123,7 +124,7 @@ func TestLedgerCompactionCrashWindows(t *testing.T) {
 	// Window 1: crash before the swap — dir intact, dir+".compact" partial.
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := openLedger(t, dir, "aaaa-")
-	if err := l.Record("Taaaa-1", 42); err != nil {
+	if err := l.Record("Taaaa-1", 42, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -221,7 +222,7 @@ func TestLedgerRefusesShardDir(t *testing.T) {
 func TestOpenRefusesLedgerDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := openLedger(t, dir, "")
-	if err := l.Record("Tx-1", 9); err != nil {
+	if err := l.Record("Tx-1", 9, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -286,6 +287,61 @@ func TestDialedDecisionLogPrunedAfterAcks(t *testing.T) {
 	}
 	if s.Discharged == 0 {
 		t.Fatal("no discharge records: cross-shard commits were never pruned")
+	}
+}
+
+// Concurrent transactions share the pooled connections while committed
+// cross-shard rounds leave their decide replies owed on them.  Every
+// acknowledgement is still read — by a later transaction, the idle sweep
+// or Close — so a clean shutdown leaves no decision in the ledger, and the
+// recorded history, single-shard commits included, verifies.
+func TestDialedConcurrentCommitsDischargeEveryDecision(t *testing.T) {
+	addrs := startNetShards(t, 2)
+	dir := filepath.Join(t.TempDir(), "ledger")
+	rec := NewRecorder()
+	var out, in *Counter
+	c, err := Dial(addrs, func(cl *Cluster) error {
+		var err error
+		if out, err = counterOn(cl, 0, "out"); err != nil {
+			return err
+		}
+		in, err = counterOn(cl, 1, "in")
+		return err
+	}, WithDialDecisionLog(dir), WithRecorder(rec), WithCommitTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := c.Atomically(func(tx *DTx) error {
+					if err := out.Inc(tx, 1); err != nil || i%2 == 0 {
+						return err
+					}
+					return in.Inc(tx, 1)
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := wal.ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := wal.Summarize(recs); len(s.Decisions) != 0 {
+		t.Fatalf("ledger still holds %d decisions after a clean shutdown: %v", len(s.Decisions), s.Decisions)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"hybridcc/internal/commitproto"
 	"hybridcc/internal/core"
-	"hybridcc/internal/histories"
 	"hybridcc/internal/tstamp"
 )
 
@@ -41,9 +40,10 @@ type RemoteOptions struct {
 	IDPrefix string
 	// Ledger, when set, records each commit decision before any shard is
 	// told to commit, so a shard that crashed prepared is fed its decision
-	// on reconnect (netproto's handshake), and discharges a decision every
-	// shard acknowledged: a shard server acks once the commit record is
-	// durable.  Close closes it.
+	// on reconnect (netproto's handshake).  It discharges a decision once
+	// every shard has acknowledged it, which the connections report to
+	// Ledger.Ack as they read the acknowledgements: a shard server acks
+	// once the commit record is durable.  Close closes it.
 	Ledger *commitproto.Ledger
 }
 
@@ -82,7 +82,6 @@ func NewRemote(conns []RemoteConn, opts RemoteOptions) (*Cluster, error) {
 	c.coord = commitproto.NewCoordinator(c.coordClock, opts.CommitTimeout)
 	if l := opts.Ledger; l != nil {
 		c.coord.SetDecisionLog(l.Record)
-		c.coord.SetDecisionResolved(func(tx histories.TxID, _ histories.Timestamp) { l.Discharge(tx) })
 	}
 	return c, nil
 }

@@ -27,18 +27,23 @@ const HeaderSize = 8
 // platforms this runs on and better error detection than IEEE.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Header returns the frame header of payload.
-func Header(payload []byte) [HeaderSize]byte {
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	return hdr
+// StartFrame appends room for a frame header to dst.  The caller appends
+// the payload behind it and seals the frame with EndFrame(buf, len(dst)),
+// so a frame is built, and written, as one buffer.
+func StartFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0, 0, 0, 0, 0) }
+
+// EndFrame fills in the header of the frame that starts at buf[start:],
+// whose payload is the rest of buf, and returns buf.
+func EndFrame(buf []byte, start int) []byte {
+	payload := buf[start+HeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	return buf
 }
 
 // AppendFrame appends payload, framed, to dst.
 func AppendFrame(dst, payload []byte) []byte {
-	hdr := Header(payload)
-	return append(append(dst, hdr[:]...), payload...)
+	return EndFrame(append(StartFrame(dst), payload...), len(dst))
 }
 
 // Next checks the frame at the start of data.  A whole, intact frame
@@ -64,13 +69,17 @@ func Next(data []byte, limit int) (payload []byte, size int, reason string) {
 	return payload, HeaderSize + int(n), ""
 }
 
-// ReadFrame reads and verifies one frame from r.  The payload reuses
-// scratch when it fits; the caller passes the returned payload back as
-// the next call's scratch.  A read error is returned as r returned it (a
-// clean end of stream is io.EOF).
+// ReadFrame reads and verifies one frame from r.  The header and the
+// payload are read into scratch, which grows when the payload outgrows it;
+// the caller passes the returned payload back as the next call's scratch.
+// A read error is returned as r returned it (a clean end of stream is
+// io.EOF).
 func ReadFrame(r io.Reader, scratch []byte, limit int) ([]byte, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(scratch) < HeaderSize {
+		scratch = make([]byte, 0, 512)
+	}
+	hdr := scratch[:HeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return scratch, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:])

@@ -221,7 +221,7 @@ func TestDecisionLogOrdering(t *testing.T) {
 	a, b := newFake(10, true), newFake(25, true)
 	c := coordinator()
 	var logged []histories.Timestamp
-	c.SetDecisionLog(func(tx histories.TxID, ts histories.Timestamp) error {
+	c.SetDecisionLog(func(tx histories.TxID, ts histories.Timestamp, _ int) error {
 		if tx != "T1" {
 			t.Errorf("decision log saw tx %s, want T1", tx)
 		}
@@ -254,7 +254,7 @@ func TestDecisionLogFailureAborts(t *testing.T) {
 	a, b := newFake(10, true), newFake(25, true)
 	c := coordinator()
 	logErr := errors.New("disk gone")
-	c.SetDecisionLog(func(histories.TxID, histories.Timestamp) error { return logErr })
+	c.SetDecisionLog(func(histories.TxID, histories.Timestamp, int) error { return logErr })
 
 	dec, _, err := run(c, context.Background(), "T1", a, b)
 	if dec != Aborted {

@@ -66,13 +66,13 @@ func wantLive(t *testing.T, dir string, owners []string, live map[histories.TxID
 func TestLedgerSoak(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := openTestLedger(t, dir, "soak-", wal.Options{})
-	if err := l.Record("Tsoak-keep", 1); err != nil {
+	if err := l.Record("Tsoak-keep", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	const pairs, live = 100_000, 2 // the owner and Tsoak-keep
 	for i := 1; i <= pairs; i++ {
 		tx := histories.TxID(fmt.Sprintf("Tsoak-%d", i))
-		if err := l.Record(tx, histories.Timestamp(i+1)); err != nil {
+		if err := l.Record(tx, histories.Timestamp(i+1), 0); err != nil {
 			t.Fatal(err)
 		}
 		l.Discharge(tx)
@@ -134,7 +134,7 @@ func TestLedgerCutCrashPoints(t *testing.T) {
 					t.Fatal("no cut fired")
 				}
 				tx, ts := histories.TxID(fmt.Sprintf("Ta-%d", i)), histories.Timestamp(i)
-				if err := l.Record(tx, ts); err != nil {
+				if err := l.Record(tx, ts, 0); err != nil {
 					t.Fatal(err)
 				}
 				if i%50 == 0 {
@@ -204,7 +204,7 @@ func TestLedgerConcurrentCuts(t *testing.T) {
 			defer wg.Done()
 			for i := 1; i <= perWorker; i++ {
 				tx, ts := histories.TxID(fmt.Sprintf("Tc-%d-%d", w, i)), histories.Timestamp(w*perWorker+i)
-				if err := l.Record(tx, ts); err != nil {
+				if err := l.Record(tx, ts, 0); err != nil {
 					t.Error(err)
 					return
 				}

@@ -129,7 +129,7 @@ func (s *tracedSite) StartAbort(context.Context, histories.TxID, time.Duration) 
 }
 
 // tracedRound runs one round over sites A, B and C (B voting as given) with
-// both decision hooks logging, and returns the decision and the event log.
+// the decision hook logging, and returns the decision and the event log.
 func tracedRound(t *testing.T, bVotes bool, logErr error, wrap func(i int, tr Transport) Transport) (Decision, []string) {
 	t.Helper()
 	log := &eventLog{}
@@ -141,11 +141,10 @@ func tracedRound(t *testing.T, bVotes bool, logErr error, wrap func(i int, tr Tr
 		}
 	}
 	coord := coordinator()
-	coord.SetDecisionLog(func(histories.TxID, histories.Timestamp) error {
+	coord.SetDecisionLog(func(histories.TxID, histories.Timestamp, int) error {
 		log.add("decision logged")
 		return logErr
 	})
-	coord.SetDecisionResolved(func(histories.TxID, histories.Timestamp) { log.add("decision resolved") })
 	dec, _, err := coord.RunTransports(context.Background(), "T1", trs)
 	if (err != nil) != (logErr != nil) {
 		t.Fatalf("round error = %v with decision-log error %v", err, logErr)
@@ -166,12 +165,11 @@ func round(kind string) []string {
 }
 
 // A round starts each of its messages at every site before it gathers any
-// reply, writes the decision log between the last vote and the first
-// commit message, and resolves the decision after the last
-// acknowledgement.
+// reply, and writes the decision log between the last vote and the first
+// commit message.
 func TestScatterCommitRoundOrder(t *testing.T) {
 	dec, got := tracedRound(t, true, nil, nil)
-	want := slices.Concat(round("prepare"), []string{"decision logged"}, round("commit"), []string{"decision resolved"})
+	want := slices.Concat(round("prepare"), []string{"decision logged"}, round("commit"))
 	if dec != Committed || !slices.Equal(got, want) {
 		t.Fatalf("decision %v, events:\n%q\nwant:\n%q", dec, got, want)
 	}

@@ -271,13 +271,20 @@ func (t *Tx) touchedObjects() []*Object {
 // which hands concurrent commits to commitTxs as one batch; without it the
 // transaction is a batch of one.  The procedure and the timestamp
 // discipline are the same either way.
-func (t *Tx) Commit() error {
+func (t *Tx) Commit() error { return t.CommitAbove(0) }
+
+// CommitAbove is Commit with a timestamp also above lower: a bound the
+// transaction must serialize after although none of its objects knows it
+// yet (a shard serving a client that has seen a commit decided above it,
+// not yet applied there).  A remote branch ignores it.
+func (t *Tx) CommitAbove(lower histories.Timestamp) error {
 	if t.sys.remote != nil {
 		return t.remoteCommit()
 	}
 	if err := t.startCommit(false); err != nil {
 		return err
 	}
+	t.bound = max(t.bound, lower)
 	if b := t.sys.batcher; b != nil {
 		return t.notLogged(b.commit(t))
 	}

@@ -274,7 +274,7 @@ func TestDecisionNeverOutrunsLedger(t *testing.T) {
 
 			writing, release := make(chan struct{}), make(chan struct{})
 			coord := newCoordinator()
-			coord.SetDecisionLog(func(histories.TxID, histories.Timestamp) error {
+			coord.SetDecisionLog(func(histories.TxID, histories.Timestamp, int) error {
 				close(writing)
 				<-release
 				log.add("ledger returned")
@@ -301,6 +301,12 @@ func TestDecisionNeverOutrunsLedger(t *testing.T) {
 			}
 			close(release)
 			out := <-done
+			if ledgerErr == nil {
+				// The round returns once the decide frames are written;
+				// wait for both to be read before comparing the order.
+				log.waitFor(t, "A decide", 1)
+				log.waitFor(t, "B decide", 1)
+			}
 
 			events := log.snapshot()
 			ledger := slices.Index(events, "ledger returned")
@@ -427,11 +433,11 @@ func TestPartsNotLeakedByUnreachableShard(t *testing.T) {
 }
 
 // The reply to B's decide frame is lost (B read the frame, then the
-// connection was cut): the round still commits, but B's delivery reports
-// failure, so the decision is not resolved — its ledger entry stays — and
-// background redelivery lands the decision on a fresh connection.  The
-// coordinator has no hook for a redelivered acknowledgement, so the entry
-// outlives the test: an undischarged decision is garbage, never a hazard.
+// connection was cut): the round still commits, but B's acknowledgement
+// never arrives, so the decision is not resolved — its ledger entry stays —
+// and background redelivery lands the decision on a fresh connection.  A
+// redelivered acknowledgement is not reported, so the entry outlives the
+// test: an undischarged decision is garbage, never a hazard.
 func TestLostDecideReplyIsRedelivered(t *testing.T) {
 	checkGoroutines(t)
 	log := &wireLog{}
@@ -444,12 +450,20 @@ func TestLostDecideReplyIsRedelivered(t *testing.T) {
 		resp, _ := yes(req)
 		return resp, cut
 	})
-	ca := dialTest(t, startScripted(t, "A", 0, 2, log, yes), 0, 2, ClientOptions{})
-	cb := dialTest(t, addrB, 1, 2, ClientOptions{})
-	touch(t, "T1", "x", ca, cb)
-
 	var mu sync.Mutex
 	ledger := map[histories.TxID]histories.Timestamp{}
+	acks := map[histories.TxID]int{}
+	acked := ClientOptions{DecisionAcked: func(tx histories.TxID) {
+		mu.Lock()
+		if acks[tx]++; acks[tx] == 2 {
+			delete(ledger, tx)
+		}
+		mu.Unlock()
+	}}
+	ca := dialTest(t, startScripted(t, "A", 0, 2, log, yes), 0, 2, acked)
+	cb := dialTest(t, addrB, 1, 2, acked)
+	touch(t, "T1", "x", ca, cb)
+
 	inLedger := func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -457,16 +471,11 @@ func TestLostDecideReplyIsRedelivered(t *testing.T) {
 		return ok
 	}
 	coord := newCoordinator()
-	coord.SetDecisionLog(func(tx histories.TxID, ts histories.Timestamp) error {
+	coord.SetDecisionLog(func(tx histories.TxID, ts histories.Timestamp, _ int) error {
 		mu.Lock()
 		ledger[tx] = ts
 		mu.Unlock()
 		return nil
-	})
-	coord.SetDecisionResolved(func(tx histories.TxID, _ histories.Timestamp) {
-		mu.Lock()
-		delete(ledger, tx)
-		mu.Unlock()
 	})
 
 	dec, err := twoPhase(coord, "T1", ca, cb)
@@ -491,5 +500,120 @@ func TestLostDecideReplyIsRedelivered(t *testing.T) {
 	cb.mu.Unlock()
 	if pinned != 0 {
 		t.Fatal("the cut connection is still pinned")
+	}
+}
+
+// A committed round returns with its decide replies owed: the branch
+// connections go back to the pool at once, owing them.  The next
+// transaction on B's connection reads the decide's reply first, in wire
+// order, and then its own response; each acknowledgement is reported once.
+// This is the commit-path twin of TestGatherDrainsEveryStartedRequest.
+func TestDecideReplyReadByNextUser(t *testing.T) {
+	checkGoroutines(t)
+	log := &wireLog{}
+	var mu sync.Mutex
+	acks := 0
+	opts := ClientOptions{DecisionAcked: func(tx histories.TxID) {
+		mu.Lock()
+		if tx == "T1" {
+			acks++
+		}
+		mu.Unlock()
+	}}
+	acked := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return acks
+	}
+	ca := dialTest(t, startScripted(t, "A", 0, 2, log, yes), 0, 2, opts)
+	cb := dialTest(t, startScripted(t, "B", 1, 2, log, yes), 1, 2, opts)
+	touch(t, "T1", "x", ca, cb)
+	if dec, err := twoPhase(newCoordinator(), "T1", ca, cb); dec != commitproto.Committed || err != nil {
+		t.Fatalf("round = %v, %v", dec, err)
+	}
+	for _, c := range []*ShardClient{ca, cb} {
+		c.mu.Lock()
+		pinned, idle := len(c.pinned), len(c.idle)
+		owed := len(c.idle[idle-1].owed)
+		c.mu.Unlock()
+		if pinned != 0 || owed != 1 {
+			t.Fatalf("%s: %d connections pinned, the pooled one owes %d replies; want 0 and the decide's", c.Name(), pinned, owed)
+		}
+	}
+
+	res, err := cb.Call(context.Background(), "T2", "x", adt.IncInv(1))
+	if err != nil || res != "T2" {
+		t.Fatalf("next transaction on B read %q, %v; want its own response %q", res, err, "T2")
+	}
+	if got, want := log.matching("B "), []string{"B call T1 #0", "B prepare T1 #0", "B decide T1 #0", "B call T2 #0"}; !slices.Equal(got, want) {
+		t.Fatalf("B saw %q, want %q", got, want)
+	}
+	if n := acked(); n != 1 {
+		t.Fatalf("%d acknowledgements reported after B's next call, want B's alone", n)
+	}
+	if err := ca.Ping(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.Abort(context.Background(), "T2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*ShardClient{ca, cb} {
+		if err := c.Ping(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		for _, rc := range c.idle {
+			if len(rc.owed) != 0 {
+				t.Errorf("%s: a pooled connection still owes %d replies", c.Name(), len(rc.owed))
+			}
+		}
+		c.mu.Unlock()
+	}
+	if n := acked(); n != 2 {
+		t.Fatalf("%d acknowledgements reported, want one per shard", n)
+	}
+}
+
+// B reads the decide frame and hangs, keeping the connection open, and
+// nothing else uses that connection: the sweep reads it under the deadline
+// the decide's send armed, closes it when the deadline passes, and
+// redelivers the decision on a fresh connection, with no further traffic.
+func TestSweepRedeliversStrandedDecide(t *testing.T) {
+	checkGoroutines(t)
+	log := &wireLog{}
+	hang := make(chan struct{})
+	var once sync.Once
+	addrB := startScripted(t, "B", 1, 2, log, func(req message) (message, bool) {
+		if req.typ == msgDecide {
+			stall := false
+			once.Do(func() { stall = true })
+			if stall {
+				<-hang
+			}
+		}
+		return yes(req)
+	})
+	t.Cleanup(func() { close(hang) })
+	const timeout = 200 * time.Millisecond
+	ca := dialTest(t, startScripted(t, "A", 0, 2, log, yes), 0, 2, ClientOptions{Timeout: timeout})
+	cb := dialTest(t, addrB, 1, 2, ClientOptions{Timeout: timeout})
+	touch(t, "T1", "x", ca, cb)
+
+	start := time.Now()
+	if dec, err := twoPhase(newCoordinator(), "T1", ca, cb); dec != commitproto.Committed || err != nil {
+		t.Fatalf("round = %v, %v", dec, err)
+	}
+	if d := time.Since(start); d >= timeout {
+		t.Fatalf("the round took %v: it waited for the decide's reply", d)
+	}
+	log.waitFor(t, "B decide T1", 2)
+	if d := time.Since(start); d < timeout-sweepLead {
+		t.Fatalf("redelivered after %v, before the decide's deadline (%v)", d, timeout)
+	}
+	if got := log.matching("B decide T1"); got[0] != "B decide T1 #0" || got[1] == got[0] {
+		t.Fatalf("decide deliveries to B: %q, want the branch's connection, then a fresh one", got)
+	}
+	if got := log.matching("B "); len(got) != 4 {
+		t.Fatalf("B saw %q: traffic other than the transaction and the redelivery", got)
 	}
 }

@@ -583,7 +583,10 @@ func (s *Server) handleCall(c *serverConn, m *message) message {
 }
 
 // handleCommit runs the single-shard fast path: a local commit drawing the
-// shard clock's timestamp, no coordination.
+// shard clock's timestamp above the request's ts, no coordination.  The ts
+// is the largest decision timestamp the client has sent this shard: the
+// client may have returned that commit before the decision is applied
+// here, and the branch must serialize after it.
 func (s *Server) handleCommit(c *serverConn, m *message) message {
 	id := histories.TxID(m.tx)
 	s.mu.Lock()
@@ -597,7 +600,7 @@ func (s *Server) handleCommit(c *serverConn, m *message) message {
 	}
 	tx := e.tx
 	s.mu.Unlock()
-	if err := tx.Commit(); err != nil {
+	if err := tx.CommitAbove(histories.Timestamp(m.ts)); err != nil {
 		s.mu.Lock()
 		s.rememberLocked(id, txOutcome{status: outcomeAborted})
 		delete(s.txs, id)

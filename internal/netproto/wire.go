@@ -35,8 +35,9 @@ import (
 )
 
 // protoVersion is the handshake version; mismatched peers refuse each
-// other instead of misparsing.  Version 2 made msgRegister a batch.
-const protoVersion = 2
+// other instead of misparsing.  Version 2 made msgRegister a batch;
+// version 3 makes msgCommit's ts a lower bound the shard must commit above.
+const protoVersion = 3
 
 // maxPayload bounds one message; a larger length prefix marks the frame
 // corrupt rather than an allocation request.
@@ -48,7 +49,7 @@ const (
 	msgHello        = iota + 1 // → msgHelloResp
 	msgRegister                // → msgOK (ids: a batch of registrations)
 	msgCall                    // → msgRes
-	msgCommit                  // → msgTS (the shard-chosen timestamp)
+	msgCommit                  // → msgTS (the shard-chosen timestamp, above ts)
 	msgAbort                   // → msgOK (idempotent: unknown tx is OK)
 	msgPrepare                 // → msgVote
 	msgDecide                  // → msgOK (idempotent)
@@ -251,16 +252,12 @@ func decodeRegistrations(ids []string) ([]CatalogEntry, error) {
 // writeMessage frames and writes one message, returning the (possibly
 // grown) scratch buffer for reuse.  The caller flushes.
 func writeMessage(w *bufio.Writer, scratch []byte, m *message) ([]byte, error) {
-	payload := encodePayload(scratch[:0], m)
-	if len(payload) > maxPayload {
-		return payload, fmt.Errorf("netproto: message of %d bytes exceeds limit", len(payload))
+	frame := encodePayload(codec.StartFrame(scratch[:0]), m)
+	if n := len(frame) - codec.HeaderSize; n > maxPayload {
+		return frame, fmt.Errorf("netproto: message of %d bytes exceeds limit", n)
 	}
-	hdr := codec.Header(payload)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return payload, err
-	}
-	_, err := w.Write(payload)
-	return payload, err
+	_, err := w.Write(codec.EndFrame(frame, 0))
+	return frame, err
 }
 
 // readMessage reads and verifies one framed message, returning the

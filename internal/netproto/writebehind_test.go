@@ -62,8 +62,8 @@ func TestOwedRepliesBrokenConnectionClosed(t *testing.T) {
 			if rc == nil {
 				t.Fatal("no pinned connection")
 			}
-			if rc.owed != tc.calls {
-				t.Fatalf("pinned connection owes %d replies, want %d", rc.owed, tc.calls)
+			if len(rc.owed) != tc.calls {
+				t.Fatalf("pinned connection owes %d replies, want %d", len(rc.owed), tc.calls)
 			}
 			severServerConns(srv)
 			if err := tc.last(c, "T1"); !errors.Is(err, ErrUnavailable) {
@@ -151,8 +151,8 @@ func TestOwedErrorFailsNextCall(t *testing.T) {
 	c.mu.Lock()
 	n := len(c.idle)
 	for _, rc := range c.idle {
-		if rc.owed != 0 || rc.failed != nil {
-			t.Errorf("pooled connection owes %d, failed %v", rc.owed, rc.failed)
+		if len(rc.owed) != 0 || rc.failed != nil {
+			t.Errorf("pooled connection owes %d, failed %v", len(rc.owed), rc.failed)
 		}
 	}
 	c.mu.Unlock()

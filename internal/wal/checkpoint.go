@@ -279,8 +279,10 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err := hd.Err(); err != nil {
 		return nil, err
 	}
-	if want := 2 + nObjs + nPending; uint64(len(payloads)) != want {
-		return nil, fmt.Errorf("wal: checkpoint torn: %d frames, want %d", len(payloads), want)
+	// Each count is bounded by the frames present before the sum, which
+	// would otherwise wrap and pass the check.
+	if n := uint64(len(payloads)); nObjs > n || nPending > n || 2+nObjs+nPending != n {
+		return nil, fmt.Errorf("wal: checkpoint torn: %d frames, header counts %d objects and %d pending", n, nObjs, nPending)
 	}
 
 	for i := uint64(0); i < nObjs; i++ {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -466,5 +467,32 @@ func TestSegmentsCoexistWithCheckpointFiles(t *testing.T) {
 	names, err := checkpointFiles(dir)
 	if err != nil || len(names) != 1 {
 		t.Fatalf("checkpointFiles = %v, %v; want one entry", names, err)
+	}
+}
+
+// wrappedCountsCheckpoint is a checkpoint file whose frames are all intact
+// but whose header claims 2^64−1 objects and 2 pending records: summed in
+// uint64 with the two framing frames the counts wrap to 3, which matches
+// its 3 frames (the header and two valid object frames).
+const wrappedCountsCheckpoint = "0f0000005121229310010901ffffffffffffffffff010209000000e5d74a0611016100000101780009000000bda24fbe110162000001017800"
+
+// Regression: decodeCheckpoint summed the header's counts without bounding
+// them, passed the frame-count check on the wrapped sum and indexed past
+// the frames.  A checkpoint the decoder cannot trust is an error, and
+// LoadCheckpoint ignores it.
+func TestCheckpointWrappedCountsRejected(t *testing.T) {
+	data, err := hex.DecodeString(wrappedCountsCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := decodeCheckpoint(data); err == nil {
+		t.Fatalf("decoded %+v from a header whose counts wrap", ck)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, CheckpointName(9)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := LoadCheckpoint(dir); err != nil || ck != nil {
+		t.Fatalf("LoadCheckpoint = %+v, %v; want the bad checkpoint ignored", ck, err)
 	}
 }

@@ -316,10 +316,9 @@ func (l *Log) appendLocked(r Record) error {
 	if l.closed {
 		return l.closedErrLocked()
 	}
-	payload := encodePayload(l.enc[:0], r)
-	l.enc = payload[:0]
-	hdr := codec.Header(payload)
-	end := l.segSize + int64(len(hdr)+len(payload))
+	frame := codec.EndFrame(encodePayload(codec.StartFrame(l.enc[:0]), r), 0)
+	l.enc = frame[:0]
+	end := l.segSize + int64(len(frame))
 	if l.opts.Sync && end > l.zeroed {
 		// Zero-fill ahead before buffering the frame, so no buffered byte
 		// ever lies beyond zeroed.  The fill stops at the rotation
@@ -334,15 +333,12 @@ func (l *Log) appendLocked(r Record) error {
 			l.zeroed += int64(n)
 		}
 	}
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return l.poisonLocked(err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	if _, err := l.w.Write(frame); err != nil {
 		return l.poisonLocked(err)
 	}
 	l.appends.Add(1)
-	l.bytes.Add(int64(len(hdr) + len(payload)))
-	l.segSize += int64(len(hdr) + len(payload))
+	l.bytes.Add(int64(len(frame)))
+	l.segSize += int64(len(frame))
 	if l.segSize >= l.opts.SegmentSize && !l.syncing {
 		return l.rotateLocked() // under an fsync the syncer rotates when it is done
 	}

@@ -435,9 +435,11 @@ func TestPartsNotLeakedByUnreachableShard(t *testing.T) {
 // The reply to B's decide frame is lost (B read the frame, then the
 // connection was cut): the round still commits, but B's acknowledgement
 // never arrives, so the decision is not resolved — its ledger entry stays —
-// and background redelivery lands the decision on a fresh connection.  A
-// redelivered acknowledgement is not reported, so the entry outlives the
-// test: an undischarged decision is garbage, never a hazard.
+// and background redelivery lands the decision on a fresh connection.  The
+// redelivery's acknowledgement proves the same durable apply as the lost
+// one, so it is reported.  A's reply stays owed meanwhile (A's deadline,
+// and so its sweep, is far off), so the entry stays until A's Close reads
+// it: then each participant has counted once and the entry is discharged.
 func TestLostDecideReplyIsRedelivered(t *testing.T) {
 	checkGoroutines(t)
 	log := &wireLog{}
@@ -453,15 +455,22 @@ func TestLostDecideReplyIsRedelivered(t *testing.T) {
 	var mu sync.Mutex
 	ledger := map[histories.TxID]histories.Timestamp{}
 	acks := map[histories.TxID]int{}
-	acked := ClientOptions{DecisionAcked: func(tx histories.TxID) {
+	onAck := func(tx histories.TxID) {
 		mu.Lock()
 		if acks[tx]++; acks[tx] == 2 {
 			delete(ledger, tx)
 		}
 		mu.Unlock()
-	}}
-	ca := dialTest(t, startScripted(t, "A", 0, 2, log, yes), 0, 2, acked)
-	cb := dialTest(t, addrB, 1, 2, acked)
+	}
+	ackCount := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return acks["T1"]
+	}
+	// B's decide deadline, where its sweep finds the cut, is its own
+	// second; A's is the round's ten.
+	ca := dialTest(t, startScripted(t, "A", 0, 2, log, yes), 0, 2, ClientOptions{DecisionAcked: onAck, Timeout: 10 * time.Second})
+	cb := dialTest(t, addrB, 1, 2, ClientOptions{DecisionAcked: onAck, Timeout: time.Second})
 	touch(t, "T1", "x", ca, cb)
 
 	inLedger := func() bool {
@@ -470,7 +479,7 @@ func TestLostDecideReplyIsRedelivered(t *testing.T) {
 		_, ok := ledger["T1"]
 		return ok
 	}
-	coord := newCoordinator()
+	coord := commitproto.NewCoordinator(tstamp.NewSource(), 10*time.Second)
 	coord.SetDecisionLog(func(tx histories.TxID, ts histories.Timestamp, _ int) error {
 		mu.Lock()
 		ledger[tx] = ts
@@ -492,6 +501,12 @@ func TestLostDecideReplyIsRedelivered(t *testing.T) {
 	if got := log.matching("A decide T1"); len(got) != 1 {
 		t.Fatalf("A saw %d decide frames, want 1", len(got))
 	}
+	for deadline := time.Now().Add(5 * time.Second); ackCount() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := ackCount(); n != 1 {
+		t.Errorf("%d acknowledgements after B's redelivery, with A's reply owed; want B's", n)
+	}
 	if !inLedger() {
 		t.Fatal("ledger entry pruned without a full round of acknowledgements")
 	}
@@ -500,6 +515,21 @@ func TestLostDecideReplyIsRedelivered(t *testing.T) {
 	cb.mu.Unlock()
 	if pinned != 0 {
 		t.Fatal("the cut connection is still pinned")
+	}
+
+	// Closing A reads its owed decide reply: the second acknowledgement,
+	// which discharges T1.
+	if err := ca.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if inLedger() {
+		t.Fatal("T1 is still in the ledger after A's reply and B's redelivery were acknowledged")
+	}
+	if err := cb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := ackCount(); n != 2 {
+		t.Fatalf("T1 acknowledged %d times, want once per participant", n)
 	}
 }
 

@@ -115,8 +115,8 @@ type ClientOptions struct {
 	// sole coordinator and resolves every branch.
 	Owns func(tx histories.TxID) bool
 	// DecisionAcked is told of each commit decision's acknowledgement —
-	// the shard applied it durably — as it is read (not a redelivered
-	// one's), so the ledger can discharge what every participant acked.
+	// the shard applied it durably — as it is read, a redelivered one's
+	// included, so the ledger can discharge what every participant acked.
 	DecisionAcked func(tx histories.TxID)
 	// BreakerThreshold is the number of consecutive transport failures
 	// that opens the per-shard circuit breaker; while open, requests fail
@@ -373,12 +373,19 @@ func (rc *rpcConn) settle() error {
 			}
 		case resp.typ == msgErr:
 			rc.c.redeliver(req)
-		case rc.c.opts.DecisionAcked != nil:
-			rc.c.opts.DecisionAcked(histories.TxID(req.tx))
+		default:
+			rc.c.acked(req)
 		}
 	}
 	rc.owed = rc.owed[:0]
 	return nil
+}
+
+// acked reports a decision's good reply to DecisionAcked.
+func (c *ShardClient) acked(req *message) {
+	if c.opts.DecisionAcked != nil {
+		c.opts.DecisionAcked(histories.TxID(req.tx))
+	}
 }
 
 // owesCall reports whether a write-behind call's reply is owed.
@@ -1087,10 +1094,12 @@ func (c *ShardClient) giveBack(tx histories.TxID, rc *rpcConn, pinned, broken bo
 }
 
 // redeliver retries a decision in the background until the shard
-// acknowledges it or the client closes.  Redialing runs the handshake,
-// whose pending-branch resolution may deliver the decision first — the
-// retry then lands on an already-resolved branch and acknowledges
-// idempotently.
+// acknowledges it, reported to DecisionAcked as settle reports a first
+// delivery's, or the client closes.  Redialing runs the handshake, whose
+// pending-branch resolution may deliver the decision first — the retry
+// then lands on an already-resolved branch and acknowledges idempotently.
+// A shard that no longer knows the branch (ErrTxDone) ends the retries
+// without an acknowledgement.
 func (c *ShardClient) redeliver(req *message) {
 	c.mu.Lock()
 	if c.closed {
@@ -1112,7 +1121,11 @@ func (c *ShardClient) redeliver(req *message) {
 				c.bk.observe(rtErr == nil)
 				if rtErr == nil {
 					c.release(rc)
-					if resp.typ != msgErr || errors.Is(errOf(resp.flag, resp.a), core.ErrTxDone) {
+					if resp.typ != msgErr {
+						c.acked(req)
+						return
+					}
+					if errors.Is(errOf(resp.flag, resp.a), core.ErrTxDone) {
 						return
 					}
 				} else {

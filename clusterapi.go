@@ -67,7 +67,6 @@ func NewCluster(shards int, opts ...Option) (*Cluster, error) {
 		LockWait:          c.lockWait,
 		DeadlockDetection: c.deadlockDetection,
 		CommitTimeout:     c.commitTimeout,
-		GroupCommit:       c.groupCommit,
 	}
 	if c.recorder != nil {
 		copts.Sink = c.recorder

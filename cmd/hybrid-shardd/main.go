@@ -51,7 +51,6 @@ func main() {
 		fsync    = flag.Bool("fsync", true, "fsync the commit log on every commit")
 		segment  = flag.Int64("segment", 0, "WAL segment rotation threshold in bytes (0: default)")
 		lockWait = flag.Duration("lockwait", 0, "per-call lock wait bound (0: default)")
-		group    = flag.Bool("group", false, "batch fast-path commits through the group-commit pipeline")
 		grace    = flag.Duration("grace", 5*time.Second, "shutdown drain period")
 		ckptB    = flag.Int64("checkpoint-bytes", 0, "checkpoint when this many bytes were logged since the last one (0: off)")
 		ckptI    = flag.Duration("checkpoint-interval", 0, "checkpoint when this long has passed since the last one (0: off)")
@@ -89,7 +88,6 @@ func main() {
 		Clock:              tstamp.NewNodeClock(*shard, *shards+1),
 		ExternalTimestamps: true,
 		DeadlockDetection:  true,
-		GroupCommit:        *group,
 		Durability: &core.Durability{
 			Dir:                filepath.Join(*dir, "wal"),
 			Sync:               *fsync,

@@ -86,7 +86,6 @@ func Open(dir string, setup func(*System) error, opts ...Option) (*System, error
 	coreOpts := core.Options{
 		LockWait:          c.lockWait,
 		DeadlockDetection: c.deadlockDetection,
-		GroupCommit:       c.groupCommit,
 		Durability:        c.durabilityOf(dir),
 	}
 	if c.recorder != nil {
@@ -157,7 +156,6 @@ func OpenCluster(dir string, shards int, setup func(*Cluster) error, opts ...Opt
 		LockWait:          c.lockWait,
 		DeadlockDetection: c.deadlockDetection,
 		CommitTimeout:     c.commitTimeout,
-		GroupCommit:       c.groupCommit,
 		Durability:        c.durabilityOf(dir),
 	}
 	if c.recorder != nil {

@@ -125,7 +125,6 @@ type config struct {
 	deadlockDetection bool
 	recorder          *Recorder
 	commitTimeout     time.Duration
-	groupCommit       bool
 	// Durability knobs, meaningful to Open/OpenCluster only: fsync
 	// defaults to on there (fsyncSet distinguishes "unset" from
 	// WithFsync(false)); segmentSize zero keeps the log's default.
@@ -168,15 +167,12 @@ func WithCommitTimeout(d time.Duration) Option {
 	return func(c *config) { c.commitTimeout = d }
 }
 
-// WithGroupCommit enables the commit batcher: concurrent commits coalesce
-// into one critical-section pass per object — one snapshot publication and
-// one targeted-wakeup scan amortized over the batch — while every
-// transaction still receives its own, distinct commit timestamp, so
-// serializability and Verify are unaffected.  On a Cluster the batcher
-// runs per shard and batches the single-shard fast path; cross-shard
-// commits still serialize through the commit protocol.
+// WithGroupCommit does nothing: every commit is one transaction's, and
+// concurrent durable commits already share the log's fsyncs.
+//
+// Deprecated: leave it out; it changes no behaviour.
 func WithGroupCommit() Option {
-	return func(c *config) { c.groupCommit = true }
+	return func(*config) {}
 }
 
 // System manages hybrid atomic objects and mints transactions.
@@ -199,7 +195,6 @@ func NewSystem(opts ...Option) *System {
 	coreOpts := core.Options{
 		LockWait:          c.lockWait,
 		DeadlockDetection: c.deadlockDetection,
-		GroupCommit:       c.groupCommit,
 	}
 	if c.recorder != nil {
 		coreOpts.Sink = c.recorder

@@ -61,11 +61,6 @@ type Options struct {
 	// CommitTimeout bounds each message round trip of the commit
 	// protocol.  Zero means DefaultCommitTimeout.
 	CommitTimeout time.Duration
-	// GroupCommit enables each shard's commit batcher: concurrent
-	// single-shard commits on one shard coalesce into one critical-section
-	// pass per object (core.Options.GroupCommit).  Cross-shard commits are
-	// not batched — they serialize through the commit protocol.
-	GroupCommit bool
 	// WrapTransport, when set, wraps each cross-shard commit's per-shard
 	// direct transport — the hook the deterministic fault-injection
 	// controller (commitproto.FaultTransport) plugs its views into.
@@ -142,7 +137,6 @@ func New(opts Options) (*Cluster, error) {
 			DeadlockDetection: opts.DeadlockDetection,
 			Sink:              opts.Sink,
 			Clock:             clock,
-			GroupCommit:       opts.GroupCommit,
 			// Cross-shard commits land via CommitAt with the
 			// coordinator's timestamp; shards must account for them.
 			ExternalTimestamps: true,
@@ -275,8 +269,6 @@ func (c *Cluster) Stats() StatsSnapshot {
 		s.Total.WaitTime += sh.WaitTime
 		s.Total.Wakeups += sh.Wakeups
 		s.Total.SpuriousWakeups += sh.SpuriousWakeups
-		s.Total.GroupBatches += sh.GroupBatches
-		s.Total.GroupBatchTxs += sh.GroupBatchTxs
 		s.Total.Recovered += sh.Recovered
 		s.Total.SchemeSwitches += sh.SchemeSwitches
 		s.Total.LogAppends += sh.LogAppends

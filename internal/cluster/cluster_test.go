@@ -397,27 +397,24 @@ func readMirror(c *Cluster, ctrA, ctrB *core.Object) (a, b int64, ok bool, err e
 // and observed by cluster-wide snapshots.  The shared recorder must verify
 // as a single globally hybrid atomic history — global atomicity, not
 // per-shard atomicity — and money must be conserved.
-// TestClusterStressGlobalAtomicity runs the full mixed workload under
-// every commit configuration: the direct transport, the direct transport
-// with per-shard group commit, and the direct transport behind scripted
-// message faults.  Global atomicity must hold identically.
+// TestClusterStressGlobalAtomicity runs the full mixed workload over the
+// direct transport, bare and behind scripted message faults.  Global
+// atomicity must hold identically.
 func TestClusterStressGlobalAtomicity(t *testing.T) {
 	for _, cfg := range []struct {
-		name        string
-		groupCommit bool
-		faults      bool
+		name   string
+		faults bool
 	}{
-		{"direct", false, false},
-		{"direct+group-commit", true, false},
-		{"direct+faults", false, true},
+		{"direct", false},
+		{"direct+faults", true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			runClusterStress(t, cfg.groupCommit, cfg.faults)
+			runClusterStress(t, cfg.faults)
 		})
 	}
 }
 
-func runClusterStress(t *testing.T, groupCommit, faults bool) {
+func runClusterStress(t *testing.T, faults bool) {
 	const (
 		shards  = 4
 		workers = 8
@@ -425,7 +422,7 @@ func runClusterStress(t *testing.T, groupCommit, faults bool) {
 		opening = 1_000
 	)
 	rec := verify.NewRecorder()
-	opts := Options{Shards: shards, LockWait: 2 * time.Second, Sink: rec, GroupCommit: groupCommit}
+	opts := Options{Shards: shards, LockWait: 2 * time.Second, Sink: rec}
 	if faults {
 		// Intermittent scripted faults: every few commit rounds lose a
 		// prepare (the round aborts and is retried), duplicate a commit

@@ -16,7 +16,7 @@ import (
 	"hybridcc/internal/wal"
 )
 
-// commitEntry is one way into commitTxs.  Every test in this file runs
+// commitEntry is one way into commitTx.  Every test in this file runs
 // over all of them and asserts the same post-state: there is one commit
 // procedure, so there is one behaviour.
 type commitEntry struct {
@@ -34,11 +34,6 @@ var commitEntries = []commitEntry{
 	{
 		name:    "Commit",
 		options: func(*Options) {},
-		commit:  func(t *Tx, _ tstamp.Clock) error { return t.Commit() },
-	},
-	{
-		name:    "Commit/queued",
-		options: func(o *Options) { o.GroupCommit = true },
 		commit:  func(t *Tx, _ tstamp.Clock) error { return t.Commit() },
 	},
 	{
@@ -378,45 +373,43 @@ func TestCommitEntryPointsAgree(t *testing.T) {
 
 // TestEmptyCommitLogsNothing: a transaction that touched no object leaves
 // recovery nothing to replay, so its commit must cost neither an append nor
-// an fsync — on the solo and the queued entry point alike.
+// an fsync.
 func TestEmptyCommitLogsNothing(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		dir := t.TempDir()
-		s := openDurable(t, dir, group)
-		if err := s.FinishRecovery(); err != nil {
-			t.Fatal(err)
-		}
-		acc := accountOn(s)
-		credit(t, s, acc, 100)
-		before := s.Stats()
-		for i := 0; i < 10; i++ {
-			if err := s.Begin().Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		after := s.Stats()
-		if a, f := after.LogAppends-before.LogAppends, after.LogFsyncs-before.LogFsyncs; a != 0 || f != 0 {
-			t.Fatalf("group=%v: 10 empty commits cost %d appends and %d fsyncs, want 0 and 0", group, a, f)
-		}
-		if got := after.Committed - before.Committed; got != 10 {
-			t.Fatalf("group=%v: Committed rose by %d, want 10", group, got)
-		}
-		credit(t, s, acc, 1) // the log still works after the skipped records
-		s.CrashLog()
-
-		s2 := openDurable(t, dir, group)
-		acc2 := accountOn(s2)
-		if err := s2.FinishRecovery(); err != nil {
-			t.Fatal(err)
-		}
-		if got := adt.AccountBalance(acc2.CommittedState()); got != 101 {
-			t.Fatalf("group=%v: recovered balance = %d, want 101", group, got)
-		}
-		s2.Close()
+	dir := t.TempDir()
+	s := openDurable(t, dir)
+	if err := s.FinishRecovery(); err != nil {
+		t.Fatal(err)
 	}
+	acc := accountOn(s)
+	credit(t, s, acc, 100)
+	before := s.Stats()
+	for i := 0; i < 10; i++ {
+		if err := s.Begin().Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := s.Stats()
+	if a, f := after.LogAppends-before.LogAppends, after.LogFsyncs-before.LogFsyncs; a != 0 || f != 0 {
+		t.Fatalf("10 empty commits cost %d appends and %d fsyncs, want 0 and 0", a, f)
+	}
+	if got := after.Committed - before.Committed; got != 10 {
+		t.Fatalf("Committed rose by %d, want 10", got)
+	}
+	credit(t, s, acc, 1) // the log still works after the skipped records
+	s.CrashLog()
+
+	s2 := openDurable(t, dir)
+	acc2 := accountOn(s2)
+	if err := s2.FinishRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	if got := adt.AccountBalance(acc2.CommittedState()); got != 101 {
+		t.Fatalf("recovered balance = %d, want 101", got)
+	}
+	s2.Close()
 }
 
-// TestCommitAtRejectsNonPositiveTimestamp: zero is commitTxs' "draw your
+// TestCommitAtRejectsNonPositiveTimestamp: zero is commitTx's "draw your
 // own" value and no Prepare bound is negative, so a decision timestamp ≤ 0
 // is a caller bug and must not silently commit at a local timestamp.
 func TestCommitAtRejectsNonPositiveTimestamp(t *testing.T) {

@@ -20,7 +20,7 @@
 //
 // Commit draws a timestamp from the system clock primed with the
 // transaction's per-object lower bounds (Section 6), then distributes the
-// commit to every touched object — one procedure, System.commitTxs, behind
+// commit to every touched object — one procedure, System.commitTx, behind
 // every commit entry point; horizon-based compaction folds old committed
 // intentions into the version, exactly as the appendix's forget.
 //
@@ -88,18 +88,12 @@ type Options struct {
 	// letting it time out.  Timeouts still apply to waits that are not
 	// deadlocks (e.g. a partial operation awaiting data).
 	DeadlockDetection bool
-	// GroupCommit routes Tx.Commit through a per-System queue that hands
-	// concurrent commits to the commit procedure as one batch — one log
-	// sync, and per object one snapshot publication and one wakeup scan,
-	// amortized over the batch, with every transaction still drawing its
-	// own, distinct timestamp.  See commitTxs for the invariants.
-	GroupCommit bool
 	// Durability, when non-nil, gives the System a write-ahead commit log:
 	// every commit appends its invocations (and fsyncs, per
 	// Durability.Sync) before merging into any object, and OpenSystem
-	// recovers committed state from an existing log.  With GroupCommit the
-	// batcher logs the whole batch under one fsync.  Requires OpenSystem;
-	// NewSystem panics on log errors.
+	// recovers committed state from an existing log.  Concurrent commits
+	// share the log's fsyncs.  Requires OpenSystem; NewSystem panics on
+	// log errors.
 	Durability *Durability
 }
 
@@ -114,10 +108,6 @@ type System struct {
 	stats   Stats
 	readers readerRegistry
 	wfg     waitsFor
-
-	// batcher is the group-commit queue, nil unless Options.GroupCommit.
-	// OpenSystem sets it before the System is shared, and it never changes.
-	batcher *commitBatcher
 
 	// remote, when non-nil, makes this a client-side stub for a shard
 	// served in another process (see remote.go): every operation becomes an
@@ -250,17 +240,8 @@ func (s *System) Recycle(t *Tx) {
 	t.objs = t.objs[:0]
 	t.bound, t.calls = 0, 0
 	t.arena, t.arenaUsed, t.arenaHint = nil, 0, t.arenaUsed
-	t.sc.ev = t.sc.ev[:0]
+	t.ev = t.ev[:0]
 	t.ctx = nil
-	if t.done != nil {
-		// A group-commit signal can never be pending here (only blocked
-		// followers are signalled), but a stray token must not leak into
-		// the next incarnation's wait.
-		select {
-		case <-t.done:
-		default:
-		}
-	}
 	t.mu.Unlock()
 	s.txPool.Put(t)
 }
@@ -434,11 +415,6 @@ type Stats struct {
 	// Their ratio is the precision of the targeted-wakeup masks.
 	Wakeups         atomic.Int64
 	SpuriousWakeups atomic.Int64
-	// GroupBatches counts group-commit batches; GroupBatchTxs the
-	// transactions committed through them.  Their ratio is the achieved
-	// batch size — the amortization factor of the commit batcher.
-	GroupBatches  atomic.Int64
-	GroupBatchTxs atomic.Int64
 	// Recovered counts committed transactions replayed from the commit log
 	// at startup (distinct from Committed, which counts live commits).
 	Recovered atomic.Int64
@@ -457,14 +433,16 @@ type StatsSnapshot struct {
 	WaitTime        time.Duration
 	Wakeups         int64
 	SpuriousWakeups int64
-	GroupBatches    int64
-	GroupBatchTxs   int64
-	Recovered       int64
+	// GroupBatches and GroupBatchTxs always read zero: every commit is one
+	// transaction's.  They stay for readers compiled against them.
+	GroupBatches  int64
+	GroupBatchTxs int64
+	Recovered     int64
 	// SchemeSwitches counts installed per-object policy switches.
 	SchemeSwitches int64
 	// LogAppends and LogFsyncs mirror the commit log's counters (zero on a
-	// volatile System); LogFsyncs/Committed is the fsyncs-per-commit ratio
-	// group commit drives below one.
+	// volatile System); LogFsyncs/Committed is the fsyncs-per-commit ratio,
+	// below one when concurrent commitTx calls share an fsync.
 	LogAppends int64
 	LogFsyncs  int64
 	// StatsErr is empty for a snapshot of real counters.  On a remote
@@ -485,8 +463,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		WaitTime:        time.Duration(s.WaitNanos.Load()),
 		Wakeups:         s.Wakeups.Load(),
 		SpuriousWakeups: s.SpuriousWakeups.Load(),
-		GroupBatches:    s.GroupBatches.Load(),
-		GroupBatchTxs:   s.GroupBatchTxs.Load(),
 		Recovered:       s.Recovered.Load(),
 		SchemeSwitches:  s.SchemeSwitches.Load(),
 	}

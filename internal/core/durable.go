@@ -23,9 +23,7 @@ import (
 // respects dependency order and truncating a torn tail — the window of
 // records appended but not yet synced, none of them merged — is equivalent
 // to those transactions having aborted.  Concurrent committers share
-// fsyncs (one acknowledges every record appended before it started); group
-// commit also hands a batch to the log in one append
-// (wal.Log.AppendBatchSync).
+// fsyncs: one acknowledges every record appended before it started.
 type Durability struct {
 	// Dir is the log directory (per shard in a cluster).
 	Dir string
@@ -75,9 +73,6 @@ func OpenSystem(opts Options) (*System, error) {
 	s := &System{opts: opts, clock: opts.Clock}
 	if st, ok := opts.Clock.(readStamper); ok && !opts.ExternalTimestamps {
 		s.stamps = st
-	}
-	if opts.GroupCommit {
-		s.batcher = &commitBatcher{sys: s}
 	}
 	if d := opts.Durability; d != nil {
 		l, recs, err := wal.Open(d.Dir, wal.Options{Sync: d.Sync, SegmentSize: d.SegmentSize})

@@ -18,12 +18,11 @@ import (
 // gone, the fd is closed), reopens, and checks exactly the right
 // transactions survived.
 
-func openDurable(t *testing.T, dir string, group bool) *System {
+func openDurable(t *testing.T, dir string) *System {
 	t.Helper()
 	s, err := OpenSystem(Options{
-		LockWait:    250 * time.Millisecond,
-		GroupCommit: group,
-		Durability:  &Durability{Dir: dir, Sync: true},
+		LockWait:   250 * time.Millisecond,
+		Durability: &Durability{Dir: dir, Sync: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func credit(t *testing.T, s *System, acc *Object, amount int64) histories.TxID {
 
 func TestDurableCommitRecovered(t *testing.T) {
 	dir := t.TempDir()
-	s := openDurable(t, dir, false)
+	s := openDurable(t, dir)
 	if err := s.FinishRecovery(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestDurableCommitRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openDurable(t, dir, false)
+	s2 := openDurable(t, dir)
 	acc2 := accountOn(s2)
 	if err := s2.FinishRecovery(); err != nil {
 		t.Fatal(err)
@@ -84,7 +83,7 @@ func TestDurableCommitRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	// And the post-recovery commit is itself durable.
-	s3 := openDurable(t, dir, false)
+	s3 := openDurable(t, dir)
 	acc3 := accountOn(s3)
 	if err := s3.FinishRecovery(); err != nil {
 		t.Fatal(err)
@@ -95,13 +94,13 @@ func TestDurableCommitRecovered(t *testing.T) {
 	s3.Close()
 }
 
-// TestGroupCommitDurableRecovery: concurrent commits through the batcher,
-// hard-stop (no Close — synced records must carry everything), reopen,
-// and every acknowledged commit is back.  The fsync counter must show
-// amortization actually engaged the batch path (fsyncs ≤ appends).
-func TestGroupCommitDurableRecovery(t *testing.T) {
+// TestConcurrentCommitDurableRecovery: concurrent commits, hard-stop (no
+// Close — synced records must carry everything), reopen, and every
+// acknowledged commit is back.  Concurrent committers share fsyncs, so
+// there are never more fsyncs than appends.
+func TestConcurrentCommitDurableRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s := openDurable(t, dir, true)
+	s := openDurable(t, dir)
 	if err := s.FinishRecovery(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestGroupCommitDurableRecovery(t *testing.T) {
 	t.Logf("fsyncs/commit = %d/%d = %.3f", st.LogFsyncs, st.Committed, float64(st.LogFsyncs)/float64(st.Committed))
 	s.CrashLog() // hard stop: no Close, only what fsync promised
 
-	s2 := openDurable(t, dir, true)
+	s2 := openDurable(t, dir)
 	acc2 := accountOn(s2)
 	if err := s2.FinishRecovery(); err != nil {
 		t.Fatal(err)
@@ -247,7 +246,7 @@ func TestPreparedBranchRecovery(t *testing.T) {
 // (panic at the core layer; the public layer converts it to an error).
 func TestUnregisteredRecoveredObject(t *testing.T) {
 	dir := t.TempDir()
-	s := openDurable(t, dir, false)
+	s := openDurable(t, dir)
 	if err := s.FinishRecovery(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestUnregisteredRecoveredObject(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openDurable(t, dir, false)
+	s2 := openDurable(t, dir)
 	if err := s2.FinishRecovery(); err != nil { // nobody registered "acc"
 		t.Fatal(err)
 	}

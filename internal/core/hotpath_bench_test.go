@@ -304,36 +304,6 @@ func BenchmarkPayment8Parallel(b *testing.B) {
 	})
 }
 
-// BenchmarkCommitGroupParallel measures the group-commit pipeline under
-// parallel committers on one hot object: with GOMAXPROCS > 1 concurrent
-// commits coalesce, amortizing the snapshot publication and waiter scan.
-func BenchmarkCommitGroupParallel(b *testing.B) {
-	sys := NewSystem(Options{GroupCommit: true})
-	obj := sys.NewObjectSeeded("hot", baseline.SpecFor("Account"),
-		baseline.ConflictFor("hybrid", "Account"), baseline.UniverseFor("Account"))
-	inv := adt.CreditInv(1)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			tx := sys.BeginPooledCtx(nil)
-			if _, err := obj.Call(tx, inv); err != nil {
-				b.Error(err)
-				return
-			}
-			if err := tx.Commit(); err != nil {
-				b.Error(err)
-				return
-			}
-			sys.Recycle(tx)
-		}
-	})
-	b.StopTimer()
-	st := sys.Stats()
-	if st.GroupBatches > 0 {
-		b.ReportMetric(float64(st.GroupBatchTxs)/float64(st.GroupBatches), "tx/batch")
-	}
-}
-
 // BenchmarkGrantHolders measures one pooled grant and commit of Inc(1) on
 // a Counter beside n−1 other transactions holding Inc(1) there (Inc/Inc
 // commute under hybrid): the cost of finding a transaction's lock record,

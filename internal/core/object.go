@@ -58,8 +58,6 @@ type Object struct {
 	// call whose event count is unchanged across a wakeup re-waits
 	// without re-deriving responses.
 	events uint64
-	// batchMask is commitBatch's union wakeup mask, reused (guarded by mu).
-	batchMask depend.Mask
 
 	stats ObjectStats
 }
@@ -230,9 +228,9 @@ func (o *Object) grantLocked(tx *Tx, lk *txLock, op spec.Op, cls int, view spec.
 	var ev []pendingEvent
 	if o.sys.opts.Sink != nil {
 		id := tx.ID()
-		ev = o.sys.stage(tx.sc.ev[:0], histories.InvokeEvent(id, o.name, op.Inv()))
+		ev = o.sys.stage(tx.ev[:0], histories.InvokeEvent(id, o.name, op.Inv()))
 		ev = o.sys.stage(ev, histories.RespondEvent(id, o.name, op.Res))
-		tx.sc.ev = ev
+		tx.ev = ev
 	}
 	return ev
 }
@@ -257,44 +255,31 @@ func (o *Object) viewStateLocked(tx *Tx, lk *txLock) spec.State {
 	return state
 }
 
-// commitBatch merges a commit batch (commitTxs' step 6) at this object in
-// one critical section: each transaction's lock record leaves the lock
-// table and its intentions merge at its own (already published, strictly
-// increasing) timestamp — adopting the view its last grant cached when no
-// commit landed since — but the fold, the snapshot publication, and the
-// waiter scan run once for the whole batch, with the wakeup filter taken
-// over the union of the batch's held-class masks.  The new tail is
-// published into snap before the caller releases its windowWriters count:
-// a lock-free reader that sees the count at zero must also see these
-// commits in the snapshot.  Transactions that never executed here are
-// skipped.  Staged events are appended to ev and flushed by the caller
-// after the critical section.
-func (o *Object) commitBatch(batch []*Tx, ev []pendingEvent, snap *tailSnapshot) []pendingEvent {
+// commit merges t's intentions (commitTx's step 6) at this object in one
+// critical section: t's lock record leaves the lock table and its
+// intentions merge at e.ts — adopting the view its last grant cached when
+// no commit landed since — then the fold, the snapshot publication and the
+// waiter scan run, the wakeup filter being the record's own held-class
+// mask.  e carries the timestamp, identifier and participant count; the
+// record supplies the operations.  The new tail is published into snap
+// before the caller releases its windowWriters count: a lock-free reader
+// that sees the count at zero must also see this commit in the snapshot.
+// Staged events are appended to ev and flushed by the caller after the
+// critical section.
+func (o *Object) commit(t *Tx, e committedEntry, ev []pendingEvent, snap *tailSnapshot) []pendingEvent {
 	o.mu.Lock()
-	o.batchMask = o.batchMask[:0]
-	hasExtra, merged := false, 0
-	for _, tx := range batch {
-		lk := o.release(tx)
-		if lk == nil {
-			continue
-		}
-		// tx.entryID feeds the sink's commit event and panic diagnostics;
-		// commitTxs read it when it published tx.ts.
-		o.mergeLocked(committedEntry{ts: tx.ts, tx: tx.entryID, parts: tx.entryParts, ops: lk.ops}, lk.cachedView(o.commitGen))
+	if lk := o.release(t); lk != nil {
+		e.ops = lk.ops
+		o.mergeLocked(e, lk.cachedView(o.commitGen))
 		o.events++
 		if o.sys.opts.Sink != nil {
-			ev = o.sys.stage(ev, histories.CommitEvent(tx.entryID, o.name, tx.ts))
+			ev = o.sys.stage(ev, histories.CommitEvent(e.tx, o.name, e.ts))
 		}
-		o.batchMask.Or(lk.mask)
-		hasExtra = hasExtra || len(lk.extra) > 0
-		o.sys.putLock(lk)
-		merged++
-	}
-	if merged > 0 {
 		o.compactLocked()
 		o.publishLocked(snap)
-		o.stats.commits.Add(int64(merged))
-		o.wakeScanLocked(o.batchMask, hasExtra, false, true)
+		o.stats.commits.Add(1)
+		o.wakeScanLocked(lk.mask, len(lk.extra) > 0, false, true)
+		o.sys.putLock(lk)
 	}
 	if o.pending != nil {
 		o.maybeInstallPendingLocked()
@@ -315,8 +300,8 @@ func (o *Object) abort(tx *Tx) {
 	o.stats.aborts.Add(1)
 	var ev []pendingEvent
 	if o.sys.opts.Sink != nil {
-		ev = o.sys.stage(tx.sc.ev[:0], histories.AbortEvent(tx.ID(), o.name))
-		tx.sc.ev = ev[:0]
+		ev = o.sys.stage(tx.ev[:0], histories.AbortEvent(tx.ID(), o.name))
+		tx.ev = ev[:0]
 	}
 	if lk == nil {
 		o.wakeScanLocked(nil, false, true, false)

@@ -61,9 +61,8 @@ func (t *Tx) Branch(o *Object) (*Tx, error) {
 //
 // Tx structs are recycled through the system pool (BeginPooled/Recycle):
 // each incarnation carries a fresh generation stamp and identifier, and the
-// buffers below — the touched-object list, the staged-event buffer, the
-// group-commit signal channel — survive recycling so the hot path stops
-// allocating them per transaction.
+// buffers below — the touched-object list and the staged-event buffer —
+// survive recycling so the hot path stops allocating them per transaction.
 //
 // A grant writes joined and bound under the object's mutex alone — only
 // the goroutine of the transaction's one pending call does, between enter
@@ -121,12 +120,9 @@ type Tx struct {
 	id  histories.TxID
 	gen uint64
 
-	// sc is the scratch of this transaction's own commits (its ev also
-	// backs grant and abort event staging); done delivers a queued commit's
-	// outcome from the batcher's leader.  Both are reused across the
-	// transaction's operations and across pool incarnations.
-	sc   commitScratch
-	done chan error
+	// ev stages the sink events of this transaction's grants, commit and
+	// abort, reused across its operations and across pool incarnations.
+	ev []pendingEvent
 
 	// arena backs every lock record's intentions (intend).  Committed
 	// entries share its slots, so Recycle drops it and keeps only the
@@ -134,14 +130,6 @@ type Tx struct {
 	arena     []spec.Op
 	arenaUsed int32
 	arenaHint int32
-
-	// drawn is the commit timestamp between commitTxs drawing it and
-	// publishing it as ts; entryID and entryParts are the identifier and
-	// participant count committed entries carry, read where ts is
-	// published.  Only commitTxs' goroutine touches them.
-	drawn      histories.Timestamp
-	entryID    histories.TxID
-	entryParts int
 }
 
 // ID returns the transaction's identifier, materializing it on first use:
@@ -266,11 +254,6 @@ func (t *Tx) touchedObjects() []*Object {
 // The commit timestamp is drawn from the system clock primed with the
 // transaction's per-object lower bounds, which establishes the paper's
 // timestamp-generation constraint (precedes ⊆ TS) at every object.
-//
-// With group commit on, the transaction joins the system's commit queue,
-// which hands concurrent commits to commitTxs as one batch; without it the
-// transaction is a batch of one.  The procedure and the timestamp
-// discipline are the same either way.
 func (t *Tx) Commit() error { return t.CommitAbove(0) }
 
 // CommitAbove is Commit with a timestamp also above lower: a bound the
@@ -285,10 +268,7 @@ func (t *Tx) CommitAbove(lower histories.Timestamp) error {
 		return err
 	}
 	t.bound = max(t.bound, lower)
-	if b := t.sys.batcher; b != nil {
-		return t.notLogged(b.commit(t))
-	}
-	return t.commitSolo(0)
+	return t.notLogged(t.sys.commitTx(t, 0))
 }
 
 // startCommit moves an active transaction with no call in flight to
@@ -310,14 +290,7 @@ func (t *Tx) startCommit(decided bool) error {
 	return nil
 }
 
-// commitSolo runs commitTxs on t alone; t must be txCommitting.  The
-// one-element batch stays on the stack: a solo commit allocates nothing.
-func (t *Tx) commitSolo(ext histories.Timestamp) error {
-	batch := [1]*Tx{t}
-	return t.notLogged(t.sys.commitTxs(batch[:], ext, &t.sc))
-}
-
-// notLogged names the transaction in a commitTxs failure: the log did
+// notLogged names the transaction in a commitTx failure: the log did
 // not take the commit record, so the transaction was aborted instead
 // (locks released, intentions discarded, nothing merged).
 func (t *Tx) notLogged(err error) error {
@@ -452,7 +425,7 @@ func (t *Tx) CommitAt(ts histories.Timestamp) error {
 	}
 	if ts <= 0 {
 		// Every bound Prepare reports is ≥ 0 and the decision must exceed
-		// it; zero is also commitTxs' "draw your own" value.
+		// it; zero is also commitTx's "draw your own" value.
 		return fmt.Errorf("hybridcc: CommitAt(%d) of %s: timestamp must be positive", ts, t.ID())
 	}
 	if err := t.startCommit(true); err != nil {
@@ -461,5 +434,5 @@ func (t *Tx) CommitAt(ts histories.Timestamp) error {
 	// The commit record repeats the branch's full operation sequences even
 	// though a prepared record usually precedes it, making it
 	// self-contained: recovery of a decided branch never pairs records.
-	return t.commitSolo(ts)
+	return t.notLogged(t.sys.commitTx(t, ts))
 }

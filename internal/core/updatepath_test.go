@@ -30,7 +30,7 @@ import (
 //     seed in which two transactions hold grants and commit one after the
 //     other fails the tail comparison at the second commit;
 //   - mergeLocked's own `v.tailGen == v.commitGen` has no killing
-//     case: every commitBatch ends in publishLocked, which refreshes
+//     case: every Object.commit ends in publishLocked, which refreshes
 //     the tail cache, so no merge starts on a stale one.  The guard makes
 //     the merge right by itself, not by what its caller happens to do last;
 //   - forgetLocked without `v.tailGen == v.commitGen`: an out-of-order

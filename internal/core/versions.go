@@ -107,7 +107,7 @@ func (v *versions) init(sp spec.Spec, retain bool) {
 //     compaction horizon at their timestamps, so both the old and the new
 //     snapshot reconstruct any active reader's state;
 //   - a commit's snapshots come in one block, a slot per object it merges
-//     at (commitTxs), while aborts, folds and recovery allocate one each.
+//     at (commitTx), while aborts, folds and recovery allocate one each.
 //     A block lives while any of its snapshots is some object's current
 //     snapshot (or a reader still holds one), so each object pins at most
 //     one block.
@@ -150,7 +150,7 @@ func (v *versions) snapshotLocked(ts histories.Timestamp) spec.State {
 }
 
 // publishLocked publishes the committed-tail snapshot into snap, a slot
-// nobody has published yet (commitTxs hands each object its slot of one
+// nobody has published yet (commitTx hands each object its slot of one
 // block).  Call after every change to version/unforgotten (merge, fold,
 // reset).  The unforgotten slice is shared, not copied — the copy-on-write
 // discipline documented on tailSnapshot keeps every element below the

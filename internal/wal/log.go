@@ -61,8 +61,8 @@ type Options struct {
 // Stats counts a Log's work.
 type Stats struct {
 	// Appends counts records appended; Fsyncs counts fsyncs actually
-	// issued (the fsyncs-per-commit ratio of the group-commit experiments
-	// divides these).  Segments is the current segment count.
+	// issued, below Appends when concurrent appenders share one.  Segments
+	// is the current segment count.
 	Appends  int64
 	Fsyncs   int64
 	Segments int
@@ -346,8 +346,8 @@ func (l *Log) appendLocked(r Record) error {
 }
 
 // AppendSync appends r and waits for the horizon to cover it, so the record
-// is durable (to the extent Options.Sync promises) when it returns.  The
-// single-transaction commit fallback and prepared-vote logging use it.
+// is durable (to the extent Options.Sync promises) when it returns.  A
+// shard's commit and prepared-vote records go through it.
 func (l *Log) AppendSync(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -357,8 +357,9 @@ func (l *Log) AppendSync(r Record) error {
 	return l.syncLocked()
 }
 
-// AppendBatchSync appends every record, then waits for the horizon once —
-// the group-commit discipline: one fsync amortized over the whole batch.
+// AppendBatchSync appends every record, then waits for the horizon once:
+// one fsync amortized over the whole batch.  The benchmark's device probe
+// (wal.batch8_sync_us) is its only caller.
 func (l *Log) AppendBatchSync(recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -28,11 +28,12 @@
 // On disk, records are length-prefixed and CRC32C-checksummed frames
 // (internal/codec, the format the checkpoints, the shard catalog and the
 // wire share) in numbered segment files.  Appends are buffered; Sync
-// flushes and (when the log is opened with Options.Sync) fsyncs, which is
-// how the group commit batcher turns a batch of commits into one fsync.  The reader
-// tolerates a torn tail — a crash mid-append leaves a short or
-// corrupt final frame, which truncation maps to "those transactions never
-// committed" — but treats corruption anywhere before the tail as fatal.
+// flushes and (when the log is opened with Options.Sync) fsyncs.  One fsync
+// covers every record appended before it started, which is how concurrent
+// commitTx calls share fsyncs.  The reader tolerates a torn tail — a crash
+// mid-append leaves a short or corrupt final frame, which truncation maps
+// to "those transactions never committed" — but treats corruption anywhere
+// before the tail as fatal.
 // A write or fsync failure poisons the log (see Log): the failed record
 // stays the stream's last, so the torn-tail rule keeps holding even when
 // the disk, rather than the process, is what failed.

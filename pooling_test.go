@@ -114,9 +114,9 @@ func assertDebitGranted(t *testing.T, tx interface {
 	}
 }
 
-// TestGroupCommitPublicOption drives WithGroupCommit through the public
-// API under concurrency and verifies the recorded history — group commit
-// must be invisible to everything but the throughput counters.
+// TestGroupCommitPublicOption drives the deprecated WithGroupCommit through
+// the public API under concurrency and verifies the recorded history: the
+// option is a no-op, so no commit is batched.
 func TestGroupCommitPublicOption(t *testing.T) {
 	rec := NewRecorder()
 	sys := NewSystem(WithGroupCommit(), WithRecorder(rec))
@@ -150,7 +150,7 @@ func TestGroupCommitPublicOption(t *testing.T) {
 	if bal := acc.CommittedBalance(); bal != workers*rounds {
 		t.Errorf("balance = %d, want %d", bal, workers*rounds)
 	}
-	if st := sys.Stats(); st.GroupBatches == 0 {
-		t.Error("group commit enabled but no batches recorded")
+	if st := sys.Stats(); st.GroupBatches != 0 || st.GroupBatchTxs != 0 {
+		t.Errorf("the deprecated option batched commits: batches=%d txs=%d", st.GroupBatches, st.GroupBatchTxs)
 	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -86,12 +87,7 @@ func FuzzDecodeCheckpointObject(f *testing.F) {
 		if len(ck.Objects) != 1 {
 			t.Fatalf("decoded %d objects from a one-object file", len(ck.Objects))
 		}
-		o := ck.Objects[0]
-		size := len(o.Name) + len(o.State) + len(o.ImageOps) + len(o.Unforgotten)
-		for _, e := range append(append([]CheckpointEntry(nil), o.ImageOps...), o.Unforgotten...) {
-			size += len(e.Tx) + opsSize(e.Ops)
-		}
-		if size > len(data) {
+		if size := objectSize(ck.Objects[0]); size > len(data) {
 			t.Fatalf("decoded %d bytes of fields out of a %d-byte frame", size, len(data))
 		}
 		again, err := decodeCheckpoint(encodeCheckpoint(ck))
@@ -101,10 +97,85 @@ func FuzzDecodeCheckpointObject(f *testing.F) {
 	})
 }
 
+// objectSize is a lower bound on the frame bytes o was decoded from.
+func objectSize(o CheckpointObject) int {
+	size := len(o.Name) + len(o.State) + len(o.ImageOps) + len(o.Unforgotten)
+	for _, e := range append(append([]CheckpointEntry(nil), o.ImageOps...), o.Unforgotten...) {
+		size += len(e.Tx) + opsSize(e.Ops)
+	}
+	return size
+}
+
 // objectCheckpointFile frames payload as the one object of a checkpoint
 // file with a valid header and footer.
 func objectCheckpointFile(payload []byte) []byte {
 	file := codec.AppendFrame(nil, []byte{ckptFrameHeader, ckptVersion, 9, 0, 1, 0})
 	file = codec.AppendFrame(file, payload)
 	return codec.AppendFrame(file, []byte{ckptFrameFooter, 2, 1, 0})
+}
+
+// FuzzCheckpointFile fuzzes a whole checkpoint file: the header frame's
+// payload, and frames, the payloads after it (objects, pending records,
+// footer), each behind its uvarint length.  Every payload is framed
+// validly, so each input gets past the CRC to decodeCheckpoint.  The checks
+// are FuzzDecodeRecord's: no panic, nothing decoded beyond the payloads,
+// and whatever decodes survives a re-encode unchanged.
+func FuzzCheckpointFile(f *testing.F) {
+	wrapped, err := hex.DecodeString(wrappedCountsCheckpoint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, file := range [][]byte{
+		wrapped,
+		encodeCheckpoint(&goldenCheckpoint),
+		encodeCheckpoint(sampleCheckpoint()),
+		encodeCheckpoint(&Checkpoint{CutTS: 9}),
+	} {
+		var header, frames []byte
+		for off := 0; off < len(file); {
+			payload, size, reason := codec.Next(file[off:], maxPayload)
+			if reason != "" {
+				f.Fatalf("seed frame at %d: %s", off, reason)
+			}
+			if off == 0 {
+				header = payload
+			} else {
+				frames = append(binary.AppendUvarint(frames, uint64(len(payload))), payload...)
+			}
+			off += size
+		}
+		f.Add(header, frames)
+	}
+
+	f.Fuzz(func(t *testing.T, header, frames []byte) {
+		file := codec.AppendFrame(nil, header)
+		in := len(header)
+		for rest := frames; len(rest) > 0; {
+			n, k := binary.Uvarint(rest)
+			if k <= 0 || n > uint64(len(rest)-k) {
+				break
+			}
+			file = codec.AppendFrame(file, rest[k:k+int(n)])
+			in += int(n)
+			rest = rest[k+int(n):]
+		}
+		ck, err := decodeCheckpoint(file)
+		if err != nil {
+			return
+		}
+		size := len(ck.Objects) + len(ck.Pending)
+		for _, o := range ck.Objects {
+			size += objectSize(o)
+		}
+		for _, r := range ck.Pending {
+			size += recordSize(r)
+		}
+		if size > in {
+			t.Fatalf("decoded %d bytes of fields out of %d payload bytes", size, in)
+		}
+		again, err := decodeCheckpoint(encodeCheckpoint(ck))
+		if err != nil || !reflect.DeepEqual(again, ck) {
+			t.Fatalf("re-encoded checkpoint decodes to %+v, %v; want %+v", again, err, ck)
+		}
+	})
 }

@@ -20,6 +20,9 @@ package hybridcc
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -385,6 +388,8 @@ func BenchmarkSpecReplay(b *testing.B) {
 // write-behind, so the one-shard shapes take three round trips: the Debit,
 // the owed replies, the commit.  The cross shape takes five: the Debit,
 // two prepares (the Credit's rides in front of one) and two decisions.
+// Where /proc/self/io can be read it also reports syscr/op and syscw/op,
+// the read and write system calls of the client and both shards together.
 func BenchmarkDialedPayment(b *testing.B) {
 	for _, shape := range []struct {
 		name           string
@@ -399,6 +404,7 @@ func BenchmarkDialedPayment(b *testing.B) {
 				b.Fatal(err)
 			}
 			before := wc.roundTrips()
+			readsBefore, writesBefore, ioOK := procIO()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := c.Atomically(func(tx *DTx) error {
@@ -417,6 +423,29 @@ func BenchmarkDialedPayment(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric((wc.roundTrips()-before)/float64(b.N), "round_trips/op")
+			if reads, writes, ok := procIO(); ok && ioOK {
+				b.ReportMetric((reads-readsBefore)/float64(b.N), "syscr/op")
+				b.ReportMetric((writes-writesBefore)/float64(b.N), "syscw/op")
+			}
 		})
 	}
+}
+
+// procIO returns the process's read and write system call counts from
+// /proc/self/io, and false where that file cannot be read.
+func procIO() (reads, writes float64, ok bool) {
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, 0, false
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		name, v, _ := strings.Cut(line, ": ")
+		switch n, _ := strconv.ParseFloat(v, 64); name {
+		case "syscr":
+			reads = n
+		case "syscw":
+			writes = n
+		}
+	}
+	return reads, writes, true
 }

@@ -1,10 +1,10 @@
 // Package explore performs small-scope systematic model checking of the
 // LOCK automaton: it enumerates EVERY schedule of a bounded configuration
 // (transactions × invocations × timestamps × depth) and runs a check on
-// every accepted history.  Unlike the randomized driver in
-// cmd/hybrid-verify, the exhaustive search provides small-scope
-// completeness: within the bounds, no interleaving — including commit-
-// timestamp inversions between concurrent transactions — is missed.  With
+// every accepted history.  The search provides small-scope completeness:
+// within the bounds, no interleaving — including commit-timestamp
+// inversions between concurrent transactions — is missed.  Its tests check
+// Theorems 16 and 17 on the compiled conflict tables the engine runs.  With
 // Section 7 readers it also models internal/core's clock, commit window,
 // reader registry and folding (readers.go).
 package explore

@@ -8,66 +8,6 @@ import (
 	"hybridcc/internal/spec"
 )
 
-// TestExhaustiveSoundnessQueue enumerates every bounded schedule of the
-// LOCK machine on the Queue with Table II conflicts and checks online
-// hybrid atomicity — small-scope completeness for Theorem 16.
-func TestExhaustiveSoundnessQueue(t *testing.T) {
-	depth := 4
-	if !testing.Short() {
-		depth = 5
-	}
-	cfg := Config{
-		Spec:        adt.NewQueue(),
-		Conflict:    depend.SymmetricClosure(depend.QueueDependencyII()),
-		Invocations: []spec.Invocation{adt.EnqInv(1), adt.EnqInv(2), adt.DeqInv()},
-		Txs:         2,
-		Depth:       depth,
-		MaxTS:       3,
-	}
-	res := Run(cfg, CheckOnline(cfg.Spec))
-	if res.Err != nil {
-		t.Fatalf("violation after %d histories: %v\n%s", res.Histories, res.Err, res.Violation)
-	}
-	if res.Histories < 1000 {
-		t.Errorf("explored only %d histories; exploration looks truncated", res.Histories)
-	}
-	t.Logf("explored %d histories at depth %d", res.Histories, depth)
-}
-
-// TestExhaustiveSoundnessAccount does the same for the Account with
-// Table V conflicts, covering response-dependent locking paths.
-func TestExhaustiveSoundnessAccount(t *testing.T) {
-	cfg := Config{
-		Spec:        adt.NewAccount(),
-		Conflict:    depend.SymmetricClosure(depend.AccountDependency()),
-		Invocations: []spec.Invocation{adt.CreditInv(1), adt.DebitInv(1), adt.DebitInv(2)},
-		Txs:         2,
-		Depth:       4,
-		MaxTS:       3,
-	}
-	res := Run(cfg, CheckOnline(cfg.Spec))
-	if res.Err != nil {
-		t.Fatalf("violation after %d histories: %v\n%s", res.Histories, res.Err, res.Violation)
-	}
-	t.Logf("explored %d histories", res.Histories)
-}
-
-// TestExhaustiveSoundnessSemiqueue covers non-deterministic grants.
-func TestExhaustiveSoundnessSemiqueue(t *testing.T) {
-	cfg := Config{
-		Spec:        adt.NewSemiqueue(),
-		Conflict:    depend.SymmetricClosure(depend.SemiqueueDependency()),
-		Invocations: []spec.Invocation{adt.InsInv(1), adt.InsInv(2), adt.RemInv()},
-		Txs:         2,
-		Depth:       4,
-		MaxTS:       3,
-	}
-	res := Run(cfg, CheckOnline(cfg.Spec))
-	if res.Err != nil {
-		t.Fatalf("violation after %d histories: %v\n%s", res.Histories, res.Err, res.Violation)
-	}
-}
-
 // TestExhaustiveFindsNecessityViolation removes a required conflict and
 // asserts the exhaustive search discovers a non-hybrid-atomic accepted
 // history — Theorem 17 established by search rather than construction.

@@ -62,11 +62,12 @@ func OpenCatalog(dir string) (*Catalog, []CatalogEntry, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	entries, valid, err := readCatalog(f)
+	data, err := io.ReadAll(f)
 	if err != nil {
 		_ = f.Close()
 		return nil, nil, err
 	}
+	entries, valid := readCatalog(data)
 	// Drop a torn tail so the next append starts at a frame boundary.
 	if err := f.Truncate(valid); err != nil {
 		_ = f.Close()
@@ -91,13 +92,9 @@ func OpenCatalog(dir string) (*Catalog, []CatalogEntry, error) {
 	return &Catalog{f: f}, out, nil
 }
 
-// readCatalog scans every intact frame, returning the entries and the
-// offset where the intact prefix ends.
-func readCatalog(f *os.File) ([]CatalogEntry, int64, error) {
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, 0, err
-	}
+// readCatalog scans every intact frame of a catalog file, returning the
+// entries and the offset where the intact prefix ends.
+func readCatalog(data []byte) ([]CatalogEntry, int64) {
 	var entries []CatalogEntry
 	off := 0
 	for {
@@ -113,7 +110,14 @@ func readCatalog(f *os.File) ([]CatalogEntry, int64, error) {
 		entries = append(entries, e)
 		off += size
 	}
-	return entries, int64(off), nil
+	return entries, int64(off)
+}
+
+// appendCatalogEntry appends e's frame to buf.
+func appendCatalogEntry(buf []byte, e CatalogEntry) []byte {
+	start := len(buf)
+	buf = codec.AppendString(codec.AppendString(codec.StartFrame(buf), e.Name), e.TypeName)
+	return codec.EndFrame(codec.AppendString(buf, e.Scheme), start)
 }
 
 // AppendBatch durably records a batch of registrations: one frame per
@@ -127,12 +131,9 @@ func (c *Catalog) AppendBatch(entries []CatalogEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	var buf, payload []byte
+	var buf []byte
 	for _, e := range entries {
-		payload = codec.AppendString(payload[:0], e.Name)
-		payload = codec.AppendString(payload, e.TypeName)
-		payload = codec.AppendString(payload, e.Scheme)
-		buf = codec.AppendFrame(buf, payload)
+		buf = appendCatalogEntry(buf, e)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

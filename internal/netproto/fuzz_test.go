@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"hybridcc/internal/codec"
 )
 
 // FuzzDecodePayload feeds the payload decoder hostile bytes: it must not
@@ -60,6 +62,48 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		if ids := encodeRegistrations(entries); !slices.Equal(ids, m.ids) {
 			t.Fatalf("register batch %q re-encodes to %q", m.ids, ids)
+		}
+	})
+}
+
+// FuzzCatalogEntry feeds the catalog loader one hostile entry payload,
+// framed validly so that it gets past the CRC.  The loader must not panic
+// and must not decode more than the payload holds.  It either stops before
+// the frame, keeping an empty intact prefix, or reads one entry, which
+// re-encodes to a frame that reads back equal.
+func FuzzCatalogEntry(f *testing.F) {
+	for _, e := range []CatalogEntry{
+		{Name: "acct", TypeName: "Account", Scheme: "hybrid"},
+		{Name: "q", TypeName: "Queue", Scheme: "readwrite"},
+		{},
+	} {
+		f.Add(appendCatalogEntry(nil, e)[codec.HeaderSize:])
+	}
+	f.Add([]byte{4, 'a'})                                                                 // a name longer than the payload
+	f.Add(binary.AppendUvarint(nil, 1<<60))                                               // a name of 2^60 bytes
+	f.Add(append(appendCatalogEntry(nil, CatalogEntry{Name: "a"})[codec.HeaderSize:], 0)) // a trailing byte
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		file := codec.AppendFrame(nil, payload)
+		entries, valid := readCatalog(file)
+		switch len(entries) {
+		case 0:
+			if valid != 0 {
+				t.Fatalf("no entry, but an intact prefix of %d bytes", valid)
+			}
+		case 1:
+			e := entries[0]
+			if size := len(e.Name) + len(e.TypeName) + len(e.Scheme); size > len(payload) {
+				t.Fatalf("decoded %d bytes of fields out of a %d-byte payload", size, len(payload))
+			}
+			if valid != int64(len(file)) {
+				t.Fatalf("one entry, but an intact prefix of %d of %d bytes", valid, len(file))
+			}
+			if again, _ := readCatalog(appendCatalogEntry(nil, e)); !reflect.DeepEqual(again, entries) {
+				t.Fatalf("re-encoded entry reads %+v; want %+v", again, entries)
+			}
+		default:
+			t.Fatalf("%d entries from one frame", len(entries))
 		}
 	})
 }

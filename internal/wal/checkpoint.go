@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -166,8 +167,8 @@ func appendCkptEntry(buf []byte, e CheckpointEntry) []byte {
 func decodeCkptEntry(d *codec.Decoder) CheckpointEntry {
 	var e CheckpointEntry
 	e.Tx = d.Str()
-	e.TS = int64(d.Uvarint())
-	e.Participants = int(d.Uvarint())
+	e.TS = int64(bounded(d, math.MaxInt64, "timestamp"))
+	e.Participants = int(bounded(d, maxPayload, "participant count"))
 	n := d.Count("checkpoint op")
 	for i := 0; i < n && d.Err() == nil; i++ {
 		e.Ops = append(e.Ops, Op{Name: d.Str(), Arg: d.Str(), Res: d.Str()})
@@ -229,8 +230,8 @@ func decodeCkptObject(payload []byte) (CheckpointObject, error) {
 		return o, fmt.Errorf("wal: checkpoint object frame kind %#x", k)
 	}
 	o.Name = d.Str()
-	o.Folded = int64(d.Uvarint())
-	o.Clock = int64(d.Uvarint())
+	o.Folded = int64(bounded(&d, math.MaxInt64, "fold frontier"))
+	o.Clock = int64(bounded(&d, math.MaxInt64, "clock"))
 	if d.Byte() == 1 {
 		o.HasState = true
 		o.State = d.Bytes("checkpoint state")
@@ -272,7 +273,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("wal: checkpoint format version %d, want %d", v, ckptVersion)
 	}
 	ck := &Checkpoint{}
-	ck.CutTS = int64(hd.Uvarint())
+	ck.CutTS = int64(bounded(&hd, math.MaxInt64, "cut"))
 	ck.MaxSeq = hd.Uvarint()
 	nObjs := hd.Uvarint()
 	nPending := hd.Uvarint()

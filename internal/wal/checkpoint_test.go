@@ -496,3 +496,46 @@ func TestCheckpointWrappedCountsRejected(t *testing.T) {
 		t.Fatalf("LoadCheckpoint = %+v, %v; want the bad checkpoint ignored", ck, err)
 	}
 }
+
+// Regression: the checkpoint decoder read an entry's participant count and
+// its timestamp as raw uvarints, so CRC-valid bytes holding 2^64−1 decoded,
+// with no error, to −1, and a participant count of −1 skips recovery's
+// torn-leg check.  Every count and every int64 field (a timestamp, a fold
+// frontier, a clock, a cut) is bounded, in the record decoder too, and
+// LoadCheckpoint ignores such a file.
+func TestCheckpointWrappedSignedFieldsRejected(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		wrap  func(ck *Checkpoint)
+	}{
+		{"participants", func(ck *Checkpoint) { ck.Objects[0].Unforgotten[0].Participants = -1 }},
+		{"unforgotten ts", func(ck *Checkpoint) { ck.Objects[0].Unforgotten[0].TS = -7 }},
+		{"image ts", func(ck *Checkpoint) { ck.Objects[1].ImageOps[0].TS = -7 }},
+		{"folded", func(ck *Checkpoint) { ck.Objects[0].Folded = -1 }},
+		{"clock", func(ck *Checkpoint) { ck.Objects[0].Clock = -1 }},
+		{"cut", func(ck *Checkpoint) { ck.CutTS = -1 }},
+	} {
+		ck := sampleCheckpoint()
+		c.wrap(ck)
+		data := encodeCheckpoint(ck)
+		if _, err := decodeCheckpoint(data); err == nil {
+			t.Errorf("%s: a field that wraps decodes with no error", c.field)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, CheckpointName(9)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadCheckpoint(dir); err != nil || got != nil {
+			t.Errorf("%s: LoadCheckpoint = %v, %v; want the bad checkpoint ignored", c.field, got != nil, err)
+		}
+	}
+	for _, r := range []Record{
+		{Kind: KindCommit, Tx: "T1", TS: -1, Participants: 1},
+		{Kind: KindCommit, Tx: "T1", TS: 3, Participants: -1},
+		{Kind: KindDecision, Tx: "T1", TS: -7},
+	} {
+		if got, err := decodePayload(encodePayload(nil, r)); err == nil {
+			t.Errorf("decoded %+v from %+v, whose fields wrap", got, r)
+		}
+	}
+}

@@ -42,6 +42,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"hybridcc/internal/codec"
 )
@@ -174,16 +175,10 @@ func decodePayload(buf []byte) (Record, error) {
 	r.Tx = d.Str()
 	switch r.Kind {
 	case KindCommit, KindDecision:
-		r.TS = int64(d.Uvarint())
+		r.TS = int64(bounded(&d, math.MaxInt64, "timestamp"))
 	}
 	if r.Kind == KindCommit {
-		// Bounded by the record limit, not by this payload: a leg with no
-		// operations at this site is short and still counts every site.
-		n := d.Uvarint()
-		if d.Err() == nil && n > uint64(maxPayload) {
-			d.Fail("participant count %d exceeds payload", n)
-		}
-		r.Participants = int(n)
+		r.Participants = int(bounded(&d, maxPayload, "participant count"))
 	}
 	switch r.Kind {
 	case KindCommit, KindPrepared:
@@ -198,6 +193,18 @@ func decodePayload(buf []byte) (Record, error) {
 		}
 	}
 	return r, d.Done()
+}
+
+// bounded reads a uvarint no greater than limit: an int64 field (a
+// timestamp, a fold frontier, a clock, a cut) that must not wrap negative,
+// or a participant count, which the record limit bounds, not the payload:
+// a leg with no operations at this site is short and counts every site.
+func bounded(d *codec.Decoder, limit uint64, what string) uint64 {
+	n := d.Uvarint()
+	if n > limit {
+		d.Fail("%s %d exceeds %d", what, n, limit)
+	}
+	return n
 }
 
 // Summary is the recovery-relevant digest of a record stream: which

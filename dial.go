@@ -49,7 +49,7 @@ type BackoffPolicy = backoff.Policy
 
 // WithShardBreaker tunes Dial's per-shard circuit breakers.  threshold is
 // the number of CONSECUTIVE transport failures that opens a breaker
-// (0 keeps the default of 3; negative disables the breakers entirely);
+// (0 or negative keeps the default of 3);
 // probe is the jittered exponential schedule for half-open recovery
 // probes (zero keeps the default of 100ms doubling to 2s).  While a
 // breaker is open, requests touching that shard fail fast with

@@ -109,7 +109,7 @@ func (c *Cluster) FinishRecovery() error {
 	legsOn := make(map[histories.TxID]map[int]bool)
 	var txs []core.RecoveredTx
 	for si, sys := range c.shards {
-		for _, tx := range sys.RecoveredCommitted() {
+		for tx := range sys.RecoveredCommittedSeq() {
 			if legsOn[tx.ID] == nil {
 				legsOn[tx.ID] = make(map[int]bool)
 			}

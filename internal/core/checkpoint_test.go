@@ -83,7 +83,11 @@ func TestCheckpointBoundedReplay(t *testing.T) {
 
 		s2 := openCheckpointable(t, dir)
 		acc2 := accountOn(s2)
-		if got := len(s2.RecoveredCommitted()); got != 3 {
+		got := 0
+		for range s2.RecoveredCommittedSeq() {
+			got++
+		}
+		if got != 3 {
 			t.Fatalf("n=%d: restart replays %d transactions, want 3 (independent of pre-checkpoint count)", n, got)
 		}
 		if err := s2.FinishRecovery(); err != nil {

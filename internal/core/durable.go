@@ -275,21 +275,8 @@ func (s *System) recoveredTxOf(r wal.Record) RecoveredTx {
 	return tx
 }
 
-// RecoveredCommitted returns the committed transactions read from the log
-// (plus any ResolvePending resolutions), ready for Replay.
-func (s *System) RecoveredCommitted() []RecoveredTx {
-	if s.recovered == nil {
-		return nil
-	}
-	out := make([]RecoveredTx, 0, len(s.recovered.committed))
-	for _, r := range s.recovered.committed {
-		out = append(out, s.recoveredTxOf(r))
-	}
-	return out
-}
-
-// RecoveredCommittedSeq is the streaming counterpart of RecoveredCommitted:
-// it yields the committed transactions in timestamp order, converting each
+// RecoveredCommittedSeq yields the committed transactions read from the log
+// (plus any ResolvePending resolutions) in timestamp order, converting each
 // record lazily so replay holds one transaction's materialized form at a
 // time instead of the whole log's.
 func (s *System) RecoveredCommittedSeq() iter.Seq[RecoveredTx] {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hybridcc/internal/adt"
+	"hybridcc/internal/baseline"
 	"hybridcc/internal/depend"
 	"hybridcc/internal/spec"
 )
@@ -42,3 +43,45 @@ func TestActionString(t *testing.T) {
 		}
 	}
 }
+
+// TestExhaustiveAccountHybrid searches three transactions over Account's
+// compiled Hybrid table, starting from a balance of 2: two debits that
+// together overdraw it are then six steps apart, where from a zero balance
+// the credit that funds them makes the schedule nine steps long, out of
+// reach of the two-transaction soundness search.  With Debit(1)/Ok ×
+// Debit(2)/Ok removed from the table, LOCK grants both debits and this
+// search finds the committed history that is not hybrid atomic.  Under
+// -race it searches two transactions, which still reach that history.
+func TestExhaustiveAccountHybrid(t *testing.T) {
+	t.Parallel()
+	d, _ := baseline.DescriptorFor("Account")
+	credit := spec.Op{Name: "Credit", Arg: "2", Res: adt.ResOk}
+	start, _ := d.Spec.Step(d.Spec.Init(), credit)
+	txs := 3
+	if raceEnabled {
+		txs = 2
+	}
+	cfg := Config{
+		Spec:        funded{d.Spec, start},
+		Conflict:    d.Policies.Get("hybrid").Table,
+		Invocations: []spec.Invocation{adt.CreditInv(2), adt.DebitInv(1), adt.DebitInv(2)},
+		Txs:         txs,
+		Depth:       6,
+		MaxTS:       4,
+	}
+	res := Run(cfg, CheckHybrid(cfg.Spec))
+	if res.Err != nil {
+		t.Fatalf("violation after %d histories: %v\n%s", res.Histories, res.Err, res.Violation)
+	}
+	if res.Histories < 10000 {
+		t.Fatalf("explored only %d histories; exploration looks truncated", res.Histories)
+	}
+}
+
+// funded is a spec that starts in a given state.
+type funded struct {
+	spec.Spec
+	start spec.State
+}
+
+func (f funded) Init() spec.State { return f.start }

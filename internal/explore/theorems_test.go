@@ -32,9 +32,9 @@ import (
 //     soundness bounds, per type and scheme, matches concurrency.txt and
 //     follows table containment: fewer conflicts, more histories.
 //
-// A pair removed from Account's Hybrid table fails TestDefinition3: two
-// transactions are too few for the soundness search to reach the P/Q/R
-// schedule the gap lets through.  A pair added to it is removable, which
+// A pair removed from Account's Hybrid table fails TestDefinition3 and
+// TestExhaustiveAccountHybrid: two transactions from a zero balance are too
+// few for the soundness search to reach the schedule the gap lets through.  A pair added to it is removable, which
 // fails TestTheorem17Necessity, and it changes concurrency.txt.  CI runs
 // these tests without -race in the "Explorer" step.  Under -race the
 // soundness search runs a step shallower, and concurrency.txt, whose

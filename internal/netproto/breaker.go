@@ -61,24 +61,18 @@ type breaker struct {
 	cycle int       // completed open→probe→open cycles, drives backoff growth
 }
 
-// newBreaker builds a breaker; threshold 0 means the default of 3 and a
-// negative threshold disables the breaker entirely.
+// newBreaker builds a breaker; a threshold ≤ 0 means the default of 3.
 func newBreaker(shard, threshold int, policy backoff.Policy) *breaker {
-	if threshold == 0 {
+	if threshold <= 0 {
 		threshold = 3
 	}
 	return &breaker{shard: shard, threshold: threshold, policy: policy}
 }
 
-func (b *breaker) disabled() bool { return b.threshold < 0 }
-
 // allow reports whether a request may proceed.  It returns nil in closed
 // state, admits a single probe when one is due, and otherwise fails fast
 // with a *ShardDownError.
 func (b *breaker) allow() error {
-	if b.disabled() {
-		return nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -95,9 +89,6 @@ func (b *breaker) allow() error {
 
 // success records a successful transport round trip, closing the breaker.
 func (b *breaker) success() {
-	if b.disabled() {
-		return
-	}
 	b.mu.Lock()
 	b.state = bkClosed
 	b.fails = 0
@@ -109,9 +100,6 @@ func (b *breaker) success() {
 // threshold and re-opens a half-open one with the next probe pushed out
 // by the backoff policy.
 func (b *breaker) failure() {
-	if b.disabled() {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := time.Now()
@@ -144,9 +132,6 @@ func (b *breaker) observe(ok bool) {
 
 // down reports whether the breaker is open and since when.
 func (b *breaker) down() (bool, time.Time) {
-	if b.disabled() {
-		return false, time.Time{}
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state != bkClosed, b.since

@@ -98,20 +98,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// A negative threshold disables the breaker: failures never open it.
-func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(0, -1, backoff.Policy{})
-	for i := 0; i < 10; i++ {
-		b.failure()
-	}
-	if err := b.allow(); err != nil {
-		t.Fatalf("disabled breaker rejected a request: %v", err)
-	}
-	if open, _ := b.down(); open {
-		t.Fatal("disabled breaker reports down")
-	}
-}
-
 // After the shard dies, consecutive failures open the breaker and further
 // requests fail fast with ErrShardDown — microseconds, not a dial
 // timeout.  This is the < 10ms half of the degradation contract.

@@ -103,7 +103,7 @@ func TestFastPathCommitAboveUnappliedDecision(t *testing.T) {
 	u := cl.Begin()
 	inc(u, x)
 	for _, rc := range idle {
-		ca.release(rc)
+		ca.finish(rc, action{done: true, place: pool})
 	}
 
 	ts := map[histories.TxID]histories.Timestamp{}

@@ -564,7 +564,7 @@ func TestDecideReplyReadByNextUser(t *testing.T) {
 	for _, c := range []*ShardClient{ca, cb} {
 		c.mu.Lock()
 		pinned, idle := len(c.pinned), len(c.idle)
-		owed := len(c.idle[idle-1].owed)
+		owed := len(c.idle[idle-1].st.owed)
 		c.mu.Unlock()
 		if pinned != 0 || owed != 1 {
 			t.Fatalf("%s: %d connections pinned, the pooled one owes %d replies; want 0 and the decide's", c.Name(), pinned, owed)
@@ -593,8 +593,8 @@ func TestDecideReplyReadByNextUser(t *testing.T) {
 		}
 		c.mu.Lock()
 		for _, rc := range c.idle {
-			if len(rc.owed) != 0 {
-				t.Errorf("%s: a pooled connection still owes %d replies", c.Name(), len(rc.owed))
+			if len(rc.st.owed) != 0 {
+				t.Errorf("%s: a pooled connection still owes %d replies", c.Name(), len(rc.st.owed))
 			}
 		}
 		c.mu.Unlock()

@@ -25,13 +25,13 @@
 //     deterministic script of lost, delayed, duplicated, held and reordered
 //     messages — the fault model every crash-path suite runs over.
 //
-// A round returns at its decision, without waiting for acknowledgements
-// (the wire transport reads them later and redelivers a lost decision), so
-// a transport must stay deliverable until every decision re-delivery the
-// caller intends has completed: a caller that re-applies a missed decision
-// (standard 2PC recovery) does it after RunTransports returns, and closing
-// a transport first would turn recovery into a lost decision.  Close
-// transports only after the decision is fully applied.
+// A round returns at its decision, without waiting for acknowledgements:
+// the wire transport keeps each decision in its client's outbox until the
+// shard acknowledges it, and resends a lost one.  A transport must stay
+// open until its decisions are applied — a caller that re-applies a missed
+// decision (standard 2PC recovery) does it after RunTransports returns —
+// and closing a wire transport makes one last attempt, within one RPC
+// timeout, and names each decision it could not deliver.
 package commitproto
 
 import (

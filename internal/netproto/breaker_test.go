@@ -125,7 +125,7 @@ func TestBreakerFailsFastAfterShardDeath(t *testing.T) {
 			t.Fatalf("pre-trip failure = %v, want ErrUnavailable", err)
 		}
 	}
-	if open, _ := c.Down(); !open {
+	if open, _ := c.bk.down(); !open {
 		t.Fatal("breaker still closed after threshold failures")
 	}
 
@@ -164,7 +164,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		_ = c.Ping(ctx)
 	}
-	if open, _ := c.Down(); !open {
+	if open, _ := c.bk.down(); !open {
 		t.Fatal("breaker did not trip")
 	}
 
@@ -186,7 +186,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if open, _ := c.Down(); open {
+	if open, _ := c.bk.down(); open {
 		t.Fatal("breaker still open after successful probe")
 	}
 }

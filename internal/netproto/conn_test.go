@@ -3,9 +3,12 @@ package netproto
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
+
+	"hybridcc/internal/core"
 )
 
 // TestConnRules enumerates every sequence of requests and transport
@@ -25,15 +28,19 @@ import (
 //   - every write has a fresh deadline, armed in its own action.
 //
 // It also checks that a commit's frame never goes out while a call's reply
-// is owed or after one failed, that each decision's reply is acknowledged
-// or redelivered, and that the breaker is told once per exchange that
-// reached the wire.
+// is owed or after one failed, and that the breaker is told once per
+// exchange that reached the wire.  Beside the connection it keeps the
+// client's outbox as checkout and finish change it, and checks that a
+// decision — commit or abort — leaves the outbox only on its
+// acknowledgement or ErrTxDone, that each acknowledgement is reported
+// once, and that what a closed connection owed, or the shard refused, is
+// due for the drain.
 func TestConnRules(t *testing.T) {
 	// Deepening one event at a time reports a shortest sequence that
 	// breaks a rule.
 	n := 0
 	for depth := 1; depth <= connDepth; depth++ {
-		m := &connModel{a: action{done: true}}
+		m := &connModel{a: action{done: true}, out: outbox{}, open: map[string]bool{}}
 		var err error
 		if n, err = m.walk(depth); err != nil {
 			t.Fatal(err)
@@ -46,11 +53,15 @@ func TestConnRules(t *testing.T) {
 
 // connDepth is the number of events per sequence: deep enough for two
 // write-behind calls, a prepare behind them, its decision and a sweep of
-// the decision's reply (≈ 250 000 sequences, 0.3 s; 1.5 s under -race).
+// the decision's reply (≈ 300 000 sequences, 0.9 s; 3 s under -race).
 const connDepth = 14
 
-// errReply is the error reply the model's shard sends.
-var errReply = errors.New("error reply")
+// errReply is the error reply the model's shard sends; errGone, the one
+// for a branch it no longer knows.
+var (
+	errReply = errors.New("error reply")
+	errGone  = fmt.Errorf("%w: no branch", core.ErrTxDone)
+)
 
 // The replies the model's shard owes, in wire order.
 const (
@@ -75,14 +86,28 @@ type connModel struct {
 	// pinned is set while a transaction holds the connection.
 	pinned bool
 	closed bool
-	trace  []string
+	// out is the client's outbox; open, the decisions started and neither
+	// acknowledged nor answered ErrTxDone; decisions numbers them.
+	out       outbox
+	open      map[string]bool
+	decisions int
+	trace     []string
 }
 
 func (m *connModel) clone() *connModel {
 	c := *m
 	c.st.owed = slices.Clone(m.st.owed)
+	c.st.answered = slices.Clone(m.st.answered)
 	c.wire = slices.Clone(m.wire)
 	c.trace = slices.Clone(m.trace)
+	c.open = maps.Clone(m.open)
+	c.out = outbox{}
+	for tx, e := range m.out {
+		if e.on == &m.st {
+			e.on = &c.st
+		}
+		c.out[tx] = e
+	}
 	return &c
 }
 
@@ -119,11 +144,15 @@ type input struct {
 func (m *connModel) successors() []input {
 	if !m.a.done {
 		if m.a.read {
-			return []input{
+			out := []input{
 				{name: "reply", ev: event{kind: evRead}},
 				{name: "error reply", ev: event{kind: evRead, err: errReply}},
 				{name: "broken", ev: event{kind: evBroken, err: ErrUnavailable}},
 			}
+			if len(m.wire) > 0 && m.wire[0] == owedDecision {
+				out = append(out, input{name: "gone reply", ev: event{kind: evRead, err: errGone}})
+			}
+			return out
 		}
 		return []input{
 			{name: "wrote", ev: event{kind: evWrote}},
@@ -131,13 +160,12 @@ func (m *connModel) successors() []input {
 		}
 	}
 	start := func(name string, typ byte, wb bool) input {
-		return input{name: name, ev: event{kind: evStart, typ: typ, wb: wb, tx: "T", ts: 1}}
+		return input{name: name, ev: event{kind: evStart, typ: typ, wb: wb, tx: "T"}}
 	}
 	if !m.pinned {
 		out := []input{
 			{name: "pin", pin: true},
 			start("ping", msgPing, false),
-			start("redeliver", msgDecide, false),
 		}
 		if len(m.st.owed) > 0 {
 			out = append(out, input{name: "sweep", ev: event{kind: evStart}})
@@ -151,6 +179,7 @@ func (m *connModel) successors() []input {
 		start("prepare", msgPrepare, false),
 		start("abort", msgAbort, false),
 		start("decide", msgDecide, true),
+		start("abort decision", msgAbort, true),
 	}
 }
 
@@ -166,24 +195,37 @@ func (m *connModel) apply(in input) error {
 	case evStart:
 		ev.pinned = m.pinned
 		m.typ, m.wb, m.wired = ev.typ, ev.wb, false
+		if ev.wb && ev.typ != msgCall {
+			// checkout puts a decision in the outbox on its connection.
+			m.decisions++
+			ev.tx = fmt.Sprintf("D%d", m.decisions)
+			m.out[ev.tx] = outEntry{typ: ev.typ, on: &m.st}
+			m.open[ev.tx] = true
+		}
 	case evRead:
 		if len(m.wire) == 0 {
 			return fmt.Errorf("read with no reply on the wire")
 		}
 		got := m.wire[0]
 		m.wire = m.wire[1:]
-		if owed := len(m.st.owed) > 0; owed != (got != response) || owed && m.st.owed[0].decision != (got == owedDecision) {
+		if owed := len(m.st.owed) > 0; owed != (got != response) || owed && (m.st.owed[0] != "") != (got == owedDecision) {
 			return fmt.Errorf("read a %c reply as the connection's owed %d", got, len(m.st.owed))
 		}
 		if got == owedCall && ev.err != nil {
 			m.doomed = true
 		}
-		a := m.st.step(ev)
-		if got == owedDecision && (a.acked == a.redeliver || a.redeliver != (ev.err != nil)) {
-			return fmt.Errorf("a decision's reply neither acknowledged nor redelivered")
+		tx, answered := "", len(m.st.answered)
+		if got == owedDecision {
+			tx = m.st.owed[0]
 		}
-		if got != owedDecision && (a.acked || a.redeliver) {
+		a := m.st.step(ev)
+		switch {
+		case got != owedDecision && (a.acked || len(m.st.answered) != answered):
 			return fmt.Errorf("a %c reply taken for a decision's", got)
+		case got == owedDecision && (a.acked != (ev.err == nil) || !slices.Equal(m.st.answered[answered:], []answer{{tx, ev.err}})):
+			return fmt.Errorf("decision %s's reply not answered once, acknowledged=%v", tx, a.acked)
+		case got == owedDecision && (ev.err == nil || ev.err == errGone):
+			delete(m.open, tx)
 		}
 		return m.check(a)
 	case evWrote:
@@ -196,7 +238,7 @@ func (m *connModel) apply(in input) error {
 func (m *connModel) written() {
 	switch {
 	case !m.a.write:
-	case m.wb && m.typ == msgDecide:
+	case m.wb && m.typ != msgCall:
 		m.wire = append(m.wire, owedDecision)
 	case m.wb && m.typ == msgCall && !m.a.flush:
 		m.wire = append(m.wire, owedCall)
@@ -234,6 +276,11 @@ func (m *connModel) check(a action) error {
 	}
 	if a.place != keep {
 		m.pinned = false
+		// finish settles the outbox.
+		m.out.settle(&m.st, a.place == drop)
+		if err := m.checkOutbox(a.place == drop); err != nil {
+			return err
+		}
 	}
 	broken := !a.ok
 	if a.observe != (m.wired || broken) {
@@ -260,6 +307,31 @@ func (m *connModel) check(a action) error {
 	}
 	if len(m.st.owed) != len(m.wire) {
 		return fmt.Errorf("the connection owes %d replies, the shard %q", len(m.st.owed), m.wire)
+	}
+	return nil
+}
+
+// checkOutbox checks the outbox just after finish settled it: every open
+// decision is in it, and due when its connection was closed; nothing else
+// is, and a decision waits on the connection only while the connection
+// owes its reply.
+func (m *connModel) checkOutbox(closed bool) error {
+	for tx := range m.open {
+		e, ok := m.out[tx]
+		switch {
+		case !ok:
+			return fmt.Errorf("decision %s left the outbox unacknowledged", tx)
+		case closed && e.on != nil:
+			return fmt.Errorf("decision %s owed on a closed connection is not due", tx)
+		}
+	}
+	for tx, e := range m.out {
+		switch {
+		case !m.open[tx]:
+			return fmt.Errorf("decision %s still in the outbox after its acknowledgement or ErrTxDone", tx)
+		case e.on != nil && !slices.Contains(m.st.owed, tx):
+			return fmt.Errorf("refused decision %s is not due", tx)
+		}
 	}
 	return nil
 }

@@ -109,9 +109,10 @@ func yes(req message) (message, bool) {
 }
 
 // startScripted serves a fake shard on loopback: it handshakes as (shard,
-// shards), logs every later request as "<name> <frame> <tx> #<connection>"
-// and answers it from script; cut=true closes the connection instead of
-// answering — the frame was read, its reply is lost.
+// shards), in the state of script's msgHelloResp if it answers the hello
+// with one, logs every later request as "<name> <frame> <tx>
+// #<connection>" and answers it from script; cut=true closes the
+// connection instead of answering — the frame was read, its reply is lost.
 func startScripted(t *testing.T, name string, shard, shards int, log *wireLog, script func(req message) (resp message, cut bool)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -135,6 +136,9 @@ func startScripted(t *testing.T, name string, shard, shards int, log *wireLog, s
 			var resp message
 			if req.typ == msgHello {
 				resp = message{typ: msgHelloResp, n: protoVersion, ts: uint64(shard), flag: stateServing, ids: []string{fmt.Sprint(shards)}}
+				if r, _ := script(req); r.typ == msgHelloResp {
+					resp.flag = r.flag
+				}
 			} else {
 				log.add("%s %s %s #%d", name, frameNames[req.typ], req.tx, id)
 				var cut bool

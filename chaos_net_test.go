@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -160,7 +161,37 @@ type sharddStats struct {
 	Shards          int  `json:"shards"`
 	Recovering      bool `json:"recovering"`
 	PendingBranches int  `json:"pending_branches"`
-	Stats           struct{ Committed int64 }
+	LiveBranches    struct {
+		OldestPreparedMs float64 `json:"oldest_prepared_ms"`
+	} `json:"live_branches"`
+	Branches []struct {
+		ID    string  `json:"id"`
+		State string  `json:"state"`
+		AgeMs float64 `json:"age_ms"`
+	} `json:"branches"`
+	Stats struct{ Committed int64 }
+}
+
+// settledPreparedMs is the oldest a prepared branch may be on a settled
+// shard: the cap of the coordinator's redelivery backoff, past which a
+// decision still owed is lost, not late.
+const settledPreparedMs = 2000
+
+// branchLists names every shard's live branches, with their states and
+// ages, for a failure message.
+func (e *netChaosEnv) branchLists() string {
+	var sb strings.Builder
+	for shard := 0; shard < e.shards; shard++ {
+		s, err := e.readStats(shard)
+		fmt.Fprintf(&sb, "\n  shard %d:", shard)
+		if err != nil {
+			fmt.Fprintf(&sb, " %v", err)
+		}
+		for _, b := range s.Branches {
+			fmt.Fprintf(&sb, " %s %s %.0fms;", b.ID, b.State, b.AgeMs)
+		}
+	}
+	return sb.String()
 }
 
 func (e *netChaosEnv) readStats(shard int) (sharddStats, error) {
@@ -175,7 +206,8 @@ func (e *netChaosEnv) readStats(shard int) (sharddStats, error) {
 }
 
 // Settle waits until every shard reports recovery finished with no
-// pending prepared branch, and until a cross-shard commit through every
+// pending recovered branch and no prepared branch older than the
+// redelivery backoff's cap, and until a cross-shard commit through every
 // shard succeeds again (the client's breakers have re-closed and its
 // decision redelivery has drained).  A settled shard must then say so on
 // its operator endpoints: /health answers 200, and /stats carries this
@@ -185,11 +217,11 @@ func (e *netChaosEnv) Settle() error {
 	for shard := 0; shard < e.shards; shard++ {
 		for {
 			s, err := e.readStats(shard)
-			if err == nil && !s.Recovering && s.PendingBranches == 0 {
+			if err == nil && !s.Recovering && s.PendingBranches == 0 && s.LiveBranches.OldestPreparedMs <= settledPreparedMs {
 				break
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("shard %d never settled: stats=%+v err=%v", shard, s, err)
+				return fmt.Errorf("shard %d never settled: recovering=%v pending=%d err=%v; branches:%s", shard, s.Recovering, s.PendingBranches, err, e.branchLists())
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
@@ -200,7 +232,7 @@ func (e *netChaosEnv) Settle() error {
 			if err := e.Transfer(shard, peer, 1); err == nil {
 				break
 			} else if time.Now().After(deadline) {
-				return fmt.Errorf("shard %d never accepted a commit again: %v", shard, err)
+				return fmt.Errorf("shard %d never accepted a commit again: %v; branches:%s", shard, err, e.branchLists())
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
@@ -238,7 +270,7 @@ func (e *netChaosEnv) Check() error {
 		// A leg whose decision delivery is still in flight may hold its
 		// lock briefly; snapshots bounce off it as ErrTimeout.
 		if !retryable(err) || time.Now().After(deadline) {
-			return fmt.Errorf("settled snapshot failed: %w", err)
+			return fmt.Errorf("settled snapshot failed: %w; branches:%s", err, e.branchLists())
 		}
 		time.Sleep(200 * time.Millisecond)
 	}

@@ -171,11 +171,22 @@ type statsPayload struct {
 	// PendingBranches counts the prepared-but-undecided 2PC branches still
 	// awaiting their coordinators' decisions; harnesses poll these to know
 	// when a restarted shard has fully settled.
-	Recovering      bool                 `json:"recovering"`
-	PendingBranches int                  `json:"pending_branches"`
-	Stats           core.StatsSnapshot   `json:"stats"`
-	Checkpoint      core.CheckpointStats `json:"checkpoint"`
-	Objects         []objectPayload      `json:"objects"`
+	Recovering      bool `json:"recovering"`
+	PendingBranches int  `json:"pending_branches"`
+	// LiveBranches counts the shard's live update branches by state and
+	// ages the oldest that voted yes and still awaits or applies its
+	// decision; Branches lists them all.  A prepared branch older than the
+	// coordinators' redelivery backoff has lost its decision.
+	LiveBranches liveBranches          `json:"live_branches"`
+	Branches     []netproto.BranchInfo `json:"branches"`
+	Stats        core.StatsSnapshot    `json:"stats"`
+	Checkpoint   core.CheckpointStats  `json:"checkpoint"`
+	Objects      []objectPayload       `json:"objects"`
+}
+
+type liveBranches struct {
+	ByState          map[string]int `json:"by_state"`
+	OldestPreparedMs float64        `json:"oldest_prepared_ms"`
 }
 
 type objectPayload struct {
@@ -195,13 +206,23 @@ func startStats(addr string, srv *netproto.Server, shard, shards int) *http.Serv
 			state = "recovering"
 		}
 		p := statsPayload{
-			Shard:           shard,
-			Shards:          shards,
-			State:           state,
-			Recovering:      srv.Recovering(),
-			PendingBranches: srv.PendingBranches(),
-			Stats:           srv.System().Stats(),
-			Checkpoint:      srv.System().CheckpointStats(),
+			Shard:        shard,
+			Shards:       shards,
+			State:        state,
+			Recovering:   srv.Recovering(),
+			LiveBranches: liveBranches{ByState: map[string]int{}},
+			Branches:     srv.Branches(),
+			Stats:        srv.System().Stats(),
+			Checkpoint:   srv.System().CheckpointStats(),
+		}
+		for _, b := range p.Branches {
+			p.LiveBranches.ByState[b.State]++
+			switch b.State {
+			case "recovered":
+				p.PendingBranches++
+			case "prepared", "deciding", "failed":
+				p.LiveBranches.OldestPreparedMs = max(p.LiveBranches.OldestPreparedMs, b.AgeMs)
+			}
 		}
 		for _, o := range srv.System().Objects() {
 			p.Objects = append(p.Objects, objectPayload{

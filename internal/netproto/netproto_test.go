@@ -580,7 +580,7 @@ func TestPreparedBranchSurvivesConnectionLoss(t *testing.T) {
 func srvHasTx(s *Server, id histories.TxID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.txs[id]
+	_, ok := s.branches.live[id]
 	return ok
 }
 
@@ -952,7 +952,8 @@ func TestForeignPendingBranchLeftForItsOwner(t *testing.T) {
 		t.Fatal("a non-owning client drove the shard out of recovery")
 	}
 	srv.mu.Lock()
-	stillPending := srv.pending["T-pending"]
+	b := srv.branches.live["T-pending"]
+	stillPending := b != nil && b.state == branchRecovered
 	srv.mu.Unlock()
 	if !stillPending {
 		t.Fatal("foreign branch resolved by a client that does not own it")

@@ -55,8 +55,8 @@ func (s severAfterPrepare) StartPrepare(ctx context.Context, tx histories.TxID, 
 func srvPrepared(s *Server, id histories.TxID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.txs[id]
-	return e != nil && e.prepared
+	e := s.branches.live[id]
+	return e != nil && e.state == branchPrepared
 }
 
 // B prepares T1, and B's connections — the branch's and the pooled one

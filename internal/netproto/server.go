@@ -24,37 +24,38 @@ import (
 // client may pipeline a transaction's write-behind calls ahead of a
 // request; the loop answers such a burst with one write.
 //
-// The server is the 2PC participant: Prepare freezes a branch and reports
-// its vote and timestamp bound, a decision message commits it at the
-// coordinator-chosen timestamp, an abort message rolls it back.  A
-// connection that dies aborts its unprepared transactions (their client
-// can no longer decide anything for them) but leaves prepared branches
-// alive and disowned: under presumed abort, a prepared participant may
-// not unilaterally abort, and the decision may arrive later on any
-// connection — including a brand-new one after the coordinator redials.
+// The server is the 2PC participant, and its update branches' rules are
+// one transition function, branchTable.step (branch.go): a handler asks
+// step what a request does, makes the one core call the action names, and
+// reports the call's result as the next event.  TestBranchRules checks
+// step against a model shard.  A branch is active, prepared (voted yes),
+// deciding (a commit is being applied), failed (its decided commit could
+// not be logged) or recovered (prepared before a restart).  The rules:
 //
-// After a crash, a server whose WAL holds prepared-but-undecided branches
-// starts in the recovering state: it answers handshakes, status probes,
-// and resolution traffic only, refusing new work until every pending
-// branch is resolved by a decision (commit at its timestamp) or an abort
-// (presumed abort made explicit).  The moment the pending set drains, the
-// committed log replays and the shard serves again.
+//   - A prepared branch never ends without a decision.  A connection that
+//     dies aborts exactly its own active branches and disowns the rest:
+//     under presumed abort a prepared participant may not abort on its
+//     own, and the decision may arrive on any connection.
+//   - A decision is applied once: one that finds its branch deciding or
+//     failed is refused, and one that finds no branch acknowledges.  A
+//     failed branch stays until a restart recovers it.
+//   - A status probe answers committed only once the commit applied, and
+//     pending while a branch is live.
+//   - A shard whose log holds prepared-but-undecided branches recovers:
+//     it refuses new work until the last of them is resolved by a decision
+//     or an abort, and FinishRecovery has replayed the committed log.
 type Server struct {
 	sys    *core.System
 	shard  int
 	shards int
 	opts   ServerOptions
 
-	mu         sync.Mutex
-	ln         net.Listener
-	conns      map[*serverConn]bool
-	txs        map[histories.TxID]*txEntry
-	reads      map[histories.TxID]*readEntry
-	outcomes   map[histories.TxID]txOutcome
-	order      []histories.TxID
-	recovering bool
-	pending    map[histories.TxID]bool
-	closed     bool
+	mu       sync.Mutex
+	ln       net.Listener
+	conns    map[*serverConn]bool
+	branches branchTable
+	reads    map[histories.TxID]*readEntry
+	closed   bool
 
 	// regMu serialises registration batches, so a batch's check of which
 	// objects exist, its catalog append and the objects it creates are one
@@ -74,38 +75,11 @@ type ServerOptions struct {
 	Catalog *Catalog
 }
 
-// txEntry tracks one update transaction's branch on this shard.
-type txEntry struct {
-	tx       *core.Tx
-	owner    *serverConn // nil once disowned (prepared, connection lost)
-	prepared bool
-	// deciding marks a commit decision mid-apply: concurrent redeliveries
-	// are refused (retried later) instead of racing the apply.
-	deciding bool
-	// failed marks a branch whose decided commit could not be made
-	// durable (CommitAt failed — the shard's log is likely poisoned).
-	// The entry is kept so status probes answer pending, never a lying
-	// committed; every redelivery is refused until the process restarts
-	// and recovery resolves the branch from its prepared record.
-	failed bool
-}
-
 // readEntry tracks one read-only branch.
 type readEntry struct {
 	r     *core.ReadTx
 	owner *serverConn
 }
-
-// txOutcome is a remembered completion, for status probes.
-type txOutcome struct {
-	status byte
-	ts     histories.Timestamp
-}
-
-// outcomeCap bounds the remembered-outcome ring; older outcomes are
-// forgotten (probes then answer unknown, which callers treat as presumed
-// abort only when the shard has no trace at all).
-const outcomeCap = 65536
 
 // serverConn is one client connection.
 type serverConn struct {
@@ -126,24 +100,18 @@ func NewServer(sys *core.System, shard, shards int, opts ServerOptions) (*Server
 		shards:   shards,
 		opts:     opts,
 		conns:    make(map[*serverConn]bool),
-		txs:      make(map[histories.TxID]*txEntry),
+		branches: branchTable{live: map[histories.TxID]*branch{}, outcomes: map[histories.TxID]txOutcome{}},
 		reads:    make(map[histories.TxID]*readEntry),
-		outcomes: make(map[histories.TxID]txOutcome),
 	}
+	now := time.Now()
 	for tx := range sys.RecoveredCommittedSeq() {
-		s.rememberLocked(tx.ID, txOutcome{status: outcomeCommitted, ts: tx.TS})
+		s.branches.step(tx.ID, branchEvent{kind: evRecover, ts: tx.TS})
 	}
-	pend := sys.RecoveredPending()
-	if len(pend) == 0 {
-		if err := sys.FinishRecovery(); err != nil {
-			return nil, err
-		}
-		return s, nil
+	for _, tx := range sys.RecoveredPending() {
+		s.branches.step(tx.ID, branchEvent{kind: evRecover, at: now})
 	}
-	s.recovering = true
-	s.pending = make(map[histories.TxID]bool, len(pend))
-	for _, tx := range pend {
-		s.pending[tx.ID] = true
+	if a := s.resolveLocked("", s.branches.step("", branchEvent{kind: evScanned})); a.err != nil {
+		return nil, a.err
 	}
 	return s, nil
 }
@@ -153,20 +121,28 @@ func NewServer(sys *core.System, shard, shards int, opts ServerOptions) (*Server
 func (s *Server) Recovering() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.recovering
+	return s.branches.recovering()
 }
 
-// PendingBranches reports how many recovered prepared branches still
-// await a decision from their coordinator.  It is nonzero only while
-// Recovering; operators and the chaos runner use it to assert drain
-// progress.
-func (s *Server) PendingBranches() int {
+// BranchInfo is one live update branch: its transaction, its state
+// (active, prepared, deciding, failed or recovered), and how long since it
+// began, or since it voted yes once it has.
+type BranchInfo struct {
+	ID    string  `json:"id"`
+	State string  `json:"state"`
+	AgeMs float64 `json:"age_ms"`
+}
+
+// Branches lists the shard's live update branches.
+func (s *Server) Branches() []BranchInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.recovering {
-		return 0
+	out := make([]BranchInfo, 0, len(s.branches.live))
+	for id, b := range s.branches.live {
+		age := float64(time.Since(b.since).Microseconds()) / 1000
+		out = append(out, BranchInfo{ID: string(id), State: stateNames[b.state], AgeMs: age})
 	}
-	return len(s.pending)
+	return out
 }
 
 // System returns the served shard.
@@ -239,19 +215,6 @@ func (s *Server) Shutdown(grace time.Duration) {
 	s.wg.Wait()
 }
 
-// rememberLocked records a completion in the bounded outcome ring.
-// Callers hold s.mu (or run before Serve).
-func (s *Server) rememberLocked(id histories.TxID, o txOutcome) {
-	if _, ok := s.outcomes[id]; !ok {
-		s.order = append(s.order, id)
-		if len(s.order) > outcomeCap {
-			delete(s.outcomes, s.order[0])
-			s.order = s.order[1:]
-		}
-	}
-	s.outcomes[id] = o
-}
-
 // serveConn runs one connection's request loop.
 func (s *Server) serveConn(c *serverConn) {
 	defer s.wg.Done()
@@ -292,19 +255,10 @@ func (s *Server) dropConn(c *serverConn) {
 	var reads []*core.ReadTx
 	s.mu.Lock()
 	delete(s.conns, c)
-	for id, e := range s.txs {
-		if e.owner != c {
-			continue
+	for id, b := range s.branches.live {
+		if a := s.branches.step(id, branchEvent{kind: evDrop, conn: c}); a.do == doAbort {
+			aborts = append(aborts, b.tx)
 		}
-		if e.prepared || e.deciding || e.failed {
-			// Prepared (or decision-in-flight) branches may not die with
-			// their connection: the decision is the coordinator's alone.
-			e.owner = nil
-			continue
-		}
-		aborts = append(aborts, e.tx)
-		s.rememberLocked(id, txOutcome{status: outcomeAborted})
-		delete(s.txs, id)
 	}
 	for id, e := range s.reads {
 		if e.owner == c {
@@ -335,11 +289,9 @@ func (s *Server) handle(c *serverConn, m *message) message {
 			return errMsg(fmt.Errorf("netproto: protocol version %d, want %d", m.n, protoVersion))
 		}
 		state := byte(stateServing)
-		s.mu.Lock()
-		if s.recovering {
+		if s.Recovering() {
 			state = stateRecovering
 		}
-		s.mu.Unlock()
 		return message{typ: msgHelloResp, n: protoVersion, ts: uint64(s.shard), flag: state, ids: []string{fmt.Sprint(s.shards)}}
 
 	case msgRegister:
@@ -352,30 +304,22 @@ func (s *Server) handle(c *serverConn, m *message) message {
 		}
 		return message{typ: msgOK}
 
-	case msgCall:
-		return s.handleCall(c, m)
-
-	case msgCommit:
-		return s.handleCommit(c, m)
-
-	case msgAbort:
-		return s.handleAbort(m)
-
-	case msgPrepare:
-		return s.handlePrepare(c, m)
-
-	case msgDecide:
-		return s.handleDecide(m)
+	case msgCall, msgCommit, msgPrepare, msgDecide, msgAbort, msgTxStatus:
+		return s.handleBranch(c, m)
 
 	case msgReadBegin:
-		if err := s.gate(); err != nil {
-			return errMsg(err)
-		}
 		id := histories.TxID(m.tx)
-		r := s.sys.BeginReadOnlyBranch(c.ctx, id)
+		var r *core.ReadTx
 		s.mu.Lock()
-		s.reads[id] = &readEntry{r: r, owner: c}
+		a := s.branches.step(id, branchEvent{kind: evReadBegin, closed: s.closed})
+		if a.err == nil {
+			r = s.sys.BeginReadOnlyBranch(c.ctx, id)
+			s.reads[id] = &readEntry{r: r, owner: c}
+		}
 		s.mu.Unlock()
+		if a.err != nil {
+			return errMsg(a.err)
+		}
 		return message{typ: msgTS, ts: uint64(r.ClockBound())}
 
 	case msgReadActivate:
@@ -424,16 +368,13 @@ func (s *Server) handle(c *serverConn, m *message) message {
 		return message{typ: msgBlob, blob: blob}
 
 	case msgPending:
-		s.mu.Lock()
-		ids := make([]string, 0, len(s.pending))
-		for id := range s.pending {
-			ids = append(ids, string(id))
+		var ids []string
+		for _, b := range s.Branches() {
+			if b.State == stateNames[branchRecovered] {
+				ids = append(ids, b.ID)
+			}
 		}
-		s.mu.Unlock()
 		return message{typ: msgTxList, ids: ids}
-
-	case msgTxStatus:
-		return s.handleTxStatus(m)
 
 	case msgSetScheme:
 		// A scheme switch is a re-registration under another scheme: the
@@ -451,19 +392,6 @@ func (s *Server) handle(c *serverConn, m *message) message {
 		return message{typ: msgOK}
 	}
 	return errMsg(fmt.Errorf("netproto: unknown message type %d", m.typ))
-}
-
-// gate refuses new work while recovering.
-func (s *Server) gate() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.recovering {
-		return ErrRecovering
-	}
-	if s.closed {
-		return errors.New("netproto: server shutting down")
-	}
-	return nil
 }
 
 // register creates or idempotently re-opens a batch of objects.  Every
@@ -547,226 +475,84 @@ func (s *Server) readEntryOf(id histories.TxID) *readEntry {
 	return s.reads[id]
 }
 
-// handleCall executes one operation, creating the transaction's branch on
-// first touch.  The branch binds to the connection's context, so a dead
-// client unblocks its own lock waits.
-func (s *Server) handleCall(c *serverConn, m *message) message {
-	if err := s.gate(); err != nil {
-		return errMsg(err)
-	}
-	id := histories.TxID(m.tx)
+// handleBranch runs one request on an update branch.  A branch binds to
+// its first call's connection context, so a dead client unblocks its own
+// lock waits.  A fast-path commit serializes above the request's ts, the
+// largest decision the client has sent this shard, which may not be
+// applied here yet.  A decided commit is acknowledged only once its
+// commit record reached the log, so the coordinator may retire it.
+func (s *Server) handleBranch(c *serverConn, m *message) message {
+	id, ts, kind := histories.TxID(m.tx), histories.Timestamp(m.ts), requestEvents[m.typ]
 	s.mu.Lock()
-	e := s.txs[id]
-	if e == nil {
-		if o, done := s.outcomes[id]; done {
-			s.mu.Unlock()
-			return errMsg(fmt.Errorf("%w (outcome %d)", core.ErrTxDone, o.status))
+	a := s.resolveLocked(id, s.branches.step(id, branchEvent{kind: kind, conn: c, closed: s.closed, ts: ts}))
+	if a.do == doBegin {
+		a.b.tx, a.b.since = s.sys.BeginBranch(c.ctx, id), time.Now()
+	}
+	s.mu.Unlock()
+	var lower histories.Timestamp
+	ev := branchEvent{ts: ts}
+	switch a.do {
+	case doBegin, doCall:
+		o := s.sys.LookupObject(histories.ObjID(m.obj))
+		if o == nil {
+			return errMsg(fmt.Errorf("netproto: no object %q on shard %d", m.obj, s.shard))
 		}
-		e = &txEntry{tx: s.sys.BeginBranch(c.ctx, id), owner: c}
-		s.txs[id] = e
-	}
-	if e.owner != c {
-		s.mu.Unlock()
-		return errMsg(fmt.Errorf("netproto: transaction %s owned by another connection", id))
-	}
-	tx := e.tx
-	s.mu.Unlock()
-	o := s.sys.LookupObject(histories.ObjID(m.obj))
-	if o == nil {
-		return errMsg(fmt.Errorf("netproto: no object %q on shard %d", m.obj, s.shard))
-	}
-	res, err := o.Call(tx, spec.Invocation{Name: m.a, Arg: m.b})
-	if err != nil {
-		return errMsg(err)
-	}
-	return message{typ: msgRes, a: res}
-}
-
-// handleCommit runs the single-shard fast path: a local commit drawing the
-// shard clock's timestamp above the request's ts, no coordination.  The ts
-// is the largest decision timestamp the client has sent this shard: the
-// client may have returned that commit before the decision is applied
-// here, and the branch must serialize after it.
-func (s *Server) handleCommit(c *serverConn, m *message) message {
-	id := histories.TxID(m.tx)
-	s.mu.Lock()
-	e := s.txs[id]
-	if e == nil || e.owner != c {
-		s.mu.Unlock()
-		if e == nil {
-			return errMsg(fmt.Errorf("%w: no branch of %s on shard %d", core.ErrTxDone, id, s.shard))
-		}
-		return errMsg(fmt.Errorf("netproto: transaction %s owned by another connection", id))
-	}
-	tx := e.tx
-	s.mu.Unlock()
-	if err := tx.CommitAbove(histories.Timestamp(m.ts)); err != nil {
-		s.mu.Lock()
-		s.rememberLocked(id, txOutcome{status: outcomeAborted})
-		delete(s.txs, id)
-		s.mu.Unlock()
-		return errMsg(err)
-	}
-	ts, _ := tx.Timestamp()
-	s.mu.Lock()
-	s.rememberLocked(id, txOutcome{status: outcomeCommitted, ts: ts})
-	delete(s.txs, id)
-	s.mu.Unlock()
-	return message{typ: msgTS, ts: uint64(ts)}
-}
-
-// handleAbort rolls a branch back.  Unknown transactions acknowledge
-// idempotently (redelivered aborts, presumed-abort probes); while
-// recovering, an abort resolves a pending prepared branch as the
-// presumed-abort rule made explicit.
-func (s *Server) handleAbort(m *message) message {
-	id := histories.TxID(m.tx)
-	s.mu.Lock()
-	if s.recovering && s.pending[id] {
-		// Resolution runs under s.mu: the core resolve/replay calls are
-		// single-threaded by design, and nothing here can re-enter the
-		// server.
-		if err := s.sys.AbandonPendingTx(id); err != nil {
-			s.mu.Unlock()
+		res, err := o.Call(a.b.tx, spec.Invocation{Name: m.a, Arg: m.b})
+		if err != nil {
 			return errMsg(err)
 		}
-		delete(s.pending, id)
-		s.rememberLocked(id, txOutcome{status: outcomeAborted})
-		if len(s.pending) == 0 {
-			if err := s.sys.FinishRecovery(); err != nil {
-				s.mu.Unlock()
-				return errMsg(err)
-			}
-			s.recovering = false
-		}
+		return message{typ: msgRes, a: res}
+	case doAbort:
+		_ = a.b.tx.Abort()
+	case doCommitAbove:
+		ev.kind, ev.err = evCommitted, a.b.tx.CommitAbove(ts)
+		ev.ts, _ = a.b.tx.Timestamp()
+	case doPrepare:
+		a.b.tx.SetParticipants(int(m.n))
+		lower, ev.err = a.b.tx.Prepare()
+		ev.kind, ev.at = evVoted, time.Now()
+	case doCommitAt:
+		ev.kind, ev.err = evApplied, a.b.tx.CommitAt(ts)
+	}
+	if ev.kind != evCall { // evCall, the zero kind, marks no result to report
+		s.mu.Lock()
+		a = s.branches.step(id, ev)
 		s.mu.Unlock()
-		return message{typ: msgOK}
 	}
-	e := s.txs[id]
-	if e != nil && (e.deciding || e.failed) {
-		// A commit decision for this branch is being applied (or failed to
-		// apply durably): an abort now would contradict it.
-		s.mu.Unlock()
-		return errMsg(fmt.Errorf("netproto: %s has a commit decision in flight, abort refused", id))
-	}
-	if e != nil {
-		s.rememberLocked(id, txOutcome{status: outcomeAborted})
-		delete(s.txs, id)
-	}
-	s.mu.Unlock()
-	if e != nil {
-		_ = e.tx.Abort()
+	switch {
+	case kind == evStatus:
+		return message{typ: msgOutcome, flag: a.out.status, ts: uint64(a.out.ts)}
+	case a.err != nil:
+		return errMsg(a.err)
+	case kind == evPrepare && ev.kind == evVoted && ev.err == nil:
+		return message{typ: msgVote, flag: 1, ts: uint64(lower)}
+	case kind == evPrepare:
+		return message{typ: msgVote, flag: 0}
+	case kind == evCommit:
+		return message{typ: msgTS, ts: uint64(a.ts)}
 	}
 	return message{typ: msgOK}
 }
 
-// handlePrepare votes on a branch: freeze it, log the vote durably, and
-// report the timestamp bound.  Any failure — unknown branch, logging
-// error — is a no vote.
-func (s *Server) handlePrepare(c *serverConn, m *message) message {
-	if err := s.gate(); err != nil {
-		return errMsg(err)
-	}
-	id := histories.TxID(m.tx)
-	s.mu.Lock()
-	e := s.txs[id]
-	if e == nil || (e.owner != nil && e.owner != c) {
-		s.mu.Unlock()
-		return message{typ: msgVote, flag: 0}
-	}
-	tx := e.tx
-	s.mu.Unlock()
-	tx.SetParticipants(int(m.n))
-	lower, err := tx.Prepare()
-	if err != nil {
-		return message{typ: msgVote, flag: 0}
-	}
-	s.mu.Lock()
-	e.prepared = true
-	s.mu.Unlock()
-	return message{typ: msgVote, flag: 1, ts: uint64(lower)}
-}
+// requestEvents is the branch event each request is.
+var requestEvents = map[byte]branchEvKind{msgCall: evCall, msgCommit: evCommit, msgPrepare: evPrepare, msgDecide: evDecide, msgAbort: evAbort, msgTxStatus: evStatus}
 
-// handleDecide applies a coordinator's commit decision at its timestamp.
-// The acknowledgement means "durably applied": the branch's commit record
-// reached the log (fsynced, when the shard runs with fsync on) before the
-// OK goes out, which is what lets the coordinator retire the decision from
-// its ledger once every shard acked.  Idempotent: a branch already
-// resolved (or never seen — the decision outran every operation,
-// impossible in-order but possible on redelivery after this shard already
-// applied and forgot) acknowledges cleanly.
-func (s *Server) handleDecide(m *message) message {
-	id := histories.TxID(m.tx)
-	ts := histories.Timestamp(m.ts)
-	s.mu.Lock()
-	if s.recovering && s.pending[id] {
-		if err := s.sys.ResolvePending(id, ts); err != nil {
-			s.mu.Unlock()
-			return errMsg(err)
+// resolveLocked makes the recovery calls a names, reporting each result,
+// and returns the first action that names none.  They run under s.mu (or
+// before Serve): the core's resolve and replay are single-threaded.
+func (s *Server) resolveLocked(id histories.TxID, a branchAction) branchAction {
+	for {
+		ev := branchEvent{kind: evResolved, ts: a.ts}
+		switch a.do {
+		case doResolve:
+			ev.err = s.sys.ResolvePending(id, a.ts)
+		case doAbandon:
+			ev.err = s.sys.AbandonPendingTx(id)
+		case doFinish:
+			ev.kind, ev.err = evFinished, s.sys.FinishRecovery()
+		default:
+			return a
 		}
-		delete(s.pending, id)
-		s.rememberLocked(id, txOutcome{status: outcomeCommitted, ts: ts})
-		if len(s.pending) == 0 {
-			if err := s.sys.FinishRecovery(); err != nil {
-				s.mu.Unlock()
-				return errMsg(err)
-			}
-			s.recovering = false
-		}
-		s.mu.Unlock()
-		return message{typ: msgOK}
+		a = s.branches.step(id, ev)
 	}
-	e := s.txs[id]
-	if e == nil {
-		// Already resolved and forgotten, or never seen: acknowledge
-		// idempotently.
-		s.mu.Unlock()
-		return message{typ: msgOK}
-	}
-	if e.failed {
-		s.mu.Unlock()
-		return errMsg(fmt.Errorf("netproto: commit of %s decided but not durably applied (log failure); restart the shard to recover", id))
-	}
-	if e.deciding {
-		s.mu.Unlock()
-		return errMsg(fmt.Errorf("netproto: commit of %s already being applied", id))
-	}
-	e.deciding = true
-	tx := e.tx
-	s.mu.Unlock()
-	// Apply BEFORE recording the outcome or forgetting the branch: a
-	// failed CommitAt (log write error) must leave the entry in place, so
-	// redelivery is refused rather than acked and probes answer pending —
-	// recording success first would turn a lost commit into a lie.
-	err := tx.CommitAt(ts)
-	if err != nil && !errors.Is(err, core.ErrTxDone) {
-		s.mu.Lock()
-		e.deciding = false
-		e.failed = true
-		s.mu.Unlock()
-		return errMsg(err)
-	}
-	s.mu.Lock()
-	s.rememberLocked(id, txOutcome{status: outcomeCommitted, ts: ts})
-	delete(s.txs, id)
-	s.mu.Unlock()
-	return message{typ: msgOK}
-}
-
-// handleTxStatus answers a fate probe: committed (with timestamp),
-// aborted, still pending, or unknown.
-func (s *Server) handleTxStatus(m *message) message {
-	id := histories.TxID(m.tx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if o, ok := s.outcomes[id]; ok {
-		return message{typ: msgOutcome, flag: o.status, ts: uint64(o.ts)}
-	}
-	if _, ok := s.txs[id]; ok {
-		return message{typ: msgOutcome, flag: outcomePending}
-	}
-	if s.pending[id] {
-		return message{typ: msgOutcome, flag: outcomePending}
-	}
-	return message{typ: msgOutcome, flag: outcomeUnknown}
 }

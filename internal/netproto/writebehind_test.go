@@ -263,8 +263,8 @@ func TestOwedErrorBehindYesVote(t *testing.T) {
 	prepared := false
 	tr := afterPrepare{c.Transport(), func(vote, ok bool) {
 		srv.mu.Lock()
-		e := srv.txs["T"]
-		prepared = e != nil && e.prepared
+		e := srv.branches.live["T"]
+		prepared = e != nil && e.state == branchPrepared
 		srv.mu.Unlock()
 		if vote || !ok {
 			t.Errorf("prepare behind a failed Credit: vote=%v ok=%v, want a no vote", vote, ok)
@@ -303,8 +303,8 @@ func TestOwedErrorBehindYesVote(t *testing.T) {
 	}
 	_ = cat.Close()
 	_, srv2, _ := reopenShard(t, dir)
-	if srv2.Recovering() || srv2.PendingBranches() != 0 {
-		t.Fatalf("restart after the abort: recovering=%v with %d pending branches, want none", srv2.Recovering(), srv2.PendingBranches())
+	if srv2.Recovering() || len(srv2.Branches()) != 0 {
+		t.Fatalf("restart after the abort: recovering=%v with branches %v, want none", srv2.Recovering(), srv2.Branches())
 	}
 }
 

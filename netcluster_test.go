@@ -245,11 +245,22 @@ func TestDialedClusterWorkload(t *testing.T) {
 
 var (
 	sharddOnce sync.Once
+	sharddDir  string
 	sharddBin  string
 	sharddErr  error
 )
 
-// buildShardd compiles cmd/hybrid-shardd once per test binary run.
+// TestMain removes the directory buildShardd compiled hybrid-shardd into.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if sharddDir != "" {
+		_ = os.RemoveAll(sharddDir)
+	}
+	os.Exit(code)
+}
+
+// buildShardd compiles cmd/hybrid-shardd once per test binary run, into
+// sharddDir.
 func buildShardd(t *testing.T) string {
 	t.Helper()
 	sharddOnce.Do(func() {
@@ -263,6 +274,7 @@ func buildShardd(t *testing.T) string {
 			sharddErr = err
 			return
 		}
+		sharddDir = dir
 		bin := filepath.Join(dir, "hybrid-shardd")
 		cmd := exec.Command(goTool, "build", "-o", bin, "./cmd/hybrid-shardd")
 		if out, err := cmd.CombinedOutput(); err != nil {

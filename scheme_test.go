@@ -50,12 +50,15 @@ func TestSetSchemeMidWorkloadStress(t *testing.T) {
 		}
 	}()
 
+	// Workers run past their rounds until a switch has installed, so a
+	// loaded host cannot end the workload before the switcher's first one.
+	deadline := time.Now().Add(10 * time.Second)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for r := 0; r < rounds; r++ {
+			for r := 0; r < rounds || sys.Stats().SchemeSwitches == 0 && time.Now().Before(deadline); r++ {
 				amount := int64(w*rounds + r + 1)
 				if err := sys.Atomically(func(tx *Tx) error {
 					if err := acct.Credit(tx, amount); err != nil {

@@ -39,6 +39,8 @@ var appendedHook func()
 //  6. Merge at each object — one fold, one snapshot publication (into its
 //     slot of one block for the whole call), one waiter scan each — and
 //     release the object's window only after its new tail is published.
+//     A reader that meets t committed below it may do this merge first
+//     (mergeBelowLocked); Object.commit then finds nothing left to merge.
 func (s *System) commitTx(t *Tx, ext histories.Timestamp) error {
 	// touchedObjects leaves the list sorted in t.objs, which the log record
 	// and the aborts below read.

@@ -213,42 +213,6 @@ func (lt *lockTable) blockersLocked(tx *Tx, inv spec.Invocation, responses []str
 	return holders
 }
 
-// blockingWriterLocked returns the id of a transaction that might still
-// commit at this object with a timestamp below ts, or "" if none:
-//
-//   - a transaction already committed with an earlier timestamp whose
-//     intentions have not yet merged here must be waited for (a short
-//     window inside Commit);
-//   - a transaction inside Commit that has not yet published its
-//     timestamp (txCommitting) must also be waited for: its timestamp may
-//     already be drawn from the clock — possibly below a reader that
-//     begins right after the draw — and the reader cannot tell until it
-//     is published;
-//   - with external timestamps, an active transaction whose recorded bound
-//     is below ts could still land below ts via CommitAt, so the reader
-//     conservatively waits for it.  Without external timestamps, every
-//     future commit draws from the shared clock and therefore lands above
-//     the reader, so genuinely active transactions never block readers.
-func (lt *lockTable) blockingWriterLocked(ts histories.Timestamp, external bool) histories.TxID {
-	for _, lk := range lt.active {
-		wts, status := lk.tx.commitState()
-		switch status {
-		case txCommitted:
-			if wts < ts {
-				return lk.tx.ID()
-			}
-			// Serialized after the reader; invisible to it.
-		case txCommitting:
-			return lk.tx.ID()
-		default:
-			if external && lk.bound < ts {
-				return lk.tx.ID()
-			}
-		}
-	}
-	return ""
-}
-
 // wakeMaskLocked captures the wakeup condition of a call of inv that just
 // blocked.  dataBlocked marks calls with no legal response (only a commit
 // can enable one); unclassed marks calls with candidate responses outside

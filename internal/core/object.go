@@ -23,15 +23,19 @@ import (
 // the mutex: the grant extends it in place, a merge adopts it as the new
 // committed tail, and it is replayed only when a commit lands under it (see
 // versions for the generation guards).
+//
+// What a lock-free read loads fills the first 64 bytes, and the size is a
+// multiple of 64: a read of an object another core just committed misses
+// on one line of it (TestObjectLayout).
 type Object struct {
-	lockTable
-	versions
-
-	sys  *System
-	name histories.ObjID
+	sys *System
 	// readSp is sp's read capability, nil when it has none: resolved once
 	// here so ReadCall pays no interface assertion per read.
 	readSp spec.ReadSpec
+	versions
+	lockTable
+
+	name histories.ObjID
 
 	// policies is the object's precompiled policy set; policy the active
 	// member, whose relation and table the lock table checks against;
@@ -60,6 +64,7 @@ type Object struct {
 	events uint64
 
 	stats ObjectStats
+	_     [32]byte // to 448 bytes
 }
 
 // Name returns the object's identifier.
@@ -256,35 +261,41 @@ func (o *Object) viewStateLocked(tx *Tx, lk *txLock) spec.State {
 }
 
 // commit merges t's intentions (commitTx's step 6) at this object in one
-// critical section: t's lock record leaves the lock table and its
-// intentions merge at e.ts — adopting the view its last grant cached when
-// no commit landed since — then the fold, the snapshot publication and the
-// waiter scan run, the wakeup filter being the record's own held-class
-// mask.  e carries the timestamp, identifier and participant count; the
-// record supplies the operations.  The new tail is published into snap
-// before the caller releases its windowWriters count: a lock-free reader
-// that sees the count at zero must also see this commit in the snapshot.
-// Staged events are appended to ev and flushed by the caller after the
-// critical section.
+// critical section, unless a reader already has (mergeBelowLocked).  The
+// new tail is published into snap before the caller releases its
+// windowWriters count: a lock-free reader that sees the count at zero must
+// also see this commit in the snapshot.  Staged events are appended to ev
+// and flushed by the caller after the critical section.
 func (o *Object) commit(t *Tx, e committedEntry, ev []pendingEvent, snap *tailSnapshot) []pendingEvent {
 	o.mu.Lock()
 	if lk := o.release(t); lk != nil {
-		e.ops = lk.ops
-		o.mergeLocked(e, lk.cachedView(o.commitGen))
-		o.events++
-		if o.sys.opts.Sink != nil {
-			ev = o.sys.stage(ev, histories.CommitEvent(e.tx, o.name, e.ts))
-		}
-		o.compactLocked()
-		o.publishLocked(snap)
-		o.stats.commits.Add(1)
-		o.wakeScanLocked(lk.mask, len(lk.extra) > 0, false, true)
-		o.sys.putLock(lk)
+		ev = o.commitLocked(lk, e, ev, snap)
 	}
 	if o.pending != nil {
 		o.maybeInstallPendingLocked()
 	}
 	o.mu.Unlock()
+	return ev
+}
+
+// commitLocked merges lk, a committed transaction's released lock record,
+// at e.ts — adopting the view its last grant cached when no commit landed
+// since — then runs the fold, the publication into snap and the waiter
+// scan, the wakeup filter being the record's own held-class mask.  e
+// carries the timestamp, identifier and participant count; the record
+// supplies the operations.
+func (o *Object) commitLocked(lk *txLock, e committedEntry, ev []pendingEvent, snap *tailSnapshot) []pendingEvent {
+	e.ops = lk.ops
+	o.mergeLocked(e, lk.cachedView(o.commitGen))
+	o.events++
+	if o.sys.opts.Sink != nil {
+		ev = o.sys.stage(ev, histories.CommitEvent(e.tx, o.name, e.ts))
+	}
+	o.compactLocked()
+	o.publishLocked(snap)
+	o.stats.commits.Add(1)
+	o.wakeScanLocked(lk.mask, len(lk.extra) > 0, false, true)
+	o.sys.putLock(lk)
 	return ev
 }
 

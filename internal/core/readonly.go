@@ -54,8 +54,8 @@ func (t *ReadTx) Branch(o *Object) (*ReadTx, error) {
 // loads the clock and stamps itself in the gap above it (tstamp.Source's
 // ReadStamp), liveness is an atomic word of its own, the compaction pin,
 // the stamp tie-break and the counters it leaves at finish sit in a
-// registry slot of its own, and a read writes nothing at the object it
-// reads.
+// registry slot of its own, and a lock-free read writes nothing at the
+// object it reads (the mutex path may merge a committed writer there).
 type ReadTx struct {
 	sys *System
 	// seq numbers the reader within its System; a pooled struct reserves
@@ -438,20 +438,54 @@ func (o *Object) read(t *ReadTx, inv spec.Invocation, str bool) (spec.State, str
 	o.mu.Lock()
 	var cw callWait
 	defer cw.release(o.sys)
-	for o.blockingWriterLocked(t.ts, o.sys.opts.ExternalTimestamps) != "" {
+	var ev []pendingEvent // the commit events of merges done here
+	for o.mergeBelowLocked(t.ts, &ev) {
 		cw.waiter(o.sys).allEvents = true // readers wait on transaction completion as such
 		switch o.waitLocked(&o.mu, &cw, ctx) {
 		case waitTimedOut:
 			o.mu.Unlock()
+			o.sys.flushEvents(ev)
 			return nil, "", fmt.Errorf("%w: read of %s at %s", ErrTimeout, inv, o.name)
 		case waitCancelled:
 			o.mu.Unlock()
+			o.sys.flushEvents(ev)
 			return nil, "", fmt.Errorf("hybridcc: read of %s at %s: %w", inv, o.name, ctx.Err())
 		}
 	}
 	state := o.snapshotLocked(t.ts)
 	o.mu.Unlock()
+	o.sys.flushEvents(ev)
 	return o.readFromSnapshot(t, inv, state, str)
+}
+
+// mergeBelowLocked merges here, as their committers would (commitLocked),
+// the transactions committed below ts but not yet merged here, appending the
+// commit events to ev.  That is safe: txCommitted is published only once the
+// commit record is durable (commitTx's steps 3 and 5), and the committer
+// holds its grace slot until its own Object.commit, which then finds no
+// record.  It reports whether a transaction remains that might still commit
+// here below ts: one in txCommitting, whose timestamp may already be drawn —
+// possibly below a reader that began right after the draw — and, with
+// external timestamps, an active one whose bound is below ts (CommitAt may
+// land it there).  Without them, an active transaction's commit draws from
+// the shared clock and lands above every reader begun before it.
+func (o *Object) mergeBelowLocked(ts histories.Timestamp, ev *[]pendingEvent) bool {
+	blocked := false
+	for i := 0; i < len(o.active); {
+		lk := o.active[i]
+		switch e, status := lk.tx.commitState(); {
+		case status == txCommitted && e.ts < ts:
+			o.release(lk.tx) // moves the last record into slot i
+			*ev = o.commitLocked(lk, e, *ev, new(tailSnapshot))
+			continue
+		case status == txCommitting:
+			blocked = true
+		case status != txCommitted && o.sys.opts.ExternalTimestamps && lk.bound < ts:
+			blocked = true
+		}
+		i++
+	}
+	return blocked
 }
 
 // readFromSnapshot answers a read from a reconstructed snapshot state and

@@ -168,15 +168,15 @@ func (t *Tx) Timestamp() (histories.Timestamp, bool) {
 	return t.ts, t.status == txCommitted
 }
 
-// commitState returns the timestamp and status in one critical section, so
-// readers deciding whether to wait for this writer can distinguish
-// committing (timestamp still unknown — wait conservatively) from
-// committed (compare timestamps) without racing the transition between
-// two separate reads.
-func (t *Tx) commitState() (histories.Timestamp, txStatus) {
+// commitState returns the committed entry (timestamp, identifier and
+// participant count) and status in one critical section, so readers
+// deciding whether to wait for or merge this writer can distinguish
+// committing (timestamp still unknown — wait) from committed (compare
+// timestamps) without racing the transition between two separate reads.
+func (t *Tx) commitState() (committedEntry, txStatus) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.ts, t.status
+	return committedEntry{ts: t.ts, tx: t.id, parts: t.participants}, t.status
 }
 
 // intend appends op to ops, one of t's lock records' intentions, in t's

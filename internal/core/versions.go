@@ -32,17 +32,32 @@ import (
 //	tailSnap.tail       always, under the mutex        publishLocked, in every critical section that
 //	                                                   merges, folds or resets
 type versions struct {
+	// What a lock-free read loads comes first (see Object).
 	sp spec.Spec
+	// tailSnap is the published committed-tail snapshot: an immutable
+	// picture of (version, unforgotten, tail state, clock) republished under
+	// the mutex whenever the committed tail changes (commit) or its
+	// representation shifts (fold), and read lock-free by ReadCall.
+	tailSnap atomic.Pointer[tailSnapshot]
+	// windowWriters counts transactions inside their commit window at this
+	// object: incremented before the committing transaction draws its
+	// timestamp, decremented after its intentions merge here and the new
+	// snapshot is published.  A reader whose timestamp predates its own
+	// registration observes 0 only when every commit that could serialize
+	// below it is already in the published snapshot — the lock-free
+	// counterpart of mergeBelowLocked's commit-window check.
+	windowWriters atomic.Int64
+	// retain keeps, when set (durable, no DurableSpec), in retained what the
+	// fold moved into version since the last checkpoint image took it.
+	retain bool
+
 	// version is the compacted committed prefix: the state reached by the
 	// intentions of forgotten committed transactions (Section 6).
 	version spec.State
 	// unforgotten holds committed transactions not yet folded into
 	// version, sorted by timestamp.
 	unforgotten []committedEntry
-	// retained keeps, when retain is set (durable, no DurableSpec), what the
-	// fold moved into version since the last checkpoint image took it.
-	retain   bool
-	retained []committedEntry
+	retained    []committedEntry
 	// clock is the largest commit timestamp this object has seen.
 	clock histories.Timestamp
 	// folded is the fold frontier: every committed transaction with
@@ -56,20 +71,6 @@ type versions struct {
 	commitGen uint64
 	tailGen   uint64
 	tailState spec.State
-
-	// tailSnap is the published committed-tail snapshot: an immutable
-	// picture of (version, unforgotten, tail state, clock) republished under
-	// the mutex whenever the committed tail changes (commit) or its
-	// representation shifts (fold), and read lock-free by ReadCall.
-	tailSnap atomic.Pointer[tailSnapshot]
-	// windowWriters counts transactions inside their commit window at this
-	// object: incremented before the committing transaction draws its
-	// timestamp, decremented after its intentions merge here and the new
-	// snapshot is published.  A reader whose timestamp predates its own
-	// registration observes 0 only when every commit that could serialize
-	// below it is already in the published snapshot — the lock-free
-	// counterpart of blockingWriterLocked's commit-window wait.
-	windowWriters atomic.Int64
 }
 
 type committedEntry struct {

@@ -129,10 +129,3 @@ func (b *breaker) observe(ok bool) {
 		b.failure()
 	}
 }
-
-// down reports whether the breaker is open and since when.
-func (b *breaker) down() (bool, time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state != bkClosed, b.since
-}

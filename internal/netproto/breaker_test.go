@@ -7,10 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"hybridcc/internal/adt"
 	"hybridcc/internal/backoff"
 	"hybridcc/internal/core"
+	"hybridcc/internal/histories"
 	"hybridcc/internal/tstamp"
 )
+
+// down reports whether the breaker is open and since when.
+func (b *breaker) down() (bool, time.Time) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state != bkClosed, b.since
+}
 
 // startShardOn serves a fresh volatile shard on an existing listener —
 // used to restart a shard on the same address after a shutdown.
@@ -188,5 +197,86 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	}
 	if open, _ := c.bk.down(); open {
 		t.Fatal("breaker still open after successful probe")
+	}
+}
+
+// A transaction whose pinned connection broke must not go on at the shard:
+// a restarted shard has forgotten the branch, so a later call would begin
+// a fresh branch under the same id, and a fast-path commit would apply only
+// the calls made after the restart.  The client refuses every later call,
+// prepare and commit of that transaction with a retryable error; its abort,
+// or its abort decision, still goes out.
+func TestBrokenPinRefusesLaterWork(t *testing.T) {
+	addr, srv := startShard(t, 0, 1)
+	c := dialTest(t, addr, 0, 1, ClientOptions{
+		BreakerBackoff: backoff.Policy{Base: 10 * time.Millisecond, Cap: 20 * time.Millisecond},
+	})
+	ctx := context.Background()
+	if err := c.Register("ctr", "Counter", "hybrid"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range []histories.TxID{"T1", "T3"} { // T3 is a cross-shard branch
+		if _, err := c.Call(ctx, tx, "ctr", adt.IncInv(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv.Shutdown(0) // the crash: every connection closes at once
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("cannot rebind %s: %v", addr, err)
+	}
+	_, srv2 := startShardOn(t, ln, 0, 1)
+	defer srv2.Shutdown(time.Second)
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Register("ctr", "Counter", "hybrid") != nil { // the pool's dead connections fail first
+		if time.Now().After(deadline) {
+			t.Fatal("restarted shard never took the registration")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	if _, err := c.Call(ctx, "T1", "ctr", adt.IncInv(2)); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("call on the broken pinned connection = %v, want ErrUnavailable", err)
+	}
+	if _, err := c.Call(ctx, "T1", "ctr", adt.IncInv(4)); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("call after the pin broke = %v, want ErrUnavailable", err)
+	}
+	if err := c.WriteBehind(ctx, "T1", "ctr", adt.IncInv(8)); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("write-behind call after the pin broke = %v, want ErrUnavailable", err)
+	}
+	if _, err := c.Commit(ctx, "T1"); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("commit after the pin broke = %v, want ErrUnavailable", err)
+	}
+	if err := c.Abort(ctx, "T1"); err != nil {
+		t.Fatalf("abort after the pin broke: %v", err)
+	}
+
+	tr := c.Transport()
+	if _, yes, _ := tr.StartPrepare(ctx, "T3", time.Second)(); yes {
+		t.Fatal("prepare on the broken pinned connection voted yes")
+	}
+	if _, yes, _ := tr.StartPrepare(ctx, "T3", time.Second)(); yes {
+		t.Fatal("prepare after the pin broke voted yes")
+	}
+	if !tr.StartAbort(ctx, "T3", time.Second)() {
+		t.Fatal("abort decision after the pin broke not acknowledged")
+	}
+	c.mu.Lock()
+	left, lost := len(c.out), len(c.lost)
+	c.mu.Unlock()
+	if left != 0 || lost != 0 {
+		t.Fatalf("after the aborts: %d decisions in the outbox and %d transactions marked lost, want none", left, lost)
+	}
+
+	res, err := c.Call(ctx, "T2", "ctr", adt.CtrReadInv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != adt.Itoa(0) {
+		t.Fatalf("restarted shard's counter = %s, want 0: a part of T1 committed", res)
+	}
+	if _, err := c.Commit(ctx, "T2"); err != nil {
+		t.Fatal(err)
 	}
 }

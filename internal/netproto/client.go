@@ -66,7 +66,10 @@ type ShardClient struct {
 	idle   []*rpcConn
 	pinned map[histories.TxID]*rpcConn
 	parts  map[histories.TxID]int
-	out    outbox
+	// lost holds the transactions whose pinned connection broke: a restart
+	// may have forgotten their branch, and a call must not begin a new one.
+	lost map[histories.TxID]struct{}
+	out  outbox
 	// draining is set while the drain goroutine runs.
 	draining, closed bool
 
@@ -167,6 +170,7 @@ func DialShard(addr string, shard, shards int, opts ClientOptions) (*ShardClient
 		bk:     newBreaker(shard, opts.BreakerThreshold, opts.BreakerBackoff),
 		pinned: make(map[histories.TxID]*rpcConn),
 		parts:  make(map[histories.TxID]int),
+		lost:   make(map[histories.TxID]struct{}),
 		out:    outbox{},
 		quit:   make(chan struct{}),
 	}
@@ -387,7 +391,9 @@ func (c *ShardClient) timeoutFor(ctx context.Context) time.Duration {
 // cut off by other transactions' failures.  Held registrations go first,
 // unless req is one of their batches or a decision, whose transaction sent
 // them ahead of its first request.  A decision joins the outbox, awaiting
-// its reply on the connection returned.
+// its reply on the connection returned.  A lost transaction's calls,
+// prepare and commit are refused; its commit or any other request ends
+// the mark.
 func (c *ShardClient) checkout(tx histories.TxID, req *message, decision bool, timeout time.Duration) (*rpcConn, error) {
 	if req.typ != msgRegister && !decision {
 		if err := c.sendHeld(); err != nil {
@@ -395,6 +401,15 @@ func (c *ShardClient) checkout(tx histories.TxID, req *message, decision bool, t
 		}
 	}
 	c.mu.Lock()
+	if _, lost := c.lost[tx]; lost {
+		if req.typ != msgCall && req.typ != msgPrepare {
+			delete(c.lost, tx)
+		}
+		if failing(req.typ) {
+			c.mu.Unlock()
+			return nil, fmt.Errorf("%w: %s: %s lost its connection mid-transaction", ErrUnavailable, c.addr, tx)
+		}
+	}
 	rc, ok := c.pinned[tx]
 	if ok && decision {
 		c.out[req.tx] = outEntry{typ: req.typ, ts: req.ts, on: &rc.st}
@@ -490,7 +505,8 @@ func (c *ShardClient) run(rc *rpcConn, req *message, a action, timeout time.Dura
 
 // finish ends an exchange: the breaker is told, the outbox settles the
 // decisions' replies the exchange read, and the connection is kept,
-// unpinned to the pool, or closed, the decisions it owes falling due.  A
+// unpinned to the pool, or closed, the decisions it owes falling due and
+// its transaction, unless the exchange ended it, lost.  A
 // connection that owes decisions' replies goes back even to a full pool:
 // its next user reads them, and if none comes, the sweep does.
 func (c *ShardClient) finish(rc *rpcConn, a action) {
@@ -510,6 +526,9 @@ func (c *ShardClient) finish(rc *rpcConn, a action) {
 	owed := len(rc.st.owed) > 0
 	c.mu.Lock()
 	if rc.tx != "" {
+		if a.place == drop && !ends(rc.st.typ, a.err) {
+			c.lost[rc.tx] = struct{}{}
+		}
 		delete(c.pinned, rc.tx)
 		delete(c.parts, rc.tx)
 		rc.tx = ""

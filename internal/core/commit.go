@@ -69,7 +69,7 @@ func (s *System) commitTx(t *Tx, ext histories.Timestamp) error {
 				t.status = txAborted
 				t.mu.Unlock()
 				for _, o := range objs {
-					o.abort(t)
+					o.abort(t, true)
 					o.windowWriters.Add(-1)
 				}
 				s.stats.Aborted.Add(1)

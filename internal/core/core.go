@@ -133,7 +133,7 @@ type System struct {
 	// object lists and scratch buffers) through BeginPooled/Recycle;
 	// readPool recycles ReadTx structs through BeginReadOnlyPooledCtx/
 	// RecycleRead;
-	// lockPool recycles txLock records released by commit and abort;
+	// lockPool recycles the txLock records no Tx keeps (putLock);
 	// waiterPool recycles blocked-call waiter nodes and their signal
 	// channels.  Everything handed to a pool is reset first — the
 	// recycling stress tests pin that no state crosses incarnations.
@@ -283,27 +283,30 @@ func (s *System) BeginBranch(ctx context.Context, id histories.TxID) *Tx {
 	return s.newTx(ctx, id)
 }
 
-// getLock draws a clean txLock record from the free list.
-func (s *System) getLock() *txLock {
+// getLock draws a clean txLock record for t, from the ones it kept first.
+func (s *System) getLock(t *Tx) *txLock {
+	if lk := t.freeLocks; lk != nil {
+		t.freeLocks, lk.next = lk.next, nil
+		return lk
+	}
 	if lk, ok := s.lockPool.Get().(*txLock); ok {
 		return lk
 	}
 	return &txLock{}
 }
 
-// putLock resets a released lock record and returns it to the free list.
-// Its intentions live in its transaction's arena (Tx.intend), which the
-// record does not keep.
-func (s *System) putLock(lk *txLock) {
-	lk.tx, lk.ops = nil, nil
-	for i := range lk.mask {
-		lk.mask[i] = 0
+// putLock resets a released lock record.  A Tx back from the pool (gen > 0)
+// keeps it when the caller has that Tx to itself (own: its commit, or an
+// abort that overtook no call); the free list takes the rest.  Intentions
+// live in the Tx's arena (Tx.intend), which the record does not keep.
+func (s *System) putLock(lk *txLock, own bool) {
+	t := lk.tx
+	clear(lk.mask)
+	*lk = txLock{mask: lk.mask[:0], extra: lk.extra[:0]}
+	if own && t.gen > 0 {
+		lk.next, t.freeLocks = t.freeLocks, lk
+		return
 	}
-	lk.mask = lk.mask[:0]
-	lk.extra = lk.extra[:0]
-	lk.bound = 0
-	lk.view = nil
-	lk.viewGen, lk.viewOps, lk.viewValid = 0, 0, false
 	s.lockPool.Put(lk)
 }
 

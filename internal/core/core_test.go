@@ -174,6 +174,10 @@ func TestGrantMatrix(t *testing.T) {
 			[]cell{{hybrid, wait}, {commutativity, wait}, {readwrite, wait}}},
 		{"Account Post‖Credit", "Account", []spec.Invocation{adt.CreditInv(10)}, adt.PostInv(2), adt.CreditInv(5), adt.ResOk,
 			[]cell{{hybrid, grant}, {commutativity, wait}, {readwrite, wait}}},
+		// A successful debit does not depend on interest, though the two do
+		// not commute (TestClassMemoPerTable asks for it on both tables).
+		{"Account Post‖Debit→Ok", "Account", []spec.Invocation{adt.CreditInv(10)}, adt.PostInv(2), adt.DebitInv(7), adt.ResOk,
+			[]cell{{hybrid, grant}, {commutativity, wait}, {readwrite, wait}}},
 	}
 	for _, tc := range cases {
 		for _, c := range tc.cells {

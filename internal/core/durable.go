@@ -660,7 +660,7 @@ func (s *System) HasUnclaimedRecovery(name string) bool {
 	return s.recovered != nil && s.recovered.unclaimed[histories.ObjID(name)]
 }
 
-// registerObject indexes a new object by name for recovery replay.
+// registerObject numbers a new object and indexes it by name for replay.
 func (s *System) registerObject(o *Object) {
 	s.objmu.Lock()
 	defer s.objmu.Unlock()
@@ -670,6 +670,7 @@ func (s *System) registerObject(o *Object) {
 	if s.objects == nil {
 		s.objects = make(map[histories.ObjID]*Object)
 	}
+	o.ord = len(s.objects)
 	s.objects[o.name] = o
 }
 

@@ -68,6 +68,8 @@ type txLock struct {
 	viewGen   uint64
 	viewOps   int
 	viewValid bool
+	// next links the record in its transaction's free list (Tx.freeLocks).
+	next *txLock
 }
 
 // cachedView returns the record's view state when it is the view on the
@@ -136,9 +138,10 @@ func (lt *lockTable) minBound() histories.Timestamp {
 
 // rowOfLocked returns op's class index and compiled conflict row, or
 // (-1, nil) when op lies outside the table's universe — the caller then
-// takes the dynamic-dispatch path.  Rows of classes are never nil.
-func (lt *lockTable) rowOfLocked(op spec.Op) (int, []uint64) {
-	if cls, ok := lt.table.ClassOf(op); ok {
+// takes the dynamic-dispatch path.  Rows of classes are never nil.  tx,
+// the caller, remembers the class (Tx.classOf).
+func (lt *lockTable) rowOfLocked(tx *Tx, op spec.Op) (int, []uint64) {
+	if cls := tx.classOf(lt.table, op); cls >= 0 {
 		return cls, lt.table.Row(cls)
 	}
 	return -1, nil
@@ -204,7 +207,7 @@ func (lt *lockTable) blockersLocked(tx *Tx, inv spec.Invocation, responses []str
 	for _, lk := range lt.active {
 		for _, r := range responses {
 			op := inv.With(r)
-			if _, row := lt.rowOfLocked(op); lk.tx != tx && lt.holderConflictsLocked(lk, row, op) {
+			if _, row := lt.rowOfLocked(tx, op); lk.tx != tx && lt.holderConflictsLocked(lk, row, op) {
 				holders = append(holders, lk.tx) // once: on to the next holder
 				break
 			}

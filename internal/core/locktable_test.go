@@ -129,7 +129,7 @@ func lockTableSchedule(t *testing.T, sp spec.Spec, p *ccpolicy.Policy, invs []sp
 			for _, r := range responses {
 				op := inv.With(r)
 				ops = append(ops, op)
-				_, row := lt.rowOfLocked(op)
+				_, row := lt.rowOfLocked(tx, op)
 				if denied := lt.conflictsWithActiveRowLocked(tx, row, op); denied == slices.Contains(grantable, r) {
 					fail("%s by %s: table denies = %v, machine grants %v", op, id, denied, grantable)
 				}
@@ -151,7 +151,7 @@ func lockTableSchedule(t *testing.T, sp spec.Spec, p *ccpolicy.Policy, invs []sp
 			}
 			r := grantable[rng.Intn(len(grantable))]
 			op := inv.With(r)
-			cls, _ := lt.rowOfLocked(op)
+			cls, _ := lt.rowOfLocked(tx, op)
 			lk := lt.lockOf(tx)
 			if lk == nil {
 				lk = &txLock{}
@@ -221,7 +221,7 @@ func TestLockTableHolderSetUnderChurn(t *testing.T) {
 					lk = &txLock{}
 					ref[tx] = lk
 				}
-				cls, _ := lt.rowOfLocked(op)
+				cls, _ := lt.rowOfLocked(tx, op)
 				lt.grant(tx, lk, op, cls, histories.Timestamp(rng.Intn(1000)))
 			}
 			checkHolderSet(t, fmt.Sprintf("seed %d step %d", seed, step), &lt, ref, txs, ops)
@@ -268,7 +268,7 @@ func checkHolderSet(t *testing.T, at string, lt *lockTable, ref map[*Tx]*txLock,
 			for other, lk := range ref {
 				conflicting = conflicting || other != tx && conflictsAny(lt.conflict, lk.ops, op)
 			}
-			if _, row := lt.rowOfLocked(op); lt.conflictsWithActiveRowLocked(tx, row, op) != conflicting {
+			if _, row := lt.rowOfLocked(tx, op); lt.conflictsWithActiveRowLocked(tx, row, op) != conflicting {
 				t.Fatalf("%s: %s by T%d conflicts = %v, want %v", at, op, i, !conflicting, conflicting)
 			}
 		}

@@ -36,6 +36,8 @@ type Object struct {
 	lockTable
 
 	name histories.ObjID
+	// ord numbers the object on sys: commits visit and log objects by it.
+	ord int
 
 	// policies is the object's precompiled policy set; policy the active
 	// member, whose relation and table the lock table checks against;
@@ -64,7 +66,7 @@ type Object struct {
 	events uint64
 
 	stats ObjectStats
-	_     [32]byte // to 448 bytes
+	_     [24]byte // to 448 bytes
 }
 
 // Name returns the object's identifier.
@@ -101,22 +103,23 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 		return "", err
 	}
 	defer tx.exit()
-
-	ctx := tx.ctx
-	if err := ctx.Err(); err != nil {
+	if err := tx.ctx.Err(); err != nil {
 		return "", fmt.Errorf("hybridcc: %s on %s: %w", inv, o.name, err)
 	}
-
-	detect := o.sys.opts.DeadlockDetection
-	if detect {
+	if o.sys.opts.DeadlockDetection {
 		defer o.sys.wfg.clear(tx)
 	}
 	var cw callWait
 	defer cw.release(o.sys)
-	attempted := false
-	signalled := false
-	var seen uint64
+	return o.call(tx, inv, &cw)
+}
 
+// call is Call's grant loop, which holds no defer: with its returns, they
+// would outnumber what the compiler open-codes in one function.
+func (o *Object) call(tx *Tx, inv spec.Invocation, cw *callWait) (string, error) {
+	ctx, detect := tx.ctx, o.sys.opts.DeadlockDetection
+	attempted, signalled := false, false
+	var seen uint64
 	o.mu.Lock()
 	for {
 		// Re-derive responses only when a completion event has landed
@@ -159,7 +162,7 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 				unclassed := false
 				for _, r := range responses {
 					op := inv.With(r)
-					cls, row := o.rowOfLocked(op)
+					cls, row := o.rowOfLocked(tx, op)
 					if row == nil {
 						unclassed = true
 					}
@@ -194,7 +197,7 @@ func (o *Object) Call(tx *Tx, inv spec.Invocation) (string, error) {
 				return "", fmt.Errorf("%w: %s on %s", ErrDeadlock, inv, o.name)
 			}
 		}
-		switch o.waitLocked(&o.mu, &cw, ctx) {
+		switch o.waitLocked(&o.mu, cw, ctx) {
 		case waitSignalled:
 			signalled = true
 		case waitTimedOut:
@@ -222,7 +225,7 @@ func (o *Object) grantLocked(tx *Tx, lk *txLock, op spec.Op, cls int, view spec.
 		panic(fmt.Sprintf("hybridcc: granted response %s illegal at %s", op, o.name))
 	}
 	if lk == nil {
-		lk = o.sys.getLock()
+		lk = o.sys.getLock(tx)
 		tx.joined = o
 	}
 	o.grant(tx, lk, op, cls, o.clock)
@@ -269,7 +272,7 @@ func (o *Object) viewStateLocked(tx *Tx, lk *txLock) spec.State {
 func (o *Object) commit(t *Tx, e committedEntry, ev []pendingEvent, snap *tailSnapshot) []pendingEvent {
 	o.mu.Lock()
 	if lk := o.release(t); lk != nil {
-		ev = o.commitLocked(lk, e, ev, snap)
+		ev = o.commitLocked(lk, e, ev, snap, true)
 	}
 	if o.pending != nil {
 		o.maybeInstallPendingLocked()
@@ -283,8 +286,8 @@ func (o *Object) commit(t *Tx, e committedEntry, ev []pendingEvent, snap *tailSn
 // since — then runs the fold, the publication into snap and the waiter
 // scan, the wakeup filter being the record's own held-class mask.  e
 // carries the timestamp, identifier and participant count; the record
-// supplies the operations.
-func (o *Object) commitLocked(lk *txLock, e committedEntry, ev []pendingEvent, snap *tailSnapshot) []pendingEvent {
+// supplies the operations.  own is putLock's.
+func (o *Object) commitLocked(lk *txLock, e committedEntry, ev []pendingEvent, snap *tailSnapshot, own bool) []pendingEvent {
 	e.ops = lk.ops
 	o.mergeLocked(e, lk.cachedView(o.commitGen))
 	o.events++
@@ -295,13 +298,14 @@ func (o *Object) commitLocked(lk *txLock, e committedEntry, ev []pendingEvent, s
 	o.publishLocked(snap)
 	o.stats.commits.Add(1)
 	o.wakeScanLocked(lk.mask, len(lk.extra) > 0, false, true)
-	o.sys.putLock(lk)
+	o.sys.putLock(lk, own)
 	return ev
 }
 
 // abort discards tx's intentions, releasing its locks.  The committed tail
-// is untouched, so other transactions' cached views stay valid.
-func (o *Object) abort(tx *Tx) {
+// is untouched, so other transactions' cached views stay valid.  own is
+// putLock's.
+func (o *Object) abort(tx *Tx, own bool) {
 	o.mu.Lock()
 	lk := o.release(tx)
 	o.events++
@@ -310,15 +314,14 @@ func (o *Object) abort(tx *Tx) {
 	}
 	o.stats.aborts.Add(1)
 	var ev []pendingEvent
-	if o.sys.opts.Sink != nil {
-		ev = o.sys.stage(tx.ev[:0], histories.AbortEvent(tx.ID(), o.name))
-		tx.ev = ev[:0]
+	if o.sys.opts.Sink != nil { // not into tx.ev: a call in flight stages there
+		ev = o.sys.stage(nil, histories.AbortEvent(tx.ID(), o.name))
 	}
 	if lk == nil {
 		o.wakeScanLocked(nil, false, true, false)
 	} else {
 		o.wakeScanLocked(lk.mask, len(lk.extra) > 0, false, false)
-		o.sys.putLock(lk)
+		o.sys.putLock(lk, own)
 	}
 	if o.pending != nil {
 		o.maybeInstallPendingLocked()

@@ -476,7 +476,7 @@ func (o *Object) mergeBelowLocked(ts histories.Timestamp, ev *[]pendingEvent) bo
 		switch e, status := lk.tx.commitState(); {
 		case status == txCommitted && e.ts < ts:
 			o.release(lk.tx) // moves the last record into slot i
-			*ev = o.commitLocked(lk, e, *ev, new(tailSnapshot))
+			*ev = o.commitLocked(lk, e, *ev, new(tailSnapshot), false)
 			continue
 		case status == txCommitting:
 			blocked = true

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"hybridcc/internal/depend"
 	"hybridcc/internal/histories"
 	"hybridcc/internal/spec"
 	"hybridcc/internal/wal"
@@ -61,8 +62,8 @@ func (t *Tx) Branch(o *Object) (*Tx, error) {
 //
 // Tx structs are recycled through the system pool (BeginPooled/Recycle):
 // each incarnation carries a fresh generation stamp and identifier, and the
-// buffers below — the touched-object list and the staged-event buffer —
-// survive recycling so the hot path stops allocating them per transaction.
+// touched-object list, the staged-event buffer, the lock records and the
+// class memo survive recycling, so the hot path stops redoing them.
 //
 // A grant writes joined and bound under the object's mutex alone — only
 // the goroutine of the transaction's one pending call does, between enter
@@ -130,6 +131,33 @@ type Tx struct {
 	arena     []spec.Op
 	arenaUsed int32
 	arenaHint int32
+	// freeLocks lists, through txLock.next, the lock records that a Tx back
+	// from the pool released itself (putLock); its grants draw from it.
+	freeLocks *txLock
+	// memo holds the classes of the last two operations rowOfLocked looked
+	// up, keyed by compiled table: a scheme switch installs another table.
+	memo [2]struct {
+		table *depend.CompiledTable
+		op    spec.Op
+		cls   int
+	}
+}
+
+// classOf returns op's class in table, -1 outside its universe, looking in
+// t's memo first.  Only the goroutine of t's one pending call asks.
+func (t *Tx) classOf(table *depend.CompiledTable, op spec.Op) int {
+	for i := range t.memo {
+		if m := &t.memo[i]; m.table == table && m.op == op {
+			return m.cls
+		}
+	}
+	cls, ok := table.ClassOf(op)
+	if !ok {
+		cls = -1
+	}
+	t.memo[1] = t.memo[0]
+	t.memo[0].table, t.memo[0].op, t.memo[0].cls = table, op, cls
+	return cls
 }
 
 // ID returns the transaction's identifier, materializing it on first use:
@@ -238,15 +266,15 @@ func (t *Tx) exit() {
 	}
 	t.mu.Unlock()
 	if o != nil {
-		o.abort(t)
+		o.abort(t, false) // beside Abort's goroutine
 	}
 }
 
-// touchedObjects returns t.objs sorted, in place, by name — the order WAL
-// records and sink events list objects in — allocating nothing (unlike
-// sort.Slice).  The caller holds t.mu or has shut calls out.
+// touchedObjects returns t.objs sorted, in place, by registration ordinal —
+// the order WAL records and sink events list objects in — allocating
+// nothing (unlike sort.Slice).  The caller holds t.mu or has shut calls out.
 func (t *Tx) touchedObjects() []*Object {
-	slices.SortFunc(t.objs, func(a, b *Object) int { return cmp.Compare(a.name, b.name) })
+	slices.SortFunc(t.objs, func(a, b *Object) int { return cmp.Compare(a.ord, b.ord) })
 	return t.objs
 }
 
@@ -312,13 +340,13 @@ func (t *Tx) Abort() error {
 		t.mu.Unlock()
 		return ErrTxDone
 	}
-	wasPrepared, calls := t.prepared, t.calls
+	wasPrepared, calls, own := t.prepared, t.calls, !t.busy
 	t.status = txAborted
 	objs := t.touchedObjects()
 	t.mu.Unlock()
 
 	for _, o := range objs {
-		o.abort(t)
+		o.abort(t, own)
 	}
 	if wasPrepared && t.sys.log != nil {
 		// Resolve the logged prepared vote so the next recovery skips it

@@ -206,10 +206,11 @@ func (e *netChaosEnv) readStats(shard int) (sharddStats, error) {
 }
 
 // Settle waits until every shard reports recovery finished with no
-// pending recovered branch and no prepared branch older than the
-// redelivery backoff's cap, and until a cross-shard commit through every
-// shard succeeds again (the client's breakers have re-closed and its
-// decision redelivery has drained).  A settled shard must then say so on
+// pending recovered branch and no prepared, deciding or failed branch
+// older than the redelivery backoff's cap (a reading branch awaits no
+// decision and does not hold it), and until a cross-shard commit through
+// every shard succeeds again (the client's breakers have re-closed and
+// its decision redelivery has drained).  A settled shard must then say so on
 // its operator endpoints: /health answers 200, and /stats carries this
 // shard's own identity and has counted the commit just made.
 func (e *netChaosEnv) Settle() error {

@@ -173,10 +173,11 @@ type statsPayload struct {
 	// when a restarted shard has fully settled.
 	Recovering      bool `json:"recovering"`
 	PendingBranches int  `json:"pending_branches"`
-	// LiveBranches counts the shard's live update branches by state and
-	// ages the oldest that voted yes and still awaits or applies its
-	// decision; Branches lists them all.  A prepared branch older than the
-	// coordinators' redelivery backoff has lost its decision.
+	// LiveBranches counts the shard's live branches, update and read, by
+	// state and ages the oldest that voted yes and still awaits or applies
+	// its decision; Branches lists them all.  A prepared branch older than
+	// the coordinators' redelivery backoff has lost its decision; an old
+	// reading branch is a snapshot pin holding the forget horizon.
 	LiveBranches liveBranches          `json:"live_branches"`
 	Branches     []netproto.BranchInfo `json:"branches"`
 	Stats        core.StatsSnapshot    `json:"stats"`

@@ -117,26 +117,30 @@ func TestAllocCeilingPayment8(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts shift under the race detector")
 	}
-	sys, accs := payment8System(t)
-	n := 0
-	cycle := func() {
-		if err := payment8(sys, accs, n%len(accs)); err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	for i := 0; i < 16; i++ { // warm the pools
-		cycle()
-	}
-	const runs = 500
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, cycle) // runs+1 payments
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-	if allocs > payment8AllocCeiling || bytes > payment8ByteCeiling {
-		t.Errorf("payment over 8 accounts allocates %.1f objects and %.0f B per op; ceilings %d and %d B",
-			allocs, bytes, payment8AllocCeiling, payment8ByteCeiling)
+	for _, v := range payment8Tables {
+		t.Run(v.name, func(t *testing.T) {
+			sys, accs := payment8System(t, v.shared)
+			n := 0
+			cycle := func() {
+				if err := payment8(sys, accs, n%len(accs)); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			for i := 0; i < 16; i++ { // warm the pools
+				cycle()
+			}
+			const runs = 500
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(runs, cycle) // runs+1 payments
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+			if allocs > payment8AllocCeiling || bytes > payment8ByteCeiling {
+				t.Errorf("payment over 8 accounts allocates %.1f objects and %.0f B per op; ceilings %d and %d B",
+					allocs, bytes, payment8AllocCeiling, payment8ByteCeiling)
+			}
+		})
 	}
 }
 

@@ -229,13 +229,25 @@ func BenchmarkCommitPooledNoWaiters(b *testing.B) {
 // transaction: eight prefunded hybrid Accounts; one payment debits 7 from
 // one of them and credits 1 to each of the others, eight grants and an
 // eight-object commit.  Money is conserved, so no debit ever overdraws.
-func payment8System(tb testing.TB) (*System, []*Object) {
+// With shared set the Accounts share their type's policy set, as the
+// facade's do (baseline.DescriptorFor), and a transaction's class memo
+// hits; otherwise NewObjectSeeded compiles each its own table.
+func payment8System(tb testing.TB, shared bool) (*System, []*Object) {
 	sys := NewSystem(Options{})
 	accs := make([]*Object, 8)
+	d, _ := baseline.DescriptorFor("Account")
 	tx := sys.Begin()
 	for i := range accs {
-		accs[i] = sys.NewObjectSeeded(string(rune('a'+i)), baseline.SpecFor("Account"),
-			baseline.ConflictFor("hybrid", "Account"), baseline.UniverseFor("Account"))
+		name := string(rune('a' + i))
+		if shared {
+			var err error
+			if accs[i], err = sys.NewObjectPolicies(name, d.Spec, d.Policies, "hybrid"); err != nil {
+				tb.Fatal(err)
+			}
+		} else {
+			accs[i] = sys.NewObjectSeeded(name, baseline.SpecFor("Account"),
+				baseline.ConflictFor("hybrid", "Account"), baseline.UniverseFor("Account"))
+		}
 		if _, err := accs[i].Call(tx, adt.CreditInv(1<<40)); err != nil {
 			tb.Fatal(err)
 		}
@@ -272,15 +284,27 @@ func payment8(sys *System, accs []*Object, src int) error {
 	return nil
 }
 
+// payment8Tables names payment8System's two ways to give the Accounts
+// their conflict tables: a table each, or one policy set shared by all.
+var payment8Tables = []struct {
+	name   string
+	shared bool
+}{{"own-tables", false}, {"shared-policies", true}}
+
 // BenchmarkPayment8 measures the whole update path — eight grants, one
-// commit over eight objects — with nobody else in the System.
+// commit over eight objects — with nobody else in the System.  The
+// shared-policies variant is mem-hot's grant path.
 func BenchmarkPayment8(b *testing.B) {
-	sys, accs := payment8System(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := payment8(sys, accs, i%len(accs)); err != nil {
-			b.Fatal(err)
-		}
+	for _, v := range payment8Tables {
+		b.Run(v.name, func(b *testing.B) {
+			sys, accs := payment8System(b, v.shared)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := payment8(sys, accs, i%len(accs)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -289,19 +313,23 @@ func BenchmarkPayment8(b *testing.B) {
 // debits conflict), the credits run together, and every commit's critical
 // sections are what the others wait out.
 func BenchmarkPayment8Parallel(b *testing.B) {
-	sys, accs := payment8System(b)
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		src := int(next.Add(1))
-		for pb.Next() {
-			src++
-			if err := payment8(sys, accs, src%len(accs)); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
+	for _, v := range payment8Tables {
+		b.Run(v.name, func(b *testing.B) {
+			sys, accs := payment8System(b, v.shared)
+			var next atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				src := int(next.Add(1))
+				for pb.Next() {
+					src++
+					if err := payment8(sys, accs, src%len(accs)); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkGrantHolders measures one pooled grant and commit of Inc(1) on

@@ -9,7 +9,7 @@ import (
 	"hybridcc/internal/histories"
 )
 
-// branchState is where an update branch is in its life on the shard.
+// branchState is where a branch is in its life on the shard.
 type branchState uint8
 
 const (
@@ -18,23 +18,26 @@ const (
 	branchDeciding                     // a commit, decided or fast-path, is being applied
 	branchFailed                       // a decided commit could not be logged
 	branchRecovered                    // prepared before a restart; awaits its decision
+	branchReading                      // a read-only branch; pins the shard's forget horizon
 	nStates
 )
 
-var stateNames = [nStates]string{"active", "prepared", "deciding", "failed", "recovered"}
+var stateNames = [nStates]string{"active", "prepared", "deciding", "failed", "recovered", "reading"}
 
-// branch is one update branch.  tx is nil once recovered and owner once
-// disowned; since is when the branch began, or voted yes.
+// branch is one branch: an update branch's tx, or a read branch's read.
+// tx is nil once recovered and owner once disowned; since is when the
+// branch began, or voted yes.
 type branch struct {
 	tx    *core.Tx
+	read  *core.ReadTx
 	state branchState
 	owner *serverConn
 	since time.Time
 }
 
-// branchTable is the shard's update branches, their count by state, and
-// the outcomes remembered for status probes.  Only step changes it, under
-// the server's mutex.
+// branchTable is the shard's branches, update and read, one per
+// transaction id, their count by state, and the outcomes remembered for
+// status probes.  Only step changes it, under the server's mutex.
 type branchTable struct {
 	live     map[histories.TxID]*branch
 	count    [nStates]int
@@ -58,21 +61,24 @@ const outcomeCap = 65536
 type branchEvKind uint8
 
 const (
-	evCall      branchEvKind = iota // a call from conn
-	evReadBegin                     // a read-only branch begins
-	evCommit                        // a fast-path commit from conn
-	evPrepare                       // a prepare from conn
-	evDecide                        // a commit decision at ts
-	evAbort                         // an abort
-	evStatus                        // a fate probe
-	evDrop                          // conn closed
-	evRecover                       // the log holds the branch committed at ts, or prepared when ts is 0
-	evScanned                       // every branch the log holds is in
-	evCommitted                     // CommitAbove returned err, committing at ts
-	evVoted                         // Prepare returned err, at time at
-	evApplied                       // CommitAt(ts) returned err
-	evResolved                      // ResolvePending(ts), or AbandonPendingTx when ts is 0, returned err
-	evFinished                      // FinishRecovery returned err
+	evCall         branchEvKind = iota // a call from conn
+	evReadBegin                        // a read-only branch begins on conn
+	evReadActivate                     // a read branch's snapshot timestamp, from conn
+	evReadCall                         // a read through the branch, from conn
+	evReadComplete                     // a read branch's end, from conn
+	evCommit                           // a fast-path commit from conn
+	evPrepare                          // a prepare from conn
+	evDecide                           // a commit decision at ts
+	evAbort                            // an abort
+	evStatus                           // a fate probe
+	evDrop                             // conn closed
+	evRecover                          // the log holds the branch committed at ts, or prepared when ts is 0
+	evScanned                          // every branch the log holds is in
+	evCommitted                        // CommitAbove returned err, committing at ts
+	evVoted                            // Prepare returned err, at time at
+	evApplied                          // CommitAt(ts) returned err
+	evResolved                         // ResolvePending(ts), or AbandonPendingTx when ts is 0, returned err
+	evFinished                         // FinishRecovery returned err
 )
 
 // branchEvent is one input of step.  closed is set while the server shuts
@@ -100,6 +106,10 @@ const (
 	doResolve              // ResolvePending(ts), reported as evResolved
 	doAbandon              // AbandonPendingTx, reported as evResolved
 	doFinish               // FinishRecovery, reported as evFinished
+	doReadBegin            // BeginReadOnlyBranch
+	doActivate             // ActivateAt(ts)
+	doReadCall             // ReadCall
+	doReadEnd              // Commit or Abort the read, as its complete says; Abort on a drop
 )
 
 // branchAction is what to do: make the core call do names on branch b, at
@@ -121,18 +131,37 @@ func (t *branchTable) step(id histories.TxID, ev branchEvent) (a branchAction) {
 	b, k := t.live[id], ev.kind
 	a.b, a.ts = b, ev.ts
 	work, decision := k == evCall || k == evPrepare || k == evReadBegin, k == evDecide || k == evAbort
+	read, reading := k >= evReadBegin && k <= evReadComplete, b != nil && b.state == branchReading
 	switch {
 	case work && t.recovering():
 		a.err = ErrRecovering
 	case work && ev.closed:
 		a.err = errors.New("netproto: server shutting down")
+	case k == evReadBegin && b != nil:
+		a.err = fmt.Errorf("netproto: transaction %s already has a branch here", id)
+	case k == evReadBegin:
+		a.do, a.b = doReadBegin, &branch{owner: ev.conn}
+		t.set(id, a.b, branchReading)
+	case k == evReadComplete && b == nil:
+		// Finished already, or never begun: acknowledged.
 	case k == evCall && b == nil && t.outcomes[id].status != outcomeUnknown:
 		a.err = fmt.Errorf("%w (outcome %d)", core.ErrTxDone, t.outcomes[id].status)
 	case k == evCall && b == nil:
 		a.do, a.b = doBegin, &branch{owner: ev.conn}
 		t.set(id, a.b, branchActive)
-	case (k == evCall || k == evCommit) && b != nil && b.owner != ev.conn:
+	case (k == evCall || k == evCommit || read) && b != nil && b.owner != ev.conn:
 		a.err = fmt.Errorf("netproto: transaction %s owned by another connection", id)
+	case read && !reading:
+		a.err = fmt.Errorf("netproto: no read branch %s", id)
+	case k == evCall && reading:
+		a.err = fmt.Errorf("netproto: %s is a read branch", id)
+	case k == evReadActivate:
+		a.do = doActivate
+	case k == evReadCall:
+		a.do = doReadCall
+	case k == evReadComplete, k == evDrop && reading && b.owner == ev.conn:
+		a.do = doReadEnd
+		t.end(id, txOutcome{})
 	case k == evCall:
 		a.do = doCall
 	case k == evPrepare:
@@ -147,7 +176,7 @@ func (t *branchTable) step(id histories.TxID, ev branchEvent) (a branchAction) {
 	case k == evCommit:
 		a.do = doCommitAbove
 		t.set(id, b, branchDeciding)
-	case decision && b == nil:
+	case decision && (b == nil || reading):
 		// Resolved and forgotten, or never seen: acknowledged.
 	case decision && b.state == branchRecovered && k == evDecide:
 		a.do = doResolve

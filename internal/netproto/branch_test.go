@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -14,8 +15,9 @@ import (
 
 // TestBranchRules walks every sequence of requests, core-call results,
 // connection drops and crash-and-restarts, up to branchDepth events, that
-// three connections can send a shard about two branches, T and U, and checks
-// branchTable.step's actions at every step against a model of the core:
+// three connections can send a shard about two update branches, T and U,
+// and one read branch, R, and checks branchTable.step's actions at every
+// step against a model of the core:
 //
 //  1. a prepared branch never ends without a decision: it stays in the
 //     table until a commit decision applies or an abort decision aborts it;
@@ -26,8 +28,16 @@ import (
 //     committed (nor aborted for one that has not aborted);
 //  4. a dropped connection aborts exactly its own unprepared branches;
 //  5. the recovering gate opens exactly when the last recovered branch
-//     resolves: calls and prepares are refused until then, and
-//     FinishRecovery runs once, at that moment.
+//     resolves: calls, prepares and read begins are refused until then,
+//     and FinishRecovery runs once, at that moment;
+//  6. only a read branch's own connection reads through it or completes
+//     it: another connection's activate, call or complete is refused;
+//  7. a read branch's complete, or its connection's drop, finishes its
+//     ReadTx exactly once, and a read begin naming a live read branch
+//     begins no second one;
+//  8. an id is never both a read and an update branch: an update request
+//     naming a live read branch, and a read begin or complete naming a
+//     live update branch, change nothing.
 //
 // The model plays a coordinator that keeps to its decisions: it decides
 // commit only after a yes vote and never both ways.  Each unlocked core
@@ -43,15 +53,16 @@ func TestBranchRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if states < 10000 {
+	t.Logf("%d states", states)
+	if states < 40000 {
 		t.Fatalf("reached only %d states; the walk looks truncated", states)
 	}
 }
 
 // branchDepth bounds the events per sequence.  Every state the model can
-// reach is reached within 14 events (12 041 states; 0.4 s on 2 vCPU, 2.5 s under
-// -race), so the walk ends with nothing left to expand; one that does not
-// is reported truncated.
+// reach is reached within 15 events (48 068 states; ≈ 1.2 s on 2 vCPU,
+// ≈ 10 s under -race), so the walk ends with nothing left to expand; one
+// that does not is reported truncated.
 const branchDepth = 16
 
 // nSlots is the number of connections: enough for a prepare in flight on
@@ -60,6 +71,7 @@ const nSlots = 3
 
 var (
 	branchIDs  = [2]histories.TxID{"T", "U"}
+	readID     = histories.TxID("R")
 	decidedTS  = [2]histories.Timestamp{5, 6} // each branch's commit decision
 	fastPathTS = [2]histories.Timestamp{3, 4} // each branch's fast-path commit
 	errLogged  = errors.New("log write failed")
@@ -82,6 +94,13 @@ type modelTx struct {
 	recovered bool
 }
 
+// modelRead is the core's view of the read branch R: live from a begin
+// that ran until the ReadTx finishes, owned by a connection slot.
+type modelRead struct {
+	live  bool
+	owner int
+}
+
 // inflight is the core call a connection slot waits on, if any.
 type inflight struct {
 	do coreCall
@@ -94,6 +113,7 @@ type branchModel struct {
 	t        branchTable
 	conns    [nSlots]*serverConn
 	tx       [2]modelTx
+	read     modelRead
 	busy     [nSlots]inflight
 	finished bool // FinishRecovery ran since the last restart
 }
@@ -104,13 +124,13 @@ type branchModel struct {
 func walkBranches(depth int) (int, error) {
 	type node struct {
 		parent int
-		name   string
+		in     branchInput
 	}
-	nodes := []node{{-1, ""}}
+	nodes := []node{{-1, branchInput{}}}
 	trace := func(n int, last string) string {
 		var names []string
 		for ; n > 0; n = nodes[n].parent {
-			names = append(names, nodes[n].name)
+			names = append(names, nodes[n].in.name())
 		}
 		slices.Reverse(names)
 		return strings.Join(append(names, last), ", ")
@@ -120,28 +140,37 @@ func walkBranches(depth int) (int, error) {
 	if err := m.restart(); err != nil {
 		return 0, err
 	}
-	seen := map[string]bool{m.key(): true}
+	seen := map[string]bool{string(m.appendKey(nil)): true}
 	type item struct {
 		m *branchModel
 		n int
 	}
 	frontier := []item{{m, 0}}
+	// Each input is tried on a scratch copy; only a new state is cloned.
+	c, bufs := &branchModel{t: newTableForTest()}, new([3]branch)
+	var ins []branchInput
+	var key []byte
 	for d := 0; d < depth && len(frontier) > 0; d++ {
 		var next []item
 		for _, it := range frontier {
-			for _, in := range it.m.inputs() {
-				c := it.m.clone()
+			ins = it.m.inputs(ins[:0])
+			for _, in := range ins {
+				it.m.copyInto(c, bufs)
 				err := in.apply(c)
-				if err == nil {
+				key = c.appendKey(key[:0])
+				fresh := !seen[string(key)]
+				if err == nil && fresh {
+					// The checks read only what the key holds: a state
+					// seen before has passed them.
 					err = c.check()
 				}
 				if err != nil {
 					return len(seen), fmt.Errorf("%v\n  after %s", err, trace(it.n, in.name()))
 				}
-				if k := c.key(); !seen[k] {
-					seen[k] = true
-					nodes = append(nodes, node{it.n, in.name()})
-					next = append(next, item{c, len(nodes) - 1})
+				if fresh {
+					seen[string(key)] = true
+					nodes = append(nodes, node{it.n, in})
+					next = append(next, item{c.clone(), len(nodes) - 1})
 				}
 			}
 		}
@@ -169,12 +198,34 @@ func (m *branchModel) clone() *branchModel {
 	return &c
 }
 
-// key is the model's state: what decides its futures and its checks.  A
-// branch's owner is its connection's slot, 'x' once that connection closed.
-func (m *branchModel) key() string {
-	k := make([]byte, 0, 32)
-	flag := func(b bool) byte { return map[bool]byte{false: '0', true: '1'}[b] }
-	for i, id := range branchIDs {
+// copyInto makes dst a copy of m that reuses dst's maps and order and
+// keeps its branches in bufs, so trying an input allocates little.
+func (m *branchModel) copyInto(dst *branchModel, bufs *[3]branch) {
+	live, outcomes, order := dst.t.live, dst.t.outcomes, dst.t.order[:0]
+	*dst = *m
+	clear(live)
+	clear(outcomes)
+	i := 0
+	for id, b := range m.t.live {
+		bufs[i] = *b
+		live[id] = &bufs[i]
+		i++
+	}
+	maps.Copy(outcomes, m.t.outcomes)
+	dst.t.live, dst.t.outcomes, dst.t.order = live, outcomes, append(order, m.t.order...)
+}
+
+// appendKey appends the model's state to k: what decides its futures and
+// its checks.  A branch's owner is its connection's slot, 'x' once that
+// connection closed.
+func (m *branchModel) appendKey(k []byte) []byte {
+	flag := func(b bool) byte {
+		if b {
+			return '1'
+		}
+		return '0'
+	}
+	for _, id := range []histories.TxID{branchIDs[0], branchIDs[1], readID} {
 		state, owner := byte('-'), byte('-')
 		if b := m.t.live[id]; b != nil {
 			state = '0' + byte(b.state)
@@ -184,39 +235,74 @@ func (m *branchModel) key() string {
 				owner = 'x'
 			}
 		}
-		o, x := m.t.outcomes[id], m.tx[i]
-		k = append(k, state, owner, '0'+o.status, byte(o.ts), x.core, byte(x.ts), byte(x.owner+1), flag(x.yes), x.decided, flag(x.recovered))
+		o := m.t.outcomes[id]
+		k = append(k, state, owner, '0'+o.status, byte(o.ts))
+	}
+	for _, x := range m.tx {
+		k = append(k, x.core, byte(x.ts), byte(x.owner+1), flag(x.yes), x.decided, flag(x.recovered))
+	}
+	k = append(k, flag(m.read.live), byte(m.read.owner+1))
+	for _, n := range m.t.count {
+		k = append(k, byte(n))
 	}
 	for _, f := range m.busy {
 		k = append(k, byte(f.do), byte(f.i))
 	}
-	return string(append(k, flag(m.finished)))
+	return append(k, flag(m.finished))
 }
 
 func (m *branchModel) anyRecovered() bool { return m.tx[0].recovered || m.tx[1].recovered }
 
-// branchInput is one event the model can take.
+// branchInput is one event the model can take, on connection slot: a
+// request of kind k naming id; when k is evDrop, the connection's drop;
+// when k is evApplied, the completion of the core call do the slot waits
+// on, applied when ok; or, when slot is -1, a crash and restart.
 type branchInput struct {
-	name  func() string
-	apply func(*branchModel) error
+	slot int
+	id   histories.TxID
+	k    branchEvKind
+	do   coreCall
+	ok   bool
 }
 
-// inputs lists what can happen next: a slot's core call completes, applied
-// or failed; an idle slot sends a request or is dropped; the shard
-// crashes and restarts.
-func (m *branchModel) inputs() []branchInput {
-	var out []branchInput
+func (in branchInput) name() string {
+	switch {
+	case in.slot < 0:
+		return "crash and restart"
+	case in.k == evDrop:
+		return fmt.Sprintf("drop %d", in.slot)
+	case in.k == evApplied:
+		return fmt.Sprintf("%s of %s on %d %s", callNames[in.do], in.id, in.slot, map[bool]string{true: "applied", false: "failed"}[in.ok])
+	}
+	return fmt.Sprintf("%s %s on %d", requestNames[in.k], in.id, in.slot)
+}
+
+func (in branchInput) apply(m *branchModel) error {
+	switch {
+	case in.slot < 0:
+		return m.restart()
+	case in.k == evDrop:
+		return m.drop(in.slot)
+	case in.k == evApplied:
+		return m.complete(in.slot, in.ok)
+	case in.id == readID:
+		return m.readRequest(in.slot, in.k)
+	}
+	return m.request(in.slot, slices.Index(branchIDs[:], in.id), in.k)
+}
+
+// inputs appends to out what can happen next: a slot's core call
+// completes, applied or failed; an idle slot sends a request or is
+// dropped; the shard crashes and restarts.
+func (m *branchModel) inputs(out []branchInput) []branchInput {
 	for slot := range m.conns {
 		if f := m.busy[slot]; f.do != none {
 			for _, ok := range []bool{true, false} {
-				name := func() string {
-					return fmt.Sprintf("%s of %s on %d %s", callNames[f.do], branchIDs[f.i], slot, map[bool]string{true: "applied", false: "failed"}[ok])
-				}
-				out = append(out, branchInput{name, func(m *branchModel) error { return m.complete(slot, ok) }})
+				out = append(out, branchInput{slot: slot, id: branchIDs[f.i], k: evApplied, do: f.do, ok: ok})
 			}
 			continue
 		}
-		for i := range branchIDs {
+		for i, id := range branchIDs {
 			for _, k := range []branchEvKind{evCall, evCommit, evPrepare, evDecide, evAbort} {
 				x := m.tx[i]
 				switch {
@@ -226,17 +312,21 @@ func (m *branchModel) inputs() []branchInput {
 					k == evAbort && x.decided == 'c':
 					continue
 				}
-				name := func() string { return fmt.Sprintf("%s %s on %d", requestNames[k], branchIDs[i], slot) }
-				out = append(out, branchInput{name, func(m *branchModel) error { return m.request(slot, i, k) }})
+				out = append(out, branchInput{slot: slot, id: id, k: k})
 			}
 		}
-		name := func() string { return fmt.Sprintf("drop %d", slot) }
-		out = append(out, branchInput{name, func(m *branchModel) error { return m.drop(slot) }})
+		for _, k := range []branchEvKind{evReadBegin, evReadActivate, evReadCall, evReadComplete} {
+			out = append(out, branchInput{slot: slot, id: readID, k: k})
+		}
+		out = append(out, branchInput{slot: slot, k: evDrop})
 	}
-	return append(out, branchInput{func() string { return "crash and restart" }, (*branchModel).restart})
+	return append(out, branchInput{slot: -1})
 }
 
-var requestNames = map[branchEvKind]string{evCall: "call", evCommit: "commit", evPrepare: "prepare", evDecide: "decide", evAbort: "abort"}
+var requestNames = map[branchEvKind]string{
+	evCall: "call", evCommit: "commit", evPrepare: "prepare", evDecide: "decide", evAbort: "abort",
+	evReadBegin: "read begin", evReadActivate: "activate", evReadCall: "read call", evReadComplete: "complete",
+}
 
 var callNames = map[coreCall]string{doCommitAbove: "CommitAbove", doPrepare: "Prepare", doCommitAt: "CommitAt"}
 
@@ -279,6 +369,72 @@ func (m *branchModel) request(slot, i int, kind branchEvKind) error {
 	case none:
 		if kind == evDecide && a.err == nil && x.core != 'c' {
 			return fmt.Errorf("rule 2: commit decision of %s acknowledged, not applied (core %c)", branchIDs[i], x.core)
+		}
+	}
+	return nil
+}
+
+// readCalls is the core call each read request makes when it runs.
+var readCalls = map[branchEvKind]coreCall{evReadBegin: doReadBegin, evReadActivate: doActivate, evReadCall: doReadCall, evReadComplete: doReadEnd}
+
+// readRequest sends a kind read request about R on slot's connection, and
+// makes the core call the action names, as Server.handleBranch does.  A
+// begin runs exactly when no read of R is live and no recovered branch is
+// unresolved; an activate, call or complete exactly when slot owns R.
+func (m *branchModel) readRequest(slot int, kind branchEvKind) error {
+	a := m.t.step(readID, branchEvent{kind: kind, conn: m.conns[slot]})
+	r := &m.read
+	runs := r.live && r.owner == slot
+	switch {
+	case kind == evReadBegin && errors.Is(a.err, ErrRecovering) != m.anyRecovered():
+		return fmt.Errorf("rule 5: read begin answered %v while recovered branches are unresolved=%v", a.err, m.anyRecovered())
+	case kind == evReadBegin && r.live && a.do != none:
+		return fmt.Errorf("rule 7: a second read begin of R began another ReadTx; the first is stranded")
+	case kind == evReadBegin:
+		runs = !r.live && !m.anyRecovered()
+	}
+	switch {
+	case a.do != none && a.do != readCalls[kind]:
+		return fmt.Errorf("%s R made core call %d", requestNames[kind], a.do)
+	case (a.do != none) != runs:
+		return fmt.Errorf("rule 6: %s R on %d ran=%v (%v); R live=%v, owned by %d", requestNames[kind], slot, a.do != none, a.err, r.live, r.owner)
+	case a.do == doReadBegin:
+		*r = modelRead{live: true, owner: slot}
+	case a.do == doReadEnd:
+		*r = modelRead{owner: -1}
+	}
+	return nil
+}
+
+// crossKinds are the requests that name a live branch of the other kind:
+// update requests naming the read branch, and read begins and completes
+// naming an update branch.
+var crossKinds = map[histories.TxID][]branchEvKind{
+	readID:       {evCall, evCommit, evPrepare, evDecide, evAbort},
+	branchIDs[0]: {evReadBegin, evReadComplete},
+	branchIDs[1]: {evReadBegin, evReadComplete},
+}
+
+// checkCross sends every cross request on every idle slot and checks that
+// each changes nothing (rule 8).  It leaves the model as it was unless it
+// fails.
+func (m *branchModel) checkCross() error {
+	var b0, b1 [64]byte
+	before := m.appendKey(b0[:0])
+	for slot, f := range m.busy {
+		if f.do != none {
+			continue
+		}
+		for id, kinds := range crossKinds {
+			if m.t.live[id] == nil {
+				continue
+			}
+			for _, k := range kinds {
+				a := m.t.step(id, branchEvent{kind: k, conn: m.conns[slot]})
+				if a.do != none || !bytes.Equal(m.appendKey(b1[:0]), before) {
+					return fmt.Errorf("rule 8: %s %s on %d, a branch of the other kind, made core call %d (%v) or changed the table", requestNames[k], id, slot, a.do, a.err)
+				}
+			}
 		}
 	}
 	return nil
@@ -397,18 +553,21 @@ func (m *branchModel) complete(slot int, ok bool) error {
 // fresh one in its place.
 func (m *branchModel) drop(slot int) error {
 	c := m.conns[slot]
-	aborted := map[histories.TxID]bool{}
+	ended := map[histories.TxID]coreCall{}
 	for id := range m.t.live {
-		if a := m.t.step(id, branchEvent{kind: evDrop, conn: c}); a.do == doAbort {
-			aborted[id] = true
-		}
+		ended[id] = m.t.step(id, branchEvent{kind: evDrop, conn: c}).do
+	}
+	if own := m.read.live && m.read.owner == slot; ended[readID] != when(own, doReadEnd) {
+		return fmt.Errorf("rule 7: dropping %d made core call %d on R; R live and its own=%v", slot, ended[readID], own)
+	} else if own {
+		m.read = modelRead{owner: -1}
 	}
 	for i, id := range branchIDs {
 		x := &m.tx[i]
-		if own := x.owner == slot && x.core == 'a'; aborted[id] != own {
-			return fmt.Errorf("rule 4: dropping %d aborted %s=%v; its own unprepared=%v", slot, id, aborted[id], own)
+		if own := x.owner == slot && x.core == 'a'; ended[id] != when(own, doAbort) {
+			return fmt.Errorf("rule 4: dropping %d made core call %d on %s; its own unprepared=%v", slot, ended[id], id, own)
 		}
-		if aborted[id] {
+		if ended[id] == doAbort {
 			if err := m.abort(i, evDrop); err != nil {
 				return err
 			}
@@ -421,12 +580,21 @@ func (m *branchModel) drop(slot int) error {
 	return nil
 }
 
+// when is do if own holds, none otherwise.
+func when(own bool, do coreCall) coreCall {
+	if own {
+		return do
+	}
+	return none
+}
+
 // restart crashes the shard, losing what was in flight, and recovers it
 // from its log as NewServer does: committed branches are remembered,
 // prepared ones (and those whose decided commit was not logged) recovered,
 // and the rest forgotten.
 func (m *branchModel) restart() error {
-	m.t, m.busy, m.finished = newTableForTest(), [nSlots]inflight{}, false
+	// The read branch's ReadTx, and its pin, die with the process.
+	m.t, m.busy, m.finished, m.read = newTableForTest(), [nSlots]inflight{}, false, modelRead{owner: -1}
 	for slot := range m.conns {
 		m.conns[slot] = &serverConn{}
 	}
@@ -463,6 +631,9 @@ func (m *branchModel) check() error {
 	if count != m.t.count {
 		return fmt.Errorf("branch counts %v, live branches %v", m.t.count, count)
 	}
+	if b, r := m.t.live[readID], m.read; (b != nil) != r.live || b != nil && (b.state != branchReading || b.owner != m.conns[r.owner]) {
+		return fmt.Errorf("rule 7: the table holds R=%v; the core's ReadTx live=%v, owned by %d", b != nil, r.live, r.owner)
+	}
 	for i, id := range branchIDs {
 		x := m.tx[i]
 		if (x.core == 'p' || x.core == 'f') && m.t.live[id] == nil {
@@ -479,5 +650,5 @@ func (m *branchModel) check() error {
 	if m.t.recovering() != m.anyRecovered() || m.finished == m.anyRecovered() {
 		return fmt.Errorf("rule 5: gate shut=%v, FinishRecovery ran=%v, recovered branches unresolved=%v", m.t.recovering(), m.finished, m.anyRecovered())
 	}
-	return nil
+	return m.checkCross()
 }

@@ -660,6 +660,132 @@ func TestReadBranchFreesSlotWithConnection(t *testing.T) {
 	}
 }
 
+// dialRaw opens a bare connection to addr and returns its round trip:
+// one request written, its reply read.
+func dialRaw(t *testing.T, addr string) func(message) message {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nc.Close() })
+	r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
+	return func(m message) message {
+		t.Helper()
+		if _, err := writeMessage(w, nil, &m); err != nil {
+			t.Fatal(err)
+		}
+		_ = w.Flush()
+		resp, _, err := readMessage(r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+}
+
+// readShard serves a shard holding one Counter, ctr, and returns its
+// address and the object.
+func readShard(t *testing.T) (string, *Server, *core.Object) {
+	t.Helper()
+	addr, srv := startShard(t, 0, 1)
+	ctr, err := RegisterObject(srv.System(), "ctr", "Counter", "hybrid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addr, srv, ctr
+}
+
+var (
+	rawInc  = message{typ: msgCall, obj: "ctr", a: adt.IncInv(1).Name, b: adt.IncInv(1).Arg}
+	rawRead = message{typ: msgReadCall, obj: "ctr", a: adt.CtrReadInv().Name, b: adt.CtrReadInv().Arg}
+)
+
+// with returns m naming transaction tx.
+func with(m message, tx string) message {
+	m.tx = tx
+	return m
+}
+
+// TestSecondReadBeginRefused: a read begin naming a live read branch is
+// refused and leaves the first branch in place, so completing the reader
+// releases the one pin it holds, and later commits fold.  A second begin
+// that replaced the first branch would strand its provisional pin, which
+// holds every horizon: no commit on the shard would fold again.
+func TestSecondReadBeginRefused(t *testing.T) {
+	addr, _, ctr := readShard(t)
+	rt := dialRaw(t, addr)
+	begin := rt(message{typ: msgReadBegin, tx: "R1"})
+	if begin.typ != msgTS {
+		t.Fatalf("read begin: %+v", begin)
+	}
+	if resp := rt(message{typ: msgReadBegin, tx: "R1"}); resp.typ != msgErr {
+		t.Fatalf("second read begin of a live R1: %+v, want refused", resp)
+	}
+	if resp := rt(message{typ: msgReadActivate, tx: "R1", ts: begin.ts + 1}); resp.typ != msgOK {
+		t.Fatalf("activate: %+v", resp)
+	}
+	if resp := rt(message{typ: msgReadComplete, tx: "R1", flag: 1}); resp.typ != msgOK {
+		t.Fatalf("complete: %+v", resp)
+	}
+	for i := range 50 {
+		tx := fmt.Sprintf("T%d", i)
+		if resp := rt(with(rawInc, tx)); resp.typ != msgRes {
+			t.Fatalf("call %s: %+v", tx, resp)
+		}
+		if resp := rt(message{typ: msgCommit, tx: tx}); resp.typ != msgTS {
+			t.Fatalf("commit %s: %+v", tx, resp)
+		}
+	}
+	if n := ctr.Stats().Unforgotten; n != 0 {
+		t.Fatalf("unforgotten = %d after the reader completed, want 0: a read pin was stranded", n)
+	}
+}
+
+// TestReadBranchOwnedByItsConnection: only the connection that began a
+// read branch reads through it or completes it.  Another connection's
+// call and complete are refused and leave the branch to its owner.
+func TestReadBranchOwnedByItsConnection(t *testing.T) {
+	addr, _, _ := readShard(t)
+	owner, other := dialRaw(t, addr), dialRaw(t, addr)
+	begin := owner(message{typ: msgReadBegin, tx: "R1"})
+	if resp := owner(message{typ: msgReadActivate, tx: "R1", ts: begin.ts + 1}); resp.typ != msgOK {
+		t.Fatalf("activate: %+v", resp)
+	}
+	if resp := other(with(rawRead, "R1")); resp.typ != msgErr {
+		t.Fatalf("read call from another connection: %+v, want refused", resp)
+	}
+	if resp := other(message{typ: msgReadComplete, tx: "R1", flag: 1}); resp.typ != msgErr {
+		t.Fatalf("complete from another connection: %+v, want refused", resp)
+	}
+	if resp := owner(with(rawRead, "R1")); resp.typ != msgRes {
+		t.Fatalf("owner's read call after the refusals: %+v", resp)
+	}
+	if resp := owner(message{typ: msgReadComplete, tx: "R1", flag: 1}); resp.typ != msgOK {
+		t.Fatalf("owner's complete: %+v", resp)
+	}
+}
+
+// TestCallOnReadBranchRefused: an update call naming a live read branch
+// is refused, from its owner or any other connection, instead of opening
+// an update branch under the same id.  The read branch stays listed as
+// reading.
+func TestCallOnReadBranchRefused(t *testing.T) {
+	addr, srv, _ := readShard(t)
+	owner, other := dialRaw(t, addr), dialRaw(t, addr)
+	if resp := owner(message{typ: msgReadBegin, tx: "R1"}); resp.typ != msgTS {
+		t.Fatalf("read begin: %+v", resp)
+	}
+	for name, rt := range map[string]func(message) message{"owner": owner, "other": other} {
+		if resp := rt(with(rawInc, "R1")); resp.typ != msgErr {
+			t.Fatalf("update call on read branch R1 from its %s: %+v, want refused", name, resp)
+		}
+	}
+	if bs := srv.Branches(); len(bs) != 1 || bs[0].ID != "R1" || bs[0].State != "reading" || bs[0].AgeMs < 0 || bs[0].AgeMs > 60000 {
+		t.Fatalf("branches %+v, want R1 reading since its begin", bs)
+	}
+}
+
 func TestDialRejectsWrongTopology(t *testing.T) {
 	addr, _ := startShard(t, 1, 4)
 	if _, err := DialShard(addr, 0, 4, ClientOptions{Timeout: time.Second}); err == nil {
@@ -891,24 +1017,7 @@ func TestRecoveringShardGatesNewWork(t *testing.T) {
 	addr, _, _ := reopenShard(t, dir)
 
 	// Speak the protocol manually so the pending branch stays unresolved.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
-	rt := func(m message) message {
-		t.Helper()
-		if _, err := writeMessage(w, nil, &m); err != nil {
-			t.Fatal(err)
-		}
-		_ = w.Flush()
-		resp, _, err := readMessage(r, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
+	rt := dialRaw(t, addr)
 	hello := rt(message{typ: msgHello, n: protoVersion})
 	if hello.flag != stateRecovering {
 		t.Fatalf("handshake state %d, want recovering", hello.flag)
@@ -921,6 +1030,9 @@ func TestRecoveringShardGatesNewWork(t *testing.T) {
 	call := rt(message{typ: msgCall, tx: "T-new", obj: "ctr", a: "Inc", b: "1"})
 	if call.typ != msgErr || call.flag != errCodeRecovering {
 		t.Fatalf("call while recovering: %+v, want recovering error", call)
+	}
+	if read := rt(message{typ: msgReadBegin, tx: "R-new"}); read.typ != msgErr || read.flag != errCodeRecovering {
+		t.Fatalf("read begin while recovering: %+v, want recovering error", read)
 	}
 	// Resolving the branch opens the gate.
 	if resp := rt(message{typ: msgAbort, tx: "T-pending"}); resp.typ != msgOK {

@@ -24,13 +24,14 @@ import (
 // client may pipeline a transaction's write-behind calls ahead of a
 // request; the loop answers such a burst with one write.
 //
-// The server is the 2PC participant, and its update branches' rules are
-// one transition function, branchTable.step (branch.go): a handler asks
-// step what a request does, makes the one core call the action names, and
+// The server is the 2PC participant, and its branches' rules are one
+// transition function, branchTable.step (branch.go): a handler asks step
+// what a request does, makes the one core call the action names, and
 // reports the call's result as the next event.  TestBranchRules checks
-// step against a model shard.  A branch is active, prepared (voted yes),
-// deciding (a commit is being applied), failed (its decided commit could
-// not be logged) or recovered (prepared before a restart).  The rules:
+// step against a model shard.  An update branch is active, prepared (voted
+// yes), deciding (a commit is being applied), failed (its decided commit
+// could not be logged) or recovered (prepared before a restart); a read
+// branch is reading.  The rules:
 //
 //   - A prepared branch never ends without a decision.  A connection that
 //     dies aborts exactly its own active branches and disowns the rest:
@@ -44,6 +45,11 @@ import (
 //   - A shard whose log holds prepared-but-undecided branches recovers:
 //     it refuses new work until the last of them is resolved by a decision
 //     or an abort, and FinishRecovery has replayed the committed log.
+//   - A transaction id names one branch, update or read: a read begin or
+//     a call naming the other kind's live branch is refused.  Only a read
+//     branch's own connection reads through it or completes it, and its
+//     complete or its connection's drop finishes the read exactly once,
+//     releasing the pin it holds on the forget horizon.
 type Server struct {
 	sys    *core.System
 	shard  int
@@ -54,7 +60,6 @@ type Server struct {
 	ln       net.Listener
 	conns    map[*serverConn]bool
 	branches branchTable
-	reads    map[histories.TxID]*readEntry
 	closed   bool
 
 	// regMu serialises registration batches, so a batch's check of which
@@ -73,12 +78,6 @@ type ServerOptions struct {
 	// made before the message is acknowledged.  A volatile server (tests,
 	// benchmarks) leaves it nil.
 	Catalog *Catalog
-}
-
-// readEntry tracks one read-only branch.
-type readEntry struct {
-	r     *core.ReadTx
-	owner *serverConn
 }
 
 // serverConn is one client connection.
@@ -101,7 +100,6 @@ func NewServer(sys *core.System, shard, shards int, opts ServerOptions) (*Server
 		opts:     opts,
 		conns:    make(map[*serverConn]bool),
 		branches: branchTable{live: map[histories.TxID]*branch{}, outcomes: map[histories.TxID]txOutcome{}},
-		reads:    make(map[histories.TxID]*readEntry),
 	}
 	now := time.Now()
 	for tx := range sys.RecoveredCommittedSeq() {
@@ -124,8 +122,8 @@ func (s *Server) Recovering() bool {
 	return s.branches.recovering()
 }
 
-// BranchInfo is one live update branch: its transaction, its state
-// (active, prepared, deciding, failed or recovered), and how long since it
+// BranchInfo is one live branch: its transaction, its state (active,
+// prepared, deciding, failed, recovered or reading), and how long since it
 // began, or since it voted yes once it has.
 type BranchInfo struct {
 	ID    string  `json:"id"`
@@ -133,7 +131,7 @@ type BranchInfo struct {
 	AgeMs float64 `json:"age_ms"`
 }
 
-// Branches lists the shard's live update branches.
+// Branches lists the shard's live branches, update and read.
 func (s *Server) Branches() []BranchInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -251,27 +249,21 @@ func (s *Server) serveConn(c *serverConn) {
 func (s *Server) dropConn(c *serverConn) {
 	c.cancel()
 	_ = c.nc.Close()
-	var aborts []*core.Tx
-	var reads []*core.ReadTx
+	var ends []*branch
 	s.mu.Lock()
 	delete(s.conns, c)
-	for id, b := range s.branches.live {
-		if a := s.branches.step(id, branchEvent{kind: evDrop, conn: c}); a.do == doAbort {
-			aborts = append(aborts, b.tx)
-		}
-	}
-	for id, e := range s.reads {
-		if e.owner == c {
-			reads = append(reads, e.r)
-			delete(s.reads, id)
+	for id := range s.branches.live {
+		if a := s.branches.step(id, branchEvent{kind: evDrop, conn: c}); a.do != none {
+			ends = append(ends, a.b)
 		}
 	}
 	s.mu.Unlock()
-	for _, tx := range aborts {
-		_ = tx.Abort()
-	}
-	for _, r := range reads {
-		_ = r.Abort()
+	for _, b := range ends {
+		if b.read != nil {
+			_ = b.read.Abort()
+		} else {
+			_ = b.tx.Abort()
+		}
 	}
 }
 
@@ -304,61 +296,8 @@ func (s *Server) handle(c *serverConn, m *message) message {
 		}
 		return message{typ: msgOK}
 
-	case msgCall, msgCommit, msgPrepare, msgDecide, msgAbort, msgTxStatus:
+	case msgCall, msgCommit, msgPrepare, msgDecide, msgAbort, msgTxStatus, msgReadBegin, msgReadActivate, msgReadCall, msgReadComplete:
 		return s.handleBranch(c, m)
-
-	case msgReadBegin:
-		id := histories.TxID(m.tx)
-		var r *core.ReadTx
-		s.mu.Lock()
-		a := s.branches.step(id, branchEvent{kind: evReadBegin, closed: s.closed})
-		if a.err == nil {
-			r = s.sys.BeginReadOnlyBranch(c.ctx, id)
-			s.reads[id] = &readEntry{r: r, owner: c}
-		}
-		s.mu.Unlock()
-		if a.err != nil {
-			return errMsg(a.err)
-		}
-		return message{typ: msgTS, ts: uint64(r.ClockBound())}
-
-	case msgReadActivate:
-		e := s.readEntryOf(histories.TxID(m.tx))
-		if e == nil {
-			return errMsg(fmt.Errorf("netproto: unknown read branch %s", m.tx))
-		}
-		e.r.ActivateAt(histories.Timestamp(m.ts))
-		return message{typ: msgOK}
-
-	case msgReadCall:
-		e := s.readEntryOf(histories.TxID(m.tx))
-		if e == nil {
-			return errMsg(fmt.Errorf("netproto: unknown read branch %s", m.tx))
-		}
-		o := s.sys.LookupObject(histories.ObjID(m.obj))
-		if o == nil {
-			return errMsg(fmt.Errorf("netproto: no object %q on shard %d", m.obj, s.shard))
-		}
-		res, err := o.ReadCall(e.r, spec.Invocation{Name: m.a, Arg: m.b})
-		if err != nil {
-			return errMsg(err)
-		}
-		return message{typ: msgRes, a: res}
-
-	case msgReadComplete:
-		id := histories.TxID(m.tx)
-		s.mu.Lock()
-		e := s.reads[id]
-		delete(s.reads, id)
-		s.mu.Unlock()
-		if e != nil {
-			if m.flag == 1 {
-				_ = e.r.Commit()
-			} else {
-				_ = e.r.Abort()
-			}
-		}
-		return message{typ: msgOK}
 
 	case msgStats:
 		blob, err := json.Marshal(s.sys.Stats())
@@ -468,15 +407,8 @@ func RegisterObject(sys *core.System, name, typeName, scheme string) (*core.Obje
 	return sys.NewObjectPolicies(name, d.Spec, d.Policies, scheme)
 }
 
-// readEntryOf looks up a read entry.
-func (s *Server) readEntryOf(id histories.TxID) *readEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reads[id]
-}
-
-// handleBranch runs one request on an update branch.  A branch binds to
-// its first call's connection context, so a dead client unblocks its own
+// handleBranch runs one request on a branch.  A branch binds to its
+// first request's connection context, so a dead client unblocks its own
 // lock waits.  A fast-path commit serializes above the request's ts, the
 // largest decision the client has sent this shard, which may not be
 // applied here yet.  A decided commit is acknowledged only once its
@@ -485,23 +417,42 @@ func (s *Server) handleBranch(c *serverConn, m *message) message {
 	id, ts, kind := histories.TxID(m.tx), histories.Timestamp(m.ts), requestEvents[m.typ]
 	s.mu.Lock()
 	a := s.resolveLocked(id, s.branches.step(id, branchEvent{kind: kind, conn: c, closed: s.closed, ts: ts}))
-	if a.do == doBegin {
+	switch a.do {
+	case doBegin:
 		a.b.tx, a.b.since = s.sys.BeginBranch(c.ctx, id), time.Now()
+	case doReadBegin:
+		a.b.read, a.b.since = s.sys.BeginReadOnlyBranch(c.ctx, id), time.Now()
 	}
 	s.mu.Unlock()
 	var lower histories.Timestamp
 	ev := branchEvent{ts: ts}
 	switch a.do {
-	case doBegin, doCall:
+	case doBegin, doCall, doReadCall:
 		o := s.sys.LookupObject(histories.ObjID(m.obj))
 		if o == nil {
 			return errMsg(fmt.Errorf("netproto: no object %q on shard %d", m.obj, s.shard))
 		}
-		res, err := o.Call(a.b.tx, spec.Invocation{Name: m.a, Arg: m.b})
+		var res string
+		var err error
+		if a.do == doReadCall {
+			res, err = o.ReadCall(a.b.read, spec.Invocation{Name: m.a, Arg: m.b})
+		} else {
+			res, err = o.Call(a.b.tx, spec.Invocation{Name: m.a, Arg: m.b})
+		}
 		if err != nil {
 			return errMsg(err)
 		}
 		return message{typ: msgRes, a: res}
+	case doReadBegin:
+		return message{typ: msgTS, ts: uint64(a.b.read.ClockBound())}
+	case doActivate:
+		a.b.read.ActivateAt(ts)
+	case doReadEnd:
+		if m.flag == 1 {
+			_ = a.b.read.Commit()
+		} else {
+			_ = a.b.read.Abort()
+		}
 	case doAbort:
 		_ = a.b.tx.Abort()
 	case doCommitAbove:
@@ -535,7 +486,10 @@ func (s *Server) handleBranch(c *serverConn, m *message) message {
 }
 
 // requestEvents is the branch event each request is.
-var requestEvents = map[byte]branchEvKind{msgCall: evCall, msgCommit: evCommit, msgPrepare: evPrepare, msgDecide: evDecide, msgAbort: evAbort, msgTxStatus: evStatus}
+var requestEvents = map[byte]branchEvKind{
+	msgCall: evCall, msgCommit: evCommit, msgPrepare: evPrepare, msgDecide: evDecide, msgAbort: evAbort, msgTxStatus: evStatus,
+	msgReadBegin: evReadBegin, msgReadActivate: evReadActivate, msgReadCall: evReadCall, msgReadComplete: evReadComplete,
+}
 
 // resolveLocked makes the recovery calls a names, reporting each result,
 // and returns the first action that names none.  They run under s.mu (or

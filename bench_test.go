@@ -386,13 +386,14 @@ func BenchmarkSpecReplay(b *testing.B) {
 // loopback, and reports round_trips/op as the shards' listeners count them
 // (direction flips ÷ 2, as benchmark/proxy.go does).  The Credits go
 // write-behind, so the one-shard shapes take three round trips: the Debit,
-// the owed replies, the commit.  The cross shape sends five exchanges —
-// the Debit, two prepares (the Credit's rides in front of one) and two
-// decisions — but reads ≈ 4.2 round trips/op (13.5 syscr/op, 9.2 syscw/op
-// at -benchtime 20000x): a committed round returns at its decision, and a
-// shard often answers the owed decide and the next request in one write.
-// Where /proc/self/io can be read it also reports syscr/op and syscw/op,
-// the read and write system calls of the client and both shards together.
+// the owed replies, the commit.  The cross shape takes three too (3.00
+// round trips/op, 11.0 syscr/op, 6.0 syscw/op at -benchtime 20000x, against
+// 4.1–4.3, 12.8–13.7 and 9.1–9.3 when each decide was written on its own):
+// a committed round returns with its decides buffered, each rides ahead of
+// its connection's next frame — the Debit, or the Credit's frame and the
+// prepare behind it — and the shard answers them in one write.  Where
+// /proc/self/io can be read it also reports syscr/op and syscw/op, the
+// read and write system calls of the client and both shards together.
 func BenchmarkDialedPayment(b *testing.B) {
 	for _, shape := range []struct {
 		name           string

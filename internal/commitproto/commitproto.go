@@ -27,11 +27,16 @@
 //
 // A round returns at its decision, without waiting for acknowledgements:
 // the wire transport keeps each decision in its client's outbox until the
-// shard acknowledges it, and resends a lost one.  A transport must stay
-// open until its decisions are applied — a caller that re-applies a missed
-// decision (standard 2PC recovery) does it after RunTransports returns —
-// and closing a wire transport makes one last attempt, within one RPC
-// timeout, and names each decision it could not deliver.
+// shard acknowledges it, and resends a lost one.  The decision itself is
+// piggybacked the same way as the timestamps: the wire transport buffers
+// a commit decision unsent, for the next message on its connection to
+// carry ahead of it (or a timer, if none comes within a millisecond), so
+// a busy client's decision round costs no message of its own.  A
+// transport must stay open until its decisions are applied — a caller that
+// re-applies a missed decision (standard 2PC recovery) does it after
+// RunTransports returns — and closing a wire transport makes one last
+// attempt, within one RPC timeout, and names each decision it could not
+// deliver.
 package commitproto
 
 import (

@@ -41,7 +41,8 @@ import (
 // WriteBehind call's reply and a decision's are owed and read before the
 // next response, and a connection owing decisions' replies goes back to
 // the pool at once, for its next user, the idle sweep or Close to read the
-// acknowledgements and report them to DecisionAcked.  Until the
+// acknowledgements and report them to DecisionAcked; one holding a commit
+// decision unflushed goes first, its next frame carrying it.  Until the
 // shard applies a decision, a fast-path commit there could draw a
 // timestamp below it, so Commit carries the largest decision timestamp
 // sent to the shard, and the shard commits above it.
@@ -135,8 +136,10 @@ type ClientOptions struct {
 
 // rpcConn is one pooled connection with its buffers and its protocol
 // state.  A connection is used by one exchange at a time (pool checkout or
-// transaction pinning makes it exclusive).
+// transaction pinning makes it exclusive): mu is held from its first step
+// until run returns, and by the sweep, which may flush a pinned one.
 type rpcConn struct {
+	mu   sync.Mutex
 	nc   net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
@@ -144,16 +147,16 @@ type rpcConn struct {
 	wbuf []byte
 	st   connState
 	tx   histories.TxID // the transaction it is pinned to, if any
-	// deadline is the one the last action armed; sweep, touched under the
-	// client's mu, reads the replies a pooled connection owes sweepLead
-	// before then.
-	deadline time.Time
-	sweep    *time.Timer
+	// sweep, touched under the client's mu, flushes and reads what the
+	// connection owes flushLag after it was pooled owing it.
+	sweep *time.Timer
 }
 
-// sweepLead is how long before a pooled connection's deadline the sweep
-// reads its owed replies, under that deadline.
-const sweepLead = 10 * time.Millisecond
+// flushLag bounds how long a commit decision waits in a connection's
+// buffer for a next frame to ride on, and so how much longer its branch
+// holds its locks, before the sweep flushes it.  At 200 µs the sweep beat
+// busy clients' next frames (wire-cross, 2 vCPU: 3.17 round trips, not 3.07).
+const flushLag = time.Millisecond
 
 // DialShard connects to a shard server, verifies the handshake (shard
 // index and count must match what the caller routes by), and resolves the
@@ -218,9 +221,8 @@ func (c *ShardClient) Close() error {
 	c.idle, c.pinned = nil, map[histories.TxID]*rpcConn{}
 	c.mu.Unlock()
 	for _, rc := range idle {
-		if len(rc.st.owed) > 0 && rc.nc.SetDeadline(deadline) == nil {
-			c.run(rc, nil, rc.st.step(event{kind: evStart}), 0, false)
-		}
+		rc.mu.Lock()
+		c.run(rc, nil, rc.st.step(event{kind: evStart}), time.Until(deadline), false)
 		_ = rc.nc.Close()
 	}
 	for _, rc := range pinned {
@@ -337,8 +339,7 @@ func (c *ShardClient) resolvePending(rc *rpcConn, timeout time.Duration) error {
 // connection (the stream may be desynchronized).
 func (rc *rpcConn) do(a action, req *message, timeout time.Duration) (resp message, err error) {
 	if a.arm {
-		rc.deadline = time.Now().Add(timeout)
-		if err = rc.nc.SetDeadline(rc.deadline); err != nil {
+		if err = rc.nc.SetDeadline(time.Now().Add(timeout)); err != nil {
 			return message{}, err
 		}
 	}
@@ -390,8 +391,9 @@ func (c *ShardClient) timeoutFor(ctx context.Context) time.Duration {
 // in-flight work finishes (or fails on its own merits) rather than being
 // cut off by other transactions' failures.  Held registrations go first,
 // unless req is one of their batches or a decision, whose transaction sent
-// them ahead of its first request.  A decision joins the outbox, awaiting
-// its reply on the connection returned.  A lost transaction's calls,
+// them ahead of its first request.  A pooled connection holding a buffered
+// decision goes first, to carry it out.  A decision joins the outbox,
+// awaiting its reply on the connection returned.  A lost transaction's calls,
 // prepare and commit are refused; its commit or any other request ends
 // the mark.
 func (c *ShardClient) checkout(tx histories.TxID, req *message, decision bool, timeout time.Duration) (*rpcConn, error) {
@@ -427,8 +429,12 @@ func (c *ShardClient) checkout(tx histories.TxID, req *message, decision bool, t
 		return nil, fmt.Errorf("%w: client closed", ErrUnavailable)
 	}
 	if n := len(c.idle); n > 0 {
-		rc = c.idle[n-1]
-		c.idle = c.idle[:n-1]
+		i := slices.IndexFunc(c.idle, func(rc *rpcConn) bool { return rc.st.buffered })
+		if i < 0 {
+			i = n - 1
+		}
+		rc = c.idle[i]
+		c.idle = slices.Delete(c.idle, i, i+1)
 	}
 	c.mu.Unlock()
 	if rc == nil {
@@ -454,20 +460,22 @@ func (c *ShardClient) checkout(tx histories.TxID, req *message, decision bool, t
 	return rc, nil
 }
 
-// start checks out tx's connection for req and steps req in; wb marks a
-// request whose reply is owed: a write-behind call's, or a decision's.
-func (c *ShardClient) start(tx histories.TxID, req *message, wb bool, timeout time.Duration) (*rpcConn, action) {
+// start checks out tx's connection for req, locks it and steps req in; wb
+// marks a request whose reply is owed: a write-behind call's, or a
+// decision's; lazy, a commit decision that waits for the next frame.
+func (c *ShardClient) start(tx histories.TxID, req *message, wb, lazy bool, timeout time.Duration) (*rpcConn, action) {
 	rc, err := c.checkout(tx, req, wb && req.typ != msgCall, timeout)
 	if err != nil {
 		return nil, action{done: true, err: err}
 	}
-	return rc, rc.st.step(event{kind: evStart, typ: req.typ, wb: wb, pinned: rc.tx != "", tx: req.tx})
+	rc.mu.Lock()
+	return rc, rc.st.step(event{kind: evStart, typ: req.typ, wb: wb, lazy: lazy, pinned: rc.tx != "", tx: req.tx})
 }
 
 // request runs req for tx (any pooled connection when tx is "") to the end,
 // bounded by timeout, and returns its response, or what failed it.
 func (c *ShardClient) request(tx histories.TxID, req *message, timeout time.Duration) (message, error) {
-	rc, a := c.start(tx, req, false, timeout)
+	rc, a := c.start(tx, req, false, false, timeout)
 	resp, a := c.run(rc, req, a, timeout, false)
 	if a.err != nil {
 		return message{}, a.err
@@ -478,8 +486,11 @@ func (c *ShardClient) request(tx histories.TxID, req *message, timeout time.Dura
 // run does what rc's actions for req say, each outcome stepped in, until
 // the exchange is done — or, with half set, until only reading is left:
 // the send half of a prepare or an abort decision.  It returns the last
-// reply read, the response when the exchange is done.
+// reply read, the response when the exchange is done, and unlocks rc.
 func (c *ShardClient) run(rc *rpcConn, req *message, a action, timeout time.Duration, half bool) (message, action) {
+	if rc != nil {
+		defer rc.mu.Unlock()
+	}
 	var resp message
 	for !a.done && !(half && a.read) {
 		var err error
@@ -540,11 +551,10 @@ func (c *ShardClient) finish(rc *rpcConn, a action) {
 	if pooled {
 		c.idle = append(c.idle, rc)
 		if owed {
-			d := time.Until(rc.deadline) - sweepLead
 			if rc.sweep == nil {
-				rc.sweep = time.AfterFunc(d, func() { c.sweepIdle(rc) })
+				rc.sweep = time.AfterFunc(flushLag, func() { c.sweepIdle(rc) })
 			} else {
-				rc.sweep.Reset(d)
+				rc.sweep.Reset(flushLag)
 			}
 		}
 		c.mu.Unlock()
@@ -554,23 +564,26 @@ func (c *ShardClient) finish(rc *rpcConn, a action) {
 	_ = rc.nc.Close()
 }
 
-// sweepIdle reads the replies owed by a connection that has idled in the
-// pool until just before its deadline, under that deadline: each
-// acknowledgement is reported, and a decision whose reply is an error, or
-// never comes, falls due.  A connection checked out meanwhile is left
-// to its user, who reads the replies first.
+// sweepIdle flushes a buffered decision and reads the replies owed by a
+// connection that has idled in the pool: each acknowledgement is reported,
+// and a decision whose reply is an error, or never comes, falls due.  A
+// connection checked out meanwhile is left to its user, who reads the
+// replies, but a decision still buffered behind a write-behind call is
+// flushed.
 func (c *ShardClient) sweepIdle(rc *rpcConn) {
+	rc.mu.Lock()
 	c.mu.Lock()
-	i := slices.Index(c.idle, rc)
-	if c.closed || i < 0 || len(rc.st.owed) == 0 {
+	pooled := slices.Contains(c.idle, rc)
+	if c.closed || len(rc.st.owed) == 0 || !pooled && !rc.st.buffered {
 		c.mu.Unlock()
+		rc.mu.Unlock()
 		return
 	}
-	c.idle = slices.Delete(c.idle, i, i+1)
+	c.idle = slices.DeleteFunc(c.idle, func(o *rpcConn) bool { return o == rc })
 	c.wg.Add(1)
 	c.mu.Unlock()
 	defer c.wg.Done()
-	c.run(rc, nil, rc.st.step(event{kind: evStart}), 0, false)
+	c.run(rc, nil, rc.st.step(event{kind: evStart, pinned: !pooled}), c.opts.Timeout, false)
 }
 
 // --- core.RemoteShard ---
@@ -688,7 +701,7 @@ func (c *ShardClient) Call(ctx context.Context, tx histories.TxID, obj histories
 func (c *ShardClient) WriteBehind(ctx context.Context, tx histories.TxID, obj histories.ObjID, inv spec.Invocation) error {
 	req := &message{typ: msgCall, tx: string(tx), obj: string(obj), a: inv.Name, b: inv.Arg}
 	d := c.timeoutFor(ctx)
-	rc, a := c.start(tx, req, true, d)
+	rc, a := c.start(tx, req, true, false, d)
 	_, a = c.run(rc, req, a, d, false)
 	return a.err
 }
@@ -705,7 +718,7 @@ func (c *ShardClient) WriteBehind(ctx context.Context, tx histories.TxID, obj hi
 func (c *ShardClient) Commit(ctx context.Context, tx histories.TxID) (histories.Timestamp, error) {
 	req := &message{typ: msgCommit, tx: string(tx), ts: c.decided.Load()}
 	d := c.timeoutFor(ctx)
-	rc, a := c.start(tx, req, false, d)
+	rc, a := c.start(tx, req, false, false, d)
 	resp, a := c.run(rc, req, a, d, false)
 	switch {
 	case a.lost:
@@ -837,12 +850,13 @@ func (t shardTransport) StartPrepare(ctx context.Context, tx histories.TxID, tim
 	c.mu.Unlock()
 	d := bound(c.timeoutFor(ctx), timeout)
 	req := &message{typ: msgPrepare, tx: string(tx), n: uint64(n)}
-	rc, a := c.start(tx, req, false, d)
+	rc, a := c.start(tx, req, false, false, d)
 	_, half := c.run(rc, req, a, d, true)
 	return func() (histories.Timestamp, bool, bool) {
 		a := half
 		var resp message
 		if !a.done {
+			rc.mu.Lock()
 			resp, a = c.run(rc, nil, a, d, false)
 		}
 		switch {
@@ -855,19 +869,19 @@ func (t shardTransport) StartPrepare(ctx context.Context, tx histories.TxID, tim
 	}
 }
 
-// StartCommit implements commitproto.Transport: send the commit decision.
-// It stays in the outbox until the shard acknowledges it — the decision is
-// logged and irreversible, and a prepared branch holds its locks until it
-// learns its fate.
+// StartCommit implements commitproto.Transport: buffer the commit decision
+// for its connection's next frame or the sweep.  It stays in the outbox
+// until acknowledged — the decision is logged and irreversible, and a
+// prepared branch holds its locks until it learns its fate.
 func (t shardTransport) StartCommit(ctx context.Context, tx histories.TxID, ts histories.Timestamp, timeout time.Duration) func() bool {
-	return t.c.startDecision(tx, msgDecide, ts, timeout)
+	return t.c.startDecision(tx, msgDecide, ts, timeout, true)
 }
 
 // StartAbort implements commitproto.Transport: send the abort decision,
 // which stays in the outbox until acknowledged too (a disowned prepared
 // branch would otherwise hold its locks until the shard restarts).
 func (t shardTransport) StartAbort(ctx context.Context, tx histories.TxID, timeout time.Duration) func() bool {
-	return t.c.startDecision(tx, msgAbort, 0, timeout)
+	return t.c.startDecision(tx, msgAbort, 0, timeout, false)
 }
 
 // undelivered and sent are the completions of a decision that could not be
@@ -880,15 +894,16 @@ func sent() bool        { return true }
 // connection.  An abort's completion reads the acknowledgement.  A commit
 // decision's reply is owed instead, and the connection goes back at once:
 // the decision is settled, and its reply is read by whoever settles the
-// connection next.  One that cannot be sent falls due.
-func (c *ShardClient) startDecision(tx histories.TxID, typ byte, ts histories.Timestamp, timeout time.Duration) func() bool {
+// connection next, which flushes it first when lazy left it buffered.  One
+// that cannot be sent falls due.
+func (c *ShardClient) startDecision(tx histories.TxID, typ byte, ts histories.Timestamp, timeout time.Duration, lazy bool) func() bool {
 	req := &message{typ: typ, tx: string(tx), ts: uint64(ts)}
 	if typ == msgDecide {
 		for old := c.decided.Load(); uint64(ts) > old && !c.decided.CompareAndSwap(old, uint64(ts)); old = c.decided.Load() {
 		}
 	}
 	d := bound(c.opts.Timeout, timeout)
-	rc, a := c.start(tx, req, true, d)
+	rc, a := c.start(tx, req, true, lazy, d)
 	if rc == nil {
 		c.park(req)
 		return undelivered
@@ -901,6 +916,7 @@ func (c *ShardClient) startDecision(tx histories.TxID, typ byte, ts histories.Ti
 	}
 	pending := a
 	return func() bool {
+		rc.mu.Lock()
 		_, a := c.run(rc, nil, pending, d, false)
 		return a.err == nil
 	}
@@ -961,7 +977,7 @@ func (c *ShardClient) resend(deadline time.Time, drain bool) bool {
 	c.mu.Unlock()
 	for i := range due {
 		if t := time.Until(deadline); t > 0 {
-			c.startDecision(histories.TxID(due[i].tx), due[i].typ, histories.Timestamp(due[i].ts), t)()
+			c.startDecision(histories.TxID(due[i].tx), due[i].typ, histories.Timestamp(due[i].ts), t, false)()
 		} else {
 			c.park(&due[i])
 		}

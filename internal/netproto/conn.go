@@ -26,6 +26,11 @@ import (
 //     reply.  A commit reads the owed call replies before its frame goes
 //     out, because a commit cannot be overruled; a prepare and an abort go
 //     out behind them.
+//   - A commit decision on its transaction's connection is written, not
+//     flushed, to ride ahead of the connection's next frame: the next
+//     exchange but a write-behind call flushes it, or else the sweep,
+//     which reads a pooled connection's replies only.  No reply is read
+//     while a frame is buffered.
 //   - An owed call's error reply fails the rest of its transaction: a call
 //     or write-behind call returns it unsent, a commit sends an abort in
 //     its place, and a prepare's vote is a no.  An abort ignores it.
@@ -46,6 +51,8 @@ type connState struct {
 	owed []string
 	// failed is the first error an owed call's reply carried.
 	failed error
+	// buffered is set while a commit decision's frame waits unflushed.
+	buffered bool
 	// answered lists the decisions whose replies were read, for the outbox.
 	answered []answer
 
@@ -80,12 +87,13 @@ const (
 )
 
 // event is one input of step.  wb marks a request whose reply is owed: a
-// write-behind call, or a decision (msgDecide or msgAbort); pinned, a
-// request of the transaction that holds the connection.
+// write-behind call, or a decision (msgDecide or msgAbort); lazy, a commit
+// decision left buffered; pinned, a request of the connection's holder.
 type event struct {
 	kind   evKind
 	typ    byte
 	wb     bool
+	lazy   bool
 	pinned bool
 	tx     string
 	err    error
@@ -130,7 +138,18 @@ func (s *connState) step(ev event) action {
 	switch ev.kind {
 	case evStart:
 		s.typ, s.tx, s.wb, s.pinned, s.sent, s.wired, s.broken = ev.typ, ev.tx, ev.wb, ev.pinned, false, false, false
-		return s.next()
+		buffered := s.buffered
+		a := s.next()
+		// The first exchange after a buffered decision flushes it, but a
+		// write-behind call; a lazy commit decision waits for the next.
+		switch {
+		case buffered && !a.done && !(s.wb && s.typ == msgCall):
+			a.arm, a.flush = true, true
+			s.buffered, s.wired = false, true
+		case ev.lazy:
+			a.flush, s.buffered, s.wired = false, true, false
+		}
+		return a
 	case evWrote:
 		if s.wb && !s.sent {
 			return s.done(nil)
@@ -168,6 +187,11 @@ func (s *connState) step(ev event) action {
 // next is the rest of the exchange under way.
 func (s *connState) next() action {
 	switch typ := s.typ; {
+	case typ == 0 && s.pinned:
+		// The sweep of a pinned connection only flushes: the
+		// transaction's replies stay owed.
+		s.wb = true
+		return action{}
 	case s.sent || len(s.owed) > 0 && (typ == 0 || s.wired):
 		// A response, the owed replies of a sweep, or a commit's drain.
 		s.wired = true
@@ -224,7 +248,7 @@ func failing(typ byte) bool {
 // transaction.
 func ends(typ byte, err error) bool {
 	switch typ {
-	case 0, msgCommit, msgAbort, msgReadComplete, msgDecide:
+	case msgCommit, msgAbort, msgReadComplete, msgDecide:
 		return true
 	}
 	return typ == msgReadBegin && err != nil

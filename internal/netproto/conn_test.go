@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"hybridcc/internal/core"
 )
@@ -24,37 +25,49 @@ import (
 //   - every started reply is read, or the connection is closed: each read
 //     is the reply the shard sends next, a response is read before the
 //     exchange ends, and the connection's owed list is what the shard
-//     still owes;
-//   - every write has a fresh deadline, armed in its own action.
+//     still owes, buffered or sent;
+//   - every write has a fresh deadline, armed in its own action;
+//   - a buffered frame is on the wire before any read on its connection;
+//   - the first exchange after a buffered commit decision flushes it in its
+//     first action, unless it is a write-behind call, whose frame waits
+//     behind it; the sweep flushes it, pinned connection or pooled, and
+//     reads only a pooled connection's replies: a pinned one's stay owed
+//     to its transaction, which keeps the connection.
 //
 // It also checks that a commit's frame never goes out while a call's reply
 // is owed or after one failed, and that the breaker is told once per
-// exchange that reached the wire.  Beside the connection it keeps the
-// client's outbox as checkout and finish change it, and checks that a
-// decision — commit or abort — leaves the outbox only on its
+// exchange that reached the wire: a buffered decision's by the exchange
+// that flushed it.  Beside the connection it keeps the client's outbox as
+// checkout and finish change it, and checks that a decision — commit or
+// abort, buffered or flushed — leaves the outbox only on its
 // acknowledgement or ErrTxDone, that each acknowledgement is reported
-// once, and that what a closed connection owed, or the shard refused, is
-// due for the drain.
+// once, and that what a closed connection owed, a buffered decision's
+// included, or the shard refused, is due for the drain.  A buffered
+// decision leaves the buffer by the next exchange's flush, by the sweep's,
+// or with the connection when the transport breaks.
 func TestConnRules(t *testing.T) {
 	// Deepening one event at a time reports a shortest sequence that
 	// breaks a rule.
+	start := time.Now()
 	n := 0
 	for depth := 1; depth <= connDepth; depth++ {
-		m := &connModel{a: action{done: true}, out: outbox{}, open: map[string]bool{}}
-		var err error
-		if n, err = m.walk(depth); err != nil {
+		m := &connModel{a: action{done: true}, out: outbox{}, open: map[string]bool{}, seen: map[string]int{}}
+		if err := m.walk(depth); err != nil {
 			t.Fatal(err)
 		}
+		n = len(m.seen)
 	}
-	if n < 10000 {
-		t.Fatalf("explored only %d sequences; the walk looks truncated", n)
+	t.Logf("%d states within %d events, in %v", n, connDepth, time.Since(start).Round(time.Millisecond))
+	if n < 2000 {
+		t.Fatalf("reached only %d states; the walk looks truncated", n)
 	}
 }
 
 // connDepth is the number of events per sequence: deep enough for two
-// write-behind calls, a prepare behind them, its decision and a sweep of
-// the decision's reply (≈ 300 000 sequences, 0.9 s; 3 s under -race).
-const connDepth = 14
+// write-behind calls, a prepare behind them, its buffered decision, the
+// sweep that flushes it and reads its reply, and a next transaction
+// (8 493 states, ≈ 0.6 s; ≈ 4 s under -race).
+const connDepth = 16
 
 // errReply is the error reply the model's shard sends; errGone, the one
 // for a branch it no longer knows.
@@ -74,13 +87,19 @@ const (
 type connModel struct {
 	st connState
 	a  action // the last action
-	// The exchange under way: its request's type, whether it goes
-	// write-behind, and whether it has touched the wire.
-	typ   byte
-	wb    bool
-	wired bool
-	// wire is what the shard owes, in order; doomed is set once an owed
-	// call's error reply is read, until the transaction ends.
+	// The exchange under way: its request's type, whether its reply is
+	// owed, whether a call goes write-behind, whether it has touched the
+	// wire, and whether its first action is still to come while a
+	// decision is buffered.
+	typ    byte
+	wb     bool
+	behind bool
+	wired  bool
+	flush  bool
+	// buf is the replies owed to the frames in the client's buffer, wire
+	// what the shard owes for the frames flushed, in order; doomed is set
+	// once an owed call's error reply is read, until the transaction ends.
+	buf    []byte
 	wire   []byte
 	doomed bool
 	// pinned is set while a transaction holds the connection.
@@ -92,12 +111,17 @@ type connModel struct {
 	open      map[string]bool
 	decisions int
 	trace     []string
+	// seen maps each state the walk reached to the most events it had
+	// left there: a state reached again with no more left is not walked
+	// again.
+	seen map[string]int
 }
 
 func (m *connModel) clone() *connModel {
 	c := *m
 	c.st.owed = slices.Clone(m.st.owed)
 	c.st.answered = slices.Clone(m.st.answered)
+	c.buf = slices.Clone(m.buf)
 	c.wire = slices.Clone(m.wire)
 	c.trace = slices.Clone(m.trace)
 	c.open = maps.Clone(m.open)
@@ -111,25 +135,37 @@ func (m *connModel) clone() *connModel {
 	return &c
 }
 
-// walk visits every extension of m by up to depth events and returns the
-// number of sequences visited, or the first broken rule.
-func (m *connModel) walk(depth int) (int, error) {
-	if depth == 0 || m.closed {
-		return 1, nil
+// key is m's state, its trace and the walk's bookkeeping aside.
+func (m *connModel) key() string {
+	out := slices.Sorted(maps.Keys(m.out))
+	for i, tx := range out {
+		out[i] = fmt.Sprintf("%s:%d:%v", tx, m.out[tx].typ, m.out[tx].on != nil)
 	}
-	n := 1
+	return fmt.Sprintf("%+v|%+v|%d %v %v %v %v|%q|%q|%v %v %v|%v|%v", m.st, m.a, m.typ, m.wb, m.behind, m.wired, m.flush,
+		m.buf, m.wire, m.doomed, m.pinned, m.closed, out, slices.Sorted(maps.Keys(m.open)))
+}
+
+// walk visits every extension of m by up to depth events and returns the
+// first broken rule.
+func (m *connModel) walk(depth int) error {
+	k := m.key()
+	if left, ok := m.seen[k]; ok && left >= depth {
+		return nil
+	}
+	m.seen[k] = depth
+	if depth == 0 || m.closed {
+		return nil
+	}
 	for _, next := range m.successors() {
 		c := m.clone()
 		if err := c.apply(next); err != nil {
-			return n, fmt.Errorf("%v\n  after %s", err, strings.Join(c.trace, ", "))
+			return fmt.Errorf("%v\n  after %s", err, strings.Join(c.trace, ", "))
 		}
-		k, err := c.walk(depth - 1)
-		n += k
-		if err != nil {
-			return n, err
+		if err := c.walk(depth - 1); err != nil {
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // input is one model step: a request to start, or a transport outcome.
@@ -172,15 +208,22 @@ func (m *connModel) successors() []input {
 		}
 		return out
 	}
-	return []input{
+	decide := start("decide", msgDecide, true)
+	decide.ev.lazy = true
+	var sweep []input
+	if m.st.buffered {
+		sweep = append(sweep, input{name: "sweep", ev: event{kind: evStart}})
+	}
+	return append(sweep, []input{
 		start("call", msgCall, false),
 		start("write-behind", msgCall, true),
 		start("commit", msgCommit, false),
 		start("prepare", msgPrepare, false),
 		start("abort", msgAbort, false),
-		start("decide", msgDecide, true),
+		decide,
+		start("resent decide", msgDecide, true),
 		start("abort decision", msgAbort, true),
-	}
+	}...)
 }
 
 // apply feeds in to step and checks the action it returns.
@@ -195,6 +238,8 @@ func (m *connModel) apply(in input) error {
 	case evStart:
 		ev.pinned = m.pinned
 		m.typ, m.wb, m.wired = ev.typ, ev.wb, false
+		m.behind = ev.wb && ev.typ == msgCall && len(m.st.owed) < maxOwed
+		m.flush = slices.Contains(m.buf, owedDecision)
 		if ev.wb && ev.typ != msgCall {
 			// checkout puts a decision in the outbox on its connection.
 			m.decisions++
@@ -234,22 +279,34 @@ func (m *connModel) apply(in input) error {
 	return m.check(m.st.step(ev))
 }
 
-// written puts the replies to the last action's frame on the wire.
+// written puts the reply to the last action's frame in the buffer, and a
+// flush puts the buffer on the wire.
 func (m *connModel) written() {
 	switch {
 	case !m.a.write:
-	case m.wb && m.typ != msgCall:
-		m.wire = append(m.wire, owedDecision)
-	case m.wb && m.typ == msgCall && !m.a.flush:
-		m.wire = append(m.wire, owedCall)
+	case m.wb && m.typ != msgCall && !m.a.abort:
+		m.buf = append(m.buf, owedDecision)
+	case m.behind:
+		m.buf = append(m.buf, owedCall)
 	default:
-		m.wire = append(m.wire, response)
+		m.buf = append(m.buf, response)
+	}
+	if m.a.flush {
+		m.wire = append(m.wire, m.buf...)
+		m.buf = m.buf[:0]
 	}
 }
 
 // check checks the action a step returned and records it.
 func (m *connModel) check(a action) error {
 	m.a = a
+	if m.flush && !a.flush && !m.behind {
+		return fmt.Errorf("the first action after a buffered decision does not flush it")
+	}
+	m.flush = false
+	if m.typ == 0 && m.pinned && (a.read || a.done && a.place == pool) {
+		return fmt.Errorf("the sweep of a pinned connection read its replies or took it from its transaction")
+	}
 	if a.write || a.flush {
 		if !a.arm {
 			return fmt.Errorf("a write under a deadline armed before it")
@@ -257,16 +314,20 @@ func (m *connModel) check(a action) error {
 		if slices.Contains(m.wire, response) {
 			return fmt.Errorf("a frame written before the last response was read")
 		}
-		if a.write && !a.abort && m.typ == msgCommit && slices.Contains(m.wire, owedCall) {
+		if a.write && !a.abort && m.typ == msgCommit && (slices.Contains(m.wire, owedCall) || slices.Contains(m.buf, owedCall)) {
 			return fmt.Errorf("a commit written while a call's reply is owed")
 		}
 		if a.write && !a.abort && m.typ == msgCommit && m.doomed {
 			return fmt.Errorf("a commit written after an owed call failed")
 		}
 	}
-	if a.read && a.write {
-		// The write and the read are one outcome: the write went out.
+	if a.read {
+		// The write, the flush and the read are one outcome: the frames
+		// went out.
 		m.written()
+		if len(m.buf) > 0 {
+			return fmt.Errorf("a reply read while %q is buffered", m.buf)
+		}
 	}
 	if a.flush || a.read {
 		m.wired = true
@@ -302,11 +363,11 @@ func (m *connModel) check(a action) error {
 	if broken {
 		return fmt.Errorf("a broken connection kept")
 	}
-	if slices.Contains(m.wire, response) {
+	if slices.Contains(m.wire, response) || slices.Contains(m.buf, response) {
 		return fmt.Errorf("exchange ended with its response unread")
 	}
-	if len(m.st.owed) != len(m.wire) {
-		return fmt.Errorf("the connection owes %d replies, the shard %q", len(m.st.owed), m.wire)
+	if len(m.st.owed) != len(m.wire)+len(m.buf) {
+		return fmt.Errorf("the connection owes %d replies, the shard %q and the buffer %q", len(m.st.owed), m.wire, m.buf)
 	}
 	return nil
 }

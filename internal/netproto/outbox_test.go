@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"sync"
@@ -509,4 +510,86 @@ func pinnedConns(c *ShardClient) []weak.Pointer[rpcConn] {
 		out = append(out, weak.Make(rc))
 	}
 	return out
+}
+
+// TestSweepFlushRacesCheckout: cross-shard commits whose decisions wait in
+// their connections' buffers, each followed by a pause around flushLag and
+// then the next transaction's first requests — a write-behind call on one
+// shard, a call on the other — so the sweep's flush of a connection races
+// a checkout of it.  Two workers share the clients.  Every decision is
+// applied once and acknowledged once per shard, and Close finds nothing
+// undelivered.
+func TestSweepFlushRacesCheckout(t *testing.T) {
+	const workers, rounds = 2, 100
+	var mu sync.Mutex
+	acks := map[histories.TxID]int{}
+	opts := ClientOptions{DecisionAcked: func(tx histories.TxID) {
+		mu.Lock()
+		acks[tx]++
+		mu.Unlock()
+	}}
+	var cs [2]*ShardClient
+	for i := range cs {
+		addr, _ := startShard(t, i, len(cs))
+		cs[i] = dialTest(t, addr, i, len(cs), opts)
+		if err := cs[i].Register("x", "Counter", "hybrid"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	coord := newCoordinator()
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 1))
+			for i := range rounds {
+				tx := histories.TxID(fmt.Sprintf("W%d-%d", w, i))
+				if err := cs[0].WriteBehind(ctx, tx, "x", adt.IncInv(1)); err != nil {
+					t.Errorf("%s: write-behind Inc: %v", tx, err)
+					return
+				}
+				if _, err := cs[1].Call(ctx, tx, "x", adt.IncInv(1)); err != nil {
+					t.Errorf("%s: Inc: %v", tx, err)
+					return
+				}
+				if dec, err := twoPhase(coord, tx, cs[0], cs[1]); dec != commitproto.Committed || err != nil {
+					t.Errorf("%s: round = %v, %v", tx, dec, err)
+					return
+				}
+				time.Sleep(time.Duration(rng.Int64N(int64(2 * flushLag))))
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, c := range cs {
+		tx := histories.TxID(fmt.Sprintf("R%d", i))
+		got, err := c.Call(ctx, tx, "x", adt.CtrReadInv())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Commit(ctx, tx); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprint(workers * rounds); got != want {
+			t.Errorf("shard %d counted %s increments, want %s", i, got, want)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(acks) != workers*rounds {
+		t.Errorf("%d transactions acknowledged, want %d", len(acks), workers*rounds)
+	}
+	for tx, n := range acks {
+		if n != len(cs) {
+			t.Errorf("%s acknowledged %d times, want once per shard", tx, n)
+		}
+	}
 }

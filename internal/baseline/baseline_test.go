@@ -1,6 +1,9 @@
 package baseline
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"hybridcc/internal/adt"
@@ -108,36 +111,77 @@ func TestEverySchemeIsADependencyRelation(t *testing.T) {
 }
 
 // TestConcurrencyOrdering verifies the concurrency hierarchy the paper
-// claims: hybrid conflicts ⊆ commutativity conflicts ⊆ read/write
-// conflicts for every type except Queue, where hybrid (Table II) and
-// commutativity (Table III) are incomparable.
+// claims, for every built-in type over its UniverseFor: hybrid conflicts ⊆
+// commutativity conflicts ⊆ read/write conflicts, except on Queue, where
+// hybrid (Table II) and commutativity (Table III) are incomparable.
 func TestConcurrencyOrdering(t *testing.T) {
-	universes := map[string][]spec.Op{
-		"File":      adt.FileUniverse([]int64{1, 2}),
-		"Semiqueue": adt.SemiqueueUniverse([]int64{1, 2}),
-		"Account":   adt.AccountUniverse([]int64{1, 2, 3}, []int64{2}),
-		"Counter":   adt.CounterUniverse([]int64{1, 2}, []int64{0, 1, 2, 3}),
-		"Set":       adt.SetUniverse([]int64{1, 2}),
-	}
-	for typeName, universe := range universes {
+	for _, sp := range adt.All() {
+		typeName := sp.Name()
+		universe := UniverseFor(typeName)
 		hybrid := depend.GroundConflict(ConflictFor("hybrid", typeName), universe)
 		commut := depend.GroundConflict(ConflictFor("commutativity", typeName), universe)
 		rw := depend.GroundConflict(ConflictFor("readwrite", typeName), universe)
-		if !hybrid.SubsetOf(commut) {
+		switch {
+		case typeName == "Queue":
+			if hybrid.SubsetOf(commut) || commut.SubsetOf(hybrid) {
+				t.Error("Queue hybrid (Table II) and commutativity (Table III) must be incomparable")
+			}
+		case !hybrid.SubsetOf(commut):
 			t.Errorf("%s: hybrid conflicts must be ⊆ commutativity conflicts; extra:\n%s",
 				typeName, hybrid.Diff(commut).Dump())
 		}
-		if !commut.SubsetOf(rw) {
-			t.Errorf("%s: commutativity conflicts must be ⊆ read/write conflicts; extra:\n%s",
-				typeName, commut.Diff(rw).Dump())
+		if !commut.SubsetOf(rw) || !hybrid.SubsetOf(rw) {
+			t.Errorf("%s: a conflict escapes read/write; extra:\n%s%s",
+				typeName, commut.Diff(rw).Dump(), hybrid.Diff(rw).Dump())
 		}
 	}
-	// Queue: incomparable.
-	universe := adt.QueueUniverse([]int64{1, 2})
-	hybrid := depend.GroundConflict(ConflictFor("hybrid", "Queue"), universe)
-	commut := depend.GroundConflict(ConflictFor("commutativity", "Queue"), universe)
-	if hybrid.SubsetOf(commut) || commut.SubsetOf(hybrid) {
-		t.Error("Queue hybrid (Table II) and commutativity (Table III) must be incomparable")
+}
+
+// relationsFile holds every built-in type's conflicts under each scheme,
+// one grid per type over its UniverseFor.
+const relationsFile = "relations.txt"
+
+// TestRelationsFile renders the three precompiled relations of every
+// built-in type side by side and compares them with relations.txt: a cell
+// names the schemes under which its operation pair conflicts, H for
+// hybrid, C for commutativity, R for read/write, "." for none.  A switch
+// of an object's scheme changes exactly the cells whose letters differ.
+func TestRelationsFile(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# Conflicts per scheme: H hybrid, C commutativity, R read/write, . none.\n")
+	for _, sp := range adt.All() {
+		name := sp.Name()
+		universe := UniverseFor(name)
+		width := 0
+		for _, op := range universe {
+			width = max(width, len(op.String()))
+		}
+		fmt.Fprintf(&b, "\n%s (%d ops)\n%*s", name, len(universe), width+3, "")
+		for j := range universe {
+			fmt.Fprintf(&b, " %3d", j)
+		}
+		for i, x := range universe {
+			fmt.Fprintf(&b, "\n%2d %-*s", i, width, x)
+			for _, y := range universe {
+				cell := []byte(" ...")
+				for k, scheme := range Schemes {
+					if ConflictFor(scheme, name).Conflicts(x, y) {
+						cell[k+1] = "HCR"[k]
+					}
+				}
+				b.Write(cell)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	want, err := os.ReadFile(relationsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("the conflict relations differ from %s:\n%s\n"+
+			"If the change is intended, write the lines above to %s and say why in CHANGES.md.",
+			relationsFile, got, relationsFile)
 	}
 }
 

@@ -85,6 +85,3 @@ func NewRemote(conns []RemoteConn, opts RemoteOptions) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// Remote reports whether this cluster runs over dialed shard connections.
-func (c *Cluster) Remote() bool { return c.remotes != nil }

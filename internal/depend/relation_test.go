@@ -169,25 +169,8 @@ func TestForwardCommuteBasics(t *testing.T) {
 	}
 }
 
-func TestRenderTables(t *testing.T) {
-	for _, tbl := range AllTables() {
-		out := tbl.Render()
-		if !strings.Contains(out, "TABLE "+tbl.ID) {
-			t.Errorf("table %s header missing:\n%s", tbl.ID, out)
-		}
-		for _, r := range tbl.Rows {
-			if !strings.Contains(out, r) {
-				t.Errorf("table %s missing row %q", tbl.ID, r)
-			}
-		}
-	}
-	if len(AllTables()) != 6 {
-		t.Errorf("AllTables returned %d tables", len(AllTables()))
-	}
-}
-
-// TestTableConditionsMatchPredicates cross-checks the symbolic cell
-// conditions of the rendered tables against the predicate relations on a
+// TestTableConditionsMatchPredicates cross-checks the paper's cell
+// conditions for Tables I and IV against the predicate relations on a
 // sample of concrete operations.
 func TestTableConditionsMatchPredicates(t *testing.T) {
 	// Table I: row Read(), v′ depends on column Write(v) iff v ≠ v′.
@@ -208,14 +191,6 @@ func TestTableConditionsMatchPredicates(t *testing.T) {
 	}
 	if s.Depends(adt.Ins(3), adt.Ins(3)) || s.Depends(adt.Rem(3), adt.Ins(3)) {
 		t.Error("Table IV must leave Ins unconstrained")
-	}
-}
-
-func TestRenderGrid(t *testing.T) {
-	universe := adt.QueueUniverse([]int64{1, 2})
-	out := RenderGrid("queue", SymmetricClosure(QueueDependencyII()), universe)
-	if !strings.Contains(out, "×") || !strings.Contains(out, "queue") {
-		t.Errorf("grid rendering missing content:\n%s", out)
 	}
 }
 

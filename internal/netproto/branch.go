@@ -126,7 +126,7 @@ type branchAction struct {
 func (t *branchTable) recovering() bool { return t.count[branchRecovered] > 0 }
 
 // step applies ev to branch id and returns what to do.  It does no I/O;
-// the rules it keeps are listed in server.go's header.
+// branchrules.txt lists what it does.
 func (t *branchTable) step(id histories.TxID, ev branchEvent) (a branchAction) {
 	b, k := t.live[id], ev.kind
 	a.b, a.ts = b, ev.ts

@@ -274,7 +274,7 @@ func (in branchInput) name() string {
 	case in.k == evApplied:
 		return fmt.Sprintf("%s of %s on %d %s", callNames[in.do], in.id, in.slot, map[bool]string{true: "applied", false: "failed"}[in.ok])
 	}
-	return fmt.Sprintf("%s %s on %d", requestNames[in.k], in.id, in.slot)
+	return fmt.Sprintf("%s %s on %d", eventNames[in.k], in.id, in.slot)
 }
 
 func (in branchInput) apply(m *branchModel) error {
@@ -323,12 +323,17 @@ func (m *branchModel) inputs(out []branchInput) []branchInput {
 	return append(out, branchInput{slot: -1})
 }
 
-var requestNames = map[branchEvKind]string{
-	evCall: "call", evCommit: "commit", evPrepare: "prepare", evDecide: "decide", evAbort: "abort",
-	evReadBegin: "read begin", evReadActivate: "activate", evReadCall: "read call", evReadComplete: "complete",
-}
-
-var callNames = map[coreCall]string{doCommitAbove: "CommitAbove", doPrepare: "Prepare", doCommitAt: "CommitAt"}
+// eventNames and callNames name events and core calls in failures and in
+// branchrules.txt.
+var (
+	eventNames = [...]string{evCall: "call", evReadBegin: "read-begin", evReadActivate: "activate", evReadCall: "read-call",
+		evReadComplete: "complete", evCommit: "commit", evPrepare: "prepare", evDecide: "decide", evAbort: "abort",
+		evStatus: "status", evDrop: "drop", evRecover: "recover", evScanned: "scanned", evCommitted: "committed",
+		evVoted: "voted", evApplied: "applied", evResolved: "resolved", evFinished: "finished"}
+	callNames = [...]string{none: "-", doBegin: "Begin", doCall: "Call", doCommitAbove: "CommitAbove",
+		doPrepare: "Prepare", doCommitAt: "CommitAt", doAbort: "Abort", doResolve: "Resolve", doAbandon: "Abandon",
+		doFinish: "Finish", doReadBegin: "ReadBegin", doActivate: "Activate", doReadCall: "ReadCall", doReadEnd: "ReadEnd"}
+)
 
 // request sends a kind request about branch i on slot's connection, and
 // makes the core calls the action names, as Server.handleBranch does.
@@ -345,7 +350,7 @@ func (m *branchModel) request(slot, i int, kind branchEvKind) error {
 	}
 	a := m.t.step(branchIDs[i], branchEvent{kind: kind, conn: m.conns[slot], ts: ts})
 	if (kind == evCall || kind == evPrepare) && errors.Is(a.err, ErrRecovering) != m.anyRecovered() {
-		return fmt.Errorf("rule 5: %s answered %v while recovered branches are unresolved=%v", requestNames[kind], a.err, m.anyRecovered())
+		return fmt.Errorf("rule 5: %s answered %v while recovered branches are unresolved=%v", eventNames[kind], a.err, m.anyRecovered())
 	}
 	a, err := m.resolve(i, a)
 	if err != nil {
@@ -395,9 +400,9 @@ func (m *branchModel) readRequest(slot int, kind branchEvKind) error {
 	}
 	switch {
 	case a.do != none && a.do != readCalls[kind]:
-		return fmt.Errorf("%s R made core call %d", requestNames[kind], a.do)
+		return fmt.Errorf("%s R made core call %d", eventNames[kind], a.do)
 	case (a.do != none) != runs:
-		return fmt.Errorf("rule 6: %s R on %d ran=%v (%v); R live=%v, owned by %d", requestNames[kind], slot, a.do != none, a.err, r.live, r.owner)
+		return fmt.Errorf("rule 6: %s R on %d ran=%v (%v); R live=%v, owned by %d", eventNames[kind], slot, a.do != none, a.err, r.live, r.owner)
 	case a.do == doReadBegin:
 		*r = modelRead{live: true, owner: slot}
 	case a.do == doReadEnd:
@@ -432,7 +437,7 @@ func (m *branchModel) checkCross() error {
 			for _, k := range kinds {
 				a := m.t.step(id, branchEvent{kind: k, conn: m.conns[slot]})
 				if a.do != none || !bytes.Equal(m.appendKey(b1[:0]), before) {
-					return fmt.Errorf("rule 8: %s %s on %d, a branch of the other kind, made core call %d (%v) or changed the table", requestNames[k], id, slot, a.do, a.err)
+					return fmt.Errorf("rule 8: %s %s on %d, a branch of the other kind, made core call %d (%v) or changed the table", eventNames[k], id, slot, a.do, a.err)
 				}
 			}
 		}

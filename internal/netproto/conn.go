@@ -15,31 +15,8 @@ import (
 // the caller and the circuit breaker are told, and whether the connection
 // stays with its transaction, goes back to the pool or is closed.  step
 // does no I/O: ShardClient.run does what each action says and reports what
-// happened as the next event, and TestConnRules enumerates step's event
-// sequences beside the outbox.  The rules:
-//
-//   - Every write and flush is bounded by a deadline armed in the same
-//     action.
-//   - A write-behind call's reply and a decision's are owed from the write
-//     and read, in wire order, before the next response.  A commit
-//     decision's exchange ends at its write; an abort decision's reads its
-//     reply.  A commit reads the owed call replies before its frame goes
-//     out, because a commit cannot be overruled; a prepare and an abort go
-//     out behind them.
-//   - A commit decision on its transaction's connection is written, not
-//     flushed, to ride ahead of the connection's next frame: the next
-//     exchange but a write-behind call flushes it, or else the sweep,
-//     which reads a pooled connection's replies only.  No reply is read
-//     while a frame is buffered.
-//   - An owed call's error reply fails the rest of its transaction: a call
-//     or write-behind call returns it unsent, a commit sends an abort in
-//     its place, and a prepare's vote is a no.  An abort ignores it.
-//   - A connection whose transport failed is closed, and so is one whose
-//     exchange ends its transaction while a call's reply is owed; the
-//     decisions it owes fall due in the outbox.  Any other goes back to the
-//     pool when its transaction ends, the failure cleared, owing at most
-//     decisions' replies, for its next user or the sweep to read.
-//   - An exchange that reached the wire is observed by the breaker once.
+// happened as the next event.  connrules.txt lists every step
+// TestConnRules takes, which checks them beside the outbox.
 
 // maxOwed bounds a connection's owed replies.
 const maxOwed = 64

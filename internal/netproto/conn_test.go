@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -44,14 +45,18 @@ import (
 // once, and that what a closed connection owed, a buffered decision's
 // included, or the shard refused, is due for the drain.  A buffered
 // decision leaves the buffer by the next exchange's flush, by the sweep's,
-// or with the connection when the transport breaks.
+// or with the connection when the transport breaks.  The deepest walk
+// also renders each step it takes, and the rows must match connrules.txt.
 func TestConnRules(t *testing.T) {
 	// Deepening one event at a time reports a shortest sequence that
 	// breaks a rule.
 	start := time.Now()
-	n := 0
+	n, rows := 0, map[string]bool{}
 	for depth := 1; depth <= connDepth; depth++ {
 		m := &connModel{a: action{done: true}, out: outbox{}, open: map[string]bool{}, seen: map[string]int{}}
+		if depth == connDepth {
+			m.rows = rows
+		}
 		if err := m.walk(depth); err != nil {
 			t.Fatal(err)
 		}
@@ -61,6 +66,34 @@ func TestConnRules(t *testing.T) {
 	if n < 2000 {
 		t.Fatalf("reached only %d states; the walk looks truncated", n)
 	}
+	var rs [][]string
+	for _, r := range slices.Sorted(maps.Keys(rows)) {
+		rs = append(rs, strings.Split(r, "\x00"))
+	}
+	// Merge the sticky state, the owed replies and pinned, in that order.
+	rs = mergeRules(rs, []int{4, 3, 1}, func(col int, _ []string) []string { return connDomains[col] })
+	checkRulesFile(t, connRulesFile, connLegend, rs)
+}
+
+// connRulesFile is connState.step as the walk takes it: one line per class
+// of steps from the states TestConnRules reaches, in the terms of
+// connModel.step.
+const connRulesFile = "connrules.txt"
+
+const connLegend = `# connState.step (conn.go) on every step TestConnRules takes, rendered by that test.
+# Inputs: the exchange's request; pinned while a transaction holds the connection; the exchange's progress
+# (wb: its reply is owed; sent: its frame is out, unanswered; wired: it touched the wire); the owed replies
+# (c: a call's first, d: a decision's; +c: more, a call's among them; +d: more, decisions' only); the
+# sticky failed call and buffered decision; the event.  a|b: either value; *: any.
+# Outputs: the action; what changed in progress (=: nothing, -: the exchange is done), in the owed
+# replies (pop: the first was read; +c, +d: one more is owed) and in the sticky state.
+# request pinned progress owed sticky event -> action progress' owed' sticky'`
+
+// connDomains is the values of the connrules.txt columns merged into "*".
+var connDomains = map[int][]string{
+	1: {"-", "pinned"},
+	3: {"-", "c", "d", "c+c", "c+d", "d+c", "d+d"},
+	4: {"-", "failed", "buffered", "failed,buffered"},
 }
 
 // connDepth is the number of events per sequence: deep enough for two
@@ -115,6 +148,9 @@ type connModel struct {
 	// left there: a state reached again with no more left is not walked
 	// again.
 	seen map[string]int
+	// rows, when set, collects every step taken as a connrules.txt row,
+	// its columns joined by NUL.
+	rows map[string]bool
 }
 
 func (m *connModel) clone() *connModel {
@@ -263,7 +299,7 @@ func (m *connModel) apply(in input) error {
 		if got == owedDecision {
 			tx = m.st.owed[0]
 		}
-		a := m.st.step(ev)
+		a := m.step(ev)
 		switch {
 		case got != owedDecision && (a.acked || len(m.st.answered) != answered):
 			return fmt.Errorf("a %c reply taken for a decision's", got)
@@ -276,8 +312,105 @@ func (m *connModel) apply(in input) error {
 	case evWrote:
 		m.written()
 	}
-	return m.check(m.st.step(ev))
+	return m.check(m.step(ev))
 }
+
+// step feeds ev to the connection and, when the walk collects rows,
+// records the step as a connrules.txt row.
+func (m *connModel) step(ev event) action {
+	if m.rows == nil {
+		return m.st.step(ev)
+	}
+	s := &m.st
+	req, pinned, progress, evName := msgNames[s.typ], s.pinned, exchangeWords(s), []string{"start", "wrote", "read", "broken"}[ev.kind]
+	if ev.kind == evStart {
+		req, pinned, progress = msgNames[ev.typ], ev.pinned, "-"
+		evName = words(true, evName, ev.wb, "wb", ev.lazy, "lazy")
+	}
+	if ev.err != nil {
+		evName += "," + errNames[ev.err]
+	}
+	owed, sticky := slices.Clone(s.owed), stickyWords(s)
+	in := []string{req, words(pinned, "pinned"), progress, owedWords(owed), sticky, evName}
+	a := s.step(ev)
+	act := words(a.arm, "arm", a.write, "write", a.abort, "abort", a.flush, "flush", a.read, "read", a.acked, "acked",
+		a.done, "done", a.err != nil, "error="+errNames[a.err], a.observe && a.ok, "observe-ok", a.observe && !a.ok, "observe-broken",
+		a.lost, "lost", a.done, []string{"keep", "pool", "drop"}[a.place])
+	after := exchangeWords(s)
+	switch {
+	case a.done:
+		after = "-"
+	case after == progress:
+		after = "="
+	}
+	// step takes replies off the front of owed and appends new ones.
+	popped := 0
+	for !slices.Equal(owed[popped:], s.owed[:min(len(s.owed), len(owed)-popped)]) {
+		popped++
+	}
+	delta := strings.Repeat("pop", popped)
+	for _, tx := range s.owed[len(owed)-popped:] {
+		delta += "+" + owedKind(tx)
+	}
+	if sticky == stickyWords(s) {
+		sticky = "="
+	} else {
+		sticky = stickyWords(s)
+	}
+	m.rows[strings.Join(append(in, strings.Join([]string{act, after, cmp.Or(delta, "="), sticky}, " ")), "\x00")] = true
+	return a
+}
+
+// exchangeWords names the progress of s's exchange: whether its reply is
+// owed, its frame went out with its reply unread, and it reached the wire.
+func exchangeWords(s *connState) string {
+	return words(s.wb, "wb", s.sent, "sent", s.wired, "wired")
+}
+
+// stickyWords names what outlasts s's exchange: a failed call's reply and
+// a buffered decision.
+func stickyWords(s *connState) string {
+	return words(s.failed != nil, "failed", s.buffered, "buffered")
+}
+
+// owedKind is c for an owed call's reply, d for a decision's.
+func owedKind(tx string) string {
+	if tx == "" {
+		return "c"
+	}
+	return "d"
+}
+
+// owedWords names owed by its first reply's kind and, when more follow,
+// "+c" if a call's is among them, else "+d".
+func owedWords(owed []string) string {
+	switch {
+	case len(owed) == 0:
+		return "-"
+	case len(owed) == 1:
+		return owedKind(owed[0])
+	case slices.Contains(owed[1:], ""):
+		return owedKind(owed[0]) + "+c"
+	}
+	return owedKind(owed[0]) + "+d"
+}
+
+// words joins the names whose flags are set with ",", or is "-".
+func words(pairs ...any) string {
+	var w []string
+	for i := 0; i < len(pairs); i += 2 {
+		if pairs[i].(bool) {
+			w = append(w, pairs[i+1].(string))
+		}
+	}
+	if len(w) == 0 {
+		return "-"
+	}
+	return strings.Join(w, ",")
+}
+
+// errNames names the model's errors.
+var errNames = map[error]string{nil: "-", errReply: "reply", errGone: "gone", ErrUnavailable: "transport"}
 
 // written puts the reply to the last action's frame in the buffer, and a
 // flush puts the buffer on the wire.
@@ -348,7 +481,7 @@ func (m *connModel) check(a action) error {
 		return fmt.Errorf("breaker observe=%v for an exchange that touched the wire=%v", a.observe, m.wired || broken)
 	}
 	if m.doomed && a.err == nil && (m.typ == msgCall || m.typ == msgCommit || m.typ == msgPrepare) {
-		return fmt.Errorf("a %s succeeded after an owed call failed", msgName(m.typ))
+		return fmt.Errorf("a %s succeeded after an owed call failed", msgNames[m.typ])
 	}
 	switch a.place {
 	case drop:
@@ -397,13 +530,5 @@ func (m *connModel) checkOutbox(closed bool) error {
 	return nil
 }
 
-// msgName names a request type in a failure.
-func msgName(typ byte) string {
-	switch typ {
-	case msgCall:
-		return "call"
-	case msgCommit:
-		return "commit"
-	}
-	return "prepare"
-}
+// msgNames names the model's request types; 0 is the sweep.
+var msgNames = map[byte]string{0: "sweep", msgPing: "ping", msgCall: "call", msgCommit: "commit", msgPrepare: "prepare", msgAbort: "abort", msgDecide: "decide"}

@@ -27,29 +27,12 @@ import (
 // The server is the 2PC participant, and its branches' rules are one
 // transition function, branchTable.step (branch.go): a handler asks step
 // what a request does, makes the one core call the action names, and
-// reports the call's result as the next event.  TestBranchRules checks
-// step against a model shard.  An update branch is active, prepared (voted
-// yes), deciding (a commit is being applied), failed (its decided commit
-// could not be logged) or recovered (prepared before a restart); a read
-// branch is reading.  The rules:
-//
-//   - A prepared branch never ends without a decision.  A connection that
-//     dies aborts exactly its own active branches and disowns the rest:
-//     under presumed abort a prepared participant may not abort on its
-//     own, and the decision may arrive on any connection.
-//   - A decision is applied once: one that finds its branch deciding or
-//     failed is refused, and one that finds no branch acknowledges.  A
-//     failed branch stays until a restart recovers it.
-//   - A status probe answers committed only once the commit applied, and
-//     pending while a branch is live.
-//   - A shard whose log holds prepared-but-undecided branches recovers:
-//     it refuses new work until the last of them is resolved by a decision
-//     or an abort, and FinishRecovery has replayed the committed log.
-//   - A transaction id names one branch, update or read: a read begin or
-//     a call naming the other kind's live branch is refused.  Only a read
-//     branch's own connection reads through it or completes it, and its
-//     complete or its connection's drop finishes the read exactly once,
-//     releasing the pin it holds on the forget horizon.
+// reports the call's result as the next event.  An update branch is
+// active, prepared (voted yes), deciding (a commit is being applied),
+// failed (its decided commit could not be logged) or recovered (prepared
+// before a restart); a read branch is reading.  branchrules.txt writes
+// step out, one line per class of inputs, and TestBranchRules checks it
+// against a model shard.
 type Server struct {
 	sys    *core.System
 	shard  int
